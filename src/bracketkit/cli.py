@@ -15,6 +15,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .bitsets import indices_from_mask
 from .constructions import (
     base_mnet,
     boost_epsilon,
@@ -126,7 +127,7 @@ def cmd_packing(args):
     payload = {
         "delta": packing.delta,
         "cap": packing.shallow_cap,
-        "members": [sorted(_bits(m)) for m in packing.members],
+        "members": [list(indices_from_mask(m)) for m in packing.members],
     }
     _write(args.out, json.dumps(payload))
     print(f"packing size {len(packing.members)} at delta={delta_int} cap={args.cap}")
@@ -139,17 +140,6 @@ def cmd_packing(args):
         if report.shallow_expression is not None:
             print(f"shallow expression {report.shallow_expression:.6g} (psi_hat={report.shallow_psi_hat})")
     return 0
-
-
-def _bits(mask):
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _verify_and_report(system, family):
@@ -212,7 +202,7 @@ def cmd_verify(args):
         print(f"verified: {report.checked} ranges checked")
         return 0
     mask, reason = report.counterexample
-    print(f"FAILED on range {sorted(_bits(mask))}: {reason}")
+    print(f"FAILED on range {list(indices_from_mask(mask))}: {reason}")
     return 1
 
 
@@ -372,7 +362,7 @@ def cmd_bench(args):
     print(f"wrote {len(rows)} rows to {spec.out}")
     if failure is not None:
         mask, reason = failure.counterexample
-        print(f"verification FAILED: range {sorted(_bits(mask))}: {reason}")
+        print(f"verification FAILED: range {list(indices_from_mask(mask))}: {reason}")
         return 1
     return 0
 

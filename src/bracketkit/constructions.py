@@ -11,6 +11,7 @@ before returning it and never returns an unverified family.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -224,10 +225,7 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
                 lookup = {m: k for k, m in enumerate(proj.system.ranges)}
                 member_cache[member] = (proj, fam, lookup)
             proj, fam, lookup = member_cache[member]
-            local = 0
-            for pos, orig in enumerate(proj.original_indices):
-                if mask >> orig & 1:
-                    local |= 1 << pos
+            local = bitsets.compress([mask], member)[0]
             piece_local = _mnet_witness_piece(fam, lookup[local], local)
             piece = proj.lift_mask(piece_local)
             witness[j] = piece
@@ -388,28 +386,15 @@ def small_set_container(system, eps, rho, provider, run_log=None):
             raise InternalInvariantError(
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
-        u_bits = bitsets.indices_from_mask(universe)
-        u_size = len(u_bits)
-        pos = {orig: k for k, orig in enumerate(u_bits)}
-        eps_node = max(
-            Fraction(system.ranges[j].bit_count(), u_size) for j in survivors
-        )
-        local_comps = set()
-        for j in survivors:
-            comp = universe & ~system.ranges[j]
-            local = 0
-            for orig in bitsets.indices_from_mask(comp):
-                local |= 1 << pos[orig]
-            local_comps.add(local)
+        u_size = universe.bit_count()
+        eps_node = Fraction(max(system.ranges[j].bit_count() for j in survivors), u_size)
+        local_comps = bitsets.compress([~system.ranges[j] for j in survivors], universe)
         node_sys = SetSystem.from_masks(u_size, local_comps)
         fam = provider.mnet(node_sys, 1 - eps_node)
         children = []
-        for piece_local in fam.pieces:
-            if piece_local == 0:
+        for piece in bitsets.expand(fam.pieces, universe):
+            if piece == 0:
                 continue
-            piece = 0
-            for k in bitsets.indices_from_mask(piece_local):
-                piece |= 1 << u_bits[k]
             child_universe = universe & ~piece
             child_live = [
                 j
@@ -450,8 +435,13 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     n = system.n
     lo_int = ceil_frac(delta * n)
     hi_int = min(n, floor_frac((1 + eps) * delta * n))
-    band_masks = [m for m in system.ranges if lo_int <= m.bit_count() <= hi_int]
-    band = SetSystem(n, tuple(band_masks))
+    # Canonical order is size-descending, so the band is one slice.
+    neg_size = lambda m: -m.bit_count()  # noqa: E731
+    band_masks = system.ranges[
+        bisect_left(system.ranges, -hi_int, key=neg_size):
+        bisect_right(system.ranges, -lo_int, key=neg_size)
+    ]
+    band = SetSystem(n, band_masks)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
         return _checked_mnet(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
@@ -469,20 +459,14 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     for member in packing.members:
         member_row = bitsets.pack_masks([member], n)[0]
         dists = bitsets.symdiff_counts(member_row, packed_band)
-        group = [j for j in range(len(band.ranges)) if dists[j] <= sep and j not in witness]
+        group = [j for j in np.flatnonzero(dists <= sep).tolist() if j not in witness]
         if not group:
             continue
-        p_bits = bitsets.indices_from_mask(member)
-        p_size = len(p_bits)
-        pos = {orig: k for k, orig in enumerate(p_bits)}
+        p_size = member.bit_count()
         local_full = (1 << p_size) - 1
         comp_cap = floor_frac(eps_prime * p_size)
         local_comp = {}
-        for j in group:
-            inter = band.ranges[j] & member
-            local = 0
-            for orig in bitsets.indices_from_mask(inter):
-                local |= 1 << pos[orig]
+        for j, local in zip(group, bitsets.compress([band.ranges[j] for j in group], member)):
             comp = local_full ^ local
             if comp.bit_count() > comp_cap:
                 raise InternalInvariantError(
@@ -492,14 +476,13 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
         comp_sys = SetSystem.from_masks(p_size, set(local_comp.values()))
         comp_index = {m: k for k, m in enumerate(comp_sys.ranges)}
         cont = small_set_container(comp_sys, eps_prime, eps, provider, run_log=run_log)
-        for j, comp in local_comp.items():
-            cover = _container_witness_cover(cont, comp_index[comp], comp)
-            piece_local = local_full ^ cover
-            piece = 0
-            for k in bitsets.indices_from_mask(piece_local):
-                piece |= 1 << p_bits[k]
-            pieces.append(piece)
-            witness[j] = piece
+        pieces_local = [
+            local_full ^ _container_witness_cover(cont, comp_index[comp], comp)
+            for comp in local_comp.values()
+        ]
+        lifted = bitsets.expand(pieces_local, member)
+        pieces.extend(lifted)
+        witness.update(zip(local_comp, lifted))
     ordered = list(dict.fromkeys(pieces))
     position = {p: i for i, p in enumerate(ordered)}
     witness_idx = {j: position[p] for j, p in witness.items()}

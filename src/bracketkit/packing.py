@@ -36,15 +36,14 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     candidates = [
         m for m in system.ranges if shallow_cap is None or m.bit_count() <= shallow_cap
     ]
+    packed = bitsets.pack_masks(candidates, system.n)
+    admitted = np.empty_like(packed)
     members = []
-    packed = np.zeros((0, bitsets.words_needed(system.n)), dtype=np.uint64)
-    for mask in candidates:
-        row = bitsets.pack_masks([mask], system.n)[0]
-        if packed.shape[0]:
-            if int(bitsets.symdiff_counts(row, packed).min()) <= delta:
-                continue
+    for mask, row in zip(candidates, packed):
+        if members and int(bitsets.symdiff_counts(row, admitted[: len(members)]).min()) <= delta:
+            continue
+        admitted[len(members)] = row
         members.append(mask)
-        packed = np.vstack([packed, row[None, :]])
     return Packing(system, tuple(members), delta, shallow_cap)
 
 

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsets import indices_from_mask, mask_from_indices, popcount
+from .bitsets import compress, expand, indices_from_mask, mask_from_indices
 from .errors import InputError
 from .rationals import parse_fraction
 
@@ -33,7 +33,7 @@ def canonical_key(mask, n):
     For equal sizes, ascending lexicographic order of sorted index lists is the
     same as descending numeric order of the bit-reversed mask.
     """
-    return (-popcount(mask), -_reversed_mask(mask, n))
+    return (-mask.bit_count(), -_reversed_mask(mask, n))
 
 
 def canonical_sort(masks, n):
@@ -71,9 +71,6 @@ class SetSystem:
         """Ranges as sorted index tuples (mainly for json/pretty output)."""
         return [indices_from_mask(m) for m in self.ranges]
 
-    def index_of(self, mask):
-        return self.ranges.index(mask)
-
     def bool_matrix(self):
         """Ranges as a (num_ranges, n) boolean membership matrix."""
         out = np.zeros((len(self.ranges), self.n), dtype=bool)
@@ -100,10 +97,7 @@ class Projection:
 
     def lift_mask(self, mask):
         """Translate a mask over the projected indices back to original indices."""
-        out = 0
-        for j in indices_from_mask(mask):
-            out |= 1 << self.original_indices[j]
-        return out
+        return expand([mask], mask_from_indices(self.original_indices))[0]
 
 
 def project(system, subset):
@@ -119,16 +113,7 @@ def project(system, subset):
     for i in subset_indices:
         if not 0 <= i < system.n:
             raise InputError(f"projection index {i} outside ground set of size {system.n}")
-    position = {orig: new for new, orig in enumerate(subset_indices)}
-    projected = set()
-    for mask in system.ranges:
-        new_mask = 0
-        for orig in subset_indices:
-            if mask >> orig & 1:
-                new_mask |= 1 << position[orig]
-        projected.add(new_mask)
-    if not system.ranges:
-        projected = set()
+    projected = compress(system.ranges, mask_from_indices(subset_indices))
     return Projection(SetSystem.from_masks(len(subset_indices), projected), subset_indices)
 
 
@@ -151,7 +136,7 @@ def filter_by_size(system, lower=None, upper=None, *, include_lower=True, includ
         raise InputError(f"inverted size interval: {lo} > {hi}")
     kept = []
     for mask in system.ranges:
-        size = popcount(mask)
+        size = mask.bit_count()
         ok_lo = size >= lo if include_lower else size > lo
         ok_hi = size <= hi if include_upper else size < hi
         if ok_lo and ok_hi:
@@ -258,7 +243,7 @@ def shallow_cell_profile(system, samples, caps):
     out = []
     for sample in samples:
         proj = project(system, sample)
-        sizes = sorted(popcount(m) for m in proj.system.ranges)
+        sizes = sorted(m.bit_count() for m in proj.system.ranges)
         for cap in caps:
             count = 0
             for size in sizes:

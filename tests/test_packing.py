@@ -53,6 +53,15 @@ def test_greedy_matches_naive(seed):
             assert got == naive_greedy_packing(system, delta, cap)
 
 
+@pytest.mark.parametrize("n, delta, cap", [(70, 30, None), (70, 12, 20), (130, 60, 40)])
+def test_greedy_matches_naive_multiword(n, delta, cap):
+    # Masks span two or three uint64 words, and members straddle word edges.
+    system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, n, "sphere"))
+    packing = bk.greedy_delta_packing(system, delta, shallow_cap=cap)
+    got = [mask_set(m, system.n) for m in packing.members]
+    assert got == naive_greedy_packing(system, delta, cap)
+
+
 def test_packing_invariants(collinear4):
     _, system = collinear4
     packing = bk.greedy_delta_packing(system, 1)
