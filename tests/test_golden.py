@@ -1,7 +1,8 @@
 """Byte-identity gate: fixed constructions must keep their exact output.
 
 The digests in ``golden_digests.json`` are SHA-256 hashes of the family JSON
-(and of the protocol hypothesis list) for fixed instances.  Any change to the
+(and of the protocol hypothesis list and one planar halfspace system) for
+fixed instances.  Any change to the
 construction stack that alters a single set, its order or a parameter shows
 up here.  Regenerate the file only for an intended output change:
 
@@ -56,11 +57,16 @@ def _context64():
     return json.dumps({"cover_count": ctx.cover_count, "hypotheses": sets})
 
 
+def _halfspaces256():
+    return bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 11000)).to_json()
+
+
 CASES = {
     "bracket-circle40-eps1/4": _bracket40,
     "boost-circle40-eps1/5-eta1/2": _boost40,
     "container-circle60-eps1/20": _container60,
     "context-n64-criterion9-hypotheses": _context64,
+    "halfspaces-n256-seed11000": _halfspaces256,
 }
 
 
