@@ -35,7 +35,6 @@ from .families import (
     make_mnet,
 )
 from .geometry import (
-    DegeneracyError as GeometryDegeneracyError,
     LinearQuery,
     PointSet,
     enumerate_ball_ranges,

@@ -3,7 +3,7 @@
 Subcommands: gen, enum-ranges, packing, mnet, container, bracket, verify,
 protocol-learn, protocol-disjoint, bench.  Exit status: 0 = all verified,
 1 = verification failure, 2 = usage error.  Rationals are passed as "p/q"
-strings; BRACKETKIT_THREADS caps the bench work pool.
+strings.  bench runs its grid points one after another, in grid order.
 """
 
 import argparse
@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bitsets import indices_from_mask
@@ -343,17 +342,13 @@ def _run_grid_point(spec, point):
 
 def cmd_bench(args):
     spec = ExperimentSpec.from_json(_read(args.spec))
-    grid = _grid_points(spec)
-    threads = int(os.environ.get("BRACKETKIT_THREADS", "0")) or min(4, os.cpu_count() or 1)
-    rows = [None] * len(grid)
+    rows = []
     failure = None
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(_run_grid_point, spec, point): i for i, point in enumerate(grid)}
-        for future, i in futures.items():
-            row, report = future.result()
-            rows[i] = row
-            if not report.passed and failure is None:
-                failure = report
+    for point in _grid_points(spec):
+        row, report = _run_grid_point(spec, point)
+        rows.append(row)
+        if not report.passed and failure is None:
+            failure = report
     with open(spec.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

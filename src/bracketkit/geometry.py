@@ -3,6 +3,13 @@
 Halfspace ranges are enumerated from hyperplanes spanned by d-subsets of
 points: each side is emitted with every realizable boundary-inclusion
 pattern (all subsets of the spanning tuple, valid under general position).
+Two paths compute the same masks.  In the plane (d = 2, which also serves
+1-D balls through the paraboloid lift) an angular sweep sorts, around each
+point, the directions to all others and reads both sides of every spanning
+line off prefix masks with two pointers: O(n^2 log n).  Every other
+dimension scans all spanning d-tuples against all points: O(n^(d+1)).  The
+scan is the reference the sweep is tested against, and both refuse exactly
+the same inputs (a repeated point, or d+1 points on one hyperplane).
 Correctness of the pattern scheme is pinned by an independent brute-force
 oracle in the tests rather than a geometric proof.  All side-of-hyperplane
 tests are exact integer arithmetic after clearing denominators.
@@ -13,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import DegeneracyError, InputError, ResourceBudgetError
@@ -161,6 +169,80 @@ def _affine_rank(int_pts):
 
 def _halfspace_masks(int_pts, dim, keep=None):
     """Distinct halfspace traces as bitmasks; ``keep(normal)`` filters sides."""
+    if dim == 2 and len(int_pts) > dim:
+        return _planar_sweep_masks(int_pts, keep)
+    return _spanning_tuple_masks(int_pts, dim, keep)
+
+
+# Sorts direction vectors of one closed half-plane counterclockwise: the sign
+# of the cross product decides, and no two of them are opposite.
+_BY_ANGLE = cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1])
+
+
+def _planar_sweep_masks(int_pts, keep=None):
+    """``_spanning_tuple_masks`` for d = 2 and n >= 3 by a rotational sweep.
+
+    Around each base point i the directions to all other points are sorted
+    by angle (exactly: half-plane, then cross product).  Let P be the prefix
+    XOR of their bits over the sorted order taken twice.  For the direction
+    at position k, a pointer t that only moves forward finds the end of the
+    directions strictly left of it, so that side is P[t] ^ P[k+1] and the
+    right side is the rest.  The pointer stops at the latest at the direction
+    opposite k, if there is one, and of any collinear triple the other two points lie in
+    opposite directions from the middle one: so a zero cross product at the
+    pointer finds every collinear triple.
+    """
+    n = len(int_pts)
+    full = (1 << n) - 1
+    masks = {0, full}
+    for i, ((bx, by), bd) in enumerate(int_pts):
+        upper = []
+        lower = []
+        for j, ((qx, qy), qd) in enumerate(int_pts):
+            if j == i:
+                continue
+            x, y = qx * bd - bx * qd, qy * bd - by * qd
+            if y > 0 or (y == 0 and x > 0):
+                upper.append((x, y, j))
+            elif y or x:
+                lower.append((x, y, j))
+            else:
+                raise DegeneracyError(f"points {i} and {j} coincide")
+        upper.sort(key=_BY_ANGLE)
+        lower.sort(key=_BY_ANGLE)
+        order = upper + lower
+        m = len(order)
+        twice = order + order
+        prefix = [0]
+        acc = 0
+        for _, _, j in twice:
+            acc ^= 1 << j
+            prefix.append(acc)
+        others = full ^ (1 << i)
+        t = 1
+        for k, (x, y, j) in enumerate(order):
+            t = max(t, k + 1)
+            while t < k + m:
+                ex, ey, e = twice[t]
+                cross = x * ey - y * ex
+                if cross < 0:
+                    break
+                if cross == 0:
+                    raise DegeneracyError(f"points {i}, {j} and {e} are collinear")
+                t += 1
+            if j < i:
+                continue
+            bit_i, bit_j = 1 << i, 1 << j
+            left = prefix[t] ^ prefix[k + 1]
+            # (-y, x) is _cofactor_normal of the pair, so keep sees what the scan passes it.
+            for side, normal in ((left, (-y, x)), (others ^ bit_j ^ left, (y, -x))):
+                if keep is None or keep(normal):
+                    masks.update((side, side | bit_i, side | bit_j, side | bit_i | bit_j))
+    return masks
+
+
+def _spanning_tuple_masks(int_pts, dim, keep=None):
+    """Halfspace traces by scanning every spanning d-tuple against every point."""
     n = len(int_pts)
     if n == 0:
         return {0}

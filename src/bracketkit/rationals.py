@@ -46,10 +46,3 @@ def ceil_frac(frac):
     """Smallest integer >= frac."""
     frac = Fraction(frac)
     return -((-frac.numerator) // frac.denominator)
-
-
-def require_open_unit(frac, *, name="parameter"):
-    """Check frac is in the open interval (0, 1)."""
-    if not (0 < frac < 1):
-        raise InputError(f"{name}: must lie in (0,1), got {frac}")
-    return frac

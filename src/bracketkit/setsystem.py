@@ -21,10 +21,17 @@ from .errors import InputError
 from .rationals import parse_fraction
 
 
+_REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _reversed_mask(mask, n):
+    """Bit p of the result is bit w-1-p of mask, w = max(n, mask.bit_length())."""
     if n == 0:
         return 0
-    return int(format(mask, f"0{n}b")[::-1], 2) if mask else 0
+    width = max(n, mask.bit_length())
+    nbytes = (width + 7) // 8
+    flipped = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
+    return int.from_bytes(flipped, "big") >> (8 * nbytes - width)
 
 
 def canonical_key(mask, n):

@@ -71,7 +71,7 @@ def verify_mnet(system, family):
                 _stats(ratios),
             )
         if size:
-            ratios.append(Fraction(found.bit_count(), size))
+            ratios.append(found.bit_count() / size)
     return VerifyReport(True, checked, None, _stats(ratios))
 
 

@@ -9,8 +9,11 @@ complement.  None of these share code with the arrangement enumeration.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bracketkit as bk
+from bracketkit.geometry import _halfspace_masks, _int_points, _spanning_tuple_masks
 from bracketkit.lp import feasible_with_inequalities
 
 from conftest import general_position_points
@@ -107,6 +110,28 @@ def test_halfspace_empty_and_triangle(triangle):
 def test_halfspace_oracle_equivalence(d, n, seed):
     pts, system = general_position_points(d, n, seed)
     assert set(system.ranges) == oracle_halfspace_masks(pts)
+
+
+def _masks_or_refusal(enumerate_masks, *args):
+    try:
+        return enumerate_masks(*args)
+    except bk.DegeneracyError:
+        return "refused"
+
+
+# Coordinates p/q with |p| <= 3, q <= 3: repeated points and collinear
+# triples are frequent, so refusals are compared as often as mask sets.
+_small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_small_planar_sets = st.lists(st.tuples(_small_rational, _small_rational), max_size=9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_small_planar_sets, st.sampled_from([None, lambda w: w[-1] <= 0]))
+def test_planar_sweep_matches_spanning_tuple_scan(rows, keep):
+    int_pts = _int_points(bk.PointSet(2, tuple(rows)))
+    assert _masks_or_refusal(_halfspace_masks, int_pts, 2, keep) == _masks_or_refusal(
+        _spanning_tuple_masks, int_pts, 2, keep
+    )
 
 
 def test_halfspace_degeneracy_errors():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.setsystem import canonical_key
+from bracketkit.setsystem import _reversed_mask, canonical_key
 
 from conftest import masks_as_sets
 
@@ -18,6 +18,20 @@ def test_canonical_order_matches_tuple_definition():
     by_key = sorted(masks, key=lambda m: canonical_key(m, n))
     by_def = sorted(masks, key=lambda m: (-bin(m).count("1"), tuple(sorted(i for i in range(n) if m >> i & 1))))
     assert by_key == by_def
+
+
+def _reversed_mask_by_string(mask, n):
+    if n == 0:
+        return 0
+    return int(format(mask, f"0{n}b")[::-1], 2) if mask else 0
+
+
+@given(st.sampled_from([0, 1, 7, 8, 9, 64, 65, 256]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reversed_mask_matches_string_reversal(n, data):
+    # Masks may reach 9 bits past n: the string form then widens to the mask.
+    mask = data.draw(st.integers(0, (1 << (n + 9)) - 1))
+    assert _reversed_mask(mask, n) == _reversed_mask_by_string(mask, n)
 
 
 @given(st.integers(1, 10), st.data())

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
+from bracketkit.verify import _stats
 
 from conftest import general_position_points
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
@@ -109,6 +110,29 @@ def test_witness_stats_present(collinear4):
     report = bk.verify_mnet(system, fam)
     assert report.witness_stats["count"] == report.checked
     assert report.witness_stats["min"] >= 1.0
+
+
+def test_mnet_ratio_stats_match_fraction_form():
+    # verify_mnet stores |piece|/|R| as an int true division; both it and
+    # float(Fraction) round correctly, so the stats must equal those of the
+    # exact ratios of the pieces the verifier picks (valid hint, else first).
+    system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 40, "sphere"))
+    fam = bk.heavy_mnet(system, Fraction(3, 4), Fraction(1, 4), bk.default_provider())
+    report = bk.verify_mnet(system, fam)
+    heavy_at = -((-fam.eps.numerator * system.n) // fam.eps.denominator)
+    witness = fam.witness or {}
+    exact = []
+    for idx, mask in enumerate(system.ranges):
+        size = mask.bit_count()
+        if size < heavy_at or size == 0:
+            continue
+        hinted = [fam.pieces[witness[idx]]] if idx in witness else []
+        found = next(
+            p for p in hinted + list(fam.pieces) if p & mask == p and p.bit_count() >= fam.lam * size
+        )
+        exact.append(Fraction(found.bit_count(), size))
+    assert report.passed and len(exact) == report.checked
+    assert report.witness_stats == _stats(exact)
 
 
 def test_container_lower_bound_examples(collinear4):
