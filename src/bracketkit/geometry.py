@@ -188,9 +188,9 @@ def _planar_sweep_masks(int_pts, keep=None):
     at position k, a pointer t that only moves forward finds the end of the
     directions strictly left of it, so that side is P[t] ^ P[k+1] and the
     right side is the rest.  The pointer stops at the latest at the direction
-    opposite k, if there is one, and of any collinear triple the other two points lie in
-    opposite directions from the middle one: so a zero cross product at the
-    pointer finds every collinear triple.
+    opposite k, if there is one.  Of any collinear triple, the other two
+    points lie in opposite directions from the middle one, so a zero cross
+    product at the pointer finds every collinear triple.
     """
     n = len(int_pts)
     full = (1 << n) - 1

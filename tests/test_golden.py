@@ -2,9 +2,9 @@
 
 The digests in ``golden_digests.json`` are SHA-256 hashes of the family JSON
 (and of the protocol hypothesis list and one planar halfspace system) for
-fixed instances.  Any change to the
-construction stack that alters a single set, its order or a parameter shows
-up here.  Regenerate the file only for an intended output change:
+fixed instances.  Any change to the construction stack that alters a single
+set, its order or a parameter shows up here.  Regenerate the file only for
+an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
