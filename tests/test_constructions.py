@@ -305,3 +305,53 @@ def test_constructions_are_deterministic(collinear4):
     fa = bk.heavy_mnet(system, Fraction(3, 5), Fraction(1, 4), bk.default_provider())
     fb = bk.heavy_mnet(system, Fraction(3, 5), Fraction(1, 4), bk.default_provider())
     assert fa.pieces == fb.pieces
+
+
+def _circle(n):
+    return bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, n, "sphere"))
+
+
+HINTED = {
+    "base_mnet": lambda: bk.base_mnet(_circle(40), Fraction(1, 2), Fraction(1, 4)),
+    "boost_epsilon": lambda: bk.boost_epsilon(
+        _circle(40), bk.default_provider(), Fraction(1, 5), Fraction(1, 2)),
+    "heavy_mnet": lambda: bk.heavy_mnet(
+        _circle(40), Fraction(3, 4), Fraction(1, 4), bk.default_provider()),
+    "bootstrap_interval_mnet": lambda: bk.bootstrap_interval_mnet(
+        _circle(60), Fraction(1, 8), Fraction(1, 4), bk.default_provider()),
+    "small_set_container": lambda: bk.small_set_container(
+        bk.filter_by_size(_circle(60), upper=Fraction(15)),
+        Fraction(1, 4), Fraction(1, 8), bk.default_provider()),
+    "build_container": lambda: bk.build_container(
+        _circle(60), Fraction(1, 20), bk.default_provider()),
+    "build_bracket": lambda: bk.build_bracket(
+        _circle(40), Fraction(1, 4), bk.default_provider(), bk.default_provider()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HINTED))
+def test_construction_hints_serve_their_ranges(name):
+    # The verifiers fall back to a scan on a wrong hint, so a bad witness
+    # remap would pass them unseen; check every stored hint directly.
+    fam = HINTED[name]()
+    ranges = fam.base.ranges
+    slack_cap = fam.eps * fam.base.n
+    if isinstance(fam, bk.MnetFamily):
+        hints = fam.witness
+        for idx, pos in hints.items():
+            mask, piece = ranges[idx], fam.pieces[pos]
+            assert (piece & mask) == piece
+            assert piece.bit_count() >= fam.lam * mask.bit_count()
+    elif isinstance(fam, bk.ContainerFamily):
+        hints = fam.witness
+        for idx, pos in hints.items():
+            mask, cover = ranges[idx], fam.covers[pos]
+            assert (mask & cover) == mask
+            assert (cover & ~mask).bit_count() <= slack_cap
+    else:
+        hints = fam.pairing
+        for idx, (lo_i, hi_i) in hints.items():
+            mask, lo, hi = ranges[idx], fam.sets[lo_i], fam.sets[hi_i]
+            assert (lo & mask) == lo and (mask & hi) == mask
+            assert (hi & ~lo).bit_count() <= slack_cap
+    assert len(hints) > 0
