@@ -3,7 +3,8 @@
 Subcommands: gen, enum-ranges, packing, mnet, container, bracket, verify,
 protocol-learn, protocol-disjoint, bench.  Exit status: 0 = all verified,
 1 = verification failure, 2 = usage error.  Rationals are passed as "p/q"
-strings.  bench runs its grid points one after another, in grid order.
+strings.  bench runs its grid points one after another, in grid order, and
+enumerates the ranges once per n.
 """
 
 import argparse
@@ -13,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import product
 
 from .bitsets import indices_from_mask
 from .constructions import (
@@ -29,6 +31,7 @@ from .errors import (
     InputError,
     NonRealizableError,
     ResourceBudgetError,
+    parse_json_object,
 )
 from .families import family_from_json, family_to_json
 from .geometry import (
@@ -51,7 +54,7 @@ from .protocols import (
 )
 from .rationals import floor_frac, format_fraction, parse_fraction
 from .setsystem import SetSystem
-from .verify import container_lower_bound, verify_bracket, verify_container, verify_mnet
+from .verify import container_lower_bound, verify_family
 
 CSV_COLUMNS = [
     "instance_id", "kind", "d", "n", "eps", "lambda", "eta",
@@ -141,20 +144,6 @@ def cmd_packing(args):
     return 0
 
 
-def _verify_and_report(system, family):
-    from .families import BracketFamily, ContainerFamily, MnetFamily
-
-    if isinstance(family, MnetFamily):
-        report = verify_mnet(system, family)
-    elif isinstance(family, ContainerFamily):
-        report = verify_container(system, family)
-    elif isinstance(family, BracketFamily):
-        report = verify_bracket(system, family)
-    else:
-        raise InputError("unknown family type")
-    return report
-
-
 def cmd_mnet(args):
     system = _load_system(args.system)
     lam = parse_fraction(args.lam, name="lambda")
@@ -196,7 +185,7 @@ def cmd_bracket(args):
 def cmd_verify(args):
     system = _load_system(args.system)
     family = family_from_json(_read(args.family), system)
-    report = _verify_and_report(system, family)
+    report = verify_family(system, family)
     if report.passed:
         print(f"verified: {report.checked} ranges checked")
         return 0
@@ -207,12 +196,11 @@ def cmd_verify(args):
 
 def cmd_protocol_learn(args):
     domain = _load_points(args.points)
-    data = json.loads(_read(args.instance))
-    inst = LearningInstance(
-        domain,
-        tuple((int(i), int(l)) for i, l in data["alice"]),
-        tuple((int(i), int(l)) for i, l in data["bob"]),
+    alice, bob = parse_json_object(
+        _read(args.instance), "learning instance JSON",
+        lambda data: [tuple((int(i), int(l)) for i, l in data[side]) for side in ("alice", "bob")],
     )
+    inst = LearningInstance(domain, alice, bob)
     eps0 = parse_fraction(args.eps0, name="eps0")
     try:
         classifier, transcript = learn_halfspace_protocol(inst, eps0)
@@ -232,10 +220,11 @@ def cmd_protocol_learn(args):
 
 def cmd_protocol_disjoint(args):
     domain = _load_points(args.points)
-    data = json.loads(_read(args.instance))
-    inst = DisjointnessInstance(
-        domain, tuple(int(i) for i in data["alice"]), tuple(int(j) for j in data["bob"])
+    alice, bob = parse_json_object(
+        _read(args.instance), "disjointness instance JSON",
+        lambda data: [tuple(int(i) for i in data[side]) for side in ("alice", "bob")],
     )
+    inst = DisjointnessInstance(domain, alice, bob)
     eps0 = parse_fraction(args.eps0, name="eps0")
     answer, transcript = convex_disjointness_protocol(inst, eps0)
     oracle = exact_hull_intersection(domain, inst.alice, inst.bob)
@@ -273,8 +262,7 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        return ExperimentSpec(
+        return parse_json_object(text, "bench spec JSON", lambda data: ExperimentSpec(
             instance_kind=data.get("instance_kind", "random"),
             family=data.get("family", "halfspace"),
             d=int(data.get("d", 2)),
@@ -286,43 +274,28 @@ class ExperimentSpec:
             eta_list=[parse_fraction(v, name="eta") for v in data.get("eta", [])],
             jitter=parse_fraction(data["jitter"], name="jitter") if data.get("jitter") else None,
             out=data.get("out", "results.csv"),
-        )
+        ))
 
 
-def _grid_points(spec):
-    eps_list = spec.eps_list or [None]
-    lam_list = spec.lambda_list or [None]
-    eta_list = spec.eta_list or [None]
-    grid = []
-    for n in spec.n_list:
-        for eps in eps_list:
-            for lam in lam_list:
-                for eta in eta_list:
-                    grid.append((n, eps, lam, eta))
-    return grid
-
-
-def _run_grid_point(spec, point):
-    n, eps, lam, eta = point
+def _run_grid_point(spec, n, system, eps, lam, eta):
+    """One CSV row: build, verify and (for containers) lower-bound one grid
+    point.  runtime_ms times these steps only; the caller makes the points
+    and ranges once per n."""
     start = time.perf_counter()
-    pts = _generate_points(spec.instance_kind, spec.d, n, spec.seed, spec.jitter)
-    system = _enumerate(pts, spec.family)
     lower = ""
     if spec.construction == "container":
         family = build_container(system, eps, default_provider())
-        report = verify_container(system, family)
         size = len(family.covers)
         lower = container_lower_bound(system, eps)
     elif spec.construction == "bracket":
         family = build_bracket(system, eps, default_provider(), default_provider())
-        report = verify_bracket(system, family)
         size = len(family.sets)
     elif spec.construction == "mnet":
         family = heavy_mnet(system, lam, eta, default_provider())
-        report = verify_mnet(system, family)
         size = len(family.pieces)
     else:
         raise InputError(f"unknown construction {spec.construction!r}")
+    report = verify_family(system, family)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     row = {
         "instance_id": f"{spec.instance_kind}-{spec.family}-d{spec.d}-n{n}-s{spec.seed}",
@@ -344,11 +317,15 @@ def cmd_bench(args):
     spec = ExperimentSpec.from_json(_read(args.spec))
     rows = []
     failure = None
-    for point in _grid_points(spec):
-        row, report = _run_grid_point(spec, point)
-        rows.append(row)
-        if not report.passed and failure is None:
-            failure = report
+    for n in spec.n_list:
+        pts = _generate_points(spec.instance_kind, spec.d, n, spec.seed, spec.jitter)
+        system = _enumerate(pts, spec.family)
+        for eps, lam, eta in product(spec.eps_list or [None], spec.lambda_list or [None],
+                                     spec.eta_list or [None]):
+            row, report = _run_grid_point(spec, n, system, eps, lam, eta)
+            rows.append(row)
+            if not report.passed and failure is None:
+                failure = report
     with open(spec.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

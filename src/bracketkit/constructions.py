@@ -23,20 +23,13 @@ from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing
 from .rationals import ceil_frac, floor_frac
 from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project
-from .verify import verify_container, verify_mnet, verify_bracket
+from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
 HALF = Fraction(1, 2)
 
 
-def _checked_mnet(family, label):
-    report = verify_mnet(family.base, family)
-    if not report.passed:
-        raise InternalInvariantError(f"{label} failed self-verification: {report.counterexample}")
-    return family
-
-
-def _checked_container(family, label):
-    report = verify_container(family.base, family)
+def _checked(family, label):
+    report = verify_family(family.base, family)
     if not report.passed:
         raise InternalInvariantError(f"{label} failed self-verification: {report.counterexample}")
     return family
@@ -67,7 +60,7 @@ def base_mnet(system, lam, eps, pair_cap=64):
     heavy_at = ceil_frac(eps * n)
     heavy = [(idx, mask) for idx, mask in enumerate(system.ranges) if mask.bit_count() >= heavy_at]
     if not heavy:
-        return _checked_mnet(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
+        return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
     heavy_masks = [m for _, m in heavy]
     cands = set(heavy_masks)
     prefix = heavy_masks[:pair_cap]
@@ -81,7 +74,6 @@ def base_mnet(system, lam, eps, pair_cap=64):
     cands = [c for c, k in zip(cands, keep) if k]
     serves = serves[keep]
 
-    chosen = []
     assignment = {}
     uncovered = np.ones(len(heavy_masks), dtype=bool)
     counts = serves.sum(axis=1)
@@ -95,17 +87,12 @@ def base_mnet(system, lam, eps, pair_cap=64):
             assignment[heavy[j][0]] = piece
         uncovered &= ~newly
         counts = counts - (serves[:, newly].sum(axis=1))
-        chosen.append(piece)
     for j in np.flatnonzero(uncovered):
         idx, mask = heavy[j]
         want = ceil_frac(lam * mask.bit_count())
-        piece = _prefix_bits(mask, want)
-        chosen.append(piece)
-        assignment[idx] = piece
-    pieces = list(dict.fromkeys(chosen))
-    position = {p: i for i, p in enumerate(pieces)}
-    witness = {idx: position[piece] for idx, piece in assignment.items()}
-    return _checked_mnet(make_mnet(system, pieces, lam, eps, witness=witness), "base_mnet")
+        assignment[idx] = _prefix_bits(mask, want)
+    fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
+    return _checked(fam, "base_mnet")
 
 
 def _serving_matrix(cands, ranges, lam, n):
@@ -189,7 +176,6 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
         run_log.append(
             {"op": "boost", "eta_prime": eta_p, "t": t, "eps": eps, "eta": eta, "bands": bands}
         )
-    pieces = []
     witness = {}
     size_of = [m.bit_count() for m in system.ranges]
     for i in range(1, t + 1):
@@ -226,30 +212,13 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
                 member_cache[member] = (proj, fam, lookup)
             proj, fam, lookup = member_cache[member]
             local = bitsets.compress([mask], member)[0]
-            piece_local = _mnet_witness_piece(fam, lookup[local], local)
-            piece = proj.lift_mask(piece_local)
-            witness[j] = piece
-            pieces.append(piece)
-    ordered = list(dict.fromkeys(pieces))
-    position = {p: i for i, p in enumerate(ordered)}
-    witness_idx = {j: position[p] for j, p in witness.items()}
-    fam = make_mnet(system, ordered, lam_out, eps, witness=witness_idx)
-    return _checked_mnet(fam, "boost_epsilon")
-
-
-def _mnet_witness_piece(family, range_idx, range_mask):
-    """Fetch (hint first, then scan) the piece serving a given base range."""
-    lam = family.lam
-    size = range_mask.bit_count()
-    hint = (family.witness or {}).get(range_idx)
-    if hint is not None:
-        piece = family.pieces[hint]
-        if (piece & range_mask) == piece and piece.bit_count() * lam.denominator >= lam.numerator * size:
-            return piece
-    for piece in family.pieces:
-        if (piece & range_mask) == piece and piece.bit_count() * lam.denominator >= lam.numerator * size:
-            return piece
-    raise InternalInvariantError("verified Mnet has no piece for a heavy range")
+            hint = (fam.witness or {}).get(lookup[local])
+            piece_local = find_piece(fam.pieces, hint, local, fam.lam)
+            if piece_local is None:
+                raise InternalInvariantError("verified Mnet has no piece for a heavy range")
+            witness[j] = proj.lift_mask(piece_local)
+    fam = make_mnet(system, witness.values(), lam_out, eps, witness=witness)
+    return _checked(fam, "boost_epsilon")
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +257,11 @@ def mnet_to_container(system, mnet, delta0, lam):
     slack_cap = floor_frac(eps_out * n)
     witness = {}
     for idx, mask in enumerate(small.ranges):
-        for c_i, cover in enumerate(covers):
-            if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
-                witness[idx] = c_i
-                break
+        cover = find_cover(covers, None, mask, slack_cap)
+        if cover is not None:
+            witness[idx] = cover
     fam = make_container(small, covers, eps_out, witness=witness)
-    return _checked_container(fam, "mnet_to_container")
+    return _checked(fam, "mnet_to_container")
 
 
 def container_to_mnet(system, container, delta0, lam):
@@ -325,7 +293,7 @@ def container_to_mnet(system, container, delta0, lam):
     pieces = [full ^ c for c in candidate.covers]
     comp = complement_family(small)
     fam = make_mnet(comp, pieces, lam - delta0, 1 - delta0)
-    return _checked_mnet(fam, "container_to_mnet")
+    return _checked(fam, "container_to_mnet")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +336,6 @@ def small_set_container(system, eps, rho, provider, run_log=None):
     while stack:
         universe, live, depth = stack.pop()
         max_depth = max(max_depth, depth)
-        cover_idx = len(covers)
         covers.append(universe)
         survivors = []
         for j in live:
@@ -376,8 +343,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
             if (mask & universe) != mask:
                 continue
             if (universe & ~mask).bit_count() <= residual_over:
-                if j not in witness:
-                    witness[j] = cover_idx
+                witness.setdefault(j, universe)
             else:
                 survivors.append(j)
         if not survivors:
@@ -410,7 +376,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
             {"op": "small-set-container", "eps": eps, "rho": rho, "depth_cap": depth_cap, "max_depth": max_depth}
         )
     fam = make_container(system, covers, eps + rho, witness=witness)
-    return _checked_container(fam, "small_set_container")
+    return _checked(fam, "small_set_container")
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +410,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     band = SetSystem(n, band_masks)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
-        return _checked_mnet(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
+        return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
     sep = floor_frac(eps * delta * n)
     packing = greedy_delta_packing(band, sep)
     eps_prime = 3 * eps / (2 + 2 * eps)
@@ -454,7 +420,6 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
              "band": (lo_int, hi_int), "packing_size": len(packing.members)}
         )
     packed_band = bitsets.pack_masks(band.ranges, n)
-    pieces = []
     witness = {}
     for member in packing.members:
         member_row = bitsets.pack_masks([member], n)[0]
@@ -476,31 +441,16 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
         comp_sys = SetSystem.from_masks(p_size, set(local_comp.values()))
         comp_index = {m: k for k, m in enumerate(comp_sys.ranges)}
         cont = small_set_container(comp_sys, eps_prime, eps, provider, run_log=run_log)
-        pieces_local = [
-            local_full ^ _container_witness_cover(cont, comp_index[comp], comp)
-            for comp in local_comp.values()
-        ]
-        lifted = bitsets.expand(pieces_local, member)
-        pieces.extend(lifted)
-        witness.update(zip(local_comp, lifted))
-    ordered = list(dict.fromkeys(pieces))
-    position = {p: i for i, p in enumerate(ordered)}
-    witness_idx = {j: position[p] for j, p in witness.items()}
-    fam = make_mnet(band, ordered, lam_out, delta, witness=witness_idx)
-    return _checked_mnet(fam, "bootstrap_interval_mnet")
-
-
-def _container_witness_cover(family, range_idx, range_mask):
-    slack_cap = floor_frac(family.eps * family.base.n)
-    hint = (family.witness or {}).get(range_idx)
-    if hint is not None:
-        cover = family.covers[hint]
-        if (range_mask & cover) == range_mask and (cover & ~range_mask).bit_count() <= slack_cap:
-            return cover
-    for cover in family.covers:
-        if (range_mask & cover) == range_mask and (cover & ~range_mask).bit_count() <= slack_cap:
-            return cover
-    raise InternalInvariantError("verified container has no cover for a range")
+        slack_cap = floor_frac(cont.eps * p_size)
+        pieces_local = []
+        for comp in local_comp.values():
+            cover = find_cover(cont.covers, cont.witness.get(comp_index[comp]), comp, slack_cap)
+            if cover is None:
+                raise InternalInvariantError("verified container has no cover for a range")
+            pieces_local.append(local_full ^ cover)
+        witness.update(zip(local_comp, bitsets.expand(pieces_local, member)))
+    fam = make_mnet(band, witness.values(), lam_out, delta, witness=witness)
+    return _checked(fam, "bootstrap_interval_mnet")
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +515,13 @@ def heavy_mnet(system, lam, eta, provider, run_log=None):
     if run_log is not None:
         run_log.append({"op": "heavy-mnet", "params": params})
     index_of = {m: i for i, m in enumerate(system.ranges)}
-    pieces = []
     witness = {}
     for delta_k in params.band_deltas:
         band_fam = bootstrap_interval_mnet(system, params.band_ratio, delta_k, provider, run_log=run_log)
-        band_witness = band_fam.witness or {}
-        for j, mask in enumerate(band_fam.base.ranges):
-            base_idx = index_of[mask]
-            if base_idx in witness:
-                continue
-            if j in band_witness:
-                piece = band_fam.pieces[band_witness[j]]
-                witness[base_idx] = piece
-                pieces.append(piece)
-    ordered = list(dict.fromkeys(pieces))
-    position = {p: i for i, p in enumerate(ordered)}
-    witness_idx = {j: position[p] for j, p in witness.items()}
-    fam = make_mnet(system, ordered, Fraction(lam), Fraction(eta), witness=witness_idx)
-    return _checked_mnet(fam, "heavy_mnet")
+        for j, pos in band_fam.witness.items():
+            witness.setdefault(index_of[band_fam.base.ranges[j]], band_fam.pieces[pos])
+    fam = make_mnet(system, witness.values(), lam, eta, witness=witness)
+    return _checked(fam, "heavy_mnet")
 
 
 def build_container(system, eps, provider_complement, run_log=None):
@@ -595,7 +534,7 @@ def build_container(system, eps, provider_complement, run_log=None):
     n = system.n
     full = system.full_mask
     covers = [full]
-    witness_masks = {}
+    witness = {}
     big_at = ceil_frac((1 - eps) * n)
     small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
     if small_sys.ranges:
@@ -607,18 +546,14 @@ def build_container(system, eps, provider_complement, run_log=None):
     mnet_witness = mfam.witness or {}
     for idx, mask in enumerate(system.ranges):
         if mask.bit_count() >= big_at:
-            witness_masks[idx] = full
+            witness[idx] = full
             continue
         comp_idx = comp_index[full ^ mask]
         piece = mfam.pieces[mnet_witness[comp_idx]]
         cover = full ^ piece
         covers.append(cover)
-        witness_masks[idx] = cover
-    ordered = list(dict.fromkeys(covers))
-    position = {c: i for i, c in enumerate(ordered)}
-    witness = {idx: position[c] for idx, c in witness_masks.items()}
-    fam = make_container(system, ordered, eps, witness=witness)
-    return _checked_container(fam, "build_container")
+        witness[idx] = cover
+    return _checked(make_container(system, covers, eps, witness=witness), "build_container")
 
 
 def build_bracket(system, eps, provider, provider_complement, run_log=None):
@@ -633,7 +568,7 @@ def build_bracket(system, eps, provider, provider_complement, run_log=None):
     mfam = heavy_mnet(system, 1 - eps / 2, eps / 2, provider, run_log=run_log)
     small_at = floor_frac(eps / 2 * Fraction(n))
     sets = [0]
-    pairing_masks = {}
+    pairing = {}
     cont_witness = cont.witness or {}
     mnet_witness = mfam.witness or {}
     for idx, mask in enumerate(system.ranges):
@@ -644,12 +579,5 @@ def build_bracket(system, eps, provider, provider_complement, run_log=None):
             lower = mfam.pieces[mnet_witness[idx]]
         sets.append(upper)
         sets.append(lower)
-        pairing_masks[idx] = (lower, upper)
-    ordered = list(dict.fromkeys(sets))
-    position = {s: i for i, s in enumerate(ordered)}
-    pairing = {idx: (position[lo], position[hi]) for idx, (lo, hi) in pairing_masks.items()}
-    fam = make_bracket(system, ordered, eps, pairing=pairing)
-    report = verify_bracket(system, fam)
-    if not report.passed:
-        raise InternalInvariantError(f"build_bracket failed self-verification: {report.counterexample}")
-    return fam
+        pairing[idx] = (lower, upper)
+    return _checked(make_bracket(system, sets, eps, pairing=pairing), "build_bracket")

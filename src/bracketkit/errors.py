@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the guard that turns
+malformed JSON input into ``InputError``."""
+
+import json
 
 
 class BracketkitError(Exception):
@@ -40,3 +43,19 @@ class NonRealizableError(BracketkitError):
         super().__init__(message)
         self.certificate = tuple(certificate)
         self.transcript = transcript
+
+
+def parse_json_object(text, what, parse):
+    """``parse(data)`` for the JSON object in ``text``.  A non-object, a
+    missing field or a field of the wrong type or form raises InputError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise InputError(f"{what}: expected a JSON object, got {type(data).__name__}")
+    try:
+        return parse(data)
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"{what}: missing field {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{what}: malformed value ({exc})") from exc

@@ -1,21 +1,24 @@
 """Mnet, container and bracket families over a base set system.
 
 All three are plain subset families with parameters; the optional witness
-maps (range index -> family index/indices) are construction bookkeeping that
-verifiers may use as hints but always re-check.
+maps are construction bookkeeping that verifiers may use as hints but always
+re-check.  ``make_*`` take the witness values as the sets themselves (a
+mask, or a ``(lower, upper)`` mask pair for a bracket), keyed by range
+index; the family stores each as its position in the canonical set order.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .bitsets import indices_from_mask, mask_from_indices
+from .errors import InputError, parse_json_object
 from .rationals import format_fraction, parse_fraction
 from .setsystem import SetSystem, canonical_key
 
 
 def _canonical_with_witness(n, sets, witness):
-    """Canonically sort + dedup sets, remapping a witness dict of old indices."""
+    """Canonically sort + dedup sets, mapping witness sets to their positions."""
     order = sorted(set(sets), key=lambda m: canonical_key(m, n))
     index = {mask: i for i, mask in enumerate(order)}
     remapped = None
@@ -23,9 +26,9 @@ def _canonical_with_witness(n, sets, witness):
         remapped = {}
         for key, value in witness.items():
             if isinstance(value, tuple):
-                remapped[key] = tuple(index[sets[v]] for v in value)
+                remapped[key] = tuple(index[v] for v in value)
             else:
-                remapped[key] = index[sets[value]]
+                remapped[key] = index[value]
     return tuple(order), remapped
 
 
@@ -64,26 +67,21 @@ class BracketFamily:
 
 
 def make_mnet(base, pieces, lam, eps, witness=None):
-    pieces = list(pieces)
     ordered, remapped = _canonical_with_witness(base.n, pieces, witness)
     return MnetFamily(base, ordered, Fraction(lam), Fraction(eps), remapped)
 
 
 def make_container(base, covers, eps, witness=None):
-    covers = list(covers)
     ordered, remapped = _canonical_with_witness(base.n, covers, witness)
     return ContainerFamily(base, ordered, Fraction(eps), remapped)
 
 
 def make_bracket(base, sets, eps, pairing=None):
-    sets = list(sets)
     ordered, remapped = _canonical_with_witness(base.n, sets, pairing)
     return BracketFamily(base, ordered, Fraction(eps), remapped)
 
 
 def family_to_json(family):
-    from .bitsets import indices_from_mask
-
     if isinstance(family, MnetFamily):
         payload = {
             "kind": "mnet",
@@ -113,26 +111,29 @@ def family_to_json(family):
 
 
 def family_from_json(text, base):
-    from .bitsets import mask_from_indices
+    return parse_json_object(text, "family JSON", lambda data: _family_from_dict(data, base))
 
-    data = json.loads(text)
-    sets = [mask_from_indices(s) for s in data["sets"]]
+
+def _family_from_dict(data, base):
     kind = data.get("kind")
+    if kind not in ("mnet", "container", "bracket"):
+        raise InputError(f"unknown family kind {kind!r}")
+    sets = [mask_from_indices(s) for s in data["sets"]]
     params = data.get("params", {})
+    eps = parse_fraction(params["epsilon"], name="epsilon")
     if kind == "mnet":
-        return make_mnet(
-            base,
-            sets,
-            parse_fraction(params["lambda"], name="lambda"),
-            parse_fraction(params["epsilon"], name="epsilon"),
-        )
+        return make_mnet(base, sets, parse_fraction(params["lambda"], name="lambda"), eps)
     if kind == "container":
-        return make_container(base, sets, parse_fraction(params["epsilon"], name="epsilon"))
-    if kind == "bracket":
-        pairing = None
-        if "pairing" in data and data["pairing"] is not None:
-            pairing = {int(k): tuple(v) for k, v in data["pairing"].items()}
-            ordered, pairing = _canonical_with_witness(base.n, sets, pairing)
-            return BracketFamily(base, ordered, parse_fraction(params["epsilon"], name="epsilon"), pairing)
-        return make_bracket(base, sets, parse_fraction(params["epsilon"], name="epsilon"))
-    raise InputError(f"unknown family kind {kind!r}")
+        return make_container(base, sets, eps)
+    pairing = data.get("pairing")
+    if pairing is not None:
+        pairing = {int(k): _pair_sets(sets, v) for k, v in pairing.items()}
+    return make_bracket(base, sets, eps, pairing=pairing)
+
+
+def _pair_sets(sets, pair):
+    """The (lower, upper) sets a JSON pairing entry names by index."""
+    lo, hi = pair
+    if not (0 <= lo < len(sets) and 0 <= hi < len(sets)):
+        raise InputError(f"pairing {pair} names a set outside the {len(sets)} sets")
+    return sets[lo], sets[hi]

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import DegeneracyError, InputError, ResourceBudgetError
+from .errors import DegeneracyError, InputError, ResourceBudgetError, parse_json_object
 from .rationals import format_fraction, parse_fraction
 from .setsystem import SetSystem
 
@@ -72,8 +72,10 @@ class PointSet:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        return PointSet.from_signed_rows(int(data["dim"]), data["points"])
+        return parse_json_object(
+            text, "point set JSON",
+            lambda data: PointSet.from_signed_rows(int(data["dim"]), data["points"]),
+        )
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,7 @@ def parse_fraction(value, *, name="value"):
 
 
 def format_fraction(frac):
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    frac = Fraction(frac)
+    """Render an int or Fraction as "p/q" (or "p" when the denominator is 1)."""
     if frac.denominator == 1:
         return str(frac.numerator)
     return f"{frac.numerator}/{frac.denominator}"
@@ -38,11 +37,9 @@ def format_fraction(frac):
 
 def floor_frac(frac):
     """Largest integer <= frac."""
-    frac = Fraction(frac)
     return frac.numerator // frac.denominator
 
 
 def ceil_frac(frac):
     """Smallest integer >= frac."""
-    frac = Fraction(frac)
     return -((-frac.numerator) // frac.denominator)

@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import compress, expand, indices_from_mask, mask_from_indices
-from .errors import InputError
+from .errors import InputError, parse_json_object
 from .rationals import parse_fraction
 
 
@@ -91,8 +91,10 @@ class SetSystem:
 
     @staticmethod
     def from_json(text):
-        data = json.loads(text)
-        return SetSystem.from_sets(int(data["n"]), data["ranges"])
+        return parse_json_object(
+            text, "set system JSON",
+            lambda data: SetSystem.from_sets(int(data["n"]), data["ranges"]),
+        )
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,17 @@ packing-based container lower bound.
 These are the trust anchor: every construction re-verifies its output here
 before returning it.  Witness maps attached by constructions are used only
 as hints; each hinted set is re-checked and a full scan runs whenever the
-hint fails, so a wrong hint can never turn an invalid family valid.
+hint fails, so a wrong hint can never turn an invalid family valid.  The
+hint-then-scan finders ``find_piece`` and ``find_cover`` hold the one test
+per definition; the constructions use them too, to fetch the set that
+serves a range of a family they just built.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .families import BracketFamily, ContainerFamily, MnetFamily
 from .packing import greedy_delta_packing
 from .rationals import ceil_frac, floor_frac
 
@@ -38,10 +42,38 @@ def _stats(values):
     }
 
 
+def find_piece(pieces, hint, mask, lam):
+    """The piece inside ``mask`` of size >= lam*|mask|: ``pieces[hint]`` if it
+    serves, else the first that does; None if none does."""
+    need = lam.numerator * mask.bit_count()
+    den = lam.denominator
+    if hint is not None and 0 <= hint < len(pieces):
+        piece = pieces[hint]
+        if (piece & mask) == piece and piece.bit_count() * den >= need:
+            return piece
+    for piece in pieces:
+        if (piece & mask) == piece and piece.bit_count() * den >= need:
+            return piece
+    return None
+
+
+def find_cover(covers, hint, mask, slack_cap):
+    """The cover containing ``mask`` with at most ``slack_cap`` extra
+    elements: ``covers[hint]`` if it serves, else the first that does; None
+    if none does."""
+    if hint is not None and 0 <= hint < len(covers):
+        cover = covers[hint]
+        if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
+            return cover
+    for cover in covers:
+        if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
+            return cover
+    return None
+
+
 def verify_mnet(system, family):
     """Check: every range with |R| >= eps*n contains a piece of size >= lam*|R|."""
-    n = system.n
-    heavy_at = ceil_frac(family.eps * n)
+    heavy_at = ceil_frac(family.eps * system.n)
     lam = Fraction(family.lam)
     pieces = family.pieces
     witness = family.witness or {}
@@ -52,17 +84,7 @@ def verify_mnet(system, family):
         if size < heavy_at:
             continue
         checked += 1
-        found = None
-        hint = witness.get(idx)
-        if hint is not None and 0 <= hint < len(pieces):
-            piece = pieces[hint]
-            if (piece & mask) == piece and piece.bit_count() * lam.denominator >= lam.numerator * size:
-                found = piece
-        if found is None:
-            for piece in pieces:
-                if (piece & mask) == piece and piece.bit_count() * lam.denominator >= lam.numerator * size:
-                    found = piece
-                    break
+        found = find_piece(pieces, witness.get(idx), mask, lam)
         if found is None:
             return VerifyReport(
                 False,
@@ -77,25 +99,14 @@ def verify_mnet(system, family):
 
 def verify_container(system, family):
     """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n."""
-    n = system.n
-    slack_cap = floor_frac(family.eps * n)
+    slack_cap = floor_frac(family.eps * system.n)
     covers = family.covers
     witness = family.witness or {}
     slacks = []
     checked = 0
     for idx, mask in enumerate(system.ranges):
         checked += 1
-        found = None
-        hint = witness.get(idx)
-        if hint is not None and 0 <= hint < len(covers):
-            cover = covers[hint]
-            if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
-                found = cover
-        if found is None:
-            for cover in covers:
-                if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
-                    found = cover
-                    break
+        found = find_cover(covers, witness.get(idx), mask, slack_cap)
         if found is None:
             return VerifyReport(
                 False,
@@ -144,6 +155,17 @@ def verify_bracket(system, family):
             )
         slacks.append((found[1] & ~found[0]).bit_count())
     return VerifyReport(True, checked, None, _stats(slacks))
+
+
+def verify_family(system, family):
+    """Run the verifier for the family's type."""
+    if isinstance(family, MnetFamily):
+        return verify_mnet(system, family)
+    if isinstance(family, ContainerFamily):
+        return verify_container(system, family)
+    if isinstance(family, BracketFamily):
+        return verify_bracket(system, family)
+    raise InputError(f"unknown family type {type(family).__name__}")
 
 
 def container_lower_bound(system, eps):

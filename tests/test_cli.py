@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from bracketkit.cli import main
 
 
@@ -43,6 +45,58 @@ def test_usage_error_exit_code(tmp_path):
     bad.write_text("{")
     assert run_cli(["enum-ranges", "--points", str(bad), "--family", "halfspace",
                     "--out", str(tmp_path / "o.json")]) == 2
+
+
+GOOD_INPUTS = {
+    "points": {"dim": 1, "points": [["0"], ["1"], ["2"], ["3"]]},
+    "system": {"n": 4, "ranges": [[0, 1], [2]]},
+    "family": {"kind": "bracket", "params": {"epsilon": "1/2"}, "sets": [[], [0, 1, 2, 3]],
+               "pairing": {"0": [0, 1]}},
+    "instance": {"alice": [[0, 1]], "bob": [[3, -1]]},
+    "spec": {"n": []},
+}
+CONTAINER = {"kind": "container", "params": {"epsilon": "1/2"}}
+
+# case -> (subcommand, the input file made malformed, its content)
+MALFORMED = {
+    "pairing-index-out-of-range": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"0": [0, 2]}}),
+    "pairing-index-negative": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"0": [-1, 1]}}),
+    "family-missing-sets": ("verify", "family", CONTAINER),
+    "mnet-missing-lambda": ("verify", "family", {"kind": "mnet", "params": {"epsilon": "1/2"}, "sets": []}),
+    "family-string-index": ("verify", "family", {**CONTAINER, "sets": [["a"]]}),
+    "family-negative-index": ("verify", "family", {**CONTAINER, "sets": [[-1]]}),
+    "family-top-level-list": ("verify", "family", [[0, 1]]),
+    "system-missing-ranges": ("container", "system", {"n": 4}),
+    "system-negative-index": ("container", "system", {"n": 4, "ranges": [[-2]]}),
+    "system-top-level-list": ("container", "system", [[0, 1]]),
+    "points-missing-dim": ("enum-ranges", "points", {"points": [["0"]]}),
+    "points-non-numeric": ("enum-ranges", "points", {"dim": 1, "points": [["zero"], ["1"]]}),
+    "instance-missing-bob": ("protocol-learn", "instance", {"alice": [[0, 1]]}),
+    "disjoint-instance-string-index": ("protocol-disjoint", "instance", {"alice": ["a"], "bob": [3]}),
+    "spec-top-level-list": ("bench", "spec", [4]),
+    "spec-non-numeric-n": ("bench", "spec", {"n": ["four"]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_json_is_a_usage_error(tmp_path, capsys, case):
+    command, bad, content = MALFORMED[case]
+    path = {}
+    for role, data in {**GOOD_INPUTS, bad: content}.items():
+        path[role] = str(tmp_path / f"{role}.json")
+        (tmp_path / f"{role}.json").write_text(json.dumps(data))
+    out = str(tmp_path / "out.json")
+    args = {
+        "verify": ["--system", path["system"], "--family", path["family"]],
+        "container": ["--system", path["system"], "--eps", "1/2", "--out", out],
+        "enum-ranges": ["--points", path["points"], "--family", "halfspace", "--out", out],
+        "protocol-learn": ["--points", path["points"], "--instance", path["instance"]],
+        "protocol-disjoint": ["--points", path["points"], "--instance", path["instance"]],
+        "bench": ["--spec", path["spec"]],
+    }[command]
+    assert run_cli([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 def test_packing_and_mnet_cli(tmp_path):
@@ -96,6 +150,29 @@ def test_bench_grid(tmp_path):
     assert rows[0]["lower_bound"] != ""
     header = out.read_text().splitlines()[0]
     assert header == "instance_id,kind,d,n,eps,lambda,eta,family_size,verified,lower_bound,runtime_ms"
+
+
+def test_bench_enumerates_each_n_once(tmp_path, monkeypatch):
+    import bracketkit.cli as cli
+
+    seen = []
+    enumerate_ranges = cli._enumerate
+
+    def counting(points, family, k=2):
+        seen.append(points.n)
+        return enumerate_ranges(points, family, k)
+
+    monkeypatch.setattr(cli, "_enumerate", counting)
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "results.csv"
+    spec.write_text(json.dumps({
+        "instance_kind": "grid", "family": "halfspace", "d": 1, "n": [4, 6],
+        "seed": 0, "construction": "container", "eps": ["1/2", "1/4"], "out": str(out),
+    }))
+    assert run_cli(["bench", "--spec", str(spec)]) == 0
+    assert seen == [4, 6]
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["n"], r["eps"]) for r in rows] == [("4", "1/2"), ("4", "1/4"), ("6", "1/2"), ("6", "1/4")]
 
 
 def test_bench_empty_grid(tmp_path):

@@ -278,7 +278,7 @@ def test_build_bracket_trivial_families(collinear4):
     assert bk.verify_bracket(system, always).passed
     identity = bk.make_bracket(
         system, system.ranges, Fraction(0),
-        pairing={i: (i, i) for i in range(len(system.ranges))},
+        pairing={i: (m, m) for i, m in enumerate(system.ranges)},
     )
     assert bk.verify_bracket(system, identity).passed
 

@@ -38,9 +38,9 @@ def test_container_json_roundtrip(collinear4):
 
 def test_family_canonicalization_remaps_witness(collinear4):
     _, system = collinear4
-    # feed sets out of canonical order with a witness keyed to the raw order
+    # feed sets out of canonical order with a witness naming its set
     sets = [0b0011, 0b1111]
-    fam = bk.make_mnet(system, sets, Fraction(1, 2), Fraction(1, 2), witness={0: 1})
+    fam = bk.make_mnet(system, sets, Fraction(1, 2), Fraction(1, 2), witness={0: 0b1111})
     # canonical order puts the full set first
     assert fam.pieces == (0b1111, 0b0011)
     assert fam.witness == {0: 0}
