@@ -71,7 +71,6 @@ from .setsystem import (
     project,
     sauer_shelah_check,
     shallow_cell_profile,
-    sym_diff_size,
     vc_dimension_exact,
 )
 from .verify import VerifyReport, container_lower_bound, verify_bracket, verify_container, verify_mnet

@@ -120,11 +120,12 @@ def cmd_enum_ranges(args):
 
 def cmd_packing(args):
     system = _load_system(args.system)
-    delta = args.delta
-    if "/" in delta:
-        delta_int = floor_frac(parse_fraction(delta, name="delta") * system.n)
-    else:
-        delta_int = int(delta)
+    delta = parse_fraction(args.delta, name="delta")
+    if "/" in args.delta:
+        delta *= system.n
+    elif delta.denominator != 1:
+        raise InputError(f"delta: expected a count or p/q of n, got {args.delta!r}")
+    delta_int = floor_frac(delta)
     packing = greedy_delta_packing(system, delta_int, shallow_cap=args.cap)
     payload = {
         "delta": packing.delta,

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package, and the guard that turns
+"""Exception hierarchy shared across the package, and the guards that turn
 malformed JSON input into ``InputError``."""
 
 import json
@@ -59,3 +59,14 @@ def parse_json_object(text, what, parse):
         raise InputError(f"{what}: missing field {exc}") from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"{what}: malformed value ({exc})") from exc
+
+
+def json_index_mask(indices, what):
+    """The bitmask of a JSON list of element indices.  An index that is not a
+    nonnegative integer raises InputError naming it."""
+    mask = 0
+    for i in indices:
+        if type(i) is not int or i < 0:
+            raise InputError(f"{what}: element index {i!r} is not a nonnegative integer")
+        mask |= 1 << i
+    return mask

@@ -11,8 +11,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitsets import indices_from_mask, mask_from_indices
-from .errors import InputError, parse_json_object
+from .bitsets import indices_from_mask
+from .errors import InputError, json_index_mask, parse_json_object
 from .rationals import format_fraction, parse_fraction
 from .setsystem import SetSystem, canonical_key
 
@@ -118,7 +118,7 @@ def _family_from_dict(data, base):
     kind = data.get("kind")
     if kind not in ("mnet", "container", "bracket"):
         raise InputError(f"unknown family kind {kind!r}")
-    sets = [mask_from_indices(s) for s in data["sets"]]
+    sets = [json_index_mask(s, "family JSON") for s in data["sets"]]
     params = data.get("params", {})
     eps = parse_fraction(params["epsilon"], name="epsilon")
     if kind == "mnet":

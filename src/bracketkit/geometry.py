@@ -1,18 +1,24 @@
 """Geometric range enumeration over exact rational point sets.
 
-Halfspace ranges are enumerated from hyperplanes spanned by d-subsets of
-points: each side is emitted with every realizable boundary-inclusion
-pattern (all subsets of the spanning tuple, valid under general position).
-Two paths compute the same masks.  In the plane (d = 2, which also serves
-1-D balls through the paraboloid lift) an angular sweep sorts, around each
-point, the directions to all others and reads both sides of every spanning
-line off prefix masks with two pointers: O(n^2 log n).  Every other
-dimension scans all spanning d-tuples against all points: O(n^(d+1)).  The
-scan is the reference the sweep is tested against, and both refuse exactly
-the same inputs (a repeated point, or d+1 points on one hyperplane).
-Correctness of the pattern scheme is pinned by an independent brute-force
-oracle in the tests rather than a geometric proof.  All side-of-hyperplane
-tests are exact integer arithmetic after clearing denominators.
+Halfspace ranges come from one engine that yields sides: for each
+hyperplane spanned by d of the points, both (spanning tuple, integer
+normal, mask of the points strictly on the normal's side).  Two paths yield
+the same sides.  In the plane (d = 2, which also serves 1-D balls through
+the paraboloid lift) an angular sweep sorts, around each point, the
+directions to all others and reads both sides of every spanning line off
+prefix masks with two pointers: O(n^2 log n).  Every other dimension scans
+all spanning d-tuples against all points: O(n^(d+1)).  The scan is the
+reference the sweep is tested against, and both refuse exactly the same
+inputs (a repeated point, or d+1 points on one hyperplane).
+
+Masks and witnesses are both read from the sides.  A side's ranges are its
+strict mask plus each subset of its tuple (``_halfspace_masks`` applies that
+and any side filter in one place).  ``halfspace_ranges_with_witnesses``
+proves each such range by tilting the side's hyperplane, so every emitted
+range is realized by an exact query; that no range is missed (general
+position) is pinned by an independent brute-force oracle in the tests.  All
+side-of-hyperplane tests are exact integer arithmetic after clearing
+denominators.
 """
 
 import json
@@ -24,7 +30,7 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import DegeneracyError, InputError, ResourceBudgetError, parse_json_object
-from .rationals import format_fraction, parse_fraction
+from .rationals import format_fraction
 from .setsystem import SetSystem
 
 _SPHERE_DEN = 1 << 12
@@ -38,19 +44,8 @@ class PointSet:
     points: tuple
 
     @staticmethod
-    def from_rows(dim, rows):
-        pts = []
-        for row in rows:
-            row = tuple(parse_fraction(v, name="coordinate") if not isinstance(v, Fraction) else v for v in row)
-            row = tuple(Fraction(v) for v in row)
-            if len(row) != dim:
-                raise InputError(f"point has {len(row)} coordinates, expected {dim}")
-            pts.append(row)
-        return PointSet(dim, tuple(pts))
-
-    @staticmethod
     def from_signed_rows(dim, rows):
-        """Rows may contain negative rationals (parse_fraction rejects them)."""
+        """Rows of Fractions, or of values whose str() Fraction parses (signs allowed)."""
         pts = []
         for row in rows:
             vals = []
@@ -110,10 +105,6 @@ def _int_points(pts):
     return out
 
 
-def _det2(m):
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
-
 def _det3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -146,34 +137,84 @@ def _cleared_difference(q, base):
     return tuple(a * bd - b * qd for a, b in zip(qn, bn))
 
 
-def _affine_rank(int_pts):
-    """Rank of the affine span of the points (0 for a single point)."""
-    if len(int_pts) <= 1:
-        return 0
-    rows = [[Fraction(v) for v in _cleared_difference(q, int_pts[0])] for q in int_pts[1:]]
-    rank = 0
-    cols = len(rows[0])
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+def _affine_interpolant(int_pts, targets, dim):
+    """(u, c) with u.p + c = targets[k] exactly at the k-th point.
+
+    Points come as (integer coordinates, denominator) pairs, so the k-th row
+    is (coordinates, denominator | target * denominator).  Gauss-Jordan
+    elimination over Fractions, free variables pinned to 0.  Whatever the
+    targets, affinely dependent points raise DegeneracyError.
+    """
+    rows = [[Fraction(v) for v in num] + [Fraction(den), Fraction(t * den)]
+            for (num, den), t in zip(int_pts, targets)]
+    pivots = []
+    for col in range(dim + 1):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / lead
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [v / lead for v in rows[r]]
+        for k, row in enumerate(rows):
+            factor = row[col]
+            if k != r and factor:
+                rows[k] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    if len(pivots) < len(rows):
+        raise DegeneracyError("points are affinely dependent")
+    solution = [Fraction(0)] * (dim + 1)
+    for row, col in zip(rows, pivots):
+        solution[col] = row[-1]
+    return solution[:dim], solution[dim]
+
+
+def _halfspace_sides(int_pts, dim):
+    """Both sides of every hyperplane spanned by d of the points.
+
+    A side is (spanning tuple, integer normal, mask of the points strictly on
+    the normal's side); the tuple's points lie on the hyperplane.  With
+    n <= d points no hyperplane is spanned: if they are affinely independent,
+    the one side is the zero normal's, whose boundary holds every point.
+    """
+    n = len(int_pts)
+    if n <= dim:
+        _affine_interpolant(int_pts, [0] * n, dim)
+        return [(tuple(range(n)), (0,) * dim, 0)]
+    if dim == 2:
+        return _planar_sweep_sides(int_pts)
+    return _spanning_tuple_sides(int_pts, dim)
+
+
+def _boundary_masks(side, tup):
+    """``side | B`` for every subset B of the tuple; bit j of the list index
+    says whether tup[j] is in B."""
+    if len(tup) == 2:  # every side of the planar sweep: unrolled, as it runs per pair
+        bit_i, bit_j = 1 << tup[0], 1 << tup[1]
+        return side, side | bit_i, side | bit_j, side | bit_i | bit_j
+    out = [side]
+    for i in tup:
+        bit = 1 << i
+        for k in range(len(out)):
+            out.append(out[k] | bit)
+    return out
 
 
 def _halfspace_masks(int_pts, dim, keep=None):
-    """Distinct halfspace traces as bitmasks; ``keep(normal)`` filters sides."""
-    if dim == 2 and len(int_pts) > dim:
-        return _planar_sweep_masks(int_pts, keep)
-    return _spanning_tuple_masks(int_pts, dim, keep)
+    """Distinct halfspace traces as bitmasks; ``keep(normal)`` filters sides.
+
+    A side contributes its strict mask with every subset of its spanning
+    tuple added: a small tilt of the hyperplane puts any part of the tuple
+    inside and leaves every other point where it is (the construction is
+    ``halfspace_ranges_with_witnesses``).
+    """
+    masks = {0, (1 << len(int_pts)) - 1}
+    for tup, normal, side in _halfspace_sides(int_pts, dim):
+        if keep is None or keep(normal):
+            masks.update(_boundary_masks(side, tup))
+    return masks
 
 
 # Sorts direction vectors of one closed half-plane counterclockwise: the sign
@@ -181,8 +222,8 @@ def _halfspace_masks(int_pts, dim, keep=None):
 _BY_ANGLE = cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1])
 
 
-def _planar_sweep_masks(int_pts, keep=None):
-    """``_spanning_tuple_masks`` for d = 2 and n >= 3 by a rotational sweep.
+def _planar_sweep_sides(int_pts):
+    """``_spanning_tuple_sides`` for d = 2 and n >= 3 by a rotational sweep.
 
     Around each base point i the directions to all other points are sorted
     by angle (exactly: half-plane, then cross product).  Let P be the prefix
@@ -196,7 +237,6 @@ def _planar_sweep_masks(int_pts, keep=None):
     """
     n = len(int_pts)
     full = (1 << n) - 1
-    masks = {0, full}
     for i, ((bx, by), bd) in enumerate(int_pts):
         upper = []
         lower = []
@@ -234,27 +274,15 @@ def _planar_sweep_masks(int_pts, keep=None):
                 t += 1
             if j < i:
                 continue
-            bit_i, bit_j = 1 << i, 1 << j
             left = prefix[t] ^ prefix[k + 1]
-            # (-y, x) is _cofactor_normal of the pair, so keep sees what the scan passes it.
-            for side, normal in ((left, (-y, x)), (others ^ bit_j ^ left, (y, -x))):
-                if keep is None or keep(normal):
-                    masks.update((side, side | bit_i, side | bit_j, side | bit_i | bit_j))
-    return masks
+            # (-y, x) is _cofactor_normal of the pair, so the scan yields the same sides.
+            yield (i, j), (-y, x), left
+            yield (i, j), (y, -x), others ^ (1 << j) ^ left
 
 
-def _spanning_tuple_masks(int_pts, dim, keep=None):
-    """Halfspace traces by scanning every spanning d-tuple against every point."""
-    n = len(int_pts)
-    if n == 0:
-        return {0}
-    full = (1 << n) - 1
-    if n <= dim:
-        if _affine_rank(int_pts) != n - 1:
-            raise DegeneracyError("points are affinely dependent")
-        return set(range(full + 1))
-    masks = {0, full}
-    for tup in combinations(range(n), dim):
+def _spanning_tuple_sides(int_pts, dim):
+    """Sides by scanning every spanning d-tuple against every point."""
+    for tup in combinations(range(len(int_pts)), dim):
         base = int_pts[tup[0]]
         rows = [_cleared_difference(int_pts[j], base) for j in tup[1:]]
         normal = _cofactor_normal(rows, dim)
@@ -277,23 +305,8 @@ def _spanning_tuple_masks(int_pts, dim, keep=None):
                 raise DegeneracyError(
                     f"point {i} lies on the hyperplane spanned by {tup}"
                 )
-        sides = []
-        if keep is None or keep(normal):
-            sides.append(plus)
-        neg_normal = tuple(-v for v in normal)
-        if keep is None or keep(neg_normal):
-            sides.append(minus)
-        if not sides:
-            continue
-        tup_bits = [1 << i for i in tup]
-        for side in sides:
-            for pattern in range(1 << dim):
-                mask = side
-                for j, bit in enumerate(tup_bits):
-                    if pattern >> j & 1:
-                        mask |= bit
-                masks.add(mask)
-    return masks
+        yield tup, normal, plus
+        yield tup, tuple(-v for v in normal), minus
 
 
 def enumerate_halfspace_ranges(pts):
@@ -301,108 +314,43 @@ def enumerate_halfspace_ranges(pts):
     return SetSystem.from_masks(pts.n, _halfspace_masks(_int_points(pts), pts.dim))
 
 
-def _solve_affine_values(points, targets):
-    """Find an affine functional f(x) = u.x + g with f(p_i) = targets[i] exactly.
-
-    Points must be affinely independent; the system is solved by Gaussian
-    elimination over Fractions, free variables pinned to 0.
-    """
-    dim = len(points[0])
-    rows = [[Fraction(c) for c in p] + [Fraction(1), Fraction(t)] for p, t in zip(points, targets)]
-    cols = dim + 1
-    pivots = []
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [v / lead for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    if any(all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in rows):
-        raise DegeneracyError("affine interpolation is infeasible")
-    solution = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        solution[col] = rows[r][-1]
-    return tuple(solution[:dim]), solution[dim]
-
-
 def halfspace_ranges_with_witnesses(pts):
     """Halfspace ranges plus an exact witness LinearQuery per range.
 
-    Witnesses realize each range as {x : normal.x >= offset} on the point set,
-    with boundary patterns materialized by an exact symbolic perturbation.
+    Each witness realizes its range as {x : normal.x >= offset} on the point
+    set, and the ranges are exactly ``enumerate_halfspace_ranges(pts)``.  The
+    empty and full ranges get axis-parallel queries.  Every other range is
+    first met as ``side | B`` for a side (T, w, side) of the engine and a
+    subset B of its tuple T.  Take h(x) = w.x - w.p for the first point p of
+    T, and the affine g that is +1 on B and -1 on the rest of T.  Then
+    {K*h + g >= 0} cuts out the range once K*|h(q)| > |g(q)| at every point
+    q off T.  In cleared coordinates q = a/e and p = b/f, the integer
+    e*f*h(q) is nonzero, so |h(q)| >= 1/(e*f).  For g(x) = u.x + c,
+    |g(q)| <= (|u|_1*A + |c|*E)/e, where A is the largest |entry| of any a
+    and E the largest e.  So the integer K = floor(f*(|u|_1*A + |c|*E)) + 1
+    will do.  With n <= d points the zero normal's side makes g the witness.
     """
     n, dim = pts.n, pts.dim
-    int_pts = _int_points(pts)
-    system = enumerate_halfspace_ranges(pts)
-    witnesses = {}
-    axis = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(dim))
+    axis = tuple(Fraction(int(k == 0)) for k in range(dim))
     if n == 0:
-        return system, {0: LinearQuery(axis, Fraction(0))}
+        return SetSystem.from_masks(0, [0]), {0: LinearQuery(axis, Fraction(0))}
     xs = [p[0] for p in pts.points]
-    witnesses[0] = LinearQuery(axis, max(xs) + 1)
-    witnesses[system.full_mask] = LinearQuery(axis, min(xs) - 1)
-    if n <= dim:
-        for mask in system.ranges:
+    witnesses = {0: LinearQuery(axis, max(xs) + 1), (1 << n) - 1: LinearQuery(axis, min(xs) - 1)}
+    int_pts = _int_points(pts)
+    coord_cap = max(abs(v) for num, _ in int_pts for v in num)
+    den_cap = max(den for _, den in int_pts)
+    for tup, normal, side in _halfspace_sides(int_pts, dim):
+        boundary = [int_pts[i] for i in tup]
+        base_num, base_den = boundary[0]
+        for pattern, mask in enumerate(_boundary_masks(side, tup)):
             if mask in witnesses:
                 continue
-            targets = [Fraction(1) if mask >> i & 1 else Fraction(-1) for i in range(n)]
-            normal, shift = _solve_affine_values(list(pts.points), targets)
-            witnesses[mask] = LinearQuery(normal, -shift)
-        return system, witnesses
-    for tup in combinations(range(n), dim):
-        base = int_pts[tup[0]]
-        rows = [_cleared_difference(int_pts[j], base) for j in tup[1:]]
-        normal = _cofactor_normal(rows, dim)
-        boundary = [pts.points[i] for i in tup]
-        offset = sum(Fraction(w) * c for w, c in zip(normal, pts.points[tup[0]]))
-        strict = [i for i in range(n) if i not in tup]
-        values = {
-            i: sum(Fraction(w) * c for w, c in zip(normal, pts.points[i])) - offset
-            for i in strict
-        }
-        for sign in (1, -1):
-            side_normal = tuple(Fraction(sign * w) for w in normal)
-            side_offset = sign * offset
-            side_mask = 0
-            for i in strict:
-                if sign * values[i] > 0:
-                    side_mask |= 1 << i
-            for pattern in range(1 << dim):
-                mask = side_mask
-                targets = []
-                for j, i in enumerate(tup):
-                    inside = pattern >> j & 1
-                    if inside:
-                        mask |= 1 << i
-                    targets.append(Fraction(1) if inside else Fraction(-1))
-                if mask in witnesses:
-                    continue
-                u, gamma = _solve_affine_values(boundary, targets)
-                tau = None
-                for i in strict:
-                    slack = abs(sign * values[i])
-                    wiggle = abs(sum(a * c for a, c in zip(u, pts.points[i])) + gamma)
-                    bound = slack / (2 * (wiggle + 1))
-                    tau = bound if tau is None else min(tau, bound)
-                new_normal = tuple(a + tau * b for a, b in zip(side_normal, u))
-                new_offset = side_offset - tau * gamma
-                witnesses[mask] = LinearQuery(new_normal, new_offset)
-    return system, witnesses
-
-
-def _lifted_int_points(int_pts):
-    lifted = []
-    for nums, den in int_pts:
-        lifted.append((tuple(v * den for v in nums) + (sum(v * v for v in nums),), den * den))
-    return lifted
+            targets = [1 if pattern >> j & 1 else -1 for j in range(len(tup))]
+            u, c = _affine_interpolant(boundary, targets, dim)
+            k = math.floor(base_den * (sum(map(abs, u)) * coord_cap + abs(c) * den_cap)) + 1
+            offset = Fraction(k * sum(w * v for w, v in zip(normal, base_num)), base_den) - c
+            witnesses[mask] = LinearQuery(tuple(k * w + v for w, v in zip(normal, u)), offset)
+    return SetSystem.from_masks(n, witnesses), witnesses
 
 
 def enumerate_ball_ranges(pts):
@@ -412,7 +360,8 @@ def enumerate_ball_ranges(pts):
     last normal coefficient is <= 0 correspond to balls, so sides with a
     positive last coefficient (complements of balls) are filtered out.
     """
-    lifted = _lifted_int_points(_int_points(pts))
+    lifted = [(tuple(v * den for v in num) + (sum(v * v for v in num),), den * den)
+              for num, den in _int_points(pts)]
     masks = _halfspace_masks(lifted, pts.dim + 1, keep=lambda w: w[-1] <= 0)
     return SetSystem.from_masks(pts.n, masks)
 

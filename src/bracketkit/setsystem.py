@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import compress, expand, indices_from_mask, mask_from_indices
-from .errors import InputError, parse_json_object
+from .errors import InputError, json_index_mask, parse_json_object
 from .rationals import parse_fraction
 
 
@@ -93,7 +93,9 @@ class SetSystem:
     def from_json(text):
         return parse_json_object(
             text, "set system JSON",
-            lambda data: SetSystem.from_sets(int(data["n"]), data["ranges"]),
+            lambda data: SetSystem.from_masks(
+                int(data["n"]), [json_index_mask(s, "set system JSON") for s in data["ranges"]]
+            ),
         )
 
 
@@ -151,15 +153,6 @@ def filter_by_size(system, lower=None, upper=None, *, include_lower=True, includ
         if ok_lo and ok_hi:
             kept.append(mask)
     return SetSystem(system.n, tuple(kept))
-
-
-def sym_diff_size(a, b):
-    """|A symdiff B| for two masks or two index iterables."""
-    if not isinstance(a, int):
-        a = mask_from_indices(a)
-    if not isinstance(b, int):
-        b = mask_from_indices(b)
-    return (a ^ b).bit_count()
 
 
 @dataclass(frozen=True)

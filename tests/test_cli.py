@@ -99,6 +99,16 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys, case):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("delta", ["abc", "1.5"])
+def test_bad_packing_delta_is_a_usage_error(tmp_path, capsys, delta):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(GOOD_INPUTS["system"]))
+    args = ["packing", "--system", str(system), "--delta", delta, "--out", str(tmp_path / "p.json")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_packing_and_mnet_cli(tmp_path):
     pts = tmp_path / "pts.json"
     system = tmp_path / "sys.json"

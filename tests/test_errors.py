@@ -1,6 +1,8 @@
 """Error-contract checks: documented precondition violations raise InputError
 (or the dedicated degeneracy/budget errors), never bare exceptions."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ def test_geometry_contracts():
     with pytest.raises(bk.InputError):
         bk.enumerate_polytope_ranges(bk.lower_bound_instance(1, 4, "grid"), 0)
     with pytest.raises(bk.InputError):
-        bk.PointSet.from_rows(2, [["1"]])
+        bk.PointSet.from_signed_rows(2, [["1"]])
     with pytest.raises(bk.InputError):
         bk.LinearQuery((Fraction(0), Fraction(0)), Fraction(1))
 
@@ -68,3 +70,13 @@ def test_empty_ground_set_full_stack():
     assert bk.verify_bracket(
         sys0, bk.build_bracket(sys0, Fraction(1, 2), provider, bk.default_provider())
     ).passed
+
+
+@pytest.mark.parametrize("index", [-2, 1.5, "a", None])
+def test_malformed_element_index_is_named(index):
+    with pytest.raises(bk.InputError, match=re.escape(f"set system JSON: element index {index!r} is not")):
+        bk.SetSystem.from_json(json.dumps({"n": 4, "ranges": [[0, index]]}))
+    base = bk.SetSystem.from_sets(4, [(0, 1)])
+    family = {"kind": "container", "params": {"epsilon": "1/2"}, "sets": [[index]]}
+    with pytest.raises(bk.InputError, match=re.escape(f"family JSON: element index {index!r} is not")):
+        bk.family_from_json(json.dumps(family), base)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.geometry import _halfspace_masks, _int_points, _spanning_tuple_masks
+from bracketkit.geometry import _int_points, _planar_sweep_sides, _spanning_tuple_sides
 from bracketkit.lp import feasible_with_inequalities
 
 from conftest import general_position_points
@@ -112,25 +112,26 @@ def test_halfspace_oracle_equivalence(d, n, seed):
     assert set(system.ranges) == oracle_halfspace_masks(pts)
 
 
-def _masks_or_refusal(enumerate_masks, *args):
+def _sides_or_refusal(enumerate_sides, *args):
     try:
-        return enumerate_masks(*args)
+        return set(enumerate_sides(*args))
     except bk.DegeneracyError:
         return "refused"
 
 
 # Coordinates p/q with |p| <= 3, q <= 3: repeated points and collinear
-# triples are frequent, so refusals are compared as often as mask sets.
+# triples are frequent, so refusals are compared as often as sides.
 _small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _small_planar_sets = st.lists(st.tuples(_small_rational, _small_rational), max_size=9)
 
 
 @settings(max_examples=400, deadline=None)
-@given(_small_planar_sets, st.sampled_from([None, lambda w: w[-1] <= 0]))
-def test_planar_sweep_matches_spanning_tuple_scan(rows, keep):
+@given(_small_planar_sets)
+def test_planar_sweep_matches_spanning_tuple_scan(rows):
+    # Equal (tuple, normal, side) triples give equal masks under every keep filter.
     int_pts = _int_points(bk.PointSet(2, tuple(rows)))
-    assert _masks_or_refusal(_halfspace_masks, int_pts, 2, keep) == _masks_or_refusal(
-        _spanning_tuple_masks, int_pts, 2, keep
+    assert _sides_or_refusal(_planar_sweep_sides, int_pts) == _sides_or_refusal(
+        _spanning_tuple_sides, int_pts, 2
     )
 
 
@@ -257,6 +258,19 @@ def test_halfspace_witnesses_match(collinear4):
         query = witnesses[mask]
         got = sum(1 << i for i, p in enumerate(pts.points) if query.holds(p))
         assert got == mask
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7])
+def test_halfspace_witnesses_realize_every_range(d, n):
+    # A small integer grid plus fine jitter: near-degenerate points with mixed
+    # denominators, on which a tilt with K = 1 misses some ranges.
+    pts = bk.jitter_points(bk.random_point_set(d, n, 10 * d + n, coord_bits=4), Fraction(1, 3), n)
+    system, witnesses = bk.halfspace_ranges_with_witnesses(pts)
+    assert system == bk.enumerate_halfspace_ranges(pts)
+    assert set(witnesses) == set(system.ranges)
+    for mask, query in witnesses.items():
+        assert sum(1 << i for i, p in enumerate(pts.points) if query.holds(p)) == mask
 
 
 def test_polytope_k1_and_intervals(collinear4):

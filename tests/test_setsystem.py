@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
+from bracketkit.bitsets import mask_from_indices, pack_masks, symdiff_counts
 from bracketkit.setsystem import _reversed_mask, canonical_key
 
 from conftest import masks_as_sets
@@ -126,10 +127,12 @@ def test_filter_by_size_inverted(collinear4):
 
 
 def test_sym_diff_size():
-    assert bk.sym_diff_size((0, 1), (0, 1)) == 0
-    assert bk.sym_diff_size((0, 1), (1, 2)) == 2
-    assert bk.sym_diff_size((0, 1, 2, 3), ()) == 4
-    assert bk.sym_diff_size(0b0011, 0b0110) == 2
+    # |A symdiff B| is bitsets.symdiff_counts over pack_masks rows.
+    rows = pack_masks([mask_from_indices(s) for s in [(0, 1), (1, 2), (0, 1, 2, 3), ()]], 4)
+    assert symdiff_counts(rows[0], rows[:1]).tolist() == [0]
+    assert symdiff_counts(rows[0], rows[1:2]).tolist() == [2]
+    assert symdiff_counts(rows[2], rows[3:]).tolist() == [4]
+    assert symdiff_counts(pack_masks([0b0011], 4)[0], pack_masks([0b0110], 4)).tolist() == [2]
 
 
 def _naive_shattered(system, subset):
