@@ -31,6 +31,7 @@ from .errors import (
     InputError,
     NonRealizableError,
     ResourceBudgetError,
+    json_index,
     parse_json_object,
 )
 from .families import family_from_json, family_to_json
@@ -195,11 +196,20 @@ def cmd_verify(args):
     return 1
 
 
+def _example(example, what):
+    """A JSON ``[index, label]`` pair; the label must be exactly 1 or -1."""
+    i, label = example
+    if type(label) is not int or label not in (1, -1):
+        raise InputError(f"{what}: label {label!r} is not +1 or -1")
+    return json_index(i, what), label
+
+
 def cmd_protocol_learn(args):
     domain = _load_points(args.points)
+    what = "learning instance JSON"
     alice, bob = parse_json_object(
-        _read(args.instance), "learning instance JSON",
-        lambda data: [tuple((int(i), int(l)) for i, l in data[side]) for side in ("alice", "bob")],
+        _read(args.instance), what,
+        lambda data: [tuple(_example(e, what) for e in data[side]) for side in ("alice", "bob")],
     )
     inst = LearningInstance(domain, alice, bob)
     eps0 = parse_fraction(args.eps0, name="eps0")
@@ -221,9 +231,10 @@ def cmd_protocol_learn(args):
 
 def cmd_protocol_disjoint(args):
     domain = _load_points(args.points)
+    what = "disjointness instance JSON"
     alice, bob = parse_json_object(
-        _read(args.instance), "disjointness instance JSON",
-        lambda data: [tuple(int(i) for i in data[side]) for side in ("alice", "bob")],
+        _read(args.instance), what,
+        lambda data: [tuple(json_index(i, what) for i in data[side]) for side in ("alice", "bob")],
     )
     inst = DisjointnessInstance(domain, alice, bob)
     eps0 = parse_fraction(args.eps0, name="eps0")

@@ -26,6 +26,7 @@ from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_s
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
 HALF = Fraction(1, 2)
+PAIR_CAP = 64
 
 
 def _checked(family, label):
@@ -40,12 +41,12 @@ def _checked(family, label):
 # ---------------------------------------------------------------------------
 
 
-def base_mnet(system, lam, eps, pair_cap=64):
+def base_mnet(system, lam, eps):
     """Greedy-cover Mnet: every range of size >= eps*n gets a contained piece
     of size >= lam*|range|.
 
     Candidate pieces are the heavy ranges themselves plus pairwise
-    intersections of the first ``pair_cap`` heavy ranges (canonical order);
+    intersections of the first ``PAIR_CAP`` heavy ranges (canonical order);
     the greedy loop picks the candidate serving the most uncovered heavy
     ranges.  Any range left unserved falls back to its own prefix truncation,
     so the construction always succeeds; candidate capping only affects size.
@@ -58,24 +59,23 @@ def base_mnet(system, lam, eps, pair_cap=64):
         raise InputError(f"eps must be positive, got {eps}")
     n = system.n
     heavy_at = ceil_frac(eps * n)
-    heavy = [(idx, mask) for idx, mask in enumerate(system.ranges) if mask.bit_count() >= heavy_at]
+    heavy = [mask for mask in system.ranges if mask.bit_count() >= heavy_at]
     if not heavy:
         return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
-    heavy_masks = [m for _, m in heavy]
-    cands = set(heavy_masks)
-    prefix = heavy_masks[:pair_cap]
+    cands = set(heavy)
+    prefix = heavy[:PAIR_CAP]
     for i in range(len(prefix)):
         for j in range(i + 1, len(prefix)):
             cands.add(prefix[i] & prefix[j])
     cands = canonical_sort(cands, n)
 
-    serves = _serving_matrix(cands, heavy_masks, lam, n)
+    serves = _serving_matrix(cands, heavy, lam, n)
     keep = serves.any(axis=1)
     cands = [c for c, k in zip(cands, keep) if k]
     serves = serves[keep]
 
     assignment = {}
-    uncovered = np.ones(len(heavy_masks), dtype=bool)
+    uncovered = np.ones(len(heavy), dtype=bool)
     counts = serves.sum(axis=1)
     while uncovered.any() and len(cands):
         best = int(np.argmax(counts))
@@ -84,13 +84,12 @@ def base_mnet(system, lam, eps, pair_cap=64):
         piece = cands[best]
         newly = serves[best] & uncovered
         for j in np.flatnonzero(newly):
-            assignment[heavy[j][0]] = piece
+            assignment[heavy[j]] = piece
         uncovered &= ~newly
         counts = counts - (serves[:, newly].sum(axis=1))
     for j in np.flatnonzero(uncovered):
-        idx, mask = heavy[j]
-        want = ceil_frac(lam * mask.bit_count())
-        assignment[idx] = _prefix_bits(mask, want)
+        mask = heavy[j]
+        assignment[mask] = _prefix_bits(mask, ceil_frac(lam * mask.bit_count()))
     fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
     return _checked(fam, "base_mnet")
 
@@ -124,16 +123,15 @@ class PropertyMProvider:
     systems); ``bound_log`` records (eps, produced size) for every call.
     """
 
-    def __init__(self, heaviness=HALF, pair_cap=64):
+    def __init__(self, heaviness=HALF):
         heaviness = Fraction(heaviness)
         if not 0 < heaviness < 1:
             raise InputError(f"provider heaviness must be in (0,1), got {heaviness}")
         self.heaviness = heaviness
-        self.pair_cap = pair_cap
         self.bound_log = []
 
     def mnet(self, system, eps):
-        family = base_mnet(system, self.heaviness, eps, pair_cap=self.pair_cap)
+        family = base_mnet(system, self.heaviness, eps)
         self.bound_log.append((Fraction(eps), len(family.pieces)))
         return family
 
@@ -177,7 +175,6 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
             {"op": "boost", "eta_prime": eta_p, "t": t, "eps": eps, "eta": eta, "bands": bands}
         )
     witness = {}
-    size_of = [m.bit_count() for m in system.ranges]
     for i in range(1, t + 1):
         eps_lo, eps_hi = bands[i - 1][1], bands[i][1]
         delta_i = bands[i][2]
@@ -188,10 +185,10 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
             hi_int = n
         if lo_int > hi_int:
             continue
-        band_idx = [
-            j for j, s in enumerate(size_of) if lo_int <= s <= hi_int and j not in witness
+        band = [
+            m for m in system.ranges if lo_int <= m.bit_count() <= hi_int and m not in witness
         ]
-        if not band_idx:
+        if not band:
             continue
         packing = greedy_delta_packing(system, floor_frac(delta_i * n), shallow_cap=hi_int)
         members = packing.members
@@ -199,24 +196,20 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
             continue
         packed_members = bitsets.pack_masks(members, n)
         member_cache = {}
-        for j in band_idx:
-            mask = system.ranges[j]
+        for mask in band:
             row = bitsets.pack_masks([mask], n)[0]
             dists = bitsets.symdiff_counts(row, packed_members)
             p_i = int(np.argmin(dists))
             member = members[p_i]
             if member not in member_cache:
                 proj = project(system, member)
-                fam = provider.mnet(proj.system, HALF)
-                lookup = {m: k for k, m in enumerate(proj.system.ranges)}
-                member_cache[member] = (proj, fam, lookup)
-            proj, fam, lookup = member_cache[member]
+                member_cache[member] = (proj, provider.mnet(proj.system, HALF))
+            proj, fam = member_cache[member]
             local = bitsets.compress([mask], member)[0]
-            hint = (fam.witness or {}).get(lookup[local])
-            piece_local = find_piece(fam.pieces, hint, local, fam.lam)
+            piece_local = find_piece(fam.pieces, fam.witness.get(local), local, fam.lam)
             if piece_local is None:
                 raise InternalInvariantError("verified Mnet has no piece for a heavy range")
-            witness[j] = proj.lift_mask(piece_local)
+            witness[mask] = proj.lift_mask(piece_local)
     fam = make_mnet(system, witness.values(), lam_out, eps, witness=witness)
     return _checked(fam, "boost_epsilon")
 
@@ -256,10 +249,10 @@ def mnet_to_container(system, mnet, delta0, lam):
     eps_out = 1 - lam + lam * delta0
     slack_cap = floor_frac(eps_out * n)
     witness = {}
-    for idx, mask in enumerate(small.ranges):
+    for mask in small.ranges:
         cover = find_cover(covers, None, mask, slack_cap)
         if cover is not None:
-            witness[idx] = cover
+            witness[mask] = cover
     fam = make_container(small, covers, eps_out, witness=witness)
     return _checked(fam, "mnet_to_container")
 
@@ -331,21 +324,20 @@ def small_set_container(system, eps, rho, provider, run_log=None):
     covers = []
     witness = {}
     max_depth = 1
-    # Node = (universe mask, surviving range indices, depth).
-    stack = [(full, list(range(len(system.ranges))), 1)]
+    # Node = (universe mask, surviving ranges, depth).
+    stack = [(full, list(system.ranges), 1)]
     while stack:
         universe, live, depth = stack.pop()
         max_depth = max(max_depth, depth)
         covers.append(universe)
         survivors = []
-        for j in live:
-            mask = system.ranges[j]
+        for mask in live:
             if (mask & universe) != mask:
                 continue
             if (universe & ~mask).bit_count() <= residual_over:
-                witness.setdefault(j, universe)
+                witness.setdefault(mask, universe)
             else:
-                survivors.append(j)
+                survivors.append(mask)
         if not survivors:
             continue
         if depth + 1 > depth_cap:
@@ -353,8 +345,8 @@ def small_set_container(system, eps, rho, provider, run_log=None):
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
         u_size = universe.bit_count()
-        eps_node = Fraction(max(system.ranges[j].bit_count() for j in survivors), u_size)
-        local_comps = bitsets.compress([~system.ranges[j] for j in survivors], universe)
+        eps_node = Fraction(max(m.bit_count() for m in survivors), u_size)
+        local_comps = bitsets.compress([~m for m in survivors], universe)
         node_sys = SetSystem.from_masks(u_size, local_comps)
         fam = provider.mnet(node_sys, 1 - eps_node)
         children = []
@@ -362,11 +354,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
             if piece == 0:
                 continue
             child_universe = universe & ~piece
-            child_live = [
-                j
-                for j in survivors
-                if (system.ranges[j] & child_universe) == system.ranges[j]
-            ]
+            child_live = [m for m in survivors if (m & child_universe) == m]
             if child_live:
                 children.append((child_universe, child_live, depth + 1))
         for child in reversed(children):
@@ -424,27 +412,29 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     for member in packing.members:
         member_row = bitsets.pack_masks([member], n)[0]
         dists = bitsets.symdiff_counts(member_row, packed_band)
-        group = [j for j in np.flatnonzero(dists <= sep).tolist() if j not in witness]
+        group = [
+            band_masks[j] for j in np.flatnonzero(dists <= sep).tolist()
+            if band_masks[j] not in witness
+        ]
         if not group:
             continue
         p_size = member.bit_count()
         local_full = (1 << p_size) - 1
         comp_cap = floor_frac(eps_prime * p_size)
         local_comp = {}
-        for j, local in zip(group, bitsets.compress([band.ranges[j] for j in group], member)):
+        for mask, local in zip(group, bitsets.compress(group, member)):
             comp = local_full ^ local
             if comp.bit_count() > comp_cap:
                 raise InternalInvariantError(
                     "projected complement exceeds the eps' bound inside a packing member"
                 )
-            local_comp[j] = comp
+            local_comp[mask] = comp
         comp_sys = SetSystem.from_masks(p_size, set(local_comp.values()))
-        comp_index = {m: k for k, m in enumerate(comp_sys.ranges)}
         cont = small_set_container(comp_sys, eps_prime, eps, provider, run_log=run_log)
         slack_cap = floor_frac(cont.eps * p_size)
         pieces_local = []
         for comp in local_comp.values():
-            cover = find_cover(cont.covers, cont.witness.get(comp_index[comp]), comp, slack_cap)
+            cover = find_cover(cont.covers, cont.witness.get(comp), comp, slack_cap)
             if cover is None:
                 raise InternalInvariantError("verified container has no cover for a range")
             pieces_local.append(local_full ^ cover)
@@ -514,12 +504,11 @@ def heavy_mnet(system, lam, eta, provider, run_log=None):
     params = HeavyMnetParams.from_targets(lam, eta, provider.heaviness)
     if run_log is not None:
         run_log.append({"op": "heavy-mnet", "params": params})
-    index_of = {m: i for i, m in enumerate(system.ranges)}
     witness = {}
     for delta_k in params.band_deltas:
         band_fam = bootstrap_interval_mnet(system, params.band_ratio, delta_k, provider, run_log=run_log)
-        for j, pos in band_fam.witness.items():
-            witness.setdefault(index_of[band_fam.base.ranges[j]], band_fam.pieces[pos])
+        for mask, piece in band_fam.witness.items():
+            witness.setdefault(mask, piece)
     fam = make_mnet(system, witness.values(), lam, eta, witness=witness)
     return _checked(fam, "heavy_mnet")
 
@@ -540,19 +529,14 @@ def build_container(system, eps, provider_complement, run_log=None):
     if small_sys.ranges:
         c1 = small_set_container(small_sys, eps / 2, eps / 2, provider_complement, run_log=run_log)
         covers.extend(c1.covers)
-    comp = complement_family(system)
-    comp_index = {m: i for i, m in enumerate(comp.ranges)}
-    mfam = heavy_mnet(comp, 1 - eps, eps, provider_complement, run_log=run_log)
-    mnet_witness = mfam.witness or {}
-    for idx, mask in enumerate(system.ranges):
+    mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement, run_log=run_log)
+    for mask in system.ranges:
         if mask.bit_count() >= big_at:
-            witness[idx] = full
+            witness[mask] = full
             continue
-        comp_idx = comp_index[full ^ mask]
-        piece = mfam.pieces[mnet_witness[comp_idx]]
-        cover = full ^ piece
+        cover = full ^ mfam.witness[full ^ mask]
         covers.append(cover)
-        witness[idx] = cover
+        witness[mask] = cover
     return _checked(make_container(system, covers, eps, witness=witness), "build_container")
 
 
@@ -569,15 +553,8 @@ def build_bracket(system, eps, provider, provider_complement, run_log=None):
     small_at = floor_frac(eps / 2 * Fraction(n))
     sets = [0]
     pairing = {}
-    cont_witness = cont.witness or {}
-    mnet_witness = mfam.witness or {}
-    for idx, mask in enumerate(system.ranges):
-        upper = cont.covers[cont_witness[idx]]
-        if mask.bit_count() <= small_at:
-            lower = 0
-        else:
-            lower = mfam.pieces[mnet_witness[idx]]
-        sets.append(upper)
-        sets.append(lower)
-        pairing[idx] = (lower, upper)
+    for mask in system.ranges:
+        lower = 0 if mask.bit_count() <= small_at else mfam.witness[mask]
+        pairing[mask] = (lower, cont.witness[mask])
+        sets.extend(pairing[mask])
     return _checked(make_bracket(system, sets, eps, pairing=pairing), "build_bracket")

@@ -61,12 +61,17 @@ def parse_json_object(text, what, parse):
         raise InputError(f"{what}: malformed value ({exc})") from exc
 
 
+def json_index(i, what):
+    """``i`` if it is a nonnegative integer; else InputError naming it."""
+    if type(i) is not int or i < 0:
+        raise InputError(f"{what}: element index {i!r} is not a nonnegative integer")
+    return i
+
+
 def json_index_mask(indices, what):
-    """The bitmask of a JSON list of element indices.  An index that is not a
-    nonnegative integer raises InputError naming it."""
+    """The bitmask of a JSON list of element indices, each checked by
+    ``json_index``."""
     mask = 0
     for i in indices:
-        if type(i) is not int or i < 0:
-            raise InputError(f"{what}: element index {i!r} is not a nonnegative integer")
-        mask |= 1 << i
+        mask |= 1 << json_index(i, what)
     return mask

@@ -2,9 +2,11 @@
 
 All three are plain subset families with parameters; the optional witness
 maps are construction bookkeeping that verifiers may use as hints but always
-re-check.  ``make_*`` take the witness values as the sets themselves (a
-mask, or a ``(lower, upper)`` mask pair for a bracket), keyed by range
-index; the family stores each as its position in the canonical set order.
+re-check.  A witness map is keyed by range mask, and its values are the sets
+themselves: a mask, or a ``(lower, upper)`` mask pair for a bracket.
+``make_*`` sort and dedupe the sets canonically and store the map as given.
+Set positions appear only in the bracket JSON, whose ``pairing`` maps a
+range index to the positions of its lower and upper set.
 """
 
 import json
@@ -14,22 +16,7 @@ from fractions import Fraction
 from .bitsets import indices_from_mask
 from .errors import InputError, json_index_mask, parse_json_object
 from .rationals import format_fraction, parse_fraction
-from .setsystem import SetSystem, canonical_key
-
-
-def _canonical_with_witness(n, sets, witness):
-    """Canonically sort + dedup sets, mapping witness sets to their positions."""
-    order = sorted(set(sets), key=lambda m: canonical_key(m, n))
-    index = {mask: i for i, mask in enumerate(order)}
-    remapped = None
-    if witness is not None:
-        remapped = {}
-        for key, value in witness.items():
-            if isinstance(value, tuple):
-                remapped[key] = tuple(index[v] for v in value)
-            else:
-                remapped[key] = index[value]
-    return tuple(order), remapped
+from .setsystem import SetSystem, canonical_sort
 
 
 @dataclass(frozen=True)
@@ -67,18 +54,16 @@ class BracketFamily:
 
 
 def make_mnet(base, pieces, lam, eps, witness=None):
-    ordered, remapped = _canonical_with_witness(base.n, pieces, witness)
-    return MnetFamily(base, ordered, Fraction(lam), Fraction(eps), remapped)
+    pieces = tuple(canonical_sort(set(pieces), base.n))
+    return MnetFamily(base, pieces, Fraction(lam), Fraction(eps), witness)
 
 
 def make_container(base, covers, eps, witness=None):
-    ordered, remapped = _canonical_with_witness(base.n, covers, witness)
-    return ContainerFamily(base, ordered, Fraction(eps), remapped)
+    return ContainerFamily(base, tuple(canonical_sort(set(covers), base.n)), Fraction(eps), witness)
 
 
 def make_bracket(base, sets, eps, pairing=None):
-    ordered, remapped = _canonical_with_witness(base.n, sets, pairing)
-    return BracketFamily(base, ordered, Fraction(eps), remapped)
+    return BracketFamily(base, tuple(canonical_sort(set(sets), base.n)), Fraction(eps), pairing)
 
 
 def family_to_json(family):
@@ -104,7 +89,7 @@ def family_to_json(family):
             "sets": [list(indices_from_mask(m)) for m in family.sets],
         }
         if family.pairing is not None:
-            payload["pairing"] = {str(k): list(v) for k, v in family.pairing.items()}
+            payload["pairing"] = _pairing_to_positions(family)
     else:
         raise InputError(f"unknown family type {type(family).__name__}")
     return json.dumps(payload)
@@ -127,12 +112,36 @@ def _family_from_dict(data, base):
         return make_container(base, sets, eps)
     pairing = data.get("pairing")
     if pairing is not None:
-        pairing = {int(k): _pair_sets(sets, v) for k, v in pairing.items()}
+        pairing = {_pairing_range(base, k): _pair_sets(sets, v) for k, v in pairing.items()}
     return make_bracket(base, sets, eps, pairing=pairing)
 
 
+def _pairing_to_positions(family):
+    """The JSON pairing: range index -> [lower position, upper position], in
+    range order."""
+    position = {mask: i for i, mask in enumerate(family.sets)}
+    out = {}
+    for idx, mask in enumerate(family.base.ranges):
+        pair = family.pairing.get(mask)
+        if pair is not None:
+            if not (pair[0] in position and pair[1] in position):
+                raise InputError(f"pairing of range {idx} names a set outside the family")
+            out[str(idx)] = [position[pair[0]], position[pair[1]]]
+    return out
+
+
+def _pairing_range(base, key):
+    """The range mask a JSON pairing key names by its range index."""
+    idx = int(key)
+    if not 0 <= idx < len(base.ranges):
+        raise InputError(
+            f"pairing key {key!r} is not a range index of the {len(base.ranges)} ranges"
+        )
+    return base.ranges[idx]
+
+
 def _pair_sets(sets, pair):
-    """The (lower, upper) sets a JSON pairing entry names by index."""
+    """The (lower, upper) sets a JSON pairing entry names by position."""
     lo, hi = pair
     if not (0 <= lo < len(sets) and 0 <= hi < len(sets)):
         raise InputError(f"pairing {pair} names a set outside the {len(sets)} sets")

@@ -75,25 +75,17 @@ class PointSet:
 
 @dataclass(frozen=True)
 class LinearQuery:
-    """Affine query normal.x (sense) offset; sense one of '>=', '>', '='."""
+    """Affine query normal.x >= offset."""
 
     normal: tuple
     offset: Fraction
-    sense: str = ">="
 
     def __post_init__(self):
         if all(v == 0 for v in self.normal):
             raise InputError("query normal must be nonzero")
-        if self.sense not in (">=", ">", "="):
-            raise InputError(f"unknown sense {self.sense!r}")
 
     def holds(self, point):
-        value = sum(a * x for a, x in zip(self.normal, point))
-        if self.sense == ">=":
-            return value >= self.offset
-        if self.sense == ">":
-            return value > self.offset
-        return value == self.offset
+        return sum(a * x for a, x in zip(self.normal, point)) >= self.offset
 
 
 def _int_points(pts):
@@ -399,9 +391,7 @@ def veronese_lift(pts, degree):
     """
     if degree < 1:
         raise InputError("degree must be >= 1")
-    exponents = []
-    for total in range(1, degree + 1):
-        exponents.extend(_compositions(total, pts.dim))
+    exponents = monomial_exponents(pts.dim, degree)
     rows = []
     for p in pts.points:
         row = []

@@ -19,7 +19,6 @@ from .constructions import build_container, default_provider
 from .errors import InputError, InternalInvariantError, NonRealizableError
 from .geometry import PointSet, enumerate_halfspace_ranges
 from .lp import solve_equality_feasibility
-from .setsystem import canonical_sort
 
 DEFAULT_EPS0 = Fraction(1, 8)
 
@@ -101,18 +100,12 @@ class SharedContext:
 @lru_cache(maxsize=8)
 def shared_protocol_context(domain, eps0):
     system = enumerate_halfspace_ranges(domain)
-    container = build_container(system, eps0, default_provider())
-    hypotheses = list(container.covers)
-    seen = set(hypotheses)
-    for mask in system.ranges:
-        if mask not in seen:
-            hypotheses.append(mask)
-            seen.add(mask)
-    # Cover block first (the compressed class), range block appended in
-    # canonical order as the consistency fallback.
-    ranges_tail = canonical_sort(hypotheses[len(container.covers):], system.n)
-    hypotheses = list(container.covers) + ranges_tail
-    return SharedContext(domain, Fraction(eps0), system, tuple(hypotheses), len(container.covers))
+    covers = build_container(system, eps0, default_provider()).covers
+    # Cover block first (the compressed class), then the other ranges, in
+    # their canonical order, as the consistency fallback.
+    seen = set(covers)
+    hypotheses = covers + tuple(m for m in system.ranges if m not in seen)
+    return SharedContext(domain, Fraction(eps0), system, hypotheses, len(covers))
 
 
 def _index_cost(n):
@@ -172,29 +165,20 @@ def _run_learning(domain, alice, bob, eps0):
                     break
         if cover is None:
             raise InternalInvariantError("hypothesis search failed on a consistent state")
-        error = _first_error(alice, cover, witness_range)
-        if error is not None:
-            messages.append(Message("alice", "counterexample", list(error), ce_cost))
-            history.append(error)
-            idx, label = error
-            if label > 0:
-                pos |= 1 << idx
-            else:
-                neg |= 1 << idx
-            continue
-        messages.append(Message("alice", "ok", None, 1))
-        error = _first_error(bob, cover, witness_range)
-        if error is not None:
-            messages.append(Message("bob", "counterexample", list(error), ce_cost))
-            history.append(error)
-            idx, label = error
-            if label > 0:
-                pos |= 1 << idx
-            else:
-                neg |= 1 << idx
-            continue
-        messages.append(Message("bob", "ok", None, 1))
-        return ctx, cover, witness_range, Transcript(tuple(messages)), tuple(history)
+        for sender, examples in (("alice", alice), ("bob", bob)):
+            error = _first_error(examples, cover, witness_range)
+            if error is not None:
+                messages.append(Message(sender, "counterexample", list(error), ce_cost))
+                history.append(error)
+                idx, label = error
+                if label > 0:
+                    pos |= 1 << idx
+                else:
+                    neg |= 1 << idx
+                break
+            messages.append(Message(sender, "ok", None, 1))
+        else:
+            return ctx, cover, Transcript(tuple(messages))
     raise InternalInvariantError("protocol did not terminate within its round budget")
 
 
@@ -208,7 +192,7 @@ def learn_halfspace_protocol(inst, eps0=DEFAULT_EPS0):
     NonRealizableError (with the inconsistent subset as certificate) when no
     consistent hypothesis exists.
     """
-    ctx, cover, _, transcript, _ = _run_learning(inst.domain, inst.alice, inst.bob, eps0)
+    _, cover, transcript = _run_learning(inst.domain, inst.alice, inst.bob, eps0)
     return Classifier(cover, inst.domain.n), transcript
 
 
@@ -223,7 +207,7 @@ def convex_disjointness_protocol(inst, eps0=DEFAULT_EPS0):
     alice = tuple((i, 1) for i in sorted(set(inst.alice)))
     bob = tuple((j, -1) for j in sorted(set(inst.bob)))
     try:
-        ctx, cover, _, transcript, _ = _run_learning(inst.domain, alice, bob, eps0)
+        ctx, cover, transcript = _run_learning(inst.domain, alice, bob, eps0)
     except NonRealizableError as err:
         return "intersecting", err.transcript
     index = ctx.hypotheses.index(cover)

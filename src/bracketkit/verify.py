@@ -3,8 +3,9 @@ packing-based container lower bound.
 
 These are the trust anchor: every construction re-verifies its output here
 before returning it.  Witness maps attached by constructions are used only
-as hints; each hinted set is re-checked and a full scan runs whenever the
-hint fails, so a wrong hint can never turn an invalid family valid.  The
+as hints: a verifier looks up the hint by range mask, ignores it unless it
+is one of the family's sets, re-checks it, and runs a full scan whenever it
+fails, so a wrong hint can never turn an invalid family valid.  The
 hint-then-scan finders ``find_piece`` and ``find_cover`` hold the one test
 per definition; the constructions use them too, to fetch the set that
 serves a range of a family they just built.
@@ -43,14 +44,13 @@ def _stats(values):
 
 
 def find_piece(pieces, hint, mask, lam):
-    """The piece inside ``mask`` of size >= lam*|mask|: ``pieces[hint]`` if it
-    serves, else the first that does; None if none does."""
+    """The piece inside ``mask`` of size >= lam*|mask|: the hinted set if it
+    serves, else the first of ``pieces`` that does; None if none does.  The
+    caller vouches that a hint is one of ``pieces``."""
     need = lam.numerator * mask.bit_count()
     den = lam.denominator
-    if hint is not None and 0 <= hint < len(pieces):
-        piece = pieces[hint]
-        if (piece & mask) == piece and piece.bit_count() * den >= need:
-            return piece
+    if hint is not None and (hint & mask) == hint and hint.bit_count() * den >= need:
+        return hint
     for piece in pieces:
         if (piece & mask) == piece and piece.bit_count() * den >= need:
             return piece
@@ -59,12 +59,11 @@ def find_piece(pieces, hint, mask, lam):
 
 def find_cover(covers, hint, mask, slack_cap):
     """The cover containing ``mask`` with at most ``slack_cap`` extra
-    elements: ``covers[hint]`` if it serves, else the first that does; None
-    if none does."""
-    if hint is not None and 0 <= hint < len(covers):
-        cover = covers[hint]
-        if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
-            return cover
+    elements: the hinted set if it serves, else the first of ``covers`` that
+    does; None if none does.  The caller vouches that a hint is one of
+    ``covers``."""
+    if hint is not None and (mask & hint) == mask and (hint & ~mask).bit_count() <= slack_cap:
+        return hint
     for cover in covers:
         if (mask & cover) == mask and (cover & ~mask).bit_count() <= slack_cap:
             return cover
@@ -76,15 +75,17 @@ def verify_mnet(system, family):
     heavy_at = ceil_frac(family.eps * system.n)
     lam = Fraction(family.lam)
     pieces = family.pieces
+    members = set(pieces)
     witness = family.witness or {}
     ratios = []
     checked = 0
-    for idx, mask in enumerate(system.ranges):
+    for mask in system.ranges:
         size = mask.bit_count()
         if size < heavy_at:
             continue
         checked += 1
-        found = find_piece(pieces, witness.get(idx), mask, lam)
+        hint = witness.get(mask)
+        found = find_piece(pieces, hint if hint in members else None, mask, lam)
         if found is None:
             return VerifyReport(
                 False,
@@ -101,12 +102,14 @@ def verify_container(system, family):
     """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n."""
     slack_cap = floor_frac(family.eps * system.n)
     covers = family.covers
+    members = set(covers)
     witness = family.witness or {}
     slacks = []
     checked = 0
-    for idx, mask in enumerate(system.ranges):
+    for mask in system.ranges:
         checked += 1
-        found = find_cover(covers, witness.get(idx), mask, slack_cap)
+        hint = witness.get(mask)
+        found = find_cover(covers, hint if hint in members else None, mask, slack_cap)
         if found is None:
             return VerifyReport(
                 False,
@@ -123,19 +126,19 @@ def verify_bracket(system, family):
     n = system.n
     slack_cap = floor_frac(family.eps * n)
     sets = family.sets
+    members = set(sets)
     pairing = family.pairing or {}
     slacks = []
     checked = 0
-    for idx, mask in enumerate(system.ranges):
+    for mask in system.ranges:
         checked += 1
         found = None
-        hint = pairing.get(idx)
+        hint = pairing.get(mask)
         if hint is not None:
-            lo_i, hi_i = hint
-            if 0 <= lo_i < len(sets) and 0 <= hi_i < len(sets):
-                lo, hi = sets[lo_i], sets[hi_i]
-                if (lo & mask) == lo and (mask & hi) == mask and (hi & ~lo).bit_count() <= slack_cap:
-                    found = (lo, hi)
+            lo, hi = hint
+            if (lo in members and hi in members and (lo & mask) == lo and (mask & hi) == mask
+                    and (hi & ~lo).bit_count() <= slack_cap):
+                found = (lo, hi)
         if found is None:
             lowers = [s for s in sets if (s & mask) == s]
             uppers = [s for s in sets if (mask & s) == mask]

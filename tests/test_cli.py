@@ -61,6 +61,8 @@ CONTAINER = {"kind": "container", "params": {"epsilon": "1/2"}}
 MALFORMED = {
     "pairing-index-out-of-range": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"0": [0, 2]}}),
     "pairing-index-negative": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"0": [-1, 1]}}),
+    "pairing-key-negative": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"-1": [0, 1]}}),
+    "pairing-key-past-last": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"99": [0, 1]}}),
     "family-missing-sets": ("verify", "family", CONTAINER),
     "mnet-missing-lambda": ("verify", "family", {"kind": "mnet", "params": {"epsilon": "1/2"}, "sets": []}),
     "family-string-index": ("verify", "family", {**CONTAINER, "sets": [["a"]]}),
@@ -72,9 +74,22 @@ MALFORMED = {
     "points-missing-dim": ("enum-ranges", "points", {"points": [["0"]]}),
     "points-non-numeric": ("enum-ranges", "points", {"dim": 1, "points": [["zero"], ["1"]]}),
     "instance-missing-bob": ("protocol-learn", "instance", {"alice": [[0, 1]]}),
+    "instance-float-index": ("protocol-learn", "instance", {"alice": [[1.9, 1]], "bob": [[3, -1]]}),
+    "instance-fractional-label": ("protocol-learn", "instance", {"alice": [[0, 1]], "bob": [[3, -1.5]]}),
+    "instance-float-label": ("protocol-learn", "instance", {"alice": [[0, 1.0]], "bob": [[3, -1]]}),
     "disjoint-instance-string-index": ("protocol-disjoint", "instance", {"alice": ["a"], "bob": [3]}),
+    "disjoint-instance-float-index": ("protocol-disjoint", "instance", {"alice": [1.9, 0], "bob": [3]}),
     "spec-top-level-list": ("bench", "spec", [4]),
     "spec-non-numeric-n": ("bench", "spec", {"n": ["four"]}),
+}
+# case -> the text the usage error must contain: the value it refuses
+NAMED = {
+    "pairing-key-negative": "'-1'",
+    "pairing-key-past-last": "'99'",
+    "instance-float-index": "1.9",
+    "instance-fractional-label": "-1.5",
+    "instance-float-label": "1.0",
+    "disjoint-instance-float-index": "1.9",
 }
 
 
@@ -97,6 +112,7 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys, case):
     assert run_cli([command, *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+    assert NAMED.get(case, "") in err
 
 
 @pytest.mark.parametrize("delta", ["abc", "1.5"])

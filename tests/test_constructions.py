@@ -277,8 +277,7 @@ def test_build_bracket_trivial_families(collinear4):
     always = bk.make_bracket(system, [0, full], Fraction(1))
     assert bk.verify_bracket(system, always).passed
     identity = bk.make_bracket(
-        system, system.ranges, Fraction(0),
-        pairing={i: (m, m) for i, m in enumerate(system.ranges)},
+        system, system.ranges, Fraction(0), pairing={m: (m, m) for m in system.ranges},
     )
     assert bk.verify_bracket(system, identity).passed
 
@@ -288,11 +287,10 @@ def test_build_bracket_collinear4(collinear4):
     fam = bk.build_bracket(system, Fraction(1, 2), bk.default_provider(), bk.default_provider())
     assert bk.verify_bracket(system, fam).passed
     # pairing covers every range with an exact (lower, upper) pair
-    assert set(fam.pairing.keys()) == set(range(len(system.ranges)))
+    assert set(fam.pairing.keys()) == set(system.ranges)
     slack_cap = Fraction(1, 2) * 4
-    for idx, (lo_i, hi_i) in fam.pairing.items():
-        mask = system.ranges[idx]
-        lo, hi = fam.sets[lo_i], fam.sets[hi_i]
+    for mask, (lo, hi) in fam.pairing.items():
+        assert lo in fam.sets and hi in fam.sets
         assert (lo & mask) == lo and (mask & hi) == mask
         assert (hi & ~lo).bit_count() <= slack_cap
 
@@ -332,26 +330,26 @@ HINTED = {
 @pytest.mark.parametrize("name", sorted(HINTED))
 def test_construction_hints_serve_their_ranges(name):
     # The verifiers fall back to a scan on a wrong hint, so a bad witness
-    # remap would pass them unseen; check every stored hint directly.
+    # would pass them unseen; check every stored hint directly.
     fam = HINTED[name]()
-    ranges = fam.base.ranges
+    ranges = set(fam.base.ranges)
     slack_cap = fam.eps * fam.base.n
     if isinstance(fam, bk.MnetFamily):
         hints = fam.witness
-        for idx, pos in hints.items():
-            mask, piece = ranges[idx], fam.pieces[pos]
+        for mask, piece in hints.items():
+            assert mask in ranges and piece in fam.pieces
             assert (piece & mask) == piece
             assert piece.bit_count() >= fam.lam * mask.bit_count()
     elif isinstance(fam, bk.ContainerFamily):
         hints = fam.witness
-        for idx, pos in hints.items():
-            mask, cover = ranges[idx], fam.covers[pos]
+        for mask, cover in hints.items():
+            assert mask in ranges and cover in fam.covers
             assert (mask & cover) == mask
             assert (cover & ~mask).bit_count() <= slack_cap
     else:
         hints = fam.pairing
-        for idx, (lo_i, hi_i) in hints.items():
-            mask, lo, hi = ranges[idx], fam.sets[lo_i], fam.sets[hi_i]
+        for mask, (lo, hi) in hints.items():
+            assert mask in ranges and lo in fam.sets and hi in fam.sets
             assert (lo & mask) == lo and (mask & hi) == mask
             assert (hi & ~lo).bit_count() <= slack_cap
     assert len(hints) > 0

@@ -55,12 +55,13 @@ def test_bracket_trivial_anchors(collinear4):
 def test_wrong_hints_never_flip_the_verdict(collinear4):
     _, system = collinear4
     heavy = [m for m in system.ranges if m.bit_count() >= 2]
-    wrong_witness = {i: len(heavy) - 1 for i in range(len(system.ranges))}
+    full = system.full_mask
+    wrong_witness = {m: heavy[-1] for m in system.ranges}
     fam = bk.MnetFamily(system, tuple(heavy), Fraction(1), Fraction(1, 2), wrong_witness)
     assert bk.verify_mnet(system, fam).passed
-    cont = bk.ContainerFamily(system, (system.full_mask,), Fraction(1), {0: 99})
+    cont = bk.ContainerFamily(system, (full,), Fraction(1), {m: 99 for m in system.ranges})
     assert bk.verify_container(system, cont).passed
-    br = bk.BracketFamily(system, (0, system.full_mask), Fraction(1), {0: (1, 0)})
+    br = bk.BracketFamily(system, (0, full), Fraction(1), {m: (full, 0) for m in system.ranges})
     assert bk.verify_bracket(system, br).passed
 
 
@@ -103,6 +104,23 @@ def test_counterexample_is_first_in_canonical_order(collinear4):
     assert report.counterexample[0] == system.ranges[0]
 
 
+def test_hint_outside_the_family_never_passes(collinear4):
+    # Every range is hinted to itself, which would serve it exactly, but the
+    # family holds only the empty set: the verifiers must ignore the hints.
+    _, system = collinear4
+    itself = {m: m for m in system.ranges}
+    cases = (
+        (bk.verify_mnet, bk.make_mnet(system, [0], Fraction(1), Fraction(1, 4), witness=itself)),
+        (bk.verify_container, bk.make_container(system, [0], Fraction(0), witness=itself)),
+        (bk.verify_bracket, bk.make_bracket(
+            system, [0], Fraction(0), pairing={m: (m, m) for m in system.ranges})),
+    )
+    for verifier, fam in cases:
+        report = verifier(system, fam)
+        assert not report.passed
+        assert report.counterexample[0] != 0
+
+
 def test_witness_stats_present(collinear4):
     _, system = collinear4
     heavy = [m for m in system.ranges if m.bit_count() >= 2]
@@ -122,11 +140,11 @@ def test_mnet_ratio_stats_match_fraction_form():
     heavy_at = -((-fam.eps.numerator * system.n) // fam.eps.denominator)
     witness = fam.witness or {}
     exact = []
-    for idx, mask in enumerate(system.ranges):
+    for mask in system.ranges:
         size = mask.bit_count()
         if size < heavy_at or size == 0:
             continue
-        hinted = [fam.pieces[witness[idx]]] if idx in witness else []
+        hinted = [witness[mask]] if witness.get(mask) in fam.pieces else []
         found = next(
             p for p in hinted + list(fam.pieces) if p & mask == p and p.bit_count() >= fam.lam * size
         )
