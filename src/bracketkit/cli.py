@@ -32,6 +32,7 @@ from .errors import (
     NonRealizableError,
     ResourceBudgetError,
     json_index,
+    json_int,
     parse_json_object,
 )
 from .families import family_from_json, family_to_json
@@ -277,9 +278,9 @@ class ExperimentSpec:
         return parse_json_object(text, "bench spec JSON", lambda data: ExperimentSpec(
             instance_kind=data.get("instance_kind", "random"),
             family=data.get("family", "halfspace"),
-            d=int(data.get("d", 2)),
-            n_list=[int(v) for v in data.get("n", [])],
-            seed=int(data.get("seed", 0)),
+            d=json_int(data.get("d", 2), "bench spec JSON: d", 1),
+            n_list=[json_int(v, "bench spec JSON: n", 0) for v in data.get("n", [])],
+            seed=json_int(data.get("seed", 0), "bench spec JSON: seed"),
             construction=data.get("construction", "container"),
             eps_list=[parse_fraction(v, name="eps") for v in data.get("eps", [])],
             lambda_list=[parse_fraction(v, name="lambda") for v in data.get("lambda", [])],

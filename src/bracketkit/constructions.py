@@ -11,7 +11,6 @@ before returning it and never returns an unverified family.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ from .errors import InputError, InternalInvariantError, PreconditionFailure
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing
 from .rationals import ceil_frac, floor_frac
-from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project
+from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project, size_band
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
 HALF = Fraction(1, 2)
@@ -59,7 +58,7 @@ def base_mnet(system, lam, eps):
         raise InputError(f"eps must be positive, got {eps}")
     n = system.n
     heavy_at = ceil_frac(eps * n)
-    heavy = [mask for mask in system.ranges if mask.bit_count() >= heavy_at]
+    heavy = size_band(system.ranges, heavy_at, n)
     if not heavy:
         return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
     cands = set(heavy)
@@ -179,15 +178,10 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
         eps_lo, eps_hi = bands[i - 1][1], bands[i][1]
         delta_i = bands[i][2]
         lo_int = ceil_frac(eps_lo * n)
-        if i < t:
-            hi_int = ceil_frac(eps_hi * n) - 1
-        else:
-            hi_int = n
-        if lo_int > hi_int:
-            continue
-        band = [
-            m for m in system.ranges if lo_int <= m.bit_count() <= hi_int and m not in witness
-        ]
+        hi_int = ceil_frac(eps_hi * n) - 1 if i < t else n
+        # Consecutive bands meet at ceil(eps_i*n) without overlapping, so no
+        # band range has a piece yet.
+        band = size_band(system.ranges, lo_int, hi_int)
         if not band:
             continue
         packing = greedy_delta_packing(system, floor_frac(delta_i * n), shallow_cap=hi_int)
@@ -246,14 +240,7 @@ def mnet_to_container(system, mnet, delta0, lam):
         )
     full = system.full_mask
     covers = [full ^ p for p in candidate.pieces]
-    eps_out = 1 - lam + lam * delta0
-    slack_cap = floor_frac(eps_out * n)
-    witness = {}
-    for mask in small.ranges:
-        cover = find_cover(covers, None, mask, slack_cap)
-        if cover is not None:
-            witness[mask] = cover
-    fam = make_container(small, covers, eps_out, witness=witness)
+    fam = make_container(small, covers, 1 - lam + lam * delta0)
     return _checked(fam, "mnet_to_container")
 
 
@@ -324,17 +311,18 @@ def small_set_container(system, eps, rho, provider, run_log=None):
     covers = []
     witness = {}
     max_depth = 1
-    # Node = (universe mask, surviving ranges, depth).
+    # Node = (universe mask, surviving ranges, depth).  Every live range lies
+    # inside its node's universe: the root's is the full set, and a child
+    # keeps only the ranges inside its own.
     stack = [(full, list(system.ranges), 1)]
     while stack:
         universe, live, depth = stack.pop()
         max_depth = max(max_depth, depth)
         covers.append(universe)
+        u_size = universe.bit_count()
         survivors = []
         for mask in live:
-            if (mask & universe) != mask:
-                continue
-            if (universe & ~mask).bit_count() <= residual_over:
+            if u_size - mask.bit_count() <= residual_over:
                 witness.setdefault(mask, universe)
             else:
                 survivors.append(mask)
@@ -344,7 +332,6 @@ def small_set_container(system, eps, rho, provider, run_log=None):
             raise InternalInvariantError(
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
-        u_size = universe.bit_count()
         eps_node = Fraction(max(m.bit_count() for m in survivors), u_size)
         local_comps = bitsets.compress([~m for m in survivors], universe)
         node_sys = SetSystem.from_masks(u_size, local_comps)
@@ -389,12 +376,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     n = system.n
     lo_int = ceil_frac(delta * n)
     hi_int = min(n, floor_frac((1 + eps) * delta * n))
-    # Canonical order is size-descending, so the band is one slice.
-    neg_size = lambda m: -m.bit_count()  # noqa: E731
-    band_masks = system.ranges[
-        bisect_left(system.ranges, -hi_int, key=neg_size):
-        bisect_right(system.ranges, -lo_int, key=neg_size)
-    ]
+    band_masks = size_band(system.ranges, lo_int, hi_int)
     band = SetSystem(n, band_masks)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:

@@ -61,11 +61,18 @@ def parse_json_object(text, what, parse):
         raise InputError(f"{what}: malformed value ({exc})") from exc
 
 
+def json_int(value, what, least=None):
+    """``value`` if it is exactly an int (a bool is not) and at least
+    ``least``; else InputError naming ``what`` and the value."""
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise InputError(f"{what} {value!r} is not an integer{bound}")
+    return value
+
+
 def json_index(i, what):
     """``i`` if it is a nonnegative integer; else InputError naming it."""
-    if type(i) is not int or i < 0:
-        raise InputError(f"{what}: element index {i!r} is not a nonnegative integer")
-    return i
+    return json_int(i, f"{what}: element index", 0)
 
 
 def json_index_mask(indices, what):

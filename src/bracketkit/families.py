@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitsets import indices_from_mask
-from .errors import InputError, json_index_mask, parse_json_object
+from .errors import InputError, json_index, json_index_mask, parse_json_object
 from .rationals import format_fraction, parse_fraction
 from .setsystem import SetSystem, canonical_sort
 
@@ -112,7 +112,16 @@ def _family_from_dict(data, base):
         return make_container(base, sets, eps)
     pairing = data.get("pairing")
     if pairing is not None:
-        pairing = {_pairing_range(base, k): _pair_sets(sets, v) for k, v in pairing.items()}
+        if not isinstance(pairing, dict):
+            raise InputError(f"family JSON: pairing must be an object, got {pairing!r}")
+        # A key names a range only as the decimal string of its index.
+        index = {str(i): mask for i, mask in enumerate(base.ranges)}
+        for key in pairing:
+            if key not in index:
+                raise InputError(
+                    f"pairing key {key!r} is not a range index of the {len(index)} ranges"
+                )
+        pairing = {index[k]: _pair_sets(sets, v) for k, v in pairing.items()}
     return make_bracket(base, sets, eps, pairing=pairing)
 
 
@@ -130,19 +139,9 @@ def _pairing_to_positions(family):
     return out
 
 
-def _pairing_range(base, key):
-    """The range mask a JSON pairing key names by its range index."""
-    idx = int(key)
-    if not 0 <= idx < len(base.ranges):
-        raise InputError(
-            f"pairing key {key!r} is not a range index of the {len(base.ranges)} ranges"
-        )
-    return base.ranges[idx]
-
-
 def _pair_sets(sets, pair):
     """The (lower, upper) sets a JSON pairing entry names by position."""
-    lo, hi = pair
-    if not (0 <= lo < len(sets) and 0 <= hi < len(sets)):
+    lo, hi = (json_index(i, "family JSON pairing") for i in pair)
+    if not (lo < len(sets) and hi < len(sets)):
         raise InputError(f"pairing {pair} names a set outside the {len(sets)} sets")
     return sets[lo], sets[hi]

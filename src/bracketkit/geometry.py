@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import DegeneracyError, InputError, ResourceBudgetError, parse_json_object
+from .errors import DegeneracyError, InputError, ResourceBudgetError, json_int, parse_json_object
 from .rationals import format_fraction
 from .setsystem import SetSystem
 
@@ -69,7 +69,9 @@ class PointSet:
     def from_json(text):
         return parse_json_object(
             text, "point set JSON",
-            lambda data: PointSet.from_signed_rows(int(data["dim"]), data["points"]),
+            lambda data: PointSet.from_signed_rows(
+                json_int(data["dim"], "point set JSON: dim", 1), data["points"]
+            ),
         )
 
 
@@ -516,6 +518,8 @@ def _sphere_points(n):
 def random_point_set(d, n, seed, coord_bits=31):
     """Seeded integer-coordinate points (distinct); general position is likely
     but not guaranteed — enumerators raise DegeneracyError when it fails."""
+    if d < 1 or n < 0:
+        raise InputError("need d >= 1 and n >= 0")
     rng = random.Random(seed)
     seen = set()
     rows = []

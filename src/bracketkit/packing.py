@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bitsets
 from .errors import InputError
-from .setsystem import SetSystem, shallow_cell_profile
+from .setsystem import SetSystem, shallow_cell_profile, size_band
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,7 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     """
     if not 0 <= delta <= system.n:
         raise InputError(f"delta {delta} outside [0, {system.n}]")
-    candidates = [
-        m for m in system.ranges if shallow_cap is None or m.bit_count() <= shallow_cap
-    ]
+    candidates = system.ranges if shallow_cap is None else size_band(system.ranges, 0, shallow_cap)
     packed = bitsets.pack_masks(candidates, system.n)
     admitted = np.empty_like(packed)
     members = []

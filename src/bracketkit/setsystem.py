@@ -6,10 +6,17 @@ decreasing cardinality, ties broken by ascending lexicographic order of the
 sorted element lists.  Every operation in the package that consumes or emits
 a family goes through this canonical form, which is what makes the greedy
 constructions and protocol messages reproducible.
+
+Because the order is size-descending, the ranges with lo <= |R| <= hi are
+one contiguous slice of it.  ``size_band`` finds that slice by bisection,
+and every size filter in the package (``filter_by_size``, the packing's
+shallow cap, the cell profile, the heavy, boosting and bootstrap bands of
+the constructions) is a call to it.
 """
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -17,8 +24,8 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import compress, expand, indices_from_mask, mask_from_indices
-from .errors import InputError, json_index_mask, parse_json_object
-from .rationals import parse_fraction
+from .errors import InputError, json_index_mask, json_int, parse_json_object
+from .rationals import ceil_frac, floor_frac, parse_fraction
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -94,7 +101,8 @@ class SetSystem:
         return parse_json_object(
             text, "set system JSON",
             lambda data: SetSystem.from_masks(
-                int(data["n"]), [json_index_mask(s, "set system JSON") for s in data["ranges"]]
+                json_int(data["n"], "set system JSON: n", 0),
+                [json_index_mask(s, "set system JSON") for s in data["ranges"]],
             ),
         )
 
@@ -134,10 +142,22 @@ def complement_family(system):
     return SetSystem.from_masks(system.n, (full ^ m for m in system.ranges))
 
 
+def _neg_size(mask):
+    return -mask.bit_count()
+
+
+def size_band(ranges, lo, hi):
+    """The ranges with integer bounds lo <= |R| <= hi, as one slice of
+    ``ranges``, which must be in canonical (size-descending) order."""
+    return ranges[bisect_left(ranges, -hi, key=_neg_size):bisect_right(ranges, -lo, key=_neg_size)]
+
+
 def filter_by_size(system, lower=None, upper=None, *, include_lower=True, include_upper=True):
     """Keep ranges whose cardinality lies in the given interval.
 
-    Bounds may be ints or Fractions (or "p/q" strings); comparisons are exact.
+    Bounds may be ints or Fractions (or "p/q" strings).  They are rounded
+    exactly to the integer band of sizes they admit, which ``size_band``
+    slices out.
     """
     lo = parse_fraction(lower, name="lower bound") if lower is not None else Fraction(0)
     hi = parse_fraction(upper, name="upper bound") if upper is not None else Fraction(system.n)
@@ -145,14 +165,9 @@ def filter_by_size(system, lower=None, upper=None, *, include_lower=True, includ
         raise InputError(f"size interval [{lo},{hi}] outside [0,{system.n}]")
     if lo > hi:
         raise InputError(f"inverted size interval: {lo} > {hi}")
-    kept = []
-    for mask in system.ranges:
-        size = mask.bit_count()
-        ok_lo = size >= lo if include_lower else size > lo
-        ok_hi = size <= hi if include_upper else size < hi
-        if ok_lo and ok_hi:
-            kept.append(mask)
-    return SetSystem(system.n, tuple(kept))
+    lo_int = ceil_frac(lo) if include_lower else floor_frac(lo) + 1
+    hi_int = floor_frac(hi) if include_upper else ceil_frac(hi) - 1
+    return SetSystem(system.n, size_band(system.ranges, lo_int, hi_int))
 
 
 @dataclass(frozen=True)
@@ -244,13 +259,6 @@ def shallow_cell_profile(system, samples, caps):
     """CellProfiles for every (sample, cap) pair, row-major over samples then caps."""
     out = []
     for sample in samples:
-        proj = project(system, sample)
-        sizes = sorted(m.bit_count() for m in proj.system.ranges)
-        for cap in caps:
-            count = 0
-            for size in sizes:
-                if size > cap:
-                    break
-                count += 1
-            out.append(CellProfile(proj.system.n, cap, count))
+        proj = project(system, sample).system
+        out.extend(CellProfile(proj.n, cap, len(size_band(proj.ranges, 0, cap))) for cap in caps)
     return out

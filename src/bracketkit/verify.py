@@ -122,9 +122,15 @@ def verify_container(system, family):
 
 
 def verify_bracket(system, family):
-    """Check: every range F has sets B-, B+ with B- <= F <= B+, |B+ \\ B-| <= eps*n."""
-    n = system.n
-    slack_cap = floor_frac(family.eps * n)
+    """Check: every range F has sets B-, B+ with B- <= F <= B+, |B+ \\ B-| <= eps*n.
+
+    For B- <= F <= B+ the slack |B+ \\ B-| is just |B+| - |B-|, so F has a
+    pair iff a largest set inside F and a smallest set containing F form
+    one.  The hinted pair is tried first.  The fallback finds those two sets
+    by a scan over every set, so it does not rely on the order of
+    ``family.sets``: a ``BracketFamily`` can be built directly.
+    """
+    slack_cap = floor_frac(family.eps * system.n)
     sets = family.sets
     members = set(sets)
     pairing = family.pairing or {}
@@ -132,31 +138,19 @@ def verify_bracket(system, family):
     checked = 0
     for mask in system.ranges:
         checked += 1
-        found = None
-        hint = pairing.get(mask)
-        if hint is not None:
-            lo, hi = hint
-            if (lo in members and hi in members and (lo & mask) == lo and (mask & hi) == mask
-                    and (hi & ~lo).bit_count() <= slack_cap):
-                found = (lo, hi)
-        if found is None:
-            lowers = [s for s in sets if (s & mask) == s]
-            uppers = [s for s in sets if (mask & s) == mask]
-            for lo in lowers:
-                for hi in uppers:
-                    if (hi & ~lo).bit_count() <= slack_cap:
-                        found = (lo, hi)
-                        break
-                if found is not None:
-                    break
-        if found is None:
-            return VerifyReport(
-                False,
-                checked,
-                (mask, f"no bracket pair within slack {slack_cap}"),
-                _stats(slacks),
-            )
-        slacks.append((found[1] & ~found[0]).bit_count())
+        lo, hi = pairing.get(mask, (None, None))
+        if not (lo in members and hi in members and (lo & mask) == lo and (mask & hi) == mask
+                and hi.bit_count() - lo.bit_count() <= slack_cap):
+            lo = max((s for s in sets if (s & mask) == s), key=int.bit_count, default=None)
+            hi = min((s for s in sets if (mask & s) == mask), key=int.bit_count, default=None)
+            if lo is None or hi is None or hi.bit_count() - lo.bit_count() > slack_cap:
+                return VerifyReport(
+                    False,
+                    checked,
+                    (mask, f"no bracket pair within slack {slack_cap}"),
+                    _stats(slacks),
+                )
+        slacks.append(hi.bit_count() - lo.bit_count())
     return VerifyReport(True, checked, None, _stats(slacks))
 
 

@@ -81,6 +81,21 @@ MALFORMED = {
     "disjoint-instance-float-index": ("protocol-disjoint", "instance", {"alice": [1.9, 0], "bob": [3]}),
     "spec-top-level-list": ("bench", "spec", [4]),
     "spec-non-numeric-n": ("bench", "spec", {"n": ["four"]}),
+    "pairing-not-an-object": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": []}),
+    "pairing-position-bool": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"0": [True, 1]}}),
+    "pairing-key-spaced": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {" 0 ": [0, 1]}}),
+    "pairing-key-plus": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"+0": [0, 1]}}),
+    "pairing-key-underscore": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": {"0_0": [0, 1]}}),
+    "points-float-dim": ("enum-ranges", "points", {**GOOD_INPUTS["points"], "dim": 1.7}),
+    "points-zero-dim": ("enum-ranges", "points", {**GOOD_INPUTS["points"], "dim": 0}),
+    "points-negative-dim": ("enum-ranges", "points", {**GOOD_INPUTS["points"], "dim": -1}),
+    "points-bool-dim": ("enum-ranges", "points", {**GOOD_INPUTS["points"], "dim": True}),
+    "system-float-n": ("verify", "system", {**GOOD_INPUTS["system"], "n": 4.9}),
+    "system-string-n": ("verify", "system", {**GOOD_INPUTS["system"], "n": "4"}),
+    "spec-float-n": ("bench", "spec", {"n": [4.5]}),
+    "spec-zero-d": ("bench", "spec", {"n": [], "d": 0}),
+    "spec-bool-d": ("bench", "spec", {"n": [], "d": True}),
+    "spec-float-seed": ("bench", "spec", {"n": [], "seed": 0.5}),
 }
 # case -> the text the usage error must contain: the value it refuses
 NAMED = {
@@ -90,6 +105,20 @@ NAMED = {
     "instance-fractional-label": "-1.5",
     "instance-float-label": "1.0",
     "disjoint-instance-float-index": "1.9",
+    "pairing-position-bool": "True",
+    "pairing-key-spaced": "' 0 '",
+    "pairing-key-plus": "'+0'",
+    "pairing-key-underscore": "'0_0'",
+    "points-float-dim": "dim 1.7",
+    "points-zero-dim": "dim 0",
+    "points-negative-dim": "dim -1",
+    "points-bool-dim": "dim True",
+    "system-float-n": "n 4.9",
+    "system-string-n": "n '4'",
+    "spec-float-n": "n 4.5",
+    "spec-zero-d": "d 0",
+    "spec-bool-d": "d True",
+    "spec-float-seed": "seed 0.5",
 }
 
 
@@ -113,6 +142,14 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert NAMED.get(case, "") in err
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_gen_random_refuses_nonpositive_dimension(tmp_path, capsys, d):
+    args = ["gen", "--kind", "random", "--d", d, "--n", "1", "--seed", "0", "--out", str(tmp_path / "p.json")]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("delta", ["abc", "1.5"])

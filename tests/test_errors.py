@@ -31,6 +31,9 @@ def test_geometry_contracts():
         bk.PointSet.from_signed_rows(2, [["1"]])
     with pytest.raises(bk.InputError):
         bk.LinearQuery((Fraction(0), Fraction(0)), Fraction(1))
+    for d, n in ((0, 1), (-1, 1), (2, -1)):
+        with pytest.raises(bk.InputError):
+            bk.random_point_set(d, n, 0)
 
 
 def test_packing_contracts(sys4):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit.bitsets import mask_from_indices, pack_masks, symdiff_counts
-from bracketkit.setsystem import _reversed_mask, canonical_key
+from bracketkit.setsystem import _reversed_mask, canonical_key, size_band
 
 from conftest import masks_as_sets
 
@@ -124,6 +124,29 @@ def test_filter_by_size_inverted(collinear4):
         bk.filter_by_size(system, lower=3, upper=2)
     with pytest.raises(bk.InputError):
         bk.filter_by_size(system, upper=99)
+
+
+@given(st.integers(0, 8), st.data())
+@settings(max_examples=300, deadline=None)
+def test_size_filters_match_a_per_range_reference(n, data):
+    system = bk.SetSystem.from_masks(n, data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=24)))
+    bound = st.one_of(st.none(), st.integers(0, n), st.fractions(0, n, max_denominator=6))
+    lower, upper = data.draw(bound), data.draw(bound)
+    if lower is not None and upper is not None and lower > upper:
+        lower, upper = upper, lower
+    include_lower, include_upper = data.draw(st.booleans()), data.draw(st.booleans())
+    lo = 0 if lower is None else lower
+    hi = n if upper is None else upper
+    expected = tuple(
+        m for m in system.ranges
+        if (m.bit_count() >= lo if include_lower else m.bit_count() > lo)
+        and (m.bit_count() <= hi if include_upper else m.bit_count() < hi)
+    )
+    kept = bk.filter_by_size(system, lower, upper, include_lower=include_lower, include_upper=include_upper)
+    assert kept == bk.SetSystem(n, expected)
+    lo_int, hi_int = data.draw(st.integers(-2, n + 2)), data.draw(st.integers(-2, n + 2))
+    band = size_band(system.ranges, lo_int, hi_int)
+    assert band == tuple(m for m in system.ranges if lo_int <= m.bit_count() <= hi_int)
 
 
 def test_sym_diff_size():

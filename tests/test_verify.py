@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
+from bracketkit.setsystem import canonical_sort
 from bracketkit.verify import _stats
 
 from conftest import general_position_points
@@ -119,6 +120,47 @@ def test_hint_outside_the_family_never_passes(collinear4):
         report = verifier(system, fam)
         assert not report.passed
         assert report.counterexample[0] != 0
+
+
+def test_bracket_loose_hint_falls_back_to_the_tightest_pair():
+    # F = {0,1} with slack cap floor(4/2) = 2.  The hint (empty, full) has
+    # the right shape but slack 4; the sets, built directly out of canonical
+    # order, list a loose lower and upper before the tight pair ({0}, {0,1,2}).
+    system = bk.SetSystem.from_masks(4, [0b0011])
+    hint = {0b0011: (0b0000, 0b1111)}
+    sets = (0b0000, 0b1111, 0b0111, 0b0001)
+    tight = bk.BracketFamily(system, sets, Fraction(1, 2), pairing=hint)
+    report = bk.verify_bracket(system, tight)
+    assert report.passed and naive_bracket_ok(system, sets, tight.eps)
+    assert report.witness_stats["max"] == 2
+    loose = bk.BracketFamily(system, (0b0000, 0b1111, 0b0001), Fraction(1, 2), pairing=hint)
+    assert not bk.verify_bracket(system, loose).passed
+    assert not naive_bracket_ok(system, loose.sets, loose.eps)
+
+
+def test_verify_bracket_matches_naive_on_random_families():
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        system = bk.SetSystem.from_masks(n, [rng.getrandbits(n) for _ in range(rng.randint(0, 6))])
+        sets = [rng.getrandbits(n) for _ in range(rng.randint(0, 2))]
+        for mask in system.ranges:
+            sets += [mask & rng.getrandbits(n), mask | rng.getrandbits(n)]
+        if rng.random() < 0.5:
+            rng.shuffle(sets)
+        else:
+            sets = canonical_sort(set(sets), n)
+        pool = sets + [rng.getrandbits(n)]
+        pairing = {
+            m: (rng.choice(pool), rng.choice(pool)) for m in system.ranges if rng.random() < 0.5
+        }
+        eps = Fraction(rng.randint(0, 4), 4)
+        family = bk.BracketFamily(system, tuple(sets), eps, pairing=pairing)
+        verdict = bk.verify_bracket(system, family).passed
+        assert verdict == naive_bracket_ok(system, sets, eps)
+        verdicts.append(verdict)
+    assert 100 < sum(verdicts) < 500
 
 
 def test_witness_stats_present(collinear4):
