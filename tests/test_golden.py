@@ -51,6 +51,11 @@ def _container60():
     return bk.family_to_json(bk.build_container(_circle(60), Fraction(1, 20), bk.default_provider()))
 
 
+def _container70():
+    # Two-word masks: bootstrap groups straddle the uint64 word edge.
+    return bk.family_to_json(bk.build_container(_circle(70), Fraction(1, 8), bk.default_provider()))
+
+
 def _context64():
     ctx = bk.shared_protocol_context(_criterion9_domain(), Fraction(1, 8))
     sets = [list(indices_from_mask(m)) for m in ctx.hypotheses]
@@ -65,6 +70,7 @@ CASES = {
     "bracket-circle40-eps1/4": _bracket40,
     "boost-circle40-eps1/5-eta1/2": _boost40,
     "container-circle60-eps1/20": _container60,
+    "container-circle70-eps1/8": _container70,
     "context-n64-criterion9-hypotheses": _context64,
     "halfspaces-n256-seed11000": _halfspaces256,
 }
