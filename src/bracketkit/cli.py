@@ -259,6 +259,10 @@ def _append_summary(path, instance_id, transcript, correct):
         writer.writerow([instance_id, transcript.rounds, transcript.total_bits, correct])
 
 
+# construction -> the spec's parameter lists it reads
+GRID_PARAMETERS = {"container": ("eps",), "bracket": ("eps",), "mnet": ("lambda", "eta")}
+
+
 @dataclass
 class ExperimentSpec:
     instance_kind: str
@@ -275,7 +279,13 @@ class ExperimentSpec:
 
     @staticmethod
     def from_json(text):
-        return parse_json_object(text, "bench spec JSON", lambda data: ExperimentSpec(
+        return parse_json_object(text, "bench spec JSON", ExperimentSpec._from_dict)
+
+    @staticmethod
+    def _from_dict(data):
+        """The spec, refused before any grid point runs if ``out`` is not a
+        string or the construction is unknown or lacks a parameter list."""
+        spec = ExperimentSpec(
             instance_kind=data.get("instance_kind", "random"),
             family=data.get("family", "halfspace"),
             d=json_int(data.get("d", 2), "bench spec JSON: d", 1),
@@ -285,9 +295,19 @@ class ExperimentSpec:
             eps_list=[parse_fraction(v, name="eps") for v in data.get("eps", [])],
             lambda_list=[parse_fraction(v, name="lambda") for v in data.get("lambda", [])],
             eta_list=[parse_fraction(v, name="eta") for v in data.get("eta", [])],
-            jitter=parse_fraction(data["jitter"], name="jitter") if data.get("jitter") else None,
+            jitter=parse_fraction(data["jitter"], name="jitter") if data.get("jitter") is not None else None,
             out=data.get("out", "results.csv"),
-        ))
+        )
+        if not isinstance(spec.out, str):
+            raise InputError(f"bench spec JSON: out {spec.out!r} is not a file name string")
+        if spec.construction not in GRID_PARAMETERS:
+            raise InputError(
+                f"bench spec JSON: construction {spec.construction!r} is not one of {', '.join(GRID_PARAMETERS)}"
+            )
+        for key in GRID_PARAMETERS[spec.construction]:
+            if not data.get(key):
+                raise InputError(f"bench spec JSON: construction {spec.construction!r} needs a non-empty {key} list")
+        return spec
 
 
 def _run_grid_point(spec, n, system, eps, lam, eta):
@@ -303,11 +323,9 @@ def _run_grid_point(spec, n, system, eps, lam, eta):
     elif spec.construction == "bracket":
         family = build_bracket(system, eps, default_provider(), default_provider())
         size = len(family.sets)
-    elif spec.construction == "mnet":
+    else:
         family = heavy_mnet(system, lam, eta, default_provider())
         size = len(family.pieces)
-    else:
-        raise InputError(f"unknown construction {spec.construction!r}")
     report = verify_family(system, family)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     row = {

@@ -19,7 +19,7 @@ import numpy as np
 from . import bitsets
 from .errors import InputError, InternalInvariantError, PreconditionFailure
 from .families import make_bracket, make_container, make_mnet
-from .packing import greedy_delta_packing
+from .packing import greedy_delta_packing, nearest_neighbor
 from .rationals import ceil_frac, floor_frac
 from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project, size_band
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
@@ -149,9 +149,11 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
 
     Size bands eps_i = (1+eta')^i * eps with eta' = min(1/4, eta/2) are each
     covered by a maximal packing at separation eta'*eps_i*n among ranges below
-    the band top; every band range inherits a piece from the provider's
-    1/2-Mnet of the projection onto its nearest packing member.  The output
-    heaviness is provider.heaviness * (1 - eta).
+    the band top.  The band is grouped by nearest packing member
+    (``nearest_neighbor``, ties to the earliest member); each group, compressed
+    into its member, takes pieces from the provider's 1/2-Mnet of the
+    projection onto that member, expanded back.  The output heaviness is
+    provider.heaviness * (1 - eta).
     """
     eps = Fraction(eps)
     eta = Fraction(eta)
@@ -185,25 +187,18 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
         if not band:
             continue
         packing = greedy_delta_packing(system, floor_frac(delta_i * n), shallow_cap=hi_int)
-        members = packing.members
-        if not members:
-            continue
-        packed_members = bitsets.pack_masks(members, n)
-        member_cache = {}
+        groups = {}
         for mask in band:
-            row = bitsets.pack_masks([mask], n)[0]
-            dists = bitsets.symdiff_counts(row, packed_members)
-            p_i = int(np.argmin(dists))
-            member = members[p_i]
-            if member not in member_cache:
-                proj = project(system, member)
-                member_cache[member] = (proj, provider.mnet(proj.system, HALF))
-            proj, fam = member_cache[member]
-            local = bitsets.compress([mask], member)[0]
-            piece_local = find_piece(fam.pieces, fam.witness.get(local), local, fam.lam)
-            if piece_local is None:
-                raise InternalInvariantError("verified Mnet has no piece for a heavy range")
-            witness[mask] = proj.lift_mask(piece_local)
+            groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
+        for member, group in groups.items():
+            fam = provider.mnet(project(system, member).system, HALF)
+            pieces_local = []
+            for local in bitsets.compress(group, member):
+                piece = find_piece(fam.pieces, fam.witness.get(local), local, fam.lam)
+                if piece is None:
+                    raise InternalInvariantError("verified Mnet has no piece for a heavy range")
+                pieces_local.append(piece)
+            witness.update(zip(group, bitsets.expand(pieces_local, member)))
     fam = make_mnet(system, witness.values(), lam_out, eps, witness=witness)
     return _checked(fam, "boost_epsilon")
 
@@ -362,10 +357,12 @@ def small_set_container(system, eps, rho, provider, run_log=None):
 def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     """(1-4*eps)-heavy delta-Mnet for the ranges of size in [delta*n, (1+eps)*delta*n].
 
-    A maximal packing at separation eps*delta*n groups the band; within each
-    member P the complements of the projected group ranges are small (at most
-    eps' = 3*eps/(2+2*eps) of |P|), so small_set_container covers them and the
-    complements of the covers inside P are the pieces.
+    A maximal packing at separation eps*delta*n groups the band: a range is
+    served through the first member within the separation, as recorded in
+    ``Packing.groups``.  Within each member P the complements of the
+    compressed group ranges are small (at most eps' = 3*eps/(2+2*eps) of
+    |P|), so small_set_container covers them, and the complements of the
+    covers inside P, expanded back, are the pieces.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
@@ -381,46 +378,33 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
         return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
-    sep = floor_frac(eps * delta * n)
-    packing = greedy_delta_packing(band, sep)
+    packing = greedy_delta_packing(band, floor_frac(eps * delta * n))
     eps_prime = 3 * eps / (2 + 2 * eps)
     if run_log is not None:
         run_log.append(
             {"op": "bootstrap", "eps": eps, "delta": delta, "eps_prime": eps_prime,
              "band": (lo_int, hi_int), "packing_size": len(packing.members)}
         )
-    packed_band = bitsets.pack_masks(band.ranges, n)
     witness = {}
-    for member in packing.members:
-        member_row = bitsets.pack_masks([member], n)[0]
-        dists = bitsets.symdiff_counts(member_row, packed_band)
-        group = [
-            band_masks[j] for j in np.flatnonzero(dists <= sep).tolist()
-            if band_masks[j] not in witness
-        ]
-        if not group:
-            continue
+    for member, group in zip(packing.members, packing.groups):
         p_size = member.bit_count()
         local_full = (1 << p_size) - 1
-        comp_cap = floor_frac(eps_prime * p_size)
-        local_comp = {}
-        for mask, local in zip(group, bitsets.compress(group, member)):
-            comp = local_full ^ local
-            if comp.bit_count() > comp_cap:
-                raise InternalInvariantError(
-                    "projected complement exceeds the eps' bound inside a packing member"
-                )
-            local_comp[mask] = comp
-        comp_sys = SetSystem.from_masks(p_size, set(local_comp.values()))
-        cont = small_set_container(comp_sys, eps_prime, eps, provider, run_log=run_log)
+        comps = [local_full ^ local for local in bitsets.compress(group, member)]
+        if max(comp.bit_count() for comp in comps) > floor_frac(eps_prime * p_size):
+            raise InternalInvariantError(
+                "projected complement exceeds the eps' bound inside a packing member"
+            )
+        cont = small_set_container(
+            SetSystem.from_masks(p_size, comps), eps_prime, eps, provider, run_log=run_log
+        )
         slack_cap = floor_frac(cont.eps * p_size)
         pieces_local = []
-        for comp in local_comp.values():
+        for comp in comps:
             cover = find_cover(cont.covers, cont.witness.get(comp), comp, slack_cap)
             if cover is None:
                 raise InternalInvariantError("verified container has no cover for a range")
             pieces_local.append(local_full ^ cover)
-        witness.update(zip(local_comp, bitsets.expand(pieces_local, member)))
+        witness.update(zip(group, bitsets.expand(pieces_local, member)))
     fam = make_mnet(band, witness.values(), lam_out, delta, witness=witness)
     return _checked(fam, "bootstrap_interval_mnet")
 

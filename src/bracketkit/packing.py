@@ -3,7 +3,9 @@
 A delta-packing keeps pairwise symmetric differences strictly above delta;
 an optional shallow cap k restricts members to ranges of size <= k.  The
 greedy scan in canonical order makes packings deterministic, and maximality
-gives every in-cap range a nearest neighbour at distance <= delta.
+gives every in-cap range a nearest neighbour at distance <= delta.  The scan
+also hands out groups: each scanned range joins the group of the first
+member within delta, from the distances the admission test computes anyway.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,13 @@ from .setsystem import SetSystem, shallow_cell_profile, size_band
 
 @dataclass(frozen=True)
 class Packing:
+    """Members in admission order; ``groups[i]`` holds, in scan order, the
+    scanned ranges whose first member within delta is ``members[i]``, so it
+    starts with that member and the groups partition the candidates."""
+
     base: SetSystem
     members: tuple
+    groups: tuple
     delta: int
     shallow_cap: object = None
 
@@ -37,12 +44,17 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     packed = bitsets.pack_masks(candidates, system.n)
     admitted = np.empty_like(packed)
     members = []
+    groups = []
     for mask, row in zip(candidates, packed):
-        if members and int(bitsets.symdiff_counts(row, admitted[: len(members)]).min()) <= delta:
-            continue
+        if members:
+            near = bitsets.symdiff_counts(row, admitted[: len(members)]) <= delta
+            if near.any():
+                groups[int(near.argmax())].append(mask)
+                continue
         admitted[len(members)] = row
         members.append(mask)
-    return Packing(system, tuple(members), delta, shallow_cap)
+        groups.append([mask])
+    return Packing(system, tuple(members), tuple(map(tuple, groups)), delta, shallow_cap)
 
 
 def nearest_neighbor(packing, mask):

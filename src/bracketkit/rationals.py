@@ -11,10 +11,12 @@ from .errors import InputError
 
 
 def parse_fraction(value, *, name="value"):
-    """Parse a nonnegative rational given as "p/q", "p", int or Fraction."""
+    """Parse a nonnegative rational given as "p/q", "p", int or Fraction.
+
+    A bool is not taken as an int, so a JSON ``true`` is refused."""
     if isinstance(value, Fraction):
         frac = value
-    elif isinstance(value, int):
+    elif type(value) is int:
         frac = Fraction(value)
     elif isinstance(value, str):
         try:
@@ -22,7 +24,7 @@ def parse_fraction(value, *, name="value"):
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{name}: cannot parse rational from {value!r}") from exc
     else:
-        raise InputError(f"{name}: expected rational, got {type(value).__name__}")
+        raise InputError(f"{name}: expected rational, got {value!r}")
     if frac < 0:
         raise InputError(f"{name}: must be nonnegative, got {frac}")
     return frac

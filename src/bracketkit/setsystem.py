@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsets import compress, expand, indices_from_mask, mask_from_indices
+from .bitsets import compress, indices_from_mask, mask_from_indices
 from .errors import InputError, json_index_mask, json_int, parse_json_object
 from .rationals import ceil_frac, floor_frac, parse_fraction
 
@@ -113,10 +113,6 @@ class Projection:
 
     system: SetSystem
     original_indices: tuple
-
-    def lift_mask(self, mask):
-        """Translate a mask over the projected indices back to original indices."""
-        return expand([mask], mask_from_indices(self.original_indices))[0]
 
 
 def project(system, subset):

@@ -53,7 +53,7 @@ GOOD_INPUTS = {
     "family": {"kind": "bracket", "params": {"epsilon": "1/2"}, "sets": [[], [0, 1, 2, 3]],
                "pairing": {"0": [0, 1]}},
     "instance": {"alice": [[0, 1]], "bob": [[3, -1]]},
-    "spec": {"n": []},
+    "spec": {"n": [], "eps": ["1/2"]},
 }
 CONTAINER = {"kind": "container", "params": {"epsilon": "1/2"}}
 
@@ -96,6 +96,18 @@ MALFORMED = {
     "spec-zero-d": ("bench", "spec", {"n": [], "d": 0}),
     "spec-bool-d": ("bench", "spec", {"n": [], "d": True}),
     "spec-float-seed": ("bench", "spec", {"n": [], "seed": 0.5}),
+    "spec-int-out": ("bench", "spec", {**GOOD_INPUTS["spec"], "out": 12345}),
+    "family-bool-epsilon": ("verify", "family", {**CONTAINER, "params": {"epsilon": True}, "sets": [[0, 1, 2, 3]]}),
+    "mnet-bool-lambda": ("verify", "family", {"kind": "mnet", "params": {"epsilon": "1/2", "lambda": False}, "sets": []}),
+    "spec-bool-eps": ("bench", "spec", {"n": [], "eps": [True]}),
+    "spec-bool-jitter": ("bench", "spec", {**GOOD_INPUTS["spec"], "jitter": True}),
+    "spec-false-jitter": ("bench", "spec", {**GOOD_INPUTS["spec"], "jitter": False}),
+    "spec-container-missing-eps": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "construction": "container"}),
+    "spec-bracket-empty-eps": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "construction": "bracket", "eps": []}),
+    "spec-mnet-missing-eta": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "construction": "mnet", "lambda": ["1/2"]}),
+    # The unknown family would be refused when the ranges are enumerated, so
+    # naming the construction shows it is refused before that.
+    "spec-unknown-construction": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "family": "none", "construction": "foo"}),
 }
 # case -> the text the usage error must contain: the value it refuses
 NAMED = {
@@ -119,11 +131,22 @@ NAMED = {
     "spec-zero-d": "d 0",
     "spec-bool-d": "d True",
     "spec-float-seed": "seed 0.5",
+    "spec-int-out": "out 12345",
+    "family-bool-epsilon": "True",
+    "mnet-bool-lambda": "False",
+    "spec-bool-eps": "True",
+    "spec-bool-jitter": "True",
+    "spec-false-jitter": "False",
+    "spec-container-missing-eps": "eps list",
+    "spec-bracket-empty-eps": "eps list",
+    "spec-mnet-missing-eta": "eta list",
+    "spec-unknown-construction": "'foo'",
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_json_is_a_usage_error(tmp_path, capsys, case):
+def test_malformed_json_is_a_usage_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # a bench spec that is not refused writes its CSV here
     command, bad, content = MALFORMED[case]
     path = {}
     for role, data in {**GOOD_INPUTS, bad: content}.items():

@@ -8,16 +8,22 @@ from conftest import general_position_points, mask_set
 
 
 def naive_greedy_packing(system, delta, cap=None):
-    """Independent reimplementation with frozensets, no bit tricks."""
+    """Independent reimplementation with frozensets, no bit tricks.
+
+    Returns the members and, per member, the in-cap ranges whose first
+    member within delta it is, in canonical order.
+    """
     n = system.n
-    sets = [mask_set(m, n) for m in system.ranges]
+    sets = [mask_set(m, n) for m in system.ranges if cap is None or m.bit_count() <= cap]
     members = []
     for s in sets:
-        if cap is not None and len(s) > cap:
-            continue
         if all(len(s ^ m) > delta for m in members):
             members.append(s)
-    return members
+    groups = [[] for _ in members]
+    for s in sets:
+        first = next(i for i, m in enumerate(members) if len(s ^ m) <= delta)
+        groups[first].append(s)
+    return members, groups
 
 
 def test_greedy_collinear4_example(collinear4):
@@ -50,7 +56,8 @@ def test_greedy_matches_naive(seed):
         for cap in (None, 3, 5):
             packing = bk.greedy_delta_packing(system, delta, shallow_cap=cap)
             got = [mask_set(m, system.n) for m in packing.members]
-            assert got == naive_greedy_packing(system, delta, cap)
+            got_groups = [[mask_set(m, system.n) for m in g] for g in packing.groups]
+            assert (got, got_groups) == naive_greedy_packing(system, delta, cap)
 
 
 @pytest.mark.parametrize("n, delta, cap", [(70, 30, None), (70, 12, 20), (130, 60, 40)])
@@ -59,7 +66,8 @@ def test_greedy_matches_naive_multiword(n, delta, cap):
     system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, n, "sphere"))
     packing = bk.greedy_delta_packing(system, delta, shallow_cap=cap)
     got = [mask_set(m, system.n) for m in packing.members]
-    assert got == naive_greedy_packing(system, delta, cap)
+    got_groups = [[mask_set(m, system.n) for m in g] for g in packing.groups]
+    assert (got, got_groups) == naive_greedy_packing(system, delta, cap)
 
 
 def test_packing_invariants(collinear4):

@@ -68,7 +68,6 @@ def test_project_collinear4_pair(collinear4):
     got = set(masks_as_sets(proj.system.ranges, 2))
     assert got == {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
     assert proj.original_indices == (0, 3)
-    assert proj.lift_mask(0b11) == 0b1001
 
 
 def test_project_idempotent_on_own_ground_set(collinear4):
