@@ -56,6 +56,14 @@ def _container70():
     return bk.family_to_json(bk.build_container(_circle(70), Fraction(1, 8), bk.default_provider()))
 
 
+def _container_random128():
+    # A random domain with two-word masks, where bootstrap groups often
+    # compress to the same local system.
+    pts = bk.random_point_set(2, 128, 12000)
+    fam = bk.build_container(bk.enumerate_halfspace_ranges(pts), Fraction(1, 8), bk.default_provider())
+    return bk.family_to_json(fam)
+
+
 def _context64():
     ctx = bk.shared_protocol_context(_criterion9_domain(), Fraction(1, 8))
     sets = [list(indices_from_mask(m)) for m in ctx.hypotheses]
@@ -71,6 +79,7 @@ CASES = {
     "boost-circle40-eps1/5-eta1/2": _boost40,
     "container-circle60-eps1/20": _container60,
     "container-circle70-eps1/8": _container70,
+    "container-random128-seed12000-eps1/8": _container_random128,
     "context-n64-criterion9-hypotheses": _context64,
     "halfspaces-n256-seed11000": _halfspaces256,
 }
