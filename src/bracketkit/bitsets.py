@@ -20,7 +20,7 @@ work a byte of U at a time through 256-entry tables, one lookup per non-zero
 byte of U per mask.
 """
 
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -67,22 +67,31 @@ def _byte_tables():
     return pext, pdep
 
 
-def _plan(universe, rows):
-    """Byte count of the universe, and (byte index, table row, local offset)
-    for each non-zero byte of it."""
+@lru_cache(maxsize=1)
+def _layout(universe):
+    """Byte count of the universe, and for each non-zero byte of it the
+    PEXT plan (byte index, table row, local offset) and the PDEP plan
+    (byte index, table row, local offset, local bit mask).
+
+    One slot suffices: a ``compress`` and the ``expand`` that undoes it run
+    back to back on the same universe, and other repeats are rare.
+    """
+    pext, pdep = _byte_tables()
     data = universe.to_bytes((universe.bit_length() + 7) // 8, "little")
-    plan = []
+    pext_plan = []
+    pdep_plan = []
     offset = 0
     for k, u in enumerate(data):
         if u:
-            plan.append((k, rows[u], offset))
+            pext_plan.append((k, pext[u], offset))
+            pdep_plan.append((k, pdep[u], offset, len(pdep[u]) - 1))
             offset += u.bit_count()
-    return len(data), plan
+    return len(data), tuple(pext_plan), tuple(pdep_plan)
 
 
 def compress(masks, universe):
     """PEXT: each mask's bits at the universe's set positions, packed low."""
-    width, plan = _plan(universe, _byte_tables()[0])
+    width, plan, _ = _layout(universe)
     out = []
     for mask in masks:
         data = (mask & universe).to_bytes(width, "little")
@@ -95,8 +104,7 @@ def compress(masks, universe):
 
 def expand(local, universe):
     """PDEP: each local mask's low bits scattered onto the universe's set positions."""
-    width, plan = _plan(universe, _byte_tables()[1])
-    plan = [(k, row, offset, len(row) - 1) for k, row, offset in plan]
+    width, _, plan = _layout(universe)
     out = []
     for mask in local:
         data = bytearray(width)

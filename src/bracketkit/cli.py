@@ -121,6 +121,8 @@ def cmd_enum_ranges(args):
 
 
 def cmd_packing(args):
+    if args.d0 < 0:
+        raise InputError(f"--d0 must be >= 0 (0 skips the bound report), got {args.d0}")
     system = _load_system(args.system)
     delta = parse_fraction(args.delta, name="delta")
     if "/" in args.delta:

@@ -362,7 +362,10 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     ``Packing.groups``.  Within each member P the complements of the
     compressed group ranges are small (at most eps' = 3*eps/(2+2*eps) of
     |P|), so small_set_container covers them, and the complements of the
-    covers inside P, expanded back, are the pieces.
+    covers inside P, expanded back, are the pieces.  Many members compress
+    their groups to the same local system (every one-member group gives
+    (|P|, {empty set})), so the container is built once per distinct local
+    system within the call and reused for the other members.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
@@ -386,6 +389,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
              "band": (lo_int, hi_int), "packing_size": len(packing.members)}
         )
     witness = {}
+    containers = {}
     for member, group in zip(packing.members, packing.groups):
         p_size = member.bit_count()
         local_full = (1 << p_size) - 1
@@ -394,9 +398,11 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
             raise InternalInvariantError(
                 "projected complement exceeds the eps' bound inside a packing member"
             )
-        cont = small_set_container(
-            SetSystem.from_masks(p_size, comps), eps_prime, eps, provider, run_log=run_log
-        )
+        local_sys = SetSystem.from_masks(p_size, comps)
+        cont = containers.get(local_sys)
+        if cont is None:
+            cont = small_set_container(local_sys, eps_prime, eps, provider, run_log=run_log)
+            containers[local_sys] = cont
         slack_cap = floor_frac(cont.eps * p_size)
         pieces_local = []
         for comp in comps:

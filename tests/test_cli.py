@@ -185,6 +185,17 @@ def test_bad_packing_delta_is_a_usage_error(tmp_path, capsys, delta):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+def test_negative_packing_d0_is_refused_before_output(tmp_path, capsys):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(GOOD_INPUTS["system"]))
+    out = tmp_path / "p.json"
+    assert run_cli(["packing", "--system", str(system), "--delta", "1", "--d0", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_packing_and_mnet_cli(tmp_path):
     pts = tmp_path / "pts.json"
     system = tmp_path / "sys.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
+from bracketkit import constructions
 
 from conftest import general_position_points, mask_set
 from naive_checks import naive_container_ok, naive_mnet_ok
@@ -353,3 +354,53 @@ def test_construction_hints_serve_their_ranges(name):
             assert (lo & mask) == lo and (mask & hi) == mask
             assert (hi & ~lo).bit_count() <= slack_cap
     assert len(hints) > 0
+
+
+def _local_complements(member, group):
+    # Per-bit re-indexing of the group into the member, then complements.
+    positions = [i for i in range(member.bit_length()) if member >> i & 1]
+    full = (1 << len(positions)) - 1
+    comps = set()
+    for mask in group:
+        local = sum(1 << j for j, i in enumerate(positions) if mask >> i & 1)
+        comps.add(full ^ local)
+    return len(positions), frozenset(comps)
+
+
+def test_bootstrap_builds_one_container_per_distinct_local_system(monkeypatch):
+    system = _circle(40)
+    eps, delta = Fraction(1, 8), Fraction(1, 4)
+    n = system.n
+    lo, hi = math.ceil(delta * n), min(n, math.floor((1 + eps) * delta * n))
+    band = bk.SetSystem(n, tuple(m for m in system.ranges if lo <= m.bit_count() <= hi))
+    packing = bk.greedy_delta_packing(band, math.floor(eps * delta * n))
+    distinct = {_local_complements(m, g) for m, g in zip(packing.members, packing.groups)}
+    assert len(distinct) < len(packing.members)  # the instance has repeats
+
+    built = []
+    original = constructions.small_set_container
+
+    def counting(local_sys, *args, **kwargs):
+        built.append((local_sys.n, frozenset(local_sys.ranges)))
+        return original(local_sys, *args, **kwargs)
+
+    monkeypatch.setattr(constructions, "small_set_container", counting)
+    fam = bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
+    assert bk.verify_mnet(fam.base, fam).passed
+    assert len(built) == len(set(built))
+    assert set(built) == distinct
+
+
+def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):
+    calls = []
+    original = constructions.base_mnet
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(constructions, "base_mnet", counting)
+    provider, provider_complement = bk.default_provider(), bk.default_provider()
+    bk.build_bracket(_circle(40), Fraction(1, 4), provider, provider_complement)
+    assert calls
+    assert len(calls) == len(provider.bound_log) + len(provider_complement.bound_log)
