@@ -1,10 +1,10 @@
 """Byte-identity gate: fixed constructions must keep their exact output.
 
 The digests in ``golden_digests.json`` are SHA-256 hashes of the family JSON
-(and of the protocol hypothesis list and one planar halfspace system) for
-fixed instances.  Any change to the construction stack that alters a single
-set, its order or a parameter shows up here.  Regenerate the file only for
-an intended output change:
+(and of the protocol hypothesis list, protocol transcripts and one planar
+halfspace system) for fixed instances.  Any change to the construction
+stack that alters a single set, its order or a parameter shows up here.
+Regenerate the file only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -70,6 +70,21 @@ def _context64():
     return json.dumps({"cover_count": ctx.cover_count, "hypotheses": sets})
 
 
+def _transcripts64():
+    # Seeds 0-39 of both protocols include rounds in which no cover of the
+    # hypothesis list is consistent with a consistent range, so the chosen
+    # hypothesis is a range from the fallback block.
+    domain = _criterion9_domain()
+    eps0 = Fraction(1, 8)
+    runs = []
+    for seed in range(40):
+        classifier, transcript = bk.learn_halfspace_protocol(bk.realizable_learning_instance(domain, seed), eps0)
+        runs.append(["learn", list(indices_from_mask(classifier.positive_mask)), transcript.to_jsonl()])
+        answer, transcript = bk.convex_disjointness_protocol(bk.random_disjointness_instance(domain, seed), eps0)
+        runs.append(["disjoint", answer, transcript.to_jsonl()])
+    return json.dumps(runs)
+
+
 def _halfspaces256():
     return bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 11000)).to_json()
 
@@ -82,6 +97,7 @@ CASES = {
     "container-random128-seed12000-eps1/8": _container_random128,
     "context-n64-criterion9-hypotheses": _context64,
     "halfspaces-n256-seed11000": _halfspaces256,
+    "transcripts-n64-criterion9": _transcripts64,
 }
 
 
