@@ -1,12 +1,12 @@
 """Construction stack for Mnets, containers and uniform brackets.
 
 The pipeline is: a base provider hands out verified Lambda-heavy Mnets for
-arbitrary subsystems (greedy cover with a truncation fallback); boosting
-turns 1/2-threshold Mnets into eps-threshold ones; complementation swaps
-Mnets and containers; a removal recursion builds containers for small
-ranges; bootstrapping lifts those to heavy Mnets on a size band; banding
-over a geometric size ladder yields Mnets of arbitrary heaviness, full
-container families and brackets.  Every construction re-verifies its output
+arbitrary subsystems (a greedy cover of the heavy ranges by the ranges and
+their pairwise intersections); boosting turns 1/2-threshold Mnets into
+eps-threshold ones; complementation swaps Mnets and containers; a removal
+recursion builds containers for small ranges; bootstrapping lifts those to
+heavy Mnets on a size band; banding over a geometric size ladder yields
+Mnets of arbitrary heaviness, full container families and brackets.  Every construction re-verifies its output
 before returning it and never returns an unverified family.
 """
 
@@ -47,8 +47,10 @@ def base_mnet(system, lam, eps):
     Candidate pieces are the heavy ranges themselves plus pairwise
     intersections of the first ``PAIR_CAP`` heavy ranges (canonical order);
     the greedy loop picks the candidate serving the most uncovered heavy
-    ranges.  Any range left unserved falls back to its own prefix truncation,
-    so the construction always succeeds; candidate capping only affects size.
+    ranges.  Since lam <= 1, every heavy range is a candidate that serves
+    itself, so while a range is uncovered some candidate serves at least one
+    uncovered range: the loop ends with every heavy range served, and
+    candidate capping only affects size.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
@@ -76,19 +78,14 @@ def base_mnet(system, lam, eps):
     assignment = {}
     uncovered = np.ones(len(heavy), dtype=bool)
     counts = serves.sum(axis=1)
-    while uncovered.any() and len(cands):
+    while uncovered.any():
         best = int(np.argmax(counts))
-        if counts[best] <= 0:
-            break
         piece = cands[best]
         newly = serves[best] & uncovered
         for j in np.flatnonzero(newly):
             assignment[heavy[j]] = piece
         uncovered &= ~newly
         counts = counts - (serves[:, newly].sum(axis=1))
-    for j in np.flatnonzero(uncovered):
-        mask = heavy[j]
-        assignment[mask] = _prefix_bits(mask, ceil_frac(lam * mask.bit_count()))
     fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
     return _checked(fam, "base_mnet")
 
@@ -103,16 +100,6 @@ def _serving_matrix(cands, ranges, lam, n):
     packed_c = bitsets.pack_masks(cands, n)
     packed_r = bitsets.pack_masks(ranges, n)
     return bitsets.subset_matrix(packed_c, packed_r) & size_ok
-
-
-def _prefix_bits(mask, count):
-    out = 0
-    remaining = mask
-    for _ in range(count):
-        low = remaining & -remaining
-        out |= low
-        remaining ^= low
-    return out
 
 
 class PropertyMProvider:

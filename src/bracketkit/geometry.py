@@ -461,8 +461,7 @@ def lower_bound_instance(d, n, kind):
         rows = [tuple(Fraction(t) ** e for e in range(1, d + 1)) for t in range(1, n + 1)]
         return PointSet(d, tuple(rows))
     if kind == "grid":
-        if d == 1:
-            return PointSet(1, tuple((Fraction(i),) for i in range(n)))
+        # For d = 1 the side is n, which puts point i at coordinate i.
         side = max(1, math.ceil(n ** (1.0 / d)))
         rows = []
         for flat in range(n):

@@ -2,10 +2,10 @@
 
 Both parties share the domain U, the halfspace range family over U, and a
 canonical hypothesis list: the covers of an eps0-container for the ranges,
-followed by the ranges themselves (the fallback block guarantees a
-consistent hypothesis exists whenever the labeled set is realizable, so the
-protocol aborts exactly on non-realizable inputs).  Messages carry exact bit
-costs: a counterexample is a domain index plus a label bit, an OK is one
+followed by the other ranges (the fallback block: every range is a
+hypothesis, so one is consistent whenever the labeled set is realizable, and
+the protocol aborts exactly on non-realizable inputs).  Messages carry exact
+bit costs: a counterexample is a domain index plus a label bit, an OK is one
 flag bit, a family index costs ceil(log2(family size)) bits.
 """
 
@@ -82,9 +82,6 @@ class Classifier:
             raise InputError(f"index {index} outside domain of size {self.n}")
         return 1 if self.positive_mask >> index & 1 else -1
 
-    def labels(self):
-        return tuple(self(i) for i in range(self.n))
-
 
 @dataclass(frozen=True)
 class SharedContext:
@@ -129,6 +126,22 @@ def _first_error(examples, cover, witness_range):
     return None
 
 
+def _pick_hypothesis(ctx, pos, neg, consistent):
+    """First hypothesis consistent with the labels that contains a consistent
+    range, and the first such range (``consistent`` is in canonical order).
+
+    Only the cover block needs a search: when no cover qualifies, no
+    consistent range is a cover, so the first consistent range is the first
+    consistent hypothesis of the fallback block and its own first witness.
+    """
+    for candidate in ctx.hypotheses[: ctx.cover_count]:
+        if (pos & candidate) == pos and (neg & candidate) == 0:
+            for r in consistent:
+                if (r & candidate) == r:
+                    return candidate, r
+    return consistent[0], consistent[0]
+
+
 def _run_learning(domain, alice, bob, eps0):
     ctx = shared_protocol_context(domain, Fraction(eps0))
     n = domain.n
@@ -153,18 +166,7 @@ def _run_learning(domain, alice, bob, eps0):
                 certificate=history,
                 transcript=Transcript(tuple(messages)),
             )
-        cover = None
-        witness_range = None
-        for candidate in ctx.hypotheses:
-            if (pos & candidate) == pos and (neg & candidate) == 0:
-                for r in consistent:
-                    if (r & candidate) == r:
-                        cover, witness_range = candidate, r
-                        break
-                if cover is not None:
-                    break
-        if cover is None:
-            raise InternalInvariantError("hypothesis search failed on a consistent state")
+        cover, witness_range = _pick_hypothesis(ctx, pos, neg, consistent)
         for sender, examples in (("alice", alice), ("bob", bob)):
             error = _first_error(examples, cover, witness_range)
             if error is not None:

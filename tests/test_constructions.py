@@ -3,9 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit import constructions
+from bracketkit.rationals import ceil_frac
+from bracketkit.setsystem import size_band
 
 from conftest import general_position_points, mask_set
 from naive_checks import naive_container_ok, naive_mnet_ok
@@ -26,6 +30,40 @@ def test_base_mnet_heaviness_one(collinear4):
     _, system = collinear4
     fam = bk.base_mnet(system, Fraction(1), Fraction(1, 2))
     assert bk.verify_mnet(system, fam).passed
+
+
+@st.composite
+def abstract_mnet_inputs(draw):
+    """A random set system on one to three mask words, with lam and eps.
+    Each range is a random mask, or the meet or join of two, so range sizes
+    spread around n/4, n/2 and 3n/4."""
+    n = draw(st.integers(1, 130))
+    word = st.integers(0, (1 << n) - 1)
+    ranges = []
+    for _ in range(draw(st.integers(0, 24))):
+        a, b = draw(word), draw(word)
+        ranges.append(draw(st.sampled_from([a, a & b, a | b])))
+    lam = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    eps = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    return bk.SetSystem.from_masks(n, ranges), lam, eps
+
+
+@given(abstract_mnet_inputs())
+@settings(max_examples=200, deadline=None)
+def test_base_mnet_serves_every_heavy_range_from_its_candidates(inputs):
+    # Every heavy range is a candidate that serves itself (lam <= 1), so the
+    # greedy cover serves each one from the candidates, with no other path.
+    system, lam, eps = inputs
+    fam = bk.base_mnet(system, lam, eps)
+    heavy = size_band(system.ranges, ceil_frac(eps * system.n), system.n)
+    capped = heavy[: constructions.PAIR_CAP]
+    candidates = set(heavy) | {a & b for a in capped for b in capped}
+    assert set(fam.witness) == set(heavy)
+    for mask, piece in fam.witness.items():
+        assert piece in candidates and piece in fam.pieces
+        assert piece & ~mask == 0
+        assert piece.bit_count() >= lam * mask.bit_count()
+    assert naive_mnet_ok(system, fam.pieces, lam, eps)
 
 
 def test_provider_logs():

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
+from bracketkit import protocols
+
+from conftest import general_position_points
 
 EPS0 = Fraction(1, 8)
 
@@ -145,3 +148,35 @@ def test_classifier_validation(collinear4):
         classifier(99)
     with pytest.raises(bk.InputError):
         bk.learn_halfspace_protocol(bk.LearningInstance(pts, ((0, 2),), ()), EPS0)
+
+
+def _full_list_search(ctx, pos, neg, consistent, tail_picks):
+    """Reference search over the whole hypothesis list, cover block and
+    fallback block alike; records whether each pick came from the fallback."""
+    for i, candidate in enumerate(ctx.hypotheses):
+        if (pos & candidate) == pos and (neg & candidate) == 0:
+            for r in consistent:
+                if (r & candidate) == r:
+                    tail_picks.append(i >= ctx.cover_count)
+                    return candidate, r
+    raise AssertionError("no hypothesis contains a consistent range")
+
+
+def test_cover_block_search_matches_full_list_search(monkeypatch):
+    dom, _ = general_position_points(2, 16, 11)
+
+    def runs():
+        out = []
+        for seed in range(40):
+            out.append(bk.learn_halfspace_protocol(bk.realizable_learning_instance(dom, seed), EPS0))
+            out.append(bk.convex_disjointness_protocol(bk.random_disjointness_instance(dom, seed), EPS0))
+        return out
+
+    expected = runs()
+    tail_picks = []
+    monkeypatch.setattr(
+        protocols, "_pick_hypothesis",
+        lambda ctx, pos, neg, consistent: _full_list_search(ctx, pos, neg, consistent, tail_picks),
+    )
+    assert runs() == expected
+    assert any(tail_picks), "no round reached the fallback block"
