@@ -104,6 +104,9 @@ def _family_from_dict(data, base):
     if kind not in ("mnet", "container", "bracket"):
         raise InputError(f"unknown family kind {kind!r}")
     sets = [json_index_mask(s, "family JSON") for s in data["sets"]]
+    for s, mask in zip(data["sets"], sets):
+        if mask >> base.n:
+            raise InputError(f"family JSON: set {s} names an element outside the {base.n}-element ground set")
     params = data.get("params", {})
     eps = parse_fraction(params["epsilon"], name="epsilon")
     if kind == "mnet":

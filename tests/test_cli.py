@@ -68,6 +68,9 @@ MALFORMED = {
     "family-string-index": ("verify", "family", {**CONTAINER, "sets": [["a"]]}),
     "family-negative-index": ("verify", "family", {**CONTAINER, "sets": [[-1]]}),
     "family-top-level-list": ("verify", "family", [[0, 1]]),
+    "container-element-outside-ground-set": ("verify", "family", {**CONTAINER, "sets": [[0, 1, 99], [2, 99], [0, 1, 2, 3, 99]]}),
+    "mnet-element-outside-ground-set": ("verify", "family", {"kind": "mnet", "params": {"epsilon": "1/2", "lambda": "1/2"}, "sets": [[0, 1], [2, 4]]}),
+    "bracket-stray-set-outside-ground-set": ("verify", "family", {**GOOD_INPUTS["family"], "sets": [[], [0, 1, 2, 3], [9]]}),
     "system-missing-ranges": ("container", "system", {"n": 4}),
     "system-negative-index": ("container", "system", {"n": 4, "ranges": [[-2]]}),
     "system-top-level-list": ("container", "system", [[0, 1]]),
@@ -112,6 +115,9 @@ MALFORMED = {
 # case -> the text the usage error must contain: the value it refuses
 NAMED = {
     "pairing-key-negative": "'-1'",
+    "container-element-outside-ground-set": "[0, 1, 99]",
+    "mnet-element-outside-ground-set": "[2, 4]",
+    "bracket-stray-set-outside-ground-set": "[9]",
     "pairing-key-past-last": "'99'",
     "instance-float-index": "1.9",
     "instance-fractional-label": "-1.5",
