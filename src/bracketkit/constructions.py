@@ -6,8 +6,9 @@ their pairwise intersections); boosting turns 1/2-threshold Mnets into
 eps-threshold ones; complementation swaps Mnets and containers; a removal
 recursion builds containers for small ranges; bootstrapping lifts those to
 heavy Mnets on a size band; banding over a geometric size ladder yields
-Mnets of arbitrary heaviness, full container families and brackets.  Every construction re-verifies its output
-before returning it and never returns an unverified family.
+Mnets of arbitrary heaviness, full container families and brackets.  Every
+construction re-verifies its output before returning it and never returns an
+unverified family.
 """
 
 import math
