@@ -1,5 +1,11 @@
 """bracketkit: uniform brackets, containers, Mnets and shallow packings for
-finite geometric set systems, with two-party protocol simulators on top."""
+finite geometric set systems, with two-party protocol simulators on top.
+
+All parameter comparisons in the package (|R| >= eps*n and the like) are done
+with ``fractions.Fraction``, i.e. exact integer cross-multiplication, and a
+threshold is rounded exactly, by ``math.floor``/``math.ceil`` of a Fraction.
+Floats never enter a correctness decision; they appear only in reports.
+"""
 
 from .constructions import (
     HeavyMnetParams,

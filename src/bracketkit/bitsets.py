@@ -119,14 +119,11 @@ def words_needed(n):
 
 
 def pack_masks(masks, n):
-    """Pack int masks into an (len(masks), words) uint64 array."""
+    """Pack int masks over n elements into a read-only (len(masks), words)
+    uint64 array, least significant word first."""
     w = words_needed(n)
-    out = np.zeros((len(masks), w), dtype=np.uint64)
-    full = (1 << _WORD) - 1
-    for row, mask in enumerate(masks):
-        for k in range(w):
-            out[row, k] = (mask >> (k * _WORD)) & full
-    return out
+    data = b"".join(mask.to_bytes(8 * w, "little") for mask in masks)
+    return np.frombuffer(data, "<u8").reshape(len(masks), w)
 
 
 def subset_matrix(packed_small, packed_big):

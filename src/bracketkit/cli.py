@@ -10,6 +10,7 @@ enumerates the ranges once per n.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -33,6 +34,7 @@ from .errors import (
     ResourceBudgetError,
     json_index,
     json_int,
+    parse_fraction,
     parse_json_object,
 )
 from .families import family_from_json, family_to_json
@@ -54,7 +56,6 @@ from .protocols import (
     exact_hull_intersection,
     learn_halfspace_protocol,
 )
-from .rationals import floor_frac, format_fraction, parse_fraction
 from .setsystem import SetSystem
 from .verify import container_lower_bound, verify_family
 
@@ -129,7 +130,7 @@ def cmd_packing(args):
         delta *= system.n
     elif delta.denominator != 1:
         raise InputError(f"delta: expected a count or p/q of n, got {args.delta!r}")
-    delta_int = floor_frac(delta)
+    delta_int = math.floor(delta)
     packing = greedy_delta_packing(system, delta_int, shallow_cap=args.cap)
     payload = {
         "delta": packing.delta,
@@ -335,9 +336,9 @@ def _run_grid_point(spec, n, system, eps, lam, eta):
         "kind": f"{spec.instance_kind}/{spec.family}",
         "d": spec.d,
         "n": n,
-        "eps": format_fraction(eps) if eps is not None else "",
-        "lambda": format_fraction(lam) if lam is not None else "",
-        "eta": format_fraction(eta) if eta is not None else "",
+        "eps": str(eps) if eps is not None else "",
+        "lambda": str(lam) if lam is not None else "",
+        "eta": str(eta) if eta is not None else "",
         "family_size": size,
         "verified": bool(report.passed),
         "lower_bound": lower,

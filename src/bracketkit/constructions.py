@@ -21,7 +21,6 @@ from . import bitsets
 from .errors import InputError, InternalInvariantError, PreconditionFailure
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
-from .rationals import ceil_frac, floor_frac
 from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project, size_band
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
@@ -60,7 +59,7 @@ def base_mnet(system, lam, eps):
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
     n = system.n
-    heavy_at = ceil_frac(eps * n)
+    heavy_at = math.ceil(eps * n)
     heavy = size_band(system.ranges, heavy_at, n)
     if not heavy:
         return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
@@ -94,10 +93,12 @@ def base_mnet(system, lam, eps):
 def _serving_matrix(cands, ranges, lam, n):
     """serves[i, j] = cands[i] is inside ranges[j] and heavy enough for it."""
     cand_sizes = np.array([c.bit_count() for c in cands], dtype=np.int64)
-    range_sizes = np.array([r.bit_count() for r in ranges], dtype=np.int64)
-    if lam.numerator >= 1 << 30 or lam.denominator >= 1 << 30:
-        raise InputError("heaviness fraction too large for the fast path")
-    size_ok = cand_sizes[:, None] * lam.denominator >= range_sizes[None, :] * lam.numerator
+    # A range's need ceil(lam*|R|) is at most n, while lam.numerator*|R| can
+    # overflow int64: the need is an exact int ceiling (a Fraction per range
+    # costs far more) and only sizes go to numpy.
+    num, den = lam.numerator, lam.denominator
+    need = np.array([-(-r.bit_count() * num // den) for r in ranges], dtype=np.int64)
+    size_ok = cand_sizes[:, None] >= need[None, :]
     packed_c = bitsets.pack_masks(cands, n)
     packed_r = bitsets.pack_masks(ranges, n)
     return bitsets.subset_matrix(packed_c, packed_r) & size_ok
@@ -167,14 +168,14 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
     for i in range(1, t + 1):
         eps_lo, eps_hi = bands[i - 1][1], bands[i][1]
         delta_i = bands[i][2]
-        lo_int = ceil_frac(eps_lo * n)
-        hi_int = ceil_frac(eps_hi * n) - 1 if i < t else n
+        lo_int = math.ceil(eps_lo * n)
+        hi_int = math.ceil(eps_hi * n) - 1 if i < t else n
         # Consecutive bands meet at ceil(eps_i*n) without overlapping, so no
         # band range has a piece yet.
         band = size_band(system.ranges, lo_int, hi_int)
         if not band:
             continue
-        packing = greedy_delta_packing(system, floor_frac(delta_i * n), shallow_cap=hi_int)
+        packing = greedy_delta_packing(system, math.floor(delta_i * n), shallow_cap=hi_int)
         groups = {}
         for mask in band:
             groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
@@ -280,7 +281,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
     if not 0 < rho <= eps < 1:
         raise InputError(f"need 0 < rho <= eps < 1, got rho={rho}, eps={eps}")
     n = system.n
-    size_cap = floor_frac(eps * n)
+    size_cap = math.floor(eps * n)
     for mask in system.ranges:
         if mask.bit_count() > size_cap:
             raise InputError("a base range exceeds eps*n; small-set containers do not apply")
@@ -289,7 +290,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
     depth_cap = math.ceil(1 + math.log(1 / eps) / math.log(1 / float(1 - Lam / 2)))
     if rho < eps:
         depth_cap = max(depth_cap, math.ceil(1 + math.log(1 / rho) / math.log(1 / float(shrink))))
-    residual_over = floor_frac(rho * n)  # residual must be strictly above rho*n
+    residual_over = math.floor(rho * n)  # residual must be strictly above rho*n
     full = system.full_mask
     covers = []
     witness = {}
@@ -362,14 +363,14 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
     if not eps < delta <= 1:
         raise InputError(f"delta must be in (eps,1], got {delta}")
     n = system.n
-    lo_int = ceil_frac(delta * n)
-    hi_int = min(n, floor_frac((1 + eps) * delta * n))
+    lo_int = math.ceil(delta * n)
+    hi_int = min(n, math.floor((1 + eps) * delta * n))
     band_masks = size_band(system.ranges, lo_int, hi_int)
     band = SetSystem(n, band_masks)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
         return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
-    packing = greedy_delta_packing(band, floor_frac(eps * delta * n))
+    packing = greedy_delta_packing(band, math.floor(eps * delta * n))
     eps_prime = 3 * eps / (2 + 2 * eps)
     if run_log is not None:
         run_log.append(
@@ -382,7 +383,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
         p_size = member.bit_count()
         local_full = (1 << p_size) - 1
         comps = [local_full ^ local for local in bitsets.compress(group, member)]
-        if max(comp.bit_count() for comp in comps) > floor_frac(eps_prime * p_size):
+        if max(comp.bit_count() for comp in comps) > math.floor(eps_prime * p_size):
             raise InternalInvariantError(
                 "projected complement exceeds the eps' bound inside a packing member"
             )
@@ -391,7 +392,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
         if cont is None:
             cont = small_set_container(local_sys, eps_prime, eps, provider, run_log=run_log)
             containers[local_sys] = cont
-        slack_cap = floor_frac(cont.eps * p_size)
+        slack_cap = math.floor(cont.eps * p_size)
         pieces_local = []
         for comp in comps:
             cover = find_cover(cont.covers, cont.witness.get(comp), comp, slack_cap)
@@ -484,7 +485,7 @@ def build_container(system, eps, provider_complement, run_log=None):
     full = system.full_mask
     covers = [full]
     witness = {}
-    big_at = ceil_frac((1 - eps) * n)
+    big_at = math.ceil((1 - eps) * n)
     small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
     if small_sys.ranges:
         c1 = small_set_container(small_sys, eps / 2, eps / 2, provider_complement, run_log=run_log)
@@ -510,7 +511,7 @@ def build_bracket(system, eps, provider, provider_complement, run_log=None):
     n = system.n
     cont = build_container(system, eps / 2, provider_complement, run_log=run_log)
     mfam = heavy_mnet(system, 1 - eps / 2, eps / 2, provider, run_log=run_log)
-    small_at = floor_frac(eps / 2 * Fraction(n))
+    small_at = math.floor(eps / 2 * Fraction(n))
     sets = [0]
     pairing = {}
     for mask in system.ranges:

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package, and the guards that turn
-malformed JSON input into ``InputError``."""
+malformed JSON and CLI input into ``InputError``."""
 
 import json
+from fractions import Fraction
+
+from .bitsets import mask_from_indices
 
 
 class BracketkitError(Exception):
@@ -78,7 +81,24 @@ def json_index(i, what):
 def json_index_mask(indices, what):
     """The bitmask of a JSON list of element indices, each checked by
     ``json_index``."""
-    mask = 0
-    for i in indices:
-        mask |= 1 << json_index(i, what)
-    return mask
+    return mask_from_indices(json_index(i, what) for i in indices)
+
+
+def parse_fraction(value, *, name="value"):
+    """Parse a nonnegative rational given as "p/q", "p", int or Fraction.
+
+    A bool is not taken as an int, so a JSON ``true`` is refused."""
+    if isinstance(value, Fraction):
+        frac = value
+    elif type(value) is int:
+        frac = Fraction(value)
+    elif isinstance(value, str):
+        try:
+            frac = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{name}: cannot parse rational from {value!r}") from exc
+    else:
+        raise InputError(f"{name}: expected rational, got {value!r}")
+    if frac < 0:
+        raise InputError(f"{name}: must be nonnegative, got {frac}")
+    return frac

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitsets import indices_from_mask
-from .errors import InputError, json_index, json_index_mask, parse_json_object
-from .rationals import format_fraction, parse_fraction
+from .errors import InputError, json_index, json_index_mask, parse_fraction, parse_json_object
 from .setsystem import SetSystem, canonical_sort
 
 
@@ -71,21 +70,21 @@ def family_to_json(family):
         payload = {
             "kind": "mnet",
             "params": {
-                "lambda": format_fraction(family.lam),
-                "epsilon": format_fraction(family.eps),
+                "lambda": str(family.lam),
+                "epsilon": str(family.eps),
             },
             "sets": [list(indices_from_mask(m)) for m in family.pieces],
         }
     elif isinstance(family, ContainerFamily):
         payload = {
             "kind": "container",
-            "params": {"epsilon": format_fraction(family.eps)},
+            "params": {"epsilon": str(family.eps)},
             "sets": [list(indices_from_mask(m)) for m in family.covers],
         }
     elif isinstance(family, BracketFamily):
         payload = {
             "kind": "bracket",
-            "params": {"epsilon": format_fraction(family.eps)},
+            "params": {"epsilon": str(family.eps)},
             "sets": [list(indices_from_mask(m)) for m in family.sets],
         }
         if family.pairing is not None:

@@ -30,7 +30,6 @@ from functools import cmp_to_key
 from itertools import combinations
 
 from .errors import DegeneracyError, InputError, ResourceBudgetError, json_int, parse_json_object
-from .rationals import format_fraction
 from .setsystem import SetSystem
 
 _SPHERE_DEN = 1 << 12
@@ -62,7 +61,7 @@ class PointSet:
 
     def to_json(self):
         return json.dumps(
-            {"dim": self.dim, "points": [[format_fraction(v) for v in p] for p in self.points]}
+            {"dim": self.dim, "points": [[str(v) for v in p] for p in self.points]}
         )
 
     @staticmethod

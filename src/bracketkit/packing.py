@@ -67,13 +67,8 @@ def nearest_neighbor(packing, mask):
         raise InputError("query range exceeds the packing's shallow cap")
     if not packing.members:
         raise InputError("packing has no members")
-    best = None
-    best_dist = None
-    for member in packing.members:
-        dist = (member ^ mask).bit_count()
-        if best_dist is None or dist < best_dist:
-            best, best_dist = member, dist
-    return best, best_dist
+    best = min(packing.members, key=lambda member: (member ^ mask).bit_count())
+    return best, (best ^ mask).bit_count()
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import compress, indices_from_mask, mask_from_indices
-from .errors import InputError, json_index_mask, json_int, parse_json_object
-from .rationals import ceil_frac, floor_frac, parse_fraction
+from .errors import InputError, json_index_mask, json_int, parse_fraction, parse_json_object
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -65,12 +64,9 @@ class SetSystem:
     def from_masks(n, masks):
         if n < 0:
             raise InputError("ground set size must be nonnegative")
-        full = (1 << n) - 1
-        dedup = set()
-        for mask in masks:
-            if mask & ~full:
-                raise InputError("range has an element outside the ground set")
-            dedup.add(mask)
+        dedup = set(masks)
+        if any(mask >> n for mask in dedup):
+            raise InputError("range has an element outside the ground set")
         return SetSystem(n, tuple(canonical_sort(dedup, n)))
 
     @staticmethod
@@ -161,8 +157,8 @@ def filter_by_size(system, lower=None, upper=None, *, include_lower=True, includ
         raise InputError(f"size interval [{lo},{hi}] outside [0,{system.n}]")
     if lo > hi:
         raise InputError(f"inverted size interval: {lo} > {hi}")
-    lo_int = ceil_frac(lo) if include_lower else floor_frac(lo) + 1
-    hi_int = floor_frac(hi) if include_upper else ceil_frac(hi) - 1
+    lo_int = math.ceil(lo) if include_lower else math.floor(lo) + 1
+    hi_int = math.floor(hi) if include_upper else math.ceil(hi) - 1
     return SetSystem(system.n, size_band(system.ranges, lo_int, hi_int))
 
 

@@ -11,13 +11,13 @@ per definition; the constructions use them too, to fetch the set that
 serves a range of a family they just built.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
 from .families import BracketFamily, ContainerFamily, MnetFamily
 from .packing import greedy_delta_packing
-from .rationals import ceil_frac, floor_frac
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def find_cover(covers, hint, mask, slack_cap):
 
 def verify_mnet(system, family):
     """Check: every range with |R| >= eps*n contains a piece of size >= lam*|R|."""
-    heavy_at = ceil_frac(family.eps * system.n)
+    heavy_at = math.ceil(family.eps * system.n)
     lam = Fraction(family.lam)
     pieces = family.pieces
     members = set(pieces)
@@ -100,7 +100,7 @@ def verify_mnet(system, family):
 
 def verify_container(system, family):
     """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n."""
-    slack_cap = floor_frac(family.eps * system.n)
+    slack_cap = math.floor(family.eps * system.n)
     covers = family.covers
     members = set(covers)
     witness = family.witness or {}
@@ -130,7 +130,7 @@ def verify_bracket(system, family):
     by a scan over every set, so it does not rely on the order of
     ``family.sets``: a ``BracketFamily`` can be built directly.
     """
-    slack_cap = floor_frac(family.eps * system.n)
+    slack_cap = math.floor(family.eps * system.n)
     sets = family.sets
     members = set(sets)
     pairing = family.pairing or {}
@@ -176,6 +176,6 @@ def container_lower_bound(system, eps):
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
-    threshold = min(system.n, floor_frac(2 * eps * system.n))
+    threshold = min(system.n, math.floor(2 * eps * system.n))
     packing = greedy_delta_packing(system, threshold)
     return len(packing.members)

@@ -1,10 +1,12 @@
-"""compress (PEXT) and expand (PDEP) against a per-bit reference loop."""
+"""compress (PEXT) and expand (PDEP) against a per-bit reference loop, and
+pack_masks against a per-word one."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracketkit.bitsets import compress, expand
+from bracketkit.bitsets import compress, expand, pack_masks
 
 WIDTHS = (1, 8, 63, 64, 65, 128, 256)
 
@@ -83,3 +85,34 @@ def test_round_trips(case):
     assert expand(compress(masks, universe), universe) == [m & universe for m in masks]
     low = (1 << universe.bit_count()) - 1
     assert compress(expand(masks, universe), universe) == [m & low for m in masks]
+
+
+def naive_pack(masks, n):
+    words = max(1, (n + 63) // 64)
+    out = np.zeros((len(masks), words), dtype=np.uint64)
+    for row, mask in enumerate(masks):
+        for k in range(words):
+            out[row, k] = (mask >> (64 * k)) & ((1 << 64) - 1)
+    return out
+
+
+PACK_WIDTHS = (1, 63, 64, 65, 128, 256)
+
+
+@pytest.mark.parametrize("n", PACK_WIDTHS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_pack_masks_matches_per_word_reference(n, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    masks += [0, (1 << n) - 1, 1 << (n - 1)]
+    got = pack_masks(masks, n)
+    want = naive_pack(masks, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", PACK_WIDTHS)
+def test_pack_masks_of_no_masks(n):
+    got = pack_masks([], n)
+    want = naive_pack([], n)
+    assert got.dtype == want.dtype and got.shape == want.shape

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import bracketkit as bk
 from bracketkit.cli import main
 
 
@@ -218,6 +219,29 @@ def test_packing_and_mnet_cli(tmp_path):
     br = tmp_path / "bracket.json"
     assert run_cli(["bracket", "--system", str(system), "--eps", "1/2", "--out", str(br)]) == 0
     assert run_cli(["verify", "--system", str(system), "--family", str(br)]) == 0
+
+
+def test_base_mnet_cli_at_tiny_heaviness(tmp_path):
+    pts = tmp_path / "pts.json"
+    system = tmp_path / "sys.json"
+    fam = tmp_path / "mnet.json"
+    run_cli(["gen", "--kind", "grid", "--d", "1", "--n", "4", "--seed", "0", "--out", str(pts)])
+    run_cli(["enum-ranges", "--points", str(pts), "--family", "halfspace", "--out", str(system)])
+    assert run_cli(["mnet", "--system", str(system), "--algorithm", "base",
+                    "--lambda", "1/1073741824", "--out", str(fam)]) == 0
+    assert json.loads(fam.read_text())["params"]["lambda"] == "1/1073741824"
+    assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
+
+
+def test_enum_ranges_refuses_dimension_five(tmp_path, capsys):
+    pts = tmp_path / "lifted.json"
+    pts.write_text(bk.veronese_lift(bk.random_point_set(2, 8, 3), 2).to_json())
+    out = tmp_path / "sys.json"
+    assert run_cli(["enum-ranges", "--points", str(pts), "--family", "halfspace", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert "dimension 5" in err
+    assert not out.exists()
 
 
 def test_protocol_cli(tmp_path):

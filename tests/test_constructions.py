@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit import constructions
-from bracketkit.rationals import ceil_frac
 from bracketkit.setsystem import size_band
 
 from conftest import general_position_points, mask_set
-from naive_checks import naive_container_ok, naive_mnet_ok
+from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
 
 
 def test_base_mnet_examples(collinear4):
@@ -32,20 +31,36 @@ def test_base_mnet_heaviness_one(collinear4):
     assert bk.verify_mnet(system, fam).passed
 
 
+def test_base_mnet_at_tiny_heaviness():
+    # At this lam, lam.numerator * |R| compared in int64 would overflow.
+    lam = Fraction(1, 1 << 30)
+    _, system = general_position_points(2, 8, 4)
+    fam = bk.base_mnet(system, lam, Fraction(1, 4))
+    assert fam.lam == lam
+    assert naive_mnet_ok(system, fam.pieces, lam, Fraction(1, 4))
+
+
 @st.composite
-def abstract_mnet_inputs(draw):
-    """A random set system on one to three mask words, with lam and eps.
-    Each range is a random mask, or the meet or join of two, so range sizes
-    spread around n/4, n/2 and 3n/4."""
+def abstract_systems(draw):
+    """A random set system on one to three mask words.  Each range is a
+    random mask, or the meet or join of two, so range sizes spread around
+    n/4, n/2 and 3n/4."""
     n = draw(st.integers(1, 130))
     word = st.integers(0, (1 << n) - 1)
     ranges = []
     for _ in range(draw(st.integers(0, 24))):
         a, b = draw(word), draw(word)
         ranges.append(draw(st.sampled_from([a, a & b, a | b])))
+    return bk.SetSystem.from_masks(n, ranges)
+
+
+@st.composite
+def abstract_mnet_inputs(draw):
+    """An ``abstract_systems`` draw with lam and eps."""
+    system = draw(abstract_systems())
     lam = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
     eps = draw(st.sampled_from([Fraction(1, 8), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
-    return bk.SetSystem.from_masks(n, ranges), lam, eps
+    return system, lam, eps
 
 
 @given(abstract_mnet_inputs())
@@ -55,7 +70,7 @@ def test_base_mnet_serves_every_heavy_range_from_its_candidates(inputs):
     # greedy cover serves each one from the candidates, with no other path.
     system, lam, eps = inputs
     fam = bk.base_mnet(system, lam, eps)
-    heavy = size_band(system.ranges, ceil_frac(eps * system.n), system.n)
+    heavy = size_band(system.ranges, math.ceil(eps * system.n), system.n)
     capped = heavy[: constructions.PAIR_CAP]
     candidates = set(heavy) | {a & b for a in capped for b in capped}
     assert set(fam.witness) == set(heavy)
@@ -64,6 +79,30 @@ def test_base_mnet_serves_every_heavy_range_from_its_candidates(inputs):
         assert piece & ~mask == 0
         assert piece.bit_count() >= lam * mask.bit_count()
     assert naive_mnet_ok(system, fam.pieces, lam, eps)
+
+
+@given(abstract_systems(), st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_every_construction_on_abstract_systems(system, eps):
+    # Each output is checked against the parameters asked for, not the ones
+    # the family reports.
+    half = Fraction(1, 2)
+    n = system.n
+    provider = bk.default_provider()
+    boosted = bk.boost_epsilon(system, provider, eps, half)
+    assert naive_mnet_ok(system, boosted.pieces, provider.heaviness * half, eps)
+    heavy = bk.heavy_mnet(system, Fraction(3, 4), eps, provider)
+    assert naive_mnet_ok(system, heavy.pieces, Fraction(3, 4), eps)
+    small = bk.filter_by_size(system, upper=eps * n)
+    cont = bk.small_set_container(small, eps, eps, provider)
+    assert naive_container_ok(small, cont.covers, 2 * eps)
+    band = bk.filter_by_size(system, lower=half * n, upper=Fraction(9, 16) * n)
+    boot = bk.bootstrap_interval_mnet(system, Fraction(1, 8), half, provider)
+    assert naive_mnet_ok(band, boot.pieces, half, half)
+    container = bk.build_container(system, eps, provider)
+    assert naive_container_ok(system, container.covers, eps)
+    bracket = bk.build_bracket(system, eps, provider, bk.default_provider())
+    assert naive_bracket_ok(system, bracket.sets, eps)
 
 
 def test_provider_logs():

@@ -144,6 +144,15 @@ def test_halfspace_degeneracy_errors():
         bk.enumerate_halfspace_ranges(collinear)
 
 
+def test_halfspace_enumeration_refuses_dimension_five():
+    # Hyperplane normals are cofactors up to d = 4; the degree-2 lift of
+    # planar points has d = 5.
+    lifted = bk.veronese_lift(bk.random_point_set(2, 8, 3), 2)
+    assert lifted.dim == 5
+    with pytest.raises(bk.InputError, match="hyperplane enumeration unsupported in dimension 5"):
+        bk.enumerate_halfspace_ranges(lifted)
+
+
 def test_range_counts_monotone_under_points():
     base = bk.random_point_set(2, 6, 77)
     try:
