@@ -27,6 +27,8 @@ from .constructions import (
     heavy_mnet,
 )
 from .errors import (
+    MAX_DIM,
+    MAX_GROUND_SET,
     BracketkitError,
     DegeneracyError,
     InputError,
@@ -291,8 +293,8 @@ class ExperimentSpec:
         spec = ExperimentSpec(
             instance_kind=data.get("instance_kind", "random"),
             family=data.get("family", "halfspace"),
-            d=json_int(data.get("d", 2), "bench spec JSON: d", 1),
-            n_list=[json_int(v, "bench spec JSON: n", 0) for v in data.get("n", [])],
+            d=json_int(data.get("d", 2), "bench spec JSON: d", 1, MAX_DIM),
+            n_list=[json_int(v, "bench spec JSON: n", 0, MAX_GROUND_SET) for v in data.get("n", [])],
             seed=json_int(data.get("seed", 0), "bench spec JSON: seed"),
             construction=data.get("construction", "container"),
             eps_list=[parse_fraction(v, name="eps") for v in data.get("eps", [])],

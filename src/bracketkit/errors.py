@@ -20,7 +20,23 @@ class DegeneracyError(BracketkitError):
 
 
 class ResourceBudgetError(BracketkitError):
-    """An enumeration exceeded its configured intermediate-size budget."""
+    """An input or an enumeration exceeds a size budget."""
+
+
+# Input size limits, each checked before anything of that size is built.
+# They lie far above every instance of the tests and perfbench (a 256-element
+# ground set, 3-D points at n = 64, 41,664 spanning triples).
+MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
+MAX_DIM = 64  # coordinates of a point
+MAX_SPANNING_TUPLES = 1 << 20  # C(n, d) hyperplanes of a halfspace enumeration
+
+
+def within_budget(value, limit, what):
+    """``value`` if it is at most ``limit``; else ResourceBudgetError naming
+    ``what``."""
+    if value > limit:
+        raise ResourceBudgetError(f"{what} {value} exceeds the limit {limit}")
+    return value
 
 
 class InternalInvariantError(BracketkitError):
@@ -64,13 +80,14 @@ def parse_json_object(text, what, parse):
         raise InputError(f"{what}: malformed value ({exc})") from exc
 
 
-def json_int(value, what, least=None):
+def json_int(value, what, least=None, most=None):
     """``value`` if it is exactly an int (a bool is not) and at least
-    ``least``; else InputError naming ``what`` and the value."""
+    ``least``; else InputError naming ``what`` and the value.  A value
+    above ``most`` raises ResourceBudgetError."""
     if type(value) is not int or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise InputError(f"{what} {value!r} is not an integer{bound}")
-    return value
+    return value if most is None else within_budget(value, most, what)
 
 
 def json_index(i, what):
@@ -80,8 +97,11 @@ def json_index(i, what):
 
 def json_index_mask(indices, what):
     """The bitmask of a JSON list of element indices, each checked by
-    ``json_index``."""
-    return mask_from_indices(json_index(i, what) for i in indices)
+    ``json_index``; an index past the largest ground set is refused before
+    the mask is built."""
+    checked = [json_index(i, what) for i in indices]
+    within_budget(max(checked, default=0), MAX_GROUND_SET - 1, f"{what}: element index")
+    return mask_from_indices(checked)
 
 
 def parse_fraction(value, *, name="value"):

@@ -29,7 +29,17 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-from .errors import DegeneracyError, InputError, ResourceBudgetError, json_int, parse_json_object
+from .errors import (
+    MAX_DIM,
+    MAX_GROUND_SET,
+    MAX_SPANNING_TUPLES,
+    DegeneracyError,
+    InputError,
+    ResourceBudgetError,
+    json_int,
+    parse_json_object,
+    within_budget,
+)
 from .setsystem import SetSystem
 
 _SPHERE_DEN = 1 << 12
@@ -69,7 +79,7 @@ class PointSet:
         return parse_json_object(
             text, "point set JSON",
             lambda data: PointSet.from_signed_rows(
-                json_int(data["dim"], "point set JSON: dim", 1), data["points"]
+                json_int(data["dim"], "point set JSON: dim", 1, MAX_DIM), data["points"]
             ),
         )
 
@@ -176,6 +186,7 @@ def _halfspace_sides(int_pts, dim):
     if n <= dim:
         _affine_interpolant(int_pts, [0] * n, dim)
         return [(tuple(range(n)), (0,) * dim, 0)]
+    within_budget(math.comb(n, dim), MAX_SPANNING_TUPLES, f"spanning-tuple count C({n}, {dim}) =")
     if dim == 2:
         return _planar_sweep_sides(int_pts)
     return _spanning_tuple_sides(int_pts, dim)
@@ -452,10 +463,16 @@ def enumerate_polytope_ranges(pts, k, budget=100000, with_witnesses=False):
     return system
 
 
-def lower_bound_instance(d, n, kind):
-    """Deterministic rational instances: sphere, moment-curve or grid points."""
+def _check_generator_size(d, n):
     if d < 1 or n < 0:
         raise InputError("need d >= 1 and n >= 0")
+    within_budget(d, MAX_DIM, "dimension d")
+    within_budget(n, MAX_GROUND_SET, "point count n")
+
+
+def lower_bound_instance(d, n, kind):
+    """Deterministic rational instances: sphere, moment-curve or grid points."""
+    _check_generator_size(d, n)
     if kind == "moment-curve":
         rows = [tuple(Fraction(t) ** e for e in range(1, d + 1)) for t in range(1, n + 1)]
         return PointSet(d, tuple(rows))
@@ -516,8 +533,7 @@ def _sphere_points(n):
 def random_point_set(d, n, seed, coord_bits=31):
     """Seeded integer-coordinate points (distinct); general position is likely
     but not guaranteed — enumerators raise DegeneracyError when it fails."""
-    if d < 1 or n < 0:
-        raise InputError("need d >= 1 and n >= 0")
+    _check_generator_size(d, n)
     rng = random.Random(seed)
     seen = set()
     rows = []

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import compress, indices_from_mask, mask_from_indices
-from .errors import InputError, json_index_mask, json_int, parse_fraction, parse_json_object
+from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_fraction, parse_json_object
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -97,7 +97,7 @@ class SetSystem:
         return parse_json_object(
             text, "set system JSON",
             lambda data: SetSystem.from_masks(
-                json_int(data["n"], "set system JSON: n", 0),
+                json_int(data["n"], "set system JSON: n", 0, MAX_GROUND_SET),
                 [json_index_mask(s, "set system JSON") for s in data["ranges"]],
             ),
         )

@@ -4,11 +4,18 @@ packing-based container lower bound.
 These are the trust anchor: every construction re-verifies its output here
 before returning it.  Witness maps attached by constructions are used only
 as hints: a verifier looks up the hint by range mask, ignores it unless it
-is one of the family's sets, re-checks it, and runs a full scan whenever it
-fails, so a wrong hint can never turn an invalid family valid.  The
+is one of the family's sets, re-checks it, and scans the size band whenever
+it fails, so a wrong hint can never turn an invalid family valid.  The
 hint-then-scan finders ``find_piece`` and ``find_cover`` hold the one test
 per definition; the constructions use them too, to fetch the set that
 serves a range of a family they just built.
+
+The size band is the sizes a serving set can have; each verifier call
+groups the family's sets by size once, and a range's band is walked only
+after its hint fails.  Within a size, sets keep family order, so for a
+family in canonical (size-descending) order, as every ``make_*`` and
+``family_from_json`` family is, the band finds the set a scan of the whole
+family would find first.
 """
 
 import math
@@ -43,10 +50,28 @@ def _stats(values):
     }
 
 
+def _size_bands(sets):
+    """``band(lo, hi)``: a lazy iterator over the sets whose size lies in
+    [lo, hi], largest size first (smallest first if ``ascending``), and
+    within a size in the order of ``sets``."""
+    groups = {}
+    for s in sets:
+        groups.setdefault(s.bit_count(), []).append(s)
+    top = max(groups, default=-1)
+
+    def band(lo, hi, ascending=False):
+        sizes = range(max(lo, 0), min(hi, top) + 1)
+        for size in sizes if ascending else reversed(sizes):
+            yield from groups.get(size, ())
+
+    return band
+
+
 def find_piece(pieces, hint, mask, lam):
     """The piece inside ``mask`` of size >= lam*|mask|: the hinted set if it
     serves, else the first of ``pieces`` that does; None if none does.  The
-    caller vouches that a hint is one of ``pieces``."""
+    caller vouches that a hint is a set of the family and that ``pieces``
+    holds every set of it that can serve."""
     need = lam.numerator * mask.bit_count()
     den = lam.denominator
     if hint is not None and (hint & mask) == hint and hint.bit_count() * den >= need:
@@ -60,8 +85,8 @@ def find_piece(pieces, hint, mask, lam):
 def find_cover(covers, hint, mask, slack_cap):
     """The cover containing ``mask`` with at most ``slack_cap`` extra
     elements: the hinted set if it serves, else the first of ``covers`` that
-    does; None if none does.  The caller vouches that a hint is one of
-    ``covers``."""
+    does; None if none does.  The caller vouches that a hint is a set of the
+    family and that ``covers`` holds every set of it that can serve."""
     if hint is not None and (mask & hint) == mask and (hint & ~mask).bit_count() <= slack_cap:
         return hint
     for cover in covers:
@@ -71,11 +96,18 @@ def find_cover(covers, hint, mask, slack_cap):
 
 
 def verify_mnet(system, family):
-    """Check: every range with |R| >= eps*n contains a piece of size >= lam*|R|."""
+    """Check: every range with |R| >= eps*n contains a piece of size >= lam*|R|.
+
+    A range whose hint fails scans the pieces of sizes |R| down to
+    ceil(lam*|R|).  The verdict, ``checked`` and the counterexample do not
+    depend on the order of ``family.pieces``.  The ratio stats do if the
+    family is out of canonical order: the band finds the largest serving
+    piece, where a scan of the whole family would find the first.
+    """
     heavy_at = math.ceil(family.eps * system.n)
     lam = Fraction(family.lam)
-    pieces = family.pieces
-    members = set(pieces)
+    band = _size_bands(family.pieces)
+    members = set(family.pieces)
     witness = family.witness or {}
     ratios = []
     checked = 0
@@ -85,7 +117,10 @@ def verify_mnet(system, family):
             continue
         checked += 1
         hint = witness.get(mask)
-        found = find_piece(pieces, hint if hint in members else None, mask, lam)
+        found = find_piece((), hint, mask, lam) if hint in members else None
+        if found is None:
+            need = -(-lam.numerator * size // lam.denominator)
+            found = find_piece(band(need, size), None, mask, lam)
         if found is None:
             return VerifyReport(
                 False,
@@ -99,17 +134,27 @@ def verify_mnet(system, family):
 
 
 def verify_container(system, family):
-    """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n."""
+    """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n.
+
+    A range whose hint fails scans the covers of sizes |F| + floor(eps*n)
+    down to |F|.  The verdict, ``checked`` and the counterexample do not
+    depend on the order of ``family.covers``.  The slack stats do if the
+    family is out of canonical order: the band finds the largest serving
+    cover, where a scan of the whole family would find the first.
+    """
     slack_cap = math.floor(family.eps * system.n)
-    covers = family.covers
-    members = set(covers)
+    band = _size_bands(family.covers)
+    members = set(family.covers)
     witness = family.witness or {}
     slacks = []
     checked = 0
     for mask in system.ranges:
         checked += 1
         hint = witness.get(mask)
-        found = find_cover(covers, hint if hint in members else None, mask, slack_cap)
+        found = find_cover((), hint, mask, slack_cap) if hint in members else None
+        if found is None:
+            size = mask.bit_count()
+            found = find_cover(band(size, size + slack_cap), None, mask, slack_cap)
         if found is None:
             return VerifyReport(
                 False,
@@ -126,13 +171,16 @@ def verify_bracket(system, family):
 
     For B- <= F <= B+ the slack |B+ \\ B-| is just |B+| - |B-|, so F has a
     pair iff a largest set inside F and a smallest set containing F form
-    one.  The hinted pair is tried first.  The fallback finds those two sets
-    by a scan over every set, so it does not rely on the order of
+    one.  The hinted pair is tried first.  The fallback takes the first set
+    inside F in sizes |F| down to |F| - floor(eps*n), and the first set
+    containing F in sizes |F| up to |F| + floor(eps*n), each size in the
+    order of ``family.sets``.  That is the pair a ``max``/``min`` by size
+    over every set picks, so the report does not depend on the order of
     ``family.sets``: a ``BracketFamily`` can be built directly.
     """
     slack_cap = math.floor(family.eps * system.n)
-    sets = family.sets
-    members = set(sets)
+    band = _size_bands(family.sets)
+    members = set(family.sets)
     pairing = family.pairing or {}
     slacks = []
     checked = 0
@@ -141,8 +189,9 @@ def verify_bracket(system, family):
         lo, hi = pairing.get(mask, (None, None))
         if not (lo in members and hi in members and (lo & mask) == lo and (mask & hi) == mask
                 and hi.bit_count() - lo.bit_count() <= slack_cap):
-            lo = max((s for s in sets if (s & mask) == s), key=int.bit_count, default=None)
-            hi = min((s for s in sets if (mask & s) == mask), key=int.bit_count, default=None)
+            size = mask.bit_count()
+            lo = next((s for s in band(size - slack_cap, size) if (s & mask) == s), None)
+            hi = next((s for s in band(size, size + slack_cap, ascending=True) if (mask & s) == mask), None)
             if lo is None or hi is None or hi.bit_count() - lo.bit_count() > slack_cap:
                 return VerifyReport(
                     False,

@@ -1,5 +1,10 @@
 import csv
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +247,48 @@ def test_enum_ranges_refuses_dimension_five(tmp_path, capsys):
     assert err.startswith("usage error:") and "Traceback" not in err
     assert "dimension 5" in err
     assert not out.exists()
+
+
+# case -> (subcommand and its arguments, with {in} for the input file; the
+# input JSON, or None).  Each input asks for far more than the size limits
+# in bracketkit.errors allow, and must be refused before it is built.
+OVERSIZED = {
+    "system-ground-set": (["container", "--system", "{in}", "--eps", "1/2"], {"n": 10**11, "ranges": []}),
+    "system-element-index": (["container", "--system", "{in}", "--eps", "1/2"], {"n": 4, "ranges": [[10**11]]}),
+    "points-dim": (["enum-ranges", "--points", "{in}", "--family", "halfspace"], {"dim": 10**11, "points": []}),
+    "points-spanning-tuples": (["enum-ranges", "--points", "{in}", "--family", "halfspace"],
+                               json.loads(bk.random_point_set(4, 200, 1).to_json())),
+    "gen-grid-n": (["gen", "--kind", "grid", "--d", "2", "--n", str(10**11)], None),
+    "spec-d": (["bench", "--spec", "{in}"], {"n": [4], "d": 10**30, "eps": ["1/2"]}),
+}
+
+
+def _capped_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_is_refused_before_it_is_built(tmp_path, case):
+    # The CLI runs in a child process with a 2 GB address space, so an input
+    # that slipped past its check would end in MemoryError (exit 1), not
+    # fill the host's memory.
+    args, content = OVERSIZED[case]
+    if content is not None:
+        (tmp_path / "in.json").write_text(json.dumps(content))
+    out = tmp_path / "out.json"
+    (tmp_path / "work").mkdir()  # the bench spec would write results.csv here
+    argv = [a.replace("{in}", str(tmp_path / "in.json")) for a in args]
+    if args[0] != "bench":
+        argv += ["--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(bk.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bracketkit.cli", *argv], cwd=tmp_path / "work", env=env,
+        capture_output=True, text=True, timeout=120, preexec_fn=_capped_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("usage error:") and "Traceback" not in proc.stderr
+    assert "exceeds the limit" in proc.stderr
+    assert not out.exists() and not any((tmp_path / "work").iterdir())
 
 
 def test_protocol_cli(tmp_path):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit.setsystem import canonical_sort
-from bracketkit.verify import _stats
+from bracketkit.verify import VerifyReport, _stats
 
 from conftest import general_position_points
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
@@ -218,3 +220,129 @@ def test_lower_bound_below_any_accepted_family():
         cont = bk.build_container(system, eps, bk.default_provider())
         assert bk.verify_container(system, cont).passed
         assert lb <= len(cont.covers)
+
+
+# Linear-scan references for the size-band verifiers: each tries the valid
+# hint, then scans every set of the family in the family's order, with its
+# own Fraction form of the serving test.
+
+def linear_verify_mnet(system, family):
+    members = set(family.pieces)
+    witness = family.witness or {}
+    ratios = []
+    checked = 0
+    for mask in system.ranges:
+        size = mask.bit_count()
+        if size < family.eps * system.n:
+            continue
+        checked += 1
+
+        def serves(piece):
+            return piece & mask == piece and piece.bit_count() >= family.lam * size
+
+        hint = witness.get(mask)
+        found = hint if hint in members and serves(hint) else next(filter(serves, family.pieces), None)
+        if found is None:
+            reason = f"no piece of size >= {family.lam}*{size} inside range"
+            return VerifyReport(False, checked, (mask, reason), _stats(ratios))
+        if size:
+            ratios.append(found.bit_count() / size)
+    return VerifyReport(True, checked, None, _stats(ratios))
+
+
+def linear_verify_container(system, family):
+    slack = family.eps * system.n
+    members = set(family.covers)
+    witness = family.witness or {}
+    slacks = []
+    for checked, mask in enumerate(system.ranges, 1):
+        def serves(cover):
+            return mask & cover == mask and (cover & ~mask).bit_count() <= slack
+
+        hint = witness.get(mask)
+        found = hint if hint in members and serves(hint) else next(filter(serves, family.covers), None)
+        if found is None:
+            reason = f"no cover within slack {int(slack)}"
+            return VerifyReport(False, checked, (mask, reason), _stats(slacks))
+        slacks.append((found & ~mask).bit_count())
+    return VerifyReport(True, len(system.ranges), None, _stats(slacks))
+
+
+def linear_verify_bracket(system, family):
+    slack = family.eps * system.n
+    members = set(family.sets)
+    pairing = family.pairing or {}
+    slacks = []
+    for checked, mask in enumerate(system.ranges, 1):
+        lo, hi = pairing.get(mask, (None, None))
+        if not (lo in members and hi in members and lo & mask == lo and mask & hi == mask
+                and hi.bit_count() - lo.bit_count() <= slack):
+            lo = max((s for s in family.sets if s & mask == s), key=int.bit_count, default=None)
+            hi = min((s for s in family.sets if mask & s == mask), key=int.bit_count, default=None)
+            if lo is None or hi is None or hi.bit_count() - lo.bit_count() > slack:
+                reason = f"no bracket pair within slack {int(slack)}"
+                return VerifyReport(False, checked, (mask, reason), _stats(slacks))
+        slacks.append(hi.bit_count() - lo.bit_count())
+    return VerifyReport(True, len(system.ranges), None, _stats(slacks))
+
+
+@st.composite
+def verifier_cases(draw):
+    """A random system on n = 0 to 130 elements (up to three mask words) and
+    one set list drawn around its ranges: each range adds up to three of
+    itself, a superset and a subset differing from it by a sparse word, and
+    a few random sets join them.  The list comes in canonical order or
+    shuffled, and the families built from it carry no hints, or hints drawn
+    half from the sets made for the range (in the family or not) and half
+    from one stray set and the family's sets."""
+    n = draw(st.integers(0, 130))
+    word = st.integers(0, (1 << n) - 1)
+    ranges = []
+    for _ in range(draw(st.integers(0, 16))):
+        a, b = draw(word), draw(word)
+        ranges.append(draw(st.sampled_from([a, a & b, a | b])))
+    system = bk.SetSystem.from_masks(n, ranges)
+    sets = draw(st.lists(word, max_size=3))
+    near = {}
+    for mask in system.ranges:
+        sparse = draw(word) & draw(word) & draw(word)
+        near[mask] = [mask, mask | sparse, mask & ~sparse]
+        sets += draw(st.lists(st.sampled_from(near[mask]), max_size=3))
+    canonical = draw(st.booleans())
+    sets = tuple(canonical_sort(set(sets), n)) if canonical else tuple(draw(st.permutations(sets)))
+    stray = draw(word)
+    witness = pairing = None
+    if draw(st.booleans()):
+        hints = {m: st.one_of(st.sampled_from(near[m]), st.sampled_from((stray, *sets))) for m in system.ranges}
+        witness = {m: draw(hints[m]) for m in system.ranges if draw(st.booleans())}
+        pairing = {m: (draw(hints[m]), draw(hints[m])) for m in system.ranges if draw(st.booleans())}
+    lam = draw(st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+    eps = draw(st.sampled_from([Fraction(0), Fraction(1, 16), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)]))
+    families = (
+        bk.MnetFamily(system, sets, lam, eps, witness),
+        bk.ContainerFamily(system, sets, eps, witness),
+        bk.BracketFamily(system, sets, eps, pairing),
+    )
+    return system, canonical, families
+
+
+@given(verifier_cases())
+@settings(max_examples=150, deadline=None)
+def test_size_band_verifiers_match_linear_scan(case):
+    # Verdict, checked and counterexample never depend on set order.  The
+    # stats do only through which serving set is found first, which the size
+    # band keeps for canonical families and the bracket's max/min keeps in
+    # any order.
+    system, canonical, (mnet, cont, br) = case
+    for verifier, reference, family in (
+        (bk.verify_mnet, linear_verify_mnet, mnet),
+        (bk.verify_container, linear_verify_container, cont),
+        (bk.verify_bracket, linear_verify_bracket, br),
+    ):
+        got, want = verifier(system, family), reference(system, family)
+        assert (got.passed, got.checked, got.counterexample) == (want.passed, want.checked, want.counterexample)
+        if canonical or family is br:
+            assert got.witness_stats == want.witness_stats
+    assert bk.verify_mnet(system, mnet).passed == naive_mnet_ok(system, mnet.pieces, mnet.lam, mnet.eps)
+    assert bk.verify_container(system, cont).passed == naive_container_ok(system, cont.covers, cont.eps)
+    assert bk.verify_bracket(system, br).passed == naive_bracket_ok(system, br.sets, br.eps)
