@@ -128,8 +128,6 @@ def pack_masks(masks, n):
 
 def subset_matrix(packed_small, packed_big):
     """Boolean matrix S[i, j] = small_i is a subset of big_j."""
-    if packed_small.shape[0] == 0 or packed_big.shape[0] == 0:
-        return np.zeros((packed_small.shape[0], packed_big.shape[0]), dtype=bool)
     ok = np.ones((packed_small.shape[0], packed_big.shape[0]), dtype=bool)
     for k in range(packed_small.shape[1]):
         col = packed_small[:, k][:, None]
@@ -139,8 +137,6 @@ def subset_matrix(packed_small, packed_big):
 
 def symdiff_counts(packed_one, packed_many):
     """Integer vector v[j] = |one symdiff many_j|."""
-    if packed_many.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     acc = np.zeros(packed_many.shape[0], dtype=np.int64)
     for k in range(packed_one.shape[0]):
         acc += np.bitwise_count(packed_many[:, k] ^ packed_one[k]).astype(np.int64)

@@ -365,8 +365,7 @@ def cmd_bench(args):
     with open(spec.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {spec.out}")
     if failure is not None:
         mask, reason = failure.counterexample

@@ -14,6 +14,7 @@ unverified family.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -63,11 +64,7 @@ def base_mnet(system, lam, eps):
     heavy = size_band(system.ranges, heavy_at, n)
     if not heavy:
         return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
-    cands = set(heavy)
-    prefix = heavy[:PAIR_CAP]
-    for i in range(len(prefix)):
-        for j in range(i + 1, len(prefix)):
-            cands.add(prefix[i] & prefix[j])
+    cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     cands = canonical_sort(cands, n)
 
     serves = _serving_matrix(cands, heavy, lam, n)
@@ -320,16 +317,16 @@ def small_set_container(system, eps, rho, provider, run_log=None):
         local_comps = bitsets.compress([~m for m in survivors], universe)
         node_sys = SetSystem.from_masks(u_size, local_comps)
         fam = provider.mnet(node_sys, 1 - eps_node)
+        # No piece is empty: a survivor leaves more than floor(rho*n) >= 0 elements
+        # of its universe, so every node range is non-empty and so is every piece.
+        # An empty piece would repeat its node until the depth cap.
         children = []
         for piece in bitsets.expand(fam.pieces, universe):
-            if piece == 0:
-                continue
             child_universe = universe & ~piece
             child_live = [m for m in survivors if (m & child_universe) == m]
             if child_live:
                 children.append((child_universe, child_live, depth + 1))
-        for child in reversed(children):
-            stack.append(child)
+        stack.extend(reversed(children))
     if run_log is not None:
         run_log.append(
             {"op": "small-set-container", "eps": eps, "rho": rho, "depth_cap": depth_cap, "max_depth": max_depth}

@@ -4,8 +4,6 @@ malformed JSON and CLI input into ``InputError``."""
 import json
 from fractions import Fraction
 
-from .bitsets import mask_from_indices
-
 
 class BracketkitError(Exception):
     """Base class for all package errors."""
@@ -25,10 +23,14 @@ class ResourceBudgetError(BracketkitError):
 
 # Input size limits, each checked before anything of that size is built.
 # They lie far above every instance of the tests and perfbench (a 256-element
-# ground set, 3-D points at n = 64, 41,664 spanning triples).
+# ground set, 3-D points at n = 64, 41,664 spanning triples, 22³ candidate
+# boxes).  MAX_BOX_CANDIDATES still admits planar boxes on 80 points in
+# general position (3,241² candidates, about 2 s).
 MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
 MAX_DIM = 64  # coordinates of a point
 MAX_SPANNING_TUPLES = 1 << 20  # C(n, d) hyperplanes of a halfspace enumeration
+MAX_BOX_CANDIDATES = 1 << 24  # axis intervals, multiplied over the axes
+MAX_POLYTOPE_RANGES = 100_000  # polytope ranges, checked as each new one is found
 
 
 def within_budget(value, limit, what):
@@ -96,12 +98,16 @@ def json_index(i, what):
 
 
 def json_index_mask(indices, what):
-    """The bitmask of a JSON list of element indices, each checked by
-    ``json_index``; an index past the largest ground set is refused before
-    the mask is built."""
-    checked = [json_index(i, what) for i in indices]
-    within_budget(max(checked, default=0), MAX_GROUND_SET - 1, f"{what}: element index")
-    return mask_from_indices(checked)
+    """The bitmask of a JSON list of element indices.  The first index, in
+    list order, that is not an int in [0, MAX_GROUND_SET) is refused by
+    ``json_index`` or as past the largest ground set, before the mask grows
+    to it."""
+    mask = 0
+    for i in indices:
+        if type(i) is not int or not 0 <= i < MAX_GROUND_SET:
+            within_budget(json_index(i, what), MAX_GROUND_SET - 1, f"{what}: element index")
+        mask |= 1 << i
+    return mask
 
 
 def parse_fraction(value, *, name="value"):

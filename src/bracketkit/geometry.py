@@ -26,16 +26,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from itertools import combinations
+from functools import cmp_to_key, reduce
+from itertools import accumulate, combinations, combinations_with_replacement
+from operator import or_
 
 from .errors import (
+    MAX_BOX_CANDIDATES,
     MAX_DIM,
     MAX_GROUND_SET,
+    MAX_POLYTOPE_RANGES,
     MAX_SPANNING_TUPLES,
     DegeneracyError,
     InputError,
-    ResourceBudgetError,
     json_int,
     parse_json_object,
     within_budget,
@@ -371,28 +373,24 @@ def enumerate_ball_ranges(pts):
 
 
 def enumerate_box_ranges(pts):
-    """Distinct subsets cut by axis-parallel closed boxes."""
-    n, dim = pts.n, pts.dim
-    if n == 0:
-        return SetSystem.from_masks(0, [0])
-    axis_masks = []
-    for axis in range(dim):
-        values = sorted({p[axis] for p in pts.points})
-        intervals = {0}
-        for lo_i, lo in enumerate(values):
-            mask = 0
-            for hi in values[lo_i:]:
-                for i, p in enumerate(pts.points):
-                    if lo <= p[axis] <= hi:
-                        mask |= 1 << i
-                intervals.add(mask)
-        axis_masks.append(intervals)
-    combined = {0}
-    current = axis_masks[0]
-    for nxt in axis_masks[1:]:
-        current = {a & b for a in current for b in nxt}
-    combined |= current
-    return SetSystem.from_masks(n, combined)
+    """Distinct subsets cut by axis-parallel closed boxes.
+
+    On each axis the points of equal coordinate form runs; an interval cuts
+    a union of consecutive runs or nothing, and a box intersects one such
+    set per axis.  v runs give v(v+1)/2 + 1 sets, and their product over the
+    axes is refused above ``MAX_BOX_CANDIDATES`` before any set is built.
+    """
+    axis_runs = []
+    for axis in range(pts.dim):
+        runs = {}
+        for i, p in enumerate(pts.points):
+            runs[p[axis]] = runs.get(p[axis], 0) | 1 << i
+        axis_runs.append([runs[v] for v in sorted(runs)])
+    candidates = math.prod(len(runs) * (len(runs) + 1) // 2 + 1 for runs in axis_runs)
+    within_budget(candidates, MAX_BOX_CANDIDATES, "box candidate count")
+    axis_sets = [{0}.union(*(accumulate(runs[lo:], or_) for lo in range(len(runs)))) for runs in axis_runs]
+    boxes = reduce(lambda cur, nxt: {a & b for a in cur for b in nxt}, axis_sets)
+    return SetSystem.from_masks(pts.n, boxes)
 
 
 def veronese_lift(pts, degree):
@@ -404,39 +402,25 @@ def veronese_lift(pts, degree):
     if degree < 1:
         raise InputError("degree must be >= 1")
     exponents = monomial_exponents(pts.dim, degree)
-    rows = []
-    for p in pts.points:
-        row = []
-        for expo in exponents:
-            value = Fraction(1)
-            for c, e in zip(p, expo):
-                value *= c**e
-            row.append(value)
-        rows.append(tuple(row))
-    return PointSet(len(exponents), tuple(rows))
+    rows = tuple(tuple(math.prod(c**e for c, e in zip(p, expo)) for expo in exponents) for p in pts.points)
+    return PointSet(len(exponents), rows)
 
 
 def monomial_exponents(dim, degree):
-    """Exponent tuples matching the veronese_lift coordinate order."""
-    out = []
-    for total in range(1, degree + 1):
-        out.extend(_compositions(total, dim))
-    return out
+    """Exponent tuples matching the veronese_lift coordinate order: by total
+    degree, then lex descending.  combinations_with_replacement yields the
+    variable multisets of one degree in that order: where two first differ,
+    the earlier one has the smaller variable, so more of it."""
+    return [
+        tuple(map(combo.count, range(dim)))
+        for total in range(1, degree + 1)
+        for combo in combinations_with_replacement(range(dim), total)
+    ]
 
 
-def _compositions(total, parts):
-    """Compositions of ``total`` into ``parts`` nonnegative parts, lex descending."""
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
-
-
-def enumerate_polytope_ranges(pts, k, budget=100000, with_witnesses=False):
-    """All distinct intersections of at most k halfspace ranges."""
+def enumerate_polytope_ranges(pts, k, with_witnesses=False):
+    """All distinct intersections of at most k halfspace ranges; more than
+    ``MAX_POLYTOPE_RANGES`` of them raise ResourceBudgetError."""
     if k < 1:
         raise InputError("k must be >= 1")
     halfspaces = enumerate_halfspace_ranges(pts)
@@ -450,10 +434,7 @@ def enumerate_polytope_ranges(pts, k, budget=100000, with_witnesses=False):
                 if combined not in seen:
                     nxt[combined] = constraints + (h,)
                     seen[combined] = constraints + (h,)
-                    if len(seen) > budget:
-                        raise ResourceBudgetError(
-                            f"polytope enumeration exceeded budget {budget}"
-                        )
+                    within_budget(len(seen), MAX_POLYTOPE_RANGES, "polytope range count")
         if not nxt:
             break
         level = nxt

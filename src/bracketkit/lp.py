@@ -1,8 +1,8 @@
 """Exact linear feasibility over the rationals.
 
 Phase-1 simplex with Bland's rule on Fraction tableaus: decides Ax = b,
-x >= 0 (optionally with additional <= rows via slack variables) and returns
-either a feasible point or a Farkas certificate y with y.A <= 0, y.b > 0.
+x >= 0 and returns either a feasible point or a Farkas certificate y with
+y.A <= 0, y.b > 0.
 Everything is exact; no floating point. Sized for a few hundred variables.
 """
 
@@ -88,26 +88,3 @@ def solve_equality_feasibility(rows, rhs):
         signed.append(-y[i] if Fraction(rhs[i]) < 0 else y[i])
     return "infeasible", tuple(signed)
 
-
-def feasible_with_inequalities(eq_rows, eq_rhs, le_rows=(), le_rhs=()):
-    """Decide {x >= 0 : A x = b, C x <= d} by adding slack variables.
-
-    Returns True/False (no certificate; use solve_equality_feasibility when
-    one is needed).
-    """
-    eq_rows = [list(r) for r in eq_rows]
-    le_rows = [list(r) for r in le_rows]
-    k = len(eq_rows[0]) if eq_rows else (len(le_rows[0]) if le_rows else 0)
-    slacks = len(le_rows)
-    rows = []
-    for r in eq_rows:
-        rows.append(list(r) + [ZERO] * slacks)
-    for i, r in enumerate(le_rows):
-        slack = [ZERO] * slacks
-        slack[i] = ONE
-        rows.append(list(r) + slack)
-    rhs = list(eq_rhs) + list(le_rhs)
-    if not rows:
-        return True
-    status, _ = solve_equality_feasibility(rows, rhs)
-    return status == "feasible"

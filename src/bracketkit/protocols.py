@@ -6,7 +6,8 @@ followed by the other ranges (the fallback block: every range is a
 hypothesis, so one is consistent whenever the labeled set is realizable, and
 the protocol aborts exactly on non-realizable inputs).  Messages carry exact
 bit costs: a counterexample is a domain index plus a label bit, an OK is one
-flag bit, a family index costs ceil(log2(family size)) bits.
+flag bit, a family index costs max(1, ceil(log2(family size))) bits, so an
+index into a family of one hypothesis still costs one bit.
 """
 
 import json

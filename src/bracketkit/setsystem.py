@@ -23,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsets import compress, indices_from_mask, mask_from_indices
+from .bitsets import compress, indices_from_mask, mask_from_indices, pack_masks
 from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_fraction, parse_json_object
 
 
@@ -83,11 +83,8 @@ class SetSystem:
 
     def bool_matrix(self):
         """Ranges as a (num_ranges, n) boolean membership matrix."""
-        out = np.zeros((len(self.ranges), self.n), dtype=bool)
-        for row, mask in enumerate(self.ranges):
-            for i in indices_from_mask(mask):
-                out[row, i] = True
-        return out
+        packed = pack_masks(self.ranges, self.n).view(np.uint8)
+        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(bool)
 
     def to_json(self):
         return json.dumps({"n": self.n, "ranges": [list(s) for s in self.range_sets()]})

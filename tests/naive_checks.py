@@ -1,11 +1,14 @@
 """Exhaustive reference checkers for family validity, used by the verifier
-tests and the mutation-testing acceptance criterion.
+tests and the mutation-testing acceptance criterion, and the LP feasibility
+oracle of the geometry tests.
 
 Deliberately written with frozensets and plain loops: no bitmask tricks, no
 witness maps, nothing shared with the library's verifiers beyond arithmetic.
 """
 
 from fractions import Fraction
+
+from bracketkit.lp import solve_equality_feasibility
 
 
 def _sets(masks, n):
@@ -56,3 +59,26 @@ def naive_bracket_ok(system, sets, eps):
         if not ok:
             return False
     return True
+
+
+def feasible_with_inequalities(eq_rows, eq_rhs, le_rows=(), le_rhs=()):
+    """Decide {x >= 0 : A x = b, C x <= d} by adding slack variables.
+
+    Returns True/False (no certificate; use solve_equality_feasibility when
+    one is needed).
+    """
+    eq_rows = [list(r) for r in eq_rows]
+    le_rows = [list(r) for r in le_rows]
+    slacks = len(le_rows)
+    rows = []
+    for r in eq_rows:
+        rows.append(list(r) + [Fraction(0)] * slacks)
+    for i, r in enumerate(le_rows):
+        slack = [Fraction(0)] * slacks
+        slack[i] = Fraction(1)
+        rows.append(list(r) + slack)
+    rhs = list(eq_rhs) + list(le_rhs)
+    if not rows:
+        return True
+    status, _ = solve_equality_feasibility(rows, rhs)
+    return status == "feasible"

@@ -1,12 +1,12 @@
-"""compress (PEXT) and expand (PDEP) against a per-bit reference loop, and
-pack_masks against a per-word one."""
+"""compress (PEXT) and expand (PDEP) against a per-bit reference loop,
+pack_masks against a per-word one, and the matrix kernels on no masks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bracketkit.bitsets import compress, expand, pack_masks
+from bracketkit.bitsets import compress, expand, pack_masks, subset_matrix, symdiff_counts
 
 WIDTHS = (1, 8, 63, 64, 65, 128, 256)
 
@@ -116,3 +116,14 @@ def test_pack_masks_of_no_masks(n):
     got = pack_masks([], n)
     want = naive_pack([], n)
     assert got.dtype == want.dtype and got.shape == want.shape
+
+
+@pytest.mark.parametrize("n", PACK_WIDTHS)
+def test_matrix_kernels_on_no_masks(n):
+    none = pack_masks([], n)
+    some = pack_masks([0, (1 << n) - 1, 1], n)
+    for small, big in ((none, some), (some, none), (none, none)):
+        got = subset_matrix(small, big)
+        assert got.dtype == bool and got.shape == (len(small), len(big))
+    counts = symdiff_counts(some[0], none)
+    assert counts.dtype == np.int64 and counts.shape == (0,)

@@ -4,6 +4,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,9 @@ MALFORMED = {
     # The unknown family would be refused when the ranges are enumerated, so
     # naming the construction shows it is refused before that.
     "spec-unknown-construction": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "family": "none", "construction": "foo"}),
+    "spec-unknown-family": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "family": "none", "eps": ["1/2"]}),
+    # The first bad index in list order is named, whatever its kind.
+    "system-oversized-index-before-string": ("container", "system", {"n": 4, "ranges": [[0, 10**11, "a"]]}),
 }
 # case -> the text the usage error must contain: the value it refuses
 NAMED = {
@@ -153,6 +157,8 @@ NAMED = {
     "spec-bracket-empty-eps": "eps list",
     "spec-mnet-missing-eta": "eta list",
     "spec-unknown-construction": "'foo'",
+    "spec-unknown-family": "'none'",
+    "system-oversized-index-before-string": "element index 100000000000 exceeds the limit",
 }
 
 
@@ -260,6 +266,8 @@ OVERSIZED = {
                                json.loads(bk.random_point_set(4, 200, 1).to_json())),
     "gen-grid-n": (["gen", "--kind", "grid", "--d", "2", "--n", str(10**11)], None),
     "spec-d": (["bench", "--spec", "{in}"], {"n": [4], "d": 10**30, "eps": ["1/2"]}),
+    "points-box-candidates": (["enum-ranges", "--points", "{in}", "--family", "box"],
+                              json.loads(bk.random_point_set(2, 300, 1).to_json())),
 }
 
 
@@ -289,6 +297,91 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, case):
     assert proc.stderr.startswith("usage error:") and "Traceback" not in proc.stderr
     assert "exceeds the limit" in proc.stderr
     assert not out.exists() and not any((tmp_path / "work").iterdir())
+
+
+def _grid4(tmp_path):
+    """The 1-D grid of 4 points, written as a point-set JSON file."""
+    pts = tmp_path / "pts.json"
+    assert run_cli(["gen", "--kind", "grid", "--d", "1", "--n", "4", "--seed", "0", "--out", str(pts)]) == 0
+    return pts
+
+
+def _grid4_system(tmp_path):
+    system = tmp_path / "sys.json"
+    assert run_cli(["enum-ranges", "--points", str(_grid4(tmp_path)), "--family", "halfspace", "--out", str(system)]) == 0
+    return system
+
+
+def test_gen_jitter_matches_the_library(tmp_path):
+    out = tmp_path / "pts.json"
+    args = ["gen", "--kind", "grid", "--d", "2", "--n", "9", "--seed", "4", "--jitter", "1/1024", "--out", str(out)]
+    assert run_cli(args) == 0
+    want = bk.jitter_points(bk.lower_bound_instance(2, 9, "grid"), Fraction(1, 1024), 4)
+    assert out.read_text() == want.to_json()
+    assert want != bk.lower_bound_instance(2, 9, "grid")
+
+
+@pytest.mark.parametrize("family", ["ball", "box", "polytope"])
+def test_enum_ranges_family_with_container_lower_bound(tmp_path, capsys, family):
+    pts = _grid4(tmp_path)
+    system = tmp_path / "sys.json"
+    fam = tmp_path / "fam.json"
+    assert run_cli(["enum-ranges", "--points", str(pts), "--family", family, "--out", str(system)]) == 0
+    enumerate_ranges = {"ball": bk.enumerate_ball_ranges, "box": bk.enumerate_box_ranges,
+                        "polytope": lambda p: bk.enumerate_polytope_ranges(p, 2)}[family]
+    want = enumerate_ranges(bk.lower_bound_instance(1, 4, "grid"))
+    assert system.read_text() == want.to_json()
+    capsys.readouterr()
+    assert run_cli(["container", "--system", str(system), "--eps", "1/2", "--lower-bound", "--out", str(fam)]) == 0
+    bound = bk.container_lower_bound(want, Fraction(1, 2))
+    assert f"packing lower bound: {bound}\n" in capsys.readouterr().out
+    assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
+
+
+def test_packing_delta_as_fraction_of_n_with_cap(tmp_path, capsys):
+    pack = tmp_path / "pack.json"
+    args = ["packing", "--system", str(_grid4_system(tmp_path)), "--delta", "1/4", "--cap", "2", "--d0", "1",
+            "--out", str(pack)]
+    assert run_cli(args) == 0
+    data = json.loads(pack.read_text())
+    assert data["delta"] == 1 and data["cap"] == 2
+    assert all(len(m) <= 2 for m in data["members"])
+    assert "shallow expression" in capsys.readouterr().out
+
+
+def test_boosted_mnet_cli(tmp_path):
+    system = _grid4_system(tmp_path)
+    fam = tmp_path / "mnet.json"
+    assert run_cli(["mnet", "--system", str(system), "--algorithm", "boost", "--eps", "1/4", "--eta", "1/4",
+                    "--out", str(fam)]) == 0
+    assert json.loads(fam.read_text())["params"]["lambda"] == "3/8"  # heaviness 1/2 times 1 - eta
+    assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
+
+
+def test_protocol_learn_non_realizable_prints_certificate(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    # A 1-D halfspace cuts a prefix or a suffix, so 0 and 2 cannot both be
+    # positive with 1 negative.
+    inst.write_text(json.dumps({"alice": [[0, 1], [2, 1]], "bob": [[1, -1]]}))
+    transcript = tmp_path / "t.jsonl"
+    assert run_cli(["protocol-learn", "--points", str(_grid4(tmp_path)), "--instance", str(inst),
+                    "--transcript", str(transcript)]) == 1
+    out = capsys.readouterr().out
+    assert "abort: non-realizable instance; certificate [(1, -1), (0, 1), (2, 1)]" in out
+    assert not transcript.exists()
+
+
+def test_protocol_disjoint_writes_transcript_and_summary(tmp_path):
+    dinst = tmp_path / "dinst.json"
+    dinst.write_text(json.dumps({"alice": [0], "bob": [3]}))
+    transcript = tmp_path / "t.jsonl"
+    summary = tmp_path / "s.csv"
+    assert run_cli(["protocol-disjoint", "--points", str(_grid4(tmp_path)), "--instance", str(dinst),
+                    "--transcript", str(transcript), "--summary", str(summary)]) == 0
+    messages = [json.loads(line) for line in transcript.read_text().splitlines()]
+    rows = list(csv.DictReader(summary.open()))
+    assert len(rows) == 1 and rows[0]["correct"] == "True"
+    assert rows[0]["total_bits"] == str(sum(m["bits"] for m in messages))
 
 
 def test_protocol_cli(tmp_path):
@@ -324,6 +417,30 @@ def test_bench_grid(tmp_path):
     assert rows[0]["lower_bound"] != ""
     header = out.read_text().splitlines()[0]
     assert header == "instance_id,kind,d,n,eps,lambda,eta,family_size,verified,lower_bound,runtime_ms"
+
+
+@pytest.mark.parametrize("construction", ["bracket", "mnet"])
+def test_bench_grid_other_constructions(tmp_path, construction):
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "results.csv"
+    params = {"bracket": {"eps": ["1/2"]}, "mnet": {"lambda": ["1/2"], "eta": ["1/4"]}}[construction]
+    spec.write_text(json.dumps({
+        "instance_kind": "grid", "family": "halfspace", "d": 1, "n": [4],
+        "seed": 0, "construction": construction, **params, "out": str(out),
+    }))
+    assert run_cli(["bench", "--spec", str(spec)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(1, 4, "grid"))
+    if construction == "bracket":
+        size = len(bk.build_bracket(system, Fraction(1, 2), bk.default_provider(), bk.default_provider()).sets)
+    else:
+        size = len(bk.heavy_mnet(system, Fraction(1, 2), Fraction(1, 4), bk.default_provider()).pieces)
+    assert len(rows) == 1
+    assert rows[0]["verified"] == "True" and rows[0]["lower_bound"] == ""
+    assert rows[0]["family_size"] == str(size)
+    assert (rows[0]["eps"], rows[0]["lambda"], rows[0]["eta"]) == (
+        ("1/2", "", "") if construction == "bracket" else ("", "1/2", "1/4")
+    )
 
 
 def test_bench_enumerates_each_n_once(tmp_path, monkeypatch):

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit.geometry import _int_points, _planar_sweep_sides, _spanning_tuple_sides
-from bracketkit.lp import feasible_with_inequalities
 
 from conftest import general_position_points
+from naive_checks import feasible_with_inequalities
 
 
 def oracle_halfspace_masks(pts):
@@ -240,6 +240,21 @@ def test_veronese_basics():
     )
 
 
+def compositions(total, parts):
+    """Compositions of ``total`` into ``parts`` nonnegative parts, lex
+    descending: the reference order of one degree's monomials."""
+    if parts == 1:
+        return [(total,)]
+    return [(head,) + tail for head in range(total, -1, -1) for tail in compositions(total - head, parts - 1)]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_monomial_exponents_match_recursive_order(dim):
+    for degree in range(1, 6):
+        want = [e for total in range(1, degree + 1) for e in compositions(total, dim)]
+        assert bk.geometry.monomial_exponents(dim, degree) == want
+
+
 def test_veronese_pullback_reproduces_ranges():
     pts = bk.random_point_set(1, 6, 5)
     lifted = bk.veronese_lift(pts, 2)
@@ -306,10 +321,21 @@ def test_polytope_drop_one_constraint(collinear4):
             assert (mask & inter) == mask
 
 
-def test_polytope_budget():
+def test_polytope_budget(monkeypatch):
     pts, _ = general_position_points(2, 7, 13)
-    with pytest.raises(bk.ResourceBudgetError):
-        bk.enumerate_polytope_ranges(pts, 3, budget=10)
+    monkeypatch.setattr(bk.geometry, "MAX_POLYTOPE_RANGES", 10)
+    with pytest.raises(bk.ResourceBudgetError, match="polytope range count [0-9]+ exceeds the limit 10$"):
+        bk.enumerate_polytope_ranges(pts, 3)
+
+
+def test_box_candidate_budget(monkeypatch):
+    # 2 distinct x and 3 distinct y: (3 + 1) * (6 + 1) = 28 candidate boxes.
+    pts = bk.PointSet.from_signed_rows(2, [["0", "0"], ["0", "1"], ["1", "2"], ["1", "1"]])
+    monkeypatch.setattr(bk.geometry, "MAX_BOX_CANDIDATES", 28)
+    assert set(bk.enumerate_box_ranges(pts).ranges) == oracle_box_masks(pts)
+    monkeypatch.setattr(bk.geometry, "MAX_BOX_CANDIDATES", 27)
+    with pytest.raises(bk.ResourceBudgetError, match="box candidate count 28 exceeds the limit 27"):
+        bk.enumerate_box_ranges(pts)
 
 
 def test_lower_bound_instances():

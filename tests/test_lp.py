@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import bracketkit as bk
-from bracketkit.lp import feasible_with_inequalities, solve_equality_feasibility
+from bracketkit.lp import solve_equality_feasibility
+
+from naive_checks import feasible_with_inequalities
 
 
 def test_feasible_simple():

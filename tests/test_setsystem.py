@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,6 +124,21 @@ def test_filter_by_size_inverted(collinear4):
         bk.filter_by_size(system, lower=3, upper=2)
     with pytest.raises(bk.InputError):
         bk.filter_by_size(system, upper=99)
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_bool_matrix_matches_per_bit_reference(n, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    for system in (bk.SetSystem.from_masks(n, masks), bk.SetSystem.from_masks(n, masks + [0, (1 << n) - 1])):
+        want = np.zeros((len(system.ranges), n), dtype=bool)
+        for row, mask in enumerate(system.ranges):
+            for i in range(n):
+                want[row, i] = bool(mask >> i & 1)
+        got = system.bool_matrix()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @given(st.integers(0, 8), st.data())
