@@ -87,4 +87,3 @@ def solve_equality_feasibility(rows, rhs):
     for i in range(m):
         signed.append(-y[i] if Fraction(rhs[i]) < 0 else y[i])
     return "infeasible", tuple(signed)
-
