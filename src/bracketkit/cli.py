@@ -351,13 +351,16 @@ def _run_grid_point(spec, n, system, eps, lam, eta):
 
 def cmd_bench(args):
     spec = ExperimentSpec.from_json(_read(args.spec))
+    keys = GRID_PARAMETERS[spec.construction]
+    lists = {"eps": spec.eps_list, "lambda": spec.lambda_list, "eta": spec.eta_list}
     rows = []
     failure = None
     for n in spec.n_list:
         pts = _generate_points(spec.instance_kind, spec.d, n, spec.seed, spec.jitter)
         system = _enumerate(pts, spec.family)
-        for eps, lam, eta in product(spec.eps_list or [None], spec.lambda_list or [None],
-                                     spec.eta_list or [None]):
+        for values in product(*(lists[key] for key in keys)):
+            point = dict(zip(keys, values))
+            eps, lam, eta = (point.get(key) for key in lists)
             row, report = _run_grid_point(spec, n, system, eps, lam, eta)
             rows.append(row)
             if not report.passed and failure is None:

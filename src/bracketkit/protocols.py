@@ -107,11 +107,8 @@ def shared_protocol_context(domain, eps0):
 
 
 def _index_cost(n):
-    return max(1, (n - 1).bit_length()) if n > 1 else 0
-
-
-def _counterexample_cost(n):
-    return _index_cost(n) + 1
+    """Bits to name one of n items: ceil(log2(n)), and 0 for n <= 1."""
+    return max(n - 1, 0).bit_length()
 
 
 def _first_error(examples, cover, witness_range):
@@ -154,7 +151,7 @@ def _run_learning(domain, alice, bob, eps0):
             raise InputError(f"example index {idx} outside domain")
         if label not in (1, -1):
             raise InputError(f"label must be +1 or -1, got {label}")
-    ce_cost = _counterexample_cost(n)
+    ce_cost = _index_cost(n) + 1
     pos = 0
     neg = 0
     history = []
@@ -214,9 +211,7 @@ def convex_disjointness_protocol(inst, eps0=DEFAULT_EPS0):
     except NonRealizableError as err:
         return "intersecting", err.transcript
     index = ctx.hypotheses.index(cover)
-    announce = Message(
-        "alice", "family_index", index, max(1, (len(ctx.hypotheses) - 1).bit_length())
-    )
+    announce = Message("alice", "family_index", index, max(1, _index_cost(len(ctx.hypotheses))))
     return "disjoint", Transcript(transcript.messages + (announce,))
 
 

@@ -12,10 +12,9 @@ serves a range of a family they just built.
 
 The size band is the sizes a serving set can have; each verifier call
 groups the family's sets by size once, and a range's band is walked only
-after its hint fails.  Within a size, sets keep family order, so for a
-family in canonical (size-descending) order, as every ``make_*`` and
-``family_from_json`` family is, the band finds the set a scan of the whole
-family would find first.
+after its hint fails.  A report is the verdict, the number of ranges
+checked and the first failing range with its reason; none of these depends
+on the order of the family's sets.
 """
 
 import math
@@ -32,22 +31,9 @@ class VerifyReport:
     passed: bool
     checked: int
     counterexample: object
-    witness_stats: dict
 
     def __bool__(self):
         return self.passed
-
-
-def _stats(values):
-    if not values:
-        return {"count": 0}
-    floats = [float(v) for v in values]
-    return {
-        "count": len(floats),
-        "min": min(floats),
-        "max": max(floats),
-        "mean": sum(floats) / len(floats),
-    }
 
 
 def _size_bands(sets):
@@ -99,17 +85,13 @@ def verify_mnet(system, family):
     """Check: every range with |R| >= eps*n contains a piece of size >= lam*|R|.
 
     A range whose hint fails scans the pieces of sizes |R| down to
-    ceil(lam*|R|).  The verdict, ``checked`` and the counterexample do not
-    depend on the order of ``family.pieces``.  The ratio stats do if the
-    family is out of canonical order: the band finds the largest serving
-    piece, where a scan of the whole family would find the first.
+    ceil(lam*|R|).
     """
     heavy_at = math.ceil(family.eps * system.n)
     lam = Fraction(family.lam)
     band = _size_bands(family.pieces)
     members = set(family.pieces)
     witness = family.witness or {}
-    ratios = []
     checked = 0
     for mask in system.ranges:
         size = mask.bit_count()
@@ -122,31 +104,20 @@ def verify_mnet(system, family):
             need = -(-lam.numerator * size // lam.denominator)
             found = find_piece(band(need, size), None, mask, lam)
         if found is None:
-            return VerifyReport(
-                False,
-                checked,
-                (mask, f"no piece of size >= {lam}*{size} inside range"),
-                _stats(ratios),
-            )
-        if size:
-            ratios.append(found.bit_count() / size)
-    return VerifyReport(True, checked, None, _stats(ratios))
+            return VerifyReport(False, checked, (mask, f"no piece of size >= {lam}*{size} inside range"))
+    return VerifyReport(True, checked, None)
 
 
 def verify_container(system, family):
     """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n.
 
     A range whose hint fails scans the covers of sizes |F| + floor(eps*n)
-    down to |F|.  The verdict, ``checked`` and the counterexample do not
-    depend on the order of ``family.covers``.  The slack stats do if the
-    family is out of canonical order: the band finds the largest serving
-    cover, where a scan of the whole family would find the first.
+    down to |F|.
     """
     slack_cap = math.floor(family.eps * system.n)
     band = _size_bands(family.covers)
     members = set(family.covers)
     witness = family.witness or {}
-    slacks = []
     checked = 0
     for mask in system.ranges:
         checked += 1
@@ -156,14 +127,8 @@ def verify_container(system, family):
             size = mask.bit_count()
             found = find_cover(band(size, size + slack_cap), None, mask, slack_cap)
         if found is None:
-            return VerifyReport(
-                False,
-                checked,
-                (mask, f"no cover within slack {slack_cap}"),
-                _stats(slacks),
-            )
-        slacks.append((found & ~mask).bit_count())
-    return VerifyReport(True, checked, None, _stats(slacks))
+            return VerifyReport(False, checked, (mask, f"no cover within slack {slack_cap}"))
+    return VerifyReport(True, checked, None)
 
 
 def verify_bracket(system, family):
@@ -173,16 +138,14 @@ def verify_bracket(system, family):
     pair iff a largest set inside F and a smallest set containing F form
     one.  The hinted pair is tried first.  The fallback takes the first set
     inside F in sizes |F| down to |F| - floor(eps*n), and the first set
-    containing F in sizes |F| up to |F| + floor(eps*n), each size in the
-    order of ``family.sets``.  That is the pair a ``max``/``min`` by size
-    over every set picks, so the report does not depend on the order of
-    ``family.sets``: a ``BracketFamily`` can be built directly.
+    containing F in sizes |F| up to |F| + floor(eps*n): a largest and a
+    smallest one, in any order of ``family.sets``, so a ``BracketFamily``
+    can be built directly.
     """
     slack_cap = math.floor(family.eps * system.n)
     band = _size_bands(family.sets)
     members = set(family.sets)
     pairing = family.pairing or {}
-    slacks = []
     checked = 0
     for mask in system.ranges:
         checked += 1
@@ -193,14 +156,8 @@ def verify_bracket(system, family):
             lo = next((s for s in band(size - slack_cap, size) if (s & mask) == s), None)
             hi = next((s for s in band(size, size + slack_cap, ascending=True) if (mask & s) == mask), None)
             if lo is None or hi is None or hi.bit_count() - lo.bit_count() > slack_cap:
-                return VerifyReport(
-                    False,
-                    checked,
-                    (mask, f"no bracket pair within slack {slack_cap}"),
-                    _stats(slacks),
-                )
-        slacks.append(hi.bit_count() - lo.bit_count())
-    return VerifyReport(True, checked, None, _stats(slacks))
+                return VerifyReport(False, checked, (mask, f"no bracket pair within slack {slack_cap}"))
+    return VerifyReport(True, checked, None)
 
 
 def verify_family(system, family):

@@ -514,3 +514,59 @@ def test_bench_reproducible_modulo_runtime(tmp_path):
         return rows
 
     assert strip_runtime(out1) == strip_runtime(out2)
+
+
+@pytest.mark.parametrize("construction, params, cells", [
+    ("container", {"eps": ["1/2", "1/4"], "lambda": ["1/3", "2/3"], "eta": ["1/4"]},
+     [("1/2", "", ""), ("1/4", "", "")]),
+    ("mnet", {"eps": ["1/2"], "lambda": ["1/2"], "eta": ["1/4", "1/2"]},
+     [("", "1/2", "1/4"), ("", "1/2", "1/2")]),
+])
+def test_bench_grid_crosses_only_the_construction_lists(tmp_path, construction, params, cells):
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "results.csv"
+    spec.write_text(json.dumps({
+        "instance_kind": "grid", "family": "halfspace", "d": 1, "n": [4],
+        "seed": 0, "construction": construction, **params, "out": str(out),
+    }))
+    assert run_cli(["bench", "--spec", str(spec)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["eps"], r["lambda"], r["eta"]) for r in rows] == cells
+    assert all(r["verified"] == "True" for r in rows)
+
+
+def test_bench_verification_failure_still_writes_the_csv(tmp_path, capsys, monkeypatch):
+    import bracketkit.cli as cli
+
+    failing = bk.VerifyReport(False, 3, (0b0011, "no cover within slack 0"))
+    monkeypatch.setattr(cli, "verify_family", lambda system, family: failing)
+    spec = tmp_path / "spec.json"
+    out = tmp_path / "results.csv"
+    spec.write_text(json.dumps({
+        "instance_kind": "grid", "family": "halfspace", "d": 1, "n": [4],
+        "seed": 0, "construction": "container", "eps": ["1/2"], "out": str(out),
+    }))
+    assert run_cli(["bench", "--spec", str(spec)]) == 1
+    assert "verification FAILED: range [0, 1]: no cover within slack 0" in capsys.readouterr().out
+    rows = list(csv.DictReader(out.open()))
+    assert [r["verified"] for r in rows] == ["False"]
+
+
+def test_internal_error_exits_1_without_a_traceback(tmp_path, capsys, monkeypatch):
+    import bracketkit.cli as cli
+
+    pts = tmp_path / "pts.json"
+    system = tmp_path / "sys.json"
+    run_cli(["gen", "--kind", "grid", "--d", "1", "--n", "4", "--seed", "0", "--out", str(pts)])
+    run_cli(["enum-ranges", "--points", str(pts), "--family", "halfspace", "--out", str(system)])
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise bk.InternalInvariantError("depth cap exceeded")
+
+    monkeypatch.setattr(cli, "build_container", broken)
+    fam = tmp_path / "fam.json"
+    assert run_cli(["container", "--system", str(system), "--eps", "1/2", "--out", str(fam)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: depth cap exceeded\n"
+    assert not fam.exists()

@@ -8,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
+from bracketkit.errors import parse_fraction
+from bracketkit.lp import solve_equality_feasibility
+from bracketkit.verify import verify_family
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +23,8 @@ def test_setsystem_contracts(sys4):
         bk.SetSystem.from_masks(-1, [])
     with pytest.raises(bk.InputError):
         bk.vc_dimension_exact(sys4, -2)
+    with pytest.raises(bk.InputError, match="d0 must be nonnegative"):
+        bk.sauer_shelah_check(sys4, -1)
 
 
 def test_geometry_contracts():
@@ -39,6 +44,11 @@ def test_geometry_contracts():
 def test_packing_contracts(sys4):
     with pytest.raises(bk.InputError):
         bk.greedy_delta_packing(sys4, -1)
+    empty = bk.greedy_delta_packing(bk.SetSystem.from_masks(4, []), 1)
+    with pytest.raises(bk.InputError, match="packing has no members"):
+        bk.nearest_neighbor(empty, 0)
+    with pytest.raises(bk.InputError, match="needs d0 >= 1"):
+        bk.packing_bound_report(bk.greedy_delta_packing(sys4, 1), 0)
 
 
 def test_construction_contracts(sys4):
@@ -49,6 +59,25 @@ def test_construction_contracts(sys4):
         bk.base_mnet(sys4, Fraction(1, 2), Fraction(0))
     with pytest.raises(bk.InputError):
         bk.boost_epsilon(sys4, provider, Fraction(1), Fraction(1, 2))
+    for eta in (Fraction(0), Fraction(1)):
+        with pytest.raises(bk.InputError, match="eta must be in"):
+            bk.boost_epsilon(sys4, provider, Fraction(1, 2), eta)
+    no_pieces = bk.make_mnet(sys4, [], Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(bk.InputError, match="delta0 must be in"):
+        bk.mnet_to_container(sys4, no_pieces, Fraction(0), Fraction(1, 2))
+    with pytest.raises(bk.InputError, match="lam must be in"):
+        bk.mnet_to_container(sys4, no_pieces, Fraction(1, 2), Fraction(0))
+    no_covers = bk.make_container(sys4, [], Fraction(1, 2))
+    with pytest.raises(bk.InputError, match="delta0 must be in"):
+        bk.container_to_mnet(sys4, no_covers, Fraction(0), Fraction(1, 2))
+    with pytest.raises(bk.InputError, match="lam must be at most 1"):
+        bk.container_to_mnet(sys4, no_covers, Fraction(1, 2), Fraction(2))
+    with pytest.raises(bk.PreconditionFailure, match="is not a 1/4-container") as failure:
+        bk.container_to_mnet(sys4, no_covers, Fraction(1, 2), Fraction(3, 4))
+    assert not failure.value.report.passed
+    for eps in (Fraction(0), Fraction(1)):
+        with pytest.raises(bk.InputError, match="eps must be in"):
+            bk.build_bracket(sys4, eps, provider, bk.default_provider())
     with pytest.raises(bk.InputError):
         bk.heavy_mnet(sys4, Fraction(1), Fraction(1, 4), provider)
     with pytest.raises(bk.InputError):
@@ -62,6 +91,31 @@ def test_construction_contracts(sys4):
 def test_verify_contracts(sys4):
     with pytest.raises(bk.InputError):
         bk.container_lower_bound(sys4, Fraction(0))
+    with pytest.raises(bk.InputError, match="unknown family type"):
+        verify_family(sys4, object())
+
+
+def test_family_contracts(sys4):
+    with pytest.raises(bk.InputError, match="must be nonnegative"):
+        parse_fraction("-1/2", name="eps")
+    with pytest.raises(bk.InputError, match="unknown family type"):
+        bk.family_to_json(object())
+    full = sys4.full_mask
+    stray = bk.BracketFamily(sys4, (0, full), Fraction(1), {sys4.ranges[0]: (0b0001, full)})
+    with pytest.raises(bk.InputError, match="names a set outside the family"):
+        bk.family_to_json(stray)
+
+
+def test_protocol_contracts():
+    domain = bk.lower_bound_instance(2, 6, "sphere")
+    with pytest.raises(bk.InputError, match="example index 6 outside domain"):
+        bk.learn_halfspace_protocol(bk.LearningInstance(domain, ((6, 1),), ((0, -1),)))
+    with pytest.raises(bk.InputError, match="index 6 outside domain"):
+        bk.exact_hull_intersection(domain, [6], [0])
+    with pytest.raises(bk.InputError, match="length mismatch"):
+        solve_equality_feasibility([[1, 0]], [1, 2])
+    with pytest.raises(bk.InputError, match="ragged"):
+        solve_equality_feasibility([[1, 0], [1]], [1, 2])
 
 
 def test_empty_ground_set_full_stack():
