@@ -41,13 +41,11 @@ from .families import (
     make_mnet,
 )
 from .geometry import (
-    LinearQuery,
     PointSet,
     enumerate_ball_ranges,
     enumerate_box_ranges,
     enumerate_halfspace_ranges,
     enumerate_polytope_ranges,
-    halfspace_ranges_with_witnesses,
     jitter_points,
     lower_bound_instance,
     random_point_set,
@@ -69,7 +67,6 @@ from .protocols import (
 )
 from .setsystem import (
     CellProfile,
-    Projection,
     SetSystem,
     VcDimension,
     complement_family,

@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import product
 
@@ -67,13 +68,25 @@ CSV_COLUMNS = [
 ]
 
 
+@contextmanager
+def _open(path, mode):
+    """Every file the CLI reads or writes, opened as UTF-8 text with
+    ``newline=""`` (for the csv module).  An OSError or a byte that is not
+    UTF-8, while opening or using the file, raises InputError naming it."""
+    try:
+        with open(path, mode, encoding="utf-8", newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"{path}: {err}") from err
+
+
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open(path, "r") as fh:
         return fh.read()
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open(path, "w") as fh:
         fh.write(text)
 
 
@@ -257,7 +270,7 @@ def cmd_protocol_disjoint(args):
 
 def _append_summary(path, instance_id, transcript, correct):
     exists = os.path.exists(path)
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    with _open(path, "a") as fh:
         writer = csv.writer(fh)
         if not exists:
             writer.writerow(["instance_id", "rounds", "total_bits", "correct"])
@@ -289,7 +302,8 @@ class ExperimentSpec:
     @staticmethod
     def _from_dict(data):
         """The spec, refused before any grid point runs if ``out`` is not a
-        string or the construction is unknown or lacks a parameter list."""
+        string free of NUL bytes or the construction is unknown or lacks a
+        parameter list."""
         spec = ExperimentSpec(
             instance_kind=data.get("instance_kind", "random"),
             family=data.get("family", "halfspace"),
@@ -303,7 +317,7 @@ class ExperimentSpec:
             jitter=parse_fraction(data["jitter"], name="jitter") if data.get("jitter") is not None else None,
             out=data.get("out", "results.csv"),
         )
-        if not isinstance(spec.out, str):
+        if not isinstance(spec.out, str) or "\0" in spec.out:
             raise InputError(f"bench spec JSON: out {spec.out!r} is not a file name string")
         if spec.construction not in GRID_PARAMETERS:
             raise InputError(
@@ -365,7 +379,7 @@ def cmd_bench(args):
             rows.append(row)
             if not report.passed and failure is None:
                 failure = report
-    with open(spec.out, "w", encoding="utf-8", newline="") as fh:
+    with _open(spec.out, "w") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
@@ -460,7 +474,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DegeneracyError, ResourceBudgetError, FileNotFoundError, json.JSONDecodeError) as err:
+    except (InputError, DegeneracyError, ResourceBudgetError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
     except BracketkitError as err:

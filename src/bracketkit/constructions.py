@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from . import bitsets
-from .errors import InputError, InternalInvariantError, PreconditionFailure
+from .errors import MAX_SERVING_CELLS, InputError, InternalInvariantError, PreconditionFailure, within_budget
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
 from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project, size_band
@@ -51,7 +51,9 @@ def base_mnet(system, lam, eps):
     ranges.  Since lam <= 1, every heavy range is a candidate that serves
     itself, so while a range is uncovered some candidate serves at least one
     uncovered range: the loop ends with every heavy range served, and
-    candidate capping only affects size.
+    candidate capping only affects size.  A candidates x heavy serving
+    matrix of more than ``MAX_SERVING_CELLS`` cells is refused before it is
+    built.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
@@ -65,6 +67,7 @@ def base_mnet(system, lam, eps):
     if not heavy:
         return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
+    within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     cands = canonical_sort(cands, n)
 
     serves = _serving_matrix(cands, heavy, lam, n)
@@ -177,7 +180,7 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
         for mask in band:
             groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
         for member, group in groups.items():
-            fam = provider.mnet(project(system, member).system, HALF)
+            fam = provider.mnet(project(system, member), HALF)
             pieces_local = []
             for local in bitsets.compress(group, member):
                 piece = find_piece(fam.pieces, fam.witness.get(local), local, fam.lam)
@@ -411,11 +414,10 @@ class HeavyMnetParams:
     """Derived parameters of the heaviness construction.
 
     eps0 = (1-lam)/4 exactly; t0 is the ceiled recursion budget
-    1 + log(4/(1-lam))/log(1/(1-Lambda/2)); delta_seq/l_seq are the geometric
-    band bottoms/tops delta_k = (1+eps0)^k * eta until the ladder reaches 1.
-    band_ratio is the step actually used for the bands (eps0, dropping to
-    eta/2 when eta <= eps0 so every band keeps its separation below its
-    delta) and band_deltas the corresponding ladder.
+    1 + log(4/(1-lam))/log(1/(1-Lambda/2)).  band_ratio is the step of the
+    bands (eps0, dropping to eta/2 when eta <= eps0 so every band keeps its
+    separation below its delta) and band_deltas the band bottoms
+    delta_k = (1+band_ratio)^k * eta until the ladder reaches 1.
     """
 
     lam: Fraction
@@ -424,8 +426,6 @@ class HeavyMnetParams:
     eps0: Fraction
     t0_raw: float
     t0: int
-    delta_seq: tuple
-    l_seq: tuple
     band_ratio: Fraction
     band_deltas: tuple
 
@@ -439,20 +439,13 @@ class HeavyMnetParams:
         eps0 = (1 - lam) / 4
         t0_raw = 1 + math.log(4 / float(1 - lam)) / math.log(1 / (1 - float(heaviness) / 2))
         ratio = eps0 if eta > eps0 else eta / 2
-
-        def ladder(step):
-            out = []
-            d = eta
-            while d < 1:
-                out.append(d)
-                d = (1 + step) * d
-            return tuple(out)
-
-        deltas = ladder(eps0)
-        tops = tuple((1 + eps0) * d for d in deltas)
+        deltas = []
+        d = eta
+        while d < 1:
+            deltas.append(d)
+            d = (1 + ratio) * d
         return HeavyMnetParams(
-            lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw),
-            deltas, tops, ratio, ladder(ratio),
+            lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, tuple(deltas),
         )
 
 

@@ -24,13 +24,15 @@ class ResourceBudgetError(BracketkitError):
 # Input size limits, each checked before anything of that size is built.
 # They lie far above every instance of the tests and perfbench (a 256-element
 # ground set, 3-D points at n = 64, 41,664 spanning triples, 22³ candidate
-# boxes).  MAX_BOX_CANDIDATES still admits planar boxes on 80 points in
-# general position (3,241² candidates, about 2 s).
+# boxes, a 2,979 x 1,201 serving matrix).  MAX_BOX_CANDIDATES still admits
+# planar boxes on 80 points in general position (3,241² candidates, about
+# 2 s).  A serving-matrix cell costs about 11 bytes at its peak.
 MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
 MAX_DIM = 64  # coordinates of a point
 MAX_SPANNING_TUPLES = 1 << 20  # C(n, d) hyperplanes of a halfspace enumeration
 MAX_BOX_CANDIDATES = 1 << 24  # axis intervals, multiplied over the axes
 MAX_POLYTOPE_RANGES = 100_000  # polytope ranges, checked as each new one is found
+MAX_SERVING_CELLS = 1 << 25  # base_mnet candidates x heavy ranges
 
 
 def within_budget(value, limit, what):
@@ -67,9 +69,13 @@ class NonRealizableError(BracketkitError):
 
 
 def parse_json_object(text, what, parse):
-    """``parse(data)`` for the JSON object in ``text``.  A non-object, a
-    missing field or a field of the wrong type or form raises InputError."""
-    data = json.loads(text)
+    """``parse(data)`` for the JSON object in ``text``.  Text that is not
+    JSON or nests too deep to parse, a non-object, a missing field or a
+    field of the wrong type or form raises InputError."""
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{what}: not parseable JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise InputError(f"{what}: expected a JSON object, got {type(data).__name__}")
     try:

@@ -11,12 +11,11 @@ all spanning d-tuples against all points: O(n^(d+1)).  The scan is the
 reference the sweep is tested against, and both refuse exactly the same
 inputs (a repeated point, or d+1 points on one hyperplane).
 
-Masks and witnesses are both read from the sides.  A side's ranges are its
-strict mask plus each subset of its tuple (``_halfspace_masks`` applies that
-and any side filter in one place).  ``halfspace_ranges_with_witnesses``
-proves each such range by tilting the side's hyperplane, so every emitted
-range is realized by an exact query; that no range is missed (general
-position) is pinned by an independent brute-force oracle in the tests.  All
+A side's ranges are its strict mask plus each subset of its tuple
+(``_halfspace_masks`` applies that and any side filter in one place): a small
+tilt of the side's hyperplane realizes each of them.  The tests build that
+tilt as an exact query for every range, and pin that no range is missed
+(general position) to an independent brute-force oracle.  All
 side-of-hyperplane tests are exact integer arithmetic after clearing
 denominators.
 """
@@ -84,21 +83,6 @@ class PointSet:
                 json_int(data["dim"], "point set JSON: dim", 1, MAX_DIM), data["points"]
             ),
         )
-
-
-@dataclass(frozen=True)
-class LinearQuery:
-    """Affine query normal.x >= offset."""
-
-    normal: tuple
-    offset: Fraction
-
-    def __post_init__(self):
-        if all(v == 0 for v in self.normal):
-            raise InputError("query normal must be nonzero")
-
-    def holds(self, point):
-        return sum(a * x for a, x in zip(self.normal, point)) >= self.offset
 
 
 def _int_points(pts):
@@ -213,8 +197,7 @@ def _halfspace_masks(int_pts, dim, keep=None):
 
     A side contributes its strict mask with every subset of its spanning
     tuple added: a small tilt of the hyperplane puts any part of the tuple
-    inside and leaves every other point where it is (the construction is
-    ``halfspace_ranges_with_witnesses``).
+    inside and leaves every other point where it is.
     """
     masks = {0, (1 << len(int_pts)) - 1}
     for tup, normal, side in _halfspace_sides(int_pts, dim):
@@ -320,45 +303,6 @@ def enumerate_halfspace_ranges(pts):
     return SetSystem.from_masks(pts.n, _halfspace_masks(_int_points(pts), pts.dim))
 
 
-def halfspace_ranges_with_witnesses(pts):
-    """Halfspace ranges plus an exact witness LinearQuery per range.
-
-    Each witness realizes its range as {x : normal.x >= offset} on the point
-    set, and the ranges are exactly ``enumerate_halfspace_ranges(pts)``.  The
-    empty and full ranges get axis-parallel queries.  Every other range is
-    first met as ``side | B`` for a side (T, w, side) of the engine and a
-    subset B of its tuple T.  Take h(x) = w.x - w.p for the first point p of
-    T, and the affine g that is +1 on B and -1 on the rest of T.  Then
-    {K*h + g >= 0} cuts out the range once K*|h(q)| > |g(q)| at every point
-    q off T.  In cleared coordinates q = a/e and p = b/f, the integer
-    e*f*h(q) is nonzero, so |h(q)| >= 1/(e*f).  For g(x) = u.x + c,
-    |g(q)| <= (|u|_1*A + |c|*E)/e, where A is the largest |entry| of any a
-    and E the largest e.  So the integer K = floor(f*(|u|_1*A + |c|*E)) + 1
-    will do.  With n <= d points the zero normal's side makes g the witness.
-    """
-    n, dim = pts.n, pts.dim
-    axis = tuple(Fraction(int(k == 0)) for k in range(dim))
-    if n == 0:
-        return SetSystem.from_masks(0, [0]), {0: LinearQuery(axis, Fraction(0))}
-    xs = [p[0] for p in pts.points]
-    witnesses = {0: LinearQuery(axis, max(xs) + 1), (1 << n) - 1: LinearQuery(axis, min(xs) - 1)}
-    int_pts = _int_points(pts)
-    coord_cap = max(abs(v) for num, _ in int_pts for v in num)
-    den_cap = max(den for _, den in int_pts)
-    for tup, normal, side in _halfspace_sides(int_pts, dim):
-        boundary = [int_pts[i] for i in tup]
-        base_num, base_den = boundary[0]
-        for pattern, mask in enumerate(_boundary_masks(side, tup)):
-            if mask in witnesses:
-                continue
-            targets = [1 if pattern >> j & 1 else -1 for j in range(len(tup))]
-            u, c = _affine_interpolant(boundary, targets, dim)
-            k = math.floor(base_den * (sum(map(abs, u)) * coord_cap + abs(c) * den_cap)) + 1
-            offset = Fraction(k * sum(w * v for w, v in zip(normal, base_num)), base_den) - c
-            witnesses[mask] = LinearQuery(tuple(k * w + v for w, v in zip(normal, u)), offset)
-    return SetSystem.from_masks(n, witnesses), witnesses
-
-
 def enumerate_ball_ranges(pts):
     """Distinct subsets cut by closed balls (halfspaces included as limits).
 
@@ -418,30 +362,27 @@ def monomial_exponents(dim, degree):
     ]
 
 
-def enumerate_polytope_ranges(pts, k, with_witnesses=False):
+def enumerate_polytope_ranges(pts, k):
     """All distinct intersections of at most k halfspace ranges; more than
     ``MAX_POLYTOPE_RANGES`` of them raise ResourceBudgetError."""
     if k < 1:
         raise InputError("k must be >= 1")
-    halfspaces = enumerate_halfspace_ranges(pts)
-    level = {m: (m,) for m in halfspaces.ranges}
-    seen = dict(level)
+    halfspaces = enumerate_halfspace_ranges(pts).ranges
+    level = set(halfspaces)
+    seen = set(level)
     for _ in range(1, k):
-        nxt = {}
-        for mask, constraints in level.items():
-            for h in halfspaces.ranges:
+        nxt = set()
+        for mask in level:
+            for h in halfspaces:
                 combined = mask & h
                 if combined not in seen:
-                    nxt[combined] = constraints + (h,)
-                    seen[combined] = constraints + (h,)
+                    nxt.add(combined)
+                    seen.add(combined)
                     within_budget(len(seen), MAX_POLYTOPE_RANGES, "polytope range count")
         if not nxt:
             break
         level = nxt
-    system = SetSystem.from_masks(pts.n, seen)
-    if with_witnesses:
-        return system, seen
-    return system
+    return SetSystem.from_masks(pts.n, seen)
 
 
 def _check_generator_size(d, n):

@@ -183,7 +183,7 @@ def _run_learning(domain, alice, bob, eps0):
 
 
 def learn_halfspace_protocol(inst, eps0=DEFAULT_EPS0):
-    """Counterexample-driven halving over the shared hypothesis list.
+    """Counterexample-driven search over the shared hypothesis list.
 
     Each round both parties deterministically select the first hypothesis
     consistent with the exchanged labeled set (and containing a consistent
@@ -191,6 +191,13 @@ def learn_halfspace_protocol(inst, eps0=DEFAULT_EPS0):
     counterexample or a 1-bit OK.  Two OKs terminate.  Raises
     NonRealizableError (with the inconsistent subset as certificate) when no
     consistent hypothesis exists.
+
+    The pick is not a halving step: nothing bounds how many consistent
+    ranges a counterexample removes.  The only proven bound is the loop's
+    2n + 2 rounds.  A counterexample is a point outside the consistent
+    witness range labeled +1, or inside the consistent cover labeled -1, so
+    it adds a (point, label) pair the exchanged set lacks; there are at most
+    2n such pairs, then one round of two OKs.
     """
     _, cover, transcript = _run_learning(inst.domain, inst.alice, inst.bob, eps0)
     return Classifier(cover, inst.domain.n), transcript

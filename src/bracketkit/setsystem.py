@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import compress, indices_from_mask, mask_from_indices, pack_masks
-from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_fraction, parse_json_object
+from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_json_object
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -69,10 +69,6 @@ class SetSystem:
             raise InputError("range has an element outside the ground set")
         return SetSystem(n, tuple(canonical_sort(dedup, n)))
 
-    @staticmethod
-    def from_sets(n, sets):
-        return SetSystem.from_masks(n, (mask_from_indices(s) for s in sets))
-
     @property
     def full_mask(self):
         return (1 << self.n) - 1
@@ -100,19 +96,11 @@ class SetSystem:
         )
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Result of projecting onto a subset: re-indexed system plus the map back."""
-
-    system: SetSystem
-    original_indices: tuple
-
-
 def project(system, subset):
-    """Project the family onto ``subset``: ranges become {R cap subset}, re-indexed.
+    """Project the family onto ``subset``: ranges become {R cap subset},
+    re-indexed to the ground set {0,...,|subset|-1} in ascending order.
 
-    ``subset`` is an iterable of element indices (or a bitmask).  The returned
-    Projection keeps the re-index map back to original indices.
+    ``subset`` is an iterable of element indices (or a bitmask).
     """
     if isinstance(subset, int):
         subset_indices = indices_from_mask(subset)
@@ -122,7 +110,7 @@ def project(system, subset):
         if not 0 <= i < system.n:
             raise InputError(f"projection index {i} outside ground set of size {system.n}")
     projected = compress(system.ranges, mask_from_indices(subset_indices))
-    return Projection(SetSystem.from_masks(len(subset_indices), projected), subset_indices)
+    return SetSystem.from_masks(len(subset_indices), projected)
 
 
 def complement_family(system):
@@ -141,22 +129,12 @@ def size_band(ranges, lo, hi):
     return ranges[bisect_left(ranges, -hi, key=_neg_size):bisect_right(ranges, -lo, key=_neg_size)]
 
 
-def filter_by_size(system, lower=None, upper=None, *, include_lower=True, include_upper=True):
-    """Keep ranges whose cardinality lies in the given interval.
-
-    Bounds may be ints or Fractions (or "p/q" strings).  They are rounded
-    exactly to the integer band of sizes they admit, which ``size_band``
-    slices out.
-    """
-    lo = parse_fraction(lower, name="lower bound") if lower is not None else Fraction(0)
-    hi = parse_fraction(upper, name="upper bound") if upper is not None else Fraction(system.n)
-    if lo > Fraction(system.n) or hi > Fraction(system.n) or lo < 0:
-        raise InputError(f"size interval [{lo},{hi}] outside [0,{system.n}]")
-    if lo > hi:
-        raise InputError(f"inverted size interval: {lo} > {hi}")
-    lo_int = math.ceil(lo) if include_lower else math.floor(lo) + 1
-    hi_int = math.floor(hi) if include_upper else math.ceil(hi) - 1
-    return SetSystem(system.n, size_band(system.ranges, lo_int, hi_int))
+def filter_by_size(system, upper):
+    """The ranges of size at most ``upper``, an int or Fraction in [0, n],
+    rounded exactly down to the integer band that ``size_band`` slices out."""
+    if not 0 <= upper <= system.n:
+        raise InputError(f"size bound {upper} outside [0,{system.n}]")
+    return SetSystem(system.n, size_band(system.ranges, 0, math.floor(upper)))
 
 
 @dataclass(frozen=True)
@@ -206,24 +184,18 @@ def vc_dimension_exact(system, cap):
 class SauerShelahReport:
     range_count: int
     binomial_sum: int
-    growth_bound: float
     passed: bool
 
 
 def sauer_shelah_check(system, d0):
-    """Compare |family| against sum_{i<=d0} C(n,i) and the (en/d0)^d0 estimate."""
+    """Compare |family| against the Sauer-Shelah bound sum_{i<=d0} C(n,i)."""
     if d0 < 0:
         raise InputError("d0 must be nonnegative")
     n = system.n
     binom_sum = sum(math.comb(n, i) for i in range(0, min(d0, n) + 1))
-    if d0 == 0 or n == 0:
-        growth = 1.0
-    else:
-        growth = (math.e * n / d0) ** d0
     return SauerShelahReport(
         range_count=len(system.ranges),
         binomial_sum=binom_sum,
-        growth_bound=growth,
         passed=len(system.ranges) <= binom_sum,
     )
 
@@ -248,6 +220,6 @@ def shallow_cell_profile(system, samples, caps):
     """CellProfiles for every (sample, cap) pair, row-major over samples then caps."""
     out = []
     for sample in samples:
-        proj = project(system, sample).system
+        proj = project(system, sample)
         out.extend(CellProfile(proj.n, cap, len(size_band(proj.ranges, 0, cap))) for cap in caps)
     return out

@@ -1,6 +1,7 @@
 import pytest
 
 import bracketkit as bk
+from bracketkit.bitsets import mask_from_indices
 
 
 @pytest.fixture(scope="session")
@@ -25,6 +26,11 @@ def general_position_points(d, n, seed):
             continue
         return pts, system
     raise AssertionError("could not draw a general-position instance")
+
+
+def system_from_sets(n, sets):
+    """The SetSystem on {0,...,n-1} whose ranges are the given index lists."""
+    return bk.SetSystem.from_masks(n, (mask_from_indices(s) for s in sets))
 
 
 def mask_set(mask, n):

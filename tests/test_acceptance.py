@@ -323,7 +323,7 @@ def test_criterion_08_sauer_shelah():
         rng = random.Random(60)
         subsets = [tuple(sorted(rng.sample(range(system.n), rng.randint(1, system.n)))) for _ in range(12)]
         for subset in subsets:
-            proj = bk.project(system, subset).system
+            proj = bk.project(system, subset)
             bound = sum(math.comb(len(subset), i) for i in range(min(d0, len(subset)) + 1))
             ok &= len(proj.ranges) <= bound
         details.append(f"{name}: d0={d0}")

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import resource
@@ -8,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit.cli import main
@@ -107,6 +111,7 @@ MALFORMED = {
     "spec-bool-d": ("bench", "spec", {"n": [], "d": True}),
     "spec-float-seed": ("bench", "spec", {"n": [], "seed": 0.5}),
     "spec-int-out": ("bench", "spec", {**GOOD_INPUTS["spec"], "out": 12345}),
+    "spec-nul-in-out": ("bench", "spec", {**GOOD_INPUTS["spec"], "out": "a\0b"}),
     "family-bool-epsilon": ("verify", "family", {**CONTAINER, "params": {"epsilon": True}, "sets": [[0, 1, 2, 3]]}),
     "mnet-bool-lambda": ("verify", "family", {"kind": "mnet", "params": {"epsilon": "1/2", "lambda": False}, "sets": []}),
     "spec-bool-eps": ("bench", "spec", {"n": [], "eps": [True]}),
@@ -148,6 +153,7 @@ NAMED = {
     "spec-bool-d": "d True",
     "spec-float-seed": "seed 0.5",
     "spec-int-out": "out 12345",
+    "spec-nul-in-out": "out 'a\\x00b'",
     "family-bool-epsilon": "True",
     "mnet-bool-lambda": "False",
     "spec-bool-eps": "True",
@@ -183,6 +189,110 @@ def test_malformed_json_is_a_usage_error(tmp_path, capsys, monkeypatch, case):
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
     assert NAMED.get(case, "") in err
+
+
+# case -> (arguments, with {bad} for the offending file, {dir} for an empty
+# directory, {out} for an output file and a role of GOOD_INPUTS for its
+# file; the bytes of {bad}; the text the usage error must contain)
+UNUSABLE_FILES = {
+    "non-utf8-system": (["verify", "--system", "{bad}", "--family", "{family}"], b"\xff\xfe\x00", "bad.json"),
+    "json-nested-too-deep": (["enum-ranges", "--points", "{bad}", "--family", "halfspace", "--out", "{out}"],
+                             b"[" * 100_000 + b"]" * 100_000, "point set JSON"),
+    "gen-out-is-a-directory": (["gen", "--kind", "grid", "--d", "1", "--n", "4", "--out", "{dir}"], None, "dir"),
+    "input-is-a-directory": (["enum-ranges", "--points", "{dir}", "--family", "halfspace", "--out", "{out}"],
+                             None, "dir"),
+    "summary-is-a-directory": (["protocol-learn", "--points", "{points}", "--instance", "{instance}",
+                                "--summary", "{dir}"], None, "dir"),
+    "bench-csv-is-a-directory": (["bench", "--spec", "{bad}"],
+                                 json.dumps({"instance_kind": "grid", "d": 1, "n": [4], "eps": ["1/2"],
+                                             "out": "dir"}).encode(), "dir"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_FILES))
+def test_unusable_file_is_a_usage_error(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)  # the bench spec names its CSV relative to here
+    args, content, named = UNUSABLE_FILES[case]
+    (tmp_path / "dir").mkdir()
+    paths = {"bad": tmp_path / "bad.json", "dir": tmp_path / "dir", "out": tmp_path / "out.json"}
+    if content is not None:
+        paths["bad"].write_bytes(content)
+    for role, data in GOOD_INPUTS.items():
+        paths[role] = tmp_path / f"{role}.json"
+        paths[role].write_text(json.dumps(data))
+    assert run_cli([a.format(**{k: str(v) for k, v in paths.items()}) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert named in err
+    assert not paths["out"].exists() and not any(paths["dir"].iterdir())
+
+
+def test_serving_matrix_over_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The grid's 7 heavy ranges at eps = 1/4 and their candidates make more
+    # than 10 cells; the refusal comes before the matrix is built.
+    monkeypatch.setattr(bk.constructions, "MAX_SERVING_CELLS", 10)
+    system = _grid4_system(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "mnet.json"
+    assert run_cli(["mnet", "--system", str(system), "--algorithm", "base", "--eps", "1/4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: serving matrix cells") and "exceeds the limit 10" in err
+    assert not out.exists()
+
+
+# subcommand -> (its JSON input options, its other arguments)
+FUZZ_COMMANDS = {
+    "enum-ranges": (["--points"], ["--family", "halfspace", "--out", "out.json"]),
+    "packing": (["--system"], ["--delta", "1", "--out", "out.json"]),
+    "mnet": (["--system"], ["--out", "out.json"]),
+    "container": (["--system"], ["--eps", "1/2", "--out", "out.json"]),
+    "bracket": (["--system"], ["--eps", "1/2", "--out", "out.json"]),
+    "verify": (["--system", "--family"], []),
+    "protocol-learn": (["--points", "--instance"], ["--summary", "s.csv"]),
+    "protocol-disjoint": (["--points", "--instance"], ["--transcript", "t.jsonl"]),
+    "bench": (["--spec"], []),
+}
+# Field names of every input kind, so that random objects reach past the
+# first missing-field check.  Leaves are small, so an input that parses is
+# cheap to run, and strings hold no "/", so a bench CSV stays in its directory.
+FUZZ_KEYS = ["n", "ranges", "dim", "points", "kind", "params", "epsilon", "lambda", "sets", "pairing", "alice",
+             "bob", "instance_kind", "family", "d", "seed", "construction", "eps", "eta", "jitter", "out"]
+FUZZ_LEAVES = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+               | st.sampled_from(["1/2", "1/4", "0", "container", "bracket", "mnet", "grid", "halfspace"])
+               | st.text(alphabet="ab0 \x00\u00e9", max_size=3))
+FUZZ_TREES = st.recursive(
+    FUZZ_LEAVES, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(FUZZ_KEYS), kids, max_size=6),
+    max_leaves=16,
+)
+DIRECTORY = object()
+FUZZ_FILES = st.binary(max_size=32) | FUZZ_TREES.map(lambda tree: json.dumps(tree).encode()) | st.just(DIRECTORY)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
+@given(data=st.data())
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_inputs_never_raise(tmp_path_factory, command, data):
+    # Random bytes, random JSON trees and directories in place of each JSON
+    # input: main() returns an exit status and raises nothing.
+    options, rest = FUZZ_COMMANDS[command]
+    work = tmp_path_factory.mktemp("fuzz")
+    argv = [command, *rest]
+    for option in options:
+        content = data.draw(FUZZ_FILES, label=option)
+        path = work / option.strip("-")
+        if content is DIRECTORY:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        argv += [option, str(path)]
+    cwd = os.getcwd()
+    os.chdir(work)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            status = run_cli(argv)
+    finally:
+        os.chdir(cwd)
+    assert status in (0, 1, 2)
 
 
 @pytest.mark.parametrize("d", ["0", "-1"])

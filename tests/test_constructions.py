@@ -10,7 +10,7 @@ import bracketkit as bk
 from bracketkit import constructions
 from bracketkit.setsystem import size_band
 
-from conftest import general_position_points, mask_set
+from conftest import general_position_points, mask_set, system_from_sets
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
 
 
@@ -96,7 +96,7 @@ def test_every_construction_on_abstract_systems(system, eps):
     small = bk.filter_by_size(system, upper=eps * n)
     cont = bk.small_set_container(small, eps, eps, provider)
     assert naive_container_ok(small, cont.covers, 2 * eps)
-    band = bk.filter_by_size(system, lower=half * n, upper=Fraction(9, 16) * n)
+    band = bk.SetSystem(n, size_band(system.ranges, math.ceil(half * n), math.floor(Fraction(9, 16) * n)))
     boot = bk.bootstrap_interval_mnet(system, Fraction(1, 8), half, provider)
     assert naive_mnet_ok(band, boot.pieces, half, half)
     container = bk.build_container(system, eps, provider)
@@ -107,7 +107,7 @@ def test_every_construction_on_abstract_systems(system, eps):
 
 def test_provider_logs():
     provider = bk.default_provider()
-    system = bk.SetSystem.from_sets(4, [(0, 1, 2), (1, 2, 3), (0, 1)])
+    system = system_from_sets(4, [(0, 1, 2), (1, 2, 3), (0, 1)])
     provider.mnet(system, Fraction(1, 2))
     provider.mnet(system, Fraction(1, 4))
     assert [e for e, _ in provider.bound_log] == [Fraction(1, 2), Fraction(1, 4)]
@@ -158,7 +158,7 @@ def test_boost_heaviness(collinear4):
 
 
 def test_mnet_to_container_example():
-    one = bk.SetSystem.from_sets(4, [(3,)])
+    one = system_from_sets(4, [(3,)])
     comp = bk.complement_family(bk.filter_by_size(one, upper=1))
     mnet = bk.make_mnet(comp, [0b0111], Fraction(1), Fraction(3, 4))
     cont = bk.mnet_to_container(one, mnet, Fraction(1, 4), Fraction(1))
@@ -176,7 +176,7 @@ def test_mnet_to_container_refuses_bad_input(collinear4):
 
 
 def test_container_to_mnet_example():
-    one = bk.SetSystem.from_sets(4, [(3,)])
+    one = system_from_sets(4, [(3,)])
     cont = bk.make_container(one, [0b1000], Fraction(0))
     mnet = bk.container_to_mnet(one, cont, Fraction(1, 4), Fraction(1))
     assert [mask_set(p, 4) for p in mnet.pieces] == [frozenset({0, 1, 2})]
@@ -185,7 +185,7 @@ def test_container_to_mnet_example():
 
 
 def test_container_to_mnet_parameter_error():
-    one = bk.SetSystem.from_sets(4, [(3,)])
+    one = system_from_sets(4, [(3,)])
     cont = bk.make_container(one, [0b1000], Fraction(0))
     with pytest.raises(bk.InputError):
         bk.container_to_mnet(one, cont, Fraction(1, 2), Fraction(1, 4))
@@ -222,7 +222,7 @@ def test_duality_round_trip_random():
 def test_small_set_container_depth_cap_example():
     # heaviness 1/2, eps 1/4: cap = ceil(1 + ln4/ln(4/3)) = 6
     log = []
-    one = bk.SetSystem.from_sets(8, [(0,)])
+    one = system_from_sets(8, [(0,)])
     bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider(), run_log=log)
     entry = log[-1]
     assert entry["depth_cap"] == 6
@@ -232,7 +232,7 @@ def test_small_set_container_depth_cap_example():
 
 
 def test_small_set_container_one_range():
-    one = bk.SetSystem.from_sets(8, [(2,)])
+    one = system_from_sets(8, [(2,)])
     fam = bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider())
     assert bk.verify_container(one, fam).passed
     assert fam.eps == Fraction(1, 2)
@@ -301,12 +301,8 @@ def test_heavy_mnet_params():
     assert params.eps0 == Fraction(1, 8)
     assert abs(params.t0_raw - (1 + math.log(8) / math.log(4 / 3))) < 1e-9
     assert params.t0 == 9
-    # band count: smallest K with (1+eps0)^K * eta >= 1 is 20
-    assert len(params.delta_seq) == 20
-    assert params.delta_seq[0] == Fraction(1, 10)
-    for a, b in zip(params.delta_seq, params.delta_seq[1:]):
-        assert b == (1 + params.eps0) * a
-    assert all(top == (1 + params.eps0) * d for d, top in zip(params.delta_seq, params.l_seq))
+    assert params.band_deltas[0] == params.eta
+    assert params.band_deltas[-1] < 1 <= (1 + params.band_ratio) * params.band_deltas[-1]
     for a, b in zip(params.band_deltas, params.band_deltas[1:]):
         assert b == (1 + params.band_ratio) * a
 
@@ -334,7 +330,7 @@ def test_heavy_mnet_small_eta_runs(collinear4):
 
 
 def test_build_container_edge_single_cover():
-    one = bk.SetSystem.from_sets(5, [(0, 1, 2, 3), (0, 1, 2, 3, 4)])
+    one = system_from_sets(5, [(0, 1, 2, 3), (0, 1, 2, 3, 4)])
     fam = bk.build_container(one, Fraction(4, 5), bk.default_provider())
     assert bk.verify_container(one, fam).passed
 

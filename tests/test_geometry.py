@@ -6,6 +6,8 @@ a nonpositive weight.  Box oracle: the bounding box of S must avoid the
 complement.  None of these share code with the arrangement enumeration.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.geometry import _int_points, _planar_sweep_sides, _spanning_tuple_sides
+from bracketkit.geometry import (
+    _affine_interpolant,
+    _boundary_masks,
+    _halfspace_sides,
+    _int_points,
+    _planar_sweep_sides,
+    _spanning_tuple_sides,
+)
 
 from conftest import general_position_points
 from naive_checks import feasible_with_inequalities
@@ -160,7 +169,7 @@ def test_range_counts_monotone_under_points():
         big_sys = bk.enumerate_halfspace_ranges(base)
     except bk.DegeneracyError:
         pytest.skip("degenerate draw")
-    projected = bk.project(big_sys, range(5)).system
+    projected = bk.project(big_sys, range(5))
     assert set(small_sys.ranges) <= set(projected.ranges)
 
 
@@ -255,10 +264,69 @@ def test_monomial_exponents_match_recursive_order(dim):
         assert bk.geometry.monomial_exponents(dim, degree) == want
 
 
+@dataclass(frozen=True)
+class LinearQuery:
+    """Affine query normal.x >= offset."""
+
+    normal: tuple
+    offset: Fraction
+
+    def __post_init__(self):
+        if all(v == 0 for v in self.normal):
+            raise bk.InputError("query normal must be nonzero")
+
+    def holds(self, point):
+        return sum(a * x for a, x in zip(self.normal, point)) >= self.offset
+
+
+def halfspace_ranges_with_witnesses(pts):
+    """Halfspace ranges plus an exact witness LinearQuery per range.
+
+    Each witness realizes its range as {x : normal.x >= offset} on the point
+    set, and the ranges are exactly ``enumerate_halfspace_ranges(pts)``.  The
+    empty and full ranges get axis-parallel queries.  Every other range is
+    first met as ``side | B`` for a side (T, w, side) of the engine and a
+    subset B of its tuple T.  Take h(x) = w.x - w.p for the first point p of
+    T, and the affine g that is +1 on B and -1 on the rest of T.  Then
+    {K*h + g >= 0} cuts out the range once K*|h(q)| > |g(q)| at every point
+    q off T.  In cleared coordinates q = a/e and p = b/f, the integer
+    e*f*h(q) is nonzero, so |h(q)| >= 1/(e*f).  For g(x) = u.x + c,
+    |g(q)| <= (|u|_1*A + |c|*E)/e, where A is the largest |entry| of any a
+    and E the largest e.  So the integer K = floor(f*(|u|_1*A + |c|*E)) + 1
+    will do.  With n <= d points the zero normal's side makes g the witness.
+    """
+    n, dim = pts.n, pts.dim
+    axis = tuple(Fraction(int(k == 0)) for k in range(dim))
+    if n == 0:
+        return bk.SetSystem.from_masks(0, [0]), {0: LinearQuery(axis, Fraction(0))}
+    xs = [p[0] for p in pts.points]
+    witnesses = {0: LinearQuery(axis, max(xs) + 1), (1 << n) - 1: LinearQuery(axis, min(xs) - 1)}
+    int_pts = _int_points(pts)
+    coord_cap = max(abs(v) for num, _ in int_pts for v in num)
+    den_cap = max(den for _, den in int_pts)
+    for tup, normal, side in _halfspace_sides(int_pts, dim):
+        boundary = [int_pts[i] for i in tup]
+        base_num, base_den = boundary[0]
+        for pattern, mask in enumerate(_boundary_masks(side, tup)):
+            if mask in witnesses:
+                continue
+            targets = [1 if pattern >> j & 1 else -1 for j in range(len(tup))]
+            u, c = _affine_interpolant(boundary, targets, dim)
+            k = math.floor(base_den * (sum(map(abs, u)) * coord_cap + abs(c) * den_cap)) + 1
+            offset = Fraction(k * sum(w * v for w, v in zip(normal, base_num)), base_den) - c
+            witnesses[mask] = LinearQuery(tuple(k * w + v for w, v in zip(normal, u)), offset)
+    return bk.SetSystem.from_masks(n, witnesses), witnesses
+
+
+def test_linear_query_refuses_zero_normal():
+    with pytest.raises(bk.InputError):
+        LinearQuery((Fraction(0), Fraction(0)), Fraction(1))
+
+
 def test_veronese_pullback_reproduces_ranges():
     pts = bk.random_point_set(1, 6, 5)
     lifted = bk.veronese_lift(pts, 2)
-    system, witnesses = bk.halfspace_ranges_with_witnesses(lifted)
+    system, witnesses = halfspace_ranges_with_witnesses(lifted)
     for mask in system.ranges:
         query = witnesses[mask]
         got = 0
@@ -277,7 +345,7 @@ def test_veronese_pullback_reproduces_ranges():
 
 def test_halfspace_witnesses_match(collinear4):
     pts, _ = collinear4
-    system, witnesses = bk.halfspace_ranges_with_witnesses(pts)
+    system, witnesses = halfspace_ranges_with_witnesses(pts)
     for mask in system.ranges:
         query = witnesses[mask]
         got = sum(1 << i for i, p in enumerate(pts.points) if query.holds(p))
@@ -290,7 +358,7 @@ def test_halfspace_witnesses_realize_every_range(d, n):
     # A small integer grid plus fine jitter: near-degenerate points with mixed
     # denominators, on which a tilt with K = 1 misses some ranges.
     pts = bk.jitter_points(bk.random_point_set(d, n, 10 * d + n, coord_bits=4), Fraction(1, 3), n)
-    system, witnesses = bk.halfspace_ranges_with_witnesses(pts)
+    system, witnesses = halfspace_ranges_with_witnesses(pts)
     assert system == bk.enumerate_halfspace_ranges(pts)
     assert set(witnesses) == set(system.ranges)
     for mask, query in witnesses.items():
@@ -305,9 +373,28 @@ def test_polytope_k1_and_intervals(collinear4):
     assert set(poly2.ranges) == contiguous_run_masks(4)
 
 
+def polytope_ranges_with_constraints(pts, k):
+    """Breadth-first intersections of at most k halfspace ranges, each with
+    the halfspaces it was first reached by."""
+    halfspaces = bk.enumerate_halfspace_ranges(pts).ranges
+    level = {m: (m,) for m in halfspaces}
+    seen = dict(level)
+    for _ in range(1, k):
+        nxt = {}
+        for mask, constraints in level.items():
+            for h in halfspaces:
+                combined = mask & h
+                if combined not in seen:
+                    nxt[combined] = seen[combined] = constraints + (h,)
+        level = nxt
+    return seen
+
+
 def test_polytope_drop_one_constraint(collinear4):
     pts, _ = collinear4
-    system, witnesses = bk.enumerate_polytope_ranges(pts, 3, with_witnesses=True)
+    witnesses = polytope_ranges_with_constraints(pts, 3)
+    system = bk.enumerate_polytope_ranges(pts, 3)
+    assert set(witnesses) == set(system.ranges)
     members = set(system.ranges)
     for mask, constraints in witnesses.items():
         if len(constraints) < 2:

@@ -9,7 +9,7 @@ import bracketkit as bk
 from bracketkit.setsystem import canonical_sort
 from bracketkit.verify import VerifyReport
 
-from conftest import general_position_points
+from conftest import general_position_points, system_from_sets
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
 
 
@@ -50,7 +50,7 @@ def test_bracket_trivial_anchors(collinear4):
     identity = bk.make_bracket(system, system.ranges, Fraction(0))
     assert bk.verify_bracket(system, identity).passed
     # n=4, F={0,1}, sets={X}, eps=1/4: no lower set at all
-    one = bk.SetSystem.from_sets(4, [(0, 1)])
+    one = system_from_sets(4, [(0, 1)])
     missing_lower = bk.make_bracket(one, [one.full_mask], Fraction(1, 4))
     assert not bk.verify_bracket(one, missing_lower).passed
 
