@@ -66,14 +66,12 @@ from .protocols import (
     shared_protocol_context,
 )
 from .setsystem import (
-    CellProfile,
     SetSystem,
     VcDimension,
     complement_family,
     filter_by_size,
     project,
     sauer_shelah_check,
-    shallow_cell_profile,
     vc_dimension_exact,
 )
 from .verify import VerifyReport, container_lower_bound, verify_bracket, verify_container, verify_mnet

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import product
 
 from .bitsets import indices_from_mask
@@ -66,6 +65,23 @@ CSV_COLUMNS = [
     "instance_id", "kind", "d", "n", "eps", "lambda", "eta",
     "family_size", "verified", "lower_bound", "runtime_ms",
 ]
+INSTANCE_KINDS = ("grid", "sphere", "moment-curve", "random")
+RANGE_FAMILIES = ("halfspace", "ball", "box", "polytope")
+
+# construction -> (the bench spec lists it reads, its builder on their values,
+# the family field holding its sets).  The builders look up the constructions
+# when called, so a name patched on this module takes effect.
+CONSTRUCTIONS = {
+    "container": (
+        ("eps",), lambda system, eps: build_container(system, eps, default_provider()), "covers",
+    ),
+    "bracket": (
+        ("eps",), lambda system, eps: build_bracket(system, eps, default_provider(), default_provider()), "sets",
+    ),
+    "mnet": (
+        ("lambda", "eta"), lambda system, lam, eta: heavy_mnet(system, lam, eta, default_provider()), "pieces",
+    ),
+}
 
 
 @contextmanager
@@ -115,9 +131,7 @@ def _enumerate(points, family, k=2):
         return enumerate_ball_ranges(points)
     if family == "box":
         return enumerate_box_ranges(points)
-    if family == "polytope":
-        return enumerate_polytope_ranges(points, k)
-    raise InputError(f"unknown range family {family!r}")
+    return enumerate_polytope_ranges(points, k)
 
 
 def cmd_gen(args):
@@ -168,12 +182,11 @@ def cmd_packing(args):
 def cmd_mnet(args):
     system = _load_system(args.system)
     lam = parse_fraction(args.lam, name="lambda")
-    provider = default_provider()
     if args.algorithm == "heavy":
-        family = heavy_mnet(system, lam, parse_fraction(args.eta, name="eta"), provider)
+        family = CONSTRUCTIONS["mnet"][1](system, lam, parse_fraction(args.eta, name="eta"))
     elif args.algorithm == "boost":
         family = boost_epsilon(
-            system, provider, parse_fraction(args.eps, name="eps"),
+            system, default_provider(), parse_fraction(args.eps, name="eps"),
             parse_fraction(args.eta, name="eta"),
         )
     else:
@@ -183,23 +196,14 @@ def cmd_mnet(args):
     return 0
 
 
-def cmd_container(args):
+def cmd_container_or_bracket(args):
     system = _load_system(args.system)
-    family = build_container(system, parse_fraction(args.eps, name="eps"), default_provider())
+    _, build, field = CONSTRUCTIONS[args.command]
+    family = build(system, parse_fraction(args.eps, name="eps"))
     _write(args.out, family_to_json(family))
-    print(f"container with {len(family.covers)} covers at eps={family.eps}")
-    if args.lower_bound:
+    print(f"{args.command} with {len(getattr(family, field))} {field} at eps={family.eps}")
+    if args.command == "container" and args.lower_bound:
         print(f"packing lower bound: {container_lower_bound(system, family.eps)}")
-    return 0
-
-
-def cmd_bracket(args):
-    system = _load_system(args.system)
-    family = build_bracket(
-        system, parse_fraction(args.eps, name="eps"), default_provider(), default_provider()
-    )
-    _write(args.out, family_to_json(family))
-    print(f"bracket with {len(family.sets)} sets at eps={family.eps}")
     return 0
 
 
@@ -223,139 +227,105 @@ def _example(example, what):
     return json_index(i, what), label
 
 
-def cmd_protocol_learn(args):
+def _protocol_input(args, what, item, instance_type):
+    """The domain, the instance whose two sides are lists of ``item``, and
+    eps0, for protocol-learn and protocol-disjoint."""
     domain = _load_points(args.points)
-    what = "learning instance JSON"
     alice, bob = parse_json_object(
         _read(args.instance), what,
-        lambda data: [tuple(_example(e, what) for e in data[side]) for side in ("alice", "bob")],
+        lambda data: [tuple(item(e, what) for e in data[side]) for side in ("alice", "bob")],
     )
-    inst = LearningInstance(domain, alice, bob)
-    eps0 = parse_fraction(args.eps0, name="eps0")
+    return instance_type(domain, alice, bob), parse_fraction(args.eps0, name="eps0")
+
+
+def _protocol_output(args, transcript, correct, line):
+    """Write the transcript, append the summary row (after a header in a new
+    file), print ``line``; exit status 0 if the run was correct."""
+    if args.transcript:
+        _write(args.transcript, transcript.to_jsonl())
+    if args.summary:
+        exists = os.path.exists(args.summary)
+        with _open(args.summary, "a") as fh:
+            writer = csv.writer(fh)
+            if not exists:
+                writer.writerow(["instance_id", "rounds", "total_bits", "correct"])
+            writer.writerow([args.instance, transcript.rounds, transcript.total_bits, correct])
+    print(line)
+    return 0 if correct else 1
+
+
+def cmd_protocol_learn(args):
+    inst, eps0 = _protocol_input(args, "learning instance JSON", _example, LearningInstance)
     try:
         classifier, transcript = learn_halfspace_protocol(inst, eps0)
     except NonRealizableError as err:
         print(f"abort: non-realizable instance; certificate {list(err.certificate)}")
         return 1
     correct = all(classifier(i) == l for i, l in inst.alice + inst.bob)
-    if args.transcript:
-        _write(args.transcript, transcript.to_jsonl())
-    if args.summary:
-        _append_summary(args.summary, args.instance, transcript, correct)
-    print(
-        f"rounds={transcript.rounds} bits={transcript.total_bits} consistent={correct}"
+    return _protocol_output(
+        args, transcript, correct, f"rounds={transcript.rounds} bits={transcript.total_bits} consistent={correct}"
     )
-    return 0 if correct else 1
 
 
 def cmd_protocol_disjoint(args):
-    domain = _load_points(args.points)
-    what = "disjointness instance JSON"
-    alice, bob = parse_json_object(
-        _read(args.instance), what,
-        lambda data: [tuple(json_index(i, what) for i in data[side]) for side in ("alice", "bob")],
-    )
-    inst = DisjointnessInstance(domain, alice, bob)
-    eps0 = parse_fraction(args.eps0, name="eps0")
+    inst, eps0 = _protocol_input(args, "disjointness instance JSON", json_index, DisjointnessInstance)
     answer, transcript = convex_disjointness_protocol(inst, eps0)
-    oracle = exact_hull_intersection(domain, inst.alice, inst.bob)
-    correct = (answer == "intersecting") == oracle.intersecting
-    if args.transcript:
-        _write(args.transcript, transcript.to_jsonl())
-    if args.summary:
-        _append_summary(args.summary, args.instance, transcript, correct)
-    print(f"answer={answer} bits={transcript.total_bits} oracle_agrees={correct}")
-    return 0 if correct else 1
+    correct = (answer == "intersecting") == exact_hull_intersection(inst.domain, inst.alice, inst.bob).intersecting
+    return _protocol_output(
+        args, transcript, correct, f"answer={answer} bits={transcript.total_bits} oracle_agrees={correct}"
+    )
 
 
-def _append_summary(path, instance_id, transcript, correct):
-    exists = os.path.exists(path)
-    with _open(path, "a") as fh:
-        writer = csv.writer(fh)
-        if not exists:
-            writer.writerow(["instance_id", "rounds", "total_bits", "correct"])
-        writer.writerow([instance_id, transcript.rounds, transcript.total_bits, correct])
+def _parse_spec(data):
+    """The bench spec keyed by its JSON field names, defaults filled in and
+    values parsed in field order.  It is refused before any grid point runs
+    if ``out`` is not a string free of NUL bytes, the construction is unknown
+    or lacks a parameter list, or the instance kind or range family is
+    unknown."""
+    spec = {
+        "instance_kind": data.get("instance_kind", "random"),
+        "family": data.get("family", "halfspace"),
+        "d": json_int(data.get("d", 2), "bench spec JSON: d", 1, MAX_DIM),
+        "n": [json_int(v, "bench spec JSON: n", 0, MAX_GROUND_SET) for v in data.get("n", [])],
+        "seed": json_int(data.get("seed", 0), "bench spec JSON: seed"),
+        "construction": data.get("construction", "container"),
+        **{key: [parse_fraction(v, name=key) for v in data.get(key, [])] for key in ("eps", "lambda", "eta")},
+        "jitter": parse_fraction(data["jitter"], name="jitter") if data.get("jitter") is not None else None,
+        "out": data.get("out", "results.csv"),
+    }
+    construction = spec["construction"]
+    if not isinstance(spec["out"], str) or "\0" in spec["out"]:
+        raise InputError(f"bench spec JSON: out {spec['out']!r} is not a file name string")
+    if construction not in CONSTRUCTIONS:
+        raise InputError(f"bench spec JSON: construction {construction!r} is not one of {', '.join(CONSTRUCTIONS)}")
+    for key in CONSTRUCTIONS[construction][0]:
+        if not spec[key]:
+            raise InputError(f"bench spec JSON: construction {construction!r} needs a non-empty {key} list")
+    for key, what, known in (
+        ("instance_kind", "instance kind", INSTANCE_KINDS), ("family", "range family", RANGE_FAMILIES),
+    ):
+        if spec[key] not in known:
+            raise InputError(f"bench spec JSON: unknown {what} {spec[key]!r} (one of {', '.join(known)})")
+    return spec
 
 
-# construction -> the spec's parameter lists it reads
-GRID_PARAMETERS = {"container": ("eps",), "bracket": ("eps",), "mnet": ("lambda", "eta")}
-
-
-@dataclass
-class ExperimentSpec:
-    instance_kind: str
-    family: str
-    d: int
-    n_list: list
-    seed: int
-    construction: str
-    eps_list: list
-    lambda_list: list
-    eta_list: list
-    jitter: object
-    out: str
-
-    @staticmethod
-    def from_json(text):
-        return parse_json_object(text, "bench spec JSON", ExperimentSpec._from_dict)
-
-    @staticmethod
-    def _from_dict(data):
-        """The spec, refused before any grid point runs if ``out`` is not a
-        string free of NUL bytes or the construction is unknown or lacks a
-        parameter list."""
-        spec = ExperimentSpec(
-            instance_kind=data.get("instance_kind", "random"),
-            family=data.get("family", "halfspace"),
-            d=json_int(data.get("d", 2), "bench spec JSON: d", 1, MAX_DIM),
-            n_list=[json_int(v, "bench spec JSON: n", 0, MAX_GROUND_SET) for v in data.get("n", [])],
-            seed=json_int(data.get("seed", 0), "bench spec JSON: seed"),
-            construction=data.get("construction", "container"),
-            eps_list=[parse_fraction(v, name="eps") for v in data.get("eps", [])],
-            lambda_list=[parse_fraction(v, name="lambda") for v in data.get("lambda", [])],
-            eta_list=[parse_fraction(v, name="eta") for v in data.get("eta", [])],
-            jitter=parse_fraction(data["jitter"], name="jitter") if data.get("jitter") is not None else None,
-            out=data.get("out", "results.csv"),
-        )
-        if not isinstance(spec.out, str) or "\0" in spec.out:
-            raise InputError(f"bench spec JSON: out {spec.out!r} is not a file name string")
-        if spec.construction not in GRID_PARAMETERS:
-            raise InputError(
-                f"bench spec JSON: construction {spec.construction!r} is not one of {', '.join(GRID_PARAMETERS)}"
-            )
-        for key in GRID_PARAMETERS[spec.construction]:
-            if not data.get(key):
-                raise InputError(f"bench spec JSON: construction {spec.construction!r} needs a non-empty {key} list")
-        return spec
-
-
-def _run_grid_point(spec, n, system, eps, lam, eta):
+def _run_grid_point(spec, n, system, point):
     """One CSV row: build, verify and (for containers) lower-bound one grid
-    point.  runtime_ms times these steps only; the caller makes the points
-    and ranges once per n."""
+    point, given as {list name: value}.  runtime_ms times these steps only;
+    the caller makes the points and ranges once per n."""
     start = time.perf_counter()
-    lower = ""
-    if spec.construction == "container":
-        family = build_container(system, eps, default_provider())
-        size = len(family.covers)
-        lower = container_lower_bound(system, eps)
-    elif spec.construction == "bracket":
-        family = build_bracket(system, eps, default_provider(), default_provider())
-        size = len(family.sets)
-    else:
-        family = heavy_mnet(system, lam, eta, default_provider())
-        size = len(family.pieces)
+    _, build, field = CONSTRUCTIONS[spec["construction"]]
+    family = build(system, *point.values())
+    lower = container_lower_bound(system, point["eps"]) if spec["construction"] == "container" else ""
     report = verify_family(system, family)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     row = {
-        "instance_id": f"{spec.instance_kind}-{spec.family}-d{spec.d}-n{n}-s{spec.seed}",
-        "kind": f"{spec.instance_kind}/{spec.family}",
-        "d": spec.d,
+        "instance_id": f"{spec['instance_kind']}-{spec['family']}-d{spec['d']}-n{n}-s{spec['seed']}",
+        "kind": f"{spec['instance_kind']}/{spec['family']}",
+        "d": spec["d"],
         "n": n,
-        "eps": str(eps) if eps is not None else "",
-        "lambda": str(lam) if lam is not None else "",
-        "eta": str(eta) if eta is not None else "",
-        "family_size": size,
+        **{key: str(point.get(key, "")) for key in ("eps", "lambda", "eta")},
+        "family_size": len(getattr(family, field)),
         "verified": bool(report.passed),
         "lower_bound": lower,
         "runtime_ms": elapsed_ms,
@@ -364,26 +334,23 @@ def _run_grid_point(spec, n, system, eps, lam, eta):
 
 
 def cmd_bench(args):
-    spec = ExperimentSpec.from_json(_read(args.spec))
-    keys = GRID_PARAMETERS[spec.construction]
-    lists = {"eps": spec.eps_list, "lambda": spec.lambda_list, "eta": spec.eta_list}
+    spec = parse_json_object(_read(args.spec), "bench spec JSON", _parse_spec)
+    keys = CONSTRUCTIONS[spec["construction"]][0]
     rows = []
     failure = None
-    for n in spec.n_list:
-        pts = _generate_points(spec.instance_kind, spec.d, n, spec.seed, spec.jitter)
-        system = _enumerate(pts, spec.family)
-        for values in product(*(lists[key] for key in keys)):
-            point = dict(zip(keys, values))
-            eps, lam, eta = (point.get(key) for key in lists)
-            row, report = _run_grid_point(spec, n, system, eps, lam, eta)
+    for n in spec["n"]:
+        pts = _generate_points(spec["instance_kind"], spec["d"], n, spec["seed"], spec["jitter"])
+        system = _enumerate(pts, spec["family"])
+        for values in product(*(spec[key] for key in keys)):
+            row, report = _run_grid_point(spec, n, system, dict(zip(keys, values)))
             rows.append(row)
             if not report.passed and failure is None:
                 failure = report
-    with _open(spec.out, "w") as fh:
+    with _open(spec["out"], "w") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {spec.out}")
+    print(f"wrote {len(rows)} rows to {spec['out']}")
     if failure is not None:
         mask, reason = failure.counterexample
         print(f"verification FAILED: range {list(indices_from_mask(mask))}: {reason}")
@@ -396,7 +363,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a point-set instance")
-    p.add_argument("--kind", required=True, choices=["grid", "sphere", "moment-curve", "random"])
+    p.add_argument("--kind", required=True, choices=INSTANCE_KINDS)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -406,7 +373,7 @@ def build_parser():
 
     p = sub.add_parser("enum-ranges", help="enumerate geometric ranges")
     p.add_argument("--points", required=True)
-    p.add_argument("--family", required=True, choices=["halfspace", "ball", "box", "polytope"])
+    p.add_argument("--family", required=True, choices=RANGE_FAMILIES)
     p.add_argument("--k", type=int, default=2, help="constraint count for polytope ranges")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enum_ranges)
@@ -433,13 +400,13 @@ def build_parser():
     p.add_argument("--eps", required=True)
     p.add_argument("--lower-bound", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_container)
+    p.set_defaults(func=cmd_container_or_bracket)
 
     p = sub.add_parser("bracket", help="build a verified uniform bracket")
     p.add_argument("--system", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_bracket)
+    p.set_defaults(func=cmd_container_or_bracket)
 
     p = sub.add_parser("verify", help="verify a family JSON against a system JSON")
     p.add_argument("--system", required=True)

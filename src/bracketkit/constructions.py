@@ -107,15 +107,13 @@ def _serving_matrix(cands, ranges, lam, n):
 class PropertyMProvider:
     """Produces verified fixed-heaviness Mnets for arbitrary subsystems.
 
-    ``heaviness`` plays the role of the fixed constant (1/2 for halfspace-like
-    systems); ``bound_log`` records (eps, produced size) for every call.
+    ``heaviness`` is the fixed constant 1/2 (as for halfspace-like systems);
+    ``bound_log`` records (eps, produced size) for every call.
     """
 
-    def __init__(self, heaviness=HALF):
-        heaviness = Fraction(heaviness)
-        if not 0 < heaviness < 1:
-            raise InputError(f"provider heaviness must be in (0,1), got {heaviness}")
-        self.heaviness = heaviness
+    heaviness = HALF
+
+    def __init__(self):
         self.bound_log = []
 
     def mnet(self, system, eps):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bitsets
 from .errors import InputError
-from .setsystem import SetSystem, shallow_cell_profile, size_band
+from .setsystem import SetSystem, project, size_band
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,7 @@ def packing_bound_report(packing, d0):
     if packing.shallow_cap is not None:
         sample_size = min(n, max(1, (4 * d0 * n) // packing.delta))
         cell_cap = min(sample_size, max(0, (12 * d0 * packing.shallow_cap) // packing.delta))
-        profile = shallow_cell_profile(
-            packing.base, [tuple(range(sample_size))], [cell_cap]
-        )[0]
-        psi_hat = profile.psi_hat
-        expression = float(Fraction(24 * d0 * n, packing.delta) * (psi_hat or 0))
+        prefix = project(packing.base, (1 << sample_size) - 1)
+        psi_hat = Fraction(len(size_band(prefix.ranges, 0, cell_cap)), sample_size)
+        expression = float(Fraction(24 * d0 * n, packing.delta) * psi_hat)
     return PackingBoundReport(count, volume, empirical, expression, psi_hat)

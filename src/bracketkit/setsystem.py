@@ -10,7 +10,7 @@ constructions and protocol messages reproducible.
 Because the order is size-descending, the ranges with lo <= |R| <= hi are
 one contiguous slice of it.  ``size_band`` finds that slice by bisection,
 and every size filter in the package (``filter_by_size``, the packing's
-shallow cap, the cell profile, the heavy, boosting and bootstrap bands of
+shallow cap and bound report, the heavy, boosting and bootstrap bands of
 the constructions) is a call to it.
 """
 
@@ -18,12 +18,11 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .bitsets import compress, indices_from_mask, mask_from_indices, pack_masks
+from .bitsets import compress, indices_from_mask, pack_masks
 from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_json_object
 
 
@@ -96,21 +95,13 @@ class SetSystem:
         )
 
 
-def project(system, subset):
-    """Project the family onto ``subset``: ranges become {R cap subset},
-    re-indexed to the ground set {0,...,|subset|-1} in ascending order.
-
-    ``subset`` is an iterable of element indices (or a bitmask).
-    """
-    if isinstance(subset, int):
-        subset_indices = indices_from_mask(subset)
-    else:
-        subset_indices = tuple(sorted(set(subset)))
-    for i in subset_indices:
-        if not 0 <= i < system.n:
-            raise InputError(f"projection index {i} outside ground set of size {system.n}")
-    projected = compress(system.ranges, mask_from_indices(subset_indices))
-    return SetSystem.from_masks(len(subset_indices), projected)
+def project(system, mask):
+    """Project the family onto the elements of ``mask``: ranges become
+    {R cap mask}, re-indexed to the ground set {0,...,|mask|-1} in ascending
+    order.  A negative mask, or one with a bit at or above n, is refused."""
+    if mask < 0 or mask >> system.n:
+        raise InputError(f"projection mask {mask:#x} outside ground set of size {system.n}")
+    return SetSystem.from_masks(mask.bit_count(), compress(system.ranges, mask))
 
 
 def complement_family(system):
@@ -198,28 +189,3 @@ def sauer_shelah_check(system, d0):
         binomial_sum=binom_sum,
         passed=len(system.ranges) <= binom_sum,
     )
-
-
-@dataclass(frozen=True)
-class CellProfile:
-    """Distinct projections of size at most ``at_most`` on a sample of given size."""
-
-    subset_size: int
-    at_most: int
-    distinct_count: int
-
-    @property
-    def psi_hat(self):
-        """Empirical shallow-cell ratio distinct_count / subset_size."""
-        if self.subset_size == 0:
-            return None
-        return Fraction(self.distinct_count, self.subset_size)
-
-
-def shallow_cell_profile(system, samples, caps):
-    """CellProfiles for every (sample, cap) pair, row-major over samples then caps."""
-    out = []
-    for sample in samples:
-        proj = project(system, sample)
-        out.extend(CellProfile(proj.n, cap, len(size_band(proj.ranges, 0, cap))) for cap in caps)
-    return out

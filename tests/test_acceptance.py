@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
+from bracketkit.bitsets import mask_from_indices
 
 from conftest import general_position_points
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
@@ -323,7 +324,7 @@ def test_criterion_08_sauer_shelah():
         rng = random.Random(60)
         subsets = [tuple(sorted(rng.sample(range(system.n), rng.randint(1, system.n)))) for _ in range(12)]
         for subset in subsets:
-            proj = bk.project(system, subset)
+            proj = bk.project(system, mask_from_indices(subset))
             bound = sum(math.comb(len(subset), i) for i in range(min(d0, len(subset)) + 1))
             ok &= len(proj.ranges) <= bound
         details.append(f"{name}: d0={d0}")

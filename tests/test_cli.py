@@ -124,6 +124,9 @@ MALFORMED = {
     # naming the construction shows it is refused before that.
     "spec-unknown-construction": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "family": "none", "construction": "foo"}),
     "spec-unknown-family": ("bench", "spec", {"instance_kind": "grid", "d": 1, "n": [4], "family": "none", "eps": ["1/2"]}),
+    # With no n, no point is made and no range enumerated, so only the
+    # spec's own check refuses the unknown kind and family.
+    "spec-unknown-instance-kind": ("bench", "spec", {"instance_kind": "nonsense", "family": "none", "n": [], "eps": ["1/2"]}),
     # The first bad index in list order is named, whatever its kind.
     "system-oversized-index-before-string": ("container", "system", {"n": 4, "ranges": [[0, 10**11, "a"]]}),
 }
@@ -164,6 +167,7 @@ NAMED = {
     "spec-mnet-missing-eta": "eta list",
     "spec-unknown-construction": "'foo'",
     "spec-unknown-family": "'none'",
+    "spec-unknown-instance-kind": "unknown instance kind 'nonsense'",
     "system-oversized-index-before-string": "element index 100000000000 exceeds the limit",
 }
 
@@ -240,17 +244,19 @@ def test_serving_matrix_over_budget_is_a_usage_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
-# subcommand -> (its JSON input options, its other arguments)
+# subcommand -> ({its JSON input options: a valid input}, its other arguments)
 FUZZ_COMMANDS = {
-    "enum-ranges": (["--points"], ["--family", "halfspace", "--out", "out.json"]),
-    "packing": (["--system"], ["--delta", "1", "--out", "out.json"]),
-    "mnet": (["--system"], ["--out", "out.json"]),
-    "container": (["--system"], ["--eps", "1/2", "--out", "out.json"]),
-    "bracket": (["--system"], ["--eps", "1/2", "--out", "out.json"]),
-    "verify": (["--system", "--family"], []),
-    "protocol-learn": (["--points", "--instance"], ["--summary", "s.csv"]),
-    "protocol-disjoint": (["--points", "--instance"], ["--transcript", "t.jsonl"]),
-    "bench": (["--spec"], []),
+    "enum-ranges": ({"--points": GOOD_INPUTS["points"]}, ["--family", "halfspace", "--out", "out.json"]),
+    "packing": ({"--system": GOOD_INPUTS["system"]}, ["--delta", "1", "--out", "out.json"]),
+    "mnet": ({"--system": GOOD_INPUTS["system"]}, ["--out", "out.json"]),
+    "container": ({"--system": GOOD_INPUTS["system"]}, ["--eps", "1/2", "--out", "out.json"]),
+    "bracket": ({"--system": GOOD_INPUTS["system"]}, ["--eps", "1/2", "--out", "out.json"]),
+    "verify": ({"--system": GOOD_INPUTS["system"], "--family": GOOD_INPUTS["family"]}, []),
+    "protocol-learn": ({"--points": GOOD_INPUTS["points"], "--instance": GOOD_INPUTS["instance"]},
+                       ["--summary", "s.csv"]),
+    "protocol-disjoint": ({"--points": GOOD_INPUTS["points"], "--instance": {"alice": [0], "bob": [3]}},
+                          ["--transcript", "t.jsonl"]),
+    "bench": ({"--spec": GOOD_INPUTS["spec"]}, []),
 }
 # Field names of every input kind, so that random objects reach past the
 # first missing-field check.  Leaves are small, so an input that parses is
@@ -266,6 +272,17 @@ FUZZ_TREES = st.recursive(
 )
 DIRECTORY = object()
 FUZZ_FILES = st.binary(max_size=32) | FUZZ_TREES.map(lambda tree: json.dumps(tree).encode()) | st.just(DIRECTORY)
+REMOVED = object()
+
+
+def one_field_changed(good):
+    """``good`` with one field, its own or another input kind's, set to a
+    random tree or removed: the other fields stay valid, so the input gets
+    past the first missing-field check to the later parse and write paths."""
+    change = st.tuples(st.sampled_from(sorted(set(good) | set(FUZZ_KEYS))), FUZZ_TREES | st.just(REMOVED))
+    return change.map(
+        lambda kv: json.dumps({k: v for k, v in {**good, kv[0]: kv[1]}.items() if v is not REMOVED}).encode()
+    )
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_COMMANDS))
@@ -273,12 +290,19 @@ FUZZ_FILES = st.binary(max_size=32) | FUZZ_TREES.map(lambda tree: json.dumps(tre
 @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_cli_inputs_never_raise(tmp_path_factory, command, data):
     # Random bytes, random JSON trees and directories in place of each JSON
-    # input: main() returns an exit status and raises nothing.
+    # input, or valid inputs of which one has one field changed: main()
+    # returns an exit status and raises nothing.
     options, rest = FUZZ_COMMANDS[command]
     work = tmp_path_factory.mktemp("fuzz")
     argv = [command, *rest]
-    for option in options:
-        content = data.draw(FUZZ_FILES, label=option)
+    changed = data.draw(st.sampled_from([None, *options]), label="valid inputs but one changed")
+    for option, good in options.items():
+        if changed is None:
+            content = data.draw(FUZZ_FILES, label=option)
+        elif option == changed:
+            content = data.draw(one_field_changed(good), label=option)
+        else:
+            content = json.dumps(good).encode()
         path = work / option.strip("-")
         if content is DIRECTORY:
             path.mkdir()

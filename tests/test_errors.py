@@ -84,8 +84,6 @@ def test_construction_contracts(sys4):
         bk.build_container(sys4, Fraction(1), provider)
     with pytest.raises(bk.InputError):
         bk.small_set_container(sys4, Fraction(1, 4), Fraction(1, 2), provider)
-    with pytest.raises(bk.InputError):
-        bk.PropertyMProvider(heaviness=Fraction(1))
 
 
 def test_verify_contracts(sys4):

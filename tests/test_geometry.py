@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
+from bracketkit.bitsets import mask_from_indices
 from bracketkit.geometry import (
     _affine_interpolant,
     _boundary_masks,
@@ -169,7 +170,7 @@ def test_range_counts_monotone_under_points():
         big_sys = bk.enumerate_halfspace_ranges(base)
     except bk.DegeneracyError:
         pytest.skip("degenerate draw")
-    projected = bk.project(big_sys, range(5))
+    projected = bk.project(big_sys, mask_from_indices(range(5)))
     assert set(small_sys.ranges) <= set(projected.ranges)
 
 

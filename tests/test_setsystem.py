@@ -52,35 +52,36 @@ def test_range_outside_ground_set_rejected():
 
 def test_project_identity(collinear4):
     _, system = collinear4
-    proj = bk.project(system, range(system.n))
+    proj = bk.project(system, mask_from_indices(range(system.n)))
     assert proj == system
 
 
 def test_project_empty(collinear4):
     _, system = collinear4
-    proj = bk.project(system, ())
+    proj = bk.project(system, mask_from_indices(()))
     assert proj.n == 0
     assert proj.ranges == (0,)
 
 
 def test_project_collinear4_pair(collinear4):
     _, system = collinear4
-    proj = bk.project(system, (0, 3))
+    proj = bk.project(system, mask_from_indices((0, 3)))
     got = set(masks_as_sets(proj.ranges, 2))
     assert got == {frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})}
 
 
 def test_project_idempotent_on_own_ground_set(collinear4):
     _, system = collinear4
-    proj = bk.project(system, (0, 1, 3))
-    again = bk.project(proj, range(proj.n))
+    proj = bk.project(system, mask_from_indices((0, 1, 3)))
+    again = bk.project(proj, mask_from_indices(range(proj.n)))
     assert again == proj
 
 
 def test_project_bad_index(collinear4):
     _, system = collinear4
-    with pytest.raises(bk.InputError):
-        bk.project(system, (7,))
+    for mask in (1 << 7, -1):
+        with pytest.raises(bk.InputError):
+            bk.project(system, mask)
 
 
 def test_complement_trivial():
@@ -253,19 +254,21 @@ def test_projection_counts_respect_sauer(collinear4):
     d0 = bk.vc_dimension_exact(system, 4).value
     for k in range(system.n + 1):
         for subset in combinations(range(system.n), k):
-            proj = bk.project(system, subset)
+            proj = bk.project(system, mask_from_indices(subset))
             bound = sum(math.comb(k, i) for i in range(min(d0, k) + 1))
             assert len(proj.ranges) <= bound
 
 
 def test_shallow_cell_profile(collinear4):
+    # The cells of size <= cap on a prefix sample, as the packing bound
+    # report counts them.
     _, system = collinear4
-    full = tuple(range(4))
-    profiles = bk.shallow_cell_profile(system, [full], [4, 0, 1])
-    assert profiles[0].distinct_count == len(system.ranges)
-    assert profiles[1].distinct_count == 1  # empty set is a projection
-    assert profiles[2].distinct_count == 3  # {}, {0}, {3}
-    assert profiles[2].psi_hat == Fraction(3, 4)
+    full = bk.project(system, mask_from_indices(range(4)))
+    counts = [len(size_band(full.ranges, 0, cap)) for cap in (4, 0, 1)]
+    assert counts[0] == len(system.ranges) == 8
+    assert counts[1] == 1  # empty set is a projection
+    assert counts[2] == 3  # {}, {0}, {3}
+    assert Fraction(counts[2], full.n) == Fraction(3, 4)
 
 
 def test_json_roundtrip(collinear4):
