@@ -136,9 +136,14 @@ def subset_matrix(packed_small, packed_big):
     return ok
 
 
-def symdiff_counts(packed_one, packed_many):
-    """Integer vector v[j] = |one symdiff many_j|."""
-    acc = np.zeros(packed_many.shape[0], dtype=np.int64)
-    for k in range(packed_one.shape[0]):
-        acc += np.bitwise_count(packed_many[:, k] ^ packed_one[k]).astype(np.int64)
-    return acc
+def symdiff_counts(packed_a, packed_b):
+    """Integer matrix D[i, j] = |a_i symdiff b_j|.
+
+    It sums in the narrowest unsigned type that holds the width's bit count
+    and reads b a word at a time from one contiguous copy of its columns.
+    """
+    columns = np.ascontiguousarray(packed_b.T)
+    acc = np.zeros((packed_a.shape[0], packed_b.shape[0]), np.min_scalar_type(_WORD * packed_a.shape[1]))
+    for k in range(packed_a.shape[1]):
+        acc += np.bitwise_count(packed_a[:, k][:, None] ^ columns[k])
+    return acc.astype(np.int64)

@@ -5,7 +5,10 @@ an optional shallow cap k restricts members to ranges of size <= k.  The
 greedy scan in canonical order makes packings deterministic, and maximality
 gives every in-cap range a nearest neighbour at distance <= delta.  The scan
 also hands out groups: each scanned range joins the group of the first
-member within delta, from the distances the admission test computes anyway.
+member within delta.  Admission and grouping read the same distances, one
+matrix per block of candidates against the members so far and the block;
+the block shrinks as members accumulate, so that no matrix exceeds a fixed
+cell budget.
 """
 
 from dataclasses import dataclass
@@ -16,6 +19,11 @@ import numpy as np
 from . import bitsets
 from .errors import InputError
 from .setsystem import SetSystem, project, size_band
+
+# A block holds at most _BLOCK_ROWS candidates, and fewer once the members
+# admitted so far would make its matrix exceed _BLOCK_CELLS cells.
+_BLOCK_ROWS = 64
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,20 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     ``delta`` is an absolute count; admission uses the strict test
     |R1 symdiff R2| > delta.  With ``shallow_cap`` set, only ranges of size
     <= cap are considered.  The result is inclusion-maximal by construction.
+
+    The scan takes the candidates a block at a time.  One ``symdiff_counts``
+    matrix compares the block with the members admitted before it and with
+    the block itself, and a Python pass over its rows admits or groups each
+    candidate in order.  The members and groups are those of the
+    one-at-a-time scan: every earlier member precedes, in admission order,
+    every member admitted within the block, so a candidate's first member
+    within delta is its first hit among the earlier members if there is
+    one, else its first hit among the block's members admitted before it.
+    A row's first hit overall settles the first case, because the
+    candidate's own column, at distance 0, comes after every earlier member.
+    The block holds at most ``_BLOCK_ROWS`` candidates, and fewer as members
+    accumulate, so a matrix stays within ``_BLOCK_CELLS`` cells unless one
+    candidate alone needs more.
     """
     if not 0 <= delta <= system.n:
         raise InputError(f"delta {delta} outside [0, {system.n}]")
@@ -45,15 +67,26 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     admitted = np.empty_like(packed)
     members = []
     groups = []
-    for mask, row in zip(candidates, packed):
-        if members:
-            near = bitsets.symdiff_counts(row, admitted[: len(members)]) <= delta
-            if near.any():
-                groups[int(near.argmax())].append(mask)
-                continue
-        admitted[len(members)] = row
-        members.append(mask)
-        groups.append([mask])
+    start = 0
+    while start < len(candidates):
+        earlier = len(members)
+        stop = start + max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (earlier + _BLOCK_ROWS)))
+        block = packed[start:stop]
+        admitted[earlier : earlier + len(block)] = block  # until the block's members overwrite it
+        near = bitsets.symdiff_counts(block, admitted[: earlier + len(block)]) <= delta
+        fresh = []  # (block column, member index) of the members this block admits
+        for i, (mask, first, row) in enumerate(zip(candidates[start:stop], near.argmax(axis=1).tolist(),
+                                                    near[:, earlier:].tolist())):
+            if first >= earlier:
+                first = next((member for column, member in fresh if row[column]), None)
+            if first is None:
+                fresh.append((i, len(members)))
+                members.append(mask)
+                groups.append([mask])
+            else:
+                groups[first].append(mask)
+        admitted[earlier : len(members)] = block[[column for column, _ in fresh]]
+        start = stop
     return Packing(system, tuple(members), tuple(map(tuple, groups)), delta, shallow_cap)
 
 

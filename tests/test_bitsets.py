@@ -125,5 +125,18 @@ def test_matrix_kernels_on_no_masks(n):
     for small, big in ((none, some), (some, none), (none, none)):
         got = subset_matrix(small, big)
         assert got.dtype == bool and got.shape == (len(small), len(big))
-    counts = symdiff_counts(some[0], none)
+        counts = symdiff_counts(small, big)
+        assert counts.dtype == np.int64 and counts.shape == (len(small), len(big))
+    counts = symdiff_counts(some[:1], none)[0]
     assert counts.dtype == np.int64 and counts.shape == (0,)
+
+
+@pytest.mark.parametrize("n", PACK_WIDTHS)
+def test_symdiff_counts_reach_the_full_width(n):
+    # A mask against its complement differs in all n bits, the largest
+    # count the narrow accumulator must hold.
+    full = (1 << n) - 1
+    rows = pack_masks([0, full, 1], n)
+    counts = symdiff_counts(rows, rows)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [[0, n, 1], [n, 0, n - 1], [1, n - 1, 0]]

@@ -258,14 +258,25 @@ FUZZ_COMMANDS = {
                           ["--transcript", "t.jsonl"]),
     "bench": ({"--spec": GOOD_INPUTS["spec"]}, []),
 }
+# The fields each JSON input option's reader takes.
+FUZZ_FIELDS = {
+    "--points": ["dim", "points"],
+    "--system": ["n", "ranges"],
+    "--family": ["kind", "params", "sets", "pairing"],
+    "--instance": ["alice", "bob"],
+    "--spec": ["instance_kind", "family", "d", "n", "seed", "construction", "eps", "lambda", "eta", "jitter", "out"],
+}
 # Field names of every input kind, so that random objects reach past the
 # first missing-field check.  Leaves are small, so an input that parses is
-# cheap to run, and strings hold no "/", so a bench CSV stays in its directory.
-FUZZ_KEYS = ["n", "ranges", "dim", "points", "kind", "params", "epsilon", "lambda", "sets", "pairing", "alice",
-             "bob", "instance_kind", "family", "d", "seed", "construction", "eps", "eta", "jitter", "out"]
+# cheap to run.  Random strings hold no "/" and the fixed ones no "..", so a
+# bench CSV stays in its directory.
+FUZZ_KEYS = sorted({key for fields in FUZZ_FIELDS.values() for key in fields} | {"epsilon"})
 FUZZ_LEAVES = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
                | st.sampled_from(["1/2", "1/4", "0", "container", "bracket", "mnet", "grid", "halfspace"])
                | st.text(alphabet="ab0 \x00\u00e9", max_size=3))
+# String leaves that a check refuses: a NUL byte (in a file name), a zero
+# denominator, a negative or a non-numeric fraction, an unknown name.
+FUZZ_REFUSED = st.sampled_from(["\x00", "out\x00.csv", "1/0", "-1/2", "x", ""])
 FUZZ_TREES = st.recursive(
     FUZZ_LEAVES, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(FUZZ_KEYS), kids, max_size=6),
     max_leaves=16,
@@ -275,11 +286,17 @@ FUZZ_FILES = st.binary(max_size=32) | FUZZ_TREES.map(lambda tree: json.dumps(tre
 REMOVED = object()
 
 
-def one_field_changed(good):
-    """``good`` with one field, its own or another input kind's, set to a
-    random tree or removed: the other fields stay valid, so the input gets
-    past the first missing-field check to the later parse and write paths."""
-    change = st.tuples(st.sampled_from(sorted(set(good) | set(FUZZ_KEYS))), FUZZ_TREES | st.just(REMOVED))
+def one_field_changed(good, fields):
+    """``good`` with one field set to a refused string or a random tree, or
+    removed: the other fields stay valid, so the input gets past the first
+    missing-field check to the later parse and write paths.  Three draws in
+    four change a field that ``good`` has or that its command reads
+    (``fields``), the rest any input kind's; half the values are refused
+    strings."""
+    own = sorted(set(good) | set(fields))
+    key = st.sampled_from([own, own, own, FUZZ_KEYS]).flatmap(st.sampled_from)
+    value = st.sampled_from([FUZZ_REFUSED, FUZZ_REFUSED, FUZZ_TREES, st.just(REMOVED)]).flatmap(lambda kind: kind)
+    change = st.tuples(key, value)
     return change.map(
         lambda kv: json.dumps({k: v for k, v in {**good, kv[0]: kv[1]}.items() if v is not REMOVED}).encode()
     )
@@ -300,7 +317,8 @@ def test_cli_inputs_never_raise(tmp_path_factory, command, data):
         if changed is None:
             content = data.draw(FUZZ_FILES, label=option)
         elif option == changed:
-            content = data.draw(one_field_changed(good), label=option)
+            fields = [field for name in options for field in FUZZ_FIELDS[name]]
+            content = data.draw(one_field_changed(good, fields), label=option)
         else:
             content = json.dumps(good).encode()
         path = work / option.strip("-")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -50,14 +51,25 @@ def test_greedy_extremes(collinear4):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_greedy_matches_naive(seed):
-    pts, system = general_position_points(2, 7, seed + 10)
-    for delta in (0, 1, 2, 4):
-        for cap in (None, 3, 5):
-            packing = bk.greedy_delta_packing(system, delta, shallow_cap=cap)
-            got = [mask_set(m, system.n) for m in packing.members]
-            got_groups = [[mask_set(m, system.n) for m in g] for g in packing.groups]
-            assert (got, got_groups) == naive_greedy_packing(system, delta, cap)
+def test_greedy_matches_naive(seed, monkeypatch):
+    # 7 points give about 44 ranges, one block.  12 points give 134 ranges,
+    # three blocks of up to 64 candidates; the abstract system on 70
+    # elements (two words) has about 190.  The small cell budget shrinks the
+    # block as members accumulate, down to one candidate past 64 members.
+    rng = random.Random(seed)
+    abstract = bk.SetSystem.from_masks(70, [rng.getrandbits(70) >> rng.randrange(70) for _ in range(200)])
+    inputs = [(general_position_points(2, 7, seed + 10)[1], (0, 1, 2, 4), (None, 3, 5)),
+              (general_position_points(2, 12, seed + 10)[1], (0, 1, 2, 4), (None, 3, 6)),
+              (abstract, (0, 70), (None,))]
+    for cells in (bk.packing._BLOCK_CELLS, 1 << 8):
+        monkeypatch.setattr(bk.packing, "_BLOCK_CELLS", cells)
+        for system, deltas, caps in inputs:
+            for delta in deltas:
+                for cap in caps:
+                    packing = bk.greedy_delta_packing(system, delta, shallow_cap=cap)
+                    got = [mask_set(m, system.n) for m in packing.members]
+                    got_groups = [[mask_set(m, system.n) for m in g] for g in packing.groups]
+                    assert (got, got_groups) == naive_greedy_packing(system, delta, cap)
 
 
 @pytest.mark.parametrize("n, delta, cap", [(70, 30, None), (70, 12, 20), (130, 60, 40)])

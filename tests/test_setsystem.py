@@ -156,11 +156,13 @@ def test_size_filters_match_a_per_range_reference(n, data):
 
 def test_sym_diff_size():
     # |A symdiff B| is bitsets.symdiff_counts over pack_masks rows.
-    rows = pack_masks([mask_from_indices(s) for s in [(0, 1), (1, 2), (0, 1, 2, 3), ()]], 4)
-    assert symdiff_counts(rows[0], rows[:1]).tolist() == [0]
-    assert symdiff_counts(rows[0], rows[1:2]).tolist() == [2]
-    assert symdiff_counts(rows[2], rows[3:]).tolist() == [4]
-    assert symdiff_counts(pack_masks([0b0011], 4)[0], pack_masks([0b0110], 4)).tolist() == [2]
+    sets = [(0, 1), (1, 2), (0, 1, 2, 3), ()]
+    rows = pack_masks([mask_from_indices(s) for s in sets], 4)
+    assert symdiff_counts(rows[:1], rows[:1])[0].tolist() == [0]
+    assert symdiff_counts(rows[:1], rows[1:2])[0].tolist() == [2]
+    assert symdiff_counts(rows[2:3], rows[3:])[0].tolist() == [4]
+    assert symdiff_counts(pack_masks([0b0011], 4), pack_masks([0b0110], 4))[0].tolist() == [2]
+    assert symdiff_counts(rows, rows).tolist() == [[len(set(a) ^ set(b)) for b in sets] for a in sets]
 
 
 def _naive_shattered(system, subset):
