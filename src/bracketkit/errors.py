@@ -2,6 +2,7 @@
 malformed JSON and CLI input into ``InputError``."""
 
 import json
+import sys
 from fractions import Fraction
 
 
@@ -26,10 +27,15 @@ class ResourceBudgetError(BracketkitError):
 # ground set, 3-D points at n = 64, 41,664 spanning triples, 22³ candidate
 # boxes, a 2,979 x 1,201 serving matrix).  MAX_BOX_CANDIDATES still admits
 # planar boxes on 80 points in general position (3,241² candidates, about
-# 2 s).  A serving-matrix cell costs about 11 bytes at its peak.
+# 2 s).  A serving-matrix cell costs about 11 bytes at its peak.  A
+# halfspace enumeration counts each spanning d-tuple 2^(d-4) times above
+# d = 4 (its sides yield up to 2^(d+1) ranges, and its normal's minors cost
+# more), so that d = 5 stops at n = 38 and d = 8 at n = 18, near the cost of
+# the largest d = 4 input (n = 72).  Decimal exponents and JSON integer
+# literals are bounded by Python's own limit on integer-string digits.
 MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
 MAX_DIM = 64  # coordinates of a point
-MAX_SPANNING_TUPLES = 1 << 20  # C(n, d) hyperplanes of a halfspace enumeration
+MAX_SPANNING_TUPLES = 1 << 20  # weighted C(n, d) hyperplanes, or 2^n subsets of n <= d points
 MAX_BOX_CANDIDATES = 1 << 24  # axis intervals, multiplied over the axes
 MAX_POLYTOPE_RANGES = 100_000  # polytope ranges, checked as each new one is found
 MAX_SERVING_CELLS = 1 << 25  # base_mnet candidates x heavy ranges
@@ -76,6 +82,10 @@ def parse_json_object(text, what, parse):
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{what}: not parseable JSON ({exc})") from exc
+    except ValueError as exc:  # the other error json.loads raises: int() refused a literal's digits
+        raise ResourceBudgetError(
+            f"{what}: an integer literal exceeds the limit of {sys.int_info.default_max_str_digits} digits"
+        ) from exc
     if not isinstance(data, dict):
         raise InputError(f"{what}: expected a JSON object, got {type(data).__name__}")
     try:
@@ -126,7 +136,7 @@ def parse_fraction(value, *, name="value"):
         frac = Fraction(value)
     elif isinstance(value, str):
         try:
-            frac = Fraction(value.strip())
+            frac = fraction_from_string(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{name}: cannot parse rational from {value!r}") from exc
     else:
@@ -134,3 +144,21 @@ def parse_fraction(value, *, name="value"):
     if frac < 0:
         raise InputError(f"{name}: must be nonnegative, got {frac}")
     return frac
+
+
+def fraction_from_string(text):
+    """``Fraction(text)``, except that a decimal exponent of magnitude above
+    the digit limit Python puts on integer strings raises
+    ResourceBudgetError before its power of ten is built.  Text that is not
+    a rational raises ValueError (or ZeroDivisionError), as ``Fraction``
+    does."""
+    text = text.strip()
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            power = int(exponent)
+        except ValueError:
+            pass  # not an exponent: Fraction refuses the text
+        else:
+            within_budget(abs(power), sys.int_info.default_max_str_digits, "decimal exponent magnitude")
+    return Fraction(text)

@@ -7,9 +7,11 @@ the same sides.  In the plane (d = 2, which also serves 1-D balls through
 the paraboloid lift) an angular sweep sorts, around each point, the
 directions to all others and reads both sides of every spanning line off
 prefix masks with two pointers: O(n^2 log n).  Every other dimension scans
-all spanning d-tuples against all points: O(n^(d+1)).  The scan is the
-reference the sweep is tested against, and both refuse exactly the same
-inputs (a repeated point, or d+1 points on one hyperplane).
+all spanning d-tuples against all points: O(n^(d+1)), with each normal's
+entries the signed maximal minors of the tuple's difference rows, from one
+exact determinant (``_det``) in every dimension.  The scan is the reference
+the sweep is tested against, and both refuse exactly the same inputs (a
+repeated point, or d+1 points on one hyperplane).
 
 A side's ranges are its strict mask plus each subset of its tuple
 (``_halfspace_masks`` applies that and any side filter in one place): a small
@@ -37,6 +39,7 @@ from .errors import (
     MAX_SPANNING_TUPLES,
     DegeneracyError,
     InputError,
+    fraction_from_string,
     json_int,
     parse_json_object,
     within_budget,
@@ -55,12 +58,13 @@ class PointSet:
 
     @staticmethod
     def from_signed_rows(dim, rows):
-        """Rows of Fractions, or of values whose str() Fraction parses (signs allowed)."""
+        """Rows of Fractions, or of values whose str() ``fraction_from_string``
+        parses (signs allowed)."""
         pts = []
         for row in rows:
             vals = []
             for v in row:
-                vals.append(v if isinstance(v, Fraction) else Fraction(str(v).strip()))
+                vals.append(v if isinstance(v, Fraction) else fraction_from_string(str(v)))
             if len(vals) != dim:
                 raise InputError(f"point has {len(vals)} coordinates, expected {dim}")
             pts.append(tuple(vals))
@@ -94,31 +98,35 @@ def _int_points(pts):
     return out
 
 
-def _det3(m):
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _det(m):
+    """Determinant of a square integer matrix (a list of rows), exactly, by
+    Bareiss fraction-free elimination: each division by the previous pivot
+    is exact.  A zero pivot is swapped with a row below; the empty matrix
+    gives 1."""
+    m = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            for j in range(k + 1, len(m)):
+                row[j] = (row[j] * pivot - lead * top[j]) // prev
+        prev = pivot
+    return sign * m[-1][-1] if m else 1
 
 
 def _cofactor_normal(rows, dim):
-    """Normal of the hyperplane spanned by difference rows ((dim-1) x dim)."""
-    if dim == 1:
-        return (1,)
-    if dim == 2:
-        (rx, ry), = rows
-        return (-ry, rx)
-    if dim == 3:
-        (a, b, c), (d, e, f) = rows
-        return (b * f - c * e, c * d - a * f, a * e - b * d)
-    if dim == 4:
-        normal = []
-        for drop in range(4):
-            minor = [[row[j] for j in range(4) if j != drop] for row in rows]
-            normal.append((-1) ** drop * _det3(minor))
-        return tuple(normal)
-    raise InputError(f"hyperplane enumeration unsupported in dimension {dim}")
+    """Normal of the hyperplane spanned by difference rows ((dim-1) x dim):
+    its j-th entry is det(rows + [e_j]), the signed j-th maximal minor, so
+    normal . x = det(rows + [x]) vanishes on every row."""
+    return tuple((-1) ** (dim - 1 + j) * _det([row[:j] + row[j + 1:] for row in rows]) for j in range(dim))
 
 
 def _cleared_difference(q, base):
@@ -126,53 +134,27 @@ def _cleared_difference(q, base):
     return tuple(a * bd - b * qd for a, b in zip(qn, bn))
 
 
-def _affine_interpolant(int_pts, targets, dim):
-    """(u, c) with u.p + c = targets[k] exactly at the k-th point.
-
-    Points come as (integer coordinates, denominator) pairs, so the k-th row
-    is (coordinates, denominator | target * denominator).  Gauss-Jordan
-    elimination over Fractions, free variables pinned to 0.  Whatever the
-    targets, affinely dependent points raise DegeneracyError.
-    """
-    rows = [[Fraction(v) for v in num] + [Fraction(den), Fraction(t * den)]
-            for (num, den), t in zip(int_pts, targets)]
-    pivots = []
-    for col in range(dim + 1):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        lead = rows[r][col]
-        rows[r] = [v / lead for v in rows[r]]
-        for k, row in enumerate(rows):
-            factor = row[col]
-            if k != r and factor:
-                rows[k] = [a - factor * b for a, b in zip(row, rows[r])]
-        pivots.append(col)
-    if len(pivots) < len(rows):
-        raise DegeneracyError("points are affinely dependent")
-    solution = [Fraction(0)] * (dim + 1)
-    for row, col in zip(rows, pivots):
-        solution[col] = row[-1]
-    return solution[:dim], solution[dim]
-
-
 def _halfspace_sides(int_pts, dim):
     """Both sides of every hyperplane spanned by d of the points.
 
     A side is (spanning tuple, integer normal, mask of the points strictly on
     the normal's side); the tuple's points lie on the hyperplane.  With
-    n <= d points no hyperplane is spanned: if they are affinely independent,
-    the one side is the zero normal's, whose boundary holds every point.
+    n <= d points no hyperplane is spanned: if they are affinely independent
+    (the Gram matrix of their differences is nonsingular), the one side is
+    the zero normal's, whose boundary holds every point and gives 2^n ranges.
+    A d-tuple's sides give up to 2^(d+1) ranges and its normal costs more as
+    d grows, so above d = 4 each tuple counts 2^(d-4) times in the budget.
     """
     n = len(int_pts)
     if n <= dim:
-        _affine_interpolant(int_pts, [0] * n, dim)
+        within_budget(1 << n, MAX_SPANNING_TUPLES, f"boundary-subset count 2^{n} =")
+        rows = [_cleared_difference(q, int_pts[0]) for q in int_pts[1:]]
+        if not _det([[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]):
+            raise DegeneracyError("points are affinely dependent")
         return [(tuple(range(n)), (0,) * dim, 0)]
-    within_budget(math.comb(n, dim), MAX_SPANNING_TUPLES, f"spanning-tuple count C({n}, {dim}) =")
+    weight = max(0, dim - 4)
+    within_budget(math.comb(n, dim) << weight, MAX_SPANNING_TUPLES,
+                  f"spanning-tuple count C({n}, {dim})" + (f" * 2^{weight}" if weight else "") + " =")
     if dim == 2:
         return _planar_sweep_sides(int_pts)
     return _spanning_tuple_sides(int_pts, dim)

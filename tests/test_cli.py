@@ -210,6 +210,9 @@ UNUSABLE_FILES = {
     "bench-csv-is-a-directory": (["bench", "--spec", "{bad}"],
                                  json.dumps({"instance_kind": "grid", "d": 1, "n": [4], "eps": ["1/2"],
                                              "out": "dir"}).encode(), "dir"),
+    # More digits than int() takes from a string; json.dumps cannot write it.
+    "json-integer-too-long": (["container", "--system", "{bad}", "--eps", "1/2", "--out", "{out}"],
+                              b'{"n": ' + b"9" * 5000 + b', "ranges": []}', "set system JSON"),
 }
 
 
@@ -275,8 +278,9 @@ FUZZ_LEAVES = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
                | st.sampled_from(["1/2", "1/4", "0", "container", "bracket", "mnet", "grid", "halfspace"])
                | st.text(alphabet="ab0 \x00\u00e9", max_size=3))
 # String leaves that a check refuses: a NUL byte (in a file name), a zero
-# denominator, a negative or a non-numeric fraction, an unknown name.
-FUZZ_REFUSED = st.sampled_from(["\x00", "out\x00.csv", "1/0", "-1/2", "x", ""])
+# denominator, a negative or a non-numeric fraction, a decimal exponent too
+# large to build, an unknown name.
+FUZZ_REFUSED = st.sampled_from(["\x00", "out\x00.csv", "1/0", "-1/2", "x", "1e99999999", ""])
 FUZZ_TREES = st.recursive(
     FUZZ_LEAVES, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(FUZZ_KEYS), kids, max_size=6),
     max_leaves=16,
@@ -396,20 +400,22 @@ def test_base_mnet_cli_at_tiny_heaviness(tmp_path):
     assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
 
 
-def test_enum_ranges_refuses_dimension_five(tmp_path, capsys):
+def test_enum_ranges_and_container_of_the_degree_two_lift(tmp_path):
+    # The degree-2 lift of 8 planar points has d = 5.
     pts = tmp_path / "lifted.json"
     pts.write_text(bk.veronese_lift(bk.random_point_set(2, 8, 3), 2).to_json())
-    out = tmp_path / "sys.json"
-    assert run_cli(["enum-ranges", "--points", str(pts), "--family", "halfspace", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:") and "Traceback" not in err
-    assert "dimension 5" in err
-    assert not out.exists()
+    system = tmp_path / "sys.json"
+    assert run_cli(["enum-ranges", "--points", str(pts), "--family", "halfspace", "--out", str(system)]) == 0
+    assert len(json.loads(system.read_text())["ranges"]) == 240
+    container = tmp_path / "container.json"
+    assert run_cli(["container", "--system", str(system), "--eps", "1/4", "--out", str(container)]) == 0
+    assert run_cli(["verify", "--system", str(system), "--family", str(container)]) == 0
 
 
 # case -> (subcommand and its arguments, with {in} for the input file; the
-# input JSON, or None).  Each input asks for far more than the size limits
-# in bracketkit.errors allow, and must be refused before it is built.
+# input JSON, its raw bytes, or None).  Each input asks for far more than the
+# size limits in bracketkit.errors allow, and must be refused before it is
+# built.
 OVERSIZED = {
     "system-ground-set": (["container", "--system", "{in}", "--eps", "1/2"], {"n": 10**11, "ranges": []}),
     "system-element-index": (["container", "--system", "{in}", "--eps", "1/2"], {"n": 4, "ranges": [[10**11]]}),
@@ -420,6 +426,12 @@ OVERSIZED = {
     "spec-d": (["bench", "--spec", "{in}"], {"n": [4], "d": 10**30, "eps": ["1/2"]}),
     "points-box-candidates": (["enum-ranges", "--points", "{in}", "--family", "box"],
                               json.loads(bk.random_point_set(2, 300, 1).to_json())),
+    "points-all-subsets": (["enum-ranges", "--points", "{in}", "--family", "halfspace"],
+                           json.loads(bk.random_point_set(40, 40, 1).to_json())),
+    "points-decimal-exponent": (["enum-ranges", "--points", "{in}", "--family", "halfspace"],
+                                {"dim": 1, "points": [["1e99999999"]]}),
+    "points-integer-digits": (["enum-ranges", "--points", "{in}", "--family", "halfspace"],
+                              b'{"dim": 1, "points": [[' + b"7" * 5000 + b"]]}"),
 }
 
 
@@ -434,7 +446,7 @@ def test_oversized_input_is_refused_before_it_is_built(tmp_path, case):
     # fill the host's memory.
     args, content = OVERSIZED[case]
     if content is not None:
-        (tmp_path / "in.json").write_text(json.dumps(content))
+        (tmp_path / "in.json").write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     out = tmp_path / "out.json"
     (tmp_path / "work").mkdir()  # the bench spec would write results.csv here
     argv = [a.replace("{in}", str(tmp_path / "in.json")) for a in args]

@@ -41,6 +41,21 @@ def test_geometry_contracts():
             bk.random_point_set(d, n, 0)
 
 
+def test_decimal_exponent_is_bounded_before_it_is_built():
+    # Python's digit limit on integer strings (4,300) bounds the exponent's
+    # magnitude, in point coordinates and in every parsed rational.
+    assert bk.PointSet.from_signed_rows(1, [["1e4300"], ["-2.5E-4300"]]).points == (
+        (Fraction(10**4300),), (Fraction(-25, 10**4301),),
+    )
+    for text in ("1e4301", "1e-4301", " 3E99999999 "):
+        with pytest.raises(bk.ResourceBudgetError, match="decimal exponent magnitude [0-9]+ exceeds the limit 4300$"):
+            bk.PointSet.from_signed_rows(1, [[text]])
+        with pytest.raises(bk.ResourceBudgetError, match="exceeds the limit 4300$"):
+            parse_fraction(text, name="eps")
+    with pytest.raises(bk.InputError, match="cannot parse rational"):
+        parse_fraction("1e5e5", name="eps")
+
+
 def test_packing_contracts(sys4):
     with pytest.raises(bk.InputError):
         bk.greedy_delta_packing(sys4, -1)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import bracketkit as bk
 from bracketkit.bitsets import mask_from_indices
 from bracketkit.geometry import (
-    _affine_interpolant,
     _boundary_masks,
+    _cofactor_normal,
+    _det,
     _halfspace_sides,
     _int_points,
     _planar_sweep_sides,
@@ -154,13 +155,97 @@ def test_halfspace_degeneracy_errors():
         bk.enumerate_halfspace_ranges(collinear)
 
 
-def test_halfspace_enumeration_refuses_dimension_five():
-    # Hyperplane normals are cofactors up to d = 4; the degree-2 lift of
-    # planar points has d = 5.
-    lifted = bk.veronese_lift(bk.random_point_set(2, 8, 3), 2)
+def fraction_det(m):
+    """Determinant by Gaussian elimination over Fractions: the reference
+    ``_det`` is checked against."""
+    m = [[Fraction(v) for v in row] for row in m]
+    det = Fraction(1)
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for row in m[k + 1:]:
+            factor = row[k] / m[k][k]
+            row[k:] = [a - factor * b for a, b in zip(row[k:], m[k][k:])]
+    return det
+
+
+# Small entries make singular matrices and zero pivots common; large ones
+# reach 2^40.
+_det_entries = st.integers(-2, 2) | st.integers(-(1 << 40), 1 << 40)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square integer matrices of order 0 to 6; some made singular (the last
+    row a combination of the first two) or with a zero leading pivot."""
+    order = draw(st.integers(0, 6))
+    m = draw(st.lists(st.lists(_det_entries, min_size=order, max_size=order), min_size=order, max_size=order))
+    kind = draw(st.sampled_from(["any", "singular", "zero pivot"]))
+    if kind == "singular" and order >= 2:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    if kind == "zero pivot" and order:
+        m[0][0] = 0
+    return m
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+def test_det_matches_fraction_elimination(m):
+    before = [row[:] for row in m]
+    assert _det(m) == fraction_det(m)
+    assert m == before
+
+
+def closed_form_normal(rows, dim):
+    """The hyperplane normals written out per dimension, for d = 1 to 4."""
+    if dim == 1:
+        return (1,)
+    if dim == 2:
+        (rx, ry), = rows
+        return (-ry, rx)
+    if dim == 3:
+        (a, b, c), (d, e, f) = rows
+        return (b * f - c * e, c * d - a * f, a * e - b * d)
+
+    def det3(m):
+        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+    return tuple((-1) ** drop * det3([[row[j] for j in range(4) if j != drop] for row in rows]) for drop in range(4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[_det_entries] * d), min_size=d - 1, max_size=d - 1))
+))
+def test_cofactor_normal_matches_closed_forms(case):
+    # d = 1 to 3 are the sweep's and the old scan's normals exactly; d = 4
+    # comes out negated, which changes no range: both sides are yielded.
+    dim, rows = case
+    want = closed_form_normal(rows, dim)
+    assert _cofactor_normal(rows, dim) == (want if dim < 4 else tuple(-v for v in want))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_halfspaces_of_the_degree_two_planar_lift(n):
+    # The degree-2 lift of planar points has d = 5: its halfspaces are the
+    # conic traces of the original points.
+    lifted = bk.veronese_lift(bk.random_point_set(2, n, 3), 2)
     assert lifted.dim == 5
-    with pytest.raises(bk.InputError, match="hyperplane enumeration unsupported in dimension 5"):
-        bk.enumerate_halfspace_ranges(lifted)
+    assert set(bk.enumerate_halfspace_ranges(lifted).ranges) == oracle_halfspace_masks(lifted)
+
+
+def test_ball_oracle_equivalence_in_four_dimensions():
+    # 4-D balls lift to halfspaces in d = 5.
+    pts = bk.random_point_set(4, 7, 5)
+    assert set(bk.enumerate_ball_ranges(pts).ranges) == oracle_ball_masks(pts)
 
 
 def test_range_counts_monotone_under_points():
@@ -265,6 +350,40 @@ def test_monomial_exponents_match_recursive_order(dim):
         assert bk.geometry.monomial_exponents(dim, degree) == want
 
 
+def _affine_interpolant(int_pts, targets, dim):
+    """(u, c) with u.p + c = targets[k] exactly at the k-th point.
+
+    Points come as (integer coordinates, denominator) pairs, so the k-th row
+    is (coordinates, denominator | target * denominator).  Gauss-Jordan
+    elimination over Fractions, free variables pinned to 0.  Whatever the
+    targets, affinely dependent points raise DegeneracyError.
+    """
+    rows = [[Fraction(v) for v in num] + [Fraction(den), Fraction(t * den)]
+            for (num, den), t in zip(int_pts, targets)]
+    pivots = []
+    for col in range(dim + 1):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((k for k in range(r, len(rows)) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        lead = rows[r][col]
+        rows[r] = [v / lead for v in rows[r]]
+        for k, row in enumerate(rows):
+            factor = row[col]
+            if k != r and factor:
+                rows[k] = [a - factor * b for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    if len(pivots) < len(rows):
+        raise bk.DegeneracyError("points are affinely dependent")
+    solution = [Fraction(0)] * (dim + 1)
+    for row, col in zip(rows, pivots):
+        solution[col] = row[-1]
+    return solution[:dim], solution[dim]
+
+
 @dataclass(frozen=True)
 class LinearQuery:
     """Affine query normal.x >= offset."""
@@ -353,7 +472,7 @@ def test_halfspace_witnesses_match(collinear4):
         assert got == mask
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7])
 def test_halfspace_witnesses_realize_every_range(d, n):
     # A small integer grid plus fine jitter: near-degenerate points with mixed
@@ -414,6 +533,20 @@ def test_polytope_budget(monkeypatch):
     monkeypatch.setattr(bk.geometry, "MAX_POLYTOPE_RANGES", 10)
     with pytest.raises(bk.ResourceBudgetError, match="polytope range count [0-9]+ exceeds the limit 10$"):
         bk.enumerate_polytope_ranges(pts, 3)
+
+
+def test_halfspace_budgets(monkeypatch):
+    # With n <= d points the 2^n boundary subsets are counted; above d = 4
+    # each spanning tuple counts 2^(d-4) times: C(6, 5) * 2 = 12.
+    monkeypatch.setattr(bk.geometry, "MAX_SPANNING_TUPLES", 12)
+    assert len(bk.enumerate_halfspace_ranges(bk.random_point_set(3, 3, 1)).ranges) == 8
+    with pytest.raises(bk.ResourceBudgetError, match=r"boundary-subset count 2\^4 = 16 exceeds the limit 12$"):
+        bk.enumerate_halfspace_ranges(bk.random_point_set(4, 4, 1))
+    pts = bk.random_point_set(5, 6, 1)
+    assert set(bk.enumerate_halfspace_ranges(pts).ranges) == oracle_halfspace_masks(pts)
+    monkeypatch.setattr(bk.geometry, "MAX_SPANNING_TUPLES", 11)
+    with pytest.raises(bk.ResourceBudgetError, match=r"count C\(6, 5\) \* 2\^1 = 12 exceeds the limit 11$"):
+        bk.enumerate_halfspace_ranges(pts)
 
 
 def test_box_candidate_budget(monkeypatch):
