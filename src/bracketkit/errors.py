@@ -30,9 +30,9 @@ class ResourceBudgetError(BracketkitError):
 # 2 s).  A serving-matrix cell costs about 11 bytes at its peak.  A
 # halfspace enumeration counts each spanning d-tuple 2^(d-4) times above
 # d = 4 (its sides yield up to 2^(d+1) ranges, and its normal's minors cost
-# more), so that d = 5 stops at n = 38 and d = 8 at n = 18, near the cost of
-# the largest d = 4 input (n = 72).  Decimal exponents and JSON integer
-# literals are bounded by Python's own limit on integer-string digits.
+# more), so that the largest d = 5 input (n = 38) and d = 8 input (n = 18)
+# cost less than the largest d = 4 one (n = 72).  Decimal exponents and JSON
+# integer literals are bounded by Python's own limit on integer-string digits.
 MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
 MAX_DIM = 64  # coordinates of a point
 MAX_SPANNING_TUPLES = 1 << 20  # weighted C(n, d) hyperplanes, or 2^n subsets of n <= d points
