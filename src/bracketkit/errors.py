@@ -126,13 +126,11 @@ def json_index_mask(indices, what):
     return mask
 
 
-def parse_fraction(value, *, name="value"):
-    """Parse a nonnegative rational given as "p/q", "p", int or Fraction.
+def parse_fraction(value, *, name):
+    """Parse a nonnegative rational given as a "p/q" or "p" string or an int.
 
     A bool is not taken as an int, so a JSON ``true`` is refused."""
-    if isinstance(value, Fraction):
-        frac = value
-    elif type(value) is int:
+    if type(value) is int:
         frac = Fraction(value)
     elif isinstance(value, str):
         try:

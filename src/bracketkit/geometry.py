@@ -81,12 +81,14 @@ class PointSet:
 
     @staticmethod
     def from_json(text):
-        return parse_json_object(
-            text, "point set JSON",
-            lambda data: PointSet.from_signed_rows(
-                json_int(data["dim"], "point set JSON: dim", 1, MAX_DIM), data["points"]
-            ),
-        )
+        def parse(data):
+            dim = json_int(data["dim"], "point set JSON: dim", 1, MAX_DIM)
+            rows = data["points"]  # a string would be read one character per item
+            if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+                raise InputError("point set JSON: points must be a list of coordinate lists")
+            return PointSet.from_signed_rows(dim, rows)
+
+        return parse_json_object(text, "point set JSON", parse)
 
 
 def _int_points(pts):
@@ -434,16 +436,16 @@ def _sphere_points(n):
     return PointSet(3, tuple(rows))
 
 
-def random_point_set(d, n, seed, coord_bits=31):
-    """Seeded integer-coordinate points (distinct); general position is likely
-    but not guaranteed — enumerators raise DegeneracyError when it fails."""
+def random_point_set(d, n, seed):
+    """Seeded distinct points of the grid [0, 2^31)^d, which n <= MAX_GROUND_SET
+    never exhausts; general position is likely but not guaranteed —
+    enumerators raise DegeneracyError when it fails."""
     _check_generator_size(d, n)
     rng = random.Random(seed)
     seen = set()
     rows = []
-    bound = 1 << coord_bits
     while len(rows) < n:
-        p = tuple(Fraction(rng.randrange(bound)) for _ in range(d))
+        p = tuple(Fraction(rng.randrange(1 << 31)) for _ in range(d))
         if p not in seen:
             seen.add(p)
             rows.append(p)

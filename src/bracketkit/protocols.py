@@ -21,9 +21,6 @@ from .errors import InputError, InternalInvariantError, NonRealizableError
 from .geometry import PointSet, enumerate_halfspace_ranges
 from .lp import solve_equality_feasibility
 
-DEFAULT_EPS0 = Fraction(1, 8)
-
-
 @dataclass(frozen=True)
 class LearningInstance:
     """Labeled examples split between the parties; labels are +1/-1 on domain
@@ -88,8 +85,6 @@ class Classifier:
 class SharedContext:
     """State both parties can derive on their own: range family + hypothesis list."""
 
-    domain: PointSet
-    eps0: Fraction
     system: object
     hypotheses: tuple
     cover_count: int
@@ -103,7 +98,7 @@ def shared_protocol_context(domain, eps0):
     # their canonical order, as the consistency fallback.
     seen = set(covers)
     hypotheses = covers + tuple(m for m in system.ranges if m not in seen)
-    return SharedContext(domain, Fraction(eps0), system, hypotheses, len(covers))
+    return SharedContext(system, hypotheses, len(covers))
 
 
 def _index_cost(n):
@@ -124,26 +119,30 @@ def _first_error(examples, cover, witness_range):
     return None
 
 
-def _pick_hypothesis(ctx, pos, neg, consistent):
-    """First hypothesis consistent with the labels that contains a consistent
-    range, and the first such range (``consistent`` is in canonical order).
+def _pick_hypothesis(covers, consistent):
+    """First consistent cover that contains a consistent range, and the first
+    such range (``covers`` is in hypothesis order, ``consistent`` canonical).
 
     Only the cover block needs a search: when no cover qualifies, no
     consistent range is a cover, so the first consistent range is the first
     consistent hypothesis of the fallback block and its own first witness.
     """
-    for candidate in ctx.hypotheses[: ctx.cover_count]:
-        if (pos & candidate) == pos and (neg & candidate) == 0:
-            for r in consistent:
-                if (r & candidate) == r:
-                    return candidate, r
+    for candidate in covers:
+        for r in consistent:
+            if (r & candidate) == r:
+                return candidate, r
     return consistent[0], consistent[0]
 
 
 def _run_learning(domain, alice, bob, eps0):
+    """Learning rounds.  The parties keep the ranges and the covers that are
+    consistent with the labels so far, and filter both, in order, at each
+    counterexample.  The picks are those of re-testing every mask against
+    all labels each round: labels only accumulate, the filter keeps
+    canonical order, a cover qualifies exactly when it survives, and the
+    protocol aborts exactly when the range list is empty."""
     ctx = shared_protocol_context(domain, Fraction(eps0))
     n = domain.n
-    ranges = ctx.system.ranges
     alice = tuple(sorted(alice))
     bob = tuple(sorted(bob))
     for idx, label in alice + bob:
@@ -152,29 +151,26 @@ def _run_learning(domain, alice, bob, eps0):
         if label not in (1, -1):
             raise InputError(f"label must be +1 or -1, got {label}")
     ce_cost = _index_cost(n) + 1
-    pos = 0
-    neg = 0
+    consistent = list(ctx.system.ranges)
+    covers = list(ctx.hypotheses[: ctx.cover_count])
     history = []
     messages = []
     for _ in range(2 * n + 2):
-        consistent = [r for r in ranges if (pos & r) == pos and (neg & r) == 0]
         if not consistent:
             raise NonRealizableError(
                 "no halfspace range is consistent with the exchanged examples",
                 certificate=history,
                 transcript=Transcript(tuple(messages)),
             )
-        cover, witness_range = _pick_hypothesis(ctx, pos, neg, consistent)
+        cover, witness_range = _pick_hypothesis(covers, consistent)
         for sender, examples in (("alice", alice), ("bob", bob)):
             error = _first_error(examples, cover, witness_range)
             if error is not None:
                 messages.append(Message(sender, "counterexample", list(error), ce_cost))
                 history.append(error)
                 idx, label = error
-                if label > 0:
-                    pos |= 1 << idx
-                else:
-                    neg |= 1 << idx
+                consistent, covers = ([m for m in masks if (m >> idx & 1) == (label > 0)]
+                                      for masks in (consistent, covers))
                 break
             messages.append(Message(sender, "ok", None, 1))
         else:
@@ -182,15 +178,15 @@ def _run_learning(domain, alice, bob, eps0):
     raise InternalInvariantError("protocol did not terminate within its round budget")
 
 
-def learn_halfspace_protocol(inst, eps0=DEFAULT_EPS0):
+def learn_halfspace_protocol(inst, eps0):
     """Counterexample-driven search over the shared hypothesis list.
 
-    Each round both parties deterministically select the first hypothesis
-    consistent with the exchanged labeled set (and containing a consistent
-    halfspace range); Alice then Bob either send their lowest-index
-    counterexample or a 1-bit OK.  Two OKs terminate.  Raises
-    NonRealizableError (with the inconsistent subset as certificate) when no
-    consistent hypothesis exists.
+    Each round both parties select the first hypothesis consistent with the
+    exchanged labeled set that contains a consistent halfspace range (the
+    consistent lists narrow as labels arrive); Alice then Bob either send
+    their lowest-index counterexample or a 1-bit OK.  Two OKs terminate.
+    Raises NonRealizableError (with the inconsistent subset as certificate)
+    when no consistent range is left.
 
     The pick is not a halving step: nothing bounds how many consistent
     ranges a counterexample removes.  The only proven bound is the loop's
@@ -203,7 +199,7 @@ def learn_halfspace_protocol(inst, eps0=DEFAULT_EPS0):
     return Classifier(cover, inst.domain.n), transcript
 
 
-def convex_disjointness_protocol(inst, eps0=DEFAULT_EPS0):
+def convex_disjointness_protocol(inst, eps0):
     """Decide whether the parties' convex hulls intersect.
 
     Runs the learning protocol on the induced labeling (Alice +1, Bob -1).
@@ -308,7 +304,7 @@ def realizable_learning_instance(domain, seed, labeled_share=0.8):
     return LearningInstance(domain, tuple(alice), tuple(bob))
 
 
-def random_disjointness_instance(domain, seed, share=0.3):
+def random_disjointness_instance(domain, seed):
     """Seeded disjointness instance; parties get random disjoint index sets
     (occasionally overlapping to exercise the trivially-intersecting path)."""
     rng = random.Random(seed)
@@ -316,11 +312,11 @@ def random_disjointness_instance(domain, seed, share=0.3):
     bob = []
     for i in range(domain.n):
         roll = rng.random()
-        if roll < share / 2:
+        if roll < 0.15:
             alice.append(i)
-        elif roll < share:
+        elif roll < 0.3:
             bob.append(i)
-        elif roll < share * 1.05:
+        elif roll < 0.315:
             alice.append(i)
             bob.append(i)
     return DisjointnessInstance(domain, tuple(alice), tuple(bob))

@@ -49,6 +49,14 @@ def test_verify_failure_exit_code(tmp_path):
     assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 1
 
 
+def test_verify_takes_an_int_epsilon(tmp_path):
+    system = tmp_path / "sys.json"
+    fam = tmp_path / "fam.json"
+    system.write_text(json.dumps({"n": 4, "ranges": [[0, 1], [2]]}))
+    fam.write_text(json.dumps({"kind": "container", "params": {"epsilon": 1}, "sets": [[0, 1, 2, 3]]}))
+    assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
+
+
 def test_usage_error_exit_code(tmp_path):
     assert run_cli(["enum-ranges", "--points", str(tmp_path / "missing.json"),
                     "--family", "halfspace", "--out", str(tmp_path / "o.json")]) == 2
@@ -87,6 +95,9 @@ MALFORMED = {
     "system-top-level-list": ("container", "system", [[0, 1]]),
     "points-missing-dim": ("enum-ranges", "points", {"points": [["0"]]}),
     "points-non-numeric": ("enum-ranges", "points", {"dim": 1, "points": [["zero"], ["1"]]}),
+    # A string is not read one coordinate (or one point) per character.
+    "points-string-rows": ("enum-ranges", "points", {"dim": 2, "points": ["12", "34", "57"]}),
+    "points-string-list": ("enum-ranges", "points", {"dim": 1, "points": "1234"}),
     "instance-missing-bob": ("protocol-learn", "instance", {"alice": [[0, 1]]}),
     "instance-float-index": ("protocol-learn", "instance", {"alice": [[1.9, 1]], "bob": [[3, -1]]}),
     "instance-fractional-label": ("protocol-learn", "instance", {"alice": [[0, 1]], "bob": [[3, -1.5]]}),
@@ -149,6 +160,8 @@ NAMED = {
     "points-zero-dim": "dim 0",
     "points-negative-dim": "dim -1",
     "points-bool-dim": "dim True",
+    "points-string-rows": "points must be a list of coordinate lists",
+    "points-string-list": "points must be a list of coordinate lists",
     "system-float-n": "n 4.9",
     "system-string-n": "n '4'",
     "spec-float-n": "n 4.5",

@@ -122,7 +122,7 @@ def test_family_contracts(sys4):
 def test_protocol_contracts():
     domain = bk.lower_bound_instance(2, 6, "sphere")
     with pytest.raises(bk.InputError, match="example index 6 outside domain"):
-        bk.learn_halfspace_protocol(bk.LearningInstance(domain, ((6, 1),), ((0, -1),)))
+        bk.learn_halfspace_protocol(bk.LearningInstance(domain, ((6, 1),), ((0, -1),)), Fraction(1, 8))
     with pytest.raises(bk.InputError, match="index 6 outside domain"):
         bk.exact_hull_intersection(domain, [6], [0])
     with pytest.raises(bk.InputError, match="length mismatch"):

@@ -7,6 +7,7 @@ complement.  None of these share code with the arrangement enumeration.
 """
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -472,12 +473,23 @@ def test_halfspace_witnesses_match(collinear4):
         assert got == mask
 
 
+def small_grid_points(d, n, seed):
+    """n distinct seeded points of the integer grid [0, 16)^d."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < n:
+        p = tuple(Fraction(rng.randrange(16)) for _ in range(d))
+        if p not in rows:
+            rows.append(p)
+    return bk.PointSet(d, tuple(rows))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 7])
 def test_halfspace_witnesses_realize_every_range(d, n):
     # A small integer grid plus fine jitter: near-degenerate points with mixed
     # denominators, on which a tilt with K = 1 misses some ranges.
-    pts = bk.jitter_points(bk.random_point_set(d, n, 10 * d + n, coord_bits=4), Fraction(1, 3), n)
+    pts = bk.jitter_points(small_grid_points(d, n, 10 * d + n), Fraction(1, 3), n)
     system, witnesses = halfspace_ranges_with_witnesses(pts)
     assert system == bk.enumerate_halfspace_ranges(pts)
     assert set(witnesses) == set(system.ranges)

@@ -150,11 +150,14 @@ def test_classifier_validation(collinear4):
         bk.learn_halfspace_protocol(bk.LearningInstance(pts, ((0, 2),), ()), EPS0)
 
 
-def _full_list_search(ctx, pos, neg, consistent, tail_picks):
+def _full_list_search(ctx, covers, consistent, tail_picks):
     """Reference search over the whole hypothesis list, cover block and
-    fallback block alike; records whether each pick came from the fallback."""
+    fallback block alike; records whether each pick came from the fallback.
+    A hypothesis is consistent with the labels exactly when it is a
+    surviving cover or a consistent range."""
+    qualified = set(covers) | set(consistent)
     for i, candidate in enumerate(ctx.hypotheses):
-        if (pos & candidate) == pos and (neg & candidate) == 0:
+        if candidate in qualified:
             for r in consistent:
                 if (r & candidate) == r:
                     tail_picks.append(i >= ctx.cover_count)
@@ -174,9 +177,74 @@ def test_cover_block_search_matches_full_list_search(monkeypatch):
 
     expected = runs()
     tail_picks = []
+    ctx = bk.shared_protocol_context(dom, EPS0)
     monkeypatch.setattr(
         protocols, "_pick_hypothesis",
-        lambda ctx, pos, neg, consistent: _full_list_search(ctx, pos, neg, consistent, tail_picks),
+        lambda covers, consistent: _full_list_search(ctx, covers, consistent, tail_picks),
     )
     assert runs() == expected
     assert any(tail_picks), "no round reached the fallback block"
+
+
+def _rebuild_each_round(inst):
+    """The learning rounds with the consistent ranges rebuilt from all
+    exchanged labels every round, and every cover re-tested against them:
+    the classifier mask and transcript JSONL, or the abort's certificate
+    and transcript JSONL."""
+    ctx = bk.shared_protocol_context(inst.domain, EPS0)
+    n = inst.domain.n
+    alice, bob = sorted(inst.alice), sorted(inst.bob)
+    pos = neg = 0
+    history, lines = [], []
+    for _ in range(2 * n + 2):
+        consistent = [r for r in ctx.system.ranges if (pos & r) == pos and (neg & r) == 0]
+        if not consistent:
+            return "abort", tuple(history), "".join(lines)
+        cover, witness = next(
+            ((c, r) for c in ctx.hypotheses[: ctx.cover_count] if (pos & c) == pos and (neg & c) == 0
+             for r in consistent if (r & c) == r),
+            (consistent[0], consistent[0]),
+        )
+        for sender, examples in (("alice", alice), ("bob", bob)):
+            wrong = [(i, label) for i, label in examples
+                     if (label > 0 and not witness >> i & 1) or (label < 0 and cover >> i & 1)]
+            if wrong:
+                idx, label = wrong[0]
+                lines.append(json.dumps({"sender": sender, "kind": "counterexample", "payload": [idx, label],
+                                         "bits": max(n - 1, 0).bit_length() + 1}) + "\n")
+                history.append((idx, label))
+                if label > 0:
+                    pos |= 1 << idx
+                else:
+                    neg |= 1 << idx
+                break
+            lines.append(json.dumps({"sender": sender, "kind": "ok", "payload": None, "bits": 1}) + "\n")
+        else:
+            return "learned", cover, "".join(lines)
+    raise AssertionError("reference did not terminate within its round budget")
+
+
+def _library_run(inst):
+    try:
+        classifier, transcript = bk.learn_halfspace_protocol(inst, EPS0)
+    except bk.NonRealizableError as err:
+        return "abort", err.certificate, err.transcript.to_jsonl()
+    return "learned", classifier.positive_mask, transcript.to_jsonl()
+
+
+@pytest.mark.parametrize("d, n, seed", [(1, 12, 21), (2, 16, 11), (3, 10, 22)])
+def test_narrowed_rounds_match_per_round_rebuild(d, n, seed):
+    dom, _ = general_position_points(d, n, seed)
+    instances = []
+    for s in range(30):
+        instances.append(bk.realizable_learning_instance(dom, s))
+        cut = bk.realizable_learning_instance(dom, 1000 + s, 0.3)
+        labeled = cut.alice + cut.bob
+        instances.append(bk.LearningInstance(dom, tuple(x for x in labeled if x[1] > 0),
+                                             tuple(x for x in labeled if x[1] < 0)))
+        mixed = bk.random_disjointness_instance(dom, s)
+        instances.append(bk.LearningInstance(dom, tuple((i, 1) for i in mixed.alice),
+                                             tuple((j, -1) for j in mixed.bob)))
+    outcomes = [_library_run(inst) for inst in instances]
+    assert outcomes == [_rebuild_each_round(inst) for inst in instances]
+    assert {"abort", "learned"} <= {outcome[0] for outcome in outcomes}
