@@ -27,13 +27,6 @@ import numpy as np
 _WORD = 64
 
 
-def mask_from_indices(indices):
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def indices_from_mask(mask):
     out = []
     while mask:
@@ -75,7 +68,7 @@ def _layout(universe):
 
     The cache has one slot, kept for a ``compress`` and the ``expand`` that
     undoes it on the same universe.  It often misses: the seed-2 n=256
-    protocol context build missed 25,541 of 39,618 lookups (ROADMAP item 3).
+    protocol context build missed 25,541 of 39,618 lookups (ROADMAP item 5).
     """
     pext, pdep = _byte_tables()
     data = universe.to_bytes((universe.bit_length() + 7) // 8, "little")

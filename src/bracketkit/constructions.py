@@ -23,6 +23,7 @@ from .errors import MAX_SERVING_CELLS, InputError, InternalInvariantError, Preco
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
 from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project, size_band
+from .trace import note
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
 HALF = Fraction(1, 2)
@@ -131,7 +132,7 @@ def default_provider():
 # ---------------------------------------------------------------------------
 
 
-def boost_epsilon(system, provider, eps, eta, run_log=None):
+def boost_epsilon(system, provider, eps, eta):
     """Turn the provider's 1/2-threshold Mnets into an eps-threshold Mnet.
 
     Size bands eps_i = (1+eta')^i * eps with eta' = min(1/4, eta/2) are each
@@ -158,10 +159,7 @@ def boost_epsilon(system, provider, eps, eta, run_log=None):
         power *= 1 + eta_p
         t += 1
     bands = [(i, (1 + eta_p) ** i * eps, eta_p * (1 + eta_p) ** i * eps) for i in range(t + 1)]
-    if run_log is not None:
-        run_log.append(
-            {"op": "boost", "eta_prime": eta_p, "t": t, "eps": eps, "eta": eta, "bands": bands}
-        )
+    note(op="boost", eta_prime=eta_p, t=t, eps=eps, eta=eta, bands=bands)
     witness = {}
     for i in range(1, t + 1):
         eps_lo, eps_hi = bands[i - 1][1], bands[i][1]
@@ -263,7 +261,7 @@ def container_to_mnet(system, container, delta0, lam):
 # ---------------------------------------------------------------------------
 
 
-def small_set_container(system, eps, rho, provider, run_log=None):
+def small_set_container(system, eps, rho, provider):
     """rho-slack containers for a family of ranges of size <= eps*n.
 
     At each node (Z, S) the provider builds a heavy Mnet of the complements
@@ -328,10 +326,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
             if child_live:
                 children.append((child_universe, child_live, depth + 1))
         stack.extend(reversed(children))
-    if run_log is not None:
-        run_log.append(
-            {"op": "small-set-container", "eps": eps, "rho": rho, "depth_cap": depth_cap, "max_depth": max_depth}
-        )
+    note(op="small-set-container", eps=eps, rho=rho, depth_cap=depth_cap, max_depth=max_depth)
     fam = make_container(system, covers, eps + rho, witness=witness)
     return _checked(fam, "small_set_container")
 
@@ -341,7 +336,7 @@ def small_set_container(system, eps, rho, provider, run_log=None):
 # ---------------------------------------------------------------------------
 
 
-def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
+def bootstrap_interval_mnet(system, eps, delta, provider):
     """(1-4*eps)-heavy delta-Mnet for the ranges of size in [delta*n, (1+eps)*delta*n].
 
     A maximal packing at separation eps*delta*n groups the band: a range is
@@ -370,11 +365,8 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
         return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
     packing = greedy_delta_packing(band, math.floor(eps * delta * n))
     eps_prime = 3 * eps / (2 + 2 * eps)
-    if run_log is not None:
-        run_log.append(
-            {"op": "bootstrap", "eps": eps, "delta": delta, "eps_prime": eps_prime,
-             "band": (lo_int, hi_int), "packing_size": len(packing.members)}
-        )
+    note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
+         band=(lo_int, hi_int), packing_size=len(packing.members))
     witness = {}
     containers = {}
     for member, group in zip(packing.members, packing.groups):
@@ -388,7 +380,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider, run_log=None):
         local_sys = SetSystem.from_masks(p_size, comps)
         cont = containers.get(local_sys)
         if cont is None:
-            cont = small_set_container(local_sys, eps_prime, eps, provider, run_log=run_log)
+            cont = small_set_container(local_sys, eps_prime, eps, provider)
             containers[local_sys] = cont
         slack_cap = math.floor(cont.eps * p_size)
         pieces_local = []
@@ -447,22 +439,21 @@ class HeavyMnetParams:
         )
 
 
-def heavy_mnet(system, lam, eta, provider, run_log=None):
+def heavy_mnet(system, lam, eta, provider):
     """lam-heavy eta-Mnet for any lam in (0,1): bootstrap each band of the
     geometric size ladder delta_k = (1+ratio)^k * eta and take the union."""
     params = HeavyMnetParams.from_targets(lam, eta, provider.heaviness)
-    if run_log is not None:
-        run_log.append({"op": "heavy-mnet", "params": params})
+    note(op="heavy-mnet", params=params)
     witness = {}
     for delta_k in params.band_deltas:
-        band_fam = bootstrap_interval_mnet(system, params.band_ratio, delta_k, provider, run_log=run_log)
+        band_fam = bootstrap_interval_mnet(system, params.band_ratio, delta_k, provider)
         for mask, piece in band_fam.witness.items():
             witness.setdefault(mask, piece)
     fam = make_mnet(system, witness.values(), lam, eta, witness=witness)
     return _checked(fam, "heavy_mnet")
 
 
-def build_container(system, eps, provider_complement, run_log=None):
+def build_container(system, eps, provider_complement):
     """eps-container: {X} for the big ranges, small-set containers for ranges
     up to (eps/2)*n, and complements of a (1-eps)-heavy eps-Mnet of the
     complement family for everything of size at most (1-eps)*n."""
@@ -476,9 +467,9 @@ def build_container(system, eps, provider_complement, run_log=None):
     big_at = math.ceil((1 - eps) * n)
     small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
     if small_sys.ranges:
-        c1 = small_set_container(small_sys, eps / 2, eps / 2, provider_complement, run_log=run_log)
+        c1 = small_set_container(small_sys, eps / 2, eps / 2, provider_complement)
         covers.extend(c1.covers)
-    mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement, run_log=run_log)
+    mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement)
     for mask in system.ranges:
         if mask.bit_count() >= big_at:
             witness[mask] = full
@@ -489,7 +480,7 @@ def build_container(system, eps, provider_complement, run_log=None):
     return _checked(make_container(system, covers, eps, witness=witness), "build_container")
 
 
-def build_bracket(system, eps, provider, provider_complement, run_log=None):
+def build_bracket(system, eps, provider, provider_complement):
     """eps-uniform bracket: upper sets from an (eps/2)-container, lower sets
     from a (1-eps/2)-heavy (eps/2)-Mnet of the system itself (empty set for
     ranges of size at most (eps/2)*n)."""
@@ -497,8 +488,8 @@ def build_bracket(system, eps, provider, provider_complement, run_log=None):
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     n = system.n
-    cont = build_container(system, eps / 2, provider_complement, run_log=run_log)
-    mfam = heavy_mnet(system, 1 - eps / 2, eps / 2, provider, run_log=run_log)
+    cont = build_container(system, eps / 2, provider_complement)
+    mfam = heavy_mnet(system, 1 - eps / 2, eps / 2, provider)
     small_at = math.floor(eps / 2 * Fraction(n))
     sets = [0]
     pairing = {}

@@ -101,6 +101,14 @@ def shared_protocol_context(domain, eps0):
     return SharedContext(system, hypotheses, len(covers))
 
 
+def _check_index(i, n, what):
+    """Refuse ``i`` unless it is an int (a bool is not) in [0, n)."""
+    if type(i) is not int:
+        raise InputError(f"{what} {i!r} is not an integer")
+    if not 0 <= i < n:
+        raise InputError(f"{what} {i} outside domain")
+
+
 def _index_cost(n):
     """Bits to name one of n items: ceil(log2(n)), and 0 for n <= 1."""
     return max(n - 1, 0).bit_length()
@@ -140,16 +148,17 @@ def _run_learning(domain, alice, bob, eps0):
     counterexample.  The picks are those of re-testing every mask against
     all labels each round: labels only accumulate, the filter keeps
     canonical order, a cover qualifies exactly when it survives, and the
-    protocol aborts exactly when the range list is empty."""
-    ctx = shared_protocol_context(domain, Fraction(eps0))
+    protocol aborts exactly when the range list is empty.  The examples are
+    checked, in the given order, before any sorting or context work."""
     n = domain.n
+    alice, bob = tuple(alice), tuple(bob)
+    for idx, label in alice + bob:
+        _check_index(idx, n, "example index")
+        if type(label) is not int or label not in (1, -1):
+            raise InputError(f"label must be +1 or -1, got {label}")
     alice = tuple(sorted(alice))
     bob = tuple(sorted(bob))
-    for idx, label in alice + bob:
-        if not 0 <= idx < n:
-            raise InputError(f"example index {idx} outside domain")
-        if label not in (1, -1):
-            raise InputError(f"label must be +1 or -1, got {label}")
+    ctx = shared_protocol_context(domain, Fraction(eps0))
     ce_cost = _index_cost(n) + 1
     consistent = list(ctx.system.ranges)
     covers = list(ctx.hypotheses[: ctx.cover_count])
@@ -207,8 +216,8 @@ def convex_disjointness_protocol(inst, eps0):
     hulls intersect; termination yields a separating range inside the agreed
     cover, announced as a family index, i.e. the hulls are disjoint.
     """
-    alice = tuple((i, 1) for i in sorted(set(inst.alice)))
-    bob = tuple((j, -1) for j in sorted(set(inst.bob)))
+    alice = tuple((i, 1) for i in inst.alice)
+    bob = tuple((j, -1) for j in inst.bob)
     try:
         ctx, cover, transcript = _run_learning(inst.domain, alice, bob, eps0)
     except NonRealizableError as err:
@@ -234,13 +243,16 @@ class HullResult:
 
 
 def exact_hull_intersection(domain, a, b):
-    """Decide conv(a-points) cap conv(b-points) by exact LP feasibility."""
+    """Decide conv(a-points) cap conv(b-points) by exact LP feasibility.
+
+    Every index must be an int (a bool is not) in [0, domain.n); the first
+    one that is not, in the given order, is refused with InputError."""
+    a, b = tuple(a), tuple(b)
+    for i in a + b:
+        _check_index(i, domain.n, "index")
     a = sorted(set(a))
     b = sorted(set(b))
     d = domain.dim
-    for i in a + b:
-        if not 0 <= i < domain.n:
-            raise InputError(f"index {i} outside domain")
     e1 = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(d))
     if not a or not b:
         if not a and not b:

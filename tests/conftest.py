@@ -1,7 +1,6 @@
 import pytest
 
 import bracketkit as bk
-from bracketkit.bitsets import mask_from_indices
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +25,14 @@ def general_position_points(d, n, seed):
             continue
         return pts, system
     raise AssertionError("could not draw a general-position instance")
+
+
+def mask_from_indices(indices):
+    """The bitmask with the bits at ``indices`` set."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def system_from_sets(n, sets):

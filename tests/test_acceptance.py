@@ -15,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 import bracketkit as bk
-from bracketkit.bitsets import mask_from_indices
+from bracketkit import trace
 
-from conftest import general_position_points
+from conftest import general_position_points, mask_from_indices
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
 
 HALF = Fraction(1, 2)
@@ -171,9 +171,9 @@ def test_criterion_03_boosting(circle40):
     ok = True
     details = []
     for eps in (Fraction(1, 5), Fraction(3, 10)):
-        log = []
         provider = bk.default_provider()
-        fam = bk.boost_epsilon(system, provider, eps, eta, run_log=log)
+        with trace.recording() as log:
+            fam = bk.boost_epsilon(system, provider, eps, eta)
         assert fam.lam == provider.heaviness * (1 - eta) == Fraction(1, 4)
         assert bk.verify_mnet(system, fam).passed
         entry = log[0]
@@ -405,10 +405,10 @@ def test_criterion_10_formula_spot_checks():
     ok &= abs(params.t0_raw - (1 + math.log(8) / math.log(4 / 3))) < 1e-9
     ok &= params.t0 == 9
     # depth cap enforced and never exceeded across a full construction run
-    log = []
     _, system = general_position_points(2, 12, 901)
-    bk.build_container(system, Fraction(1, 4), bk.default_provider(), run_log=log)
-    bk.heavy_mnet(system, Fraction(3, 4), Fraction(1, 4), bk.default_provider(), run_log=log)
+    with trace.recording() as log:
+        bk.build_container(system, Fraction(1, 4), bk.default_provider())
+        bk.heavy_mnet(system, Fraction(3, 4), Fraction(1, 4), bk.default_provider())
     ssc_entries = [e for e in log if e["op"] == "small-set-container"]
     ok &= bool(ssc_entries)
     ok &= all(e["max_depth"] <= e["depth_cap"] for e in ssc_entries)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit import constructions
+from bracketkit import constructions, trace
 from bracketkit.setsystem import size_band
 
 from conftest import general_position_points, mask_set, system_from_sets
@@ -124,20 +124,20 @@ def test_provider_sizes_trend_with_inverse_eps():
 
 def test_boost_eta_prime_values():
     # eta' = min(1/4, eta/2)
-    log = []
     pts, system = general_position_points(2, 8, 31)
-    bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 2), Fraction(9, 10), run_log=log)
+    with trace.recording() as log:
+        bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 2), Fraction(9, 10))
     assert log[0]["eta_prime"] == Fraction(1, 4)
-    log2 = []
-    bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 2), Fraction(3, 10), run_log=log2)
+    with trace.recording() as log2:
+        bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 2), Fraction(3, 10))
     assert log2[0]["eta_prime"] == Fraction(3, 20)
 
 
 def test_boost_band_parameters_match_formulas():
-    log = []
     pts, system = general_position_points(2, 8, 32)
     eps, eta = Fraction(1, 4), Fraction(1, 2)
-    bk.boost_epsilon(system, bk.default_provider(), eps, eta, run_log=log)
+    with trace.recording() as log:
+        bk.boost_epsilon(system, bk.default_provider(), eps, eta)
     entry = log[0]
     eta_p = entry["eta_prime"]
     assert eta_p == min(Fraction(1, 4), eta / 2)
@@ -221,9 +221,9 @@ def test_duality_round_trip_random():
 
 def test_small_set_container_depth_cap_example():
     # heaviness 1/2, eps 1/4: cap = ceil(1 + ln4/ln(4/3)) = 6
-    log = []
     one = system_from_sets(8, [(0,)])
-    bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider(), run_log=log)
+    with trace.recording() as log:
+        bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider())
     entry = log[-1]
     assert entry["depth_cap"] == 6
     assert entry["max_depth"] <= 6
@@ -265,9 +265,9 @@ def test_small_set_container_actual_slack_at_most_rho():
 def test_bootstrap_eps_prime_values():
     assert 3 * Fraction(1, 2) / (2 + 2 * Fraction(1, 2)) == Fraction(1, 2)
     assert 3 * Fraction(1, 5) / (2 + 2 * Fraction(1, 5)) == Fraction(1, 4)
-    log = []
     pts, system = general_position_points(2, 10, 33)
-    bk.bootstrap_interval_mnet(system, Fraction(1, 5), Fraction(1, 2), bk.default_provider(), run_log=log)
+    with trace.recording() as log:
+        bk.bootstrap_interval_mnet(system, Fraction(1, 5), Fraction(1, 2), bk.default_provider())
     entries = [e for e in log if e["op"] == "bootstrap"]
     assert entries[0]["eps_prime"] == Fraction(1, 4)
 

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.bitsets import mask_from_indices
 from bracketkit.geometry import (
     _boundary_masks,
     _cofactor_normal,
@@ -27,7 +26,7 @@ from bracketkit.geometry import (
     _spanning_tuple_sides,
 )
 
-from conftest import general_position_points
+from conftest import general_position_points, mask_from_indices
 from naive_checks import feasible_with_inequalities
 
 

@@ -150,6 +150,48 @@ def test_classifier_validation(collinear4):
         bk.learn_halfspace_protocol(bk.LearningInstance(pts, ((0, 2),), ()), EPS0)
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "1", None])
+def test_non_int_index_is_refused(collinear4, bad):
+    pts, _ = collinear4
+    with pytest.raises(bk.InputError, match="example index .* is not an integer"):
+        bk.learn_halfspace_protocol(bk.LearningInstance(pts, ((0, 1), (bad, 1)), ()), EPS0)
+    with pytest.raises(bk.InputError, match="example index .* is not an integer"):
+        bk.convex_disjointness_protocol(bk.DisjointnessInstance(pts, (0,), (bad, 3)), EPS0)
+    with pytest.raises(bk.InputError, match="index .* is not an integer"):
+        bk.exact_hull_intersection(pts, [0], [bad, 3])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_non_int_label_is_refused(collinear4, bad):
+    pts, _ = collinear4
+    with pytest.raises(bk.InputError, match="label must be \\+1 or -1"):
+        bk.learn_halfspace_protocol(bk.LearningInstance(pts, ((0, bad),), ()), EPS0)
+
+
+def test_bad_examples_are_refused_before_the_context(monkeypatch):
+    calls = []
+    enumerate_ranges = protocols.enumerate_halfspace_ranges
+    monkeypatch.setattr(
+        protocols, "enumerate_halfspace_ranges", lambda domain: calls.append(domain) or enumerate_ranges(domain)
+    )
+    protocols.shared_protocol_context.cache_clear()
+    dom = bk.random_point_set(2, 16, 11000)
+    refused = [
+        (bk.LearningInstance(dom, ((0, 1), (999, 1)), ()), "example index 999 outside domain"),
+        (bk.LearningInstance(dom, (), ((-1, -1),)), "example index -1 outside domain"),
+        (bk.LearningInstance(dom, ((0, 2),), ()), "label must be \\+1 or -1, got 2"),
+        (bk.LearningInstance(dom, ((1, 1), ("a", 1)), ()), "example index 'a' is not an integer"),
+    ]
+    for inst, message in refused:
+        with pytest.raises(bk.InputError, match=message):
+            bk.learn_halfspace_protocol(inst, EPS0)
+    with pytest.raises(bk.InputError, match="example index 16 outside domain"):
+        bk.convex_disjointness_protocol(bk.DisjointnessInstance(dom, (16,), (0,)), EPS0)
+    assert calls == []
+    bk.learn_halfspace_protocol(bk.LearningInstance(dom, ((0, 1),), ()), EPS0)
+    assert calls == [dom]
+
+
 def _full_list_search(ctx, covers, consistent, tail_picks):
     """Reference search over the whole hypothesis list, cover block and
     fallback block alike; records whether each pick came from the fallback.

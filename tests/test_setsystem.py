@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.bitsets import mask_from_indices, pack_masks, symdiff_counts
+from bracketkit.bitsets import pack_masks, symdiff_counts
 from bracketkit.setsystem import _reversed_mask, canonical_key, size_band
 
-from conftest import masks_as_sets, system_from_sets
+from conftest import mask_from_indices, masks_as_sets, system_from_sets
 
 
 def test_canonical_order_matches_tuple_definition():
