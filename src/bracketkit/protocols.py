@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .constructions import build_container, default_provider
-from .errors import InputError, InternalInvariantError, NonRealizableError
+from .errors import InputError, InternalInvariantError, NonRealizableError, json_int
 from .geometry import PointSet, enumerate_halfspace_ranges
 from .lp import solve_equality_feasibility
 
@@ -103,9 +103,7 @@ def shared_protocol_context(domain, eps0):
 
 def _check_index(i, n, what):
     """Refuse ``i`` unless it is an int (a bool is not) in [0, n)."""
-    if type(i) is not int:
-        raise InputError(f"{what} {i!r} is not an integer")
-    if not 0 <= i < n:
+    if not 0 <= json_int(i, what) < n:
         raise InputError(f"{what} {i} outside domain")
 
 
