@@ -34,7 +34,6 @@ from .errors import (
     InputError,
     NonRealizableError,
     ResourceBudgetError,
-    json_index,
     json_int,
     parse_fraction,
     parse_json_object,
@@ -219,21 +218,13 @@ def cmd_verify(args):
     return 1
 
 
-def _example(example, what):
-    """A JSON ``[index, label]`` pair; the label must be exactly 1 or -1."""
-    i, label = example
-    if type(label) is not int or label not in (1, -1):
-        raise InputError(f"{what}: label {label!r} is not +1 or -1")
-    return json_index(i, what), label
-
-
-def _protocol_input(args, what, item, instance_type):
-    """The domain, the instance whose two sides are lists of ``item``, and
-    eps0, for protocol-learn and protocol-disjoint."""
+def _protocol_input(args, what, instance_type):
+    """The domain, the instance and eps0, for protocol-learn and
+    protocol-disjoint.  Each side's JSON list is passed through as a tuple:
+    the protocol functions refuse a malformed item before any work."""
     domain = _load_points(args.points)
     alice, bob = parse_json_object(
-        _read(args.instance), what,
-        lambda data: [tuple(item(e, what) for e in data[side]) for side in ("alice", "bob")],
+        _read(args.instance), what, lambda data: [tuple(data[side]) for side in ("alice", "bob")],
     )
     return instance_type(domain, alice, bob), parse_fraction(args.eps0, name="eps0")
 
@@ -255,7 +246,7 @@ def _protocol_output(args, transcript, correct, line):
 
 
 def cmd_protocol_learn(args):
-    inst, eps0 = _protocol_input(args, "learning instance JSON", _example, LearningInstance)
+    inst, eps0 = _protocol_input(args, "learning instance JSON", LearningInstance)
     try:
         classifier, transcript = learn_halfspace_protocol(inst, eps0)
     except NonRealizableError as err:
@@ -268,7 +259,7 @@ def cmd_protocol_learn(args):
 
 
 def cmd_protocol_disjoint(args):
-    inst, eps0 = _protocol_input(args, "disjointness instance JSON", json_index, DisjointnessInstance)
+    inst, eps0 = _protocol_input(args, "disjointness instance JSON", DisjointnessInstance)
     answer, transcript = convex_disjointness_protocol(inst, eps0)
     correct = (answer == "intersecting") == exact_hull_intersection(inst.domain, inst.alice, inst.bob).intersecting
     return _protocol_output(

@@ -278,9 +278,8 @@ def small_set_container(system, eps, rho, provider):
         raise InputError(f"need 0 < rho <= eps < 1, got rho={rho}, eps={eps}")
     n = system.n
     size_cap = math.floor(eps * n)
-    for mask in system.ranges:
-        if mask.bit_count() > size_cap:
-            raise InputError("a base range exceeds eps*n; small-set containers do not apply")
+    if size_band(system.ranges, size_cap + 1, n):
+        raise InputError("a base range exceeds eps*n; small-set containers do not apply")
     Lam = provider.heaviness
     shrink = 1 - Lam * rho / (eps + rho)
     depth_cap = math.ceil(1 + math.log(1 / eps) / math.log(1 / float(1 - Lam / 2)))

@@ -67,30 +67,16 @@ def make_bracket(base, sets, eps, pairing=None):
 
 def family_to_json(family):
     if isinstance(family, MnetFamily):
-        payload = {
-            "kind": "mnet",
-            "params": {
-                "lambda": str(family.lam),
-                "epsilon": str(family.eps),
-            },
-            "sets": [list(indices_from_mask(m)) for m in family.pieces],
-        }
+        kind, params, sets = "mnet", {"lambda": str(family.lam), "epsilon": str(family.eps)}, family.pieces
     elif isinstance(family, ContainerFamily):
-        payload = {
-            "kind": "container",
-            "params": {"epsilon": str(family.eps)},
-            "sets": [list(indices_from_mask(m)) for m in family.covers],
-        }
+        kind, params, sets = "container", {"epsilon": str(family.eps)}, family.covers
     elif isinstance(family, BracketFamily):
-        payload = {
-            "kind": "bracket",
-            "params": {"epsilon": str(family.eps)},
-            "sets": [list(indices_from_mask(m)) for m in family.sets],
-        }
-        if family.pairing is not None:
-            payload["pairing"] = _pairing_to_positions(family)
+        kind, params, sets = "bracket", {"epsilon": str(family.eps)}, family.sets
     else:
         raise InputError(f"unknown family type {type(family).__name__}")
+    payload = {"kind": kind, "params": params, "sets": [list(indices_from_mask(m)) for m in sets]}
+    if kind == "bracket" and family.pairing is not None:
+        payload["pairing"] = _pairing_to_positions(family)
     return json.dumps(payload)
 
 

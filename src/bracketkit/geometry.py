@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from operator import or_
 
 from .errors import (
@@ -384,16 +384,11 @@ def lower_bound_instance(d, n, kind):
         return PointSet(d, tuple(rows))
     if kind == "grid":
         # For d = 1 the side is n, which puts point i at coordinate i.
+        # ``product`` varies the last coordinate fastest, so each cell is
+        # reversed to vary the first.
         side = max(1, math.ceil(n ** (1.0 / d)))
-        rows = []
-        for flat in range(n):
-            coords = []
-            rem = flat
-            for _ in range(d):
-                coords.append(Fraction(rem % side))
-                rem //= side
-            rows.append(tuple(coords))
-        return PointSet(d, tuple(rows))
+        cells = islice(product(range(side), repeat=d), n)
+        return PointSet(d, tuple(tuple(Fraction(c) for c in reversed(cell)) for cell in cells))
     if kind == "sphere":
         if d == 2:
             return _circle_points(n)

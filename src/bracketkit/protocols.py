@@ -34,6 +34,9 @@ class LearningInstance:
 
 @dataclass(frozen=True)
 class DisjointnessInstance:
+    """Domain indices split between the parties; the question is whether the
+    convex hulls of the two point sets intersect."""
+
     domain: PointSet
     alice: tuple
     bob: tuple
@@ -76,8 +79,7 @@ class Classifier:
     n: int
 
     def __call__(self, index):
-        if not 0 <= index < self.n:
-            raise InputError(f"index {index} outside domain of size {self.n}")
+        _check_index(index, self.n, "index")
         return 1 if self.positive_mask >> index & 1 else -1
 
 
@@ -147,15 +149,19 @@ def _run_learning(domain, alice, bob, eps0):
     all labels each round: labels only accumulate, the filter keeps
     canonical order, a cover qualifies exactly when it survives, and the
     protocol aborts exactly when the range list is empty.  The examples are
-    checked, in the given order, before any sorting or context work."""
+    checked, in the given order, before any sorting or context work: each
+    must be a two-item list or tuple of an index and a label."""
     n = domain.n
     alice, bob = tuple(alice), tuple(bob)
-    for idx, label in alice + bob:
+    for example in alice + bob:
+        if not isinstance(example, (list, tuple)) or len(example) != 2:
+            raise InputError(f"example {example!r} is not an [index, label] pair")
+        idx, label = example
         _check_index(idx, n, "example index")
         if type(label) is not int or label not in (1, -1):
             raise InputError(f"label must be +1 or -1, got {label}")
-    alice = tuple(sorted(alice))
-    bob = tuple(sorted(bob))
+    alice = tuple(sorted(map(tuple, alice)))
+    bob = tuple(sorted(map(tuple, bob)))
     ctx = shared_protocol_context(domain, Fraction(eps0))
     ce_cost = _index_cost(n) + 1
     consistent = list(ctx.system.ranges)

@@ -72,17 +72,13 @@ class SetSystem:
     def full_mask(self):
         return (1 << self.n) - 1
 
-    def range_sets(self):
-        """Ranges as sorted index tuples (mainly for json/pretty output)."""
-        return [indices_from_mask(m) for m in self.ranges]
-
     def bool_matrix(self):
         """Ranges as a (num_ranges, n) boolean membership matrix."""
         packed = pack_masks(self.ranges, self.n).view(np.uint8)
         return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(bool)
 
     def to_json(self):
-        return json.dumps({"n": self.n, "ranges": [list(s) for s in self.range_sets()]})
+        return json.dumps({"n": self.n, "ranges": [list(indices_from_mask(m)) for m in self.ranges]})
 
     @staticmethod
     def from_json(text):

@@ -104,6 +104,8 @@ MALFORMED = {
     "instance-float-label": ("protocol-learn", "instance", {"alice": [[0, 1.0]], "bob": [[3, -1]]}),
     "disjoint-instance-string-index": ("protocol-disjoint", "instance", {"alice": ["a"], "bob": [3]}),
     "disjoint-instance-float-index": ("protocol-disjoint", "instance", {"alice": [1.9, 0], "bob": [3]}),
+    "instance-short-example": ("protocol-learn", "instance", {"alice": [[1]], "bob": []}),
+    "instance-bare-index": ("protocol-learn", "instance", {"alice": [5], "bob": []}),
     "spec-top-level-list": ("bench", "spec", [4]),
     "spec-non-numeric-n": ("bench", "spec", {"n": ["four"]}),
     "pairing-not-an-object": ("verify", "family", {**GOOD_INPUTS["family"], "pairing": []}),
@@ -152,6 +154,8 @@ NAMED = {
     "instance-fractional-label": "-1.5",
     "instance-float-label": "1.0",
     "disjoint-instance-float-index": "1.9",
+    "instance-short-example": "example [1] is not an [index, label] pair",
+    "instance-bare-index": "example 5 is not an [index, label] pair",
     "pairing-position-bool": "True",
     "pairing-key-spaced": "' 0 '",
     "pairing-key-plus": "'+0'",

@@ -579,6 +579,11 @@ def test_lower_bound_instances():
     )
     grid = bk.lower_bound_instance(1, 4, "grid")
     assert grid.points == ((Fraction(0),), (Fraction(1),), (Fraction(2),), (Fraction(3),))
+    # The first coordinate varies fastest, on a side of ceil(sqrt(5)) = 3.
+    grid = bk.lower_bound_instance(2, 5, "grid")
+    assert grid.points == tuple(
+        (Fraction(x), Fraction(y)) for x, y in ((0, 0), (1, 0), (2, 0), (0, 1), (1, 1))
+    )
     circle = bk.lower_bound_instance(2, 4, "sphere")
     for p in circle.points:
         assert p[0] ** 2 + p[1] ** 2 == 1  # exactly unit norm

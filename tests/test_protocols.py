@@ -159,6 +159,8 @@ def test_non_int_index_is_refused(collinear4, bad):
         bk.convex_disjointness_protocol(bk.DisjointnessInstance(pts, (0,), (bad, 3)), EPS0)
     with pytest.raises(bk.InputError, match="index .* is not an integer"):
         bk.exact_hull_intersection(pts, [0], [bad, 3])
+    with pytest.raises(bk.InputError, match="index .* is not an integer"):
+        bk.Classifier(0b1, 4)(bad)
 
 
 @pytest.mark.parametrize("bad", [1.0, True, "1"])
@@ -181,6 +183,10 @@ def test_bad_examples_are_refused_before_the_context(monkeypatch):
         (bk.LearningInstance(dom, (), ((-1, -1),)), "example index -1 outside domain"),
         (bk.LearningInstance(dom, ((0, 2),), ()), "label must be \\+1 or -1, got 2"),
         (bk.LearningInstance(dom, ((1, 1), ("a", 1)), ()), "example index 'a' is not an integer"),
+        (bk.LearningInstance(dom, ((1,),), ()), "example \\(1,\\) is not an \\[index, label\\] pair"),
+        (bk.LearningInstance(dom, (5,), ()), "example 5 is not an \\[index, label\\] pair"),
+        (bk.LearningInstance(dom, (), ((1, 1, 1),)), "example \\(1, 1, 1\\) is not an \\[index, label\\] pair"),
+        (bk.LearningInstance(dom, ("ab",), ()), "example 'ab' is not an \\[index, label\\] pair"),
     ]
     for inst, message in refused:
         with pytest.raises(bk.InputError, match=message):
