@@ -4,7 +4,8 @@ finite geometric set systems, with two-party protocol simulators on top.
 All parameter comparisons in the package (|R| >= eps*n and the like) are done
 with ``fractions.Fraction``, i.e. exact integer cross-multiplication, and a
 threshold is rounded exactly, by ``math.floor``/``math.ceil`` of a Fraction.
-Floats never enter a correctness decision; they appear only in reports.
+Floats appear only in reports and in ``small_set_container``'s depth cap, a
+float log bound that decides only whether ``InternalInvariantError`` is raised.
 """
 
 from .constructions import (

@@ -179,17 +179,16 @@ def cmd_packing(args):
 
 
 def cmd_mnet(args):
-    system = _load_system(args.system)
     lam = parse_fraction(args.lam, name="lambda")
+    eta = parse_fraction(args.eta, name="eta")
+    eps = parse_fraction(args.eps, name="eps")
+    system = _load_system(args.system)
     if args.algorithm == "heavy":
-        family = CONSTRUCTIONS["mnet"][1](system, lam, parse_fraction(args.eta, name="eta"))
+        family = CONSTRUCTIONS["mnet"][1](system, lam, eta)
     elif args.algorithm == "boost":
-        family = boost_epsilon(
-            system, default_provider(), parse_fraction(args.eps, name="eps"),
-            parse_fraction(args.eta, name="eta"),
-        )
+        family = boost_epsilon(system, default_provider(), eps, eta)
     else:
-        family = base_mnet(system, lam, parse_fraction(args.eps, name="eps"))
+        family = base_mnet(system, lam, eps)
     _write(args.out, family_to_json(family))
     print(f"mnet with {len(family.pieces)} pieces (lambda={family.lam}, eps={family.eps})")
     return 0

@@ -48,13 +48,13 @@ def base_mnet(system, lam, eps):
 
     Candidate pieces are the heavy ranges themselves plus pairwise
     intersections of the first ``PAIR_CAP`` heavy ranges (canonical order);
-    the greedy loop picks the candidate serving the most uncovered heavy
-    ranges.  Since lam <= 1, every heavy range is a candidate that serves
-    itself, so while a range is uncovered some candidate serves at least one
-    uncovered range: the loop ends with every heavy range served, and
-    candidate capping only affects size.  A candidates x heavy serving
-    matrix of more than ``MAX_SERVING_CELLS`` cells is refused before it is
-    built.
+    one greedy loop picks the first candidate serving the most uncovered
+    heavy ranges, and runs no round when no range is heavy.  Since lam <= 1,
+    every heavy range is a candidate that serves itself, so while a range is
+    uncovered the best count is positive: no pick serves nothing, the loop
+    ends with every heavy range served, and candidate capping only affects
+    size.  A candidates x heavy serving matrix of more than
+    ``MAX_SERVING_CELLS`` cells is refused before it is built.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
@@ -65,17 +65,11 @@ def base_mnet(system, lam, eps):
     n = system.n
     heavy_at = math.ceil(eps * n)
     heavy = size_band(system.ranges, heavy_at, n)
-    if not heavy:
-        return _checked(make_mnet(system, [], lam, eps, witness={}), "base_mnet")
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     cands = canonical_sort(cands, n)
 
     serves = _serving_matrix(cands, heavy, lam, n)
-    keep = serves.any(axis=1)
-    cands = [c for c, k in zip(cands, keep) if k]
-    serves = serves[keep]
-
     assignment = {}
     uncovered = np.ones(len(heavy), dtype=bool)
     counts = serves.sum(axis=1)
@@ -268,9 +262,10 @@ def small_set_container(system, eps, rho, provider):
     within Z at the node's own threshold; removing a piece shrinks Z by a
     constant factor, and a range is covered by the first node where its
     residual |Z \\ R| drops to rho*n.  Node universes are the covers.  The
-    recursion depth is capped at ceil(1 + log(1/eps)/log(1/(1-Lambda/2)))
-    (its sound generalization when rho < eps) and exceeding the cap is an
-    internal error.
+    recursion depth cap, a float bound, is ceil(1 + log(1/rho)/log(1/s))
+    with shrink s = 1 - Lambda*rho/(eps+rho); exceeding it is an internal
+    error.  It is the paper's ceil(1 + log(1/eps)/log(1/(1-Lambda/2))) at
+    rho = eps and grows as rho falls (log(1/rho) up, log(1/s) down).
     """
     eps = Fraction(eps)
     rho = Fraction(rho)
@@ -280,11 +275,8 @@ def small_set_container(system, eps, rho, provider):
     size_cap = math.floor(eps * n)
     if size_band(system.ranges, size_cap + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
-    Lam = provider.heaviness
-    shrink = 1 - Lam * rho / (eps + rho)
-    depth_cap = math.ceil(1 + math.log(1 / eps) / math.log(1 / float(1 - Lam / 2)))
-    if rho < eps:
-        depth_cap = max(depth_cap, math.ceil(1 + math.log(1 / rho) / math.log(1 / float(shrink))))
+    shrink = 1 - provider.heaviness * rho / (eps + rho)
+    depth_cap = math.ceil(1 + math.log(1 / rho) / math.log(1 / float(shrink)))
     residual_over = math.floor(rho * n)  # residual must be strictly above rho*n
     full = system.full_mask
     covers = []
@@ -465,9 +457,7 @@ def build_container(system, eps, provider_complement):
     witness = {}
     big_at = math.ceil((1 - eps) * n)
     small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
-    if small_sys.ranges:
-        c1 = small_set_container(small_sys, eps / 2, eps / 2, provider_complement)
-        covers.extend(c1.covers)
+    covers.extend(small_set_container(small_sys, eps / 2, eps / 2, provider_complement).covers)
     mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement)
     for mask in system.ranges:
         if mask.bit_count() >= big_at:

@@ -43,8 +43,8 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     """Scan ranges canonically, admit those farther than delta from all members.
 
     ``delta`` is an absolute count; admission uses the strict test
-    |R1 symdiff R2| > delta.  With ``shallow_cap`` set, only ranges of size
-    <= cap are considered.  The result is inclusion-maximal by construction.
+    |R1 symdiff R2| > delta.  With ``shallow_cap`` set (not negative), only
+    ranges of size <= cap are considered.  The result is inclusion-maximal by construction.
 
     The scan takes the candidates a block at a time.  One ``symdiff_counts``
     matrix compares the block with the members admitted before it and with
@@ -62,6 +62,8 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     """
     if not 0 <= delta <= system.n:
         raise InputError(f"delta {delta} outside [0, {system.n}]")
+    if shallow_cap is not None and shallow_cap < 0:
+        raise InputError(f"shallow cap {shallow_cap} is negative")
     candidates = system.ranges if shallow_cap is None else size_band(system.ranges, 0, shallow_cap)
     packed = bitsets.pack_masks(candidates, system.n)
     admitted = np.empty_like(packed)

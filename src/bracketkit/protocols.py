@@ -219,7 +219,10 @@ def convex_disjointness_protocol(inst, eps0):
     An abort certifies that no halfspace range separates the sets, i.e. the
     hulls intersect; termination yields a separating range inside the agreed
     cover, announced as a family index, i.e. the hulls are disjoint.
+    Every index is checked, in the given order, before it gets its label.
     """
+    for i in (*inst.alice, *inst.bob):
+        _check_index(i, inst.domain.n, "index")
     alice = tuple((i, 1) for i in inst.alice)
     bob = tuple((j, -1) for j in inst.bob)
     try:

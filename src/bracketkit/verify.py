@@ -136,11 +136,11 @@ def verify_bracket(system, family):
 
     For B- <= F <= B+ the slack |B+ \\ B-| is just |B+| - |B-|, so F has a
     pair iff a largest set inside F and a smallest set containing F form
-    one.  The hinted pair is tried first.  The fallback takes the first set
-    inside F in sizes |F| down to |F| - floor(eps*n), and the first set
-    containing F in sizes |F| up to |F| + floor(eps*n): a largest and a
-    smallest one, in any order of ``family.sets``, so a ``BracketFamily``
-    can be built directly.
+    one.  The hinted pair is tried first.  The fallback asks ``find_piece``
+    (at lam 0) for the first set inside F in sizes |F| down to
+    |F| - floor(eps*n), and ``find_cover`` for the first set containing F in
+    sizes |F| up to |F| + floor(eps*n): a largest and a smallest one, in any
+    order of ``family.sets``, so a ``BracketFamily`` can be built directly.
     """
     slack_cap = math.floor(family.eps * system.n)
     band = _size_bands(family.sets)
@@ -153,8 +153,8 @@ def verify_bracket(system, family):
         if not (lo in members and hi in members and (lo & mask) == lo and (mask & hi) == mask
                 and hi.bit_count() - lo.bit_count() <= slack_cap):
             size = mask.bit_count()
-            lo = next((s for s in band(size - slack_cap, size) if (s & mask) == s), None)
-            hi = next((s for s in band(size, size + slack_cap, ascending=True) if (mask & s) == mask), None)
+            lo = find_piece(band(size - slack_cap, size), None, mask, 0)
+            hi = find_cover(band(size, size + slack_cap, ascending=True), None, mask, slack_cap)
             if lo is None or hi is None or hi.bit_count() - lo.bit_count() > slack_cap:
                 return VerifyReport(False, checked, (mask, f"no bracket pair within slack {slack_cap}"))
     return VerifyReport(True, checked, None)

@@ -104,6 +104,7 @@ MALFORMED = {
     "instance-float-label": ("protocol-learn", "instance", {"alice": [[0, 1.0]], "bob": [[3, -1]]}),
     "disjoint-instance-string-index": ("protocol-disjoint", "instance", {"alice": ["a"], "bob": [3]}),
     "disjoint-instance-float-index": ("protocol-disjoint", "instance", {"alice": [1.9, 0], "bob": [3]}),
+    "disjoint-instance-negative-index": ("protocol-disjoint", "instance", {"alice": [-1], "bob": [3]}),
     "instance-short-example": ("protocol-learn", "instance", {"alice": [[1]], "bob": []}),
     "instance-bare-index": ("protocol-learn", "instance", {"alice": [5], "bob": []}),
     "spec-top-level-list": ("bench", "spec", [4]),
@@ -154,6 +155,7 @@ NAMED = {
     "instance-fractional-label": "-1.5",
     "instance-float-label": "1.0",
     "disjoint-instance-float-index": "1.9",
+    "disjoint-instance-negative-index": "usage error: index -1 outside domain",
     "instance-short-example": "example [1] is not an [index, label] pair",
     "instance-bare-index": "example 5 is not an [index, label] pair",
     "pairing-position-bool": "True",
@@ -387,6 +389,17 @@ def test_negative_packing_d0_is_refused_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_negative_packing_cap_is_refused_before_output(tmp_path, capsys):
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps(GOOD_INPUTS["system"]))
+    out = tmp_path / "p.json"
+    assert run_cli(["packing", "--system", str(system), "--delta", "1", "--cap", "-1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: shallow cap -1 is negative") and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_packing_and_mnet_cli(tmp_path):
     pts = tmp_path / "pts.json"
     system = tmp_path / "sys.json"
@@ -530,13 +543,21 @@ def test_packing_delta_as_fraction_of_n_with_cap(tmp_path, capsys):
     assert "shallow expression" in capsys.readouterr().out
 
 
-def test_boosted_mnet_cli(tmp_path):
+def test_boosted_mnet_cli(tmp_path, capsys):
     system = _grid4_system(tmp_path)
     fam = tmp_path / "mnet.json"
     assert run_cli(["mnet", "--system", str(system), "--algorithm", "boost", "--eps", "1/4", "--eta", "1/4",
                     "--out", str(fam)]) == 0
     assert json.loads(fam.read_text())["params"]["lambda"] == "3/8"  # heaviness 1/2 times 1 - eta
     assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
+    # Every option is parsed, also one that the chosen algorithm does not read.
+    for algorithm, option in [("boost", "--lambda"), ("base", "--eta"), ("heavy", "--eps")]:
+        capsys.readouterr()
+        assert run_cli(["mnet", "--system", str(system), "--algorithm", algorithm, option, "abc",
+                        "--out", str(tmp_path / "bad.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {option[2:]}: cannot parse rational from 'abc'")
+        assert not (tmp_path / "bad.json").exists()
 
 
 def test_protocol_learn_non_realizable_prints_certificate(tmp_path, capsys):

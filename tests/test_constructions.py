@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit import constructions, trace
-from bracketkit.setsystem import size_band
+from bracketkit.setsystem import canonical_sort, size_band
 
 from conftest import general_position_points, mask_set, system_from_sets
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
@@ -79,6 +81,54 @@ def test_base_mnet_serves_every_heavy_range_from_its_candidates(inputs):
         assert piece & ~mask == 0
         assert piece.bit_count() >= lam * mask.bit_count()
     assert naive_mnet_ok(system, fam.pieces, lam, eps)
+
+
+def _reference_greedy_cover(system, lam, eps):
+    """The witness map of a greedy cover with the special cases that
+    ``base_mnet`` no longer has: a return before any work when no range is
+    heavy, and the pruning of candidates that serve no heavy range, on a
+    dense serving matrix of plain Python subset and size tests."""
+    n = system.n
+    heavy = size_band(system.ranges, math.ceil(eps * n), n)
+    if not heavy:
+        return {}
+    pairs = combinations(heavy[: constructions.PAIR_CAP], 2)
+    cands = canonical_sort(set(heavy).union(a & b for a, b in pairs), n)
+    serves = np.array([[c & r == c and c.bit_count() >= lam * r.bit_count() for r in heavy] for c in cands])
+    keep = serves.any(axis=1)
+    cands = [c for c, k in zip(cands, keep) if k]
+    serves = serves[keep]
+    assignment = {}
+    uncovered = np.ones(len(heavy), dtype=bool)
+    counts = serves.sum(axis=1)
+    while uncovered.any():
+        best = int(np.argmax(counts))
+        newly = serves[best] & uncovered
+        for j in np.flatnonzero(newly):
+            assignment[heavy[j]] = cands[best]
+        uncovered &= ~newly
+        counts = counts - serves[:, newly].sum(axis=1)
+    return assignment
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_base_mnet_matches_the_reference_greedy_cover(data):
+    # eps above 1 leaves no range heavy (unless n = 0); lam = 1/2**30 lets
+    # almost every candidate inside a range serve it.
+    n = data.draw(st.integers(0, 70), label="n")
+    word = st.integers(0, (1 << n) - 1)
+    ranges = []
+    for _ in range(data.draw(st.integers(0, 24), label="ranges")):
+        a, b = data.draw(word), data.draw(word)
+        ranges.append(data.draw(st.sampled_from([a, a & b, a | b])))
+    system = bk.SetSystem.from_masks(n, ranges)
+    lam = data.draw(st.sampled_from([Fraction(1, 1 << 30), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1]))
+    eps = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, Fraction(5, 4), 2]))
+    expected = _reference_greedy_cover(system, lam, eps)
+    fam = bk.base_mnet(system, lam, eps)
+    assert fam.witness == expected
+    assert fam.pieces == tuple(canonical_sort(set(expected.values()), n))
 
 
 @given(abstract_systems(), st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
@@ -229,6 +279,23 @@ def test_small_set_container_depth_cap_example():
     assert entry["max_depth"] <= 6
     raw = 1 + math.log(4) / math.log(Fraction(4, 3))
     assert entry["depth_cap"] == math.ceil(raw)
+
+
+def test_small_set_container_depth_cap_is_the_larger_of_the_eps_and_rho_caps():
+    # The cap formula in rho alone dominates the one in eps for every
+    # rho <= eps, so it equals the larger of the two on the whole grid.
+    system = bk.SetSystem.from_masks(4, [])
+    heaviness = bk.default_provider().heaviness
+    grid = sorted({Fraction(p, q) for q in range(2, 13) for p in range(1, q)})
+    pairs = [(eps, rho) for eps in grid for rho in grid if rho <= eps]
+    with trace.recording() as log:
+        for eps, rho in pairs:
+            bk.small_set_container(system, eps, rho, bk.default_provider())
+    for (eps, rho), entry in zip(pairs, log, strict=True):
+        shrink = 1 - heaviness * rho / (eps + rho)
+        eps_cap = math.ceil(1 + math.log(1 / eps) / math.log(1 / float(1 - heaviness / 2)))
+        rho_cap = math.ceil(1 + math.log(1 / rho) / math.log(1 / float(shrink)))
+        assert entry["depth_cap"] == max(eps_cap, rho_cap)
 
 
 def test_small_set_container_one_range():

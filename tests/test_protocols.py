@@ -155,7 +155,7 @@ def test_non_int_index_is_refused(collinear4, bad):
     pts, _ = collinear4
     with pytest.raises(bk.InputError, match="example index .* is not an integer"):
         bk.learn_halfspace_protocol(bk.LearningInstance(pts, ((0, 1), (bad, 1)), ()), EPS0)
-    with pytest.raises(bk.InputError, match="example index .* is not an integer"):
+    with pytest.raises(bk.InputError, match="^index .* is not an integer"):
         bk.convex_disjointness_protocol(bk.DisjointnessInstance(pts, (0,), (bad, 3)), EPS0)
     with pytest.raises(bk.InputError, match="index .* is not an integer"):
         bk.exact_hull_intersection(pts, [0], [bad, 3])
@@ -191,7 +191,7 @@ def test_bad_examples_are_refused_before_the_context(monkeypatch):
     for inst, message in refused:
         with pytest.raises(bk.InputError, match=message):
             bk.learn_halfspace_protocol(inst, EPS0)
-    with pytest.raises(bk.InputError, match="example index 16 outside domain"):
+    with pytest.raises(bk.InputError, match="^index 16 outside domain"):
         bk.convex_disjointness_protocol(bk.DisjointnessInstance(dom, (16,), (0,)), EPS0)
     assert calls == []
     bk.learn_halfspace_protocol(bk.LearningInstance(dom, ((0, 1),), ()), EPS0)
