@@ -43,8 +43,9 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     """Scan ranges canonically, admit those farther than delta from all members.
 
     ``delta`` is an absolute count; admission uses the strict test
-    |R1 symdiff R2| > delta.  With ``shallow_cap`` set (not negative), only
-    ranges of size <= cap are considered.  The result is inclusion-maximal by construction.
+    |R1 symdiff R2| > delta.  With ``shallow_cap`` set (a negative cap is
+    refused), only ranges of size <= cap are considered.  The result is
+    inclusion-maximal by construction.
 
     The scan takes the candidates a block at a time.  One ``symdiff_counts``
     matrix compares the block with the members admitted before it and with
