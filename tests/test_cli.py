@@ -368,6 +368,16 @@ def test_gen_random_refuses_nonpositive_dimension(tmp_path, capsys, d):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+def test_gen_refuses_a_colliding_sphere_instance(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run_cli(["gen", "--kind", "sphere", "--d", "2", "--n", "13000", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:") and "collides" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("delta", ["abc", "1.5"])
 def test_bad_packing_delta_is_a_usage_error(tmp_path, capsys, delta):
     system = tmp_path / "system.json"

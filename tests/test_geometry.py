@@ -153,6 +153,12 @@ def test_halfspace_degeneracy_errors():
     collinear = bk.PointSet.from_signed_rows(2, [["0", "0"], ["1", "1"], ["2", "2"]])
     with pytest.raises(bk.DegeneracyError):
         bk.enumerate_halfspace_ranges(collinear)
+    # n <= d points span no hyperplane; they must be affinely independent.
+    collinear_in_3d = bk.PointSet.from_signed_rows(3, [["0", "0", "0"], ["1", "1", "1"], ["2", "2", "2"]])
+    equal_in_2d = bk.PointSet.from_signed_rows(2, [["1", "2"], ["1", "2"]])
+    for pts in (collinear_in_3d, equal_in_2d):
+        with pytest.raises(bk.DegeneracyError, match="^points are affinely dependent$"):
+            bk.enumerate_halfspace_ranges(pts)
 
 
 def fraction_det(m):
@@ -596,6 +602,11 @@ def test_lower_bound_instances():
         assert sum(c * c for c in p) == 1
     with pytest.raises(bk.InputError):
         bk.lower_bound_instance(1, 3, "sphere")
+    # The circle's tangent half-angles are rounded to 1/4096, so from some n
+    # on two points coincide; such an instance is refused.
+    assert bk.lower_bound_instance(2, 12000, "sphere").n == 12000
+    with pytest.raises(bk.InputError, match="collides"):
+        bk.lower_bound_instance(2, 13000, "sphere")
     with pytest.raises(bk.InputError):
         bk.lower_bound_instance(2, 3, "nope")
 

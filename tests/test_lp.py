@@ -69,10 +69,14 @@ def test_hull_crossing_segments():
 
 
 def test_hull_empty_sides():
+    # An empty side is separated along e1: below the other side's least
+    # first coordinate, above its greatest, and at 0 when both are empty.
     pts = bk.PointSet.from_signed_rows(2, [["0", "0"], ["1", "0"]])
-    assert not bk.exact_hull_intersection(pts, (), (0, 1)).intersecting
-    assert not bk.exact_hull_intersection(pts, (0,), ()).intersecting
-    assert not bk.exact_hull_intersection(pts, (), ()).intersecting
+    e1 = (Fraction(1), Fraction(0))
+    for a, b, c in (((), (0, 1), -1), ((0,), (), 1), ((0, 1), (), 2), ((), (), 0)):
+        res = bk.exact_hull_intersection(pts, a, b)
+        assert not res.intersecting and res.witness is None
+        assert res.functional == (e1, Fraction(c))
 
 
 def test_hull_point_inside_segment_1d():

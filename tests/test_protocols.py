@@ -59,6 +59,14 @@ def test_consistency_and_progress():
         assert transcript.rounds <= dom.n + 1
 
 
+def test_realizable_instance_on_one_point():
+    # One projection: the threshold falls below it, so the point is positive.
+    dom = bk.PointSet.from_signed_rows(2, [["1", "2"]])
+    for seed in range(5):
+        inst = bk.realizable_learning_instance(dom, seed, labeled_share=1.0)
+        assert inst.alice + inst.bob == ((0, 1),)
+
+
 def test_realizability_oracle_agrees_with_generator():
     dom = bk.random_point_set(2, 12, 303)
     for seed in range(10):
