@@ -65,7 +65,14 @@ CSV_COLUMNS = [
     "family_size", "verified", "lower_bound", "runtime_ms",
 ]
 INSTANCE_KINDS = ("grid", "sphere", "moment-curve", "random")
-RANGE_FAMILIES = ("halfspace", "ball", "box", "polytope")
+
+# range family -> its enumerator of (points, polytope constraint count k), looked up when called.
+ENUMERATORS = {
+    "halfspace": lambda pts, k: enumerate_halfspace_ranges(pts),
+    "ball": lambda pts, k: enumerate_ball_ranges(pts),
+    "box": lambda pts, k: enumerate_box_ranges(pts),
+    "polytope": lambda pts, k: enumerate_polytope_ranges(pts, k),
+}
 
 # construction -> (the bench spec lists it reads, its builder on their values,
 # the family field holding its sets).  The builders look up the constructions
@@ -124,13 +131,7 @@ def _generate_points(kind, d, n, seed, jitter=None):
 
 
 def _enumerate(points, family, k=2):
-    if family == "halfspace":
-        return enumerate_halfspace_ranges(points)
-    if family == "ball":
-        return enumerate_ball_ranges(points)
-    if family == "box":
-        return enumerate_box_ranges(points)
-    return enumerate_polytope_ranges(points, k)
+    return ENUMERATORS[family](points, k)
 
 
 def cmd_gen(args):
@@ -292,7 +293,7 @@ def _parse_spec(data):
         if not spec[key]:
             raise InputError(f"bench spec JSON: construction {construction!r} needs a non-empty {key} list")
     for key, what, known in (
-        ("instance_kind", "instance kind", INSTANCE_KINDS), ("family", "range family", RANGE_FAMILIES),
+        ("instance_kind", "instance kind", INSTANCE_KINDS), ("family", "range family", tuple(ENUMERATORS)),
     ):
         if spec[key] not in known:
             raise InputError(f"bench spec JSON: unknown {what} {spec[key]!r} (one of {', '.join(known)})")
@@ -363,7 +364,7 @@ def build_parser():
 
     p = sub.add_parser("enum-ranges", help="enumerate geometric ranges")
     p.add_argument("--points", required=True)
-    p.add_argument("--family", required=True, choices=RANGE_FAMILIES)
+    p.add_argument("--family", required=True, choices=ENUMERATORS)
     p.add_argument("--k", type=int, default=2, help="constraint count for polytope ranges")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_enum_ranges)
@@ -403,21 +404,17 @@ def build_parser():
     p.add_argument("--family", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("protocol-learn", help="simulate distributed halfspace learning")
-    p.add_argument("--points", required=True)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--eps0", default="1/8")
-    p.add_argument("--transcript", default=None)
-    p.add_argument("--summary", default=None)
-    p.set_defaults(func=cmd_protocol_learn)
-
-    p = sub.add_parser("protocol-disjoint", help="simulate convex set disjointness")
-    p.add_argument("--points", required=True)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--eps0", default="1/8")
-    p.add_argument("--transcript", default=None)
-    p.add_argument("--summary", default=None)
-    p.set_defaults(func=cmd_protocol_disjoint)
+    for name, help_text, func in (
+        ("protocol-learn", "simulate distributed halfspace learning", cmd_protocol_learn),
+        ("protocol-disjoint", "simulate convex set disjointness", cmd_protocol_disjoint),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--points", required=True)
+        p.add_argument("--instance", required=True)
+        p.add_argument("--eps0", default="1/8")
+        p.add_argument("--transcript", default=None)
+        p.add_argument("--summary", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("bench", help="run an experiment grid to CSV")
     p.add_argument("--spec", required=True)

@@ -453,11 +453,10 @@ def build_container(system, eps, provider_complement):
         raise InputError(f"eps must be in (0,1), got {eps}")
     n = system.n
     full = system.full_mask
-    covers = [full]
     witness = {}
     big_at = math.ceil((1 - eps) * n)
     small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
-    covers.extend(small_set_container(small_sys, eps / 2, eps / 2, provider_complement).covers)
+    covers = list(small_set_container(small_sys, eps / 2, eps / 2, provider_complement).covers)
     mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement)
     for mask in system.ranges:
         if mask.bit_count() >= big_at:

@@ -95,7 +95,7 @@ def _int_points(pts):
     """Clear denominators per point: (integer coordinates, positive denominator)."""
     out = []
     for p in pts.points:
-        den = math.lcm(*(c.denominator for c in p)) if p else 1
+        den = math.lcm(*(c.denominator for c in p))
         out.append((tuple(int(c * den) for c in p), den))
     return out
 
@@ -390,16 +390,18 @@ def lower_bound_instance(d, n, kind):
         cells = islice(product(range(side), repeat=d), n)
         return PointSet(d, tuple(tuple(Fraction(c) for c in reversed(cell)) for cell in cells))
     if kind == "sphere":
-        if d == 2:
-            return _circle_points(n)
-        if d == 3:
-            return _sphere_points(n)
-        raise InputError("sphere instances support d in {2, 3}")
+        if d not in (2, 3):
+            raise InputError("sphere instances support d in {2, 3}")
+        pts = _circle_points(n) if d == 2 else _sphere_points(n)
+        if len(set(pts.points)) != n:
+            raise InputError(f"sphere instance with n={n} collides at this approximation scale")
+        return pts
     raise InputError(f"unknown instance kind {kind!r}")
 
 
 def _circle_points(n):
-    """n rational points exactly on the unit circle, near equal angular spacing."""
+    """n rational points exactly on the unit circle, near equal angular
+    spacing; the caller checks that they are distinct."""
     rows = []
     for i in range(n):
         half_angle = math.pi * i / n
@@ -409,13 +411,12 @@ def _circle_points(n):
         t = Fraction(round(math.tan(half_angle) * _SPHERE_DEN), _SPHERE_DEN)
         den = 1 + t * t
         rows.append(((1 - t * t) / den, 2 * t / den))
-    if len(set(rows)) != n:
-        raise InputError(f"circle instance with n={n} collides at this approximation scale")
     return PointSet(2, tuple(rows))
 
 
 def _sphere_points(n):
-    """Rational points exactly on the unit 2-sphere via inverse stereographic maps."""
+    """n rational points exactly on the unit 2-sphere via inverse
+    stereographic maps; the caller checks that they are distinct."""
     golden = math.pi * (3 - math.sqrt(5))
     rows = []
     for i in range(n):
@@ -426,8 +427,6 @@ def _sphere_points(n):
         v = Fraction(round(r * math.sin(theta) / (1 + z) * _SPHERE_DEN), _SPHERE_DEN)
         den = 1 + u * u + v * v
         rows.append((2 * u / den, 2 * v / den, (2 - den) / den))
-    if len(set(rows)) != n:
-        raise InputError(f"sphere instance with n={n} collides at this approximation scale")
     return PointSet(3, tuple(rows))
 
 

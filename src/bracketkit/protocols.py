@@ -12,7 +12,7 @@ index into a family of one hypothesis still costs one bit.
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,12 +63,7 @@ class Transcript:
         return sum(1 for m in self.messages if m.sender == "alice")
 
     def to_jsonl(self):
-        lines = []
-        for m in self.messages:
-            lines.append(json.dumps(
-              {"sender": m.sender, "kind": m.kind, "payload": m.payload, "bits": m.bits}
-            ))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps(asdict(m)) + "\n" for m in self.messages)
 
 
 @dataclass(frozen=True)
@@ -262,11 +257,8 @@ def exact_hull_intersection(domain, a, b):
     d = domain.dim
     e1 = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(d))
     if not a or not b:
-        if not a and not b:
-            return HullResult(False, functional=(e1, Fraction(0)))
-        other = b if not a else a
-        proj = [domain.points[i][0] for i in other]
-        c = (min(proj) - 1) if not a else (max(proj) + 1)
+        proj = [domain.points[i][0] for i in a + b]
+        c = min(proj, default=Fraction(1)) - 1 if not a else max(proj) + 1
         return HullResult(False, functional=(e1, c))
     pa = [domain.points[i] for i in a]
     pb = [domain.points[j] for j in b]

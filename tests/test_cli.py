@@ -372,7 +372,7 @@ def test_gen_refuses_a_colliding_sphere_instance(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert run_cli(["gen", "--kind", "sphere", "--d", "2", "--n", "13000", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("usage error:") and "collides" in captured.err
+    assert captured.err.startswith("usage error: sphere instance with n=13000 collides ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()

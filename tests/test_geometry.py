@@ -603,9 +603,9 @@ def test_lower_bound_instances():
     with pytest.raises(bk.InputError):
         bk.lower_bound_instance(1, 3, "sphere")
     # The circle's tangent half-angles are rounded to 1/4096, so from some n
-    # on two points coincide; such an instance is refused.
+    # on two points coincide; such an instance is refused under the kind asked for.
     assert bk.lower_bound_instance(2, 12000, "sphere").n == 12000
-    with pytest.raises(bk.InputError, match="collides"):
+    with pytest.raises(bk.InputError, match="^sphere instance with n=13000 collides "):
         bk.lower_bound_instance(2, 13000, "sphere")
     with pytest.raises(bk.InputError):
         bk.lower_bound_instance(2, 3, "nope")
