@@ -4,11 +4,14 @@ oracle of the geometry tests.
 
 Deliberately written with frozensets and plain loops: no bitmask tricks, no
 witness maps, nothing shared with the library's verifiers beyond arithmetic.
+The LP reference is the textbook Fraction tableau, independent of the
+library's integer simplex (``bracketkit.lp``), which the tests compare
+against it.
 """
 
 from fractions import Fraction
 
-from bracketkit.lp import solve_equality_feasibility
+from bracketkit.errors import InputError
 
 
 def _sets(masks, n):
@@ -64,8 +67,8 @@ def naive_bracket_ok(system, sets, eps):
 def feasible_with_inequalities(eq_rows, eq_rhs, le_rows=(), le_rhs=()):
     """Decide {x >= 0 : A x = b, C x <= d} by adding slack variables.
 
-    Returns True/False (no certificate; use solve_equality_feasibility when
-    one is needed).
+    Returns True/False (no certificate; use reference_equality_feasibility
+    when one is needed).
     """
     eq_rows = [list(r) for r in eq_rows]
     le_rows = [list(r) for r in le_rows]
@@ -80,5 +83,81 @@ def feasible_with_inequalities(eq_rows, eq_rhs, le_rows=(), le_rhs=()):
     rhs = list(eq_rhs) + list(le_rhs)
     if not rows:
         return True
-    status, _ = solve_equality_feasibility(rows, rhs)
+    status, _ = reference_equality_feasibility(rows, rhs)
     return status == "feasible"
+
+
+def reference_equality_feasibility(rows, rhs):
+    """Decide {x >= 0 : Ax = b} by a phase-1 simplex on a Fraction tableau,
+    with Bland's entering rule and ties in the ratio test broken towards the
+    lower basic variable.
+
+    Returns ("feasible", x) with x a tuple of Fractions, or
+    ("infeasible", y) with y a Farkas certificate (y.A <= 0 and y.b > 0),
+    and raises exactly what ``bracketkit.lp.solve_equality_feasibility``
+    raises: the two must agree on every input.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise InputError("rows/rhs length mismatch")
+    if m == 0:
+        return "feasible", ()
+    k = len(rows[0])
+    tableau = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]]
+        if len(row) != k:
+            raise InputError("ragged constraint matrix")
+        b = Fraction(rhs[i])
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+        row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        row.append(b)
+        tableau.append(row)
+    total = k + m
+    basis = list(range(k, k + m))
+    # Objective row: reduced costs for minimizing the artificial sum.
+    obj = [Fraction(0)] * (total + 1)
+    for j in range(total):
+        col_sum = sum(tableau[i][j] for i in range(m))
+        cost = Fraction(1) if j >= k else Fraction(0)
+        obj[j] = cost - col_sum
+    obj[total] = -sum(tableau[i][total] for i in range(m))
+
+    while True:
+        enter = next((j for j in range(total) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][total] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise InputError("phase-1 objective unbounded; inconsistent tableau")
+        pivot = tableau[leave][enter]
+        tableau[leave] = [v / pivot for v in tableau[leave]]
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                factor = tableau[i][enter]
+                tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[leave])]
+        if obj[enter] != 0:
+            factor = obj[enter]
+            obj = [a - factor * b for a, b in zip(obj, tableau[leave])]
+        basis[leave] = enter
+
+    optimum = -obj[total]
+    if optimum == 0:
+        x = [Fraction(0)] * k
+        for i, var in enumerate(basis):
+            if var < k:
+                x[var] = tableau[i][total]
+        return "feasible", tuple(x)
+    y = tuple(1 - obj[k + i] for i in range(m))
+    # Restore signs for rows that were negated on input.
+    return "infeasible", tuple(-y[i] if Fraction(rhs[i]) < 0 else y[i] for i in range(m))

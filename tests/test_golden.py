@@ -1,9 +1,10 @@
 """Byte-identity gate: fixed constructions must keep their exact output.
 
 The digests in ``golden_digests.json`` are SHA-256 hashes of the family JSON
-(and of the protocol hypothesis list, protocol transcripts and one planar
-halfspace system) for fixed instances.  Any change to the construction
-stack that alters a single set, its order or a parameter shows up here.
+(and of the protocol hypothesis list, protocol transcripts, hull-oracle
+results and one planar halfspace system) for fixed instances.  Any change to
+the construction stack that alters a single set, its order or a parameter
+shows up here.
 Regenerate the file only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -85,6 +86,18 @@ def _transcripts64():
     return json.dumps(runs)
 
 
+def _hulls64():
+    # Criterion 9's oracle calls on its disjointness instances: both the
+    # witness point of intersecting hulls and the Farkas functional of
+    # disjoint ones.
+    domain = _criterion9_domain()
+    hulls = []
+    for seed in range(500):
+        inst = bk.random_disjointness_instance(domain, seed)
+        hulls.append(repr(bk.exact_hull_intersection(domain, inst.alice, inst.bob)))
+    return json.dumps(hulls)
+
+
 def _halfspaces256():
     return bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 11000)).to_json()
 
@@ -97,6 +110,7 @@ CASES = {
     "container-random128-seed12000-eps1/8": _container_random128,
     "context-n64-criterion9-hypotheses": _context64,
     "halfspaces-n256-seed11000": _halfspaces256,
+    "hulls-n64-criterion9": _hulls64,
     "transcripts-n64-criterion9": _transcripts64,
 }
 

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import bracketkit as bk
+import bracketkit.protocols
 from bracketkit.lp import solve_equality_feasibility
 
-from naive_checks import feasible_with_inequalities
+from naive_checks import feasible_with_inequalities, reference_equality_feasibility
 
 
 def test_feasible_simple():
@@ -44,6 +48,82 @@ def test_farkas_on_random_instances():
             assert sum(cert[i] * rhs[i] for i in range(m)) > 0
 
 
+_NEAR_2_31 = st.integers(2**31 - 3, 2**31 + 3).flatmap(lambda v: st.sampled_from([v, -v]))
+_ENTRIES = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 6, 7, 12, 97])),
+    _NEAR_2_31,
+    st.builds(Fraction, _NEAR_2_31, st.integers(1, 97)),
+)
+
+
+@st.composite
+def lp_systems(draw):
+    """Rational systems (k may be 0) with mixed denominators, negative rhs,
+    all-zero rows, duplicate columns and duplicate rows (ties in the ratio
+    test), and entries near 2**31."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(0, 6))
+    rows = [[draw(_ENTRIES) for _ in range(k)] for _ in range(m)]
+    rhs = [draw(_ENTRIES) for _ in range(m)]
+    if k > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        for row in rows:
+            row[dst] = row[src]
+    if m > 1 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        rows[dst], rhs[dst] = list(rows[src]), rhs[src]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = [0] * k
+    return rows, rhs
+
+
+def _outcome(solve, rows, rhs):
+    try:
+        return repr(solve(rows, rhs))
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+@given(lp_systems())
+@settings(max_examples=400, deadline=None)
+def test_solver_matches_the_reference_simplex(system):
+    rows, rhs = system
+    result = solve_equality_feasibility(rows, rhs)
+    assert repr(result) == repr(reference_equality_feasibility(rows, rhs))
+    status, cert = result
+    if status == "feasible":
+        assert all(v >= 0 for v in cert)
+        assert all(sum(a * v for a, v in zip(row, cert)) == b for row, b in zip(rows, rhs))
+    else:
+        assert all(sum(y * row[j] for y, row in zip(cert, rows)) <= 0 for j in range(len(rows[0])))
+        assert sum(y * b for y, b in zip(cert, rhs)) > 0
+
+
+_BAD_ENTRIES = st.one_of(_ENTRIES, st.sampled_from(["1/3", "x", "1/0", None, 0.5, [1]]))
+
+
+@given(
+    st.lists(st.lists(_BAD_ENTRIES, min_size=1, max_size=3), max_size=4),
+    st.lists(_BAD_ENTRIES, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_malformed_input_raises_what_the_reference_raises(rows, rhs):
+    assert _outcome(solve_equality_feasibility, rows, rhs) == _outcome(reference_equality_feasibility, rows, rhs)
+
+
+def test_errors_follow_row_order():
+    # A bad value in an early row is reported before a ragged later row,
+    # and a ragged row before a bad rhs value of that row.
+    for rows, rhs, error in (
+        ([[1, "x"], [1]], [1, 1], (ValueError, "Invalid literal for Fraction: 'x'")),
+        ([[1, 2], [1]], ["x", 1], (ValueError, "Invalid literal for Fraction: 'x'")),
+        ([[1, 2], [1]], [1, "x"], (bk.InputError, "ragged constraint matrix")),
+        ([[1, 2]], [1, 2], (bk.InputError, "rows/rhs length mismatch")),
+    ):
+        assert _outcome(solve_equality_feasibility, rows, rhs) == error
+        assert _outcome(reference_equality_feasibility, rows, rhs) == error
+
+
 def test_inequalities_via_slacks():
     # x <= 3 and x >= 1 feasible; x <= 0 and x >= 1 infeasible (x >= 0 scalar)
     assert feasible_with_inequalities([], [], [[Fraction(1)], [Fraction(-1)]], [3, -1])
@@ -77,6 +157,17 @@ def test_hull_empty_sides():
         res = bk.exact_hull_intersection(pts, a, b)
         assert not res.intersecting and res.witness is None
         assert res.functional == (e1, Fraction(c))
+
+
+def test_hull_rational_coordinates_match_the_reference(monkeypatch):
+    # Points with denominators 3, 4 and 7 reach the solver's column clearing,
+    # which integer-valued domains never need.
+    pts = bk.PointSet.from_signed_rows(2, [["-5/7", "-5/7"], ["5/3", "4/3"], ["-5/7", "4/3"], ["4/3", "-5/7"], ["1/3", "1/4"]])
+    cases = (((0, 1), (2, 3), True), ((0, 1, 4), (2,), False), ((0, 2), (1, 3), False), ((0, 1, 2), (4,), True))
+    results = [bk.exact_hull_intersection(pts, a, b) for a, b, _ in cases]
+    assert [r.intersecting for r in results] == [want for _, _, want in cases]
+    monkeypatch.setattr(bracketkit.protocols, "solve_equality_feasibility", reference_equality_feasibility)
+    assert [repr(bk.exact_hull_intersection(pts, a, b)) for a, b, _ in cases] == [repr(r) for r in results]
 
 
 def test_hull_point_inside_segment_1d():
