@@ -162,7 +162,8 @@ def test_hull_empty_sides():
 def test_hull_rational_coordinates_match_the_reference(monkeypatch):
     # Points with denominators 3, 4 and 7 reach the solver's column clearing,
     # which integer-valued domains never need.
-    pts = bk.PointSet.from_signed_rows(2, [["-5/7", "-5/7"], ["5/3", "4/3"], ["-5/7", "4/3"], ["4/3", "-5/7"], ["1/3", "1/4"]])
+    rows = [["-5/7", "-5/7"], ["5/3", "4/3"], ["-5/7", "4/3"], ["4/3", "-5/7"], ["1/3", "1/4"]]
+    pts = bk.PointSet.from_signed_rows(2, rows)
     cases = (((0, 1), (2, 3), True), ((0, 1, 4), (2,), False), ((0, 2), (1, 3), False), ((0, 1, 2), (4,), True))
     results = [bk.exact_hull_intersection(pts, a, b) for a, b, _ in cases]
     assert [r.intersecting for r in results] == [want for _, _, want in cases]
