@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cached_property, cmp_to_key, reduce
 from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from operator import or_
 
@@ -51,10 +51,30 @@ _SPHERE_DEN = 1 << 12
 
 @dataclass(frozen=True)
 class PointSet:
-    """n points with exact rational coordinates in dimension d."""
+    """n points with exact rational coordinates in dimension d.
+
+    Equality is over (dim, points); the hash of that pair is computed once,
+    since the protocol context cache hashes the domain on every call."""
 
     dim: int
     points: tuple
+
+    @cached_property
+    def _hash(self):
+        return hash((self.dim, self.points))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def int_points(self):
+        """Per point, (integer coordinates, positive denominator): the point
+        is the coordinates over the lcm of its coordinates' denominators."""
+        out = []
+        for p in self.points:
+            den = math.lcm(*(c.denominator for c in p))
+            out.append((tuple(int(c * den) for c in p), den))
+        return tuple(out)
 
     @staticmethod
     def from_signed_rows(dim, rows):
@@ -89,15 +109,6 @@ class PointSet:
             return PointSet.from_signed_rows(dim, rows)
 
         return parse_json_object(text, "point set JSON", parse)
-
-
-def _int_points(pts):
-    """Clear denominators per point: (integer coordinates, positive denominator)."""
-    out = []
-    for p in pts.points:
-        den = math.lcm(*(c.denominator for c in p))
-        out.append((tuple(int(c * den) for c in p), den))
-    return out
 
 
 def _det(m):
@@ -284,7 +295,7 @@ def _spanning_tuple_sides(int_pts, dim):
 
 def enumerate_halfspace_ranges(pts):
     """All distinct subsets cut from the points by halfspaces, incl. empty and full."""
-    return SetSystem.from_masks(pts.n, _halfspace_masks(_int_points(pts), pts.dim))
+    return SetSystem.from_masks(pts.n, _halfspace_masks(pts.int_points, pts.dim))
 
 
 def enumerate_ball_ranges(pts):
@@ -295,7 +306,7 @@ def enumerate_ball_ranges(pts):
     positive last coefficient (complements of balls) are filtered out.
     """
     lifted = [(tuple(v * den for v in num) + (sum(v * v for v in num),), den * den)
-              for num, den in _int_points(pts)]
+              for num, den in pts.int_points]
     masks = _halfspace_masks(lifted, pts.dim + 1, keep=lambda w: w[-1] <= 0)
     return SetSystem.from_masks(pts.n, masks)
 

@@ -14,8 +14,11 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
+import numpy as np
+
+from .bitsets import pack_masks
 from .constructions import build_container, default_provider
 from .errors import InputError, InternalInvariantError, NonRealizableError, json_int
 from .geometry import PointSet, enumerate_halfspace_ranges
@@ -86,16 +89,40 @@ class SharedContext:
     hypotheses: tuple
     cover_count: int
 
+    @staticmethod
+    def from_covers(system, covers):
+        """The cover block first (the compressed class), then the other
+        ranges, in their canonical order, as the consistency fallback."""
+        covers = tuple(covers)
+        seen = set(covers)
+        return SharedContext(system, covers + tuple(m for m in system.ranges if m not in seen), len(covers))
+
+    @cached_property
+    def columns(self):
+        """``(rcol, ccol, cover_ranges)``, built on the context's first round
+        and dropped with it: bit j of ``rcol[p]`` (``ccol[p]``) is set when
+        range (cover) j contains point p, and bit i of ``cover_ranges`` when
+        range i is also a cover."""
+        ranges, covers = self.system.ranges, self.hypotheses[: self.cover_count]
+        seen = set(covers)
+        flags = np.packbits(np.fromiter((m in seen for m in ranges), bool, len(ranges)), bitorder="little")
+        n = self.system.n
+        return _point_columns(ranges, n), _point_columns(covers, n), int.from_bytes(flags.tobytes(), "little")
+
+
+def _point_columns(masks, n):
+    """For each of the n points, the int whose bit j is set when masks[j]
+    contains the point: the ``pack_masks`` rows unpacked to bits, transposed
+    and packed again."""
+    bits = np.unpackbits(pack_masks(masks, n).view(np.uint8), axis=1, count=n, bitorder="little")
+    rows = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
 
 @lru_cache(maxsize=8)
 def shared_protocol_context(domain, eps0):
     system = enumerate_halfspace_ranges(domain)
-    covers = build_container(system, eps0, default_provider()).covers
-    # Cover block first (the compressed class), then the other ranges, in
-    # their canonical order, as the consistency fallback.
-    seen = set(covers)
-    hypotheses = covers + tuple(m for m in system.ranges if m not in seen)
-    return SharedContext(system, hypotheses, len(covers))
+    return SharedContext.from_covers(system, build_container(system, eps0, default_provider()).covers)
 
 
 def _check_index(i, n, what):
@@ -122,30 +149,91 @@ def _first_error(examples, cover, witness_range):
     return None
 
 
-def _pick_hypothesis(covers, consistent):
-    """First consistent cover that contains a consistent range, and the first
-    such range (``covers`` is in hypothesis order, ``consistent`` canonical).
+def _pick_hypothesis(ctx, r_alive, c_alive):
+    """The round's hypothesis: (its index in ``ctx.hypotheses``, the
+    hypothesis, its witness range), given the consistent ranges ``r_alive``
+    and the consistent covers ``c_alive`` as bit sets over range and cover
+    positions.
 
-    Only the cover block needs a search: when no cover qualifies, no
-    consistent range is a cover, so the first consistent range is the first
-    consistent hypothesis of the fallback block and its own first witness.
+    It is the first consistent cover that contains a consistent range, with
+    the first such range as witness.  The covers are visited lowest bit
+    first; the consistent ranges inside a cover are those in no column of a
+    point outside it.  Only the cover block needs a search: when no cover
+    qualifies, no consistent range is a cover (it would contain itself), so
+    the first consistent range is the first consistent hypothesis of the
+    fallback block and its own witness.  Its index is past the covers, at
+    its position among the ranges that are not covers.
     """
-    for candidate in covers:
-        for r in consistent:
-            if (r & candidate) == r:
-                return candidate, r
-    return consistent[0], consistent[0]
+    rcol, _, cover_ranges = ctx.columns
+    ranges = ctx.system.ranges
+    while c_alive:
+        low = c_alive & -c_alive
+        j = low.bit_length() - 1
+        cover = ctx.hypotheses[j]
+        spill, outside = 0, ctx.system.full_mask ^ cover
+        while outside:
+            point = outside & -outside
+            spill |= rcol[point.bit_length() - 1]
+            outside ^= point
+        inside = r_alive & ~spill
+        if inside:
+            return j, cover, ranges[(inside & -inside).bit_length() - 1]
+        c_alive ^= low
+    i = (r_alive & -r_alive).bit_length() - 1
+    return ctx.cover_count + i - (cover_ranges & ((1 << i) - 1)).bit_count(), ranges[i], ranges[i]
+
+
+def _rounds(ctx, alice, bob):
+    """Learning rounds on a shared context; the examples are sorted and
+    valid.  Returns the agreed (hypothesis index, hypothesis, transcript).
+
+    The parties keep the ranges and the covers that are consistent with the
+    labels so far as two bit sets, bit j for range or cover j, and a
+    counterexample (p, label) ANDs each with the column of the items that
+    contain p (label +1) or exclude it (label -1).  The picks are those of
+    re-testing every mask against all labels each round: labels only
+    accumulate, bit order is canonical order, a cover qualifies exactly when
+    its bit survives, and the protocol aborts exactly when no range bit is
+    left.  At most 2n + 2 rounds run (see ``learn_halfspace_protocol``).
+    """
+    n = ctx.system.n
+    rcol, ccol, _ = ctx.columns
+    r_alive = (1 << len(ctx.system.ranges)) - 1
+    c_alive = (1 << ctx.cover_count) - 1
+    ce_cost = _index_cost(n) + 1
+    history = []
+    messages = []
+    for _ in range(2 * n + 2):
+        if not r_alive:
+            raise NonRealizableError(
+                "no halfspace range is consistent with the exchanged examples",
+                certificate=history,
+                transcript=Transcript(tuple(messages)),
+            )
+        index, cover, witness_range = _pick_hypothesis(ctx, r_alive, c_alive)
+        for sender, examples in (("alice", alice), ("bob", bob)):
+            error = _first_error(examples, cover, witness_range)
+            if error is not None:
+                messages.append(Message(sender, "counterexample", list(error), ce_cost))
+                history.append(error)
+                idx, label = error
+                if label > 0:
+                    r_alive &= rcol[idx]
+                    c_alive &= ccol[idx]
+                else:
+                    r_alive &= ~rcol[idx]
+                    c_alive &= ~ccol[idx]
+                break
+            messages.append(Message(sender, "ok", None, 1))
+        else:
+            return index, cover, Transcript(tuple(messages))
+    raise InternalInvariantError("protocol did not terminate within its round budget")
 
 
 def _run_learning(domain, alice, bob, eps0):
-    """Learning rounds.  The parties keep the ranges and the covers that are
-    consistent with the labels so far, and filter both, in order, at each
-    counterexample.  The picks are those of re-testing every mask against
-    all labels each round: labels only accumulate, the filter keeps
-    canonical order, a cover qualifies exactly when it survives, and the
-    protocol aborts exactly when the range list is empty.  The examples are
-    checked, in the given order, before any sorting or context work: each
-    must be a two-item list or tuple of an index and a label."""
+    """Check the examples, in the given order, before any sorting or
+    context work (each must be a two-item list or tuple of an index and a
+    label), then run the rounds on the domain's shared context."""
     n = domain.n
     alice, bob = tuple(alice), tuple(bob)
     for example in alice + bob:
@@ -158,32 +246,7 @@ def _run_learning(domain, alice, bob, eps0):
     alice = tuple(sorted(map(tuple, alice)))
     bob = tuple(sorted(map(tuple, bob)))
     ctx = shared_protocol_context(domain, Fraction(eps0))
-    ce_cost = _index_cost(n) + 1
-    consistent = list(ctx.system.ranges)
-    covers = list(ctx.hypotheses[: ctx.cover_count])
-    history = []
-    messages = []
-    for _ in range(2 * n + 2):
-        if not consistent:
-            raise NonRealizableError(
-                "no halfspace range is consistent with the exchanged examples",
-                certificate=history,
-                transcript=Transcript(tuple(messages)),
-            )
-        cover, witness_range = _pick_hypothesis(covers, consistent)
-        for sender, examples in (("alice", alice), ("bob", bob)):
-            error = _first_error(examples, cover, witness_range)
-            if error is not None:
-                messages.append(Message(sender, "counterexample", list(error), ce_cost))
-                history.append(error)
-                idx, label = error
-                consistent, covers = ([m for m in masks if (m >> idx & 1) == (label > 0)]
-                                      for masks in (consistent, covers))
-                break
-            messages.append(Message(sender, "ok", None, 1))
-        else:
-            return ctx, cover, Transcript(tuple(messages))
-    raise InternalInvariantError("protocol did not terminate within its round budget")
+    return ctx, *_rounds(ctx, alice, bob)
 
 
 def learn_halfspace_protocol(inst, eps0):
@@ -191,7 +254,8 @@ def learn_halfspace_protocol(inst, eps0):
 
     Each round both parties select the first hypothesis consistent with the
     exchanged labeled set that contains a consistent halfspace range (the
-    consistent lists narrow as labels arrive); Alice then Bob either send
+    consistent ranges and covers are bit sets that narrow by one AND with a
+    per-point column at each counterexample); Alice then Bob either send
     their lowest-index counterexample or a 1-bit OK.  Two OKs terminate.
     Raises NonRealizableError (with the inconsistent subset as certificate)
     when no consistent range is left.
@@ -203,7 +267,7 @@ def learn_halfspace_protocol(inst, eps0):
     it adds a (point, label) pair the exchanged set lacks; there are at most
     2n such pairs, then one round of two OKs.
     """
-    _, cover, transcript = _run_learning(inst.domain, inst.alice, inst.bob, eps0)
+    _, _, cover, transcript = _run_learning(inst.domain, inst.alice, inst.bob, eps0)
     return Classifier(cover, inst.domain.n), transcript
 
 
@@ -221,10 +285,9 @@ def convex_disjointness_protocol(inst, eps0):
     alice = tuple((i, 1) for i in inst.alice)
     bob = tuple((j, -1) for j in inst.bob)
     try:
-        ctx, cover, transcript = _run_learning(inst.domain, alice, bob, eps0)
+        ctx, index, _, transcript = _run_learning(inst.domain, alice, bob, eps0)
     except NonRealizableError as err:
         return "intersecting", err.transcript
-    index = ctx.hypotheses.index(cover)
     announce = Message("alice", "family_index", index, max(1, _index_cost(len(ctx.hypotheses))))
     return "disjoint", Transcript(transcript.messages + (announce,))
 
@@ -260,18 +323,23 @@ def exact_hull_intersection(domain, a, b):
         proj = [domain.points[i][0] for i in a + b]
         c = min(proj, default=Fraction(1)) - 1 if not a else max(proj) + 1
         return HullResult(False, functional=(e1, c))
-    pa = [domain.points[i] for i in a]
-    pb = [domain.points[j] for j in b]
+    # Point p = num/den enters as the integer column (num, den) of the
+    # coordinate and convexity rows, with weight mu = lambda/den: the column
+    # lp.py would build from p's Fraction column, so the pivots, the Farkas
+    # certificate and the witness sum(mu * num) do not change.
+    ints = domain.int_points
+    pa = [ints[i] for i in a]
+    pb = [ints[j] for j in b]
     rows = []
     for k in range(d):
-        rows.append([p[k] for p in pa] + [-q[k] for q in pb])
-    rows.append([Fraction(1)] * len(pa) + [Fraction(0)] * len(pb))
-    rows.append([Fraction(0)] * len(pa) + [Fraction(1)] * len(pb))
-    rhs = [Fraction(0)] * d + [Fraction(1), Fraction(1)]
+        rows.append([num[k] for num, _ in pa] + [-num[k] for num, _ in pb])
+    rows.append([den for _, den in pa] + [0] * len(pb))
+    rows.append([0] * len(pa) + [den for _, den in pb])
+    rhs = [0] * d + [1, 1]
     status, cert = solve_equality_feasibility(rows, rhs)
     if status == "feasible":
-        lams = cert[: len(pa)]
-        point = tuple(sum(l * p[k] for l, p in zip(lams, pa)) for k in range(d))
+        mus = cert[: len(pa)]
+        point = tuple(sum(mu * num[k] for mu, (num, _) in zip(mus, pa)) for k in range(d))
         return HullResult(True, witness=point)
     w = cert[:d]
     alpha, beta = cert[d], cert[d + 1]

@@ -1,6 +1,7 @@
 """Exhaustive reference checkers for family validity, used by the verifier
-tests and the mutation-testing acceptance criterion, and the LP feasibility
-oracle of the geometry tests.
+tests and the mutation-testing acceptance criterion, the LP feasibility
+oracle of the geometry tests, and the list-filtering protocol rounds that
+the bit-sliced rounds of ``bracketkit.protocols`` are compared against.
 
 Deliberately written with frozensets and plain loops: no bitmask tricks, no
 witness maps, nothing shared with the library's verifiers beyond arithmetic.
@@ -161,3 +162,48 @@ def reference_equality_feasibility(rows, rhs):
     y = tuple(1 - obj[k + i] for i in range(m))
     # Restore signs for rows that were negated on input.
     return "infeasible", tuple(-y[i] if Fraction(rhs[i]) < 0 else y[i] for i in range(m))
+
+
+
+def reference_learning_rounds(n, ranges, hypotheses, cover_count, alice, bob):
+    """The learning rounds over n points with the consistent ranges and
+    covers kept as lists and filtered, in order, at each counterexample.
+
+    ``ranges`` is the range family in canonical order, ``hypotheses`` the
+    covers followed by the other ranges, and ``alice`` and ``bob`` the sorted
+    (index, label) examples.  Each round picks the first consistent cover
+    that contains a consistent range, with the first such range as its
+    witness, or else the first consistent range for both; Alice then Bob
+    send their lowest-index counterexample or an OK.  Returns the outcome
+    ("learned" or "abort"), the picks (hypothesis index, hypothesis, witness)
+    round by round, the counterexample history and the messages, each a
+    (sender, kind, payload, bits) tuple.
+    """
+    ce_cost = max(n - 1, 0).bit_length() + 1
+    consistent = list(ranges)
+    covers = list(hypotheses[:cover_count])
+    picks = []
+    history = []
+    messages = []
+    for _ in range(2 * n + 2):
+        if not consistent:
+            return "abort", picks, history, messages
+        cover, witness = next(
+            ((c, r) for c in covers for r in consistent if (r & c) == r),
+            (consistent[0], consistent[0]),
+        )
+        picks.append((hypotheses.index(cover), cover, witness))
+        for sender, examples in (("alice", alice), ("bob", bob)):
+            wrong = [(i, label) for i, label in examples
+                     if (label > 0 and not witness >> i & 1) or (label < 0 and cover >> i & 1)]
+            if wrong:
+                idx, label = wrong[0]
+                messages.append((sender, "counterexample", [idx, label], ce_cost))
+                history.append((idx, label))
+                consistent, covers = ([m for m in masks if (m >> idx & 1) == (label > 0)]
+                                      for masks in (consistent, covers))
+                break
+            messages.append((sender, "ok", None, 1))
+        else:
+            return "learned", picks, history, messages
+    raise AssertionError("reference rounds did not terminate within their round budget")

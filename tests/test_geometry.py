@@ -21,7 +21,6 @@ from bracketkit.geometry import (
     _cofactor_normal,
     _det,
     _halfspace_sides,
-    _int_points,
     _planar_sweep_sides,
     _spanning_tuple_sides,
 )
@@ -140,7 +139,7 @@ _small_planar_sets = st.lists(st.tuples(_small_rational, _small_rational), max_s
 @given(_small_planar_sets)
 def test_planar_sweep_matches_spanning_tuple_scan(rows):
     # Equal (tuple, normal, side) triples give equal masks under every keep filter.
-    int_pts = _int_points(bk.PointSet(2, tuple(rows)))
+    int_pts = bk.PointSet(2, tuple(rows)).int_points
     assert _sides_or_refusal(_planar_sweep_sides, int_pts) == _sides_or_refusal(
         _spanning_tuple_sides, int_pts, 2
     )
@@ -427,7 +426,7 @@ def halfspace_ranges_with_witnesses(pts):
         return bk.SetSystem.from_masks(0, [0]), {0: LinearQuery(axis, Fraction(0))}
     xs = [p[0] for p in pts.points]
     witnesses = {0: LinearQuery(axis, max(xs) + 1), (1 << n) - 1: LinearQuery(axis, min(xs) - 1)}
-    int_pts = _int_points(pts)
+    int_pts = pts.int_points
     coord_cap = max(abs(v) for num, _ in int_pts for v in num)
     den_cap = max(den for _, den in int_pts)
     for tup, normal, side in _halfspace_sides(int_pts, dim):

@@ -1,12 +1,16 @@
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit import protocols
 
 from conftest import general_position_points
+from naive_checks import reference_learning_rounds
 
 EPS0 = Fraction(1, 8)
 
@@ -206,18 +210,20 @@ def test_bad_examples_are_refused_before_the_context(monkeypatch):
     assert calls == [dom]
 
 
-def _full_list_search(ctx, covers, consistent, tail_picks):
+def _full_list_search(ctx, r_alive, c_alive, tail_picks):
     """Reference search over the whole hypothesis list, cover block and
     fallback block alike; records whether each pick came from the fallback.
     A hypothesis is consistent with the labels exactly when it is a
     surviving cover or a consistent range."""
-    qualified = set(covers) | set(consistent)
+    position = {m: k for k, m in enumerate(ctx.system.ranges)}
+    consistent = [m for k, m in enumerate(ctx.system.ranges) if r_alive >> k & 1]
     for i, candidate in enumerate(ctx.hypotheses):
-        if candidate in qualified:
+        alive = c_alive >> i & 1 if i < ctx.cover_count else r_alive >> position[candidate] & 1
+        if alive:
             for r in consistent:
                 if (r & candidate) == r:
                     tail_picks.append(i >= ctx.cover_count)
-                    return candidate, r
+                    return i, candidate, r
     raise AssertionError("no hypothesis contains a consistent range")
 
 
@@ -233,13 +239,64 @@ def test_cover_block_search_matches_full_list_search(monkeypatch):
 
     expected = runs()
     tail_picks = []
-    ctx = bk.shared_protocol_context(dom, EPS0)
     monkeypatch.setattr(
         protocols, "_pick_hypothesis",
-        lambda covers, consistent: _full_list_search(ctx, covers, consistent, tail_picks),
+        lambda ctx, r_alive, c_alive: _full_list_search(ctx, r_alive, c_alive, tail_picks),
     )
     assert runs() == expected
     assert any(tail_picks), "no round reached the fallback block"
+
+
+@st.composite
+def abstract_rounds(draw):
+    """A context on a random abstract system with a random cover list (some
+    covers are ranges, some contain one, some are arbitrary), and sorted
+    examples labeled by a set that is mostly one of the ranges, with a few
+    labels flipped."""
+    n = draw(st.integers(0, 70))
+    word = st.integers(0, (1 << n) - 1)
+    truth = draw(word)
+    system = bk.SetSystem.from_masks(n, draw(st.lists(word, max_size=24)) + [truth] * draw(st.integers(0, 3)))
+    covers = []
+    for _ in range(draw(st.integers(0, 10))):
+        base = draw(st.sampled_from(system.ranges)) if system.ranges and draw(st.booleans()) else 0
+        covers.append(draw(st.sampled_from([base, base | draw(word), draw(word)])))
+    alice, bob = [], []
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=12)) if n else ():
+        label = 1 if truth >> i & 1 else -1
+        if draw(st.integers(0, 9)) == 0:
+            label = -label
+        (alice if draw(st.booleans()) else bob).append((i, label))
+    return protocols.SharedContext.from_covers(system, covers), tuple(sorted(alice)), tuple(sorted(bob))
+
+
+@given(abstract_rounds())
+@settings(max_examples=300, deadline=None)
+def test_bit_sliced_rounds_match_list_rounds(case):
+    ctx, alice, bob = case
+    picks = []
+    pick = protocols._pick_hypothesis
+    with mock.patch.object(protocols, "_pick_hypothesis", lambda *args: picks.append(pick(*args)) or picks[-1]):
+        try:
+            index, cover, transcript = protocols._rounds(ctx, alice, bob)
+            got = "learned", picks, (index, cover), transcript
+        except bk.NonRealizableError as err:
+            got = "abort", picks, err.certificate, err.transcript
+    outcome, ref_picks, history, messages = reference_learning_rounds(
+        ctx.system.n, ctx.system.ranges, ctx.hypotheses, ctx.cover_count, alice, bob)
+    # A run ends on its last pick, or aborts with the counterexamples so far.
+    end = ref_picks[-1][:2] if outcome == "learned" else tuple(history)
+    assert got[:3] == (outcome, ref_picks, end)
+    assert [(m.sender, m.kind, m.payload, m.bits) for m in got[3].messages] == messages
+
+
+def test_equal_domains_hash_equal_and_share_one_context():
+    rows = [["1/3", "2"], ["5", "-7/4"], ["0", "1/2"], ["3", "3"]]
+    first, second = (bk.PointSet.from_signed_rows(2, rows) for _ in range(2))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(first) == hash((first.dim, first.points))
+    assert first != bk.PointSet.from_signed_rows(2, rows[::-1])
+    assert bk.shared_protocol_context(first, EPS0) is bk.shared_protocol_context(second, EPS0)
 
 
 def _rebuild_each_round(inst):
