@@ -164,7 +164,6 @@ def reference_equality_feasibility(rows, rhs):
     return "infeasible", tuple(-y[i] if Fraction(rhs[i]) < 0 else y[i] for i in range(m))
 
 
-
 def reference_learning_rounds(n, ranges, hypotheses, cover_count, alice, bob):
     """The learning rounds over n points with the consistent ranges and
     covers kept as lists and filtered, in order, at each counterexample.
