@@ -120,6 +120,13 @@ def pack_masks(masks, n):
     return np.frombuffer(data, "<u8").reshape(len(masks), w)
 
 
+def bit_matrix(masks, n):
+    """Masks over n elements as a (len(masks), n) bool membership matrix:
+    entry [j, i] is bit i of masks[j], unpacked from the ``pack_masks`` rows."""
+    packed = pack_masks(masks, n).view(np.uint8)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+
+
 def subset_matrix(packed_small, packed_big):
     """Boolean matrix S[i, j] = small_i is a subset of big_j."""
     ok = np.ones((packed_small.shape[0], packed_big.shape[0]), dtype=bool)

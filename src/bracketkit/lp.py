@@ -1,43 +1,33 @@
-"""Exact linear feasibility over the rationals.
+"""Exact linear feasibility of an integer system.
 
-Decides {x >= 0 : Ax = b} by a phase-1 simplex with one artificial variable
-per row, Bland's entering rule (the first column whose reduced cost is
-negative) and, in the ratio test, ties broken towards the lower basic
-variable.  It returns either a feasible point or a Farkas certificate y with
-y.A <= 0, y.b > 0.  Everything is exact; no floating point.
+Decides {x >= 0 : Ax = b} for integer A and b by a phase-1 simplex with one
+artificial variable per row, Bland's entering rule (the first column whose
+reduced cost is negative) and, in the ratio test, ties broken towards the
+lower basic variable.  It returns either a feasible point or a Farkas
+certificate y with y.A <= 0, y.b > 0, as exact Fractions; no floating point.
 
-The tableau is integer (Edmonds 1967; Bareiss 1968).  Each structural column
-is multiplied by the lcm of its denominators, the rhs by the lcm of its own,
-and the artificial columns stay as they are.  The tableau is an integer
-matrix T and a positive integer D, the true tableau being T / D.  A pivot on
+The tableau is integer (Edmonds 1967; Bareiss 1968): an integer matrix T and
+a positive integer D, the true tableau being T / D.  A pivot on
 p = T[r][s] > 0 leaves row r as it is, replaces every entry of the other rows
 and of the objective row by (T[i][j]*p - T[i][s]*T[r][j]) // D, and sets
 D = p.  By Cramer's rule D is the absolute value of the basis determinant
-and each entry of T is, up to sign, a minor of the scaled starting tableau
-with the objective row appended: so every division is exact, and no gcd is
-taken until x or y becomes a Fraction at the end.
-
-The pivots, and so the results, are those of the Fraction tableau on the
-unscaled system.  Scaling column j by c_j > 0 multiplies its reduced cost by
-c_j, so the same columns are negative and Bland's rule enters the same one.
-Scaling column s and the rhs multiplies every candidate ratio of the ratio
-test by the same c_rhs / c_s > 0; ratios are compared by cross-multiplying
-the positive column entries, so the same row leaves and ties break the same
-way.  The artificial columns, whose reduced costs give y, are unscaled, so y
-is unchanged, and x is the scaled solution times c_j / c_rhs.
+and each entry of T is, up to sign, a minor of the starting tableau with the
+objective row appended: so every division is exact, and no gcd is taken
+until x or y becomes a Fraction at the end.  An entry that is not an int
+would break that exactness, so it is refused.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import InputError
 
 
 def solve_equality_feasibility(rows, rhs):
-    """Decide {x >= 0 : Ax = b}.
+    """Decide {x >= 0 : Ax = b} for integer rows and rhs.
 
     Returns ("feasible", x) with x a tuple of Fractions, or
     ("infeasible", y) with y a Farkas certificate (y.A <= 0 and y.b > 0).
+    The entries are checked in row order, each row before its rhs value.
     """
     m = len(rows)
     if m != len(rhs):
@@ -45,22 +35,19 @@ def solve_equality_feasibility(rows, rhs):
     if m == 0:
         return "feasible", ()
     k = len(rows[0])
-    signed = []
-    for i in range(m):
-        row = [Fraction(v) for v in rows[i]]
+    tableau, signs = [], []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        for v in row:
+            if type(v) is not int:  # a bool is not an int here
+                raise InputError(f"LP entry {v!r} is not an int")
         if len(row) != k:
             raise InputError("ragged constraint matrix")
-        b = Fraction(rhs[i])
+        if type(b) is not int:
+            raise InputError(f"LP entry {b!r} is not an int")
         # Negate rows with b < 0 so the artificial basis starts feasible.
-        signed.append(([-v for v in row], -b, True) if b < 0 else (row, b, False))
-    scale = [math.lcm(*(row[j].denominator for row, _, _ in signed)) for j in range(k)]
-    rhs_scale = math.lcm(*(b.denominator for _, b, _ in signed))
-    tableau = []
-    for i, (row, b, _) in enumerate(signed):
-        ints = [v.numerator * (c // v.denominator) for v, c in zip(row, scale)]
-        ints.extend(1 if j == i else 0 for j in range(m))
-        ints.append(b.numerator * (rhs_scale // b.denominator))
-        tableau.append(ints)
+        sign = -1 if b < 0 else 1
+        tableau.append([sign * v for v in row] + [int(j == i) for j in range(m)] + [sign * b])
+        signs.append(sign)
     total = k + m
     basis = list(range(k, total))
     # Objective row: reduced costs for minimizing the artificial sum, which
@@ -101,9 +88,8 @@ def solve_equality_feasibility(rows, rhs):
         x = [Fraction(0)] * k
         for i, var in enumerate(basis):
             if var < k:
-                x[var] = Fraction(tableau[i][total] * scale[var], den * rhs_scale)
+                x[var] = Fraction(tableau[i][total], den)
         return "feasible", tuple(x)
-    # y = 1 - (reduced cost of the artificial column), restoring the sign of
-    # rows that were negated on input.
-    y = (Fraction(den - obj[k + i], den) for i in range(m))
-    return "infeasible", tuple(-v if negated else v for v, (_, _, negated) in zip(y, signed))
+    # y = 1 - (reduced cost of the artificial column), with the sign of rows
+    # that were negated on input restored.
+    return "infeasible", tuple(Fraction(sign * (den - obj[k + i]), den) for i, sign in enumerate(signs))

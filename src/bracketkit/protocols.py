@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bitsets import pack_masks
+from .bitsets import bit_matrix
 from .constructions import build_container, default_provider
 from .errors import InputError, InternalInvariantError, NonRealizableError, json_int
 from .geometry import PointSet, enumerate_halfspace_ranges
@@ -112,10 +112,8 @@ class SharedContext:
 
 def _point_columns(masks, n):
     """For each of the n points, the int whose bit j is set when masks[j]
-    contains the point: the ``pack_masks`` rows unpacked to bits, transposed
-    and packed again."""
-    bits = np.unpackbits(pack_masks(masks, n).view(np.uint8), axis=1, count=n, bitorder="little")
-    rows = np.packbits(bits.T, axis=1, bitorder="little")
+    contains the point: the ``bit_matrix`` transposed and packed again."""
+    rows = np.packbits(bit_matrix(masks, n).T, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
@@ -231,18 +229,8 @@ def _rounds(ctx, alice, bob):
 
 
 def _run_learning(domain, alice, bob, eps0):
-    """Check the examples, in the given order, before any sorting or
-    context work (each must be a two-item list or tuple of an index and a
-    label), then run the rounds on the domain's shared context."""
-    n = domain.n
-    alice, bob = tuple(alice), tuple(bob)
-    for example in alice + bob:
-        if not isinstance(example, (list, tuple)) or len(example) != 2:
-            raise InputError(f"example {example!r} is not an [index, label] pair")
-        idx, label = example
-        _check_index(idx, n, "example index")
-        if type(label) is not int or label not in (1, -1):
-            raise InputError(f"label must be +1 or -1, got {label}")
+    """Sort the checked examples and run the rounds on the domain's shared
+    context."""
     alice = tuple(sorted(map(tuple, alice)))
     bob = tuple(sorted(map(tuple, bob)))
     ctx = shared_protocol_context(domain, Fraction(eps0))
@@ -267,8 +255,19 @@ def learn_halfspace_protocol(inst, eps0):
     it adds a (point, label) pair the exchanged set lacks; there are at most
     2n such pairs, then one round of two OKs.
     """
-    _, _, cover, transcript = _run_learning(inst.domain, inst.alice, inst.bob, eps0)
-    return Classifier(cover, inst.domain.n), transcript
+    n = inst.domain.n
+    alice, bob = tuple(inst.alice), tuple(inst.bob)
+    # Each example must be a two-item list or tuple of an index and a label;
+    # all are checked, in the given order, before any sorting or context work.
+    for example in alice + bob:
+        if not isinstance(example, (list, tuple)) or len(example) != 2:
+            raise InputError(f"example {example!r} is not an [index, label] pair")
+        idx, label = example
+        _check_index(idx, n, "example index")
+        if type(label) is not int or label not in (1, -1):
+            raise InputError(f"label must be +1 or -1, got {label}")
+    _, _, cover, transcript = _run_learning(inst.domain, alice, bob, eps0)
+    return Classifier(cover, n), transcript
 
 
 def convex_disjointness_protocol(inst, eps0):
@@ -324,9 +323,11 @@ def exact_hull_intersection(domain, a, b):
         c = min(proj, default=Fraction(1)) - 1 if not a else max(proj) + 1
         return HullResult(False, functional=(e1, c))
     # Point p = num/den enters as the integer column (num, den) of the
-    # coordinate and convexity rows, with weight mu = lambda/den: the column
-    # lp.py would build from p's Fraction column, so the pivots, the Farkas
-    # certificate and the witness sum(mu * num) do not change.
+    # coordinate and convexity rows: p's column (p, 1) scaled by den > 0.
+    # That multiplies the column's reduced cost, and every ratio-test ratio
+    # it takes part in, by the same positive factor, so Bland's rule makes
+    # the same pivots; the weight mu = lambda/den gives the witness
+    # sum(mu * num).
     ints = domain.int_points
     pa = [ints[i] for i in a]
     pb = [ints[j] for j in b]

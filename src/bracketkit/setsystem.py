@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsets import compress, indices_from_mask, pack_masks
+from .bitsets import bit_matrix, compress, indices_from_mask
 from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_json_object
 
 
@@ -71,11 +71,6 @@ class SetSystem:
     @property
     def full_mask(self):
         return (1 << self.n) - 1
-
-    def bool_matrix(self):
-        """Ranges as a (num_ranges, n) boolean membership matrix."""
-        packed = pack_masks(self.ranges, self.n).view(np.uint8)
-        return np.unpackbits(packed, axis=1, count=self.n, bitorder="little").astype(bool)
 
     def to_json(self):
         return json.dumps({"n": self.n, "ranges": [list(indices_from_mask(m)) for m in self.ranges]})
@@ -149,7 +144,7 @@ def vc_dimension_exact(system, cap):
         raise InputError("cap must be nonnegative")
     if not system.ranges:
         return VcDimension(-1, True, ())
-    matrix = system.bool_matrix().astype(np.uint64)
+    matrix = bit_matrix(system.ranges, system.n).astype(np.uint64)
     best = 0
     witness = ()
     for k in range(1, min(cap, system.n) + 1):

@@ -32,9 +32,6 @@ class VerifyReport:
     checked: int
     counterexample: object
 
-    def __bool__(self):
-        return self.passed
-
 
 def _size_bands(sets):
     """``band(lo, hi)``: a lazy iterator over the sets whose size lies in

@@ -94,9 +94,9 @@ def reference_equality_feasibility(rows, rhs):
     lower basic variable.
 
     Returns ("feasible", x) with x a tuple of Fractions, or
-    ("infeasible", y) with y a Farkas certificate (y.A <= 0 and y.b > 0),
-    and raises exactly what ``bracketkit.lp.solve_equality_feasibility``
-    raises: the two must agree on every input.
+    ("infeasible", y) with y a Farkas certificate (y.A <= 0 and y.b > 0).
+    It takes any rational entries; ``bracketkit.lp.solve_equality_feasibility``
+    takes only ints, and the two must agree on every integer input.
     """
     m = len(rows)
     if m != len(rhs):

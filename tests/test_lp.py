@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -19,8 +20,8 @@ def test_feasible_simple():
 
 def test_infeasible_with_certificate():
     # x0 = 1 and x0 = 2 simultaneously
-    rows = [[Fraction(1)], [Fraction(1)]]
-    rhs = [Fraction(1), Fraction(2)]
+    rows = [[1], [1]]
+    rhs = [1, 2]
     status, y = solve_equality_feasibility(rows, rhs)
     assert status == "infeasible"
     # Farkas: y.A <= 0 componentwise and y.b > 0
@@ -30,13 +31,11 @@ def test_infeasible_with_certificate():
 
 
 def test_farkas_on_random_instances():
-    import random
-
     for seed in range(30):
         rng = random.Random(seed)
         m, k = rng.randint(1, 4), rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-4, 4)) for _ in range(k)] for _ in range(m)]
-        rhs = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
+        rows = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+        rhs = [rng.randint(-4, 4) for _ in range(m)]
         status, cert = solve_equality_feasibility(rows, rhs)
         if status == "feasible":
             assert all(v >= 0 for v in cert)
@@ -49,19 +48,14 @@ def test_farkas_on_random_instances():
 
 
 _NEAR_2_31 = st.integers(2**31 - 3, 2**31 + 3).flatmap(lambda v: st.sampled_from([v, -v]))
-_ENTRIES = st.one_of(
-    st.integers(-4, 4),
-    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 5, 6, 7, 12, 97])),
-    _NEAR_2_31,
-    st.builds(Fraction, _NEAR_2_31, st.integers(1, 97)),
-)
+_ENTRIES = st.one_of(st.integers(-4, 4), _NEAR_2_31, st.integers(-(2**47), 2**47))
 
 
 @st.composite
 def lp_systems(draw):
-    """Rational systems (k may be 0) with mixed denominators, negative rhs,
-    all-zero rows, duplicate columns and duplicate rows (ties in the ratio
-    test), and entries near 2**31."""
+    """Integer systems (k may be 0) with negative rhs, all-zero rows,
+    duplicate columns and duplicate rows (ties in the ratio test), and
+    entries near 2**31 and up to 2**47."""
     m, k = draw(st.integers(1, 5)), draw(st.integers(0, 6))
     rows = [[draw(_ENTRIES) for _ in range(k)] for _ in range(m)]
     rhs = [draw(_ENTRIES) for _ in range(m)]
@@ -99,7 +93,28 @@ def test_solver_matches_the_reference_simplex(system):
         assert sum(y * b for y, b in zip(cert, rhs)) > 0
 
 
-_BAD_ENTRIES = st.one_of(_ENTRIES, st.sampled_from(["1/3", "x", "1/0", None, 0.5, [1]]))
+_NON_INTS = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 6, 7, 12, 97])),
+    st.sampled_from(["1/3", "x", "1/0", None, 0.5, [1], True, False]),
+)
+_BAD_ENTRIES = st.one_of(_ENTRIES, _NON_INTS)
+
+
+def _expected_refusal(rows, rhs):
+    """The InputError text for rows and rhs, or None when they are a valid
+    integer system: the length check first, then row by row its entries,
+    its length and its rhs value."""
+    if len(rows) != len(rhs):
+        return "rows/rhs length mismatch"
+    for row, b in zip(rows, rhs):
+        bad = [v for v in row if type(v) is not int]
+        if bad:
+            return f"LP entry {bad[0]!r} is not an int"
+        if len(row) != len(rows[0]):
+            return "ragged constraint matrix"
+        if type(b) is not int:
+            return f"LP entry {b!r} is not an int"
+    return None
 
 
 @given(
@@ -107,21 +122,29 @@ _BAD_ENTRIES = st.one_of(_ENTRIES, st.sampled_from(["1/3", "x", "1/0", None, 0.5
     st.lists(_BAD_ENTRIES, max_size=4),
 )
 @settings(max_examples=300, deadline=None)
-def test_malformed_input_raises_what_the_reference_raises(rows, rhs):
-    assert _outcome(solve_equality_feasibility, rows, rhs) == _outcome(reference_equality_feasibility, rows, rhs)
+def test_non_int_entries_are_refused_in_row_order(rows, rhs):
+    refusal = _expected_refusal(rows, rhs)
+    if refusal is None:
+        assert _outcome(solve_equality_feasibility, rows, rhs) == _outcome(reference_equality_feasibility, rows, rhs)
+    else:
+        assert _outcome(solve_equality_feasibility, rows, rhs) == (bk.InputError, refusal)
 
 
 def test_errors_follow_row_order():
-    # A bad value in an early row is reported before a ragged later row,
-    # and a ragged row before a bad rhs value of that row.
+    # The length mismatch comes first; then a non-int in an early row is
+    # reported before a ragged later row, and a ragged row before a non-int
+    # rhs value of that row.
     for rows, rhs, error in (
-        ([[1, "x"], [1]], [1, 1], (ValueError, "Invalid literal for Fraction: 'x'")),
-        ([[1, 2], [1]], ["x", 1], (ValueError, "Invalid literal for Fraction: 'x'")),
-        ([[1, 2], [1]], [1, "x"], (bk.InputError, "ragged constraint matrix")),
-        ([[1, 2]], [1, 2], (bk.InputError, "rows/rhs length mismatch")),
+        ([[1, "x"], [1]], [1, 1], "LP entry 'x' is not an int"),
+        ([[1, 2], [1]], ["x", 1], "LP entry 'x' is not an int"),
+        ([[1, 2], [1]], [1, "x"], "ragged constraint matrix"),
+        ([[1, 2]], [1, 2], "rows/rhs length mismatch"),
+        ([[Fraction(1, 2)]], [1, 2], "rows/rhs length mismatch"),
+        ([[1], [True]], [1, 0.5], "LP entry True is not an int"),
+        ([[1], [2]], [Fraction(1), 1], "LP entry Fraction(1, 1) is not an int"),
+        ([[1, 2.0]], [1], "LP entry 2.0 is not an int"),
     ):
-        assert _outcome(solve_equality_feasibility, rows, rhs) == error
-        assert _outcome(reference_equality_feasibility, rows, rhs) == error
+        assert _outcome(solve_equality_feasibility, rows, rhs) == (bk.InputError, error)
 
 
 def test_inequalities_via_slacks():
@@ -159,16 +182,61 @@ def test_hull_empty_sides():
         assert res.functional == (e1, Fraction(c))
 
 
+_RATIONAL_ROWS = [["-5/7", "-5/7"], ["5/3", "4/3"], ["-5/7", "4/3"], ["4/3", "-5/7"], ["1/3", "1/4"]]
+_RATIONAL_CASES = (((0, 1), (2, 3), True), ((0, 1, 4), (2,), False), ((0, 2), (1, 3), False), ((0, 1, 2), (4,), True))
+
+
 def test_hull_rational_coordinates_match_the_reference(monkeypatch):
-    # Points with denominators 3, 4 and 7 reach the solver's column clearing,
-    # which integer-valued domains never need.
-    rows = [["-5/7", "-5/7"], ["5/3", "4/3"], ["-5/7", "4/3"], ["4/3", "-5/7"], ["1/3", "1/4"]]
-    pts = bk.PointSet.from_signed_rows(2, rows)
-    cases = (((0, 1), (2, 3), True), ((0, 1, 4), (2,), False), ((0, 2), (1, 3), False), ((0, 1, 2), (4,), True))
+    # Points with denominators 3, 4 and 7 enter the solver as integer
+    # columns (num, den); the reference simplex on the same rows agrees.
+    pts = bk.PointSet.from_signed_rows(2, _RATIONAL_ROWS)
+    cases = _RATIONAL_CASES
     results = [bk.exact_hull_intersection(pts, a, b) for a, b, _ in cases]
     assert [r.intersecting for r in results] == [want for _, _, want in cases]
     monkeypatch.setattr(bracketkit.protocols, "solve_equality_feasibility", reference_equality_feasibility)
     assert [repr(bk.exact_hull_intersection(pts, a, b)) for a, b, _ in cases] == [repr(r) for r in results]
+
+
+def _hull_from_fraction_columns(domain, a, b):
+    """The HullResult of the reference simplex on the Fraction columns
+    (p, 1) of the coordinate and convexity rows, with the witness sum of
+    lambda * p, or the functional w = y[:d], c = (y[d+1] - y[d]) / 2."""
+    a, b = sorted(set(a)), sorted(set(b))
+    pa = [domain.points[i] for i in a]
+    pb = [domain.points[j] for j in b]
+    d = domain.dim
+    rows = [[p[k] for p in pa] + [-q[k] for q in pb] for k in range(d)]
+    rows.append([Fraction(1)] * len(pa) + [Fraction(0)] * len(pb))
+    rows.append([Fraction(0)] * len(pa) + [Fraction(1)] * len(pb))
+    status, cert = reference_equality_feasibility(rows, [Fraction(0)] * d + [Fraction(1)] * 2)
+    if status == "feasible":
+        return bracketkit.protocols.HullResult(True, witness=tuple(sum(lam * p[k] for lam, p in zip(cert, pa)) for k in range(d)))
+    return bracketkit.protocols.HullResult(False, functional=(tuple(cert[:d]), (cert[d + 1] - cert[d]) / 2))
+
+
+def test_hull_on_rational_domains_matches_the_fraction_columns():
+    # Scaling p's column (p, 1) by its denominator keeps every pivot, so
+    # the integer columns (num, den) give the same result on any domain.
+    domains = [(bk.PointSet.from_signed_rows(2, _RATIONAL_ROWS), [(a, b) for a, b, _ in _RATIONAL_CASES])]
+    for seed in range(12):
+        rng = random.Random(seed)
+        d, n = 2 + seed % 2, 7 + seed % 4
+        base = bk.random_point_set(d, n, 500 + seed) if seed % 3 else bk.lower_bound_instance(d, n, "grid")
+        domain = bk.jitter_points(base, 1, seed)
+        assert any(c.denominator == 1 << 20 for p in domain.points for c in p)
+        splits = []
+        for _ in range(6):
+            a = tuple(i for i in range(n) if rng.random() < 0.4)
+            splits.append((a, tuple(i for i in range(n) if i not in a and rng.random() < 0.6)))
+        domains.append((domain, splits))
+    seen = set()
+    for domain, splits in domains:
+        for a, b in splits:
+            if a and b:
+                got = bk.exact_hull_intersection(domain, a, b)
+                assert repr(got) == repr(_hull_from_fraction_columns(domain, a, b))
+                seen.add(got.intersecting)
+    assert seen == {True, False}
 
 
 def test_hull_point_inside_segment_1d():
@@ -181,8 +249,6 @@ def test_hull_point_inside_segment_1d():
 
 
 def test_hull_functional_separates_random():
-    import random
-
     for seed in range(10):
         rng = random.Random(seed)
         pts = bk.random_point_set(2, 8, seed + 200)

@@ -210,6 +210,17 @@ def test_bad_examples_are_refused_before_the_context(monkeypatch):
     assert calls == [dom]
 
 
+def test_each_disjointness_index_is_checked_once(monkeypatch):
+    domain, _ = general_position_points(2, 64, 11)
+    inst = bk.random_disjointness_instance(domain, 3)
+    calls = []
+    check = protocols._check_index
+    monkeypatch.setattr(protocols, "_check_index", lambda *args: calls.append(args) or check(*args))
+    bk.convex_disjointness_protocol(inst, EPS0)
+    assert len(calls) == len(inst.alice) + len(inst.bob) > 0
+    assert {what for _, _, what in calls} == {"index"}
+
+
 def _full_list_search(ctx, r_alive, c_alive, tail_picks):
     """Reference search over the whole hypothesis list, cover block and
     fallback block alike; records whether each pick came from the fallback.

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.bitsets import pack_masks, symdiff_counts
+from bracketkit.bitsets import bit_matrix, pack_masks, symdiff_counts
 from bracketkit.setsystem import _reversed_mask, canonical_key, size_band
 
 from conftest import mask_from_indices, masks_as_sets, system_from_sets
@@ -136,7 +136,7 @@ def test_bool_matrix_matches_per_bit_reference(n, data):
         for row, mask in enumerate(system.ranges):
             for i in range(n):
                 want[row, i] = bool(mask >> i & 1)
-        got = system.bool_matrix()
+        got = bit_matrix(system.ranges, n)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
