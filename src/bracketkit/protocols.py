@@ -24,6 +24,8 @@ from .errors import InputError, InternalInvariantError, NonRealizableError, json
 from .geometry import PointSet, enumerate_halfspace_ranges
 from .lp import solve_equality_feasibility
 
+_COLUMN_BLOCK = 4096  # masks unpacked at a time; a multiple of 8, so a block fills whole bytes
+
 @dataclass(frozen=True)
 class LearningInstance:
     """Labeled examples split between the parties; labels are +1/-1 on domain
@@ -112,9 +114,12 @@ class SharedContext:
 
 def _point_columns(masks, n):
     """For each of the n points, the int whose bit j is set when masks[j]
-    contains the point: the ``bit_matrix`` transposed and packed again."""
-    rows = np.packbits(bit_matrix(masks, n).T, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    contains the point: each block's ``bit_matrix`` transposed and packed."""
+    cols = np.empty((n, (len(masks) + 7) // 8), np.uint8)
+    for start in range(0, len(masks), _COLUMN_BLOCK):
+        block = bit_matrix(masks[start:start + _COLUMN_BLOCK], n).T
+        cols[:, start // 8:(start + _COLUMN_BLOCK) // 8] = np.packbits(block, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in cols]
 
 
 @lru_cache(maxsize=8)

@@ -12,6 +12,9 @@ one contiguous slice of it.  ``size_band`` finds that slice by bisection,
 and every size filter in the package (``filter_by_size``, the packing's
 shallow cap and bound report, the heavy, boosting and bootstrap bands of
 the constructions) is a call to it.
+
+``canonical_sort`` makes the order by keys that Python's sort compares in C:
+byte strings that rank masks of equal size lex, then a stable size pass.
 """
 
 import json
@@ -29,27 +32,18 @@ from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _reversed_mask(mask, n):
-    """Bit p of the result is bit w-1-p of mask, w = max(n, mask.bit_length())."""
-    if n == 0:
-        return 0
-    width = max(n, mask.bit_length())
-    nbytes = (width + 7) // 8
-    flipped = mask.to_bytes(nbytes, "little").translate(_REVERSED_BYTE)
-    return int.from_bytes(flipped, "big") >> (8 * nbytes - width)
-
-
-def canonical_key(mask, n):
-    """Sort key realizing: size descending, then sorted-element-list lex ascending.
-
-    For equal sizes, ascending lexicographic order of sorted index lists is the
-    same as descending numeric order of the bit-reversed mask.
-    """
-    return (-mask.bit_count(), -_reversed_mask(mask, n))
-
-
 def canonical_sort(masks, n):
-    return sorted(masks, key=lambda m: canonical_key(m, n))
+    """The masks as a list in canonical order.  The keys have equal length,
+    so they compare from the first byte, which holds bits 0-7, and within a
+    byte ``_REVERSED_BYTE`` puts the lower bit first: the larger key holds
+    the lowest element where two masks differ, which for equal sizes is lex
+    ascending of the sorted element lists.  ``reverse=True`` keeps ties
+    stable, so the size pass keeps that order inside each size."""
+    out = list(masks)
+    width = (max(n, max(map(int.bit_length, out), default=0)) + 7) // 8
+    out.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BYTE), reverse=True)
+    out.sort(key=int.bit_count, reverse=True)
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import bracketkit as bk
@@ -25,6 +27,26 @@ def general_position_points(d, n, seed):
             continue
         return pts, system
     raise AssertionError("could not draw a general-position instance")
+
+
+def criterion1_instance(i):
+    """Criterion 1's i-th instance: a halfspace, ball or box system on a few
+    seeded random points in one or two dimensions."""
+    rng = random.Random(1000 + i)
+    geom = ("halfspace", "ball", "box")[i % 3]
+    d = 1 + (i % 2)
+    n = rng.randint(6, {"halfspace": 12, "ball": 9, "box": 10}[geom])
+    for attempt in range(20):
+        pts = bk.random_point_set(d, n, i * 100 + attempt)
+        try:
+            if geom == "halfspace":
+                return geom, bk.enumerate_halfspace_ranges(pts)
+            if geom == "ball":
+                return geom, bk.enumerate_ball_ranges(pts)
+            return geom, bk.enumerate_box_ranges(pts)
+        except bk.DegeneracyError:
+            continue
+    raise AssertionError("instance generation failed")
 
 
 def mask_from_indices(indices):

@@ -17,7 +17,7 @@ import pytest
 import bracketkit as bk
 from bracketkit import trace
 
-from conftest import general_position_points, mask_from_indices
+from conftest import criterion1_instance, general_position_points, mask_from_indices
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
 
 HALF = Fraction(1, 2)
@@ -57,24 +57,6 @@ def _general_position_domain(n, seed):
 # ---------------------------------------------------------------------------
 
 
-def _instance_for(i):
-    geom = ("halfspace", "ball", "box")[i % 3]
-    rng = random.Random(1000 + i)
-    d = 1 + (i % 2)
-    n = rng.randint(6, {"halfspace": 12, "ball": 9, "box": 10}[geom])
-    for attempt in range(20):
-        pts = bk.random_point_set(d, n, i * 100 + attempt)
-        try:
-            if geom == "halfspace":
-                return geom, bk.enumerate_halfspace_ranges(pts)
-            if geom == "ball":
-                return geom, bk.enumerate_ball_ranges(pts)
-            return geom, bk.enumerate_box_ranges(pts)
-        except bk.DegeneracyError:
-            continue
-    raise AssertionError("instance generation failed")
-
-
 def test_criterion_01_verifier_mutation_testing():
     start = time.time()
     instances = 200
@@ -82,7 +64,7 @@ def test_criterion_01_verifier_mutation_testing():
     false_rejects = 0
     breaking = 0
     for i in range(instances):
-        _, system = _instance_for(i)
+        _, system = criterion1_instance(i)
         fam_kind = ("mnet", "container", "bracket")[(i // 3) % 3]
         rng = random.Random(5000 + i)
         if fam_kind == "mnet":

@@ -12,7 +12,7 @@ import bracketkit as bk
 from bracketkit import constructions, trace
 from bracketkit.setsystem import canonical_sort, size_band
 
-from conftest import general_position_points, mask_set, system_from_sets
+from conftest import criterion1_instance, general_position_points, mask_set, system_from_sets
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
 
 
@@ -153,6 +153,53 @@ def test_every_construction_on_abstract_systems(system, eps):
     assert naive_container_ok(system, container.covers, eps)
     bracket = bk.build_bracket(system, eps, provider, bk.default_provider())
     assert naive_bracket_ok(system, bracket.sets, eps)
+
+
+def _assert_bracket_splits(system, eps):
+    """Build the eps-bracket and check it against the other two definitions.
+
+    For a pair B- <= F <= B+ with |B+ \\ B-| <= eps*n, the upper sets are an
+    eps-container since |B+ \\ F| <= eps*n, and the lower sets a
+    (1/2, 2*eps)-Mnet since |B-| >= |F| - eps*n >= |F|/2 once
+    |F| >= 2*eps*n.  There B- is empty only on the empty ground set, so the
+    empty set is dropped from the Mnet on every other one.  Both halves go to
+    their verifiers with no witness map.
+    """
+    bracket = bk.build_bracket(system, eps, bk.default_provider(), bk.default_provider())
+    assert bk.verify_bracket(system, bracket).passed
+    uppers = {hi for _, hi in bracket.pairing.values()}
+    lowers = {lo for lo, _ in bracket.pairing.values() if lo or not system.n}
+    assert bk.verify_container(system, bk.make_container(system, uppers, eps)).passed
+    assert bk.verify_mnet(system, bk.make_mnet(system, lowers, Fraction(1, 2), 2 * eps)).passed
+
+
+def _at(system, *eps_values):
+    return [(system, eps) for eps in eps_values]
+
+
+BRACKETS_BUILT = {
+    # Every (system, eps) on which the suite builds a bracket.
+    "collinear-4": lambda: _at(bk.enumerate_halfspace_ranges(bk.lower_bound_instance(1, 4, "grid")), Fraction(1, 4), Fraction(1, 2)),
+    "empty-domain": lambda: _at(bk.enumerate_halfspace_ranges(bk.PointSet(2, ())), Fraction(1, 2)),
+    "circle-12": lambda: _at(bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 12, "sphere")), Fraction(1, 4), Fraction(1, 2)),
+    "moment-16": lambda: _at(bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 16, "moment-curve")), Fraction(1, 4), Fraction(1, 2)),
+    "random-10-seed900": lambda: _at(general_position_points(2, 10, 900)[1], Fraction(1, 4), Fraction(1, 2)),
+    "circle-40": lambda: _at(_circle(40), Fraction(1, 4), Fraction(1, 2)),
+    "conics-12-seed3": lambda: _at(bk.enumerate_halfspace_ranges(bk.veronese_lift(bk.random_point_set(2, 12, 3), 2)), Fraction(1, 2)),
+    "criterion-1": lambda: [(criterion1_instance(i)[1], Fraction(1, 2)) for i in range(200) if (i // 3) % 3 == 2],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRACKETS_BUILT))
+def test_built_brackets_split_into_container_and_mnet(name):
+    for system, eps in BRACKETS_BUILT[name]():
+        _assert_bracket_splits(system, eps)
+
+
+@given(abstract_systems(), st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_brackets_split_into_container_and_mnet_on_abstract_systems(system, eps):
+    _assert_bracket_splits(system, eps)
 
 
 def test_provider_logs():

@@ -2,9 +2,9 @@
 
 The digests in ``golden_digests.json`` are SHA-256 hashes of the family JSON
 (and of the protocol hypothesis list, protocol transcripts, hull-oracle
-results and one planar halfspace system) for fixed instances.  Any change to
-the construction stack that alters a single set, its order or a parameter
-shows up here.
+results, one planar halfspace system and one conic range system) for fixed
+instances.  Any change to the construction stack that alters a single set,
+its order or a parameter shows up here.
 Regenerate the file only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -102,9 +102,26 @@ def _halfspaces256():
     return bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 11000)).to_json()
 
 
+def _conics12():
+    # Degree-2 Veronese lift of 12 planar points: conic ranges in d = 5.
+    return bk.enumerate_halfspace_ranges(bk.veronese_lift(bk.random_point_set(2, 12, 3), 2))
+
+
+def _conic_container12():
+    return bk.family_to_json(bk.build_container(_conics12(), Fraction(1, 2), bk.default_provider()))
+
+
+def _conic_bracket12():
+    fam = bk.build_bracket(_conics12(), Fraction(1, 2), bk.default_provider(), bk.default_provider())
+    return bk.family_to_json(fam)
+
+
 CASES = {
     "bracket-circle40-eps1/4": _bracket40,
     "boost-circle40-eps1/5-eta1/2": _boost40,
+    "bracket-conics12-seed3-eps1/2": _conic_bracket12,
+    "conics-n12-seed3": lambda: _conics12().to_json(),
+    "container-conics12-seed3-eps1/2": _conic_container12,
     "container-circle60-eps1/20": _container60,
     "container-circle70-eps1/8": _container70,
     "container-random128-seed12000-eps1/8": _container_random128,

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -308,6 +309,18 @@ def test_equal_domains_hash_equal_and_share_one_context():
     assert hash(first) == hash((first.dim, first.points))
     assert first != bk.PointSet.from_signed_rows(2, rows[::-1])
     assert bk.shared_protocol_context(first, EPS0) is bk.shared_protocol_context(second, EPS0)
+
+
+@pytest.mark.parametrize("n", [1, 9, 64, 70])
+def test_point_columns_match_per_bit_reference(n):
+    # Mask counts around and between multiples of the block size, so that a
+    # short last block and a block edge inside a byte column would show.
+    block = protocols._COLUMN_BLOCK
+    rng = random.Random(n)
+    for count in (0, 1, 7, block - 1, block, block + 1, 2 * block + 13):
+        masks = [rng.getrandbits(n) for _ in range(count)]
+        expected = [sum(1 << j for j, m in enumerate(masks) if m >> p & 1) for p in range(n)]
+        assert protocols._point_columns(masks, n) == expected
 
 
 def _rebuild_each_round(inst):
