@@ -161,9 +161,9 @@ def _assert_bracket_splits(system, eps):
     For a pair B- <= F <= B+ with |B+ \\ B-| <= eps*n, the upper sets are an
     eps-container since |B+ \\ F| <= eps*n, and the lower sets a
     (1/2, 2*eps)-Mnet since |B-| >= |F| - eps*n >= |F|/2 once
-    |F| >= 2*eps*n.  There B- is empty only on the empty ground set, so the
-    empty set is dropped from the Mnet on every other one.  Both halves go to
-    their verifiers with no witness map.
+    |F| >= 2*eps*n.  Such a B- has at least eps*n > 0 elements unless n = 0,
+    so the empty set is dropped from the Mnet except on the empty ground
+    set.  Both halves go to their verifiers with no witness map.
     """
     bracket = bk.build_bracket(system, eps, bk.default_provider(), bk.default_provider())
     assert bk.verify_bracket(system, bracket).passed
@@ -177,16 +177,21 @@ def _at(system, *eps_values):
     return [(system, eps) for eps in eps_values]
 
 
+def _halfspaces_at(pts, *eps_values):
+    return _at(bk.enumerate_halfspace_ranges(pts), *eps_values)
+
+
+QUARTER, HALF = Fraction(1, 4), Fraction(1, 2)
 BRACKETS_BUILT = {
     # Every (system, eps) on which the suite builds a bracket.
-    "collinear-4": lambda: _at(bk.enumerate_halfspace_ranges(bk.lower_bound_instance(1, 4, "grid")), Fraction(1, 4), Fraction(1, 2)),
-    "empty-domain": lambda: _at(bk.enumerate_halfspace_ranges(bk.PointSet(2, ())), Fraction(1, 2)),
-    "circle-12": lambda: _at(bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 12, "sphere")), Fraction(1, 4), Fraction(1, 2)),
-    "moment-16": lambda: _at(bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 16, "moment-curve")), Fraction(1, 4), Fraction(1, 2)),
-    "random-10-seed900": lambda: _at(general_position_points(2, 10, 900)[1], Fraction(1, 4), Fraction(1, 2)),
-    "circle-40": lambda: _at(_circle(40), Fraction(1, 4), Fraction(1, 2)),
-    "conics-12-seed3": lambda: _at(bk.enumerate_halfspace_ranges(bk.veronese_lift(bk.random_point_set(2, 12, 3), 2)), Fraction(1, 2)),
-    "criterion-1": lambda: [(criterion1_instance(i)[1], Fraction(1, 2)) for i in range(200) if (i // 3) % 3 == 2],
+    "collinear-4": lambda: _halfspaces_at(bk.lower_bound_instance(1, 4, "grid"), QUARTER, HALF),
+    "empty-domain": lambda: _halfspaces_at(bk.PointSet(2, ()), HALF),
+    "circle-12": lambda: _halfspaces_at(bk.lower_bound_instance(2, 12, "sphere"), QUARTER, HALF),
+    "moment-16": lambda: _halfspaces_at(bk.lower_bound_instance(2, 16, "moment-curve"), QUARTER, HALF),
+    "random-10-seed900": lambda: _at(general_position_points(2, 10, 900)[1], QUARTER, HALF),
+    "circle-40": lambda: _at(_circle(40), QUARTER, HALF),
+    "conics-12-seed3": lambda: _halfspaces_at(bk.veronese_lift(bk.random_point_set(2, 12, 3), 2), HALF),
+    "criterion-1": lambda: [(criterion1_instance(i)[1], HALF) for i in range(200) if (i // 3) % 3 == 2],
 }
 
 
@@ -196,7 +201,7 @@ def test_built_brackets_split_into_container_and_mnet(name):
         _assert_bracket_splits(system, eps)
 
 
-@given(abstract_systems(), st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]))
+@given(abstract_systems(), st.sampled_from([Fraction(1, 8), QUARTER, Fraction(1, 3), HALF, Fraction(3, 4)]))
 @settings(max_examples=60, deadline=None)
 def test_brackets_split_into_container_and_mnet_on_abstract_systems(system, eps):
     _assert_bracket_splits(system, eps)
