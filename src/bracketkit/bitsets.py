@@ -25,6 +25,8 @@ from functools import cache, lru_cache
 import numpy as np
 
 _WORD = 64
+# Cells of one subset_matrix block: its uint64 temporaries take 8 bytes each.
+_SUBSET_BLOCK_CELLS = 1 << 16
 
 
 def indices_from_mask(mask):
@@ -128,11 +130,20 @@ def bit_matrix(masks, n):
 
 
 def subset_matrix(packed_small, packed_big):
-    """Boolean matrix S[i, j] = small_i is a subset of big_j."""
-    ok = np.ones((packed_small.shape[0], packed_big.shape[0]), dtype=bool)
-    for k in range(packed_small.shape[1]):
-        col = packed_small[:, k][:, None]
-        ok &= (col & packed_big[:, k][None, :]) == col
+    """Boolean matrix S[i, j] = small_i is a subset of big_j.
+
+    It runs over blocks of small rows of at most ``_SUBSET_BLOCK_CELLS``
+    cells (at least one row), so the uint64 temporaries of a word's AND
+    stay within the block while the result is 1 byte a cell.
+    """
+    rows, cols = packed_small.shape[0], packed_big.shape[0]
+    ok = np.ones((rows, cols), dtype=bool)
+    step = max(1, _SUBSET_BLOCK_CELLS // max(1, cols))
+    for start in range(0, rows, step):
+        block = ok[start : start + step]
+        for k in range(packed_small.shape[1]):
+            col = packed_small[start : start + step, k][:, None]
+            block &= (col & packed_big[:, k][None, :]) == col
     return ok
 
 

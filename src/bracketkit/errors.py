@@ -27,12 +27,14 @@ class ResourceBudgetError(BracketkitError):
 # ground set, 3-D points at n = 64, 41,664 spanning triples, 22³ candidate
 # boxes, a 2,979 x 1,201 serving matrix).  MAX_BOX_CANDIDATES still admits
 # planar boxes on 80 points in general position (3,241² candidates, about
-# 2 s).  A serving-matrix cell costs about 11 bytes at its peak.  A
-# halfspace enumeration counts each spanning d-tuple 2^(d-4) times above
-# d = 4 (its sides yield up to 2^(d+1) ranges, and its normal's minors cost
-# more), so that the largest d = 5 input (n = 38) and d = 8 input (n = 18)
-# cost less than the largest d = 4 one (n = 72).  Decimal exponents and JSON
-# integer literals are bounded by Python's own limit on integer-string digits.
+# 2 s).  A serving-matrix cell costs about 2.3 bytes at its peak on 1 to 2
+# million cells: 2 bytes, plus 0.6 MiB of block temporaries in
+# subset_matrix.  A halfspace enumeration counts each spanning d-tuple
+# 2^(d-4) times above d = 4 (its sides yield up to 2^(d+1) ranges, and its
+# normal's minors cost more), so that the largest d = 5 input (n = 38) and
+# d = 8 input (n = 18) cost less than the largest d = 4 one (n = 72).
+# Decimal exponents and JSON integer literals are bounded by Python's own
+# limit on integer-string digits.
 MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
 MAX_DIM = 64  # coordinates of a point
 MAX_SPANNING_TUPLES = 1 << 20  # weighted C(n, d) hyperplanes, or 2^n subsets of n <= d points

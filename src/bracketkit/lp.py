@@ -6,18 +6,44 @@ reduced cost is negative) and, in the ratio test, ties broken towards the
 lower basic variable.  It returns either a feasible point or a Farkas
 certificate y with y.A <= 0, y.b > 0, as exact Fractions; no floating point.
 
-The tableau is integer (Edmonds 1967; Bareiss 1968): an integer matrix T and
-a positive integer D, the true tableau being T / D.  A pivot on
-p = T[r][s] > 0 leaves row r as it is, replaces every entry of the other rows
-and of the objective row by (T[i][j]*p - T[i][s]*T[r][j]) // D, and sets
-D = p.  By Cramer's rule D is the absolute value of the basis determinant
-and each entry of T is, up to sign, a minor of the starting tableau with the
+The arithmetic is integer (Edmonds 1967; Bareiss 1968).  Rows with b < 0 are
+negated, so that the artificial basis starts feasible; write A0 and b0 for
+the rows and rhs after that, and T0 = [A0 | I | b0] for the starting tableau.
+The true tableau is T / D for an integer matrix T and a positive integer D.
+A pivot on p = T[r][s] > 0 leaves row r as it is, replaces every entry of
+the other rows and of the objective row by (T[i][j]*p - T[i][s]*T[r][j]) // D,
+and sets D = p.  By Cramer's rule D is the absolute value of the basis
+determinant and each entry of T is, up to sign, a minor of T0 with the
 objective row appended: so every division is exact, and no gcd is taken
 until x or y becomes a Fraction at the end.  An entry that is not an int
 would break that exactness, so it is refused.
+
+The simplex is revised: it never forms T.  It keeps ``inv``, the artificial
+block and the rhs column of T (D.B^-1 and D.B^-1.b0, m x (m + 1)), the
+scaled dual u with u[l] = D - obj[k + l], and D.  Two invariants hold from
+the start (inv = [I | b0], u = 1, D = 1) through every pivot:
+
+- T = inv.T0, since the artificial block of T0 is I.  The pivot update is
+  linear in the rows, so applying it to the rows of inv gives the rows of
+  the new T times T0, with the same exact divisions.
+- obj = D.c - u.T0, where c costs 1 on the artificial columns and 0
+  elsewhere.  The pivot turns it into p.c - ((u*p + obj[s]*T[r]) / D).T0,
+  so the new dual is u' = (u*p + obj[s]*inv[r][:m]) // D; u'[l] is
+  p - obj'[k + l], an integer, so that division is exact too.
+
+So column j < k of A0 has reduced cost -u.a_j, an artificial column l has
+D - u[l] (negative when u[l] > D), the entering column is inv.a_j (or
+column l of inv), and the rhs column is inv's last.  Every priced entry,
+every ratio-test choice and every pivot is the full tableau's, and the
+outputs are the same numbers: the system is feasible when u.b0 == 0 (the
+rhs entry of obj is zero), x has T[i][rhs] / D on the basic columns, and the
+Farkas certificate is y_i = sign_i * u_i / D with the sign of negated rows
+restored.  A pivot costs m x (m + 1) updates instead of m x (k + m + 1),
+and pricing stops at the first negative column.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError
 
@@ -35,8 +61,8 @@ def solve_equality_feasibility(rows, rhs):
     if m == 0:
         return "feasible", ()
     k = len(rows[0])
-    tableau, signs = [], []
-    for i, (row, b) in enumerate(zip(rows, rhs)):
+    signed, b0, signs = [], [], []
+    for row, b in zip(rows, rhs):
         for v in row:
             if type(v) is not int:  # a bool is not an int here
                 raise InputError(f"LP entry {v!r} is not an int")
@@ -46,50 +72,56 @@ def solve_equality_feasibility(rows, rhs):
             raise InputError(f"LP entry {b!r} is not an int")
         # Negate rows with b < 0 so the artificial basis starts feasible.
         sign = -1 if b < 0 else 1
-        tableau.append([sign * v for v in row] + [int(j == i) for j in range(m)] + [sign * b])
+        signed.append(row if sign > 0 else [-v for v in row])
+        b0.append(sign * b)
         signs.append(sign)
-    total = k + m
-    basis = list(range(k, total))
-    # Objective row: reduced costs for minimizing the artificial sum, which
-    # are 0 on the artificial columns of the starting basis.
-    obj = [-sum(col) for col in zip(*tableau)]
-    obj[k:total] = [0] * m
+    columns = list(zip(*signed))
+    inv = [[int(j == i) for j in range(m)] + [b0[i]] for i in range(m)]
+    u = [1] * m
+    basis = list(range(k, k + m))
     den = 1
 
     while True:
-        enter = next((j for j in range(total) if obj[j] < 0), None)
-        if enter is None:
-            break
+        # Bland's rule: the first column of A0 with u.a_j > 0, else the
+        # first artificial column with u[l] > D.
+        for j, col in enumerate(columns):
+            price = sum(map(mul, u, col))
+            if price > 0:
+                enter, cost = j, -price
+                entering = [sum(map(mul, row, col)) for row in inv]
+                break
+        else:
+            enter = next((k + l for l in range(m) if u[l] > den), None)
+            if enter is None:
+                break
+            cost = den - u[enter - k]
+            entering = [row[enter - k] for row in inv]
         leave = None
         for i in range(m):
-            coef = tableau[i][enter]
+            coef = entering[i]
             if coef > 0:
                 if leave is None:
                     leave = i
                     continue
-                new, best = tableau[i][total] * tableau[leave][enter], tableau[leave][total] * coef
+                new, best = inv[i][m] * entering[leave], inv[leave][m] * coef
                 if new < best or (new == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise InputError("phase-1 objective unbounded; inconsistent tableau")
-        top = tableau[leave]
-        pivot = top[enter]
+        top = inv[leave]
+        pivot = entering[leave]
         for i in range(m):
             if i != leave:
-                row = tableau[i]
-                factor = row[enter]
-                tableau[i] = [(a * pivot - factor * b) // den for a, b in zip(row, top)]
-        factor = obj[enter]
-        obj = [(a * pivot - factor * b) // den for a, b in zip(obj, top)]
+                factor = entering[i]
+                inv[i] = [(a * pivot - factor * t) // den for a, t in zip(inv[i], top)]
+        u = [(a * pivot + cost * t) // den for a, t in zip(u, top)]
         den = pivot
         basis[leave] = enter
 
-    if obj[total] == 0:
+    if sum(map(mul, u, b0)) == 0:
         x = [Fraction(0)] * k
         for i, var in enumerate(basis):
             if var < k:
-                x[var] = Fraction(tableau[i][total], den)
+                x[var] = Fraction(inv[i][m], den)
         return "feasible", tuple(x)
-    # y = 1 - (reduced cost of the artificial column), with the sign of rows
-    # that were negated on input restored.
-    return "infeasible", tuple(Fraction(sign * (den - obj[k + i]), den) for i, sign in enumerate(signs))
+    return "infeasible", tuple(Fraction(sign * v, den) for sign, v in zip(signs, u))

@@ -344,8 +344,9 @@ def exact_hull_intersection(domain, a, b):
     rhs = [0] * d + [1, 1]
     status, cert = solve_equality_feasibility(rows, rhs)
     if status == "feasible":
-        mus = cert[: len(pa)]
-        point = tuple(sum(mu * num[k] for mu, (num, _) in zip(mus, pa)) for k in range(d))
+        # At most d + 2 weights are basic, so only they enter the sum.
+        weighted = [(mu, num) for mu, (num, _) in zip(cert, pa) if mu]
+        point = tuple(sum(mu * num[k] for mu, num in weighted) for k in range(d))
         return HullResult(True, witness=point)
     w = cert[:d]
     alpha, beta = cert[d], cert[d + 1]

@@ -1,11 +1,16 @@
 """compress (PEXT) and expand (PDEP) against a per-bit reference loop,
-pack_masks against a per-word one, and the matrix kernels on no masks."""
+pack_masks against a per-word one, subset_matrix against a per-pair one,
+and the matrix kernels on no masks."""
+
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bracketkit import bitsets
 from bracketkit.bitsets import compress, expand, pack_masks, subset_matrix, symdiff_counts
 
 WIDTHS = (1, 8, 63, 64, 65, 128, 256)
@@ -140,3 +145,43 @@ def test_symdiff_counts_reach_the_full_width(n):
     counts = symdiff_counts(rows, rows)
     assert counts.dtype == np.int64
     assert counts.tolist() == [[0, n, 1], [n, 0, n - 1], [1, n - 1, 0]]
+
+
+@pytest.mark.parametrize("words", (1, 2, 5))
+@pytest.mark.parametrize("block_rows", (None, 1, 3))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_subset_matrix_matches_per_pair_reference(words, block_rows, data):
+    # block_rows None keeps the module's cell budget; 1 runs a row a block,
+    # and 3 a last block that is shorter, since the row count is no
+    # multiple of 3.
+    n = 64 * words
+    masks = st.integers(0, (1 << n) - 1)
+    subsets = st.lists(st.integers(0, n - 1), max_size=3).map(lambda bits: sum(1 << i for i in set(bits)))
+    small = data.draw(st.lists(st.one_of(masks, subsets), min_size=1, max_size=10))
+    if len(small) % 3 == 0:
+        small.append(0)
+    big = data.draw(st.lists(masks, min_size=1, max_size=8))
+    big += [s | b for s, b in zip(small, big)]
+    with pytest.MonkeyPatch.context() as patch:
+        if block_rows is not None:
+            patch.setattr(bitsets, "_SUBSET_BLOCK_CELLS", block_rows * len(big))
+        got = subset_matrix(pack_masks(small, n), pack_masks(big, n))
+    want = [[(s & b) == s for b in big] for s in small]
+    assert got.dtype == bool and got.tolist() == want
+
+
+def test_subset_matrix_peak_memory_stays_near_its_result():
+    # 2,048 x 1,024 cells: the result takes 1 byte a cell, and one word's
+    # uint64 temporaries over the whole matrix would take 8 more.
+    rng = random.Random(5)
+    small = pack_masks([rng.getrandbits(64) & rng.getrandbits(64) for _ in range(2048)], 64)
+    big = pack_masks([rng.getrandbits(64) | rng.getrandbits(64) for _ in range(1024)], 64)
+    tracemalloc.start()
+    try:
+        got = subset_matrix(small, big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (2048, 1024) and got.any()
+    assert peak < 4 * got.size
