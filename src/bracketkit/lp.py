@@ -23,23 +23,25 @@ block and the rhs column of T (D.B^-1 and D.B^-1.b0, m x (m + 1)), the
 scaled dual u with u[l] = D - obj[k + l], and D.  Two invariants hold from
 the start (inv = [I | b0], u = 1, D = 1) through every pivot:
 
-- T = inv.T0, since the artificial block of T0 is I.  The pivot update is
-  linear in the rows, so applying it to the rows of inv gives the rows of
-  the new T times T0, with the same exact divisions.
+- T = inv[:, :m].T0, since the artificial block of T0 is I; the rhs
+  column of T is then inv's last.  The pivot update is linear in the rows,
+  so applying it to the rows of inv gives the new T the same way, with the
+  same exact divisions.
 - obj = D.c - u.T0, where c costs 1 on the artificial columns and 0
-  elsewhere.  The pivot turns it into p.c - ((u*p + obj[s]*T[r]) / D).T0,
-  so the new dual is u' = (u*p + obj[s]*inv[r][:m]) // D; u'[l] is
-  p - obj'[k + l], an integer, so that division is exact too.
+  elsewhere.  Since T[r] = inv[r][:m].T0, the pivot turns it into
+  p.c - ((u*p + obj[s]*inv[r][:m]) / D).T0, so the new dual is
+  u' = (u*p + obj[s]*inv[r][:m]) // D; u'[l] is p - obj'[k + l], an
+  integer, so that division is exact too.
 
 So column j < k of A0 has reduced cost -u.a_j, an artificial column l has
-D - u[l] (negative when u[l] > D), the entering column is inv.a_j (or
-column l of inv), and the rhs column is inv's last.  Every priced entry,
-every ratio-test choice and every pivot is the full tableau's, and the
-outputs are the same numbers: the system is feasible when u.b0 == 0 (the
-rhs entry of obj is zero), x has T[i][rhs] / D on the basic columns, and the
-Farkas certificate is y_i = sign_i * u_i / D with the sign of negated rows
-restored.  A pivot costs m x (m + 1) updates instead of m x (k + m + 1),
-and pricing stops at the first negative column.
+D - u[l] (negative when u[l] > D), and the entering column is
+inv[:, :m].a_j (or column l of inv).  Every priced entry, every ratio-test
+choice and every pivot is the full tableau's, and the outputs are the same
+numbers: the system is feasible when u.b0 == 0 (the rhs entry of obj is
+zero), x has T[i][rhs] / D on the basic columns, and the Farkas certificate
+is y_i = sign_i * u_i / D with the sign of negated rows restored.  A pivot
+costs m x (m + 1) updates instead of m x (k + m + 1), and pricing stops at
+the first negative column.
 """
 
 from fractions import Fraction
