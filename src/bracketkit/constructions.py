@@ -28,6 +28,11 @@ from .verify import find_cover, find_piece, verify_container, verify_family, ver
 
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
+# base_mnet's greedy cover runs on Python ints up to this many serving cells
+# (candidates x heavy ranges) and on numpy above.  On the 8,917 calls of a
+# seed-2 n=256 protocol context build, replayed both ways, the int loop was
+# about 1.3x faster at 384-512 cells and even with numpy at 640-768.
+_INT_CELLS = 512
 
 
 def _checked(family, label):
@@ -55,6 +60,16 @@ def base_mnet(system, lam, eps):
     ends with every heavy range served, and candidate capping only affects
     size.  A candidates x heavy serving matrix of more than
     ``MAX_SERVING_CELLS`` cells is refused before it is built.
+
+    Up to ``_INT_CELLS`` cells the loop runs on Python ints, one per
+    candidate with bit j set when it serves heavy[j]; larger inputs run it
+    on the numpy serving matrix.  Both make the same picks.  The int loop
+    counts a candidate's uncovered served ranges as popcount(row &
+    uncovered), which is the numpy loop's running count, and ``max``
+    returns the first index of the largest count, as ``np.argmax`` does.
+    So ties go to the first candidate in canonical order on both paths; each
+    pick assigns its newly served ranges in ascending j on both, and the
+    witness map and the pieces are the same.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
@@ -68,7 +83,44 @@ def base_mnet(system, lam, eps):
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     cands = canonical_sort(cands, n)
+    if len(cands) * len(heavy) <= _INT_CELLS:
+        assignment = _int_greedy_cover(cands, heavy, lam)
+    else:
+        assignment = _numpy_greedy_cover(cands, heavy, lam, n)
+    fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
+    return _checked(fam, "base_mnet")
 
+
+def _int_greedy_cover(cands, heavy, lam):
+    """The greedy cover with each candidate's served heavy ranges as one int
+    (bit j for heavy[j]), under the serving test of ``_serving_matrix``."""
+    num, den = lam.numerator, lam.denominator
+    columns = [(1 << j, r, -(-r.bit_count() * num // den)) for j, r in enumerate(heavy)]
+    rows = []
+    for c in cands:
+        size = c.bit_count()
+        row = 0
+        for bit, r, need in columns:
+            if size >= need and c & r == c:
+                row |= bit
+        rows.append(row)
+    assignment = {}
+    uncovered = (1 << len(heavy)) - 1
+    while uncovered:
+        best = max(range(len(rows)), key=lambda i: (rows[i] & uncovered).bit_count())
+        piece = cands[best]
+        newly = rows[best] & uncovered
+        uncovered ^= newly
+        while newly:
+            low = newly & -newly
+            assignment[heavy[low.bit_length() - 1]] = piece
+            newly ^= low
+    return assignment
+
+
+def _numpy_greedy_cover(cands, heavy, lam, n):
+    """The greedy cover on the dense ``_serving_matrix``, with a running
+    count of the uncovered heavy ranges each candidate serves."""
     serves = _serving_matrix(cands, heavy, lam, n)
     assignment = {}
     uncovered = np.ones(len(heavy), dtype=bool)
@@ -81,8 +133,7 @@ def base_mnet(system, lam, eps):
             assignment[heavy[j]] = piece
         uncovered &= ~newly
         counts = counts - (serves[:, newly].sum(axis=1))
-    fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
-    return _checked(fam, "base_mnet")
+    return assignment
 
 
 def _serving_matrix(cands, ranges, lam, n):
@@ -336,9 +387,20 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     compressed group ranges are small (at most eps' = 3*eps/(2+2*eps) of
     |P|), so small_set_container covers them, and the complements of the
     covers inside P, expanded back, are the pieces.  Many members compress
-    their groups to the same local system (every one-member group gives
-    (|P|, {empty set})), so the container is built once per distinct local
-    system within the call and reused for the other members.
+    their groups to the same local system, so the container is built once
+    per distinct local system within the call and reused for the other
+    members.
+
+    A group of one is its member P alone, and its piece is P itself,
+    without a local container; P serves P at any heaviness.  It is also the
+    piece that the general path gives: the local system is
+    (|P|, {empty set}).  For |P| > 0 the root of its small-set container is
+    one node whose only survivor is the empty set (its residual |P| exceeds
+    floor(eps*|P|)).  The node's system is the whole local set alone, whose
+    greedy-cover Mnet piece is that set, so the child universe is the empty
+    set, which becomes the empty set's witness cover.  For |P| = 0 the root
+    itself is that cover.  The piece is local_full ^ 0, which expands to P.
+    The band's ``_checked`` still verifies every piece.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
@@ -361,6 +423,9 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     witness = {}
     containers = {}
     for member, group in zip(packing.members, packing.groups):
+        if len(group) == 1:
+            witness[member] = member
+            continue
         p_size = member.bit_count()
         local_full = (1 << p_size) - 1
         comps = [local_full ^ local for local in bitsets.compress(group, member)]

@@ -42,12 +42,23 @@ zero), x has T[i][rhs] / D on the basic columns, and the Farkas certificate
 is y_i = sign_i * u_i / D with the sign of negated rows restored.  A pivot
 costs m x (m + 1) updates instead of m x (k + m + 1), and pricing stops at
 the first negative column.
+
+Bland's rule never returns to a basis, so the loop ends within one pass per
+basis, C(k + m, m) passes in all.  A solver that runs past that bound has
+broken an invariant (a wrong dual update, say, cycles forever), and it
+raises InternalInvariantError instead of looping on.
 """
 
+import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import InputError
+from .errors import InputError, InternalInvariantError
+
+
+def _pass_bound(k, m):
+    """Simplex passes allowed for k columns and m rows: one per basis."""
+    return math.comb(k + m, m)
 
 
 def solve_equality_feasibility(rows, rhs):
@@ -83,7 +94,7 @@ def solve_equality_feasibility(rows, rhs):
     basis = list(range(k, k + m))
     den = 1
 
-    while True:
+    for _ in range(_pass_bound(k, m)):
         # Bland's rule: the first column of A0 with u.a_j > 0, else the
         # first artificial column with u[l] > D.
         for j, col in enumerate(columns):
@@ -119,6 +130,8 @@ def solve_equality_feasibility(rows, rhs):
         u = [(a * pivot + cost * t) // den for a, t in zip(u, top)]
         den = pivot
         basis[leave] = enter
+    else:
+        raise InternalInvariantError(f"simplex ran past its bound of {_pass_bound(k, m)} passes")
 
     if sum(map(mul, u, b0)) == 0:
         x = [Fraction(0)] * k

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit import constructions, trace
+from bracketkit import bitsets, constructions, trace
 from bracketkit.setsystem import canonical_sort, size_band
+from bracketkit.verify import find_cover
 
 from conftest import criterion1_instance, general_position_points, mask_set, system_from_sets
 from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
@@ -126,9 +128,30 @@ def test_base_mnet_matches_the_reference_greedy_cover(data):
     lam = data.draw(st.sampled_from([Fraction(1, 1 << 30), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), 1]))
     eps = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), 1, Fraction(5, 4), 2]))
     expected = _reference_greedy_cover(system, lam, eps)
-    fam = bk.base_mnet(system, lam, eps)
-    assert fam.witness == expected
-    assert fam.pieces == tuple(canonical_sort(set(expected.values()), n))
+    # Both greedy loops meet the reference on the same draw: the numpy loop
+    # with no int cells, the int loop with cells to spare.
+    for int_cells in (0, 1 << 30):
+        with mock.patch.object(constructions, "_INT_CELLS", int_cells):
+            fam = bk.base_mnet(system, lam, eps)
+        assert fam.witness == expected
+        assert fam.pieces == tuple(canonical_sort(set(expected.values()), n))
+
+
+@pytest.mark.parametrize("int_cells", [0, 1 << 30])
+def test_base_mnet_breaks_count_ties_towards_the_first_candidate(int_cells):
+    # The candidates in canonical order are {0,1,2}, {0,1}, {1,2}, {1}; the
+    # last three each serve two heavy ranges.  The first, {0,1}, takes
+    # {0,1,2} and {0,1}; then {1,2} and {1} tie at one and {1,2} takes {1,2}.
+    # Taking the last maximum would give {1} to {0,1} and {1,2}.
+    system = system_from_sets(3, [[0, 1, 2], [0, 1], [1, 2]])
+    with mock.patch.object(constructions, "_INT_CELLS", int_cells):
+        fam = bk.base_mnet(system, Fraction(1, 2), Fraction(1, 2))
+    witness = {frozenset(mask_set(r, 3)): frozenset(mask_set(p, 3)) for r, p in fam.witness.items()}
+    assert witness == {
+        frozenset({0, 1, 2}): frozenset({0, 1}),
+        frozenset({0, 1}): frozenset({0, 1}),
+        frozenset({1, 2}): frozenset({1, 2}),
+    }
 
 
 @given(abstract_systems(), st.sampled_from([Fraction(1, 8), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)]))
@@ -559,15 +582,21 @@ def _local_complements(member, group):
     return len(positions), frozenset(comps)
 
 
-def test_bootstrap_builds_one_container_per_distinct_local_system(monkeypatch):
+def _circle40_band_packing():
     system = _circle(40)
     eps, delta = Fraction(1, 8), Fraction(1, 4)
     n = system.n
     lo, hi = math.ceil(delta * n), min(n, math.floor((1 + eps) * delta * n))
     band = bk.SetSystem(n, tuple(m for m in system.ranges if lo <= m.bit_count() <= hi))
-    packing = bk.greedy_delta_packing(band, math.floor(eps * delta * n))
-    distinct = {_local_complements(m, g) for m, g in zip(packing.members, packing.groups)}
-    assert len(distinct) < len(packing.members)  # the instance has repeats
+    return system, eps, delta, bk.greedy_delta_packing(band, math.floor(eps * delta * n))
+
+
+def test_bootstrap_builds_one_container_per_distinct_local_system(monkeypatch):
+    # A group of one takes its member as its piece and builds no container.
+    system, eps, delta, packing = _circle40_band_packing()
+    shared = [(m, g) for m, g in zip(packing.members, packing.groups) if len(g) > 1]
+    distinct = {_local_complements(m, g) for m, g in shared}
+    assert len(distinct) < len(shared) < len(packing.members)  # repeats and groups of one
 
     built = []
     original = constructions.small_set_container
@@ -581,6 +610,25 @@ def test_bootstrap_builds_one_container_per_distinct_local_system(monkeypatch):
     assert bk.verify_mnet(fam.base, fam).passed
     assert len(built) == len(set(built))
     assert set(built) == distinct
+
+
+def test_a_one_member_group_gets_its_member_from_the_local_container():
+    # The path that a group of one skips: the container of (|P|, {empty
+    # set}), the empty set's cover, and its complement expanded into P; the
+    # empty member stands for |P| = 0.
+    _, eps, _, packing = _circle40_band_packing()
+    singles = [m for m, g in zip(packing.members, packing.groups) if len(g) == 1]
+    assert singles
+    eps_prime = 3 * eps / (2 + 2 * eps)
+    for member in singles + [0]:
+        p_size = member.bit_count()
+        local_full = (1 << p_size) - 1
+        (comp,) = [local_full ^ local for local in bitsets.compress([member], member)]
+        assert comp == 0
+        cont = constructions.small_set_container(
+            bk.SetSystem.from_masks(p_size, [comp]), eps_prime, eps, bk.default_provider())
+        cover = find_cover(cont.covers, cont.witness.get(comp), comp, math.floor(cont.eps * p_size))
+        assert bitsets.expand([local_full ^ cover], member) == [member]
 
 
 def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):

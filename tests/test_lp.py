@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
 import bracketkit.protocols
+from bracketkit import lp
 from bracketkit.lp import solve_equality_feasibility
 
 from naive_checks import feasible_with_inequalities, reference_equality_feasibility
@@ -136,6 +138,17 @@ def test_an_artificial_column_reenters_the_basis():
     result = solve_equality_feasibility(rows, rhs)
     assert result == ("infeasible", (1, 1, -3, 1, -1))
     assert repr(result) == repr(reference_equality_feasibility(rows, rhs))
+
+
+def test_a_solver_past_its_pass_bound_raises(monkeypatch):
+    # x0 + x1 = 1 takes one pivot and then one pass that finds no entering
+    # column.  With a bound one pass short of that, the solver raises
+    # instead of pivoting on.
+    monkeypatch.setattr(lp, "_pass_bound", lambda k, m: 2)
+    assert solve_equality_feasibility([[1, 1]], [1]) == ("feasible", (1, 0))
+    monkeypatch.setattr(lp, "_pass_bound", lambda k, m: 1)
+    with pytest.raises(bk.InternalInvariantError, match="past its bound of 1 passes"):
+        solve_equality_feasibility([[1, 1]], [1])
 
 
 _NON_INTS = st.one_of(
