@@ -22,7 +22,7 @@ from . import bitsets
 from .errors import MAX_SERVING_CELLS, InputError, InternalInvariantError, PreconditionFailure, within_budget
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
-from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, project, size_band
+from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, size_band
 from .trace import note
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
@@ -86,7 +86,7 @@ def base_mnet(system, lam, eps):
     if len(cands) * len(heavy) <= _INT_CELLS:
         assignment = _int_greedy_cover(cands, heavy, lam)
     else:
-        assignment = _numpy_greedy_cover(cands, heavy, lam, n)
+        assignment = _numpy_greedy_cover(cands, heavy, lam, system.full_mask.bit_length())
     fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
     return _checked(fam, "base_mnet")
 
@@ -118,10 +118,10 @@ def _int_greedy_cover(cands, heavy, lam):
     return assignment
 
 
-def _numpy_greedy_cover(cands, heavy, lam, n):
+def _numpy_greedy_cover(cands, heavy, lam, width):
     """The greedy cover on the dense ``_serving_matrix``, with a running
     count of the uncovered heavy ranges each candidate serves."""
-    serves = _serving_matrix(cands, heavy, lam, n)
+    serves = _serving_matrix(cands, heavy, lam, width)
     assignment = {}
     uncovered = np.ones(len(heavy), dtype=bool)
     counts = serves.sum(axis=1)
@@ -136,17 +136,18 @@ def _numpy_greedy_cover(cands, heavy, lam, n):
     return assignment
 
 
-def _serving_matrix(cands, ranges, lam, n):
-    """serves[i, j] = cands[i] is inside ranges[j] and heavy enough for it."""
+def _serving_matrix(cands, ranges, lam, width):
+    """serves[i, j] = cands[i] is inside ranges[j] and heavy enough for it;
+    the masks are packed at ``width`` bits."""
     cand_sizes = np.array([c.bit_count() for c in cands], dtype=np.int64)
-    # A range's need ceil(lam*|R|) is at most n, while lam.numerator*|R| can
+    # A range's need ceil(lam*|R|) is at most |R|, while lam.numerator*|R| can
     # overflow int64: the need is an exact int ceiling (a Fraction per range
     # costs far more) and only sizes go to numpy.
     num, den = lam.numerator, lam.denominator
     need = np.array([-(-r.bit_count() * num // den) for r in ranges], dtype=np.int64)
     size_ok = cand_sizes[:, None] >= need[None, :]
-    packed_c = bitsets.pack_masks(cands, n)
-    packed_r = bitsets.pack_masks(ranges, n)
+    packed_c = bitsets.pack_masks(cands, width)
+    packed_r = bitsets.pack_masks(ranges, width)
     return bitsets.subset_matrix(packed_c, packed_r) & size_ok
 
 
@@ -183,10 +184,10 @@ def boost_epsilon(system, provider, eps, eta):
     Size bands eps_i = (1+eta')^i * eps with eta' = min(1/4, eta/2) are each
     covered by a maximal packing at separation eta'*eps_i*n among ranges below
     the band top.  The band is grouped by nearest packing member
-    (``nearest_neighbor``, ties to the earliest member); each group, compressed
-    into its member, takes pieces from the provider's 1/2-Mnet of the
-    projection onto that member, expanded back.  The output heaviness is
-    provider.heaviness * (1 - eta).
+    (``nearest_neighbor``, ties to the earliest member); a range R of the group
+    of member P takes the piece that serves R & P in the provider's 1/2-Mnet
+    of the ranges' traces on P, a system with ground set P.  The output
+    heaviness is provider.heaviness * (1 - eta).
     """
     eps = Fraction(eps)
     eta = Fraction(eta)
@@ -221,14 +222,14 @@ def boost_epsilon(system, provider, eps, eta):
         for mask in band:
             groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
         for member, group in groups.items():
-            fam = provider.mnet(project(system, member), HALF)
-            pieces_local = []
-            for local in bitsets.compress(group, member):
-                piece = find_piece(fam.pieces, fam.witness.get(local), local, fam.lam)
+            traces = SetSystem.from_masks(member.bit_count(), (r & member for r in system.ranges), member)
+            fam = provider.mnet(traces, HALF)
+            for mask in group:
+                trace = mask & member
+                piece = find_piece(fam.pieces, fam.witness.get(trace), trace, fam.lam)
                 if piece is None:
                     raise InternalInvariantError("verified Mnet has no piece for a heavy range")
-                pieces_local.append(piece)
-            witness.update(zip(group, bitsets.expand(pieces_local, member)))
+                witness[mask] = piece
     fam = make_mnet(system, witness.values(), lam_out, eps, witness=witness)
     return _checked(fam, "boost_epsilon")
 
@@ -355,14 +356,13 @@ def small_set_container(system, eps, rho, provider):
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
         eps_node = Fraction(max(m.bit_count() for m in survivors), u_size)
-        local_comps = bitsets.compress([~m for m in survivors], universe)
-        node_sys = SetSystem.from_masks(u_size, local_comps)
+        node_sys = SetSystem.from_masks(u_size, [universe & ~m for m in survivors], universe)
         fam = provider.mnet(node_sys, 1 - eps_node)
         # No piece is empty: a survivor leaves more than floor(rho*n) >= 0 elements
         # of its universe, so every node range is non-empty and so is every piece.
         # An empty piece would repeat its node until the depth cap.
         children = []
-        for piece in bitsets.expand(fam.pieces, universe):
+        for piece in fam.pieces:
             child_universe = universe & ~piece
             child_live = [m for m in survivors if (m & child_universe) == m]
             if child_live:
@@ -383,24 +383,21 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
 
     A maximal packing at separation eps*delta*n groups the band: a range is
     served through the first member within the separation, as recorded in
-    ``Packing.groups``.  Within each member P the complements of the
-    compressed group ranges are small (at most eps' = 3*eps/(2+2*eps) of
-    |P|), so small_set_container covers them, and the complements of the
-    covers inside P, expanded back, are the pieces.  Many members compress
-    their groups to the same local system, so the container is built once
-    per distinct local system within the call and reused for the other
-    members.
+    ``Packing.groups``.  Within each member P the complements P & ~R of
+    the group ranges are small (at most eps' = 3*eps/(2+2*eps) of |P|), so
+    small_set_container covers them in a system with ground set P, and the
+    complements of the covers inside P are the pieces.
 
     A group of one is its member P alone, and its piece is P itself,
     without a local container; P serves P at any heaviness.  It is also the
-    piece that the general path gives: the local system is
-    (|P|, {empty set}).  For |P| > 0 the root of its small-set container is
+    piece that the general path gives: the local system is P with the one
+    range {empty set}.  For |P| > 0 the root of its small-set container is
     one node whose only survivor is the empty set (its residual |P| exceeds
-    floor(eps*|P|)).  The node's system is the whole local set alone, whose
-    greedy-cover Mnet piece is that set, so the child universe is the empty
-    set, which becomes the empty set's witness cover.  For |P| = 0 the root
-    itself is that cover.  The piece is local_full ^ 0, which expands to P.
-    The band's ``_checked`` still verifies every piece.
+    floor(eps*|P|)).  The node's system is P alone, whose greedy-cover Mnet
+    piece is P, so the child universe is the empty set, which becomes the
+    empty set's witness cover.  For |P| = 0 the root itself is that cover.
+    The piece is P ^ 0 = P.  The band's ``_checked`` still verifies every
+    piece.
     """
     eps = Fraction(eps)
     delta = Fraction(delta)
@@ -421,31 +418,23 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
          band=(lo_int, hi_int), packing_size=len(packing.members))
     witness = {}
-    containers = {}
     for member, group in zip(packing.members, packing.groups):
         if len(group) == 1:
             witness[member] = member
             continue
         p_size = member.bit_count()
-        local_full = (1 << p_size) - 1
-        comps = [local_full ^ local for local in bitsets.compress(group, member)]
+        comps = [member & ~mask for mask in group]
         if max(comp.bit_count() for comp in comps) > math.floor(eps_prime * p_size):
             raise InternalInvariantError(
                 "projected complement exceeds the eps' bound inside a packing member"
             )
-        local_sys = SetSystem.from_masks(p_size, comps)
-        cont = containers.get(local_sys)
-        if cont is None:
-            cont = small_set_container(local_sys, eps_prime, eps, provider)
-            containers[local_sys] = cont
+        cont = small_set_container(SetSystem.from_masks(p_size, comps, member), eps_prime, eps, provider)
         slack_cap = math.floor(cont.eps * p_size)
-        pieces_local = []
-        for comp in comps:
+        for mask, comp in zip(group, comps):
             cover = find_cover(cont.covers, cont.witness.get(comp), comp, slack_cap)
             if cover is None:
                 raise InternalInvariantError("verified container has no cover for a range")
-            pieces_local.append(local_full ^ cover)
-        witness.update(zip(group, bitsets.expand(pieces_local, member)))
+            witness[mask] = member ^ cover
     fam = make_mnet(band, witness.values(), lam_out, delta, witness=witness)
     return _checked(fam, "bootstrap_interval_mnet")
 

@@ -47,6 +47,15 @@ Bland's rule never returns to a basis, so the loop ends within one pass per
 basis, C(k + m, m) passes in all.  A solver that runs past that bound has
 broken an invariant (a wrong dual update, say, cycles forever), and it
 raises InternalInvariantError instead of looping on.
+
+That bound is large (9,366,819 passes at k = 40, m = 6), so each pass
+first checks the invariants that such a fault breaks at once: every basic
+column has reduced cost zero (u.a_j == 0 for a basic column j of A0,
+u[l] == D for a basic artificial l), and the rhs column of T is
+non-negative, which a wrong primal update can break.  The answer is checked
+in exact integers before it is returned: A0.(D.x) == D.b0 and x >= 0 for a
+point, u.a_j <= 0 for every column and u.b0 > 0 for a certificate.  A
+failed check raises InternalInvariantError too.
 """
 
 import math
@@ -95,6 +104,10 @@ def solve_equality_feasibility(rows, rhs):
     den = 1
 
     for _ in range(_pass_bound(k, m)):
+        for i, var in enumerate(basis):
+            reduced = sum(map(mul, u, columns[var])) if var < k else u[var - k] - den
+            if reduced or inv[i][m] < 0:
+                raise InternalInvariantError(f"simplex basis broke an invariant in row {i}")
         # Bland's rule: the first column of A0 with u.a_j > 0, else the
         # first artificial column with u[l] > D.
         for j, col in enumerate(columns):
@@ -133,10 +146,15 @@ def solve_equality_feasibility(rows, rhs):
     else:
         raise InternalInvariantError(f"simplex ran past its bound of {_pass_bound(k, m)} passes")
 
-    if sum(map(mul, u, b0)) == 0:
-        x = [Fraction(0)] * k
+    gap = sum(map(mul, u, b0))
+    if gap == 0:
+        x = [0] * k  # D.x
         for i, var in enumerate(basis):
             if var < k:
-                x[var] = Fraction(inv[i][m], den)
-        return "feasible", tuple(x)
+                x[var] = inv[i][m]
+        if min(x, default=0) < 0 or any(sum(map(mul, row, x)) != den * b for row, b in zip(signed, b0)):
+            raise InternalInvariantError("simplex point does not solve Ax = b, x >= 0")
+        return "feasible", tuple(Fraction(v, den) for v in x)
+    if gap < 0 or any(sum(map(mul, u, col)) > 0 for col in columns):
+        raise InternalInvariantError("simplex certificate does not give y.A <= 0 < y.b")
     return "infeasible", tuple(Fraction(sign * v, den) for sign, v in zip(signs, u))

@@ -66,7 +66,7 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     if shallow_cap is not None and shallow_cap < 0:
         raise InputError(f"shallow cap {shallow_cap} is negative")
     candidates = system.ranges if shallow_cap is None else size_band(system.ranges, 0, shallow_cap)
-    packed = bitsets.pack_masks(candidates, system.n)
+    packed = bitsets.pack_masks(candidates, system.full_mask.bit_length())
     admitted = np.empty_like(packed)
     members = []
     groups = []

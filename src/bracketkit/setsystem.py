@@ -15,6 +15,17 @@ the constructions) is a call to it.
 
 ``canonical_sort`` makes the order by keys that Python's sort compares in C:
 byte strings that rank masks of equal size lex, then a stable size pass.
+
+The constructions build sub-systems (a packing member's group, a node of
+the removal recursion) in the parent's element indices: a system's
+``ground`` mask names its ground set U, n is |U|, and ``full_mask`` is U.
+That makes the same picks as re-indexing U to {0,...,|U|-1} in ascending
+order.  The re-indexing is a bijection from the subsets of U onto those of
+{0,...,|U|-1} that keeps sizes, subset tests, ANDs and XORs, and the lowest
+element where two masks differ, so it keeps the canonical order too.  The
+constructions read only sizes, subset tests, ANDs with U and n as a count,
+so they make the same picks either way, and each set they return is the
+re-indexed one's set in the parent's indices.
 """
 
 import json
@@ -25,7 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .bitsets import bit_matrix, compress, indices_from_mask
+from .bitsets import bit_matrix, indices_from_mask
 from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_json_object
 
 
@@ -48,23 +59,30 @@ def canonical_sort(masks, n):
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Ground set size plus ranges as canonical, deduplicated bitmasks."""
+    """Ground set plus ranges as canonical, deduplicated bitmasks.
+
+    The ground set is {0,...,n-1}, or the n elements of ``ground`` when that
+    mask is given."""
 
     n: int
     ranges: tuple
+    ground: int | None = None
 
     @staticmethod
-    def from_masks(n, masks):
+    def from_masks(n, masks, ground=None):
         if n < 0:
             raise InputError("ground set size must be nonnegative")
+        if ground is not None and (ground < 0 or ground.bit_count() != n):
+            raise InputError(f"ground mask {ground:#x} does not hold {n} elements")
+        full = (1 << n) - 1 if ground is None else ground
         dedup = set(masks)
-        if any(mask >> n for mask in dedup):
+        if any(mask & full != mask for mask in dedup):
             raise InputError("range has an element outside the ground set")
-        return SetSystem(n, tuple(canonical_sort(dedup, n)))
+        return SetSystem(n, tuple(canonical_sort(dedup, n)), ground)
 
     @property
     def full_mask(self):
-        return (1 << self.n) - 1
+        return (1 << self.n) - 1 if self.ground is None else self.ground
 
     def to_json(self):
         return json.dumps({"n": self.n, "ranges": [list(indices_from_mask(m)) for m in self.ranges]})
@@ -83,16 +101,24 @@ class SetSystem:
 def project(system, mask):
     """Project the family onto the elements of ``mask``: ranges become
     {R cap mask}, re-indexed to the ground set {0,...,|mask|-1} in ascending
-    order.  A negative mask, or one with a bit at or above n, is refused."""
-    if mask < 0 or mask >> system.n:
+    order.  A mask with an element outside the ground set is refused."""
+    if mask & system.full_mask != mask:
         raise InputError(f"projection mask {mask:#x} outside ground set of size {system.n}")
-    return SetSystem.from_masks(mask.bit_count(), compress(system.ranges, mask))
+    positions = indices_from_mask(mask)
+    local = []
+    for r in system.ranges:
+        bits = 0
+        for j, i in enumerate(positions):
+            if r >> i & 1:
+                bits |= 1 << j
+        local.append(bits)
+    return SetSystem.from_masks(len(positions), local)
 
 
 def complement_family(system):
     """Complement every range with respect to the ground set (an involution)."""
     full = system.full_mask
-    return SetSystem.from_masks(system.n, (full ^ m for m in system.ranges))
+    return SetSystem.from_masks(system.n, (full ^ m for m in system.ranges), system.ground)
 
 
 def _neg_size(mask):
@@ -110,7 +136,7 @@ def filter_by_size(system, upper):
     rounded exactly down to the integer band that ``size_band`` slices out."""
     if not 0 <= upper <= system.n:
         raise InputError(f"size bound {upper} outside [0,{system.n}]")
-    return SetSystem(system.n, size_band(system.ranges, 0, math.floor(upper)))
+    return SetSystem(system.n, size_band(system.ranges, 0, math.floor(upper)), system.ground)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,80 @@ witness maps, nothing shared with the library's verifiers beyond arithmetic.
 The LP reference is the textbook Fraction tableau, independent of the
 library's integer simplex (``bracketkit.lp``), which the tests compare
 against it.
+
+The per-bit re-indexing of a mask into a universe and back
+(``naive_compress``/``naive_expand``) is the reference for
+``bracketkit.project`` and for the constructions, which build their
+sub-systems in the parent's indices: ``_reference_bootstrap`` is the
+bootstrap path that re-indexes each group into its member instead.
 """
 
+import math
 from fractions import Fraction
 
+from bracketkit.constructions import small_set_container
 from bracketkit.errors import InputError
+from bracketkit.packing import greedy_delta_packing
+from bracketkit.setsystem import SetSystem, size_band
+from bracketkit.verify import find_cover
 
 
 def _sets(masks, n):
     return [frozenset(i for i in range(n) if m >> i & 1) for m in masks]
+
+
+def naive_compress(masks, universe):
+    """Each mask's bits at the universe's set positions, packed low."""
+    positions = [i for i in range(universe.bit_length()) if universe >> i & 1]
+    out = []
+    for mask in masks:
+        local = 0
+        for j, i in enumerate(positions):
+            if mask >> i & 1:
+                local |= 1 << j
+        out.append(local)
+    return out
+
+
+def naive_expand(local, universe):
+    """Each local mask's low bits scattered onto the universe's set positions."""
+    positions = [i for i in range(universe.bit_length()) if universe >> i & 1]
+    out = []
+    for mask in local:
+        full = 0
+        for j, i in enumerate(positions):
+            if mask >> j & 1:
+                full |= 1 << i
+        out.append(full)
+    return out
+
+
+def _reference_bootstrap(system, eps, delta, provider):
+    """The witness map (range -> piece) of ``bootstrap_interval_mnet`` by
+    re-indexing: the same band and packing, and for each group of more than
+    one range the complements of its ranges re-indexed into the member P,
+    a small-set container of them on (|P|, ...), and the complements of
+    their covers in P expanded back.  A group of one takes its member."""
+    n = system.n
+    lo, hi = math.ceil(delta * n), min(n, math.floor((1 + eps) * delta * n))
+    band = SetSystem(n, size_band(system.ranges, lo, hi))
+    if not band.ranges:
+        return {}
+    packing = greedy_delta_packing(band, math.floor(eps * delta * n))
+    eps_prime = 3 * eps / (2 + 2 * eps)
+    witness = {}
+    for member, group in zip(packing.members, packing.groups):
+        if len(group) == 1:
+            witness[member] = member
+            continue
+        p_size = member.bit_count()
+        local_full = (1 << p_size) - 1
+        comps = [local_full ^ local for local in naive_compress(group, member)]
+        cont = small_set_container(SetSystem.from_masks(p_size, comps), eps_prime, eps, provider)
+        slack_cap = math.floor(cont.eps * p_size)
+        pieces = [local_full ^ find_cover(cont.covers, cont.witness.get(c), c, slack_cap) for c in comps]
+        witness.update(zip(group, naive_expand(pieces, member)))
+    return witness
 
 
 def naive_mnet_ok(system, pieces, lam, eps):

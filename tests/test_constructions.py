@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit import bitsets, constructions, trace
+from bracketkit import constructions, trace
 from bracketkit.setsystem import canonical_sort, size_band
 from bracketkit.verify import find_cover
 
 from conftest import criterion1_instance, general_position_points, mask_set, system_from_sets
-from naive_checks import naive_bracket_ok, naive_container_ok, naive_mnet_ok
+from naive_checks import _reference_bootstrap, naive_bracket_ok, naive_container_ok, naive_expand, naive_mnet_ok
 
 
 def test_base_mnet_examples(collinear4):
@@ -571,17 +571,6 @@ def test_construction_hints_serve_their_ranges(name):
     assert len(hints) > 0
 
 
-def _local_complements(member, group):
-    # Per-bit re-indexing of the group into the member, then complements.
-    positions = [i for i in range(member.bit_length()) if member >> i & 1]
-    full = (1 << len(positions)) - 1
-    comps = set()
-    for mask in group:
-        local = sum(1 << j for j, i in enumerate(positions) if mask >> i & 1)
-        comps.add(full ^ local)
-    return len(positions), frozenset(comps)
-
-
 def _circle40_band_packing():
     system = _circle(40)
     eps, delta = Fraction(1, 8), Fraction(1, 4)
@@ -591,44 +580,88 @@ def _circle40_band_packing():
     return system, eps, delta, bk.greedy_delta_packing(band, math.floor(eps * delta * n))
 
 
-def test_bootstrap_builds_one_container_per_distinct_local_system(monkeypatch):
-    # A group of one takes its member as its piece and builds no container.
-    system, eps, delta, packing = _circle40_band_packing()
-    shared = [(m, g) for m, g in zip(packing.members, packing.groups) if len(g) > 1]
-    distinct = {_local_complements(m, g) for m, g in shared}
-    assert len(distinct) < len(shared) < len(packing.members)  # repeats and groups of one
+BOOTSTRAP_BANDS = {
+    "circle40": lambda: _circle(40),
+    "random128": lambda: bk.enumerate_halfspace_ranges(bk.random_point_set(2, 128, 12000)),
+}
 
-    built = []
-    original = constructions.small_set_container
 
-    def counting(local_sys, *args, **kwargs):
-        built.append((local_sys.n, frozenset(local_sys.ranges)))
-        return original(local_sys, *args, **kwargs)
-
-    monkeypatch.setattr(constructions, "small_set_container", counting)
+@pytest.mark.parametrize("name", sorted(BOOTSTRAP_BANDS))
+def test_bootstrap_pieces_match_the_reindexing_reference(name):
+    # circle-40's masks take one word and random-128's two.
+    system = BOOTSTRAP_BANDS[name]()
+    eps, delta = Fraction(1, 8), Fraction(1, 4)
     fam = bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
-    assert bk.verify_mnet(fam.base, fam).passed
-    assert len(built) == len(set(built))
-    assert set(built) == distinct
+    expected = _reference_bootstrap(system, eps, delta, bk.default_provider())
+    assert fam.witness == expected
+    assert fam.pieces == tuple(canonical_sort(set(expected.values()), system.n))
 
 
 def test_a_one_member_group_gets_its_member_from_the_local_container():
-    # The path that a group of one skips: the container of (|P|, {empty
-    # set}), the empty set's cover, and its complement expanded into P; the
-    # empty member stands for |P| = 0.
+    # The path that a group of one skips: the container of the system with
+    # ground set P and the one range {empty set}, the empty set's cover, and
+    # its complement in P; the empty member stands for |P| = 0.
     _, eps, _, packing = _circle40_band_packing()
     singles = [m for m, g in zip(packing.members, packing.groups) if len(g) == 1]
     assert singles
     eps_prime = 3 * eps / (2 + 2 * eps)
     for member in singles + [0]:
         p_size = member.bit_count()
-        local_full = (1 << p_size) - 1
-        (comp,) = [local_full ^ local for local in bitsets.compress([member], member)]
-        assert comp == 0
+        comp = member & ~member
         cont = constructions.small_set_container(
-            bk.SetSystem.from_masks(p_size, [comp]), eps_prime, eps, bk.default_provider())
+            bk.SetSystem.from_masks(p_size, [comp], member), eps_prime, eps, bk.default_provider())
         cover = find_cover(cont.covers, cont.witness.get(comp), comp, math.floor(cont.eps * p_size))
-        assert bitsets.expand([local_full ^ cover], member) == [member]
+        assert member ^ cover == member
+
+
+@st.composite
+def grounded_systems(draw, small=False):
+    """A system drawn on {0,...,k-1}, and a ground set U for it: a random
+    mask of one or of several words, with k set bits.  With ``small``, no
+    range has more than k/4 elements."""
+    universe = draw(st.integers(1, (1 << draw(st.sampled_from([64, 200]))) - 1))
+    k = universe.bit_count()
+    if small:
+        subset = st.lists(st.integers(0, k - 1), max_size=k // 4).map(lambda bits: sum(1 << i for i in set(bits)))
+        local = draw(st.lists(subset, max_size=20))
+    else:
+        word = st.integers(0, (1 << k) - 1)
+        local = []
+        for _ in range(draw(st.integers(0, 20))):
+            a, b = draw(word), draw(word)
+            local.append(draw(st.sampled_from([a, a & b, a | b])))
+    return bk.SetSystem.from_masks(k, local), universe
+
+
+@given(grounded_systems(), st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1]),
+       st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(3, 4)]))
+@settings(max_examples=100, deadline=None)
+def test_base_mnet_in_a_ground_set_is_the_expansion_of_the_reindexed_one(case, lam, eps):
+    # The system with ground set U, against the same system re-indexed to
+    # {0,...,|U|-1}: the pieces and witness map, expanded back, on both
+    # greedy loops.
+    local, universe = case
+    grounded = bk.SetSystem.from_masks(local.n, naive_expand(local.ranges, universe), universe)
+    for int_cells in (0, 1 << 30):
+        with mock.patch.object(constructions, "_INT_CELLS", int_cells):
+            want = bk.base_mnet(local, lam, eps)
+            got = bk.base_mnet(grounded, lam, eps)
+        assert got.pieces == tuple(naive_expand(want.pieces, universe))
+        assert got.witness == dict(zip(naive_expand(want.witness, universe),
+                                       naive_expand(want.witness.values(), universe)))
+
+
+@given(grounded_systems(small=True), st.sampled_from([Fraction(1, 8), Fraction(1, 4)]))
+@settings(max_examples=60, deadline=None)
+def test_small_set_container_in_a_ground_set_is_the_expansion_of_the_reindexed_one(case, rho):
+    local, universe = case
+    grounded = bk.SetSystem.from_masks(local.n, naive_expand(local.ranges, universe), universe)
+    eps = Fraction(1, 4)
+    want = bk.small_set_container(local, eps, rho, bk.default_provider())
+    got = bk.small_set_container(grounded, eps, rho, bk.default_provider())
+    assert got.covers == tuple(naive_expand(want.covers, universe))
+    assert got.witness == dict(zip(naive_expand(want.witness, universe),
+                                   naive_expand(want.witness.values(), universe)))
 
 
 def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):

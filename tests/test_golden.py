@@ -58,8 +58,8 @@ def _container70():
 
 
 def _container_random128():
-    # A random domain with two-word masks, where bootstrap groups often
-    # compress to the same local system.
+    # A random domain with two-word masks, where bootstrap groups of one
+    # and of several ranges both occur.
     pts = bk.random_point_set(2, 128, 12000)
     fam = bk.build_container(bk.enumerate_halfspace_ranges(pts), Fraction(1, 8), bk.default_provider())
     return bk.family_to_json(fam)

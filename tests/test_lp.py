@@ -1,4 +1,7 @@
+import inspect
 import random
+import time
+import types
 from fractions import Fraction
 
 import pytest
@@ -149,6 +152,67 @@ def test_a_solver_past_its_pass_bound_raises(monkeypatch):
     monkeypatch.setattr(lp, "_pass_bound", lambda k, m: 1)
     with pytest.raises(bk.InternalInvariantError, match="past its bound of 1 passes"):
         solve_equality_feasibility([[1, 1]], [1])
+
+
+# Recorded faults of the simplex, each one textual change to lp.py: three
+# wrong dual updates, a point off by one, and pricing that stops while a
+# column still prices positive.
+MUTANTS = {
+    "u-sign-flipped": ("(a * pivot + cost * t) // den", "(a * pivot - cost * t) // den"),
+    "u-over-pivot": ("(a * pivot + cost * t) // den", "(a * pivot + cost * t) // pivot"),
+    "u-top-rotated": ("for a, t in zip(u, top)]", "for a, t in zip(u, top[1:] + top[:1])]"),
+    "point-off-by-one": ("x[var] = inv[i][m]\n", "x[var] = inv[i][m] + 1\n"),
+    "pricing-stops-early": ("if price > 0:", "if price > 1000:"),
+}
+
+
+def _mutant_solver(name):
+    """solve_equality_feasibility of a copy of lp.py with the mutant's change."""
+    old, new = MUTANTS[name]
+    source = inspect.getsource(lp)
+    assert source.count(old) == 1
+    module = types.ModuleType("bracketkit.lp_mutant")
+    module.__package__ = "bracketkit"
+    exec(compile(source.replace(old, new), lp.__file__, "exec"), module.__dict__)
+    return module.solve_equality_feasibility
+
+
+def _hull_lp(seed, separate):
+    """A hull oracle LP of 10 + 10 planar points; with ``separate`` the
+    hulls lie on either side of x = 0, so that it is infeasible."""
+    rng = random.Random(seed)
+    nums = [[rng.randint(-50, 50) for _ in range(2)] for _ in range(20)]
+    dens = [rng.randint(1, 7) for _ in range(20)]
+    if separate:
+        for i, num in enumerate(nums):
+            num[0] = -abs(num[0]) - 1 if i < 10 else abs(num[0]) + 1
+    rows = [[num[k] for num in nums[:10]] + [-num[k] for num in nums[10:]] for k in range(2)]
+    return rows + [dens[:10] + [0] * 10, [0] * 10 + dens[10:]], [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("name", ["u-sign-flipped", "u-over-pivot", "u-top-rotated"])
+def test_a_wrong_dual_update_is_caught_within_a_second(name):
+    # Without the per-pass check, five of these six calls run to the pass
+    # bound (C(24, 4) = 10,626 passes here, millions on the largest LPs of
+    # the hull-shaped hypothesis test) and one returns; the match pins the
+    # per-pass check.
+    solve = _mutant_solver(name)
+    start = time.perf_counter()
+    for separate in (False, True):
+        with pytest.raises(bk.InternalInvariantError, match="basis broke an invariant"):
+            solve(*_hull_lp(0, separate))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("name, separate, message", [
+    ("point-off-by-one", False, "point does not solve"),
+    ("pricing-stops-early", True, "certificate does not give"),
+])
+def test_a_wrong_answer_is_refused(name, separate, message):
+    rows, rhs = _hull_lp(0, separate)
+    assert solve_equality_feasibility(rows, rhs)[0] == ("infeasible" if separate else "feasible")
+    with pytest.raises(bk.InternalInvariantError, match=message):
+        _mutant_solver(name)(rows, rhs)
 
 
 _NON_INTS = st.one_of(

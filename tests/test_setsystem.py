@@ -11,6 +11,7 @@ from bracketkit.bitsets import bit_matrix, pack_masks, symdiff_counts
 from bracketkit.setsystem import canonical_sort, size_band
 
 from conftest import mask_from_indices, masks_as_sets, system_from_sets
+from naive_checks import naive_compress
 
 
 def _by_definition(masks):
@@ -73,6 +74,26 @@ def test_project_idempotent_on_own_ground_set(collinear4):
     proj = bk.project(system, mask_from_indices((0, 1, 3)))
     again = bk.project(proj, mask_from_indices(range(proj.n)))
     assert again == proj
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_project_matches_the_per_bit_reference(data):
+    # Ground sets of one and of several words, and masks over all of them.
+    n = data.draw(st.sampled_from([1, 8, 63, 64, 65, 128, 256]))
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    system = bk.SetSystem.from_masks(n, masks)
+    mask = data.draw(st.sampled_from([0, (1 << n) - 1]) | st.integers(0, (1 << n) - 1))
+    expected = bk.SetSystem.from_masks(mask.bit_count(), naive_compress(system.ranges, mask))
+    assert bk.project(system, mask) == expected
+
+
+def test_a_range_outside_the_ground_mask_is_refused():
+    ground = 0b10110
+    assert bk.SetSystem.from_masks(3, [0b10100, 0b110], ground).full_mask == ground
+    for bad in (0b1, 0b100000, -0b10):
+        with pytest.raises(bk.InputError, match="outside the ground set"):
+            bk.SetSystem.from_masks(3, [0b100, bad], ground)
 
 
 def test_project_bad_index(collinear4):
