@@ -62,7 +62,9 @@ class SetSystem:
     """Ground set plus ranges as canonical, deduplicated bitmasks.
 
     The ground set is {0,...,n-1}, or the n elements of ``ground`` when that
-    mask is given."""
+    mask is given.  Only the constructions' sub-systems carry a ground mask:
+    the JSON form and ``vc_dimension_exact`` take the ground set as
+    {0,...,n-1}."""
 
     n: int
     ranges: tuple
