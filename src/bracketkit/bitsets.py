@@ -2,15 +2,17 @@
 
 Ranges are stored as Python ints used as bitmasks over element indices
 (bit i set = element i present).  Bulk subset tests and symmetric-difference
-counts are routed through numpy uint64 matrices, which is what makes the
-greedy packings and verifiers fast enough at a few hundred points.
+counts are routed through numpy uint64 matrices, which is what makes
+``base_mnet``'s serving matrix and the greedy packings fast enough at a few
+hundred points; the verifiers stay pure Python.
 """
 
 import numpy as np
 
 _WORD = 64
-# Cells of one subset_matrix block: its uint64 temporaries take 8 bytes each.
-_SUBSET_BLOCK_CELLS = 1 << 16
+# Cells of one block of uint64 temporaries (8 bytes a cell), for
+# subset_matrix's row blocks and the greedy packing's distance matrices.
+_BLOCK_CELLS = 1 << 16
 
 
 def indices_from_mask(mask):
@@ -22,14 +24,10 @@ def indices_from_mask(mask):
     return tuple(out)
 
 
-def words_needed(n):
-    return max(1, (n + _WORD - 1) // _WORD)
-
-
 def pack_masks(masks, n):
     """Pack int masks over n elements into a read-only (len(masks), words)
-    uint64 array, least significant word first."""
-    w = words_needed(n)
+    uint64 array of at least one word, least significant word first."""
+    w = max(1, (n + _WORD - 1) // _WORD)
     data = b"".join(mask.to_bytes(8 * w, "little") for mask in masks)
     return np.frombuffer(data, "<u8").reshape(len(masks), w)
 
@@ -44,13 +42,13 @@ def bit_matrix(masks, n):
 def subset_matrix(packed_small, packed_big):
     """Boolean matrix S[i, j] = small_i is a subset of big_j.
 
-    It runs over blocks of small rows of at most ``_SUBSET_BLOCK_CELLS``
+    It runs over blocks of small rows of at most ``_BLOCK_CELLS``
     cells (at least one row), so the uint64 temporaries of a word's AND
     stay within the block while the result is 1 byte a cell.
     """
     rows, cols = packed_small.shape[0], packed_big.shape[0]
     ok = np.ones((rows, cols), dtype=bool)
-    step = max(1, _SUBSET_BLOCK_CELLS // max(1, cols))
+    step = max(1, _BLOCK_CELLS // max(1, cols))
     for start in range(0, rows, step):
         block = ok[start : start + step]
         for k in range(packed_small.shape[1]):

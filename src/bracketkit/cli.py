@@ -386,18 +386,16 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mnet)
 
-    p = sub.add_parser("container", help="build a verified container family")
-    p.add_argument("--system", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--lower-bound", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_container_or_bracket)
-
-    p = sub.add_parser("bracket", help="build a verified uniform bracket")
-    p.add_argument("--system", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_container_or_bracket)
+    for name, help_text in (
+        ("container", "build a verified container family"), ("bracket", "build a verified uniform bracket"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--system", required=True)
+        p.add_argument("--eps", required=True)
+        if name == "container":
+            p.add_argument("--lower-bound", action="store_true")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_container_or_bracket)
 
     p = sub.add_parser("verify", help="verify a family JSON against a system JSON")
     p.add_argument("--system", required=True)

@@ -14,7 +14,7 @@ unverified family.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -29,9 +29,10 @@ from .verify import find_cover, find_piece, verify_container, verify_family, ver
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
 # base_mnet's greedy cover runs on Python ints up to this many serving cells
-# (candidates x heavy ranges) and on numpy above.  On the 8,917 calls of a
-# seed-2 n=256 protocol context build, replayed both ways, the int loop was
-# about 1.3x faster at 384-512 cells and even with numpy at 640-768.
+# (candidates x heavy ranges) and on numpy above: 9,021 of the 9,620 calls
+# of a seed-2 n=256 protocol context build run the int loop.  Replayed both
+# ways on an earlier build's 8,917 calls, the int loop was about 1.3x faster
+# at 384-512 cells and even with numpy at 640-768.
 _INT_CELLS = 512
 
 
@@ -40,6 +41,15 @@ def _checked(family, label):
     if not report.passed:
         raise InternalInvariantError(f"{label} failed self-verification: {report.counterexample}")
     return family
+
+
+def _ladder(start, ratio):
+    """The geometric size ladder start*(1+ratio)^k, k = 0, 1, ..., as exact
+    Fractions, up to and including its first rung of at least 1."""
+    rungs = [start]
+    while rungs[-1] < 1:
+        rungs.append(rungs[-1] * (1 + ratio))
+    return rungs
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +92,7 @@ def base_mnet(system, lam, eps):
     heavy = size_band(system.ranges, heavy_at, n)
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
-    cands = canonical_sort(cands, n)
+    cands = canonical_sort(cands)
     if len(cands) * len(heavy) <= _INT_CELLS:
         assignment = _int_greedy_cover(cands, heavy, lam)
     else:
@@ -198,13 +208,9 @@ def boost_epsilon(system, provider, eps, eta):
     n = system.n
     eta_p = min(Fraction(1, 4), eta / 2)
     lam_out = provider.heaviness * (1 - eta)
-    t = 0
-    power = Fraction(1)
-    inv = 1 / eps
-    while power < inv:
-        power *= 1 + eta_p
-        t += 1
-    bands = [(i, (1 + eta_p) ** i * eps, eta_p * (1 + eta_p) ** i * eps) for i in range(t + 1)]
+    rungs = _ladder(eps, eta_p)
+    t = len(rungs) - 1
+    bands = [(i, eps_i, eta_p * eps_i) for i, eps_i in enumerate(rungs)]
     note(op="boost", eta_prime=eta_p, t=t, eps=eps, eta=eta, bands=bands)
     witness = {}
     for i in range(1, t + 1):
@@ -336,26 +342,26 @@ def small_set_container(system, eps, rho, provider):
     max_depth = 1
     # Node = (universe mask, surviving ranges, depth).  Every live range lies
     # inside its node's universe: the root's is the full set, and a child
-    # keeps only the ranges inside its own.
-    stack = [(full, list(system.ranges), 1)]
+    # keeps only the ranges inside its own.  The live ranges keep canonical
+    # order, so the ones a node serves (residual at most rho*n) are its
+    # largest, a prefix, and the first survivor is the largest one.
+    stack = [(full, system.ranges, 1)]
     while stack:
         universe, live, depth = stack.pop()
         max_depth = max(max_depth, depth)
         covers.append(universe)
         u_size = universe.bit_count()
-        survivors = []
-        for mask in live:
-            if u_size - mask.bit_count() <= residual_over:
-                witness.setdefault(mask, universe)
-            else:
-                survivors.append(mask)
+        served = size_band(live, u_size - residual_over, u_size)
+        for mask in served:
+            witness.setdefault(mask, universe)
+        survivors = live[len(served):]
         if not survivors:
             continue
         if depth + 1 > depth_cap:
             raise InternalInvariantError(
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
-        eps_node = Fraction(max(m.bit_count() for m in survivors), u_size)
+        eps_node = Fraction(survivors[0].bit_count(), u_size)
         node_sys = SetSystem.from_masks(u_size, [universe & ~m for m in survivors], universe)
         fam = provider.mnet(node_sys, 1 - eps_node)
         # No piece is empty: a survivor leaves more than floor(rho*n) >= 0 elements
@@ -409,7 +415,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     lo_int = math.ceil(delta * n)
     hi_int = min(n, math.floor((1 + eps) * delta * n))
     band_masks = size_band(system.ranges, lo_int, hi_int)
-    band = SetSystem(n, band_masks)
+    band = SetSystem(n, band_masks, system.ground)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
         return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
@@ -474,13 +480,8 @@ class HeavyMnetParams:
         eps0 = (1 - lam) / 4
         t0_raw = 1 + math.log(4 / float(1 - lam)) / math.log(1 / (1 - float(heaviness) / 2))
         ratio = eps0 if eta > eps0 else eta / 2
-        deltas = []
-        d = eta
-        while d < 1:
-            deltas.append(d)
-            d = (1 + ratio) * d
         return HeavyMnetParams(
-            lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, tuple(deltas),
+            lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, tuple(_ladder(eta, ratio)[:-1]),
         )
 
 
@@ -507,15 +508,11 @@ def build_container(system, eps, provider_complement):
         raise InputError(f"eps must be in (0,1), got {eps}")
     n = system.n
     full = system.full_mask
-    witness = {}
-    big_at = math.ceil((1 - eps) * n)
     small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
     covers = list(small_set_container(small_sys, eps / 2, eps / 2, provider_complement).covers)
     mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement)
-    for mask in system.ranges:
-        if mask.bit_count() >= big_at:
-            witness[mask] = full
-            continue
+    witness = dict.fromkeys(size_band(system.ranges, math.ceil((1 - eps) * n), n), full)
+    for mask in system.ranges[len(witness):]:
         cover = full ^ mfam.witness[full ^ mask]
         covers.append(cover)
         witness[mask] = cover
@@ -532,11 +529,8 @@ def build_bracket(system, eps, provider, provider_complement):
     n = system.n
     cont = build_container(system, eps / 2, provider_complement)
     mfam = heavy_mnet(system, 1 - eps / 2, eps / 2, provider)
-    small_at = math.floor(eps / 2 * Fraction(n))
-    sets = [0]
-    pairing = {}
-    for mask in system.ranges:
-        lower = 0 if mask.bit_count() <= small_at else mfam.witness[mask]
-        pairing[mask] = (lower, cont.witness[mask])
-        sets.extend(pairing[mask])
+    large = size_band(system.ranges, math.floor(eps / 2 * Fraction(n)) + 1, n)
+    pairing = {mask: (mfam.witness[mask], cont.witness[mask]) for mask in large}
+    pairing.update((mask, (0, cont.witness[mask])) for mask in system.ranges[len(large):])
+    sets = [0, *chain.from_iterable(pairing.values())]
     return _checked(make_bracket(system, sets, eps, pairing=pairing), "build_bracket")

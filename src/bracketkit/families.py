@@ -53,16 +53,16 @@ class BracketFamily:
 
 
 def make_mnet(base, pieces, lam, eps, witness=None):
-    pieces = tuple(canonical_sort(set(pieces), base.n))
+    pieces = tuple(canonical_sort(set(pieces)))
     return MnetFamily(base, pieces, Fraction(lam), Fraction(eps), witness)
 
 
 def make_container(base, covers, eps, witness=None):
-    return ContainerFamily(base, tuple(canonical_sort(set(covers), base.n)), Fraction(eps), witness)
+    return ContainerFamily(base, tuple(canonical_sort(set(covers))), Fraction(eps), witness)
 
 
 def make_bracket(base, sets, eps, pairing=None):
-    return BracketFamily(base, tuple(canonical_sort(set(sets), base.n)), Fraction(eps), pairing)
+    return BracketFamily(base, tuple(canonical_sort(set(sets))), Fraction(eps), pairing)
 
 
 def family_to_json(family):

@@ -55,7 +55,9 @@ u[l] == D for a basic artificial l), and the rhs column of T is
 non-negative, which a wrong primal update can break.  The answer is checked
 in exact integers before it is returned: A0.(D.x) == D.b0 and x >= 0 for a
 point, u.a_j <= 0 for every column and u.b0 > 0 for a certificate.  A
-failed check raises InternalInvariantError too.
+failed check raises InternalInvariantError too, and so does an entering
+column with no positive entry: the phase-1 objective is bounded below by 0,
+so the ratio test always finds a row.
 """
 
 import math
@@ -133,7 +135,7 @@ def solve_equality_feasibility(rows, rhs):
                 if new < best or (new == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
-            raise InputError("phase-1 objective unbounded; inconsistent tableau")
+            raise InternalInvariantError("phase-1 objective unbounded: the entering column has no positive entry")
         top = inv[leave]
         pivot = entering[leave]
         for i in range(m):

@@ -21,9 +21,8 @@ from .errors import InputError
 from .setsystem import SetSystem, project, size_band
 
 # A block holds at most _BLOCK_ROWS candidates, and fewer once the members
-# admitted so far would make its matrix exceed _BLOCK_CELLS cells.
+# admitted so far would make its matrix exceed bitsets._BLOCK_CELLS cells.
 _BLOCK_ROWS = 64
-_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,8 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     A row's first hit overall settles the first case, because the
     candidate's own column, at distance 0, comes after every earlier member.
     The block holds at most ``_BLOCK_ROWS`` candidates, and fewer as members
-    accumulate, so a matrix stays within ``_BLOCK_CELLS`` cells unless one
-    candidate alone needs more.
+    accumulate, so a matrix stays within ``bitsets._BLOCK_CELLS`` cells
+    unless one candidate alone needs more.
     """
     if not 0 <= delta <= system.n:
         raise InputError(f"delta {delta} outside [0, {system.n}]")
@@ -73,7 +72,7 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     start = 0
     while start < len(candidates):
         earlier = len(members)
-        stop = start + max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // (earlier + _BLOCK_ROWS)))
+        stop = start + max(1, min(_BLOCK_ROWS, bitsets._BLOCK_CELLS // (earlier + _BLOCK_ROWS)))
         block = packed[start:stop]
         admitted[earlier : earlier + len(block)] = block  # until the block's members overwrite it
         near = bitsets.symdiff_counts(block, admitted[: earlier + len(block)]) <= delta

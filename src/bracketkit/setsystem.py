@@ -9,9 +9,9 @@ constructions and protocol messages reproducible.
 
 Because the order is size-descending, the ranges with lo <= |R| <= hi are
 one contiguous slice of it.  ``size_band`` finds that slice by bisection,
-and every size filter in the package (``filter_by_size``, the packing's
-shallow cap and bound report, the heavy, boosting and bootstrap bands of
-the constructions) is a call to it.
+and every size filter outside the verifiers (``filter_by_size``, the
+packing's shallow cap and bound report, and every size split of the
+constructions) is a call to it.
 
 ``canonical_sort`` makes the order by keys that Python's sort compares in C:
 byte strings that rank masks of equal size lex, then a stable size pass.
@@ -43,15 +43,16 @@ from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def canonical_sort(masks, n):
+def canonical_sort(masks):
     """The masks as a list in canonical order.  The keys have equal length,
-    so they compare from the first byte, which holds bits 0-7, and within a
-    byte ``_REVERSED_BYTE`` puts the lower bit first: the larger key holds
-    the lowest element where two masks differ, which for equal sizes is lex
-    ascending of the sorted element lists.  ``reverse=True`` keeps ties
-    stable, so the size pass keeps that order inside each size."""
+    the bytes of the widest mask, so they compare from the first byte, which
+    holds bits 0-7, and within a byte ``_REVERSED_BYTE`` puts the lower bit
+    first: the larger key holds the lowest element where two masks differ,
+    which for equal sizes is lex ascending of the sorted element lists.
+    ``reverse=True`` keeps ties stable, so the size pass keeps that order
+    inside each size."""
     out = list(masks)
-    width = (max(n, max(map(int.bit_length, out), default=0)) + 7) // 8
+    width = (max(map(int.bit_length, out), default=0) + 7) // 8
     out.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BYTE), reverse=True)
     out.sort(key=int.bit_count, reverse=True)
     return out
@@ -80,7 +81,7 @@ class SetSystem:
         dedup = set(masks)
         if any(mask & full != mask for mask in dedup):
             raise InputError("range has an element outside the ground set")
-        return SetSystem(n, tuple(canonical_sort(dedup, n)), ground)
+        return SetSystem(n, tuple(canonical_sort(dedup)), ground)
 
     @property
     def full_mask(self):

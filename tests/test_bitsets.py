@@ -86,7 +86,7 @@ def test_subset_matrix_matches_per_pair_reference(words, block_rows, data):
     big += [s | b for s, b in zip(small, big)]
     with pytest.MonkeyPatch.context() as patch:
         if block_rows is not None:
-            patch.setattr(bitsets, "_SUBSET_BLOCK_CELLS", block_rows * len(big))
+            patch.setattr(bitsets, "_BLOCK_CELLS", block_rows * len(big))
         got = subset_matrix(pack_masks(small, n), pack_masks(big, n))
     want = [[(s & b) == s for b in big] for s in small]
     assert got.dtype == bool and got.tolist() == want

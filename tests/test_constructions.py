@@ -95,7 +95,7 @@ def _reference_greedy_cover(system, lam, eps):
     if not heavy:
         return {}
     pairs = combinations(heavy[: constructions.PAIR_CAP], 2)
-    cands = canonical_sort(set(heavy).union(a & b for a, b in pairs), n)
+    cands = canonical_sort(set(heavy).union(a & b for a, b in pairs))
     serves = np.array([[c & r == c and c.bit_count() >= lam * r.bit_count() for r in heavy] for c in cands])
     keep = serves.any(axis=1)
     cands = [c for c, k in zip(cands, keep) if k]
@@ -134,7 +134,7 @@ def test_base_mnet_matches_the_reference_greedy_cover(data):
         with mock.patch.object(constructions, "_INT_CELLS", int_cells):
             fam = bk.base_mnet(system, lam, eps)
         assert fam.witness == expected
-        assert fam.pieces == tuple(canonical_sort(set(expected.values()), n))
+        assert fam.pieces == tuple(canonical_sort(set(expected.values())))
 
 
 @pytest.mark.parametrize("int_cells", [0, 1 << 30])
@@ -594,7 +594,7 @@ def test_bootstrap_pieces_match_the_reindexing_reference(name):
     fam = bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
     expected = _reference_bootstrap(system, eps, delta, bk.default_provider())
     assert fam.witness == expected
-    assert fam.pieces == tuple(canonical_sort(set(expected.values()), system.n))
+    assert fam.pieces == tuple(canonical_sort(set(expected.values())))
 
 
 def test_a_one_member_group_gets_its_member_from_the_local_container():
@@ -662,6 +662,36 @@ def test_small_set_container_in_a_ground_set_is_the_expansion_of_the_reindexed_o
     assert got.covers == tuple(naive_expand(want.covers, universe))
     assert got.witness == dict(zip(naive_expand(want.witness, universe),
                                    naive_expand(want.witness.values(), universe)))
+
+
+GROUNDED = {
+    "heavy_mnet": lambda system: bk.heavy_mnet(system, Fraction(1, 2), Fraction(1, 4), bk.default_provider()),
+    "build_container": lambda system: bk.build_container(system, Fraction(1, 4), bk.default_provider()),
+    "build_bracket": lambda system: bk.build_bracket(
+        system, Fraction(1, 4), bk.default_provider(), bk.default_provider()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDED))
+def test_a_construction_in_a_high_ground_set_is_the_expansion_of_the_reindexed_one(name):
+    # Circle-12 on the bits 60, 62, ..., 82: its masks reach past the one
+    # word that 12 elements take, so the bootstrap bands' packings must keep
+    # the ground mask.
+    local = _circle(12)
+    universe = sum(1 << i for i in range(60, 83, 2))
+    grounded = bk.SetSystem.from_masks(local.n, naive_expand(local.ranges, universe), universe)
+    want, got = GROUNDED[name](local), GROUNDED[name](grounded)
+
+    def expand(masks):
+        return tuple(naive_expand(masks, universe))
+
+    if name == "build_bracket":
+        assert got.sets == expand(want.sets)
+        assert got.pairing == dict(zip(expand(want.pairing), map(expand, want.pairing.values())))
+    else:
+        field = "pieces" if name == "heavy_mnet" else "covers"
+        assert getattr(got, field) == expand(getattr(want, field))
+        assert got.witness == dict(zip(expand(want.witness), expand(want.witness.values())))
 
 
 def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):

@@ -155,14 +155,15 @@ def test_a_solver_past_its_pass_bound_raises(monkeypatch):
 
 
 # Recorded faults of the simplex, each one textual change to lp.py: three
-# wrong dual updates, a point off by one, and pricing that stops while a
-# column still prices positive.
+# wrong dual updates, a point off by one, pricing that stops while a column
+# still prices positive, and an entering column of the wrong sign.
 MUTANTS = {
     "u-sign-flipped": ("(a * pivot + cost * t) // den", "(a * pivot - cost * t) // den"),
     "u-over-pivot": ("(a * pivot + cost * t) // den", "(a * pivot + cost * t) // pivot"),
     "u-top-rotated": ("for a, t in zip(u, top)]", "for a, t in zip(u, top[1:] + top[:1])]"),
     "point-off-by-one": ("x[var] = inv[i][m]\n", "x[var] = inv[i][m] + 1\n"),
     "pricing-stops-early": ("if price > 0:", "if price > 1000:"),
+    "entering-negated": ("entering = [sum(", "entering = [-sum("),
 }
 
 
@@ -213,6 +214,16 @@ def test_a_wrong_answer_is_refused(name, separate, message):
     assert solve_equality_feasibility(rows, rhs)[0] == ("infeasible" if separate else "feasible")
     with pytest.raises(bk.InternalInvariantError, match=message):
         _mutant_solver(name)(rows, rhs)
+
+
+def test_an_entering_column_with_no_positive_entry_is_an_internal_error():
+    # A phase-1 objective is bounded below by 0, so the ratio test always
+    # finds a row.  Under the mutant, x0 + x1 = 1 prices x0 and its entering
+    # column [-1] has none: a fault of the solver, which the CLI reports as
+    # an error (exit 1), not as a usage error (exit 2).
+    assert solve_equality_feasibility([[1, 1]], [1]) == ("feasible", (1, 0))
+    with pytest.raises(bk.InternalInvariantError, match="objective unbounded"):
+        _mutant_solver("entering-negated")([[1, 1]], [1])
 
 
 _NON_INTS = st.one_of(

@@ -61,8 +61,8 @@ def test_greedy_matches_naive(seed, monkeypatch):
     inputs = [(general_position_points(2, 7, seed + 10)[1], (0, 1, 2, 4), (None, 3, 5)),
               (general_position_points(2, 12, seed + 10)[1], (0, 1, 2, 4), (None, 3, 6)),
               (abstract, (0, 70), (None,))]
-    for cells in (bk.packing._BLOCK_CELLS, 1 << 8):
-        monkeypatch.setattr(bk.packing, "_BLOCK_CELLS", cells)
+    for cells in (bk.bitsets._BLOCK_CELLS, 1 << 8):
+        monkeypatch.setattr(bk.bitsets, "_BLOCK_CELLS", cells)
         for system, deltas, caps in inputs:
             for delta in deltas:
                 for cap in caps:

@@ -22,17 +22,17 @@ def _by_definition(masks):
 def test_canonical_order_matches_tuple_definition():
     n = 6
     masks = list(range(1 << n))
-    assert canonical_sort(masks, n) == _by_definition(masks)
+    assert canonical_sort(masks) == _by_definition(masks)
 
 
 @given(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 256]), st.data())
 @settings(max_examples=200, deadline=None)
 def test_canonical_sort_matches_tuple_definition(n, data):
-    # Masks may reach 9 bits past n, so the byte keys widen to the widest
-    # mask; the small sets make many ties in size.  Duplicates are allowed.
+    # Masks of up to n + 9 bits, so the byte keys take the widest mask's
+    # bytes; the small sets make many ties in size.  Duplicates are allowed.
     small = st.sets(st.integers(0, n + 8), max_size=3).map(lambda s: sum(1 << i for i in s))
     masks = data.draw(st.lists(st.one_of(st.integers(0, (1 << (n + 9)) - 1), small), max_size=40))
-    assert canonical_sort(masks, n) == _by_definition(masks)
+    assert canonical_sort(masks) == _by_definition(masks)
 
 
 @given(st.integers(1, 10), st.data())
@@ -94,6 +94,14 @@ def test_a_range_outside_the_ground_mask_is_refused():
     for bad in (0b1, 0b100000, -0b10):
         with pytest.raises(bk.InputError, match="outside the ground set"):
             bk.SetSystem.from_masks(3, [0b100, bad], ground)
+
+
+def test_a_ground_mask_that_does_not_hold_n_elements_is_refused():
+    # -0b11 has two set bits in Python's bit_count, so only the sign check
+    # refuses it at n = 2.
+    for n, ground in ((2, 0b111), (4, 0b111), (2, -0b11), (0, -1)):
+        with pytest.raises(bk.InputError, match=f"does not hold {n} elements"):
+            bk.SetSystem.from_masks(n, [], ground)
 
 
 def test_project_bad_index(collinear4):

@@ -151,7 +151,7 @@ def test_verify_bracket_matches_naive_on_random_families():
         if rng.random() < 0.5:
             rng.shuffle(sets)
         else:
-            sets = canonical_sort(set(sets), n)
+            sets = canonical_sort(set(sets))
         pool = sets + [rng.getrandbits(n)]
         pairing = {
             m: (rng.choice(pool), rng.choice(pool)) for m in system.ranges if rng.random() < 0.5
@@ -268,7 +268,7 @@ def verifier_cases(draw):
         sparse = draw(word) & draw(word) & draw(word)
         near[mask] = [mask, mask | sparse, mask & ~sparse]
         sets += draw(st.lists(st.sampled_from(near[mask]), max_size=3))
-    sets = tuple(canonical_sort(set(sets), n)) if draw(st.booleans()) else tuple(draw(st.permutations(sets)))
+    sets = tuple(canonical_sort(set(sets))) if draw(st.booleans()) else tuple(draw(st.permutations(sets)))
     stray = draw(word)
     witness = pairing = None
     if draw(st.booleans()):
