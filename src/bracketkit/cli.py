@@ -112,14 +112,6 @@ def _write(path, text):
         fh.write(text)
 
 
-def _load_points(path):
-    return PointSet.from_json(_read(path))
-
-
-def _load_system(path):
-    return SetSystem.from_json(_read(path))
-
-
 def _generate_points(kind, d, n, seed, jitter=None):
     if kind == "random":
         pts = random_point_set(d, n, seed)
@@ -128,10 +120,6 @@ def _generate_points(kind, d, n, seed, jitter=None):
     if jitter is not None:
         pts = jitter_points(pts, jitter, seed)
     return pts
-
-
-def _enumerate(points, family, k=2):
-    return ENUMERATORS[family](points, k)
 
 
 def cmd_gen(args):
@@ -143,8 +131,8 @@ def cmd_gen(args):
 
 
 def cmd_enum_ranges(args):
-    pts = _load_points(args.points)
-    system = _enumerate(pts, args.family, args.k)
+    pts = PointSet.from_json(_read(args.points))
+    system = ENUMERATORS[args.family](pts, args.k)
     _write(args.out, system.to_json())
     print(f"{len(system.ranges)} distinct {args.family} ranges over n={system.n}")
     return 0
@@ -153,7 +141,7 @@ def cmd_enum_ranges(args):
 def cmd_packing(args):
     if args.d0 < 0:
         raise InputError(f"--d0 must be >= 0 (0 skips the bound report), got {args.d0}")
-    system = _load_system(args.system)
+    system = SetSystem.from_json(_read(args.system))
     delta = parse_fraction(args.delta, name="delta")
     if "/" in args.delta:
         delta *= system.n
@@ -183,7 +171,7 @@ def cmd_mnet(args):
     lam = parse_fraction(args.lam, name="lambda")
     eta = parse_fraction(args.eta, name="eta")
     eps = parse_fraction(args.eps, name="eps")
-    system = _load_system(args.system)
+    system = SetSystem.from_json(_read(args.system))
     if args.algorithm == "heavy":
         family = CONSTRUCTIONS["mnet"][1](system, lam, eta)
     elif args.algorithm == "boost":
@@ -196,7 +184,7 @@ def cmd_mnet(args):
 
 
 def cmd_container_or_bracket(args):
-    system = _load_system(args.system)
+    system = SetSystem.from_json(_read(args.system))
     _, build, field = CONSTRUCTIONS[args.command]
     family = build(system, parse_fraction(args.eps, name="eps"))
     _write(args.out, family_to_json(family))
@@ -207,7 +195,7 @@ def cmd_container_or_bracket(args):
 
 
 def cmd_verify(args):
-    system = _load_system(args.system)
+    system = SetSystem.from_json(_read(args.system))
     family = family_from_json(_read(args.family), system)
     report = verify_family(system, family)
     if report.passed:
@@ -222,7 +210,7 @@ def _protocol_input(args, what, instance_type):
     """The domain, the instance and eps0, for protocol-learn and
     protocol-disjoint.  Each side's JSON list is passed through as a tuple:
     the protocol functions refuse a malformed item before any work."""
-    domain = _load_points(args.points)
+    domain = PointSet.from_json(_read(args.points))
     alice, bob = parse_json_object(
         _read(args.instance), what, lambda data: [tuple(data[side]) for side in ("alice", "bob")],
     )
@@ -331,7 +319,7 @@ def cmd_bench(args):
     failure = None
     for n in spec["n"]:
         pts = _generate_points(spec["instance_kind"], spec["d"], n, spec["seed"], spec["jitter"])
-        system = _enumerate(pts, spec["family"])
+        system = ENUMERATORS[spec["family"]](pts, 2)  # the polytope k of enum-ranges' --k default
         for values in product(*(spec[key] for key in keys)):
             row, report = _run_grid_point(spec, n, system, dict(zip(keys, values)))
             rows.append(row)

@@ -110,20 +110,15 @@ def json_int(value, what, least=None, most=None):
     return value if most is None else within_budget(value, most, what)
 
 
-def json_index(i, what):
-    """``i`` if it is a nonnegative integer; else InputError naming it."""
-    return json_int(i, f"{what}: element index", 0)
-
-
 def json_index_mask(indices, what):
     """The bitmask of a JSON list of element indices.  The first index, in
-    list order, that is not an int in [0, MAX_GROUND_SET) is refused by
-    ``json_index`` or as past the largest ground set, before the mask grows
-    to it."""
+    list order, that is not an int in [0, MAX_GROUND_SET) is refused as
+    not a nonnegative integer or as past the largest ground set, before the
+    mask grows to it."""
     mask = 0
     for i in indices:
         if type(i) is not int or not 0 <= i < MAX_GROUND_SET:
-            within_budget(json_index(i, what), MAX_GROUND_SET - 1, f"{what}: element index")
+            json_int(i, f"{what}: element index", 0, MAX_GROUND_SET - 1)
         mask |= 1 << i
     return mask
 

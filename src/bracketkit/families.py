@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bitsets import indices_from_mask
-from .errors import InputError, json_index, json_index_mask, parse_fraction, parse_json_object
+from .errors import InputError, json_index_mask, json_int, parse_fraction, parse_json_object
 from .setsystem import SetSystem, canonical_sort
 
 
@@ -129,7 +129,7 @@ def _pairing_to_positions(family):
 
 def _pair_sets(sets, pair):
     """The (lower, upper) sets a JSON pairing entry names by position."""
-    lo, hi = (json_index(i, "family JSON pairing") for i in pair)
+    lo, hi = (json_int(i, "family JSON pairing: element index", 0) for i in pair)
     if not (lo < len(sets) and hi < len(sets)):
         raise InputError(f"pairing {pair} names a set outside the {len(sets)} sets")
     return sets[lo], sets[hi]

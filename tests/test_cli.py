@@ -659,13 +659,13 @@ def test_bench_enumerates_each_n_once(tmp_path, monkeypatch):
     import bracketkit.cli as cli
 
     seen = []
-    enumerate_ranges = cli._enumerate
+    enumerate_ranges = cli.ENUMERATORS["halfspace"]
 
-    def counting(points, family, k=2):
+    def counting(points, k):
         seen.append(points.n)
-        return enumerate_ranges(points, family, k)
+        return enumerate_ranges(points, k)
 
-    monkeypatch.setattr(cli, "_enumerate", counting)
+    monkeypatch.setitem(cli.ENUMERATORS, "halfspace", counting)
     spec = tmp_path / "spec.json"
     out = tmp_path / "results.csv"
     spec.write_text(json.dumps({
