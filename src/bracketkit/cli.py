@@ -258,17 +258,24 @@ def cmd_protocol_disjoint(args):
 def _parse_spec(data):
     """The bench spec keyed by its JSON field names, defaults filled in and
     values parsed in field order.  It is refused before any grid point runs
-    if ``out`` is not a string free of NUL bytes, the construction is unknown
-    or lacks a parameter list, or the instance kind or range family is
-    unknown."""
+    if ``n``, ``eps``, ``lambda`` or ``eta`` is not a list, ``out`` is not a
+    string free of NUL bytes, the construction is unknown or lacks a
+    parameter list, or the instance kind or range family is unknown."""
+
+    def listed(key):
+        values = data.get(key, [])
+        if not isinstance(values, list):
+            raise InputError(f"bench spec JSON: {key} must be a list, got {values!r}")
+        return values
+
     spec = {
         "instance_kind": data.get("instance_kind", "random"),
         "family": data.get("family", "halfspace"),
         "d": json_int(data.get("d", 2), "bench spec JSON: d", 1, MAX_DIM),
-        "n": [json_int(v, "bench spec JSON: n", 0, MAX_GROUND_SET) for v in data.get("n", [])],
+        "n": [json_int(v, "bench spec JSON: n", 0, MAX_GROUND_SET) for v in listed("n")],
         "seed": json_int(data.get("seed", 0), "bench spec JSON: seed"),
         "construction": data.get("construction", "container"),
-        **{key: [parse_fraction(v, name=key) for v in data.get(key, [])] for key in ("eps", "lambda", "eta")},
+        **{key: [parse_fraction(v, name=key) for v in listed(key)] for key in ("eps", "lambda", "eta")},
         "jitter": parse_fraction(data["jitter"], name="jitter") if data.get("jitter") is not None else None,
         "out": data.get("out", "results.csv"),
     }

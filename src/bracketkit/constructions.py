@@ -19,7 +19,15 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import bitsets
-from .errors import MAX_SERVING_CELLS, InputError, InternalInvariantError, PreconditionFailure, within_budget
+from .errors import (
+    MAX_LADDER_RUNGS,
+    MAX_SERVING_CELLS,
+    InputError,
+    InternalInvariantError,
+    PreconditionFailure,
+    ResourceBudgetError,
+    within_budget,
+)
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
 from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, size_band
@@ -45,7 +53,20 @@ def _checked(family, label):
 
 def _ladder(start, ratio):
     """The geometric size ladder start*(1+ratio)^k, k = 0, 1, ..., as exact
-    Fractions, up to and including its first rung of at least 1."""
+    Fractions, up to and including its first rung of at least 1.  A ladder
+    of more than ``MAX_LADDER_RUNGS`` rungs, by a float estimate of the
+    count, or a ratio that is 0 as a float, raises ResourceBudgetError
+    before any rung is built."""
+    if start < 1:
+        # log(1/start): from the exact terms, which stay finite where a float
+        # start is 0, and near 1 as log1p of the exact gap.
+        if start < HALF:
+            height = math.log(start.denominator) - math.log(start.numerator)
+        else:
+            height = -math.log1p(float(start - 1))
+        step = math.log1p(float(ratio))
+        if step == 0 or height / step > MAX_LADDER_RUNGS - 1:
+            raise ResourceBudgetError(f"size ladder from {start} by {ratio} exceeds the limit {MAX_LADDER_RUNGS} rungs")
     rungs = [start]
     while rungs[-1] < 1:
         rungs.append(rungs[-1] * (1 + ratio))
@@ -478,11 +499,10 @@ class HeavyMnetParams:
         if not 0 < lam < 1 or not 0 < eta < 1:
             raise InputError("lam and eta must lie in (0,1)")
         eps0 = (1 - lam) / 4
-        t0_raw = 1 + math.log(4 / float(1 - lam)) / math.log(1 / (1 - float(heaviness) / 2))
         ratio = eps0 if eta > eps0 else eta / 2
-        return HeavyMnetParams(
-            lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, tuple(_ladder(eta, ratio)[:-1]),
-        )
+        band_deltas = tuple(_ladder(eta, ratio)[:-1])  # refuses a ratio too small to divide by below
+        t0_raw = 1 + math.log(4 / float(1 - lam)) / math.log(1 / (1 - float(heaviness) / 2))
+        return HeavyMnetParams(lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, band_deltas)
 
 
 def heavy_mnet(system, lam, eta, provider):

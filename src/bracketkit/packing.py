@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bitsets
 from .errors import InputError
-from .setsystem import SetSystem, project, size_band
+from .setsystem import SetSystem, size_band
 
 # A block holds at most _BLOCK_ROWS candidates, and fewer once the members
 # admitted so far would make its matrix exceed bitsets._BLOCK_CELLS cells.
@@ -120,8 +120,10 @@ def packing_bound_report(packing, d0):
 
     The empirical constant is delta/n * |members|^(1/d0); the shallow
     expression evaluates 24*d0*n/delta * psi_hat(4*d0*n/delta, 12*d0*k/delta)
-    with psi_hat measured on a canonical prefix sample.  Values are reported
-    side by side; no inequality with unspecified constants is asserted.
+    with psi_hat(m, c) measured as the number of distinct traces of at most c
+    elements on the first m elements of the ground set, over m.  Values are
+    reported side by side; no inequality with unspecified constants is
+    asserted.
     """
     if packing.delta < 1:
         raise InputError("bound report needs delta >= 1")
@@ -136,7 +138,8 @@ def packing_bound_report(packing, d0):
     if packing.shallow_cap is not None:
         sample_size = min(n, max(1, (4 * d0 * n) // packing.delta))
         cell_cap = min(sample_size, max(0, (12 * d0 * packing.shallow_cap) // packing.delta))
-        prefix = project(packing.base, (1 << sample_size) - 1)
-        psi_hat = Fraction(len(size_band(prefix.ranges, 0, cell_cap)), sample_size)
+        sample = sum(1 << i for i in bitsets.indices_from_mask(packing.base.full_mask)[:sample_size])
+        traces = {r & sample for r in packing.base.ranges}
+        psi_hat = Fraction(sum(t.bit_count() <= cell_cap for t in traces), sample_size)
         expression = float(Fraction(24 * d0 * n, packing.delta) * psi_hat)
     return PackingBoundReport(count, volume, empirical, expression, psi_hat)

@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,6 +122,10 @@ MALFORMED = {
     "system-float-n": ("verify", "system", {**GOOD_INPUTS["system"], "n": 4.9}),
     "system-string-n": ("verify", "system", {**GOOD_INPUTS["system"], "n": "4"}),
     "spec-float-n": ("bench", "spec", {"n": [4.5]}),
+    # A string is not read one grid value per character.
+    "spec-string-n": ("bench", "spec", {**GOOD_INPUTS["spec"], "n": "12"}),
+    "spec-string-eps": ("bench", "spec", {**GOOD_INPUTS["spec"], "eps": "1/2"}),
+    "spec-number-eta": ("bench", "spec", {**GOOD_INPUTS["spec"], "eta": 0.25}),
     "spec-zero-d": ("bench", "spec", {"n": [], "d": 0}),
     "spec-bool-d": ("bench", "spec", {"n": [], "d": True}),
     "spec-float-seed": ("bench", "spec", {"n": [], "seed": 0.5}),
@@ -171,6 +176,9 @@ NAMED = {
     "system-float-n": "n 4.9",
     "system-string-n": "n '4'",
     "spec-float-n": "n 4.5",
+    "spec-string-n": "n must be a list, got '12'",
+    "spec-string-eps": "eps must be a list, got '1/2'",
+    "spec-number-eta": "eta must be a list, got 0.25",
     "spec-zero-d": "d 0",
     "spec-bool-d": "d True",
     "spec-float-seed": "seed 0.5",
@@ -264,6 +272,21 @@ def test_serving_matrix_over_budget_is_a_usage_error(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("usage error: serving matrix cells") and "exceeds the limit 10" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["container", "bracket"])
+def test_a_size_ladder_over_budget_is_a_usage_error(tmp_path, capsys, command):
+    # At eps = 1/10^6 the heavy Mnet's exact size ladder would need about
+    # 5.5 * 10^7 rungs; it is refused before the first one is built.
+    system = _grid4_system(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "family.json"
+    start = time.perf_counter()
+    assert run_cli([command, "--system", str(system), "--eps", "1/1000000", "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: size ladder from") and "exceeds the limit 4096 rungs" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 # subcommand -> ({its JSON input options: a valid input}, its other arguments)

@@ -1,7 +1,9 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -707,3 +709,83 @@ def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):
     bk.build_bracket(_circle(40), Fraction(1, 4), provider, provider_complement)
     assert calls
     assert len(calls) == len(provider.bound_log) + len(provider_complement.bound_log)
+
+
+def test_a_size_ladder_over_budget_is_refused_before_any_rung_is_built(collinear4):
+    # At eps = 1/10^6 the heavy Mnet's ladder from 1/10^6 by 1/(4*10^6) would
+    # need about 5.5 * 10^7 exact rungs; at 1/10^400 the ratio is 0 as a float.
+    _, system = collinear4
+    tiny = Fraction(1, 10**400)
+    start = time.perf_counter()
+    with pytest.raises(bk.ResourceBudgetError, match=r"size ladder from 1/1000000 by 1/4000000 exceeds the limit 4096"):
+        bk.build_container(system, Fraction(1, 10**6), bk.default_provider())
+    with pytest.raises(bk.ResourceBudgetError, match=r"size ladder from 1/1000000000.* by 1/4 exceeds"):
+        bk.boost_epsilon(system, bk.default_provider(), tiny, HALF)
+    with pytest.raises(bk.ResourceBudgetError, match=r"size ladder from 1/4 by 1/2000000000.* exceeds"):
+        bk.boost_epsilon(system, bk.default_provider(), QUARTER, tiny)
+    with pytest.raises(bk.ResourceBudgetError, match=r"size ladder from 1/1000000000.* by 1/2000000000.* exceeds"):
+        bk.heavy_mnet(system, HALF, tiny, bk.default_provider())
+    assert time.perf_counter() - start < 1
+
+
+def test_the_ladder_budget_admits_exactly_the_rungs_it_counts(monkeypatch):
+    # The eps = 1/20 container's heavy Mnet ladder, from 1/20 by 1/80, the
+    # longest that the tests build: 243 rungs.
+    assert len(constructions._ladder(Fraction(1, 20), Fraction(1, 80))) == 243
+    monkeypatch.setattr(constructions, "MAX_LADDER_RUNGS", 243)
+    constructions._ladder(Fraction(1, 20), Fraction(1, 80))
+    monkeypatch.setattr(constructions, "MAX_LADDER_RUNGS", 242)
+    with pytest.raises(bk.ResourceBudgetError, match="exceeds the limit 242 rungs"):
+        constructions._ladder(Fraction(1, 20), Fraction(1, 80))
+
+
+# The internal-invariant guards: each test forces its fault through a patch.
+
+
+def test_a_family_that_fails_self_verification_is_an_internal_error(collinear4, monkeypatch):
+    _, system = collinear4
+    failing = bk.VerifyReport(False, 1, (0b0011, "no piece"))
+    monkeypatch.setattr(constructions, "verify_family", lambda base, family: failing)
+    with pytest.raises(bk.InternalInvariantError, match=r"base_mnet failed self-verification: \(3, 'no piece'\)"):
+        bk.base_mnet(system, HALF, QUARTER)
+
+
+def test_boosting_without_a_piece_for_a_heavy_range_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(constructions, "find_piece", lambda *args: None)
+    with pytest.raises(bk.InternalInvariantError, match="verified Mnet has no piece for a heavy range"):
+        bk.boost_epsilon(_circle(12), bk.default_provider(), Fraction(1, 5), HALF)
+
+
+def test_small_set_recursion_past_its_depth_cap_is_an_internal_error():
+    # Each node's one piece is the highest element of its universe, outside
+    # the one survivor {0}: the universe shrinks by one element a level, and
+    # {0} is served only below 17 elements, past the depth cap 6.
+    class OnePieceOutsideTheSurvivors:
+        heaviness = HALF
+
+        def mnet(self, system, eps):
+            return SimpleNamespace(pieces=(1 << (system.full_mask.bit_length() - 1),))
+
+    system = system_from_sets(64, [(0,)])
+    with pytest.raises(bk.InternalInvariantError, match="recursion exceeded its depth cap 6"):
+        bk.small_set_container(system, QUARTER, QUARTER, OnePieceOutsideTheSurvivors())
+
+
+def test_a_group_range_far_from_its_member_is_an_internal_error(monkeypatch):
+    # One group of the first band range and the band range that leaves the
+    # most of it uncovered: its complement in the member is above eps'.
+    system, eps, delta, packing = _circle40_band_packing()
+    member = packing.members[0]
+    far = max(packing.base.ranges, key=lambda r: (member & ~r).bit_count())
+    assert (member & ~far).bit_count() > math.floor(3 * eps / (2 + 2 * eps) * member.bit_count())
+    stub = SimpleNamespace(members=(member,), groups=((member, far),))
+    monkeypatch.setattr(constructions, "greedy_delta_packing", lambda *args: stub)
+    with pytest.raises(bk.InternalInvariantError, match="projected complement exceeds the eps' bound"):
+        bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
+
+
+def test_bootstrap_without_a_cover_for_a_range_is_an_internal_error(monkeypatch):
+    system, eps, delta, _ = _circle40_band_packing()
+    monkeypatch.setattr(constructions, "find_cover", lambda *args: None)
+    with pytest.raises(bk.InternalInvariantError, match="verified container has no cover for a range"):
+        bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())

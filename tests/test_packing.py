@@ -6,6 +6,7 @@ import pytest
 import bracketkit as bk
 
 from conftest import general_position_points, mask_set
+from naive_checks import naive_expand
 
 
 def naive_greedy_packing(system, delta, cap=None):
@@ -141,6 +142,23 @@ def test_bound_report_examples(collinear4):
     rep2 = bk.packing_bound_report(capped, 2)
     assert rep2.shallow_expression is not None
     assert rep2.shallow_psi_hat is not None
+
+
+@pytest.mark.parametrize("delta, cap, d0, psi_hat, sample_size", [
+    (2, 4, 2, Fraction(67, 6), 12),
+    (6, 4, 1, Fraction(29, 4), 8),
+])
+def test_bound_report_in_a_high_ground_set_is_the_plain_systems(delta, cap, d0, psi_hat, sample_size):
+    # Circle-12 on the bits 60, 62, ..., 82: the sample is the first
+    # sample_size elements of the ground set, not the low bits.
+    plain = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 12, "sphere"))
+    universe = sum(1 << i for i in range(60, 83, 2))
+    grounded = bk.SetSystem.from_masks(plain.n, naive_expand(plain.ranges, universe), universe)
+    want = bk.packing_bound_report(bk.greedy_delta_packing(plain, delta, shallow_cap=cap), d0)
+    got = bk.packing_bound_report(bk.greedy_delta_packing(grounded, delta, shallow_cap=cap), d0)
+    assert got == want
+    assert want.shallow_psi_hat == psi_hat
+    assert min(plain.n, 4 * d0 * plain.n // delta) == sample_size
 
 
 def test_bound_report_rejects_zero_delta(collinear4):

@@ -92,6 +92,16 @@ def test_abort_on_nonrealizable():
     assert err.value.transcript is not None
 
 
+def test_rounds_past_their_budget_are_an_internal_error(collinear4, monkeypatch):
+    # Alice repeats the counterexample (0, +1) every round: the ranges that
+    # contain point 0 stay consistent, so the rounds run out of budget.
+    pts, _ = collinear4
+    monkeypatch.setattr(protocols, "_first_error", lambda examples, cover, witness_range: (0, 1))
+    inst = bk.LearningInstance(pts, ((0, 1),), ())
+    with pytest.raises(bk.InternalInvariantError, match="protocol did not terminate within its round budget"):
+        bk.learn_halfspace_protocol(inst, EPS0)
+
+
 def test_conflicting_labels_abort(collinear4):
     pts, _ = collinear4
     inst = bk.LearningInstance(pts, ((0, 1),), ((0, -1),))
