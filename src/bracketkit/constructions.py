@@ -500,7 +500,9 @@ class HeavyMnetParams:
             raise InputError("lam and eta must lie in (0,1)")
         eps0 = (1 - lam) / 4
         ratio = eps0 if eta > eps0 else eta / 2
-        band_deltas = tuple(_ladder(eta, ratio)[:-1])  # refuses a ratio too small to divide by below
+        # The ladder goes first: it refuses a ratio that is 0 as a float, and
+        # 1 - lam >= 4*ratio, so t0_raw then never divides by 0.
+        band_deltas = tuple(_ladder(eta, ratio)[:-1])
         t0_raw = 1 + math.log(4 / float(1 - lam)) / math.log(1 / (1 - float(heaviness) / 2))
         return HeavyMnetParams(lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, band_deltas)
 
