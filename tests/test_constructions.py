@@ -759,7 +759,7 @@ def test_boosting_without_a_piece_for_a_heavy_range_is_an_internal_error(monkeyp
 def test_small_set_recursion_past_its_depth_cap_is_an_internal_error():
     # Each node's one piece is the highest element of its universe, outside
     # the one survivor {0}: the universe shrinks by one element a level, and
-    # {0} is served only below 17 elements, past the depth cap 6.
+    # {0} is served only at 17 elements or fewer, past the depth cap 6.
     class OnePieceOutsideTheSurvivors:
         heaviness = HALF
 
