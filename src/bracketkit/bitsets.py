@@ -7,6 +7,8 @@ counts are routed through numpy uint64 matrices, which is what makes
 hundred points; the verifiers stay pure Python.
 """
 
+from itertools import repeat
+
 import numpy as np
 
 _WORD = 64
@@ -30,6 +32,14 @@ def pack_masks(masks, n):
     w = max(1, (n + _WORD - 1) // _WORD)
     data = b"".join(mask.to_bytes(8 * w, "little") for mask in masks)
     return np.frombuffer(data, "<u8").reshape(len(masks), w)
+
+
+def unpack_masks(packed):
+    """The int masks of ``pack_masks`` rows, as a list.  A view of each row
+    as one fixed-width byte string hands the rows to Python in one call; it
+    drops trailing zero bytes, which are the high bytes, so no value changes."""
+    rows = np.ascontiguousarray(packed, "<u8")
+    return list(map(int.from_bytes, rows.view(f"S{8 * rows.shape[1]}").ravel().tolist(), repeat("little")))
 
 
 def bit_matrix(masks, n):

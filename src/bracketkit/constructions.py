@@ -51,6 +51,15 @@ def _checked(family, label):
     return family
 
 
+def _log_inverse(q):
+    """log(1/q) for a Fraction 0 < q < 1: below 1/2 from the exact numerator
+    and denominator, which stay finite where a float 1/q overflows and q
+    would be 0, and from 1/2 on as log1p of the exact gap to 1."""
+    if q < HALF:
+        return math.log(q.denominator) - math.log(q.numerator)
+    return -math.log1p(float(q - 1))
+
+
 def _ladder(start, ratio):
     """The geometric size ladder start*(1+ratio)^k, k = 0, 1, ..., as exact
     Fractions, up to and including its first rung of at least 1.  A ladder
@@ -58,14 +67,8 @@ def _ladder(start, ratio):
     count, or a ratio that is 0 as a float, raises ResourceBudgetError
     before any rung is built."""
     if start < 1:
-        # log(1/start): from the exact terms, which stay finite where a float
-        # start is 0, and near 1 as log1p of the exact gap.
-        if start < HALF:
-            height = math.log(start.denominator) - math.log(start.numerator)
-        else:
-            height = -math.log1p(float(start - 1))
         step = math.log1p(float(ratio))
-        if step == 0 or height / step > MAX_LADDER_RUNGS - 1:
+        if step == 0 or _log_inverse(start) / step > MAX_LADDER_RUNGS - 1:
             raise ResourceBudgetError(f"size ladder from {start} by {ratio} exceeds the limit {MAX_LADDER_RUNGS} rungs")
     rungs = [start]
     while rungs[-1] < 1:
@@ -355,7 +358,7 @@ def small_set_container(system, eps, rho, provider):
     if size_band(system.ranges, size_cap + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
     shrink = 1 - provider.heaviness * rho / (eps + rho)
-    depth_cap = math.ceil(1 + math.log(1 / rho) / math.log(1 / float(shrink)))
+    depth_cap = math.ceil(1 + _log_inverse(rho) / math.log(1 / float(shrink)))
     residual_over = math.floor(rho * n)  # residual must be strictly above rho*n
     full = system.full_mask
     covers = []

@@ -4,14 +4,25 @@ Halfspace ranges come from one engine that yields sides: for each
 hyperplane spanned by d of the points, both (spanning tuple, integer
 normal, mask of the points strictly on the normal's side).  Two paths yield
 the same sides.  In the plane (d = 2, which also serves 1-D balls through
-the paraboloid lift) an angular sweep sorts, around each point, the
-directions to all others and reads both sides of every spanning line off
-prefix masks with two pointers: O(n^2 log n).  Every other dimension scans
-all spanning d-tuples against all points: O(n^(d+1)), with each normal's
-entries the signed maximal minors of the tuple's difference rows, from one
-exact determinant (``_det``) in every dimension.  The scan is the reference
-the sweep is tested against, and both refuse exactly the same inputs (a
-repeated point, or d+1 points on one hyperplane).
+the paraboloid lift) one numpy kernel, ``_planar_kernel``, sorts around each
+point the directions to all others and reads the points strictly left of
+every directed line through two of them off packed prefix masks:
+O(n^2 log n).  Every other dimension scans all spanning d-tuples against
+all points: O(n^(d+1)), with each normal's entries the signed maximal
+minors of the tuple's difference rows, from one exact determinant
+(``_det``) in every dimension.  The scan is the reference the kernel is
+tested against, and both refuse exactly the same inputs (a repeated point,
+or d+1 points on one hyperplane).
+
+In the kernel floats propose and integers decide: a float ``arctan2``
+argsort proposes each point's angular order and ``searchsorted`` its
+left-set pointers, exact integer cross products certify both, and what
+fails is redone exactly.  It works on blocks of base points whose packed
+masks stay within ``bitsets._BLOCK_CELLS`` cells.  Planar halfspace ranges
+need no sides: in general position they are the empty set, all points, and
+one set per ordered pair (i, j), the points left of i -> j plus i
+(``_planar_halfspace_system`` has the proof), which ``canonical_sort``
+orders with no set and no boundary variants.
 
 A side's ranges are its strict mask plus each subset of its tuple
 (``_halfspace_masks`` applies that and any side filter in one place): a small
@@ -31,6 +42,10 @@ from functools import cached_property, cmp_to_key, reduce
 from itertools import accumulate, combinations, combinations_with_replacement, islice, product
 from operator import or_
 
+import numpy as np
+
+from . import bitsets
+from .bitsets import unpack_masks
 from .errors import (
     MAX_BOX_CANDIDATES,
     MAX_DIM,
@@ -44,7 +59,7 @@ from .errors import (
     parse_json_object,
     within_budget,
 )
-from .setsystem import SetSystem
+from .setsystem import SetSystem, canonical_sort
 
 _SPHERE_DEN = 1 << 12
 
@@ -147,6 +162,14 @@ def _cleared_difference(q, base):
     return tuple(a * bd - b * qd for a, b in zip(qn, bn))
 
 
+def _check_spanning_budget(n, dim):
+    """A d-tuple's sides give up to 2^(d+1) ranges and its normal costs more
+    as d grows, so above d = 4 each tuple counts 2^(d-4) times."""
+    weight = max(0, dim - 4)
+    within_budget(math.comb(n, dim) << weight, MAX_SPANNING_TUPLES,
+                  f"spanning-tuple count C({n}, {dim})" + (f" * 2^{weight}" if weight else "") + " =")
+
+
 def _halfspace_sides(int_pts, dim):
     """Both sides of every hyperplane spanned by d of the points.
 
@@ -155,8 +178,6 @@ def _halfspace_sides(int_pts, dim):
     n <= d points no hyperplane is spanned: if they are affinely independent
     (the Gram matrix of their differences is nonsingular), the one side is
     the zero normal's, whose boundary holds every point and gives 2^n ranges.
-    A d-tuple's sides give up to 2^(d+1) ranges and its normal costs more as
-    d grows, so above d = 4 each tuple counts 2^(d-4) times in the budget.
     """
     n = len(int_pts)
     if n <= dim:
@@ -165,9 +186,7 @@ def _halfspace_sides(int_pts, dim):
         if not _det([[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]):
             raise DegeneracyError("points are affinely dependent")
         return [(tuple(range(n)), (0,) * dim, 0)]
-    weight = max(0, dim - 4)
-    within_budget(math.comb(n, dim) << weight, MAX_SPANNING_TUPLES,
-                  f"spanning-tuple count C({n}, {dim})" + (f" * 2^{weight}" if weight else "") + " =")
+    _check_spanning_budget(n, dim)
     if dim == 2:
         return _planar_sweep_sides(int_pts)
     return _spanning_tuple_sides(int_pts, dim)
@@ -176,9 +195,6 @@ def _halfspace_sides(int_pts, dim):
 def _boundary_masks(side, tup):
     """``side | B`` for every subset B of the tuple; bit j of the list index
     says whether tup[j] is in B."""
-    if len(tup) == 2:  # every side of the planar sweep: unrolled, as it runs per pair
-        bit_i, bit_j = 1 << tup[0], 1 << tup[1]
-        return side, side | bit_i, side | bit_j, side | bit_i | bit_j
     out = [side]
     for i in tup:
         bit = 1 << i
@@ -204,64 +220,195 @@ def _halfspace_masks(int_pts, dim, keep=None):
 # Sorts direction vectors of one closed half-plane counterclockwise: the sign
 # of the cross product decides, and no two of them are opposite.
 _BY_ANGLE = cmp_to_key(lambda a, b: a[1] * b[0] - a[0] * b[1])
+# Direction coordinates below 2^31 in magnitude make every cross product of
+# two of them exact in int64; cleared coordinates times denominators below
+# 2^62 make the directions themselves exact there.
+_INT64_DIRECTION = 1 << 31
+_INT64_PRODUCT = 1 << 62
+_TWO_PI = 2 * math.pi
+
+
+def _angular_order(xs, ys, lower):
+    """Positions of the directions (xs[k], ys[k]) in exact counterclockwise
+    order from angle 0: the upper closed half-plane, then the lower one."""
+    return sorted(range(len(xs)), key=lambda k: (lower[k], _BY_ANGLE((xs[k], ys[k]))))
+
+
+def _float_angles(dx, dy):
+    """Float angles in [0, 2pi] of integer directions, as a proposal only.
+    Python-int directions are first shifted right by one common amount, so
+    that every float conversion stays finite."""
+    if dx.dtype == object:
+        top = max(abs(int(v)) for v in (dx.min(), dx.max(), dy.min(), dy.max()))
+        shift = max(0, top.bit_length() - 1000)
+        dx, dy = (dx >> shift).astype(float), (dy >> shift).astype(float)
+    angles = np.arctan2(dy, dx)
+    angles[angles < 0] += _TWO_PI
+    return angles
+
+
+def _planar_kernel(int_pts):
+    """Left sets of every directed line through two of n >= 2 planar points.
+
+    Yields per block of base points ``(lo, order, left)``: row r is base
+    point i = lo + r, ``order[r]`` lists the other points by exact angle
+    around i, and ``left[r, k]`` is the packed mask (``bitsets.pack_masks``
+    words) of the points strictly left of the directed line from i to
+    ``order[r, k]``.  A repeated point or three collinear points raise
+    DegeneracyError.
+
+    Floats propose, integers decide.  The directions from i are exact
+    integers: int64 when every coordinate is below 2^31 in magnitude, so
+    that every cross product of two is exact, and Python ints in object
+    arrays otherwise.  An ``arctan2`` argsort proposes each row's order, and
+    it stands if every pair of neighbours is certified: the lower half-plane
+    (y < 0, or y = 0 and x < 0) after the upper, or within one half-plane
+    a positive cross product.  A row that fails is sorted again with the
+    exact comparator ``_BY_ANGLE``; a zero cross product left between
+    neighbours of one half-plane is two points in one direction from i.
+    The directions strictly left of the one at position k are the next ones
+    cyclically up to a pointer t, which ``searchsorted`` proposes from the
+    float angles.  It stands if the cross product with the direction at
+    t - 1 is positive (or t - 1 = k) and the one at t negative (or
+    t = k + n - 1); else it is moved by exact steps, and a zero there is the
+    opposite direction, a collinear triple.  Of any collinear triple, the
+    other two points lie in one direction from an end point, so the
+    neighbour test alone finds every one.
+
+    With the prefix XOR P of the order's packed bits, that left set is
+    P[t] ^ P[k+1], and P[t-m] ^ P[k+1] ^ P[m] when t passes the end of the
+    m = n - 1 directions.  A block takes as many base points as keep
+    P's n * words cells per point within ``bitsets._BLOCK_CELLS``, and at
+    least one.
+    """
+    n = len(int_pts)
+    if n < 2:
+        return
+    m = n - 1
+    words = max(1, (n + 63) // 64)
+    xs, ys, ds = ([p[0][0] for p in int_pts], [p[0][1] for p in int_pts], [p[1] for p in int_pts])
+    kind = np.int64 if max(map(abs, xs + ys)) * max(ds) < _INT64_PRODUCT else object
+    px, py, pd = (np.array(v, dtype=kind) for v in (xs, ys, ds))
+    step = max(1, bitsets._BLOCK_CELLS // (n * words))
+    cols = np.arange(m)
+    for lo in range(0, n, step):
+        base = np.arange(lo, min(n, lo + step))
+        rows = np.arange(len(base))
+        others = cols + (cols >= base[:, None])
+        dx = px[others] * pd[base, None] - px[base, None] * pd[others]
+        dy = py[others] * pd[base, None] - py[base, None] * pd[others]
+        if kind is not object and max(np.abs(dx).max(), np.abs(dy).max()) >= _INT64_DIRECTION:
+            dx, dy = dx.astype(object), dy.astype(object)
+        repeated = np.argwhere((dx == 0) & (dy == 0))
+        if len(repeated):
+            r, k = repeated[0]
+            raise DegeneracyError(f"points {base[r]} and {others[r, k]} coincide")
+        lower = (dy < 0) | ((dy == 0) & (dx < 0))
+        angles = _float_angles(dx, dy)
+        order = np.argsort(angles, axis=1, kind="stable")
+        sx, sy, sh = (np.take_along_axis(a, order, 1) for a in (dx, dy, lower))
+        cross = sx[:, :-1] * sy[:, 1:] - sy[:, :-1] * sx[:, 1:]
+        unsure = (sh[:, :-1] > sh[:, 1:]) | ((sh[:, :-1] == sh[:, 1:]) & (cross <= 0))
+        resorted = np.flatnonzero(unsure.any(axis=1))
+        for r in resorted:
+            xs, ys, low = dx[r].tolist(), dy[r].tolist(), lower[r].tolist()
+            order[r] = row = _angular_order(xs, ys, low)
+            for a, b in zip(row, row[1:]):
+                if low[a] == low[b] and xs[a] * ys[b] == ys[a] * xs[b]:
+                    raise DegeneracyError(f"points {base[r]}, {others[r, a]} and {others[r, b]} are collinear")
+        if len(resorted):
+            sx, sy = (np.take_along_axis(a, order, 1) for a in (dx, dy))
+        del cross, unsure, lower, sh
+        sorted_angles = np.take_along_axis(angles, order, 1)
+        target = sorted_angles + math.pi
+        wrapped = target >= _TWO_PI
+        target[wrapped] -= _TWO_PI
+        # Row r's angles lie in [8r, 8r + 7), so one flat search stays in its row.
+        shift = rows[:, None] * 8.0
+        t = np.searchsorted((sorted_angles + shift).ravel(), (target + shift).ravel()).reshape(order.shape)
+        t = np.clip(t + m * wrapped - rows[:, None] * m, cols + 1, cols + m)
+        del angles, sorted_angles, target, wrapped, shift
+
+        def cross_at(pos):
+            pos = pos % m
+            return sx * np.take_along_axis(sy, pos, 1) - sy * np.take_along_axis(sx, pos, 1)
+
+        certified = ((t - 1 == cols) | (cross_at(t - 1) > 0)) & ((t == cols + m) | (cross_at(t) < 0))
+        for r, k in np.argwhere(~certified):
+            x, y = int(sx[r, k]), int(sy[r, k])
+            ex, ey = sx[r].tolist(), sy[r].tolist()
+            p = int(t[r, k])
+            while p - 1 > k and x * ey[(p - 1) % m] - y * ex[(p - 1) % m] <= 0:
+                p -= 1
+            while p < k + m and x * ey[p % m] - y * ex[p % m] > 0:
+                p += 1
+            if p < k + m and x * ey[p % m] - y * ex[p % m] == 0:
+                a, b = others[r, order[r, [k, p % m]]]
+                raise DegeneracyError(f"points {a}, {base[r]} and {b} are collinear")
+            t[r, k] = p
+        ordered = np.take_along_axis(others, order, 1)
+        del dx, dy, sx, sy, certified, others, order
+        prefix = np.zeros((len(base), n, words), np.uint64)
+        prefix[rows[:, None], cols + 1, ordered >> 6] = np.uint64(1) << (ordered & 63).astype(np.uint64)
+        np.bitwise_xor.accumulate(prefix, axis=1, out=prefix)
+        wrap = t > m
+        left = np.take_along_axis(prefix, (t - m * wrap)[:, :, None], 1)
+        left ^= prefix[:, 1:]
+        r, k = np.nonzero(wrap)
+        left[r, k] ^= prefix[r, m]
+        del prefix, t, wrap
+        yield lo, ordered, left
 
 
 def _planar_sweep_sides(int_pts):
-    """``_spanning_tuple_sides`` for d = 2 and n >= 3 by a rotational sweep.
+    """``_spanning_tuple_sides`` for d = 2, read off ``_planar_kernel``: the
+    line through i < j has the points strictly left of i -> j on the side of
+    the normal (-y, x), the cofactor normal of the pair's difference (x, y),
+    and the rest of the points off the line on the other side."""
+    full = (1 << len(int_pts)) - 1
+    for lo, ordered, left in _planar_kernel(int_pts):
+        masks = iter(unpack_masks(left.reshape(-1, left.shape[2])))
+        for i, row in enumerate(ordered.tolist(), lo):
+            rest = full ^ (1 << i)
+            for j, side in zip(row, masks):
+                if j > i:
+                    x, y = _cleared_difference(int_pts[j], int_pts[i])
+                    yield (i, j), (-y, x), side
+                    yield (i, j), (y, -x), rest ^ (1 << j) ^ side
 
-    Around each base point i the directions to all other points are sorted
-    by angle (exactly: half-plane, then cross product).  Let P be the prefix
-    XOR of their bits over the sorted order taken twice.  For the direction
-    at position k, a pointer t that only moves forward finds the end of the
-    directions strictly left of it, so that side is P[t] ^ P[k+1] and the
-    right side is the rest.  The pointer stops at the latest at the direction
-    opposite k, if there is one.  Of any collinear triple, the other two
-    points lie in opposite directions from the middle one, so a zero cross
-    product at the pointer finds every collinear triple.
+
+def _planar_halfspace_system(int_pts):
+    """Halfspace ranges of n >= 3 planar points by the ordered-pair rule.
+
+    Let L(i -> j) be the points strictly left of the directed line from
+    point i to point j.  In general position, which ``_planar_kernel``
+    certifies, the ranges are exactly the empty set, P and the n(n-1) sets
+    L(i -> j) | {i}, one per ordered pair and all distinct (Cover 1965:
+    n(n-1) + 2 in all).  Proof: a slight counterclockwise turn of the line
+    i -> j about the midpoint of i and j puts i on its left and j on its
+    right, and moves no other point across, so each such set is a range.
+    Conversely, for a range R other than the empty set and P, the
+    directions of the lines with R weakly on their left and P \\ R weakly on
+    their right form a closed arc.  The line at either end touches both
+    hulls, in one point each since no three points are collinear: these are
+    the two inner common tangents of R and P \\ R.  At the clockwise end,
+    the point j of P \\ R lies ahead of the point i of R, since otherwise a
+    slight clockwise turn about their midpoint would still separate; at the
+    counterclockwise end it lies behind.  So exactly one of the two
+    tangents has R \\ {i} on its left, as L(i -> j), and R = L(i -> j) | {i}
+    for exactly one ordered pair.
+
+    Each block's sets become Python ints as soon as the kernel yields it,
+    and one ``canonical_sort`` orders them: the system is built without a
+    set, and holds no packed array past its block.
     """
     n = len(int_pts)
-    full = (1 << n) - 1
-    for i, ((bx, by), bd) in enumerate(int_pts):
-        upper = []
-        lower = []
-        for j, ((qx, qy), qd) in enumerate(int_pts):
-            if j == i:
-                continue
-            x, y = qx * bd - bx * qd, qy * bd - by * qd
-            if y > 0 or (y == 0 and x > 0):
-                upper.append((x, y, j))
-            elif y or x:
-                lower.append((x, y, j))
-            else:
-                raise DegeneracyError(f"points {i} and {j} coincide")
-        upper.sort(key=_BY_ANGLE)
-        lower.sort(key=_BY_ANGLE)
-        order = upper + lower
-        m = len(order)
-        twice = order + order
-        prefix = [0]
-        acc = 0
-        for _, _, j in twice:
-            acc ^= 1 << j
-            prefix.append(acc)
-        others = full ^ (1 << i)
-        t = 1
-        for k, (x, y, j) in enumerate(order):
-            t = max(t, k + 1)
-            while t < k + m:
-                ex, ey, e = twice[t]
-                cross = x * ey - y * ex
-                if cross < 0:
-                    break
-                if cross == 0:
-                    raise DegeneracyError(f"points {i}, {j} and {e} are collinear")
-                t += 1
-            if j < i:
-                continue
-            left = prefix[t] ^ prefix[k + 1]
-            # (-y, x) is _cofactor_normal of the pair, so the scan yields the same sides.
-            yield (i, j), (-y, x), left
-            yield (i, j), (y, -x), others ^ (1 << j) ^ left
+    pairs = []
+    for lo, _, left in _planar_kernel(int_pts):
+        base = np.arange(lo, lo + len(left))
+        left[base - lo, :, base >> 6] |= (np.uint64(1) << (base & 63).astype(np.uint64))[:, None]
+        pairs += unpack_masks(left.reshape(-1, left.shape[2]))
+    return SetSystem(n, ((1 << n) - 1, *canonical_sort(pairs), 0))
 
 
 def _spanning_tuple_sides(int_pts, dim):
@@ -294,7 +441,12 @@ def _spanning_tuple_sides(int_pts, dim):
 
 
 def enumerate_halfspace_ranges(pts):
-    """All distinct subsets cut from the points by halfspaces, incl. empty and full."""
+    """All distinct subsets cut from the points by halfspaces, incl. empty and
+    full.  In the plane, n >= 3 points take the ordered-pair rule of
+    ``_planar_halfspace_system``, in canonical order as built."""
+    if pts.dim == 2 and pts.n > 2:
+        _check_spanning_budget(pts.n, 2)
+        return _planar_halfspace_system(pts.int_points)
     return SetSystem.from_masks(pts.n, _halfspace_masks(pts.int_points, pts.dim))
 
 

@@ -119,9 +119,17 @@ def project(system, mask):
 
 
 def complement_family(system):
-    """Complement every range with respect to the ground set (an involution)."""
+    """Complement every range with respect to the ground set (an involution).
+
+    The complements, read in reverse, are already canonical, so no sort is
+    needed.  Complementing maps size s to n - s, so the sizes come out
+    ascending in the given order, and descending in reverse.  Of two ranges
+    of one size, the one holding the lowest element where they differ comes
+    first; complementing moves that element to the other range, so the
+    complements of one size come out in exactly the opposite order.
+    Distinct ranges have distinct complements."""
     full = system.full_mask
-    return SetSystem.from_masks(system.n, (full ^ m for m in system.ranges), system.ground)
+    return SetSystem(system.n, tuple(full ^ m for m in reversed(system.ranges)), system.ground)
 
 
 def _neg_size(mask):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bracketkit import bitsets
-from bracketkit.bitsets import pack_masks, subset_matrix, symdiff_counts
+from bracketkit.bitsets import pack_masks, subset_matrix, symdiff_counts, unpack_masks
 
 
 def naive_pack(masks, n):
@@ -35,6 +35,16 @@ def test_pack_masks_matches_per_word_reference(n, data):
     want = naive_pack(masks, n)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", PACK_WIDTHS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_unpack_masks_inverts_pack_masks(n, data):
+    # Masks with high zero bytes and zero words, which the byte view drops.
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1) | st.integers(0, 255), max_size=12))
+    assert unpack_masks(pack_masks(masks + [0, (1 << n) - 1], n)) == masks + [0, (1 << n) - 1]
+    assert unpack_masks(pack_masks([], n)) == []
 
 
 @pytest.mark.parametrize("n", PACK_WIDTHS)

@@ -289,6 +289,21 @@ def test_a_size_ladder_over_budget_is_a_usage_error(tmp_path, capsys, command):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("command", ["container", "bracket"])
+def test_an_eps_past_float_range_reaches_the_size_ladder_refusal(tmp_path, capsys, command):
+    # 1/eps = 10^400 is past float range; the small-set container's depth cap
+    # takes log(1/rho) from the exact terms, so the size ladder refuses it.
+    system = _grid4_system(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "family.json"
+    start = time.perf_counter()
+    assert run_cli([command, "--system", str(system), "--eps", "1/1" + "0" * 400, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: size ladder from") and "Traceback" not in err
+    assert not out.exists()
+
+
 # subcommand -> ({its JSON input options: a valid input}, its other arguments)
 FUZZ_COMMANDS = {
     "enum-ranges": ({"--points": GOOD_INPUTS["points"]}, ["--family", "halfspace", "--out", "out.json"]),

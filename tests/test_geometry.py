@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,98 @@ def test_planar_sweep_matches_spanning_tuple_scan(rows):
     assert _sides_or_refusal(_planar_sweep_sides, int_pts) == _sides_or_refusal(
         _spanning_tuple_sides, int_pts, 2
     )
+
+
+def scan_halfspace_system(int_pts):
+    """The planar halfspace system from the spanning-tuple scan's sides."""
+    masks = {0, (1 << len(int_pts)) - 1}
+    for tup, _, side in _spanning_tuple_sides(int_pts, 2):
+        masks.update(_boundary_masks(side, tup))
+    return bk.SetSystem.from_masks(len(int_pts), masks)
+
+
+def assert_kernel_matches_scan(rows):
+    """Sides, refusals and the enumerated system of the planar kernel equal
+    the scan's, order included."""
+    pts = bk.PointSet(2, tuple(tuple(Fraction(v) for v in row) for row in rows))
+    int_pts = pts.int_points
+    sides = _sides_or_refusal(_planar_sweep_sides, int_pts)
+    assert sides == _sides_or_refusal(_spanning_tuple_sides, int_pts, 2)
+    if sides == "refused":
+        with pytest.raises(bk.DegeneracyError):
+            bk.enumerate_halfspace_ranges(pts)
+        return None
+    system = bk.enumerate_halfspace_ranges(pts)
+    assert system == scan_halfspace_system(int_pts)
+    return system
+
+
+def test_kernel_resorts_a_row_whose_float_angles_tie(monkeypatch):
+    # From point 0, the directions to points 1 and 2 have one float angle,
+    # but their exact cross product is -1: point 2 comes first, and the
+    # stable argsort proposes point 1 first.
+    a, b = ((1 << 31) - 1, (1 << 31) - 2), ((1 << 31) - 2, (1 << 31) - 3)
+    assert np.arctan2(a[1], a[0]) == np.arctan2(b[1], b[0])
+    assert a[0] * b[1] - a[1] * b[0] == -1
+    resorted = []
+    exact = bk.geometry._angular_order
+    monkeypatch.setattr(bk.geometry, "_angular_order", lambda xs, ys, lower: resorted.append(xs) or exact(xs, ys, lower))
+    system = assert_kernel_matches_scan([(0, 0), a, b, (0, 1)])
+    assert len(system.ranges) == 4 * 3 + 2
+    assert [a[0], b[0], 0] in resorted
+
+
+def test_kernel_takes_python_ints_from_2_to_the_31():
+    # From point 0, the directions to points 1 and 2 have one float angle
+    # and the exact cross product 5 - 2^64, which int64 would wrap to 5.
+    a, b = ((1 << 61) + 5, 1 << 61), ((1 << 61) + 14, (1 << 61) + 1)
+    assert np.arctan2(a[1], a[0]) == np.arctan2(b[1], b[0])
+    assert a[0] * b[1] - a[1] * b[0] == 5 - (1 << 64)
+    assert len(assert_kernel_matches_scan([(0, 0), a, b, (0, 1)]).ranges) == 4 * 3 + 2
+    rng = random.Random(31)
+    for low in (1 << 31, 1 << 40, 1 << 62):
+        rows = [(rng.randrange(-low, low), rng.randrange(-low, low)) for _ in range(9)] + [(low, 0)]
+        system = assert_kernel_matches_scan(rows)
+        assert system is not None and len(system.ranges) == 10 * 9 + 2
+
+
+def test_kernel_float_proposal_past_float_range():
+    big = 1 << 1100
+    rows = [(0, 0), (big, 1), (1, big), (big + 3, big + 7), (5, 9), (-big, 2 * big + 3)]
+    system = assert_kernel_matches_scan(rows)
+    assert system is not None and len(system.ranges) == 6 * 5 + 2
+
+
+@pytest.mark.parametrize("scale", [1, 1 << 31, 1 << 1100])
+def test_kernel_refuses_repeated_and_collinear_points(scale):
+    # Each input on the int64 path (scale 1) and on the Python-int path.
+    corners = [(0, 0), (3 * scale, 1), (1, 5 * scale), (7 * scale, 6 * scale)]
+    for extra in ((3 * scale, 1), (6 * scale, 2), (-3 * scale, -1), (0, 0)):
+        assert assert_kernel_matches_scan(corners + [extra]) is None
+        with pytest.raises(bk.DegeneracyError):
+            list(_planar_sweep_sides(bk.PointSet(2, tuple(
+                tuple(Fraction(v) for v in row) for row in [extra] + corners)).int_points))
+
+
+def test_kernel_blocks_stay_within_the_cell_budget(monkeypatch):
+    # The criterion-9 domain: one block by default, one base point per block
+    # at a budget of one cell, and the same system either way.
+    pts, system = general_position_points(2, 64, 11)
+    for cells in (bk.bitsets._BLOCK_CELLS, 1 << 8, 1):
+        monkeypatch.setattr(bk.bitsets, "_BLOCK_CELLS", cells)
+        blocks = [len(ordered) for _, ordered, _ in bk.geometry._planar_kernel(pts.int_points)]
+        assert sum(blocks) == 64
+        assert all(b == 1 or b * 64 <= cells for b in blocks)
+        assert bk.enumerate_halfspace_ranges(pts) == system
+    assert blocks == [1] * 64
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-40, 40), st.integers(-40, 40)), min_size=3, max_size=12, unique=True))
+def test_planar_enumeration_is_one_range_per_ordered_pair(rows):
+    system = assert_kernel_matches_scan(rows)
+    if system is not None:
+        assert len(system.ranges) == len(rows) * (len(rows) - 1) + 2
 
 
 def test_halfspace_degeneracy_errors():

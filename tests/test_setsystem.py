@@ -126,6 +126,26 @@ def test_complement_involution_and_count(collinear4):
     assert len(comp.ranges) == 8
 
 
+@given(st.integers(0, 70), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_complement_family_equals_from_masks(n, grounded, data):
+    # A ground mask spreads the n elements over 2n + 3 bits.
+    if grounded:
+        ground = mask_from_indices(sorted(data.draw(st.permutations(range(2 * n + 3)))[:n]))
+    else:
+        ground = (1 << n) - 1
+    subsets = st.integers(0, (1 << n) - 1).map(
+        lambda bits: sum(1 << i for j, i in enumerate(indices(ground)) if bits >> j & 1))
+    masks = data.draw(st.lists(subsets, max_size=40))
+    system = bk.SetSystem.from_masks(n, masks, ground if grounded else None)
+    comp = bk.complement_family(system)
+    assert comp == bk.SetSystem.from_masks(n, [ground ^ m for m in masks], system.ground)
+
+
+def indices(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def test_filter_by_size_whole_and_empty(collinear4):
     _, system = collinear4
     assert bk.filter_by_size(system, upper=system.n) == system
