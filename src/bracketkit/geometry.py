@@ -311,10 +311,10 @@ def _planar_kernel(int_pts):
         unsure = (sh[:, :-1] > sh[:, 1:]) | ((sh[:, :-1] == sh[:, 1:]) & (cross <= 0))
         resorted = np.flatnonzero(unsure.any(axis=1))
         for r in resorted:
-            xs, ys, low = dx[r].tolist(), dy[r].tolist(), lower[r].tolist()
-            order[r] = row = _angular_order(xs, ys, low)
+            rx, ry, low = dx[r].tolist(), dy[r].tolist(), lower[r].tolist()
+            order[r] = row = _angular_order(rx, ry, low)
             for a, b in zip(row, row[1:]):
-                if low[a] == low[b] and xs[a] * ys[b] == ys[a] * xs[b]:
+                if low[a] == low[b] and rx[a] * ry[b] == ry[a] * rx[b]:
                     raise DegeneracyError(f"points {base[r]}, {others[r, a]} and {others[r, b]} are collinear")
         if len(resorted):
             sx, sy = (np.take_along_axis(a, order, 1) for a in (dx, dy))

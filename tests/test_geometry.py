@@ -208,13 +208,12 @@ def test_kernel_float_proposal_past_float_range():
 
 @pytest.mark.parametrize("scale", [1, 1 << 31, 1 << 1100])
 def test_kernel_refuses_repeated_and_collinear_points(scale):
-    # Each input on the int64 path (scale 1) and on the Python-int path.
+    # Each input on the int64 path (scale 1) and on the Python-int path,
+    # with the repeated or collinear point last and first.
     corners = [(0, 0), (3 * scale, 1), (1, 5 * scale), (7 * scale, 6 * scale)]
     for extra in ((3 * scale, 1), (6 * scale, 2), (-3 * scale, -1), (0, 0)):
         assert assert_kernel_matches_scan(corners + [extra]) is None
-        with pytest.raises(bk.DegeneracyError):
-            list(_planar_sweep_sides(bk.PointSet(2, tuple(
-                tuple(Fraction(v) for v in row) for row in [extra] + corners)).int_points))
+        assert assert_kernel_matches_scan([extra] + corners) is None
 
 
 def test_kernel_blocks_stay_within_the_cell_budget(monkeypatch):
