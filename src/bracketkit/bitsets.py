@@ -49,15 +49,17 @@ def bit_matrix(masks, n):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
-def subset_matrix(packed_small, packed_big):
-    """Boolean matrix S[i, j] = small_i is a subset of big_j.
+def subset_matrix(packed_small, packed_big, out=None):
+    """Boolean matrix S[i, j] = small_i is a subset of big_j.  Given ``out``,
+    a bool array of that shape, it ANDs S into ``out`` in place and returns
+    ``out``.
 
     It runs over blocks of small rows of at most ``_BLOCK_CELLS``
     cells (at least one row), so the uint64 temporaries of a word's AND
     stay within the block while the result is 1 byte a cell.
     """
     rows, cols = packed_small.shape[0], packed_big.shape[0]
-    ok = np.ones((rows, cols), dtype=bool)
+    ok = np.ones((rows, cols), dtype=bool) if out is None else out
     step = max(1, _BLOCK_CELLS // max(1, cols))
     for start in range(0, rows, step):
         block = ok[start : start + step]

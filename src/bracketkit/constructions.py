@@ -30,7 +30,7 @@ from .errors import (
 )
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
-from .setsystem import SetSystem, canonical_sort, complement_family, filter_by_size, size_band
+from .setsystem import SetSystem, canonical_order, canonical_sort, complement_family, filter_by_size, size_band
 from .trace import note
 from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
 
@@ -101,9 +101,11 @@ def base_mnet(system, lam, eps):
     counts a candidate's uncovered served ranges as popcount(row &
     uncovered), which is the numpy loop's running count, and ``max``
     returns the first index of the largest count, as ``np.argmax`` does.
-    So ties go to the first candidate in canonical order on both paths; each
-    pick assigns its newly served ranges in ascending j on both, and the
-    witness map and the pieces are the same.
+    The int loop sorts its candidates with ``canonical_sort`` and the numpy
+    loop orders their packed rows with ``canonical_order``, which gives the
+    same order.  So ties go to the first candidate in canonical order on
+    both paths; each pick assigns its newly served ranges in ascending j on
+    both, and the witness map and the pieces are the same.
     """
     lam = Fraction(lam)
     eps = Fraction(eps)
@@ -116,11 +118,10 @@ def base_mnet(system, lam, eps):
     heavy = size_band(system.ranges, heavy_at, n)
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
-    cands = canonical_sort(cands)
     if len(cands) * len(heavy) <= _INT_CELLS:
-        assignment = _int_greedy_cover(cands, heavy, lam)
+        assignment = _int_greedy_cover(canonical_sort(cands), heavy, lam)
     else:
-        assignment = _numpy_greedy_cover(cands, heavy, lam, system.full_mask.bit_length())
+        assignment = _numpy_greedy_cover(list(cands), heavy, lam, system.full_mask.bit_length())
     fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
     return _checked(fam, "base_mnet")
 
@@ -153,36 +154,50 @@ def _int_greedy_cover(cands, heavy, lam):
 
 
 def _numpy_greedy_cover(cands, heavy, lam, width):
-    """The greedy cover on the dense ``_serving_matrix``, with a running
-    count of the uncovered heavy ranges each candidate serves."""
-    serves = _serving_matrix(cands, heavy, lam, width)
+    """The greedy cover on the heavy-major ``_serving_matrix`` of the
+    candidates' packed rows in canonical order, with a running count of the
+    uncovered heavy ranges each candidate serves.  A pick's newly served
+    ranges are the uncovered entries of its column, and their rows are
+    what the counts lose."""
+    packed = bitsets.pack_masks(cands, width)
+    order = canonical_order(packed)
+    serves = _serving_matrix(packed[order], heavy, lam, width)
     assignment = {}
     uncovered = np.ones(len(heavy), dtype=bool)
-    counts = serves.sum(axis=1)
-    while uncovered.any():
+    counts = serves.sum(axis=0, dtype=np.int32)
+    left = len(heavy)
+    while left:
         best = int(np.argmax(counts))
-        piece = cands[best]
-        newly = serves[best] & uncovered
-        for j in np.flatnonzero(newly):
+        piece = cands[order[best]]
+        newly = np.flatnonzero(serves[:, best] & uncovered)
+        for j in newly.tolist():
             assignment[heavy[j]] = piece
-        uncovered &= ~newly
-        counts = counts - (serves[:, newly].sum(axis=1))
+        uncovered[newly] = False
+        left -= len(newly)
+        counts -= serves[newly].sum(axis=0, dtype=np.int32)
     return assignment
 
 
-def _serving_matrix(cands, ranges, lam, width):
-    """serves[i, j] = cands[i] is inside ranges[j] and heavy enough for it;
-    the masks are packed at ``width`` bits."""
-    cand_sizes = np.array([c.bit_count() for c in cands], dtype=np.int64)
+def _serving_matrix(packed_cands, ranges, lam, width):
+    """serves[j, i] = candidate i (a packed row) is inside ranges[j] and
+    heavy enough for it, as one heavy-major bool matrix.  Each block of rows
+    within ``bitsets._BLOCK_CELLS`` cells starts as the size test, and
+    ``subset_matrix`` ANDs the subset test into it in place.  It tests the
+    ranges' complements inside the candidates': complementing every bit of
+    the packed words reverses inclusion, which puts the ranges on the rows."""
     # A range's need ceil(lam*|R|) is at most |R|, while lam.numerator*|R| can
     # overflow int64: the need is an exact int ceiling (a Fraction per range
-    # costs far more) and only sizes go to numpy.
+    # costs far more) and only sizes go to numpy, as int32 (a size of 2**31
+    # would take a 256 MB mask), which halves the size test's cost.
     num, den = lam.numerator, lam.denominator
-    need = np.array([-(-r.bit_count() * num // den) for r in ranges], dtype=np.int64)
-    size_ok = cand_sizes[:, None] >= need[None, :]
-    packed_c = bitsets.pack_masks(cands, width)
-    packed_r = bitsets.pack_masks(ranges, width)
-    return bitsets.subset_matrix(packed_c, packed_r) & size_ok
+    need = np.array([-(-r.bit_count() * num // den) for r in ranges], dtype=np.int32)
+    sizes = np.bitwise_count(packed_cands).sum(axis=1, dtype=np.int32)
+    serves = np.empty((len(ranges), len(packed_cands)), dtype=bool)
+    step = max(1, bitsets._BLOCK_CELLS // max(1, len(packed_cands)))
+    for start in range(0, len(ranges), step):
+        np.greater_equal(sizes, need[start : start + step, None], out=serves[start : start + step])
+    packed_ranges = bitsets.pack_masks(ranges, width)
+    return bitsets.subset_matrix(~packed_ranges, ~packed_cands, out=serves)
 
 
 class PropertyMProvider:
@@ -358,7 +373,11 @@ def small_set_container(system, eps, rho, provider):
     if size_band(system.ranges, size_cap + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
     shrink = 1 - provider.heaviness * rho / (eps + rho)
-    depth_cap = math.ceil(1 + _log_inverse(rho) / math.log(1 / float(shrink)))
+    # log(1/s) is 0 as a float once s rounds to 1.0 (a gap 1 - s below about
+    # 2**-53), and only there is it taken as log1p of the exact gap: that
+    # form can move the cap by one where the quotient is an integer.
+    step = math.log(1 / float(shrink)) or -math.log1p(float(shrink - 1))
+    depth_cap = math.ceil(1 + _log_inverse(rho) / step)
     residual_over = math.floor(rho * n)  # residual must be strictly above rho*n
     full = system.full_mask
     covers = []

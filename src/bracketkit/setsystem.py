@@ -15,6 +15,7 @@ constructions) is a call to it.
 
 ``canonical_sort`` makes the order by keys that Python's sort compares in C:
 byte strings that rank masks of equal size lex, then a stable size pass.
+``canonical_order`` makes it on ``pack_masks`` rows, from the same keys.
 
 The constructions build sub-systems (a packing member's group, a node of
 the removal recursion) in the parent's element indices: a system's
@@ -56,6 +57,23 @@ def canonical_sort(masks):
     out.sort(key=lambda m: m.to_bytes(width, "little").translate(_REVERSED_BYTE), reverse=True)
     out.sort(key=int.bit_count, reverse=True)
     return out
+
+
+_REVERSED_BYTE_ARRAY = np.frombuffer(_REVERSED_BYTE, np.uint8)
+
+
+def canonical_order(packed):
+    """The permutation that puts distinct ``pack_masks`` rows in canonical
+    order, as ``canonical_sort`` would put their masks, from one
+    ``np.lexsort``.  Reversing the bits of a little-endian word through
+    ``_REVERSED_BYTE`` and reading it big-endian gives the integer whose
+    bytes are ``canonical_sort``'s key bytes for that word, so comparing
+    the reversed words, word 0 first and descending, compares the keys.
+    The size comes before them, descending too.  The order is total on
+    distinct rows, so it needs no stable tie-break."""
+    reversed_words = np.take(_REVERSED_BYTE_ARRAY, packed.view(np.uint8)).view(">u8")
+    sizes = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
+    return np.lexsort((*~reversed_words.T[::-1], -sizes))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
@@ -137,6 +138,75 @@ def test_base_mnet_matches_the_reference_greedy_cover(data):
             fam = bk.base_mnet(system, lam, eps)
         assert fam.witness == expected
         assert fam.pieces == tuple(canonical_sort(set(expected.values())))
+
+
+@pytest.fixture(scope="module")
+def circle40_boost_inputs():
+    """The (system, lam, eps) of every base_mnet call that boosting makes on
+    circle-40 at eps = 1/5, eta = 1/2: the members' trace systems."""
+    calls = []
+    original = constructions.base_mnet
+
+    def recording(system, lam, eps):
+        calls.append((system, lam, eps))
+        return original(system, lam, eps)
+
+    with mock.patch.object(constructions, "base_mnet", recording):
+        bk.boost_epsilon(_circle(40), bk.default_provider(), Fraction(1, 5), HALF)
+    return calls
+
+
+def _heavy_and_cells(system, eps):
+    heavy = size_band(system.ranges, math.ceil(eps * system.n), system.n)
+    cands = set(heavy).union(a & b for a, b in combinations(heavy[: constructions.PAIR_CAP], 2))
+    return len(heavy), len(cands) * len(heavy)
+
+
+def _planar_member_traces():
+    """The trace system of a 16-point halfspace range of a seeded n = 256
+    planar domain on that range, built as boosting builds a member's: its
+    elements span indices below 64 and above 191, so masks take 4 words."""
+    system = bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 2000))
+    member = next(r for r in size_band(system.ranges, 16, 16) if r & ((1 << 64) - 1) and r >> 192)
+    return bk.SetSystem.from_masks(16, (r & member for r in system.ranges), member)
+
+
+def test_base_mnet_numpy_path_matches_the_reference_beyond_the_pair_cap(circle40_boost_inputs):
+    # More than PAIR_CAP heavy ranges, so some heavy ranges make no pairs,
+    # on one word (a circle-40 member) and on four (an n = 256 member); the
+    # numpy path runs at the module's block budget and at one cell a block.
+    circle = min(
+        (call for call in circle40_boost_inputs if _heavy_and_cells(call[0], call[2])[0] > constructions.PAIR_CAP),
+        key=lambda call: _heavy_and_cells(call[0], call[2])[1],
+    )
+    planar = (_planar_member_traces(), HALF, HALF)
+    for system, lam, eps in (circle, planar):
+        assert _heavy_and_cells(system, eps)[0] > constructions.PAIR_CAP
+        expected = _reference_greedy_cover(system, lam, eps)
+        for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
+            with mock.patch.object(constructions, "_INT_CELLS", 0), \
+                    mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells):
+                fam = bk.base_mnet(system, lam, eps)
+            assert list(fam.witness.items()) == list(expected.items())
+            assert fam.pieces == tuple(canonical_sort(set(expected.values())))
+    assert planar[0].full_mask.bit_length() > 192
+
+
+def test_base_mnet_serving_matrix_peak_memory_stays_below_two_bytes_a_cell(circle40_boost_inputs):
+    # The largest call of circle-40 boosting: the heavy-major serving matrix
+    # takes 1 byte a cell, and the size test, the subset test's blocks and a
+    # pick's rows stay within the other byte.
+    system, lam, eps = max(circle40_boost_inputs, key=lambda call: _heavy_and_cells(call[0], call[2])[1])
+    cells = _heavy_and_cells(system, eps)[1]
+    assert cells >= 1_000_000
+    tracemalloc.start()
+    try:
+        fam = bk.base_mnet(system, lam, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam.witness
+    assert peak < 2 * cells
 
 
 @pytest.mark.parametrize("int_cells", [0, 1 << 30])
@@ -373,6 +443,21 @@ def test_small_set_container_depth_cap_is_the_larger_of_the_eps_and_rho_caps():
         eps_cap = math.ceil(1 + math.log(1 / eps) / math.log(1 / float(1 - heaviness / 2)))
         rho_cap = math.ceil(1 + math.log(1 / rho) / math.log(1 / float(shrink)))
         assert entry["depth_cap"] == max(eps_cap, rho_cap)
+
+
+def test_small_set_container_depth_cap_where_the_shrink_rounds_to_one():
+    # At rho = 1/10^20 the shrink 1 - rho/(2(eps + rho)) is the float 1.0,
+    # so log(1/s) is 0 as a float; the cap then comes from log1p of the
+    # exact gap instead of a division by zero.
+    system = bk.SetSystem.from_masks(8, [1, 2, 4])
+    eps, rho = HALF, Fraction(1, 10**20)
+    with trace.recording() as log:
+        fam = bk.small_set_container(system, eps, rho, bk.default_provider())
+    gap = HALF * rho / (eps + rho)
+    assert float(1 - gap) == 1.0
+    assert log[-1]["depth_cap"] == math.ceil(1 + math.log(10**20) / -math.log1p(-float(gap)))
+    assert log[-1]["max_depth"] <= log[-1]["depth_cap"]
+    assert naive_container_ok(system, fam.covers, rho)
 
 
 def test_small_set_container_one_range():

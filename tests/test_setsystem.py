@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit.bitsets import bit_matrix, indices_from_mask, pack_masks, symdiff_counts
-from bracketkit.setsystem import canonical_sort, size_band
+from bracketkit.setsystem import canonical_order, canonical_sort, size_band
 
 from conftest import mask_from_indices, masks_as_sets, system_from_sets
 from naive_checks import naive_compress
@@ -33,6 +33,27 @@ def test_canonical_sort_matches_tuple_definition(n, data):
     small = st.sets(st.integers(0, n + 8), max_size=3).map(lambda s: sum(1 << i for i in s))
     masks = data.draw(st.lists(st.one_of(st.integers(0, (1 << (n + 9)) - 1), small), max_size=40))
     assert canonical_sort(masks) == _by_definition(masks)
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_order_of_packed_rows_matches_canonical_sort(words, data):
+    # Besides random masks: the empty and full masks, single bits at the
+    # word and byte edges, and equal-size masks that agree on word 0 and
+    # first differ in a high word, where only the later lexsort keys decide.
+    n = 64 * words
+    full = (1 << n) - 1
+    edges = [0, full] + [1 << i for i in (0, 7, 8, 63, 64, 127, 128, 255) if i < n]
+    low = data.draw(st.integers(0, (1 << 64) - 1))
+    high_ties = [low | 1 << i for i in range(64, n, 37)]
+    drawn = data.draw(st.lists(st.integers(0, full) | st.sampled_from(edges + high_ties), max_size=60))
+    masks = list(dict.fromkeys(drawn + data.draw(st.lists(st.sampled_from(edges + high_ties), unique=True))))
+    order = canonical_order(pack_masks(masks, n))
+    assert [masks[i] for i in order] == canonical_sort(masks)
+
+
+def test_canonical_order_of_no_rows_is_empty():
+    assert canonical_order(pack_masks([], 64)).tolist() == []
 
 
 @given(st.integers(1, 10), st.data())
