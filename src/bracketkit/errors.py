@@ -28,8 +28,9 @@ class ResourceBudgetError(BracketkitError):
 # boxes, a 2,979 x 1,201 serving matrix, a 243-rung size ladder).
 # MAX_BOX_CANDIDATES still admits planar boxes on 80 points in general
 # position (3,241² candidates, about 2 s).  A serving-matrix cell costs
-# about 2.3 bytes at its peak on 1 to 2 million cells: 2 bytes, plus 0.6 MiB
-# of block temporaries in subset_matrix.  A halfspace enumeration counts each spanning d-tuple
+# 1.5-1.8 bytes at its peak on 1 to 2 million cells: 1 byte, plus 0.6 MiB
+# of block temporaries in subset_matrix and the greedy loop's row gathers.
+# A halfspace enumeration counts each spanning d-tuple
 # 2^(d-4) times above d = 4 (its sides yield up to 2^(d+1) ranges, and its
 # normal's minors cost more), so that the largest d = 5 input (n = 38) and
 # d = 8 input (n = 18) cost less than the largest d = 4 one (n = 72).

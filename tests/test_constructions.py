@@ -180,6 +180,7 @@ def test_base_mnet_numpy_path_matches_the_reference_beyond_the_pair_cap(circle40
         key=lambda call: _heavy_and_cells(call[0], call[2])[1],
     )
     planar = (_planar_member_traces(), HALF, HALF)
+    assert planar[0].full_mask.bit_length() > 192
     for system, lam, eps in (circle, planar):
         assert _heavy_and_cells(system, eps)[0] > constructions.PAIR_CAP
         expected = _reference_greedy_cover(system, lam, eps)
@@ -189,7 +190,6 @@ def test_base_mnet_numpy_path_matches_the_reference_beyond_the_pair_cap(circle40
                 fam = bk.base_mnet(system, lam, eps)
             assert list(fam.witness.items()) == list(expected.items())
             assert fam.pieces == tuple(canonical_sort(set(expected.values())))
-    assert planar[0].full_mask.bit_length() > 192
 
 
 def test_base_mnet_serving_matrix_peak_memory_stays_below_two_bytes_a_cell(circle40_boost_inputs):
