@@ -6,9 +6,17 @@ their pairwise intersections); boosting turns 1/2-threshold Mnets into
 eps-threshold ones; complementation swaps Mnets and containers; a removal
 recursion builds containers for small ranges; bootstrapping lifts those to
 heavy Mnets on a size band; banding over a geometric size ladder yields
-Mnets of arbitrary heaviness, full container families and brackets.  Every
-construction re-verifies its output before returning it and never returns an
-unverified family.
+Mnets of arbitrary heaviness, full container families and brackets.
+
+Checks sit at the public boundary.  Every public construction re-verifies
+the family it returns (``_checked``), so a caller never receives an
+unverified family.  The private helpers ``_greedy_assignment`` and
+``_small_set_covers`` work on plain canonical mask lists and return steering
+data, not families: a node's Mnet in the removal recursion only steers it,
+and a local container only hands bootstrap its witness covers.  A verified
+boundary re-checks what reaches a caller: bootstrap runs ``find_cover`` on
+every range and verifies its band family, and ``small_set_container``
+verifies its container.
 """
 
 import math
@@ -114,17 +122,25 @@ def base_mnet(system, lam, eps):
         raise InputError(f"lam must be in (0,1], got {lam}")
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    n = system.n
-    heavy_at = math.ceil(eps * n)
-    heavy = size_band(system.ranges, heavy_at, n)
+    assignment, _ = _greedy_assignment(system.ranges, system.n, lam, eps, system.full_mask.bit_length())
+    fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
+    return _checked(fam, "base_mnet")
+
+
+def _greedy_assignment(ranges, n, lam, eps, width):
+    """``base_mnet`` below its input checks, on a canonical mask list
+    ``ranges`` over n elements whose masks fit in ``width`` bits: the
+    witness assignment (heavy range -> piece, in pick order) and the picked
+    pieces in canonical order.  The pieces come from sorting the picked
+    candidate positions: the int loop's candidates are ``canonical_sort``ed
+    and the numpy loop's columns are in ``canonical_order``, so on both
+    loops position order is canonical order.  Nothing is verified here."""
+    heavy = size_band(ranges, math.ceil(eps * n), n)
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     if len(cands) * len(heavy) <= _INT_CELLS:
-        assignment = _int_greedy_cover(canonical_sort(cands), heavy, lam)
-    else:
-        assignment = _numpy_greedy_cover(list(cands), heavy, lam, system.full_mask.bit_length())
-    fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
-    return _checked(fam, "base_mnet")
+        return _int_greedy_cover(canonical_sort(cands), heavy, lam)
+    return _numpy_greedy_cover(list(cands), heavy, lam, width)
 
 
 def _int_greedy_cover(cands, heavy, lam):
@@ -141,9 +157,11 @@ def _int_greedy_cover(cands, heavy, lam):
                 row |= bit
         rows.append(row)
     assignment = {}
+    picks = []
     uncovered = (1 << len(heavy)) - 1
     while uncovered:
         best = max(range(len(rows)), key=lambda i: (rows[i] & uncovered).bit_count())
+        picks.append(best)
         piece = cands[best]
         newly = rows[best] & uncovered
         uncovered ^= newly
@@ -151,7 +169,7 @@ def _int_greedy_cover(cands, heavy, lam):
             low = newly & -newly
             assignment[heavy[low.bit_length() - 1]] = piece
             newly ^= low
-    return assignment
+    return assignment, [cands[i] for i in sorted(picks)]
 
 
 def _numpy_greedy_cover(cands, heavy, lam, width):
@@ -164,11 +182,13 @@ def _numpy_greedy_cover(cands, heavy, lam, width):
     order = canonical_order(packed)
     serves = _serving_matrix(packed[order], heavy, lam, width)
     assignment = {}
+    picks = []
     uncovered = np.ones(len(heavy), dtype=bool)
     counts = serves.sum(axis=0, dtype=np.int32)
     left = len(heavy)
     while left:
         best = int(np.argmax(counts))
+        picks.append(best)
         piece = cands[order[best]]
         newly = np.flatnonzero(serves[:, best] & uncovered)
         for j in newly.tolist():
@@ -176,7 +196,7 @@ def _numpy_greedy_cover(cands, heavy, lam, width):
         uncovered[newly] = False
         left -= len(newly)
         counts -= serves[newly].sum(axis=0, dtype=np.int32)
-    return assignment
+    return assignment, [cands[order[i]] for i in sorted(picks)]
 
 
 def _serving_matrix(packed_cands, ranges, lam, width):
@@ -205,7 +225,9 @@ class PropertyMProvider:
     """Produces verified fixed-heaviness Mnets for arbitrary subsystems.
 
     ``heaviness`` is the fixed constant 1/2 (as for halfspace-like systems);
-    ``bound_log`` records (eps, produced size) for every call.
+    ``bound_log`` records (eps, produced size) for every ``mnet`` call, and
+    only boosting makes those: the small-set recursion reads ``heaviness``
+    and runs the same greedy cover through ``_greedy_assignment``.
     """
 
     heaviness = HALF
@@ -356,31 +378,59 @@ def container_to_mnet(system, container, delta0, lam):
 def small_set_container(system, eps, rho, provider):
     """rho-slack containers for a family of ranges of size <= eps*n.
 
-    At each node (Z, S) the provider builds a heavy Mnet of the complements
-    within Z at the node's own threshold; removing a piece shrinks Z by a
-    constant factor, and a range is covered by the first node where its
-    residual |Z \\ R| drops to rho*n.  Node universes are the covers.  The
-    recursion depth cap, a float bound, is ceil(1 + log(1/rho)/log(1/s))
-    with shrink s = 1 - Lambda*rho/(eps+rho); exceeding it is an internal
-    error.  It is the paper's ceil(1 + log(1/eps)/log(1/(1-Lambda/2))) at
-    rho = eps and grows as rho falls (log(1/rho) up, log(1/s) down).
+    At each node (Z, S) the base provider's greedy cover, at its heaviness
+    Lambda, builds a heavy Mnet of the complements within Z at the node's
+    own threshold; removing a piece shrinks Z by a constant factor, and a
+    range is covered by the first node where its residual |Z \\ R| drops to
+    rho*n.  Node universes are the covers.  The recursion depth cap, a float
+    bound, is ceil(1 + log(1/rho)/log(1/s)) with shrink s = 1 -
+    Lambda*rho/(eps+rho); exceeding it is an internal error.  It is the
+    paper's ceil(1 + log(1/eps)/log(1/(1-Lambda/2))) at rho = eps and grows
+    as rho falls (log(1/rho) up, log(1/s) down).  Where log(1/s) is 0 even
+    as log1p of the exact gap, the cap is beyond float range and the input
+    is refused with ResourceBudgetError.  The recursion
+    (``_small_set_covers``) reads only ``provider.heaviness``.
     """
     eps = Fraction(eps)
     rho = Fraction(rho)
     if not 0 < rho <= eps < 1:
         raise InputError(f"need 0 < rho <= eps < 1, got rho={rho}, eps={eps}")
     n = system.n
-    size_cap = math.floor(eps * n)
-    if size_band(system.ranges, size_cap + 1, n):
+    if size_band(system.ranges, math.floor(eps * n) + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
-    shrink = 1 - provider.heaviness * rho / (eps + rho)
+    covers, witness = _small_set_covers(system.ranges, system.full_mask, n, eps, rho, provider.heaviness)
+    fam = make_container(system, covers, eps + rho, witness=witness)
+    return _checked(fam, "small_set_container")
+
+
+def _small_set_covers(ranges, full, n, eps, rho, heaviness):
+    """The removal recursion of ``small_set_container`` on plain masks: the
+    covers (node universes, in visiting order) and the witness map, range
+    -> the first cover that serves it.  ``ranges`` is a canonical,
+    duplicate-free list of subsets of ``full``, an n-element mask.
+
+    A node's ranges are ``universe & ~m`` over its survivors, read in
+    reverse, and that list is canonical without a sort, by the argument of
+    ``complement_family``: the survivors are a canonical list of distinct
+    subsets of the universe, complementing within it maps size s to |Z| -
+    s and reverses the order inside each size, and distinct survivors have
+    distinct complements.  The node's pieces come from
+    ``_greedy_assignment``, in canonical order; they only steer the
+    recursion, and nothing here is verified: the caller re-checks the
+    covers it hands on."""
+    shrink = 1 - heaviness * rho / (eps + rho)
     # log(1/s) is 0 as a float once s rounds to 1.0 (a gap 1 - s below about
     # 2**-53), and only there is it taken as log1p of the exact gap: that
-    # form can move the cap by one where the quotient is an integer.
+    # form can move the cap by one where the quotient is an integer.  Where
+    # the gap itself is 0 as a float, so is the log1p.
     step = math.log(1 / float(shrink)) or -math.log1p(float(shrink - 1))
+    if not step:
+        raise ResourceBudgetError(
+            f"small-set container depth cap at eps={eps}, rho={rho} is beyond float range: "
+            "the shrink 1 - Lambda*rho/(eps+rho) is 1 as a float"
+        )
     depth_cap = math.ceil(1 + _log_inverse(rho) / step)
     residual_over = math.floor(rho * n)  # residual must be strictly above rho*n
-    full = system.full_mask
     covers = []
     witness = {}
     max_depth = 1
@@ -389,7 +439,7 @@ def small_set_container(system, eps, rho, provider):
     # keeps only the ranges inside its own.  The live ranges keep canonical
     # order, so the ones a node serves (residual at most rho*n) are its
     # largest, a prefix, and the first survivor is the largest one.
-    stack = [(full, system.ranges, 1)]
+    stack = [(full, ranges, 1)]
     while stack:
         universe, live, depth = stack.pop()
         max_depth = max(max_depth, depth)
@@ -406,21 +456,20 @@ def small_set_container(system, eps, rho, provider):
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
         eps_node = Fraction(survivors[0].bit_count(), u_size)
-        node_sys = SetSystem.from_masks(u_size, [universe & ~m for m in survivors], universe)
-        fam = provider.mnet(node_sys, 1 - eps_node)
+        node_ranges = [universe & ~m for m in reversed(survivors)]
+        _, pieces = _greedy_assignment(node_ranges, u_size, heaviness, 1 - eps_node, universe.bit_length())
         # No piece is empty: a survivor leaves more than floor(rho*n) >= 0 elements
         # of its universe, so every node range is non-empty and so is every piece.
         # An empty piece would repeat its node until the depth cap.
         children = []
-        for piece in fam.pieces:
+        for piece in pieces:
             child_universe = universe & ~piece
             child_live = [m for m in survivors if (m & child_universe) == m]
             if child_live:
                 children.append((child_universe, child_live, depth + 1))
         stack.extend(reversed(children))
     note(op="small-set-container", eps=eps, rho=rho, depth_cap=depth_cap, max_depth=max_depth)
-    fam = make_container(system, covers, eps + rho, witness=witness)
-    return _checked(fam, "small_set_container")
+    return covers, witness
 
 
 # ---------------------------------------------------------------------------
@@ -435,16 +484,18 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     served through the first member within the separation, as recorded in
     ``Packing.groups``.  Within each member P the complements P & ~R of
     the group ranges are small (at most eps' = 3*eps/(2+2*eps) of |P|), so
-    small_set_container covers them in a system with ground set P, and the
-    complements of the covers inside P are the pieces.
+    the small-set recursion covers them with ground set P, and the
+    complements of the covers inside P are the pieces.  The recursion runs
+    on the deduplicated, canonically sorted complements (two group ranges
+    can share P & ~R); ``find_cover`` re-checks the cover of every range.
 
     A group of one is its member P alone, and its piece is P itself,
     without a local container; P serves P at any heaviness.  It is also the
     piece that the general path gives: the local system is P with the one
     range {empty set}.  For |P| > 0 the root of its small-set container is
     one node whose only survivor is the empty set (its residual |P| exceeds
-    floor(eps*|P|)).  The node's system is P alone, whose greedy-cover Mnet
-    piece is P, so the child universe is the empty set, which becomes the
+    floor(eps*|P|)).  The node's one range is P, whose greedy-cover piece
+    is P, so the child universe is the empty set, which becomes the
     empty set's witness cover.  For |P| = 0 the root itself is that cover.
     The piece is P ^ 0 = P.  The band's ``_checked`` still verifies every
     piece.
@@ -478,10 +529,11 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
             raise InternalInvariantError(
                 "projected complement exceeds the eps' bound inside a packing member"
             )
-        cont = small_set_container(SetSystem.from_masks(p_size, comps, member), eps_prime, eps, provider)
-        slack_cap = math.floor(cont.eps * p_size)
+        covers, cover_of = _small_set_covers(
+            canonical_sort(set(comps)), member, p_size, eps_prime, eps, provider.heaviness)
+        slack_cap = math.floor((eps_prime + eps) * p_size)
         for mask, comp in zip(group, comps):
-            cover = find_cover(cont.covers, cont.witness.get(comp), comp, slack_cap)
+            cover = find_cover(covers, cover_of.get(comp), comp, slack_cap)
             if cover is None:
                 raise InternalInvariantError("verified container has no cover for a range")
             witness[mask] = member ^ cover

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import bracketkit as bk
 from bracketkit import constructions, trace
 from bracketkit.setsystem import canonical_sort, size_band
-from bracketkit.verify import find_cover
+from bracketkit.verify import find_cover, verify_family
 
 from conftest import criterion1_instance, general_position_points, mask_set, system_from_sets
 from naive_checks import _reference_bootstrap, naive_bracket_ok, naive_container_ok, naive_expand, naive_mnet_ok
@@ -460,6 +460,19 @@ def test_small_set_container_depth_cap_where_the_shrink_rounds_to_one():
     assert naive_container_ok(system, fam.covers, rho)
 
 
+def test_small_set_container_refuses_a_depth_cap_beyond_float_range(monkeypatch):
+    # At rho = 1/10^400 the gap rho/(2(eps + rho)) is 0 as a float, so
+    # log(1/s) is 0 in both forms; the input is refused before any node is
+    # built.  At rho = 1/10^300 the cap is finite and the call returns.
+    system = bk.SetSystem.from_masks(8, [1, 2, 4])
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "_greedy_assignment", None)
+        with pytest.raises(bk.ResourceBudgetError, match=r"depth cap at eps=1/2, rho=1/10{400} is beyond float range"):
+            bk.small_set_container(system, HALF, Fraction(1, 10**400), bk.default_provider())
+    fam = bk.small_set_container(system, HALF, Fraction(1, 10**300), bk.default_provider())
+    assert len(fam.covers) == 5
+
+
 def test_small_set_container_one_range():
     one = system_from_sets(8, [(2,)])
     fam = bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider())
@@ -790,10 +803,12 @@ def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(constructions, "base_mnet", counting)
-    provider, provider_complement = bk.default_provider(), bk.default_provider()
-    bk.build_bracket(_circle(40), Fraction(1, 4), provider, provider_complement)
+    # Boosting is the path that calls the provider; the small-set recursion
+    # reads only its heaviness.
+    provider = bk.default_provider()
+    bk.boost_epsilon(_circle(40), provider, Fraction(1, 5), HALF)
     assert calls
-    assert len(calls) == len(provider.bound_log) + len(provider_complement.bound_log)
+    assert len(calls) == len(provider.bound_log)
 
 
 def test_a_size_ladder_over_budget_is_refused_before_any_rung_is_built(collinear4):
@@ -841,19 +856,17 @@ def test_boosting_without_a_piece_for_a_heavy_range_is_an_internal_error(monkeyp
         bk.boost_epsilon(_circle(12), bk.default_provider(), Fraction(1, 5), HALF)
 
 
-def test_small_set_recursion_past_its_depth_cap_is_an_internal_error():
+def test_small_set_recursion_past_its_depth_cap_is_an_internal_error(monkeypatch):
     # Each node's one piece is the highest element of its universe, outside
     # the one survivor {0}: the universe shrinks by one element a level, and
     # {0} is served only at 17 elements or fewer, past the depth cap 6.
-    class OnePieceOutsideTheSurvivors:
-        heaviness = HALF
+    def one_piece_outside_the_survivors(ranges, n, lam, eps, width):
+        return {}, [1 << (width - 1)]
 
-        def mnet(self, system, eps):
-            return SimpleNamespace(pieces=(1 << (system.full_mask.bit_length() - 1),))
-
+    monkeypatch.setattr(constructions, "_greedy_assignment", one_piece_outside_the_survivors)
     system = system_from_sets(64, [(0,)])
     with pytest.raises(bk.InternalInvariantError, match="recursion exceeded its depth cap 6"):
-        bk.small_set_container(system, QUARTER, QUARTER, OnePieceOutsideTheSurvivors())
+        bk.small_set_container(system, QUARTER, QUARTER, bk.default_provider())
 
 
 def test_a_group_range_far_from_its_member_is_an_internal_error(monkeypatch):
@@ -874,3 +887,130 @@ def test_bootstrap_without_a_cover_for_a_range_is_an_internal_error(monkeypatch)
     monkeypatch.setattr(constructions, "find_cover", lambda *args: None)
     with pytest.raises(bk.InternalInvariantError, match="verified container has no cover for a range"):
         bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
+
+
+# Checks sit at the public boundary: a fault in a private helper must reach
+# a verified boundary, and only public constructions self-verify.
+
+
+def _pieces_outside_their_ranges(ranges, n, lam, eps, width):
+    # Each heavy range grown by its lowest outside element: no piece lies
+    # inside a smallest heavy range.
+    heavy = size_band(ranges, math.ceil(eps * n), n)
+    full = (1 << width) - 1
+    assignment = {r: r | (full & ~r & -(full & ~r)) for r in heavy}
+    return assignment, canonical_sort(set(assignment.values()))
+
+
+def _pieces_below_their_need(ranges, n, lam, eps, width):
+    # Each heavy range's lowest element alone, below ceil(lam*|R|) >= 2.
+    heavy = size_band(ranges, math.ceil(eps * n), n)
+    assignment = {r: r & -r for r in heavy}
+    return assignment, canonical_sort(set(assignment.values()))
+
+
+@pytest.mark.parametrize("mutant", [_pieces_outside_their_ranges, _pieces_below_their_need])
+def test_a_wrong_greedy_piece_fails_base_mnet_self_verification(monkeypatch, mutant):
+    system = _circle(40)
+    monkeypatch.setattr(constructions, "_greedy_assignment", mutant)
+    with pytest.raises(bk.InternalInvariantError, match="base_mnet failed self-verification"):
+        bk.base_mnet(system, HALF, QUARTER)
+
+
+def _without_a_witness(covers, witness, first):
+    # The first range's witness, and every cover that holds that range.
+    witness = {mask: cover for mask, cover in witness.items() if mask != first}
+    return [cover for cover in covers if first & cover != first], witness
+
+
+def _one_element_too_small(covers, witness, first):
+    # Every cover that holds the first range, less that range's lowest element.
+    def shrink(cover):
+        return cover & ~(first & -first) if first & cover == first else cover
+
+    return [shrink(c) for c in covers], {mask: shrink(c) for mask, c in witness.items()}
+
+
+@pytest.mark.parametrize("fault", [_without_a_witness, _one_element_too_small])
+def test_a_wrong_local_container_fails_the_bootstrap_cover_guard(monkeypatch, fault):
+    system, eps, delta, _ = _circle40_band_packing()
+    original = constructions._small_set_covers
+
+    def faulty(ranges, full, n, eps, rho, heaviness):
+        covers, witness = original(ranges, full, n, eps, rho, heaviness)
+        return fault(covers, witness, ranges[0])
+
+    monkeypatch.setattr(constructions, "_small_set_covers", faulty)
+    with pytest.raises(bk.InternalInvariantError, match="verified container has no cover for a range"):
+        bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
+
+
+def test_a_wrong_bootstrap_piece_fails_the_band_self_verification(monkeypatch):
+    # A cover finder that ignores the slack returns a group's member itself
+    # (the root cover), so the range's piece is the empty set.
+    system, eps, delta, _ = _circle40_band_packing()
+    monkeypatch.setattr(constructions, "find_cover",
+                        lambda covers, hint, mask, slack_cap: next(c for c in covers if mask & c == mask))
+    with pytest.raises(bk.InternalInvariantError, match="bootstrap_interval_mnet failed self-verification"):
+        bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
+
+
+_greedy_assignment = constructions._greedy_assignment  # the unpatched greedy
+
+
+def _node_pieces_less_their_lowest_element(ranges, n, lam, eps, width):
+    _, pieces = _greedy_assignment(ranges, n, lam, eps, width)
+    return {}, [p & (p - 1) for p in pieces]
+
+
+def _node_pieces_dropped_but_the_first(ranges, n, lam, eps, width):
+    _, pieces = _greedy_assignment(ranges, n, lam, eps, width)
+    return {}, pieces[:1]
+
+
+def _node_pieces_grown_past_their_top_element(ranges, n, lam, eps, width):
+    _, pieces = _greedy_assignment(ranges, n, lam, eps, width)
+    return {}, [p | 1 << p.bit_length() for p in pieces]
+
+
+@pytest.mark.parametrize("mutant", [
+    _node_pieces_less_their_lowest_element, _node_pieces_dropped_but_the_first, _node_pieces_grown_past_their_top_element])
+def test_a_wrong_node_piece_never_yields_an_unverified_container(monkeypatch, mutant):
+    # A node piece only steers the recursion, so a wrong one may still give
+    # a valid container; the public call either refuses or returns one that
+    # verifies.
+    systems = [bk.filter_by_size(_circle(60), upper=Fraction(15)), system_from_sets(8, [(0,), (1, 2), (2, 3)])]
+    monkeypatch.setattr(constructions, "_greedy_assignment", mutant)
+    for system in systems:
+        try:
+            fam = bk.small_set_container(system, QUARTER, Fraction(1, 8), bk.default_provider())
+        except bk.BracketkitError:
+            continue
+        assert verify_family(system, fam).passed
+
+
+PUBLIC_CONSTRUCTIONS = ("base_mnet", "boost_epsilon", "small_set_container", "bootstrap_interval_mnet",
+                        "heavy_mnet", "build_container", "build_bracket")
+
+
+def test_only_public_construction_calls_self_verify(monkeypatch):
+    # circle-40's bracket: one self-check per public construction call (the
+    # bootstrap bands, heavy_mnet, build_container, the top-level
+    # small_set_container and build_bracket), and the small-set recursion
+    # runs the greedy cover without calling base_mnet.
+    calls = dict.fromkeys((*PUBLIC_CONSTRUCTIONS, "verify_family", "_greedy_assignment"), 0)
+    for name in calls:
+        original = getattr(constructions, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(constructions, name, counting)
+    constructions.build_bracket(_circle(40), QUARTER, bk.default_provider(), bk.default_provider())
+    assert calls["verify_family"] == sum(calls[name] for name in PUBLIC_CONSTRUCTIONS)
+    assert calls["base_mnet"] == calls["boost_epsilon"] == 0
+    assert calls["small_set_container"] == calls["build_container"] == calls["build_bracket"] == 1
+    assert calls["heavy_mnet"] == 2
+    assert calls["bootstrap_interval_mnet"] > 2
+    assert calls["_greedy_assignment"] > 0
