@@ -5,7 +5,8 @@ All parameter comparisons in the package (|R| >= eps*n and the like) are done
 with ``fractions.Fraction``, i.e. exact integer cross-multiplication, and a
 threshold is rounded exactly, by ``math.floor``/``math.ceil`` of a Fraction.
 Floats appear only in reports and in ``small_set_container``'s depth cap, a
-float log bound that decides only whether ``InternalInvariantError`` is raised.
+float log bound that decides only whether ``InternalInvariantError`` is raised,
+or, where the cap is beyond float range, whether the input is refused.
 """
 
 from .constructions import (

@@ -45,10 +45,10 @@ from .verify import find_cover, find_piece, verify_container, verify_family, ver
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
 # base_mnet's greedy cover runs on Python ints up to this many serving cells
-# (candidates x heavy ranges) and on numpy above: 9,021 of the 9,620 calls
-# of a seed-2 n=256 protocol context build run the int loop.  Replayed both
-# ways on that build's calls (candidate set, order and greedy loop), the int
-# loop took 0.77 of the numpy loop's time at 385-512 cells, 0.87 at 513-640,
+# (candidates x heavy ranges) and on numpy above: 9,021 of the 9,620 greedy
+# covers of a seed-2 n=256 protocol context build run the int loop.  Replayed
+# both ways on that build's calls (candidate set, order and greedy loop), the
+# int loop took 0.77 of the numpy loop's time at 385-512 cells, 0.87 at 513-640,
 # 1.00 at 641-768 and 1.16 at 769-1,024 (2-core machine, Python 3.11).
 _INT_CELLS = 512
 
@@ -396,7 +396,8 @@ def small_set_container(system, eps, rho, provider):
     if not 0 < rho <= eps < 1:
         raise InputError(f"need 0 < rho <= eps < 1, got rho={rho}, eps={eps}")
     n = system.n
-    if size_band(system.ranges, math.floor(eps * n) + 1, n):
+    size_cap = math.floor(eps * n)
+    if size_band(system.ranges, size_cap + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
     covers, witness = _small_set_covers(system.ranges, system.full_mask, n, eps, rho, provider.heaviness)
     fam = make_container(system, covers, eps + rho, witness=witness)

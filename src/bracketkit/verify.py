@@ -1,8 +1,8 @@
 """Brute-force verifiers for Mnet/container/bracket families, plus the
 packing-based container lower bound.
 
-These are the trust anchor: every construction re-verifies its output here
-before returning it.  Witness maps attached by constructions are used only
+These are the trust anchor: every public construction re-verifies the
+family it returns here.  Witness maps attached by constructions are used only
 as hints: a verifier looks up the hint by range mask, ignores it unless it
 is one of the family's sets, re-checks it, and scans the size band whenever
 it fails, so a wrong hint can never turn an invalid family valid.  The
