@@ -45,12 +45,13 @@ from .verify import find_cover, find_piece, verify_container, verify_family, ver
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
 # base_mnet's greedy cover runs on Python ints up to this many serving cells
-# (candidates x heavy ranges) and on numpy above: 9,021 of the 9,620 greedy
+# (candidates x heavy ranges) and on numpy above: 9,215 of the 9,620 greedy
 # covers of a seed-2 n=256 protocol context build run the int loop.  Replayed
-# both ways on that build's calls (candidate set, order and greedy loop), the
-# int loop took 0.77 of the numpy loop's time at 385-512 cells, 0.87 at 513-640,
-# 1.00 at 641-768 and 1.16 at 769-1,024 (2-core machine, Python 3.11).
-_INT_CELLS = 512
+# both ways on that build's calls (candidate set, order and greedy loop, best
+# of 9 per call), the int loop took 0.76 of the numpy loop's time at 385-512
+# cells, 0.86 at 513-640, 0.95 at 641-768, 1.05 at 769-896 and 1.15 at
+# 897-1,024 (2-core machine, Python 3.11).
+_INT_CELLS = 768
 
 
 def _checked(family, label):
@@ -122,20 +123,23 @@ def base_mnet(system, lam, eps):
         raise InputError(f"lam must be in (0,1], got {lam}")
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
-    assignment, _ = _greedy_assignment(system.ranges, system.n, lam, eps, system.full_mask.bit_length())
+    heavy = size_band(system.ranges, math.ceil(eps * system.n), system.n)
+    assignment, _ = _greedy_assignment(heavy, lam, system.full_mask.bit_length())
     fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
     return _checked(fam, "base_mnet")
 
 
-def _greedy_assignment(ranges, n, lam, eps, width):
-    """``base_mnet`` below its input checks, on a canonical mask list
-    ``ranges`` over n elements whose masks fit in ``width`` bits: the
-    witness assignment (heavy range -> piece, in pick order) and the picked
-    pieces in canonical order.  The pieces come from sorting the picked
-    candidate positions: the int loop's candidates are ``canonical_sort``ed
-    and the numpy loop's columns are in ``canonical_order``, so on both
-    loops position order is canonical order.  Nothing is verified here."""
-    heavy = size_band(ranges, math.ceil(eps * n), n)
+def _greedy_assignment(heavy, lam, width):
+    """``base_mnet``'s greedy cover below its input checks and its heavy
+    slice, on the canonical list ``heavy`` of the ranges to serve, masks
+    that fit in ``width`` bits: the witness assignment (heavy range ->
+    piece, in pick order) and the picked pieces in canonical order.
+    ``base_mnet`` slices its heavy ranges at ceil(eps*n); a small-set node
+    passes all its ranges, which are all heavy at its threshold.  The pieces
+    come from sorting the picked candidate positions: the int loop's
+    candidates are ``canonical_sort``ed and the numpy loop's columns are in
+    ``canonical_order``, so on both loops position order is canonical order.
+    Nothing is verified here."""
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     if len(cands) * len(heavy) <= _INT_CELLS:
@@ -227,7 +231,8 @@ class PropertyMProvider:
     ``heaviness`` is the fixed constant 1/2 (as for halfspace-like systems);
     ``bound_log`` records (eps, produced size) for every ``mnet`` call, and
     only boosting makes those: the small-set recursion reads ``heaviness``
-    and runs the same greedy cover through ``_greedy_assignment``.
+    and runs the same greedy cover through ``_greedy_assignment``, on each
+    node's ranges, which are all heavy at the node's threshold.
     """
 
     heaviness = HALF
@@ -382,14 +387,10 @@ def small_set_container(system, eps, rho, provider):
     Lambda, builds a heavy Mnet of the complements within Z at the node's
     own threshold; removing a piece shrinks Z by a constant factor, and a
     range is covered by the first node where its residual |Z \\ R| drops to
-    rho*n.  Node universes are the covers.  The recursion depth cap, a float
-    bound, is ceil(1 + log(1/rho)/log(1/s)) with shrink s = 1 -
-    Lambda*rho/(eps+rho); exceeding it is an internal error.  It is the
-    paper's ceil(1 + log(1/eps)/log(1/(1-Lambda/2))) at rho = eps and grows
-    as rho falls (log(1/rho) up, log(1/s) down).  Where log(1/s) is 0 even
-    as log1p of the exact gap, the cap is beyond float range and the input
-    is refused with ResourceBudgetError.  The recursion
-    (``_small_set_covers``) reads only ``provider.heaviness``.
+    rho*n.  Node universes are the covers.  The recursion depth cap
+    (``_depth_cap``, computed once per call) is a float bound; exceeding it
+    is an internal error.  The recursion (``_small_set_covers``) reads only
+    ``provider.heaviness``.
     """
     eps = Fraction(eps)
     rho = Fraction(rho)
@@ -399,26 +400,19 @@ def small_set_container(system, eps, rho, provider):
     size_cap = math.floor(eps * n)
     if size_band(system.ranges, size_cap + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
-    covers, witness = _small_set_covers(system.ranges, system.full_mask, n, eps, rho, provider.heaviness)
+    depth_cap = _depth_cap(eps, rho, provider.heaviness)
+    covers, witness = _small_set_covers(system.ranges, system.full_mask, n, eps, rho, provider.heaviness, depth_cap)
     fam = make_container(system, covers, eps + rho, witness=witness)
     return _checked(fam, "small_set_container")
 
 
-def _small_set_covers(ranges, full, n, eps, rho, heaviness):
-    """The removal recursion of ``small_set_container`` on plain masks: the
-    covers (node universes, in visiting order) and the witness map, range
-    -> the first cover that serves it.  ``ranges`` is a canonical,
-    duplicate-free list of subsets of ``full``, an n-element mask.
-
-    A node's ranges are ``universe & ~m`` over its survivors, read in
-    reverse, and that list is canonical without a sort, by the argument of
-    ``complement_family``: the survivors are a canonical list of distinct
-    subsets of the universe, complementing within it maps size s to |Z| -
-    s and reverses the order inside each size, and distinct survivors have
-    distinct complements.  The node's pieces come from
-    ``_greedy_assignment``, in canonical order; they only steer the
-    recursion, and nothing here is verified: the caller re-checks the
-    covers it hands on."""
+def _depth_cap(eps, rho, heaviness):
+    """The removal recursion's depth cap, ceil(1 + log(1/rho)/log(1/s)) with
+    shrink s = 1 - heaviness*rho/(eps+rho), a float bound.  It is the
+    paper's ceil(1 + log(1/eps)/log(1/(1-Lambda/2))) at rho = eps and grows
+    as rho falls (log(1/rho) up, log(1/s) down).  Where log(1/s) is 0 even
+    as log1p of the exact gap, the cap is beyond float range and the input
+    is refused with ResourceBudgetError."""
     shrink = 1 - heaviness * rho / (eps + rho)
     # log(1/s) is 0 as a float once s rounds to 1.0 (a gap 1 - s below about
     # 2**-53), and only there is it taken as log1p of the exact gap: that
@@ -430,8 +424,29 @@ def _small_set_covers(ranges, full, n, eps, rho, heaviness):
             f"small-set container depth cap at eps={eps}, rho={rho} is beyond float range: "
             "the shrink 1 - Lambda*rho/(eps+rho) is 1 as a float"
         )
-    depth_cap = math.ceil(1 + _log_inverse(rho) / step)
-    residual_over = math.floor(rho * n)  # residual must be strictly above rho*n
+    return math.ceil(1 + _log_inverse(rho) / step)
+
+
+def _small_set_covers(ranges, full, n, eps, rho, heaviness, depth_cap):
+    """The removal recursion of ``small_set_container`` on plain masks: the
+    covers (node universes, in visiting order) and the witness map, range
+    -> the first cover that serves it.  ``ranges`` is a canonical,
+    duplicate-free list of subsets of ``full``, an n-element mask.  The
+    caller computes ``depth_cap`` (``_depth_cap``) once for all the
+    recursions that share eps, rho and the heaviness.
+
+    A node's ranges are ``universe & ~m`` over its survivors, read in
+    reverse, and that list is canonical without a sort, by the argument of
+    ``complement_family``: the survivors are a canonical list of distinct
+    subsets of the universe, complementing within it maps size s to |Z| -
+    s and reverses the order inside each size, and distinct survivors have
+    distinct complements.  The node's threshold ceil((1 - |s0|/|Z|)*|Z|) for
+    its largest survivor s0 is the integer |Z| - |s0|, and every node range
+    has at least that size, so all of them are heavy and go to
+    ``_greedy_assignment`` as they are.  Its pieces come in canonical
+    order; they only steer the recursion, and nothing here is verified: the
+    caller re-checks the covers it hands on."""
+    residual_over = rho.numerator * n // rho.denominator  # residual must be strictly above rho*n
     covers = []
     witness = {}
     max_depth = 1
@@ -456,9 +471,8 @@ def _small_set_covers(ranges, full, n, eps, rho, heaviness):
             raise InternalInvariantError(
                 f"small-set container recursion exceeded its depth cap {depth_cap}"
             )
-        eps_node = Fraction(survivors[0].bit_count(), u_size)
         node_ranges = [universe & ~m for m in reversed(survivors)]
-        _, pieces = _greedy_assignment(node_ranges, u_size, heaviness, 1 - eps_node, universe.bit_length())
+        _, pieces = _greedy_assignment(node_ranges, heaviness, universe.bit_length())
         # No piece is empty: a survivor leaves more than floor(rho*n) >= 0 elements
         # of its universe, so every node range is non-empty and so is every piece.
         # An empty piece would repeat its node until the depth cap.
@@ -489,6 +503,9 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     complements of the covers inside P are the pieces.  The recursion runs
     on the deduplicated, canonically sorted complements (two group ranges
     can share P & ~R); ``find_cover`` re-checks the cover of every range.
+    All groups of a band share eps', eps and the heaviness, so the band
+    computes the recursion's depth cap (``_depth_cap``) once, and eps' and
+    eps' + eps once, whose integer floors at |P| are a group's bounds.
 
     A group of one is its member P alone, and its piece is P itself,
     without a local container; P serves P at any heaviness.  It is also the
@@ -519,6 +536,8 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     eps_prime = 3 * eps / (2 + 2 * eps)
     note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
          band=(lo_int, hi_int), packing_size=len(packing.members))
+    depth_cap = _depth_cap(eps_prime, eps, provider.heaviness)
+    slack = eps_prime + eps
     witness = {}
     for member, group in zip(packing.members, packing.groups):
         if len(group) == 1:
@@ -526,13 +545,13 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
             continue
         p_size = member.bit_count()
         comps = [member & ~mask for mask in group]
-        if max(comp.bit_count() for comp in comps) > math.floor(eps_prime * p_size):
+        if max(comp.bit_count() for comp in comps) > eps_prime.numerator * p_size // eps_prime.denominator:
             raise InternalInvariantError(
                 "projected complement exceeds the eps' bound inside a packing member"
             )
         covers, cover_of = _small_set_covers(
-            canonical_sort(set(comps)), member, p_size, eps_prime, eps, provider.heaviness)
-        slack_cap = math.floor((eps_prime + eps) * p_size)
+            canonical_sort(set(comps)), member, p_size, eps_prime, eps, provider.heaviness, depth_cap)
+        slack_cap = slack.numerator * p_size // slack.denominator
         for mask, comp in zip(group, comps):
             cover = find_cover(covers, cover_of.get(comp), comp, slack_cap)
             if cover is None:

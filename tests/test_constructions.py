@@ -473,6 +473,27 @@ def test_small_set_container_refuses_a_depth_cap_beyond_float_range(monkeypatch)
     assert len(fam.covers) == 5
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_node_range_is_heavy_at_the_node_threshold(data):
+    # A small-set node with universe Z and canonical survivors s0, s1, ...
+    # has the ranges Z & ~m in reverse; its threshold ceil((1 - |s0|/|Z|)*|Z|)
+    # is |Z| - |s0|, and no range is smaller, so the size band at that
+    # threshold is the whole list.
+    width = 64 * data.draw(st.integers(1, 4), label="words")
+    universe = data.draw(st.integers(1, (1 << width) - 1), label="universe")
+    word = st.integers(0, (1 << width) - 1)
+    drawn = []
+    for _ in range(data.draw(st.integers(1, 24), label="survivors")):
+        a, b = data.draw(word), data.draw(word)
+        drawn.append(universe & data.draw(st.sampled_from([a, a & b, a | b])))
+    survivors = canonical_sort(set(drawn))
+    u_size = universe.bit_count()
+    node_ranges = [universe & ~m for m in reversed(survivors)]
+    assert node_ranges == canonical_sort(node_ranges)
+    assert size_band(node_ranges, u_size - survivors[0].bit_count(), u_size) == node_ranges
+
+
 def test_small_set_container_one_range():
     one = system_from_sets(8, [(2,)])
     fam = bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider())
@@ -860,7 +881,7 @@ def test_small_set_recursion_past_its_depth_cap_is_an_internal_error(monkeypatch
     # Each node's one piece is the highest element of its universe, outside
     # the one survivor {0}: the universe shrinks by one element a level, and
     # {0} is served only at 17 elements or fewer, past the depth cap 6.
-    def one_piece_outside_the_survivors(ranges, n, lam, eps, width):
+    def one_piece_outside_the_survivors(heavy, lam, width):
         return {}, [1 << (width - 1)]
 
     monkeypatch.setattr(constructions, "_greedy_assignment", one_piece_outside_the_survivors)
@@ -893,18 +914,16 @@ def test_bootstrap_without_a_cover_for_a_range_is_an_internal_error(monkeypatch)
 # a verified boundary, and only public constructions self-verify.
 
 
-def _pieces_outside_their_ranges(ranges, n, lam, eps, width):
+def _pieces_outside_their_ranges(heavy, lam, width):
     # Each heavy range grown by its lowest outside element: no piece lies
     # inside a smallest heavy range.
-    heavy = size_band(ranges, math.ceil(eps * n), n)
     full = (1 << width) - 1
     assignment = {r: r | (full & ~r & -(full & ~r)) for r in heavy}
     return assignment, canonical_sort(set(assignment.values()))
 
 
-def _pieces_below_their_need(ranges, n, lam, eps, width):
+def _pieces_below_their_need(heavy, lam, width):
     # Each heavy range's lowest element alone, below ceil(lam*|R|) >= 2.
-    heavy = size_band(ranges, math.ceil(eps * n), n)
     assignment = {r: r & -r for r in heavy}
     return assignment, canonical_sort(set(assignment.values()))
 
@@ -936,8 +955,8 @@ def test_a_wrong_local_container_fails_the_bootstrap_cover_guard(monkeypatch, fa
     system, eps, delta, _ = _circle40_band_packing()
     original = constructions._small_set_covers
 
-    def faulty(ranges, full, n, eps, rho, heaviness):
-        covers, witness = original(ranges, full, n, eps, rho, heaviness)
+    def faulty(ranges, full, n, eps, rho, heaviness, depth_cap):
+        covers, witness = original(ranges, full, n, eps, rho, heaviness, depth_cap)
         return fault(covers, witness, ranges[0])
 
     monkeypatch.setattr(constructions, "_small_set_covers", faulty)
@@ -958,18 +977,18 @@ def test_a_wrong_bootstrap_piece_fails_the_band_self_verification(monkeypatch):
 _greedy_assignment = constructions._greedy_assignment  # the unpatched greedy
 
 
-def _node_pieces_less_their_lowest_element(ranges, n, lam, eps, width):
-    _, pieces = _greedy_assignment(ranges, n, lam, eps, width)
+def _node_pieces_less_their_lowest_element(heavy, lam, width):
+    _, pieces = _greedy_assignment(heavy, lam, width)
     return {}, [p & (p - 1) for p in pieces]
 
 
-def _node_pieces_dropped_but_the_first(ranges, n, lam, eps, width):
-    _, pieces = _greedy_assignment(ranges, n, lam, eps, width)
+def _node_pieces_dropped_but_the_first(heavy, lam, width):
+    _, pieces = _greedy_assignment(heavy, lam, width)
     return {}, pieces[:1]
 
 
-def _node_pieces_grown_past_their_top_element(ranges, n, lam, eps, width):
-    _, pieces = _greedy_assignment(ranges, n, lam, eps, width)
+def _node_pieces_grown_past_their_top_element(heavy, lam, width):
+    _, pieces = _greedy_assignment(heavy, lam, width)
     return {}, [p | 1 << p.bit_length() for p in pieces]
 
 
@@ -1014,3 +1033,40 @@ def test_only_public_construction_calls_self_verify(monkeypatch):
     assert calls["heavy_mnet"] == 2
     assert calls["bootstrap_interval_mnet"] > 2
     assert calls["_greedy_assignment"] > 0
+
+
+def test_the_depth_cap_is_computed_once_per_call_not_per_group(monkeypatch):
+    # circle-40's bracket: each bootstrap band and each small_set_container
+    # call computes the cap at most once, and only they do; the recursions,
+    # more than the caps, still note one cap each, the closed-form one.
+    calls = dict.fromkeys(("_depth_cap", "_small_set_covers"), 0)
+    caps_per_call = []
+    for name in calls:
+        original = getattr(constructions, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(constructions, name, counting)
+    for name in ("bootstrap_interval_mnet", "small_set_container"):
+        original = getattr(constructions, name)
+
+        def capped(*args, _original=original):
+            before = calls["_depth_cap"]
+            try:
+                return _original(*args)
+            finally:
+                caps_per_call.append(calls["_depth_cap"] - before)
+
+        monkeypatch.setattr(constructions, name, capped)
+    with trace.recording() as log:
+        constructions.build_bracket(_circle(40), QUARTER, bk.default_provider(), bk.default_provider())
+    assert max(caps_per_call) == 1
+    assert sum(caps_per_call) == calls["_depth_cap"]
+    assert calls["_small_set_covers"] > calls["_depth_cap"]
+    notes = [entry for entry in log if entry["op"] == "small-set-container"]
+    assert len(notes) == calls["_small_set_covers"]
+    for entry in notes:
+        shrink = 1 - HALF * entry["rho"] / (entry["eps"] + entry["rho"])
+        assert entry["depth_cap"] == math.ceil(1 + math.log(1 / entry["rho"]) / math.log(1 / float(shrink)))
