@@ -1,22 +1,31 @@
 """Construction stack for Mnets, containers and uniform brackets.
 
-The pipeline is: a base provider hands out verified Lambda-heavy Mnets for
-arbitrary subsystems (a greedy cover of the heavy ranges by the ranges and
-their pairwise intersections); boosting turns 1/2-threshold Mnets into
-eps-threshold ones; complementation swaps Mnets and containers; a removal
-recursion builds containers for small ranges; bootstrapping lifts those to
-heavy Mnets on a size band; banding over a geometric size ladder yields
-Mnets of arbitrary heaviness, full container families and brackets.
+The pipeline is: a greedy cover of the heavy ranges by the ranges and
+their pairwise intersections makes Mnets at the base provider's heaviness
+Lambda; boosting turns 1/2-threshold Mnets into eps-threshold ones;
+complementation swaps Mnets and containers; a removal recursion builds
+containers for small ranges; bootstrapping lifts those to heavy Mnets on a
+size band; banding over a geometric size ladder yields Mnets of arbitrary
+heaviness, full container families and brackets.
 
 Checks sit at the public boundary.  Every public construction re-verifies
 the family it returns (``_checked``), so a caller never receives an
 unverified family.  The private helpers ``_greedy_assignment`` and
 ``_small_set_covers`` work on plain canonical mask lists and return steering
-data, not families: a node's Mnet in the removal recursion only steers it,
-and a local container only hands bootstrap its witness covers.  A verified
-boundary re-checks what reaches a caller: bootstrap runs ``find_cover`` on
-every range and verifies its band family, and ``small_set_container``
-verifies its container.
+data, not families: a member's Mnet in boosting and a node's Mnet in the
+removal recursion only steer them, and a local container only hands
+bootstrap its witness covers.  Boosting and bootstrap re-check every range
+with ``find_piece``/``find_cover`` and verify their family.
+
+The helpers serve a packing member or a recursion node, a universe U, in
+the parent's element indices: U is a mask, |U| a count, U.bit_length() the
+mask width.  That makes the same picks as re-indexing U to {0,...,|U|-1} in
+ascending order.  The re-indexing is a bijection from the subsets of U onto
+those of {0,...,|U|-1} that keeps sizes, subset tests, ANDs and XORs, and
+the lowest element where two masks differ, so it keeps the canonical order
+too.  The helpers read only sizes, subset tests, ANDs with U and |U| as a
+count, so they make the same picks either way, and each set they return is
+the re-indexed one's set in the parent's indices.
 """
 
 import math
@@ -124,7 +133,7 @@ def base_mnet(system, lam, eps):
     if eps <= 0:
         raise InputError(f"eps must be positive, got {eps}")
     heavy = size_band(system.ranges, math.ceil(eps * system.n), system.n)
-    assignment, _ = _greedy_assignment(heavy, lam, system.full_mask.bit_length())
+    assignment, _ = _greedy_assignment(heavy, lam, system.n)
     fam = make_mnet(system, assignment.values(), lam, eps, witness=assignment)
     return _checked(fam, "base_mnet")
 
@@ -229,10 +238,11 @@ class PropertyMProvider:
     """Produces verified fixed-heaviness Mnets for arbitrary subsystems.
 
     ``heaviness`` is the fixed constant 1/2 (as for halfspace-like systems);
-    ``bound_log`` records (eps, produced size) for every ``mnet`` call, and
-    only boosting makes those: the small-set recursion reads ``heaviness``
-    and runs the same greedy cover through ``_greedy_assignment``, on each
-    node's ranges, which are all heavy at the node's threshold.
+    ``bound_log`` records (eps, produced size) for every ``mnet`` call.  No
+    construction calls ``mnet``: each reads ``heaviness`` and runs the same
+    greedy cover through ``_greedy_assignment``, boosting on a packing
+    member's heavy traces and the small-set recursion on a node's ranges,
+    which are all heavy at the node's threshold.
     """
 
     heaviness = HALF
@@ -261,10 +271,12 @@ def boost_epsilon(system, provider, eps, eta):
     Size bands eps_i = (1+eta')^i * eps with eta' = min(1/4, eta/2) are each
     covered by a maximal packing at separation eta'*eps_i*n among ranges below
     the band top.  The band is grouped by nearest packing member
-    (``nearest_neighbor``, ties to the earliest member); a range R of the group
-    of member P takes the piece that serves R & P in the provider's 1/2-Mnet
-    of the ranges' traces on P, a system with ground set P.  The output
-    heaviness is provider.heaviness * (1 - eta).
+    (``nearest_neighbor``, ties to the earliest member).  Per member P, the
+    greedy cover at the provider's heaviness serves the ranges' distinct
+    traces on P of at least ceil(|P|/2) elements, in P's indices: a 1/2-Mnet
+    of the traces.  A range R of P's group takes the piece that
+    ``find_piece`` confirms inside R & P.  The output heaviness is
+    provider.heaviness * (1 - eta), and the family is verified.
     """
     eps = Fraction(eps)
     eta = Fraction(eta)
@@ -295,13 +307,15 @@ def boost_epsilon(system, provider, eps, eta):
         for mask in band:
             groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
         for member, group in groups.items():
-            traces = SetSystem.from_masks(member.bit_count(), (r & member for r in system.ranges), member)
-            fam = provider.mnet(traces, HALF)
+            p_size = member.bit_count()
+            traces = canonical_sort({r & member for r in system.ranges})
+            heavy = size_band(traces, math.ceil(HALF * p_size), p_size)
+            assignment, pieces = _greedy_assignment(heavy, provider.heaviness, member.bit_length())
             for mask in group:
                 trace = mask & member
-                piece = find_piece(fam.pieces, fam.witness.get(trace), trace, fam.lam)
+                piece = find_piece(pieces, assignment.get(trace), trace, provider.heaviness)
                 if piece is None:
-                    raise InternalInvariantError("verified Mnet has no piece for a heavy range")
+                    raise InternalInvariantError("Mnet has no piece for a heavy range")
                 witness[mask] = piece
     fam = make_mnet(system, witness.values(), lam_out, eps, witness=witness)
     return _checked(fam, "boost_epsilon")
@@ -499,7 +513,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     served through the first member within the separation, as recorded in
     ``Packing.groups``.  Within each member P the complements P & ~R of
     the group ranges are small (at most eps' = 3*eps/(2+2*eps) of |P|), so
-    the small-set recursion covers them with ground set P, and the
+    the small-set recursion covers them in the universe P, and the
     complements of the covers inside P are the pieces.  The recursion runs
     on the deduplicated, canonically sorted complements (two group ranges
     can share P & ~R); ``find_cover`` re-checks the cover of every range.
@@ -528,7 +542,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     lo_int = math.ceil(delta * n)
     hi_int = min(n, math.floor((1 + eps) * delta * n))
     band_masks = size_band(system.ranges, lo_int, hi_int)
-    band = SetSystem(n, band_masks, system.ground)
+    band = SetSystem(n, band_masks)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
         return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")

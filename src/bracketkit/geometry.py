@@ -84,11 +84,12 @@ class PointSet:
     @cached_property
     def int_points(self):
         """Per point, (integer coordinates, positive denominator): the point
-        is the coordinates over the lcm of its coordinates' denominators."""
+        is the coordinates over the lcm of its coordinates' denominators,
+        each c * den as the exact integer c.numerator * (den // c.denominator)."""
         out = []
         for p in self.points:
             den = math.lcm(*(c.denominator for c in p))
-            out.append((tuple(int(c * den) for c in p), den))
+            out.append((tuple(c.numerator * (den // c.denominator) for c in p), den))
         return tuple(out)
 
     @staticmethod

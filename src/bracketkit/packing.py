@@ -65,7 +65,7 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     if shallow_cap is not None and shallow_cap < 0:
         raise InputError(f"shallow cap {shallow_cap} is negative")
     candidates = system.ranges if shallow_cap is None else size_band(system.ranges, 0, shallow_cap)
-    packed = bitsets.pack_masks(candidates, system.full_mask.bit_length())
+    packed = bitsets.pack_masks(candidates, system.n)
     admitted = np.empty_like(packed)
     members = []
     groups = []
@@ -138,7 +138,7 @@ def packing_bound_report(packing, d0):
     if packing.shallow_cap is not None:
         sample_size = min(n, max(1, (4 * d0 * n) // packing.delta))
         cell_cap = min(sample_size, max(0, (12 * d0 * packing.shallow_cap) // packing.delta))
-        sample = sum(1 << i for i in bitsets.indices_from_mask(packing.base.full_mask)[:sample_size])
+        sample = (1 << sample_size) - 1
         traces = {r & sample for r in packing.base.ranges}
         psi_hat = Fraction(sum(t.bit_count() <= cell_cap for t in traces), sample_size)
         expression = float(Fraction(24 * d0 * n, packing.delta) * psi_hat)

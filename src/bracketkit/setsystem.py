@@ -16,17 +16,6 @@ constructions) is a call to it.
 ``canonical_sort`` makes the order by keys that Python's sort compares in C:
 byte strings that rank masks of equal size lex, then a stable size pass.
 ``canonical_order`` makes it on ``pack_masks`` rows, from the same keys.
-
-The constructions build sub-systems (a packing member's group, a node of
-the removal recursion) in the parent's element indices: a system's
-``ground`` mask names its ground set U, n is |U|, and ``full_mask`` is U.
-That makes the same picks as re-indexing U to {0,...,|U|-1} in ascending
-order.  The re-indexing is a bijection from the subsets of U onto those of
-{0,...,|U|-1} that keeps sizes, subset tests, ANDs and XORs, and the lowest
-element where two masks differ, so it keeps the canonical order too.  The
-constructions read only sizes, subset tests, ANDs with U and n as a count,
-so they make the same picks either way, and each set they return is the
-re-indexed one's set in the parent's indices.
 """
 
 import json
@@ -78,32 +67,25 @@ def canonical_order(packed):
 
 @dataclass(frozen=True)
 class SetSystem:
-    """Ground set plus ranges as canonical, deduplicated bitmasks.
-
-    The ground set is {0,...,n-1}, or the n elements of ``ground`` when that
-    mask is given.  Only the constructions' sub-systems carry a ground mask:
-    the JSON form and ``vc_dimension_exact`` take the ground set as
-    {0,...,n-1}."""
+    """Ground set {0,...,n-1} plus ranges as canonical, deduplicated
+    bitmasks.  ``from_masks`` refuses a range with an element outside the
+    ground set, a negative mask included."""
 
     n: int
     ranges: tuple
-    ground: int | None = None
 
     @staticmethod
-    def from_masks(n, masks, ground=None):
+    def from_masks(n, masks):
         if n < 0:
             raise InputError("ground set size must be nonnegative")
-        if ground is not None and (ground < 0 or ground.bit_count() != n):
-            raise InputError(f"ground mask {ground:#x} does not hold {n} elements")
-        full = (1 << n) - 1 if ground is None else ground
         dedup = set(masks)
-        if any(mask & full != mask for mask in dedup):
+        if any(mask >> n for mask in dedup):
             raise InputError("range has an element outside the ground set")
-        return SetSystem(n, tuple(canonical_sort(dedup)), ground)
+        return SetSystem(n, tuple(canonical_sort(dedup)))
 
     @property
     def full_mask(self):
-        return (1 << self.n) - 1 if self.ground is None else self.ground
+        return (1 << self.n) - 1
 
     def to_json(self):
         return json.dumps({"n": self.n, "ranges": [list(indices_from_mask(m)) for m in self.ranges]})
@@ -147,7 +129,7 @@ def complement_family(system):
     complements of one size come out in exactly the opposite order.
     Distinct ranges have distinct complements."""
     full = system.full_mask
-    return SetSystem(system.n, tuple(full ^ m for m in reversed(system.ranges)), system.ground)
+    return SetSystem(system.n, tuple(full ^ m for m in reversed(system.ranges)))
 
 
 def _neg_size(mask):
@@ -165,7 +147,7 @@ def filter_by_size(system, upper):
     rounded exactly down to the integer band that ``size_band`` slices out."""
     if not 0 <= upper <= system.n:
         raise InputError(f"size bound {upper} outside [0,{system.n}]")
-    return SetSystem(system.n, size_band(system.ranges, 0, math.floor(upper)), system.ground)
+    return SetSystem(system.n, size_band(system.ranges, 0, math.floor(upper)))
 
 
 @dataclass(frozen=True)

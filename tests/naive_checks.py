@@ -11,9 +11,10 @@ against it.
 
 The per-bit re-indexing of a mask into a universe and back
 (``naive_compress``/``naive_expand``) is the reference for
-``bracketkit.project`` and for the constructions, which build their
-sub-systems in the parent's indices: ``_reference_bootstrap`` is the
-bootstrap path that re-indexes each group into its member instead.
+``bracketkit.project`` and for the constructions' helpers, which serve a
+packing member or a recursion node in the parent's indices:
+``_reference_bootstrap`` is the bootstrap path that re-indexes each group
+into its member instead.
 """
 
 import math

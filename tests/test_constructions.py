@@ -142,18 +142,22 @@ def test_base_mnet_matches_the_reference_greedy_cover(data):
 
 @pytest.fixture(scope="module")
 def circle40_boost_inputs():
-    """The (system, lam, eps) of every base_mnet call that boosting makes on
-    circle-40 at eps = 1/5, eta = 1/2: the members' trace systems."""
+    """Every greedy cover that boosting runs on circle-40 at eps = 1/5,
+    eta = 1/2, as base_mnet inputs (system, lam, eps): a member P's heavy
+    traces as a plain system of the parent's n = 40 at eps = ceil(|P|/2)/n,
+    which slices out that heavy list in the member's one mask word.  P is
+    the first heavy trace, since every trace lies inside it."""
     calls = []
-    original = constructions.base_mnet
+    original = constructions._greedy_assignment
 
-    def recording(system, lam, eps):
-        calls.append((system, lam, eps))
-        return original(system, lam, eps)
+    def recording(heavy, lam, width):
+        calls.append((heavy, lam))
+        return original(heavy, lam, width)
 
-    with mock.patch.object(constructions, "base_mnet", recording):
+    with mock.patch.object(constructions, "_greedy_assignment", recording):
         bk.boost_epsilon(_circle(40), bk.default_provider(), Fraction(1, 5), HALF)
-    return calls
+    return [(bk.SetSystem.from_masks(40, heavy), lam, Fraction((heavy[0].bit_count() + 1) // 2, 40))
+            for heavy, lam in calls]
 
 
 def _heavy_and_cells(system, eps):
@@ -163,12 +167,14 @@ def _heavy_and_cells(system, eps):
 
 
 def _planar_member_traces():
-    """The trace system of a 16-point halfspace range of a seeded n = 256
-    planar domain on that range, built as boosting builds a member's: its
-    elements span indices below 64 and above 191, so masks take 4 words."""
+    """The traces of a seeded n = 256 planar domain's ranges on a 16-point
+    halfspace range P, as boosting takes a member's, in a plain system of
+    the parent's n: P's elements span indices below 64 and above 191, so
+    masks take 4 words.  At eps = ceil(|P|/2)/n = 8/256 its heavy ranges
+    are those boosting serves."""
     system = bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 2000))
     member = next(r for r in size_band(system.ranges, 16, 16) if r & ((1 << 64) - 1) and r >> 192)
-    return bk.SetSystem.from_masks(16, (r & member for r in system.ranges), member)
+    return bk.SetSystem.from_masks(256, (r & member for r in system.ranges))
 
 
 def test_base_mnet_numpy_path_matches_the_reference_beyond_the_pair_cap(circle40_boost_inputs):
@@ -179,8 +185,8 @@ def test_base_mnet_numpy_path_matches_the_reference_beyond_the_pair_cap(circle40
         (call for call in circle40_boost_inputs if _heavy_and_cells(call[0], call[2])[0] > constructions.PAIR_CAP),
         key=lambda call: _heavy_and_cells(call[0], call[2])[1],
     )
-    planar = (_planar_member_traces(), HALF, HALF)
-    assert planar[0].full_mask.bit_length() > 192
+    planar = (_planar_member_traces(), HALF, Fraction(8, 256))
+    assert max(planar[0].ranges).bit_length() > 192
     for system, lam, eps in (circle, planar):
         assert _heavy_and_cells(system, eps)[0] > constructions.PAIR_CAP
         expected = _reference_greedy_cover(system, lam, eps)
@@ -719,25 +725,25 @@ def test_bootstrap_pieces_match_the_reindexing_reference(name):
 
 
 def test_a_one_member_group_gets_its_member_from_the_local_container():
-    # The path that a group of one skips: the container of the system with
-    # ground set P and the one range {empty set}, the empty set's cover, and
-    # its complement in P; the empty member stands for |P| = 0.
+    # The path that a group of one skips: the small-set recursion in the
+    # member P on the one range {empty set}, the empty set's cover, and its
+    # complement in P; the empty member stands for |P| = 0.
     _, eps, _, packing = _circle40_band_packing()
     singles = [m for m, g in zip(packing.members, packing.groups) if len(g) == 1]
     assert singles
     eps_prime = 3 * eps / (2 + 2 * eps)
+    depth_cap = constructions._depth_cap(eps_prime, eps, HALF)
     for member in singles + [0]:
         p_size = member.bit_count()
         comp = member & ~member
-        cont = constructions.small_set_container(
-            bk.SetSystem.from_masks(p_size, [comp], member), eps_prime, eps, bk.default_provider())
-        cover = find_cover(cont.covers, cont.witness.get(comp), comp, math.floor(cont.eps * p_size))
+        covers, cover_of = constructions._small_set_covers([comp], member, p_size, eps_prime, eps, HALF, depth_cap)
+        cover = find_cover(covers, cover_of.get(comp), comp, math.floor((eps_prime + eps) * p_size))
         assert member ^ cover == member
 
 
 @st.composite
 def grounded_systems(draw, small=False):
-    """A system drawn on {0,...,k-1}, and a ground set U for it: a random
+    """A system drawn on {0,...,k-1}, and a universe U for it: a random
     mask of one or of several words, with k set bits.  With ``small``, no
     range has more than k/4 elements."""
     universe = draw(st.integers(1, (1 << draw(st.sampled_from([64, 200]))) - 1))
@@ -754,35 +760,46 @@ def grounded_systems(draw, small=False):
     return bk.SetSystem.from_masks(k, local), universe
 
 
-@given(grounded_systems(), st.sampled_from([Fraction(1, 3), Fraction(1, 2), 1]),
+def _expanded_canonical(masks, universe):
+    # The re-indexing keeps the canonical order, so the expansion of a
+    # canonical list is one.
+    expanded = naive_expand(masks, universe)
+    assert expanded == canonical_sort(expanded)
+    return expanded
+
+
+@given(grounded_systems(), st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
        st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(3, 4)]))
 @settings(max_examples=100, deadline=None)
 def test_base_mnet_in_a_ground_set_is_the_expansion_of_the_reindexed_one(case, lam, eps):
-    # The system with ground set U, against the same system re-indexed to
-    # {0,...,|U|-1}: the pieces and witness map, expanded back, on both
-    # greedy loops.
+    # base_mnet's greedy cover on heavy ranges inside a universe U, in the
+    # parent's indices as boosting runs it, against the same ranges
+    # re-indexed to {0,...,|U|-1}: the pieces and witness map, expanded
+    # back, on both greedy loops.
     local, universe = case
-    grounded = bk.SetSystem.from_masks(local.n, naive_expand(local.ranges, universe), universe)
+    heavy = size_band(local.ranges, math.ceil(eps * local.n), local.n)
+    grounded = _expanded_canonical(heavy, universe)
     for int_cells in (0, 1 << 30):
         with mock.patch.object(constructions, "_INT_CELLS", int_cells):
-            want = bk.base_mnet(local, lam, eps)
-            got = bk.base_mnet(grounded, lam, eps)
-        assert got.pieces == tuple(naive_expand(want.pieces, universe))
-        assert got.witness == dict(zip(naive_expand(want.witness, universe),
-                                       naive_expand(want.witness.values(), universe)))
+            want, want_pieces = constructions._greedy_assignment(heavy, lam, local.n)
+            got, got_pieces = constructions._greedy_assignment(grounded, lam, universe.bit_length())
+        assert got_pieces == naive_expand(want_pieces, universe)
+        assert got == dict(zip(naive_expand(want, universe), naive_expand(want.values(), universe)))
 
 
 @given(grounded_systems(small=True), st.sampled_from([Fraction(1, 8), Fraction(1, 4)]))
 @settings(max_examples=60, deadline=None)
 def test_small_set_container_in_a_ground_set_is_the_expansion_of_the_reindexed_one(case, rho):
+    # small_set_container's recursion in a universe U, as bootstrap runs it
+    # in a packing member, against the same ranges re-indexed.
     local, universe = case
-    grounded = bk.SetSystem.from_masks(local.n, naive_expand(local.ranges, universe), universe)
     eps = Fraction(1, 4)
-    want = bk.small_set_container(local, eps, rho, bk.default_provider())
-    got = bk.small_set_container(grounded, eps, rho, bk.default_provider())
-    assert got.covers == tuple(naive_expand(want.covers, universe))
-    assert got.witness == dict(zip(naive_expand(want.witness, universe),
-                                   naive_expand(want.witness.values(), universe)))
+    depth_cap = constructions._depth_cap(eps, rho, HALF)
+    want, want_of = constructions._small_set_covers(local.ranges, local.full_mask, local.n, eps, rho, HALF, depth_cap)
+    got, got_of = constructions._small_set_covers(
+        _expanded_canonical(local.ranges, universe), universe, local.n, eps, rho, HALF, depth_cap)
+    assert got == naive_expand(want, universe)
+    assert got_of == dict(zip(naive_expand(want_of, universe), naive_expand(want_of.values(), universe)))
 
 
 GROUNDED = {
@@ -795,24 +812,27 @@ GROUNDED = {
 
 @pytest.mark.parametrize("name", sorted(GROUNDED))
 def test_a_construction_in_a_high_ground_set_is_the_expansion_of_the_reindexed_one(name):
-    # Circle-12 on the bits 60, 62, ..., 82: its masks reach past the one
-    # word that 12 elements take, so the bootstrap bands' packings must keep
-    # the ground mask.
-    local = _circle(12)
-    universe = sum(1 << i for i in range(60, 83, 2))
-    grounded = bk.SetSystem.from_masks(local.n, naive_expand(local.ranges, universe), universe)
-    want, got = GROUNDED[name](local), GROUNDED[name](grounded)
+    # Every small-set recursion that the construction runs on circle-12,
+    # replayed with its universe and ranges on the bits 60, 62, ..., 82:
+    # those masks reach past the one word that 12 elements take, so the
+    # recursion must read its width from the universe.
+    calls = []
+    original = constructions._small_set_covers
 
-    def expand(masks):
-        return tuple(naive_expand(masks, universe))
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
 
-    if name == "build_bracket":
-        assert got.sets == expand(want.sets)
-        assert got.pairing == dict(zip(expand(want.pairing), map(expand, want.pairing.values())))
-    else:
-        field = "pieces" if name == "heavy_mnet" else "covers"
-        assert getattr(got, field) == expand(getattr(want, field))
-        assert got.witness == dict(zip(expand(want.witness), expand(want.witness.values())))
+    with mock.patch.object(constructions, "_small_set_covers", recording):
+        GROUNDED[name](_circle(12))
+    assert calls
+    high = sum(1 << i for i in range(60, 83, 2))
+    for ranges, member, p_size, eps, rho, heaviness, depth_cap in calls:
+        want, want_of = original(ranges, member, p_size, eps, rho, heaviness, depth_cap)
+        [universe] = naive_expand([member], high)
+        got, got_of = original(_expanded_canonical(ranges, high), universe, p_size, eps, rho, heaviness, depth_cap)
+        assert got == naive_expand(want, high)
+        assert got_of == dict(zip(naive_expand(want_of, high), naive_expand(want_of.values(), high)))
 
 
 def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):
@@ -824,10 +844,10 @@ def test_base_mnet_calls_match_provider_bound_logs(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(constructions, "base_mnet", counting)
-    # Boosting is the path that calls the provider; the small-set recursion
-    # reads only its heaviness.
+    # No construction calls the provider's mnet, which logs each call.
     provider = bk.default_provider()
-    bk.boost_epsilon(_circle(40), provider, Fraction(1, 5), HALF)
+    for eps in (HALF, QUARTER, Fraction(1, 8)):
+        provider.mnet(_circle(40), eps)
     assert calls
     assert len(calls) == len(provider.bound_log)
 
@@ -873,7 +893,7 @@ def test_a_family_that_fails_self_verification_is_an_internal_error(collinear4, 
 
 def test_boosting_without_a_piece_for_a_heavy_range_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(constructions, "find_piece", lambda *args: None)
-    with pytest.raises(bk.InternalInvariantError, match="verified Mnet has no piece for a heavy range"):
+    with pytest.raises(bk.InternalInvariantError, match="Mnet has no piece for a heavy range"):
         bk.boost_epsilon(_circle(12), bk.default_provider(), Fraction(1, 5), HALF)
 
 
@@ -934,6 +954,34 @@ def test_a_wrong_greedy_piece_fails_base_mnet_self_verification(monkeypatch, mut
     monkeypatch.setattr(constructions, "_greedy_assignment", mutant)
     with pytest.raises(bk.InternalInvariantError, match="base_mnet failed self-verification"):
         bk.base_mnet(system, HALF, QUARTER)
+
+
+def _hint_or_first(pieces, hint, mask, lam):
+    # A piece finder that checks nothing.
+    return pieces[0] if hint is None else hint
+
+
+@pytest.mark.parametrize("finder, message", [
+    ("checked", "Mnet has no piece for a heavy range"), ("unchecked", "boost_epsilon failed self-verification")])
+@pytest.mark.parametrize("mutant", [_pieces_outside_their_ranges, _pieces_below_their_need])
+def test_a_wrong_greedy_piece_never_yields_an_unverified_boosted_mnet(monkeypatch, mutant, finder, message):
+    # A member's Mnet only steers boosting, and each piece it hands on is
+    # checked twice: find_piece refuses it against its trace, and where a
+    # finder that checks nothing lets it through, the family's self-check
+    # refuses it.
+    system = _circle(40)
+    calls = []
+
+    def recording(heavy, lam, width):
+        calls.append(width)
+        return mutant(heavy, lam, width)
+
+    monkeypatch.setattr(constructions, "_greedy_assignment", recording)
+    if finder == "unchecked":
+        monkeypatch.setattr(constructions, "find_piece", _hint_or_first)
+    with pytest.raises(bk.InternalInvariantError, match=message):
+        bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 5), HALF)
+    assert calls
 
 
 def _without_a_witness(covers, witness, first):
@@ -1015,8 +1063,9 @@ PUBLIC_CONSTRUCTIONS = ("base_mnet", "boost_epsilon", "small_set_container", "bo
 def test_only_public_construction_calls_self_verify(monkeypatch):
     # circle-40's bracket: one self-check per public construction call (the
     # bootstrap bands, heavy_mnet, build_container, the top-level
-    # small_set_container and build_bracket), and the small-set recursion
-    # runs the greedy cover without calling base_mnet.
+    # small_set_container and build_bracket).  circle-40's boosting: one
+    # self-check.  The small-set recursion and boosting run the greedy cover
+    # without calling base_mnet.
     calls = dict.fromkeys((*PUBLIC_CONSTRUCTIONS, "verify_family", "_greedy_assignment"), 0)
     for name in calls:
         original = getattr(constructions, name)
@@ -1032,6 +1081,11 @@ def test_only_public_construction_calls_self_verify(monkeypatch):
     assert calls["small_set_container"] == calls["build_container"] == calls["build_bracket"] == 1
     assert calls["heavy_mnet"] == 2
     assert calls["bootstrap_interval_mnet"] > 2
+    assert calls["_greedy_assignment"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    constructions.boost_epsilon(_circle(40), bk.default_provider(), Fraction(1, 5), HALF)
+    assert calls["boost_epsilon"] == calls["verify_family"] == 1
+    assert calls["base_mnet"] == 0
     assert calls["_greedy_assignment"] > 0
 
 

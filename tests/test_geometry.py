@@ -146,6 +146,16 @@ def test_planar_sweep_matches_spanning_tuple_scan(rows):
     )
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.fractions(max_denominator=10**30)] * 3), max_size=6))
+def test_int_points_are_the_fraction_products(rows):
+    # Each integer coordinate is c * den computed as a Fraction.
+    for (coords, den), row in zip(bk.PointSet(3, tuple(rows)).int_points, rows, strict=True):
+        assert den == math.lcm(*(c.denominator for c in row))
+        assert coords == tuple(int(c * den) for c in row)
+        assert all((c * den).denominator == 1 for c in row)
+
+
 def scan_halfspace_system(int_pts):
     """The planar halfspace system from the spanning-tuple scan's sides."""
     masks = {0, (1 << len(int_pts)) - 1}

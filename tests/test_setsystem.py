@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.bitsets import bit_matrix, indices_from_mask, pack_masks, symdiff_counts
+from bracketkit.bitsets import bit_matrix, pack_masks, symdiff_counts
 from bracketkit.setsystem import canonical_order, canonical_sort, size_band
 
 from conftest import mask_from_indices, masks_as_sets, system_from_sets
@@ -110,19 +110,12 @@ def test_project_matches_the_per_bit_reference(data):
 
 
 def test_a_range_outside_the_ground_mask_is_refused():
-    ground = 0b10110
-    assert bk.SetSystem.from_masks(3, [0b10100, 0b110], ground).full_mask == ground
-    for bad in (0b1, 0b100000, -0b10):
+    # The ground mask is (1 << n) - 1; a negative mask has elements past
+    # every n.
+    assert bk.SetSystem.from_masks(3, [0b101, 0b110]).full_mask == 0b111
+    for bad in (0b1000, 0b100000, -0b10):
         with pytest.raises(bk.InputError, match="outside the ground set"):
-            bk.SetSystem.from_masks(3, [0b100, bad], ground)
-
-
-def test_a_ground_mask_that_does_not_hold_n_elements_is_refused():
-    # -0b11 has two set bits in Python's bit_count, so only the sign check
-    # refuses it at n = 2.
-    for n, ground in ((2, 0b111), (4, 0b111), (2, -0b11), (0, -1)):
-        with pytest.raises(bk.InputError, match=f"does not hold {n} elements"):
-            bk.SetSystem.from_masks(n, [], ground)
+            bk.SetSystem.from_masks(3, [0b100, bad])
 
 
 def test_project_bad_index(collinear4):
@@ -147,20 +140,13 @@ def test_complement_involution_and_count(collinear4):
     assert len(comp.ranges) == 8
 
 
-@given(st.integers(0, 70), st.booleans(), st.data())
+@given(st.integers(0, 70), st.data())
 @settings(max_examples=200, deadline=None)
-def test_complement_family_equals_from_masks(n, grounded, data):
-    # A ground mask spreads the n elements over 2n + 3 bits.
-    if grounded:
-        ground = mask_from_indices(data.draw(st.sets(st.integers(0, 2 * n + 2), min_size=n, max_size=n)))
-    else:
-        ground = (1 << n) - 1
-    subsets = st.integers(0, (1 << n) - 1).map(
-        lambda bits: sum(1 << i for j, i in enumerate(indices_from_mask(ground)) if bits >> j & 1))
-    masks = data.draw(st.lists(subsets, max_size=40))
-    system = bk.SetSystem.from_masks(n, masks, ground if grounded else None)
-    comp = bk.complement_family(system)
-    assert comp == bk.SetSystem.from_masks(n, [ground ^ m for m in masks], system.ground)
+def test_complement_family_equals_from_masks(n, data):
+    full = (1 << n) - 1
+    masks = data.draw(st.lists(st.integers(0, full), max_size=40))
+    comp = bk.complement_family(bk.SetSystem.from_masks(n, masks))
+    assert comp == bk.SetSystem.from_masks(n, [full ^ m for m in masks])
 
 
 def test_filter_by_size_whole_and_empty(collinear4):
