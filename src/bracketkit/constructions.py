@@ -143,8 +143,9 @@ def _greedy_assignment(heavy, lam, width):
     slice, on the canonical list ``heavy`` of the ranges to serve, masks
     that fit in ``width`` bits: the witness assignment (heavy range ->
     piece, in pick order) and the picked pieces in canonical order.
-    ``base_mnet`` slices its heavy ranges at ceil(eps*n); a small-set node
-    passes all its ranges, which are all heavy at its threshold.  The pieces
+    ``base_mnet`` slices its heavy ranges at ceil(eps*n), boosting a
+    member's traces at ceil(|P|/2); a small-set node passes all its ranges,
+    which are all heavy at its threshold.  The pieces
     come from sorting the picked candidate positions: the int loop's
     candidates are ``canonical_sort``ed and the numpy loop's columns are in
     ``canonical_order``, so on both loops position order is canonical order.
