@@ -4,9 +4,23 @@ finite geometric set systems, with two-party protocol simulators on top.
 All parameter comparisons in the package (|R| >= eps*n and the like) are done
 with ``fractions.Fraction``, i.e. exact integer cross-multiplication, and a
 threshold is rounded exactly, by ``math.floor``/``math.ceil`` of a Fraction.
-Floats appear only in reports and in ``small_set_container``'s depth cap, a
-float log bound that decides only whether ``InternalInvariantError`` is raised,
-or, where the cap is beyond float range, whether the input is refused.
+Floats decide a branch in three places, and no returned result depends on
+one:
+
+- ``constructions._ladder``'s float estimate of its rung count decides
+  whether a size ladder is refused with ``ResourceBudgetError`` before any
+  rung is built; the rungs are exact Fractions.
+- ``constructions._depth_cap``, a float log bound, decides whether the
+  small-set recursion raises ``InternalInvariantError`` for going deeper
+  than the cap, or, where the cap is beyond float range, whether the input
+  is refused.  Either way it decides only whether an error is raised: a
+  recursion within the cap returns the family it would return without one.
+- The planar kernel's ``arctan2`` argsort and ``searchsorted`` pointers
+  are proposals: exact integer cross products certify each one, and what
+  fails is redone exactly.
+
+``HeavyMnetParams.t0_raw`` (and its ceiling ``t0``) is a float that is
+reported only and decides nothing.
 """
 
 from .constructions import (

@@ -1,28 +1,29 @@
 """Geometric range enumeration over exact rational point sets.
 
-Halfspace ranges come from one engine that yields sides: for each
-hyperplane spanned by d of the points, both (spanning tuple, integer
-normal, mask of the points strictly on the normal's side).  Two paths yield
-the same sides.  In the plane (d = 2, which also serves 1-D balls through
-the paraboloid lift) one numpy kernel, ``_planar_kernel``, sorts around each
-point the directions to all others and reads the points strictly left of
-every directed line through two of them off packed prefix masks:
-O(n^2 log n).  Every other dimension scans all spanning d-tuples against
-all points: O(n^(d+1)), with each normal's entries the signed maximal
-minors of the tuple's difference rows, from one exact determinant
-(``_det``) in every dimension.  The scan is the reference the kernel is
-tested against, and both refuse exactly the same inputs (a repeated point,
-or d+1 points on one hyperplane).
+One path per input class.  Halfspaces on n >= 3 planar points take one
+numpy kernel, ``_planar_kernel``: it sorts around each point the directions
+to all others and reads the points strictly left of every directed line
+through two of them off packed prefix masks, O(n^2 log n).  In general position the ranges
+are the empty set, all points, and one set per ordered pair (i, j), the
+points left of i -> j plus i (``_planar_halfspace_system`` has the proof),
+which ``canonical_sort`` orders with no set and no boundary variants.
+Halfspaces in every other dimension, and balls in d >= 2 through the
+paraboloid lift to d + 1 >= 3, take one engine that yields sides: for each
+hyperplane spanned by d of the points, both (spanning tuple, integer normal,
+mask of the points strictly on the normal's side).  It scans all spanning
+d-tuples against all points, O(n^(d+1)), with each normal's entries the
+signed maximal minors of the tuple's difference rows, from one exact
+determinant (``_det``) in every dimension.  The scan is the reference the
+kernel is tested against, and both refuse exactly the same inputs (a
+repeated point, or d+1 points on one hyperplane).  A 1-D ball is an
+interval, so 1-D balls take the box enumerator's runs of equal coordinates
+and refuse nothing.
 
 In the kernel floats propose and integers decide: a float ``arctan2``
 argsort proposes each point's angular order and ``searchsorted`` its
 left-set pointers, exact integer cross products certify both, and what
 fails is redone exactly.  It works on blocks of base points whose packed
-masks stay within ``bitsets._BLOCK_CELLS`` cells.  Planar halfspace ranges
-need no sides: in general position they are the empty set, all points, and
-one set per ordered pair (i, j), the points left of i -> j plus i
-(``_planar_halfspace_system`` has the proof), which ``canonical_sort``
-orders with no set and no boundary variants.
+masks stay within ``bitsets._BLOCK_CELLS`` cells.
 
 A side's ranges are its strict mask plus each subset of its tuple
 (``_halfspace_masks`` applies that and any side filter in one place): a small
@@ -179,6 +180,8 @@ def _halfspace_sides(int_pts, dim):
     n <= d points no hyperplane is spanned: if they are affinely independent
     (the Gram matrix of their differences is nonsingular), the one side is
     the zero normal's, whose boundary holds every point and gives 2^n ranges.
+    Otherwise the sides come from ``_spanning_tuple_sides`` in every
+    dimension; planar halfspace systems of n >= 3 points do not come here.
     """
     n = len(int_pts)
     if n <= dim:
@@ -188,8 +191,6 @@ def _halfspace_sides(int_pts, dim):
             raise DegeneracyError("points are affinely dependent")
         return [(tuple(range(n)), (0,) * dim, 0)]
     _check_spanning_budget(n, dim)
-    if dim == 2:
-        return _planar_sweep_sides(int_pts)
     return _spanning_tuple_sides(int_pts, dim)
 
 
@@ -251,12 +252,11 @@ def _float_angles(dx, dy):
 def _planar_kernel(int_pts):
     """Left sets of every directed line through two of n >= 2 planar points.
 
-    Yields per block of base points ``(lo, order, left)``: row r is base
-    point i = lo + r, ``order[r]`` lists the other points by exact angle
-    around i, and ``left[r, k]`` is the packed mask (``bitsets.pack_masks``
-    words) of the points strictly left of the directed line from i to
-    ``order[r, k]``.  A repeated point or three collinear points raise
-    DegeneracyError.
+    Yields per block of base points ``(lo, left)``: row r is base point
+    i = lo + r, and ``left[r, k]`` is the packed mask (``bitsets.pack_masks``
+    words) of the points strictly left of the directed line from i to the
+    k-th other point in exact angular order around i.  A repeated point or
+    three collinear points raise DegeneracyError.
 
     Floats propose, integers decide.  The directions from i are exact
     integers: int64 when every coordinate is below 2^31 in magnitude, so
@@ -357,25 +357,8 @@ def _planar_kernel(int_pts):
         left ^= prefix[:, 1:]
         r, k = np.nonzero(wrap)
         left[r, k] ^= prefix[r, m]
-        del prefix, t, wrap
-        yield lo, ordered, left
-
-
-def _planar_sweep_sides(int_pts):
-    """``_spanning_tuple_sides`` for d = 2, read off ``_planar_kernel``: the
-    line through i < j has the points strictly left of i -> j on the side of
-    the normal (-y, x), the cofactor normal of the pair's difference (x, y),
-    and the rest of the points off the line on the other side."""
-    full = (1 << len(int_pts)) - 1
-    for lo, ordered, left in _planar_kernel(int_pts):
-        masks = iter(unpack_masks(left.reshape(-1, left.shape[2])))
-        for i, row in enumerate(ordered.tolist(), lo):
-            rest = full ^ (1 << i)
-            for j, side in zip(row, masks):
-                if j > i:
-                    x, y = _cleared_difference(int_pts[j], int_pts[i])
-                    yield (i, j), (-y, x), side
-                    yield (i, j), (y, -x), rest ^ (1 << j) ^ side
+        del prefix, t, wrap, ordered
+        yield lo, left
 
 
 def _planar_halfspace_system(int_pts):
@@ -405,7 +388,7 @@ def _planar_halfspace_system(int_pts):
     """
     n = len(int_pts)
     pairs = []
-    for lo, _, left in _planar_kernel(int_pts):
+    for lo, left in _planar_kernel(int_pts):
         base = np.arange(lo, lo + len(left))
         left[base - lo, :, base >> 6] |= (np.uint64(1) << (base & 63).astype(np.uint64))[:, None]
         pairs += unpack_masks(left.reshape(-1, left.shape[2]))
@@ -454,10 +437,19 @@ def enumerate_halfspace_ranges(pts):
 def enumerate_ball_ranges(pts):
     """Distinct subsets cut by closed balls (halfspaces included as limits).
 
-    Implemented on the paraboloid lift (x, |x|^2); only lifted halfspaces whose
-    last normal coefficient is <= 0 correspond to balls, so sides with a
-    positive last coefficient (complements of balls) are filtered out.
+    On a line these are the box ranges: a closed ball is a closed interval
+    and a halfspace limit a half-line, while every interval of the sorted
+    coordinates is some ball, and so is the empty set.  So the ranges are
+    the empty set and the unions of consecutive runs of equal coordinates,
+    which ``enumerate_box_ranges`` builds, repeated coordinates included.
+
+    In d >= 2 they are found on the paraboloid lift (x, |x|^2); only lifted
+    halfspaces whose last normal coefficient is <= 0 correspond to balls, so
+    sides with a positive last coefficient (complements of balls) are
+    filtered out.
     """
+    if pts.dim == 1:
+        return enumerate_box_ranges(pts)
     lifted = [(tuple(v * den for v in num) + (sum(v * v for v in num),), den * den)
               for num, den in pts.int_points]
     masks = _halfspace_masks(lifted, pts.dim + 1, keep=lambda w: w[-1] <= 0)

@@ -11,10 +11,12 @@ index into a family of one hypothesis still costs one bit.
 """
 
 import json
+import math
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -315,7 +317,9 @@ def exact_hull_intersection(domain, a, b):
     """Decide conv(a-points) cap conv(b-points) by exact LP feasibility.
 
     Every index must be an int (a bool is not) in [0, domain.n); the first
-    one that is not, in the given order, is refused with InputError."""
+    one that is not, in the given order, is refused with InputError.  A
+    separating functional is checked on every point of both sets before it
+    is returned, and one that fails raises InternalInvariantError."""
     a, b = tuple(a), tuple(b)
     for i in a + b:
         _check_index(i, domain.n, "index")
@@ -353,6 +357,14 @@ def exact_hull_intersection(domain, a, b):
     # Farkas gives w.p <= -alpha on conv(a) and w.q >= beta on conv(b) with
     # -alpha < beta; split the gap for a strict threshold.
     c = (beta - alpha) / 2
+    # Checked before it is returned, in integers: with L the lcm of the
+    # denominators of w and c, w.p < c at p = num/den is (L*w).num < (L*c)*den.
+    scale = math.lcm(c.denominator, *(v.denominator for v in w))
+    big_w = [v.numerator * (scale // v.denominator) for v in w]
+    big_c = c.numerator * (scale // c.denominator)
+    gaps = [sum(map(mul, big_w, num)) - big_c * den for num, den in pa + pb]
+    if max(gaps[:len(pa)]) >= 0 or min(gaps[len(pa):]) <= 0:
+        raise InternalInvariantError("hull functional does not strictly separate the two point sets")
     return HullResult(False, functional=(tuple(w), c))
 
 

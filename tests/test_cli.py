@@ -580,6 +580,17 @@ def test_enum_ranges_family_with_container_lower_bound(tmp_path, capsys, family)
     assert run_cli(["verify", "--system", str(system), "--family", str(fam)]) == 0
 
 
+def test_enum_ranges_of_one_dimensional_balls_with_a_repeated_coordinate(tmp_path):
+    # Points 0 and 1 coincide: the runs {0, 1}, {2}, {3} give 3 * 4 / 2 + 1 intervals.
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"dim": 1, "points": [["0"], ["0"], ["1"], ["5/2"]]}))
+    system = tmp_path / "sys.json"
+    assert run_cli(["enum-ranges", "--points", str(pts), "--family", "ball", "--out", str(system)]) == 0
+    data = json.loads(system.read_text())
+    assert data["n"] == 4
+    assert sorted(data["ranges"]) == [[], [0, 1], [0, 1, 2], [0, 1, 2, 3], [2], [2, 3], [3]]
+
+
 def test_packing_delta_as_fraction_of_n_with_cap(tmp_path, capsys):
     pack = tmp_path / "pack.json"
     args = ["packing", "--system", str(_grid4_system(tmp_path)), "--delta", "1/4", "--cap", "2", "--d0", "1",

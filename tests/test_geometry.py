@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
@@ -21,8 +21,8 @@ from bracketkit.geometry import (
     _boundary_masks,
     _cofactor_normal,
     _det,
+    _halfspace_masks,
     _halfspace_sides,
-    _planar_sweep_sides,
     _spanning_tuple_sides,
 )
 
@@ -123,27 +123,23 @@ def test_halfspace_oracle_equivalence(d, n, seed):
     assert set(system.ranges) == oracle_halfspace_masks(pts)
 
 
-def _sides_or_refusal(enumerate_sides, *args):
+def _system_or_refusal(enumerate_system, *args):
     try:
-        return set(enumerate_sides(*args))
+        return enumerate_system(*args)
     except bk.DegeneracyError:
         return "refused"
 
 
 # Coordinates p/q with |p| <= 3, q <= 3: repeated points and collinear
-# triples are frequent, so refusals are compared as often as sides.
+# triples are frequent, so refusals are compared as often as systems.
 _small_rational = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 _small_planar_sets = st.lists(st.tuples(_small_rational, _small_rational), max_size=9)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_small_planar_sets)
-def test_planar_sweep_matches_spanning_tuple_scan(rows):
-    # Equal (tuple, normal, side) triples give equal masks under every keep filter.
-    int_pts = bk.PointSet(2, tuple(rows)).int_points
-    assert _sides_or_refusal(_planar_sweep_sides, int_pts) == _sides_or_refusal(
-        _spanning_tuple_sides, int_pts, 2
-    )
+def test_planar_kernel_matches_spanning_tuple_scan(rows):
+    assert_kernel_matches_scan(rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -165,19 +161,12 @@ def scan_halfspace_system(int_pts):
 
 
 def assert_kernel_matches_scan(rows):
-    """Sides, refusals and the enumerated system of the planar kernel equal
-    the scan's, order included."""
+    """The planar halfspace system equals the scan's, order included, or
+    both refuse; returns the system, or None on a refusal."""
     pts = bk.PointSet(2, tuple(tuple(Fraction(v) for v in row) for row in rows))
-    int_pts = pts.int_points
-    sides = _sides_or_refusal(_planar_sweep_sides, int_pts)
-    assert sides == _sides_or_refusal(_spanning_tuple_sides, int_pts, 2)
-    if sides == "refused":
-        with pytest.raises(bk.DegeneracyError):
-            bk.enumerate_halfspace_ranges(pts)
-        return None
-    system = bk.enumerate_halfspace_ranges(pts)
-    assert system == scan_halfspace_system(int_pts)
-    return system
+    system = _system_or_refusal(bk.enumerate_halfspace_ranges, pts)
+    assert system == _system_or_refusal(scan_halfspace_system, pts.int_points)
+    return None if system == "refused" else system
 
 
 def test_kernel_resorts_a_row_whose_float_angles_tie(monkeypatch):
@@ -232,7 +221,7 @@ def test_kernel_blocks_stay_within_the_cell_budget(monkeypatch):
     pts, system = general_position_points(2, 64, 11)
     for cells in (bk.bitsets._BLOCK_CELLS, 1 << 8, 1):
         monkeypatch.setattr(bk.bitsets, "_BLOCK_CELLS", cells)
-        blocks = [len(ordered) for _, ordered, _ in bk.geometry._planar_kernel(pts.int_points)]
+        blocks = [len(left) for _, left in bk.geometry._planar_kernel(pts.int_points)]
         assert sum(blocks) == 64
         assert all(b == 1 or b * 64 <= cells for b in blocks)
         assert bk.enumerate_halfspace_ranges(pts) == system
@@ -333,8 +322,8 @@ def closed_form_normal(rows, dim):
     lambda d: st.tuples(st.just(d), st.lists(st.tuples(*[_det_entries] * d), min_size=d - 1, max_size=d - 1))
 ))
 def test_cofactor_normal_matches_closed_forms(case):
-    # d = 1 to 3 are the sweep's and the old scan's normals exactly; d = 4
-    # comes out negated, which changes no range: both sides are yielded.
+    # d = 1 to 3 are the closed forms exactly; d = 4 comes out negated,
+    # which changes no range: both sides are yielded.
     dim, rows = case
     want = closed_form_normal(rows, dim)
     assert _cofactor_normal(rows, dim) == (want if dim < 4 else tuple(-v for v in want))
@@ -373,6 +362,25 @@ def test_ball_single_point_and_runs(collinear4):
     balls = bk.enumerate_ball_ranges(pts)
     assert set(balls.ranges) == contiguous_run_masks(4)
     assert len(balls.ranges) == 11
+
+
+def lifted_ball_system(pts):
+    """1-D balls by the paraboloid lift (x, x^2) run through the scan, with
+    the ball sides (a nonpositive weight on x^2) kept."""
+    lifted = [((num * den, num * num), den * den) for (num,), den in pts.int_points]
+    return bk.SetSystem.from_masks(pts.n, _halfspace_masks(lifted, 2, keep=lambda w: w[-1] <= 0))
+
+
+# At most 5 points, of about a dozen values: most draws repeat a coordinate.
+@settings(max_examples=60, deadline=None)
+@example([Fraction(0), Fraction(0), Fraction(1), Fraction(5, 2)])
+@given(st.lists(_small_rational, max_size=5))
+def test_one_dimensional_balls_are_intervals_repeats_included(coords):
+    pts = bk.PointSet(1, tuple((c,) for c in coords))
+    balls = bk.enumerate_ball_ranges(pts)
+    assert set(balls.ranges) == oracle_ball_masks(pts)
+    if len(set(coords)) == len(coords):
+        assert balls == lifted_ball_system(pts)
 
 
 def test_ball_contains_halfspace_ranges():

@@ -81,6 +81,20 @@ def test_realizability_oracle_agrees_with_generator():
         assert not bk.exact_hull_intersection(dom, pos, neg).intersecting
 
 
+# Wrong Farkas certificates (w, alpha, beta) for {0, 1} against {2, 3} on the
+# 1-D grid, each returned with c = (beta - alpha) / 2: the zero functional;
+# c = 2, which puts point 2 on the threshold; and w = -1 with c = -3/2,
+# which puts every point on the wrong side.
+@pytest.mark.parametrize("cert", [(0, 1, 1), (1, -1, 3), (-1, 1, -2)])
+def test_a_functional_that_does_not_separate_is_an_internal_error(collinear4, monkeypatch, cert):
+    pts, _ = collinear4
+    assert not bk.exact_hull_intersection(pts, [0, 1], [2, 3]).intersecting
+    monkeypatch.setattr(protocols, "solve_equality_feasibility",
+                        lambda rows, rhs: ("infeasible", tuple(map(Fraction, cert))))
+    with pytest.raises(bk.InternalInvariantError, match="^hull functional does not strictly separate"):
+        bk.exact_hull_intersection(pts, [0, 1], [2, 3])
+
+
 def test_abort_on_nonrealizable():
     dom = bk.lower_bound_instance(1, 4, "grid")
     # 0 and 2 positive, 1 negative: no ray separates on a line
