@@ -196,8 +196,7 @@ def cmd_container_or_bracket(args):
 
 def cmd_verify(args):
     system = SetSystem.from_json(_read(args.system))
-    family = family_from_json(_read(args.family), system)
-    report = verify_family(system, family)
+    report = verify_family(family_from_json(_read(args.family), system))
     if report.passed:
         print(f"verified: {report.checked} ranges checked")
         return 0
@@ -303,7 +302,7 @@ def _run_grid_point(spec, n, system, point):
     _, build, field = CONSTRUCTIONS[spec["construction"]]
     family = build(system, *point.values())
     lower = container_lower_bound(system, point["eps"]) if spec["construction"] == "container" else ""
-    report = verify_family(system, family)
+    report = verify_family(family)
     elapsed_ms = int(1000 * (time.perf_counter() - start))
     row = {
         "instance_id": f"{spec['instance_kind']}-{spec['family']}-d{spec['d']}-n{n}-s{spec['seed']}",

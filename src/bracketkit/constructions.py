@@ -14,8 +14,9 @@ unverified family.  The private helpers ``_greedy_assignment`` and
 ``_small_set_covers`` work on plain canonical mask lists and return steering
 data, not families: a member's Mnet in boosting and a node's Mnet in the
 removal recursion only steer them, and a local container only hands
-bootstrap its witness covers.  Boosting and bootstrap re-check every range
-with ``find_piece``/``find_cover`` and verify their family.
+bootstrap its witness covers.  Boosting and bootstrap check each range's
+own witness with ``find_piece``/``find_cover``, scanning nothing else (their
+docstrings prove that the witness serves), and verify their family.
 
 The helpers serve a packing member or a recursion node, a universe U, in
 the parent's element indices: U is a mask, |U| a count, U.bit_length() the
@@ -64,7 +65,7 @@ _INT_CELLS = 768
 
 
 def _checked(family, label):
-    report = verify_family(family.base, family)
+    report = verify_family(family)
     if not report.passed:
         raise InternalInvariantError(f"{label} failed self-verification: {report.counterexample}")
     return family
@@ -275,9 +276,19 @@ def boost_epsilon(system, provider, eps, eta):
     (``nearest_neighbor``, ties to the earliest member).  Per member P, the
     greedy cover at the provider's heaviness serves the ranges' distinct
     traces on P of at least ceil(|P|/2) elements, in P's indices: a 1/2-Mnet
-    of the traces.  A range R of P's group takes the piece that
-    ``find_piece`` confirms inside R & P.  The output heaviness is
+    of the traces.  A range R of P's group takes the piece that the greedy
+    cover assigned to its trace R & P, and ``find_piece`` confirms it there
+    without scanning other pieces.  The output heaviness is
     provider.heaviness * (1 - eta), and the family is verified.
+
+    That piece exists.  The packing is maximal among the ranges of size at
+    most the band top, so R's nearest member P has |R ^ P| <= floor(eta' *
+    eps_i * n).  Since eta' <= 1/4, eta' * eps_i = eta' * (1 + eta') *
+    eps_(i-1) < eps_(i-1), so |R| >= ceil(eps_(i-1) * n) >= floor(eta' * eps_i
+    * n) >= |R ^ P| = |R| + |P| - 2|R & P|.  Hence 2|R & P| >= |P|: the trace
+    R & P is one of P's heavy traces, and the greedy cover, which ends with
+    every heavy trace served, assigned it a piece that serves it.  A
+    witness that does not serve still raises InternalInvariantError.
     """
     eps = Fraction(eps)
     eta = Fraction(eta)
@@ -311,10 +322,10 @@ def boost_epsilon(system, provider, eps, eta):
             p_size = member.bit_count()
             traces = canonical_sort({r & member for r in system.ranges})
             heavy = size_band(traces, math.ceil(HALF * p_size), p_size)
-            assignment, pieces = _greedy_assignment(heavy, provider.heaviness, member.bit_length())
+            assignment, _ = _greedy_assignment(heavy, provider.heaviness, member.bit_length())
             for mask in group:
                 trace = mask & member
-                piece = find_piece(pieces, assignment.get(trace), trace, provider.heaviness)
+                piece = find_piece((), assignment.get(trace), trace, provider.heaviness)
                 if piece is None:
                     raise InternalInvariantError("Mnet has no piece for a heavy range")
                 witness[mask] = piece
@@ -345,7 +356,7 @@ def mnet_to_container(system, mnet, delta0, lam):
     small = filter_by_size(system, upper=delta0 * Fraction(n))
     comp = complement_family(small)
     candidate = make_mnet(comp, mnet.pieces, lam, 1 - delta0)
-    report = verify_mnet(comp, candidate)
+    report = verify_mnet(candidate)
     if not report.passed:
         raise PreconditionFailure(
             f"input is not a {lam}-heavy {1 - delta0}-Mnet of the complemented small ranges: "
@@ -376,7 +387,7 @@ def container_to_mnet(system, container, delta0, lam):
     n = system.n
     small = filter_by_size(system, upper=delta0 * Fraction(n))
     candidate = make_container(small, container.covers, 1 - lam)
-    report = verify_container(small, candidate)
+    report = verify_container(candidate)
     if not report.passed:
         raise PreconditionFailure(
             f"input is not a {1 - lam}-container for the small ranges: "
@@ -416,7 +427,7 @@ def small_set_container(system, eps, rho, provider):
     if size_band(system.ranges, size_cap + 1, n):
         raise InputError("a base range exceeds eps*n; small-set containers do not apply")
     depth_cap = _depth_cap(eps, rho, provider.heaviness)
-    covers, witness = _small_set_covers(system.ranges, system.full_mask, n, eps, rho, provider.heaviness, depth_cap)
+    covers, witness = _small_set_covers(system.ranges, system.full_mask, eps, rho, provider.heaviness, depth_cap)
     fam = make_container(system, covers, eps + rho, witness=witness)
     return _checked(fam, "small_set_container")
 
@@ -442,11 +453,12 @@ def _depth_cap(eps, rho, heaviness):
     return math.ceil(1 + _log_inverse(rho) / step)
 
 
-def _small_set_covers(ranges, full, n, eps, rho, heaviness, depth_cap):
+def _small_set_covers(ranges, full, eps, rho, heaviness, depth_cap):
     """The removal recursion of ``small_set_container`` on plain masks: the
     covers (node universes, in visiting order) and the witness map, range
     -> the first cover that serves it.  ``ranges`` is a canonical,
-    duplicate-free list of subsets of ``full``, an n-element mask.  The
+    duplicate-free list of subsets of ``full``, the root universe, whose
+    size ``full.bit_count()`` is the n of the residual bound rho*n.  The
     caller computes ``depth_cap`` (``_depth_cap``) once for all the
     recursions that share eps, rho and the heaviness.
 
@@ -460,8 +472,8 @@ def _small_set_covers(ranges, full, n, eps, rho, heaviness, depth_cap):
     has at least that size, so all of them are heavy and go to
     ``_greedy_assignment`` as they are.  Its pieces come in canonical
     order; they only steer the recursion, and nothing here is verified: the
-    caller re-checks the covers it hands on."""
-    residual_over = rho.numerator * n // rho.denominator  # residual must be strictly above rho*n
+    caller re-checks the witness covers it hands on."""
+    residual_over = rho.numerator * full.bit_count() // rho.denominator  # residual must be strictly above rho*n
     covers = []
     witness = {}
     max_depth = 1
@@ -517,10 +529,19 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     the small-set recursion covers them in the universe P, and the
     complements of the covers inside P are the pieces.  The recursion runs
     on the deduplicated, canonically sorted complements (two group ranges
-    can share P & ~R); ``find_cover`` re-checks the cover of every range.
-    All groups of a band share eps', eps and the heaviness, so the band
-    computes the recursion's depth cap (``_depth_cap``) once, and eps' and
-    eps' + eps once, whose integer floors at |P| are a group's bounds.
+    can share P & ~R); ``find_cover`` checks each range's witness cover,
+    and scans no other cover.  All groups of a band share eps', eps and the
+    heaviness, so the band computes the recursion's depth cap
+    (``_depth_cap``) once, and eps' and eps' + eps once, whose integer
+    floors at |P| are a group's bounds.
+
+    The witness serves.  The recursion's witness for a complement C is the
+    first node universe Z with C inside Z and residual |Z \\ C| at most
+    floor(eps*|P|), which is within the slack cap floor((eps' + eps)*|P|).
+    Every complement gets one unless the depth cap raises first: each
+    survivor m of a node lies in the child universe Z & ~p of the piece p
+    that the greedy cover put inside its node range Z & ~m.  A witness that
+    does not serve still raises InternalInvariantError.
 
     A group of one is its member P alone, and its piece is P itself,
     without a local container; P serves P at any heaviness.  It is also the
@@ -546,7 +567,7 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     band = SetSystem(n, band_masks)
     lam_out = max(Fraction(0), 1 - 4 * eps)
     if not band_masks:
-        return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap")
+        return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap_interval_mnet")
     packing = greedy_delta_packing(band, math.floor(eps * delta * n))
     eps_prime = 3 * eps / (2 + 2 * eps)
     note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
@@ -564,11 +585,11 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
             raise InternalInvariantError(
                 "projected complement exceeds the eps' bound inside a packing member"
             )
-        covers, cover_of = _small_set_covers(
-            canonical_sort(set(comps)), member, p_size, eps_prime, eps, provider.heaviness, depth_cap)
+        _, cover_of = _small_set_covers(
+            canonical_sort(set(comps)), member, eps_prime, eps, provider.heaviness, depth_cap)
         slack_cap = slack.numerator * p_size // slack.denominator
         for mask, comp in zip(group, comps):
-            cover = find_cover(covers, cover_of.get(comp), comp, slack_cap)
+            cover = find_cover((), cover_of.get(comp), comp, slack_cap)
             if cover is None:
                 raise InternalInvariantError("verified container has no cover for a range")
             witness[mask] = member ^ cover

@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bitsets import indices_from_mask
 from .errors import InputError, json_index_mask, json_int, parse_fraction, parse_json_object
-from .setsystem import SetSystem, canonical_sort
+from .setsystem import SetSystem, canonical_sort, index_lists
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,7 @@ def family_to_json(family):
         kind, params, sets = "bracket", {"epsilon": str(family.eps)}, family.sets
     else:
         raise InputError(f"unknown family type {type(family).__name__}")
-    payload = {"kind": kind, "params": params, "sets": [list(indices_from_mask(m)) for m in sets]}
+    payload = {"kind": kind, "params": params, "sets": index_lists(sets, "family JSON")}
     if kind == "bracket" and family.pairing is not None:
         payload["pairing"] = _pairing_to_positions(family)
     return json.dumps(payload)

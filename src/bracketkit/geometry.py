@@ -250,7 +250,7 @@ def _float_angles(dx, dy):
 
 
 def _planar_kernel(int_pts):
-    """Left sets of every directed line through two of n >= 2 planar points.
+    """Left sets of every directed line through two of n >= 3 planar points.
 
     Yields per block of base points ``(lo, left)``: row r is base point
     i = lo + r, and ``left[r, k]`` is the packed mask (``bitsets.pack_masks``
@@ -283,8 +283,6 @@ def _planar_kernel(int_pts):
     least one.
     """
     n = len(int_pts)
-    if n < 2:
-        return
     m = n - 1
     words = max(1, (n + 63) // 64)
     xs, ys, ds = ([p[0][0] for p in int_pts], [p[0][1] for p in int_pts], [p[1] for p in int_pts])

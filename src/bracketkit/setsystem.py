@@ -27,7 +27,15 @@ from itertools import combinations
 import numpy as np
 
 from .bitsets import bit_matrix, indices_from_mask
-from .errors import MAX_GROUND_SET, InputError, json_index_mask, json_int, parse_json_object
+from .errors import (
+    MAX_GROUND_SET,
+    MAX_JSON_INDICES,
+    InputError,
+    json_index_mask,
+    json_int,
+    parse_json_object,
+    within_budget,
+)
 
 
 _REVERSED_BYTE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -88,7 +96,7 @@ class SetSystem:
         return (1 << self.n) - 1
 
     def to_json(self):
-        return json.dumps({"n": self.n, "ranges": [list(indices_from_mask(m)) for m in self.ranges]})
+        return json.dumps({"n": self.n, "ranges": index_lists(self.ranges, "set system JSON")})
 
     @staticmethod
     def from_json(text):
@@ -99,6 +107,14 @@ class SetSystem:
                 [json_index_mask(s, "set system JSON") for s in data["ranges"]],
             ),
         )
+
+
+def index_lists(masks, what):
+    """The masks as lists of element indices, for ``what``, a JSON output.
+    More than ``MAX_JSON_INDICES`` indices in all raise ResourceBudgetError
+    before any list is built."""
+    within_budget(sum(map(int.bit_count, masks)), MAX_JSON_INDICES, f"element indices in {what}")
+    return [list(indices_from_mask(m)) for m in masks]
 
 
 def project(system, mask):

@@ -2,13 +2,15 @@
 packing-based container lower bound.
 
 These are the trust anchor: every public construction re-verifies the
-family it returns here.  Witness maps attached by constructions are used only
-as hints: a verifier looks up the hint by range mask, ignores it unless it
-is one of the family's sets, re-checks it, and scans the size band whenever
-it fails, so a wrong hint can never turn an invalid family valid.  The
-hint-then-scan finders ``find_piece`` and ``find_cover`` hold the one test
-per definition; the constructions use them too, to fetch the set that
-serves a range of a family they just built.
+family it returns here.  A verifier takes the family alone and checks it
+against the one set system the family carries, ``family.base``.  Witness
+maps attached by constructions are used only as hints: a verifier looks up
+the hint by range mask, ignores it unless it is one of the family's sets,
+re-checks it, and scans the size band whenever it fails, so a wrong hint
+can never turn an invalid family valid.  The hint-then-scan finders
+``find_piece`` and ``find_cover`` hold the one test per definition; the
+constructions call them too, with no sets to scan, to check the witness
+they just built for a range.
 
 The size band is the sizes a serving set can have; each verifier call
 groups the family's sets by size once, and a range's band is walked only
@@ -78,19 +80,19 @@ def find_cover(covers, hint, mask, slack_cap):
     return None
 
 
-def verify_mnet(system, family):
+def verify_mnet(family):
     """Check: every range with |R| >= eps*n contains a piece of size >= lam*|R|.
 
     A range whose hint fails scans the pieces of sizes |R| down to
     ceil(lam*|R|).
     """
-    heavy_at = math.ceil(family.eps * system.n)
+    heavy_at = math.ceil(family.eps * family.base.n)
     lam = Fraction(family.lam)
     band = _size_bands(family.pieces)
     members = set(family.pieces)
     witness = family.witness or {}
     checked = 0
-    for mask in system.ranges:
+    for mask in family.base.ranges:
         size = mask.bit_count()
         if size < heavy_at:
             continue
@@ -105,18 +107,18 @@ def verify_mnet(system, family):
     return VerifyReport(True, checked, None)
 
 
-def verify_container(system, family):
+def verify_container(family):
     """Check: every range F has a cover C with F subset of C and |C \\ F| <= eps*n.
 
     A range whose hint fails scans the covers of sizes |F| + floor(eps*n)
     down to |F|.
     """
-    slack_cap = math.floor(family.eps * system.n)
+    slack_cap = math.floor(family.eps * family.base.n)
     band = _size_bands(family.covers)
     members = set(family.covers)
     witness = family.witness or {}
     checked = 0
-    for mask in system.ranges:
+    for mask in family.base.ranges:
         checked += 1
         hint = witness.get(mask)
         found = find_cover((), hint, mask, slack_cap) if hint in members else None
@@ -128,7 +130,7 @@ def verify_container(system, family):
     return VerifyReport(True, checked, None)
 
 
-def verify_bracket(system, family):
+def verify_bracket(family):
     """Check: every range F has sets B-, B+ with B- <= F <= B+, |B+ \\ B-| <= eps*n.
 
     For B- <= F <= B+ the slack |B+ \\ B-| is just |B+| - |B-|, so F has a
@@ -139,12 +141,12 @@ def verify_bracket(system, family):
     sizes |F| up to |F| + floor(eps*n): a largest and a smallest one, in any
     order of ``family.sets``, so a ``BracketFamily`` can be built directly.
     """
-    slack_cap = math.floor(family.eps * system.n)
+    slack_cap = math.floor(family.eps * family.base.n)
     band = _size_bands(family.sets)
     members = set(family.sets)
     pairing = family.pairing or {}
     checked = 0
-    for mask in system.ranges:
+    for mask in family.base.ranges:
         checked += 1
         lo, hi = pairing.get(mask, (None, None))
         if not (lo in members and hi in members and (lo & mask) == lo and (mask & hi) == mask
@@ -157,14 +159,14 @@ def verify_bracket(system, family):
     return VerifyReport(True, checked, None)
 
 
-def verify_family(system, family):
+def verify_family(family):
     """Run the verifier for the family's type."""
     if isinstance(family, MnetFamily):
-        return verify_mnet(system, family)
+        return verify_mnet(family)
     if isinstance(family, ContainerFamily):
-        return verify_container(system, family)
+        return verify_container(family)
     if isinstance(family, BracketFamily):
-        return verify_bracket(system, family)
+        return verify_bracket(family)
     raise InputError(f"unknown family type {type(family).__name__}")
 
 

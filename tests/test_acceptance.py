@@ -70,17 +70,17 @@ def test_criterion_01_verifier_mutation_testing():
         if fam_kind == "mnet":
             fam = bk.base_mnet(system, HALF, Fraction(1, 4))
             sets, eps, lam = list(fam.pieces), fam.eps, fam.lam
-            verify = lambda s: bk.verify_mnet(system, bk.make_mnet(system, s, lam, eps)).passed
+            verify = lambda s: bk.verify_mnet(bk.make_mnet(system, s, lam, eps)).passed
             naive = lambda s: naive_mnet_ok(system, s, lam, eps)
         elif fam_kind == "container":
             fam = bk.build_container(system, HALF, bk.default_provider())
             sets, eps = list(fam.covers), fam.eps
-            verify = lambda s: bk.verify_container(system, bk.make_container(system, s, eps)).passed
+            verify = lambda s: bk.verify_container(bk.make_container(system, s, eps)).passed
             naive = lambda s: naive_container_ok(system, s, eps)
         else:
             fam = bk.build_bracket(system, HALF, bk.default_provider(), bk.default_provider())
             sets, eps = list(fam.sets), fam.eps
-            verify = lambda s: bk.verify_bracket(system, bk.make_bracket(system, s, eps)).passed
+            verify = lambda s: bk.verify_bracket(bk.make_bracket(system, s, eps)).passed
             naive = lambda s: naive_bracket_ok(system, s, eps)
 
         if not verify(sets):
@@ -129,14 +129,14 @@ def test_criterion_02_duality_exact():
         cont = bk.mnet_to_container(system, mnet, delta0, lam)
         assert cont.eps == 1 - lam + lam * delta0
         check = bk.make_container(system, cont.covers, 1 - lam + lam * delta0)
-        assert bk.verify_container(system, check).passed
+        assert bk.verify_container(check).passed
 
         lam2 = lam * (1 - delta0)
         assert lam2 > delta0
         back = bk.container_to_mnet(system, cont, delta0, lam2)
         for piece in back.pieces:
             assert piece.bit_count() >= (lam2 - delta0) * n
-        assert bk.verify_mnet(back.base, back).passed
+        assert bk.verify_mnet(back).passed
         assert set(back.pieces) == set(mnet.pieces)  # double complement identity
         runs += 1
     _report("criterion 2 (duality, exact)", runs == 100, f"{runs} round trips, zero tolerance")
@@ -157,7 +157,7 @@ def test_criterion_03_boosting(circle40):
         with trace.recording() as log:
             fam = bk.boost_epsilon(system, provider, eps, eta)
         assert fam.lam == provider.heaviness * (1 - eta) == Fraction(1, 4)
-        assert bk.verify_mnet(system, fam).passed
+        assert bk.verify_mnet(fam).passed
         entry = log[0]
         eta_p = entry["eta_prime"]
         ok &= eta_p == min(Fraction(1, 4), eta / 2)
@@ -181,7 +181,7 @@ def test_criterion_04_heavy_mnets(circle40):
         start = time.time()
         fam = bk.heavy_mnet(system, lam, Fraction(1, 4), bk.default_provider())
         elapsed = time.time() - start
-        ok &= bk.verify_mnet(system, fam).passed and elapsed < 300
+        ok &= bk.verify_mnet(fam).passed and elapsed < 300
         details.append(f"lam={lam}: {len(fam.pieces)} pieces in {elapsed:.1f}s")
     _report("criterion 4 (heavy Mnets beyond 1/2)", ok, "; ".join(details))
 
@@ -208,11 +208,11 @@ def test_criterion_05_container_bracket_ladder(circle40):
         d0 = bk.vc_dimension_exact(system, 4).value
         for eps in (Fraction(1, 4), HALF):
             cont = bk.build_container(system, eps, bk.default_provider())
-            ok &= bk.verify_container(system, cont).passed
+            ok &= bk.verify_container(cont).passed
             ceiling = (2 / eps) ** (7.03 * d0)
             ok &= len(cont.covers) <= ceiling
             br = bk.build_bracket(system, eps, bk.default_provider(), bk.default_provider())
-            ok &= bk.verify_bracket(system, br).passed
+            ok &= bk.verify_bracket(br).passed
         details.append(f"{name}(d0={d0}): ok")
     _report("criterion 5 (containers/brackets, eps in {1/4,1/2})", ok, "; ".join(details))
 
@@ -230,7 +230,7 @@ def test_criterion_06_lower_vs_upper(circle60):
     for eps in (Fraction(1, 10), Fraction(1, 20)):
         lowers[eps] = bk.container_lower_bound(system, eps)
         cont = bk.build_container(system, eps, bk.default_provider())
-        assert bk.verify_container(system, cont).passed
+        assert bk.verify_container(cont).passed
         uppers[eps] = len(cont.covers)
         ok &= lowers[eps] <= uppers[eps]
     ratio = lowers[Fraction(1, 20)] / lowers[Fraction(1, 10)]

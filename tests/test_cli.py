@@ -274,6 +274,19 @@ def test_serving_matrix_over_budget_is_a_usage_error(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+def test_a_system_json_over_the_index_budget_is_a_usage_error(tmp_path, capsys):
+    # The balls of 512 random points on a line are their 131,329 intervals,
+    # 22,500,864 element indices in all: refused before any is listed.
+    pts = tmp_path / "pts.json"
+    out = tmp_path / "sys.json"
+    assert run_cli(["gen", "--kind", "random", "--d", "1", "--n", "512", "--seed", "5", "--out", str(pts)]) == 0
+    capsys.readouterr()
+    assert run_cli(["enum-ranges", "--points", str(pts), "--family", "ball", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: element indices in set system JSON 22500864 exceeds the limit 16777216\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["container", "bracket"])
 def test_a_size_ladder_over_budget_is_a_usage_error(tmp_path, capsys, command):
     # At eps = 1/10^6 the heavy Mnet's exact size ladder would need about
@@ -800,7 +813,7 @@ def test_bench_verification_failure_still_writes_the_csv(tmp_path, capsys, monke
     import bracketkit.cli as cli
 
     failing = bk.VerifyReport(False, 3, (0b0011, "no cover within slack 0"))
-    monkeypatch.setattr(cli, "verify_family", lambda system, family: failing)
+    monkeypatch.setattr(cli, "verify_family", lambda family: failing)
     spec = tmp_path / "spec.json"
     out = tmp_path / "results.csv"
     spec.write_text(json.dumps({

@@ -24,7 +24,7 @@ from naive_checks import _reference_bootstrap, naive_bracket_ok, naive_container
 def test_base_mnet_examples(collinear4):
     _, system = collinear4
     fam = bk.base_mnet(system, Fraction(1, 2), Fraction(1, 2))
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
     heavy_count = sum(1 for m in system.ranges if m.bit_count() >= 2)
     assert len(fam.pieces) <= heavy_count
     assert naive_mnet_ok(system, fam.pieces, fam.lam, fam.eps)
@@ -35,7 +35,7 @@ def test_base_mnet_examples(collinear4):
 def test_base_mnet_heaviness_one(collinear4):
     _, system = collinear4
     fam = bk.base_mnet(system, Fraction(1), Fraction(1, 2))
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
 
 
 def test_base_mnet_at_tiny_heaviness():
@@ -267,11 +267,11 @@ def _assert_bracket_splits(system, eps):
     set.  Both halves go to their verifiers with no witness map.
     """
     bracket = bk.build_bracket(system, eps, bk.default_provider(), bk.default_provider())
-    assert bk.verify_bracket(system, bracket).passed
+    assert bk.verify_bracket(bracket).passed
     uppers = {hi for _, hi in bracket.pairing.values()}
     lowers = {lo for lo, _ in bracket.pairing.values() if lo or not system.n}
-    assert bk.verify_container(system, bk.make_container(system, uppers, eps)).passed
-    assert bk.verify_mnet(system, bk.make_mnet(system, lowers, Fraction(1, 2), 2 * eps)).passed
+    assert bk.verify_container(bk.make_container(system, uppers, eps)).passed
+    assert bk.verify_mnet(bk.make_mnet(system, lowers, Fraction(1, 2), 2 * eps)).passed
 
 
 def _at(system, *eps_values):
@@ -356,7 +356,7 @@ def test_boost_heaviness(collinear4):
     provider = bk.default_provider()
     fam = bk.boost_epsilon(system, provider, Fraction(1, 2), Fraction(1, 2))
     assert fam.lam == Fraction(1, 4)  # 1/2 * (1 - 1/2)
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
     assert naive_mnet_ok(system, fam.pieces, Fraction(1, 4), Fraction(1, 2))
 
 
@@ -367,7 +367,7 @@ def test_mnet_to_container_example():
     cont = bk.mnet_to_container(one, mnet, Fraction(1, 4), Fraction(1))
     assert cont.eps == Fraction(1, 4)  # 1 - 1 + 1*(1/4)
     assert [mask_set(c, 4) for c in cont.covers] == [frozenset({3})]
-    assert bk.verify_container(cont.base, cont).passed
+    assert bk.verify_container(cont).passed
 
 
 def test_mnet_to_container_refuses_bad_input(collinear4):
@@ -384,7 +384,7 @@ def test_container_to_mnet_example():
     mnet = bk.container_to_mnet(one, cont, Fraction(1, 4), Fraction(1))
     assert [mask_set(p, 4) for p in mnet.pieces] == [frozenset({0, 1, 2})]
     assert mnet.pieces[0].bit_count() >= (Fraction(1) - Fraction(1, 4)) * 4
-    assert bk.verify_mnet(mnet.base, mnet).passed
+    assert bk.verify_mnet(mnet).passed
 
 
 def test_container_to_mnet_parameter_error():
@@ -503,14 +503,14 @@ def test_every_node_range_is_heavy_at_the_node_threshold(data):
 def test_small_set_container_one_range():
     one = system_from_sets(8, [(2,)])
     fam = bk.small_set_container(one, Fraction(1, 4), Fraction(1, 4), bk.default_provider())
-    assert bk.verify_container(one, fam).passed
+    assert bk.verify_container(fam).passed
     assert fam.eps == Fraction(1, 2)
 
 
 def test_small_set_container_empty_family():
     empty = bk.SetSystem.from_masks(6, [])
     fam = bk.small_set_container(empty, Fraction(1, 3), Fraction(1, 3), bk.default_provider())
-    assert bk.verify_container(empty, fam).passed
+    assert bk.verify_container(fam).passed
     assert fam.covers == (empty.full_mask,)
 
 
@@ -551,7 +551,7 @@ def test_bootstrap_verified_on_instance():
     system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 40, "sphere"))
     fam = bk.bootstrap_interval_mnet(system, Fraction(1, 8), Fraction(1, 4), bk.default_provider())
     assert fam.lam == Fraction(1, 2)
-    assert bk.verify_mnet(fam.base, fam).passed
+    assert bk.verify_mnet(fam).passed
     # band bounds: [delta*n, (1+eps)*delta*n]
     for m in fam.base.ranges:
         assert Fraction(1, 4) * 40 <= m.bit_count() <= (1 + Fraction(1, 8)) * Fraction(1, 4) * 40
@@ -588,47 +588,47 @@ def test_heavy_mnet_ratio_adjustment_when_eta_small():
 def test_heavy_mnet_beyond_half(collinear4):
     _, system = collinear4
     fam = bk.heavy_mnet(system, Fraction(3, 4), Fraction(1, 4), bk.default_provider())
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
     assert naive_mnet_ok(system, fam.pieces, Fraction(3, 4), Fraction(1, 4))
 
 
 def test_heavy_mnet_small_eta_runs(collinear4):
     _, system = collinear4
     fam = bk.heavy_mnet(system, Fraction(1, 2), Fraction(1, 10), bk.default_provider())
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
 
 
 def test_build_container_edge_single_cover():
     one = system_from_sets(5, [(0, 1, 2, 3), (0, 1, 2, 3, 4)])
     fam = bk.build_container(one, Fraction(4, 5), bk.default_provider())
-    assert bk.verify_container(one, fam).passed
+    assert bk.verify_container(fam).passed
 
 
 def test_build_container_verified_and_monotone(collinear4):
     _, system = collinear4
     fam = bk.build_container(system, Fraction(1, 4), bk.default_provider())
-    assert bk.verify_container(system, fam).passed
+    assert bk.verify_container(fam).passed
     assert naive_container_ok(system, fam.covers, Fraction(1, 4))
     # threshold relaxation: an eps1-container passes at eps2 >= eps1
     relaxed = bk.make_container(system, fam.covers, Fraction(1, 2))
-    assert bk.verify_container(system, relaxed).passed
+    assert bk.verify_container(relaxed).passed
 
 
 def test_build_bracket_trivial_families(collinear4):
     _, system = collinear4
     full = system.full_mask
     always = bk.make_bracket(system, [0, full], Fraction(1))
-    assert bk.verify_bracket(system, always).passed
+    assert bk.verify_bracket(always).passed
     identity = bk.make_bracket(
         system, system.ranges, Fraction(0), pairing={m: (m, m) for m in system.ranges},
     )
-    assert bk.verify_bracket(system, identity).passed
+    assert bk.verify_bracket(identity).passed
 
 
 def test_build_bracket_collinear4(collinear4):
     _, system = collinear4
     fam = bk.build_bracket(system, Fraction(1, 2), bk.default_provider(), bk.default_provider())
-    assert bk.verify_bracket(system, fam).passed
+    assert bk.verify_bracket(fam).passed
     # pairing covers every range with an exact (lower, upper) pair
     assert set(fam.pairing.keys()) == set(system.ranges)
     slack_cap = Fraction(1, 2) * 4
@@ -736,8 +736,8 @@ def test_a_one_member_group_gets_its_member_from_the_local_container():
     for member in singles + [0]:
         p_size = member.bit_count()
         comp = member & ~member
-        covers, cover_of = constructions._small_set_covers([comp], member, p_size, eps_prime, eps, HALF, depth_cap)
-        cover = find_cover(covers, cover_of.get(comp), comp, math.floor((eps_prime + eps) * p_size))
+        _, cover_of = constructions._small_set_covers([comp], member, eps_prime, eps, HALF, depth_cap)
+        cover = find_cover((), cover_of.get(comp), comp, math.floor((eps_prime + eps) * p_size))
         assert member ^ cover == member
 
 
@@ -795,9 +795,9 @@ def test_small_set_container_in_a_ground_set_is_the_expansion_of_the_reindexed_o
     local, universe = case
     eps = Fraction(1, 4)
     depth_cap = constructions._depth_cap(eps, rho, HALF)
-    want, want_of = constructions._small_set_covers(local.ranges, local.full_mask, local.n, eps, rho, HALF, depth_cap)
+    want, want_of = constructions._small_set_covers(local.ranges, local.full_mask, eps, rho, HALF, depth_cap)
     got, got_of = constructions._small_set_covers(
-        _expanded_canonical(local.ranges, universe), universe, local.n, eps, rho, HALF, depth_cap)
+        _expanded_canonical(local.ranges, universe), universe, eps, rho, HALF, depth_cap)
     assert got == naive_expand(want, universe)
     assert got_of == dict(zip(naive_expand(want_of, universe), naive_expand(want_of.values(), universe)))
 
@@ -827,10 +827,10 @@ def test_a_construction_in_a_high_ground_set_is_the_expansion_of_the_reindexed_o
         GROUNDED[name](_circle(12))
     assert calls
     high = sum(1 << i for i in range(60, 83, 2))
-    for ranges, member, p_size, eps, rho, heaviness, depth_cap in calls:
-        want, want_of = original(ranges, member, p_size, eps, rho, heaviness, depth_cap)
+    for ranges, member, eps, rho, heaviness, depth_cap in calls:
+        want, want_of = original(ranges, member, eps, rho, heaviness, depth_cap)
         [universe] = naive_expand([member], high)
-        got, got_of = original(_expanded_canonical(ranges, high), universe, p_size, eps, rho, heaviness, depth_cap)
+        got, got_of = original(_expanded_canonical(ranges, high), universe, eps, rho, heaviness, depth_cap)
         assert got == naive_expand(want, high)
         assert got_of == dict(zip(naive_expand(want_of, high), naive_expand(want_of.values(), high)))
 
@@ -886,9 +886,20 @@ def test_the_ladder_budget_admits_exactly_the_rungs_it_counts(monkeypatch):
 def test_a_family_that_fails_self_verification_is_an_internal_error(collinear4, monkeypatch):
     _, system = collinear4
     failing = bk.VerifyReport(False, 1, (0b0011, "no piece"))
-    monkeypatch.setattr(constructions, "verify_family", lambda base, family: failing)
+    monkeypatch.setattr(constructions, "verify_family", lambda family: failing)
     with pytest.raises(bk.InternalInvariantError, match=r"base_mnet failed self-verification: \(3, 'no piece'\)"):
         bk.base_mnet(system, HALF, QUARTER)
+
+
+def test_an_empty_bootstrap_band_labels_its_self_check_with_its_construction(monkeypatch):
+    # No range of {0} on 8 elements has a size in the band [4, 5] of
+    # delta = 1/2, eps = 1/4: the empty-band return carries the same label
+    # as the general path.
+    system = system_from_sets(8, [(0,)])
+    failing = bk.VerifyReport(False, 0, (0, "stub"))
+    monkeypatch.setattr(constructions, "verify_family", lambda family: failing)
+    with pytest.raises(bk.InternalInvariantError, match=r"^bootstrap_interval_mnet failed self-verification: \(0, 'stub'\)"):
+        bk.bootstrap_interval_mnet(system, QUARTER, HALF, bk.default_provider())
 
 
 def test_boosting_without_a_piece_for_a_heavy_range_is_an_internal_error(monkeypatch):
@@ -1005,8 +1016,8 @@ def test_a_wrong_local_container_fails_the_bootstrap_cover_guard(monkeypatch, fa
     system, eps, delta, _ = _circle40_band_packing()
     original = constructions._small_set_covers
 
-    def faulty(ranges, full, n, eps, rho, heaviness, depth_cap):
-        covers, witness = original(ranges, full, n, eps, rho, heaviness, depth_cap)
+    def faulty(ranges, full, eps, rho, heaviness, depth_cap):
+        covers, witness = original(ranges, full, eps, rho, heaviness, depth_cap)
         return fault(covers, witness, ranges[0])
 
     monkeypatch.setattr(constructions, "_small_set_covers", faulty)
@@ -1015,11 +1026,18 @@ def test_a_wrong_local_container_fails_the_bootstrap_cover_guard(monkeypatch, fa
 
 
 def test_a_wrong_bootstrap_piece_fails_the_band_self_verification(monkeypatch):
-    # A cover finder that ignores the slack returns a group's member itself
-    # (the root cover), so the range's piece is the empty set.
+    # A recursion that gives every complement its group's member (the root
+    # cover) as its witness, and a cover finder that returns the hint
+    # unchecked: the range's piece is the empty set.
     system, eps, delta, _ = _circle40_band_packing()
-    monkeypatch.setattr(constructions, "find_cover",
-                        lambda covers, hint, mask, slack_cap: next(c for c in covers if mask & c == mask))
+    original = constructions._small_set_covers
+
+    def member_as_witness(ranges, full, eps, rho, heaviness, depth_cap):
+        covers, _ = original(ranges, full, eps, rho, heaviness, depth_cap)
+        return covers, dict.fromkeys(ranges, full)
+
+    monkeypatch.setattr(constructions, "_small_set_covers", member_as_witness)
+    monkeypatch.setattr(constructions, "find_cover", lambda covers, hint, mask, slack_cap: hint)
     with pytest.raises(bk.InternalInvariantError, match="bootstrap_interval_mnet failed self-verification"):
         bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
 
@@ -1055,7 +1073,7 @@ def test_a_wrong_node_piece_never_yields_an_unverified_container(monkeypatch, mu
             fam = bk.small_set_container(system, QUARTER, Fraction(1, 8), bk.default_provider())
         except bk.BracketkitError:
             continue
-        assert verify_family(system, fam).passed
+        assert verify_family(fam).passed
 
 
 PUBLIC_CONSTRUCTIONS = ("base_mnet", "boost_epsilon", "small_set_container", "bootstrap_interval_mnet",

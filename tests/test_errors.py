@@ -105,7 +105,7 @@ def test_verify_contracts(sys4):
     with pytest.raises(bk.InputError):
         bk.container_lower_bound(sys4, Fraction(0))
     with pytest.raises(bk.InputError, match="unknown family type"):
-        verify_family(sys4, object())
+        verify_family(object())
 
 
 def test_family_contracts(sys4):
@@ -135,11 +135,39 @@ def test_empty_ground_set_full_stack():
     sys0 = bk.enumerate_halfspace_ranges(bk.PointSet(2, ()))
     assert sys0.ranges == (0,)
     provider = bk.default_provider()
-    assert bk.verify_container(sys0, bk.build_container(sys0, Fraction(1, 2), provider)).passed
-    assert bk.verify_mnet(sys0, bk.heavy_mnet(sys0, Fraction(3, 4), Fraction(1, 4), provider)).passed
-    assert bk.verify_bracket(
-        sys0, bk.build_bracket(sys0, Fraction(1, 2), provider, bk.default_provider())
-    ).passed
+    assert bk.verify_container(bk.build_container(sys0, Fraction(1, 2), provider)).passed
+    assert bk.verify_mnet(bk.heavy_mnet(sys0, Fraction(3, 4), Fraction(1, 4), provider)).passed
+    assert bk.verify_bracket(bk.build_bracket(sys0, Fraction(1, 2), provider, bk.default_provider())).passed
+
+
+def test_json_output_over_the_index_budget_is_refused_before_any_list_is_built(monkeypatch):
+    # 257 ranges of 65,535 elements: 16,842,495 element indices, just above
+    # 2^24.  Their sizes are summed first, and no index list is made.
+    n = bk.errors.MAX_GROUND_SET
+    full = (1 << n) - 1
+    system = bk.SetSystem.from_masks(n, [full ^ (1 << i) for i in range(257)])
+    listed = []
+    monkeypatch.setattr(bk.setsystem, "indices_from_mask", listed.append)
+    for write, what in (
+        (system.to_json, "set system JSON"),
+        (lambda: bk.family_to_json(bk.make_container(system, system.ranges, 0)), "family JSON"),
+    ):
+        with pytest.raises(bk.ResourceBudgetError, match=f"element indices in {what} 16842495 exceeds the limit 16777216"):
+            write()
+    assert not listed
+
+
+def test_json_output_at_the_index_budget_is_written(monkeypatch):
+    # 3 + 2 + 0 = 5 element indices: written at a budget of 5, refused at 4.
+    system = system_from_sets(4, [(0, 1, 2), (1, 3), ()])
+    fam = bk.make_mnet(system, system.ranges, 1, Fraction(1, 2))
+    monkeypatch.setattr(bk.setsystem, "MAX_JSON_INDICES", 5)
+    assert json.loads(system.to_json())["ranges"] == [[0, 1, 2], [1, 3], []]
+    assert json.loads(bk.family_to_json(fam))["sets"] == [[0, 1, 2], [1, 3], []]
+    monkeypatch.setattr(bk.setsystem, "MAX_JSON_INDICES", 4)
+    for write, what in ((system.to_json, "set system JSON"), (lambda: bk.family_to_json(fam), "family JSON")):
+        with pytest.raises(bk.ResourceBudgetError, match=f"element indices in {what} 5 exceeds the limit 4"):
+            write()
 
 
 @pytest.mark.parametrize("index", [-2, 1.5, "a", None])

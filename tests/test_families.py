@@ -32,7 +32,7 @@ def test_container_json_roundtrip(collinear4):
     fam = bk.build_container(system, Fraction(1, 4), bk.default_provider())
     again = family_from_json(family_to_json(fam), system)
     assert again.covers == fam.covers
-    assert bk.verify_container(system, again).passed
+    assert bk.verify_container(again).passed
 
 
 def test_family_canonicalization_remaps_witness(collinear4):

@@ -17,9 +17,9 @@ def test_mnet_trivial_anchors(collinear4):
     _, system = collinear4
     heavy = [m for m in system.ranges if m.bit_count() >= 2]
     fam = bk.make_mnet(system, heavy, Fraction(1), Fraction(1, 2))
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
     empty_only = bk.make_mnet(system, [0], Fraction(1, 2), Fraction(1, 2))
-    report = bk.verify_mnet(system, empty_only)
+    report = bk.verify_mnet(empty_only)
     assert not report.passed
     assert report.counterexample is not None
 
@@ -27,7 +27,7 @@ def test_mnet_trivial_anchors(collinear4):
 def test_mnet_collinear4_example(collinear4):
     _, system = collinear4
     fam = bk.make_mnet(system, [0b0011, 0b1100], Fraction(1, 2), Fraction(1, 2))
-    report = bk.verify_mnet(system, fam)
+    report = bk.verify_mnet(fam)
     assert report.passed
     assert naive_mnet_ok(system, fam.pieces, fam.lam, fam.eps)
 
@@ -35,24 +35,24 @@ def test_mnet_collinear4_example(collinear4):
 def test_container_trivial_anchors(collinear4):
     _, system = collinear4
     full = system.full_mask
-    assert bk.verify_container(system, bk.make_container(system, [full], Fraction(1))).passed
+    assert bk.verify_container(bk.make_container(system, [full], Fraction(1))).passed
     identity = bk.make_container(system, system.ranges, Fraction(0))
-    assert bk.verify_container(system, identity).passed
+    assert bk.verify_container(identity).passed
     bad = bk.make_container(system, [0], Fraction(0))
-    assert not bk.verify_container(system, bad).passed
+    assert not bk.verify_container(bad).passed
 
 
 def test_bracket_trivial_anchors(collinear4):
     _, system = collinear4
     full = system.full_mask
     fam = bk.make_bracket(system, [0, full], Fraction(1))
-    assert bk.verify_bracket(system, fam).passed
+    assert bk.verify_bracket(fam).passed
     identity = bk.make_bracket(system, system.ranges, Fraction(0))
-    assert bk.verify_bracket(system, identity).passed
+    assert bk.verify_bracket(identity).passed
     # n=4, F={0,1}, sets={X}, eps=1/4: no lower set at all
     one = system_from_sets(4, [(0, 1)])
     missing_lower = bk.make_bracket(one, [one.full_mask], Fraction(1, 4))
-    assert not bk.verify_bracket(one, missing_lower).passed
+    assert not bk.verify_bracket(missing_lower).passed
 
 
 def test_wrong_hints_never_flip_the_verdict(collinear4):
@@ -61,11 +61,11 @@ def test_wrong_hints_never_flip_the_verdict(collinear4):
     full = system.full_mask
     wrong_witness = {m: heavy[-1] for m in system.ranges}
     fam = bk.MnetFamily(system, tuple(heavy), Fraction(1), Fraction(1, 2), wrong_witness)
-    assert bk.verify_mnet(system, fam).passed
+    assert bk.verify_mnet(fam).passed
     cont = bk.ContainerFamily(system, (full,), Fraction(1), {m: 99 for m in system.ranges})
-    assert bk.verify_container(system, cont).passed
+    assert bk.verify_container(cont).passed
     br = bk.BracketFamily(system, (0, full), Fraction(1), {m: (full, 0) for m in system.ranges})
-    assert bk.verify_bracket(system, br).passed
+    assert bk.verify_bracket(br).passed
 
 
 def _random_system(rng, n_lo=4, n_hi=8):
@@ -87,21 +87,21 @@ def test_verifiers_match_naive_on_random_families():
             lam = Fraction(rng.randint(1, 4), 4)
             eps = Fraction(rng.randint(1, 4), 4)
             fam = bk.make_mnet(system, sets, lam, eps)
-            assert bk.verify_mnet(system, fam).passed == naive_mnet_ok(system, fam.pieces, lam, eps)
+            assert bk.verify_mnet(fam).passed == naive_mnet_ok(system, fam.pieces, lam, eps)
         elif kind == "container":
             eps = Fraction(rng.randint(0, 4), 4)
             fam = bk.make_container(system, sets, eps)
-            assert bk.verify_container(system, fam).passed == naive_container_ok(system, fam.covers, eps)
+            assert bk.verify_container(fam).passed == naive_container_ok(system, fam.covers, eps)
         else:
             eps = Fraction(rng.randint(0, 4), 4)
             fam = bk.make_bracket(system, sets, eps)
-            assert bk.verify_bracket(system, fam).passed == naive_bracket_ok(system, fam.sets, eps)
+            assert bk.verify_bracket(fam).passed == naive_bracket_ok(system, fam.sets, eps)
 
 
 def test_counterexample_is_first_in_canonical_order(collinear4):
     _, system = collinear4
     fam = bk.make_mnet(system, [], Fraction(1, 2), Fraction(1, 2))
-    report = bk.verify_mnet(system, fam)
+    report = bk.verify_mnet(fam)
     assert not report.passed
     # first heavy range in canonical order is the full set
     assert report.counterexample[0] == system.ranges[0]
@@ -119,7 +119,7 @@ def test_hint_outside_the_family_never_passes(collinear4):
             system, [0], Fraction(0), pairing={m: (m, m) for m in system.ranges})),
     )
     for verifier, fam in cases:
-        report = verifier(system, fam)
+        report = verifier(fam)
         assert not report.passed
         assert report.counterexample[0] != 0
 
@@ -132,10 +132,10 @@ def test_bracket_loose_hint_falls_back_to_the_tightest_pair():
     hint = {0b0011: (0b0000, 0b1111)}
     sets = (0b0000, 0b1111, 0b0111, 0b0001)
     tight = bk.BracketFamily(system, sets, Fraction(1, 2), pairing=hint)
-    report = bk.verify_bracket(system, tight)
+    report = bk.verify_bracket(tight)
     assert report.passed and naive_bracket_ok(system, sets, tight.eps)
     loose = bk.BracketFamily(system, (0b0000, 0b1111, 0b0001), Fraction(1, 2), pairing=hint)
-    assert not bk.verify_bracket(system, loose).passed
+    assert not bk.verify_bracket(loose).passed
     assert not naive_bracket_ok(system, loose.sets, loose.eps)
 
 
@@ -158,7 +158,7 @@ def test_verify_bracket_matches_naive_on_random_families():
         }
         eps = Fraction(rng.randint(0, 4), 4)
         family = bk.BracketFamily(system, tuple(sets), eps, pairing=pairing)
-        verdict = bk.verify_bracket(system, family).passed
+        verdict = bk.verify_bracket(family).passed
         assert verdict == naive_bracket_ok(system, sets, eps)
         verdicts.append(verdict)
     assert 100 < sum(verdicts) < 500
@@ -173,7 +173,7 @@ def test_container_lower_bound_examples(collinear4):
     # at eps=1/8 the slack floor(n/8)=0, so covers must equal ranges: the
     # minimal container is the identity family of size 8 >= 4
     identity = bk.make_container(system, system.ranges, Fraction(1, 8))
-    assert bk.verify_container(system, identity).passed
+    assert bk.verify_container(identity).passed
     assert lb <= len(identity.covers)
     with pytest.raises(bk.InputError):
         bk.container_lower_bound(system, Fraction(1))
@@ -185,7 +185,7 @@ def test_lower_bound_below_any_accepted_family():
     for eps in (Fraction(1, 7), Fraction(2, 7), Fraction(3, 7)):
         lb = bk.container_lower_bound(system, eps)
         cont = bk.build_container(system, eps, bk.default_provider())
-        assert bk.verify_container(system, cont).passed
+        assert bk.verify_container(cont).passed
         assert lb <= len(cont.covers)
 
 
@@ -296,8 +296,8 @@ def test_size_band_verifiers_match_linear_scan(case):
         (bk.verify_container, linear_verify_container, cont),
         (bk.verify_bracket, linear_verify_bracket, br),
     ):
-        got, want = verifier(system, family), reference(system, family)
+        got, want = verifier(family), reference(system, family)
         assert (got.passed, got.checked, got.counterexample) == (want.passed, want.checked, want.counterexample)
-    assert bk.verify_mnet(system, mnet).passed == naive_mnet_ok(system, mnet.pieces, mnet.lam, mnet.eps)
-    assert bk.verify_container(system, cont).passed == naive_container_ok(system, cont.covers, cont.eps)
-    assert bk.verify_bracket(system, br).passed == naive_bracket_ok(system, br.sets, br.eps)
+    assert bk.verify_mnet(mnet).passed == naive_mnet_ok(system, mnet.pieces, mnet.lam, mnet.eps)
+    assert bk.verify_container(cont).passed == naive_container_ok(system, cont.covers, cont.eps)
+    assert bk.verify_bracket(br).passed == naive_bracket_ok(system, br.sets, br.eps)
