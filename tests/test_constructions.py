@@ -967,9 +967,9 @@ def test_a_wrong_greedy_piece_fails_base_mnet_self_verification(monkeypatch, mut
         bk.base_mnet(system, HALF, QUARTER)
 
 
-def _hint_or_first(pieces, hint, mask, lam):
-    # A piece finder that checks nothing.
-    return pieces[0] if hint is None else hint
+def _hint_unchecked(pieces, hint, mask, lam):
+    # A piece finder that checks nothing; boosting passes it no pieces.
+    return hint
 
 
 BOOST_GUARDS = {"checked": "Mnet has no piece for a heavy range", "unchecked": "boost_epsilon failed self-verification"}
@@ -991,7 +991,7 @@ def test_a_wrong_greedy_piece_never_yields_an_unverified_boosted_mnet(monkeypatc
 
     monkeypatch.setattr(constructions, "_greedy_assignment", recording)
     if finder == "unchecked":
-        monkeypatch.setattr(constructions, "find_piece", _hint_or_first)
+        monkeypatch.setattr(constructions, "find_piece", _hint_unchecked)
     with pytest.raises(bk.InternalInvariantError, match=BOOST_GUARDS[finder]):
         bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 5), HALF)
     assert calls

@@ -48,22 +48,19 @@ def _duality_input(system, sets):
     return [m & full for m in sets]
 
 
-def _provider():
-    return bk.default_provider()
-
-
+# name -> call on (system, a, b, duality sets); a and b are the drawn parameters.
 CONSTRUCTIONS = {
-    "base_mnet": lambda system, a, b, sets: bk.base_mnet(system, a, b),
-    "boost_epsilon": lambda system, a, b, sets: bk.boost_epsilon(system, _provider(), a, b),
-    "small_set_container": lambda system, a, b, sets: bk.small_set_container(system, a, b, _provider()),
-    "bootstrap_interval_mnet": lambda system, a, b, sets: bk.bootstrap_interval_mnet(system, a, b, _provider()),
-    "heavy_mnet": lambda system, a, b, sets: bk.heavy_mnet(system, a, b, _provider()),
-    "build_container": lambda system, a, b, sets: bk.build_container(system, a, _provider()),
-    "build_bracket": lambda system, a, b, sets: bk.build_bracket(system, a, _provider(), _provider()),
-    "mnet_to_container": lambda system, a, b, sets: bk.mnet_to_container(
-        system, bk.make_mnet(system, _duality_input(system, sets), 1, 1), a, b),
-    "container_to_mnet": lambda system, a, b, sets: bk.container_to_mnet(
-        system, bk.make_container(system, _duality_input(system, sets), 0), a, b),
+    "base_mnet": lambda s, a, b, sets: bk.base_mnet(s, a, b),
+    "boost_epsilon": lambda s, a, b, sets: bk.boost_epsilon(s, bk.default_provider(), a, b),
+    "small_set_container": lambda s, a, b, sets: bk.small_set_container(s, a, b, bk.default_provider()),
+    "bootstrap_interval_mnet": lambda s, a, b, sets: bk.bootstrap_interval_mnet(s, a, b, bk.default_provider()),
+    "heavy_mnet": lambda s, a, b, sets: bk.heavy_mnet(s, a, b, bk.default_provider()),
+    "build_container": lambda s, a, b, sets: bk.build_container(s, a, bk.default_provider()),
+    "build_bracket": lambda s, a, b, sets: bk.build_bracket(s, a, bk.default_provider(), bk.default_provider()),
+    "mnet_to_container": lambda s, a, b, sets: bk.mnet_to_container(
+        s, bk.make_mnet(s, _duality_input(s, sets), 1, 1), a, b),
+    "container_to_mnet": lambda s, a, b, sets: bk.container_to_mnet(
+        s, bk.make_container(s, _duality_input(s, sets), 0), a, b),
 }
 
 DUALITY_SETS = st.one_of(st.sampled_from(["complements", "ranges"]), st.lists(st.integers(0, 255), max_size=6))
