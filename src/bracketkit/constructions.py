@@ -8,15 +8,23 @@ containers for small ranges; bootstrapping lifts those to heavy Mnets on a
 size band; banding over a geometric size ladder yields Mnets of arbitrary
 heaviness, full container families and brackets.
 
-Checks sit at the public boundary.  Every public construction re-verifies
-the family it returns (``_checked``), so a caller never receives an
-unverified family.  The private helpers ``_greedy_assignment`` and
-``_small_set_covers`` work on plain canonical mask lists and return steering
-data, not families: a member's Mnet in boosting and a node's Mnet in the
-removal recursion only steer them, and a local container only hands
-bootstrap its witness covers.  Boosting and bootstrap check each range's
-own witness with ``find_piece``/``find_cover``, scanning nothing else (their
-docstrings prove that the witness serves), and verify their family.
+Checks sit at the public boundary.  Every public call checks what it
+returns (``_checked``), so a caller never receives an unverified family.
+The bands and the small-set root are served by private helpers, which build
+and check no family: ``heavy_mnet`` and ``bootstrap_interval_mnet`` run the
+one band loop ``_bootstrap_bands``, and ``build_container`` enters the
+removal recursion ``_small_set_covers`` at its root, as
+``small_set_container`` does.  The private helpers ``_greedy_assignment``,
+``_small_set_covers`` and ``_bootstrap_bands`` work on plain canonical mask
+lists and return steering or witness data, not families: a member's Mnet in
+boosting and a node's Mnet in the removal recursion only steer them, and a
+local container only hands the band loop its witness covers.  Boosting and
+the band loop check each range's own witness with
+``find_piece``/``find_cover``, scanning nothing else (their docstrings
+prove that the witness serves), and the public call that returns the
+family verifies it.  The nested public calls that remain, ``heavy_mnet``
+under ``build_container`` and ``build_bracket`` and ``build_container``
+under ``build_bracket``, check their own families too.
 
 The helpers serve a packing member or a recursion node, a universe U, in
 the parent's element indices: U is a mask, |U| a count, U.bit_length() the
@@ -50,7 +58,7 @@ from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
 from .setsystem import SetSystem, canonical_order, canonical_sort, complement_family, filter_by_size, size_band
 from .trace import note
-from .verify import find_cover, find_piece, verify_container, verify_family, verify_mnet
+from .verify import find_cover, find_piece, verify_family
 
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
@@ -352,21 +360,11 @@ def mnet_to_container(system, mnet, delta0, lam):
         raise InputError(f"delta0 must be in (0,1], got {delta0}")
     if not 0 < lam <= 1:
         raise InputError(f"lam must be in (0,1], got {lam}")
-    n = system.n
-    small = filter_by_size(system, upper=delta0 * Fraction(n))
-    comp = complement_family(small)
-    candidate = make_mnet(comp, mnet.pieces, lam, 1 - delta0)
-    report = verify_mnet(candidate)
-    if not report.passed:
-        raise PreconditionFailure(
-            f"input is not a {lam}-heavy {1 - delta0}-Mnet of the complemented small ranges: "
-            f"counterexample {report.counterexample}",
-            report,
-        )
-    full = system.full_mask
-    covers = [full ^ p for p in candidate.pieces]
-    fam = make_container(small, covers, 1 - lam + lam * delta0)
-    return _checked(fam, "mnet_to_container")
+    small = filter_by_size(system, upper=delta0 * Fraction(system.n))
+    candidate = make_mnet(complement_family(small), mnet.pieces, lam, 1 - delta0)
+    covers = _complements(
+        candidate, candidate.pieces, f"{lam}-heavy {1 - delta0}-Mnet of the complemented small ranges")
+    return _checked(make_container(small, covers, 1 - lam + lam * delta0), "mnet_to_container")
 
 
 def container_to_mnet(system, container, delta0, lam):
@@ -384,21 +382,21 @@ def container_to_mnet(system, container, delta0, lam):
         raise InputError(f"need lam > delta0, got lam={lam}, delta0={delta0}")
     if lam > 1:
         raise InputError(f"lam must be at most 1, got {lam}")
-    n = system.n
-    small = filter_by_size(system, upper=delta0 * Fraction(n))
+    small = filter_by_size(system, upper=delta0 * Fraction(system.n))
     candidate = make_container(small, container.covers, 1 - lam)
-    report = verify_container(candidate)
+    pieces = _complements(candidate, candidate.covers, f"{1 - lam}-container for the small ranges")
+    return _checked(make_mnet(complement_family(small), pieces, lam - delta0, 1 - delta0), "container_to_mnet")
+
+
+def _complements(candidate, sets, what):
+    """The complements of ``sets``, the candidate's own sets, once the
+    candidate verifies; else PreconditionFailure that names ``what``, the
+    family the candidate had to be, with the counterexample and the report."""
+    report = verify_family(candidate)
     if not report.passed:
-        raise PreconditionFailure(
-            f"input is not a {1 - lam}-container for the small ranges: "
-            f"counterexample {report.counterexample}",
-            report,
-        )
-    full = system.full_mask
-    pieces = [full ^ c for c in candidate.covers]
-    comp = complement_family(small)
-    fam = make_mnet(comp, pieces, lam - delta0, 1 - delta0)
-    return _checked(fam, "container_to_mnet")
+        raise PreconditionFailure(f"input is not a {what}: counterexample {report.counterexample}", report)
+    full = candidate.base.full_mask
+    return [full ^ s for s in sets]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +520,33 @@ def _small_set_covers(ranges, full, eps, rho, heaviness, depth_cap):
 def bootstrap_interval_mnet(system, eps, delta, provider):
     """(1-4*eps)-heavy delta-Mnet for the ranges of size in [delta*n, (1+eps)*delta*n].
 
-    A maximal packing at separation eps*delta*n groups the band: a range is
+    The input checks, then the band loop ``_bootstrap_bands`` over the one
+    band of ``delta``.  Every band range gets a witness piece or the loop
+    raises, so the witness map's keys are the band, the family's base.  The
+    family is verified.
+    """
+    eps = Fraction(eps)
+    delta = Fraction(delta)
+    if not 0 < eps <= HALF:
+        raise InputError(f"eps must be in (0,1/2], got {eps}")
+    if not eps < delta <= 1:
+        raise InputError(f"delta must be in (eps,1], got {delta}")
+    witness = _bootstrap_bands(system, eps, [delta], provider.heaviness)
+    band = SetSystem(system.n, tuple(canonical_sort(witness)))
+    fam = make_mnet(band, witness.values(), max(Fraction(0), 1 - 4 * eps), delta, witness=witness)
+    return _checked(fam, "bootstrap_interval_mnet")
+
+
+def _bootstrap_bands(system, eps, deltas, heaviness):
+    """The band loop of ``bootstrap_interval_mnet`` and ``heavy_mnet``, below
+    their input checks: the witness map (band range -> piece) of the bands
+    [delta*n, (1+eps)*delta*n] of the Fractions ``deltas``, served in order.
+    A range in two bands keeps its first band's piece (``setdefault``), and
+    an empty band is skipped.  Each band notes itself and computes the
+    recursion's depth cap (``_depth_cap``) once; nothing is verified here
+    beyond each range's own witness.
+
+    A maximal packing at separation eps*delta*n groups a band: a range is
     served through the first member within the separation, as recorded in
     ``Packing.groups``.  Within each member P the complements P & ~R of
     the group ranges are small (at most eps' = 3*eps/(2+2*eps) of |P|), so
@@ -530,10 +554,9 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     complements of the covers inside P are the pieces.  The recursion runs
     on the deduplicated, canonically sorted complements (two group ranges
     can share P & ~R); ``find_cover`` checks each range's witness cover,
-    and scans no other cover.  All groups of a band share eps', eps and the
-    heaviness, so the band computes the recursion's depth cap
-    (``_depth_cap``) once, and eps' and eps' + eps once, whose integer
-    floors at |P| are a group's bounds.
+    and scans no other cover.  All groups share eps', eps and the heaviness,
+    so eps' and eps' + eps, whose integer floors at |P| are a group's
+    bounds, are computed once per call.
 
     The witness serves.  The recursion's witness for a complement C is the
     first node universe Z with C inside Z and residual |Z \\ C| at most
@@ -551,50 +574,41 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     floor(eps*|P|)).  The node's one range is P, whose greedy-cover piece
     is P, so the child universe is the empty set, which becomes the
     empty set's witness cover.  For |P| = 0 the root itself is that cover.
-    The piece is P ^ 0 = P.  The band's ``_checked`` still verifies every
-    piece.
+    The piece is P ^ 0 = P.  The caller's ``_checked`` still verifies every
+    piece it returns.
     """
-    eps = Fraction(eps)
-    delta = Fraction(delta)
-    if not 0 < eps <= HALF:
-        raise InputError(f"eps must be in (0,1/2], got {eps}")
-    if not eps < delta <= 1:
-        raise InputError(f"delta must be in (eps,1], got {delta}")
     n = system.n
-    lo_int = math.ceil(delta * n)
-    hi_int = min(n, math.floor((1 + eps) * delta * n))
-    band_masks = size_band(system.ranges, lo_int, hi_int)
-    band = SetSystem(n, band_masks)
-    lam_out = max(Fraction(0), 1 - 4 * eps)
-    if not band_masks:
-        return _checked(make_mnet(band, [], lam_out, delta, witness={}), "bootstrap_interval_mnet")
-    packing = greedy_delta_packing(band, math.floor(eps * delta * n))
     eps_prime = 3 * eps / (2 + 2 * eps)
-    note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
-         band=(lo_int, hi_int), packing_size=len(packing.members))
-    depth_cap = _depth_cap(eps_prime, eps, provider.heaviness)
     slack = eps_prime + eps
     witness = {}
-    for member, group in zip(packing.members, packing.groups):
-        if len(group) == 1:
-            witness[member] = member
+    for delta in deltas:
+        lo_int = math.ceil(delta * n)
+        hi_int = min(n, math.floor((1 + eps) * delta * n))
+        band = SetSystem(n, size_band(system.ranges, lo_int, hi_int))
+        if not band.ranges:
             continue
-        p_size = member.bit_count()
-        comps = [member & ~mask for mask in group]
-        if max(comp.bit_count() for comp in comps) > eps_prime.numerator * p_size // eps_prime.denominator:
-            raise InternalInvariantError(
-                "projected complement exceeds the eps' bound inside a packing member"
-            )
-        _, cover_of = _small_set_covers(
-            canonical_sort(set(comps)), member, eps_prime, eps, provider.heaviness, depth_cap)
-        slack_cap = slack.numerator * p_size // slack.denominator
-        for mask, comp in zip(group, comps):
-            cover = find_cover((), cover_of.get(comp), comp, slack_cap)
-            if cover is None:
-                raise InternalInvariantError("verified container has no cover for a range")
-            witness[mask] = member ^ cover
-    fam = make_mnet(band, witness.values(), lam_out, delta, witness=witness)
-    return _checked(fam, "bootstrap_interval_mnet")
+        packing = greedy_delta_packing(band, math.floor(eps * delta * n))
+        note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
+             band=(lo_int, hi_int), packing_size=len(packing.members))
+        depth_cap = _depth_cap(eps_prime, eps, heaviness)
+        for member, group in zip(packing.members, packing.groups):
+            if len(group) == 1:
+                witness.setdefault(member, member)
+                continue
+            p_size = member.bit_count()
+            comps = [member & ~mask for mask in group]
+            if max(comp.bit_count() for comp in comps) > eps_prime.numerator * p_size // eps_prime.denominator:
+                raise InternalInvariantError(
+                    "projected complement exceeds the eps' bound inside a packing member"
+                )
+            _, cover_of = _small_set_covers(canonical_sort(set(comps)), member, eps_prime, eps, heaviness, depth_cap)
+            slack_cap = slack.numerator * p_size // slack.denominator
+            for mask, comp in zip(group, comps):
+                cover = find_cover((), cover_of.get(comp), comp, slack_cap)
+                if cover is None:
+                    raise InternalInvariantError("verified container has no cover for a range")
+                witness.setdefault(mask, member ^ cover)
+    return witness
 
 
 # ---------------------------------------------------------------------------
@@ -639,30 +653,33 @@ class HeavyMnetParams:
 
 
 def heavy_mnet(system, lam, eta, provider):
-    """lam-heavy eta-Mnet for any lam in (0,1): bootstrap each band of the
-    geometric size ladder delta_k = (1+ratio)^k * eta and take the union."""
+    """lam-heavy eta-Mnet for any lam in (0,1): one band loop
+    (``_bootstrap_bands``) bootstraps each band of the geometric size ladder
+    delta_k = (1+ratio)^k * eta in order, and a range in two bands keeps its
+    first band's piece.  Every band lies within ``bootstrap_interval_mnet``'s
+    input bounds: ratio <= eps0 < 1/4, ratio < eta <= delta_k < 1.  The one
+    family is verified at lam, which is at most every band's 1 - 4*ratio,
+    and that check reads every band range's piece."""
     params = HeavyMnetParams.from_targets(lam, eta, provider.heaviness)
     note(op="heavy-mnet", params=params)
-    witness = {}
-    for delta_k in params.band_deltas:
-        band_fam = bootstrap_interval_mnet(system, params.band_ratio, delta_k, provider)
-        for mask, piece in band_fam.witness.items():
-            witness.setdefault(mask, piece)
-    fam = make_mnet(system, witness.values(), lam, eta, witness=witness)
-    return _checked(fam, "heavy_mnet")
+    witness = _bootstrap_bands(system, params.band_ratio, params.band_deltas, provider.heaviness)
+    return _checked(make_mnet(system, witness.values(), lam, eta, witness=witness), "heavy_mnet")
 
 
 def build_container(system, eps, provider_complement):
-    """eps-container: {X} for the big ranges, small-set containers for ranges
-    up to (eps/2)*n, and complements of a (1-eps)-heavy eps-Mnet of the
-    complement family for everything of size at most (1-eps)*n."""
+    """eps-container: {X} for the big ranges, the covers of the small-set
+    recursion (``_small_set_covers``, as ``small_set_container`` runs it at
+    eps = rho = eps/2) for the ranges up to (eps/2)*n, and complements of a
+    (1-eps)-heavy eps-Mnet of the complement family for everything of size
+    at most (1-eps)*n."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     n = system.n
     full = system.full_mask
-    small_sys = filter_by_size(system, upper=eps / 2 * Fraction(n))
-    covers = list(small_set_container(small_sys, eps / 2, eps / 2, provider_complement).covers)
+    half, heaviness = eps / 2, provider_complement.heaviness
+    small = size_band(system.ranges, 0, math.floor(half * n))
+    covers, _ = _small_set_covers(small, full, half, half, heaviness, _depth_cap(half, half, heaviness))
     mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement)
     witness = dict.fromkeys(size_band(system.ranges, math.ceil((1 - eps) * n), n), full)
     for mask in system.ranges[len(witness):]:

@@ -375,7 +375,10 @@ def exact_hull_intersection(domain, a, b):
 
 def realizable_learning_instance(domain, seed, labeled_share=0.8):
     """Seeded realizable instance: labels come from an actual halfspace cut,
-    points are split between Alice, Bob and unlabeled."""
+    points are split between Alice, Bob and unlabeled.  An empty domain
+    gives the empty instance."""
+    if not domain.points:
+        return LearningInstance(domain, (), ())
     rng = random.Random(seed)
     d = domain.dim
     while True:

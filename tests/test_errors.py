@@ -140,6 +140,22 @@ def test_empty_ground_set_full_stack():
     assert bk.verify_bracket(bk.build_bracket(sys0, Fraction(1, 2), provider, bk.default_provider())).passed
 
 
+def test_a_veronese_lift_above_the_dimension_limit_is_refused_before_it_is_built(monkeypatch):
+    # Planar points lift to C(2+k, k) - 1 coordinates: 54 at degree 9, which
+    # a point set JSON still holds, and 65 at degree 10, one above MAX_DIM.
+    pts = bk.random_point_set(2, 3, 1)
+    lifted = bk.veronese_lift(pts, 9)
+    assert lifted.dim == 54
+    assert bk.PointSet.from_json(lifted.to_json()) == lifted
+    built = []
+    monkeypatch.setattr(bk.geometry, "monomial_exponents", lambda *args: built.append(args))
+    for degree, dim in ((10, 65), (10**6, 500001500000)):
+        refusal = f"Veronese lift dimension at degree {degree}: {dim} exceeds the limit 64$"
+        with pytest.raises(bk.ResourceBudgetError, match=refusal):
+            bk.veronese_lift(pts, degree)
+    assert not built
+
+
 def test_json_output_over_the_index_budget_is_refused_before_any_list_is_built(monkeypatch):
     # 257 ranges of 65,535 elements: 16,842,495 element indices, just above
     # 2^24.  Their sizes are summed first, and no index list is made.

@@ -72,6 +72,19 @@ def test_realizable_instance_on_one_point():
         assert inst.alice + inst.bob == ((0, 1),)
 
 
+def test_realizable_instance_on_an_empty_domain_is_empty():
+    # The domain that random_disjointness_instance, enumeration and the
+    # shared context accept; the protocol ends on its two one-bit oks.
+    dom = bk.random_point_set(2, 0, 1)
+    assert bk.random_disjointness_instance(dom, 0) == bk.DisjointnessInstance(dom, (), ())
+    for seed in range(3):
+        inst = bk.realizable_learning_instance(dom, seed)
+        assert inst == bk.LearningInstance(dom, (), ())
+    _, transcript = bk.learn_halfspace_protocol(inst, EPS0)
+    assert [m.kind for m in transcript.messages] == ["ok", "ok"]
+    assert transcript.total_bits == 2
+
+
 def test_realizability_oracle_agrees_with_generator():
     dom = bk.random_point_set(2, 12, 303)
     for seed in range(10):
