@@ -8,23 +8,36 @@ containers for small ranges; bootstrapping lifts those to heavy Mnets on a
 size band; banding over a geometric size ladder yields Mnets of arbitrary
 heaviness, full container families and brackets.
 
-Checks sit at the public boundary.  Every public call checks what it
-returns (``_checked``), so a caller never receives an unverified family.
-The bands and the small-set root are served by private helpers, which build
-and check no family: ``heavy_mnet`` and ``bootstrap_interval_mnet`` run the
-one band loop ``_bootstrap_bands``, and ``build_container`` enters the
-removal recursion ``_small_set_covers`` at its root, as
-``small_set_container`` does.  The private helpers ``_greedy_assignment``,
-``_small_set_covers`` and ``_bootstrap_bands`` work on plain canonical mask
-lists and return steering or witness data, not families: a member's Mnet in
-boosting and a node's Mnet in the removal recursion only steer them, and a
-local container only hands the band loop its witness covers.  Boosting and
-the band loop check each range's own witness with
-``find_piece``/``find_cover``, scanning nothing else (their docstrings
-prove that the witness serves), and the public call that returns the
-family verifies it.  The nested public calls that remain, ``heavy_mnet``
-under ``build_container`` and ``build_bracket`` and ``build_container``
-under ``build_bracket``, check their own families too.
+Checks sit at the public boundary, under one rule: the outermost public
+call checks what it returns (``_checked``), and nothing below it builds or
+checks a family.  So a caller never receives an unverified family, and one
+call makes one self-check.  A public construction that builds on another
+calls that one's private core, which returns a witness map and no family:
+``heavy_mnet`` is the core ``_heavy_witness`` and a check, and
+``build_container`` is its small-set root, the core ``_container_witness``
+and a check; ``build_bracket`` takes its upper sets from
+``_container_witness`` and its lower sets from ``_heavy_witness``.
+``_heavy_witness`` and ``bootstrap_interval_mnet`` run the one band loop
+``_bootstrap_bands``, and ``build_container`` enters the removal recursion
+``_small_set_covers`` at its root, as ``small_set_container`` does.  The
+private helpers ``_greedy_assignment``, ``_small_set_covers`` and
+``_bootstrap_bands`` work on plain canonical mask lists and return steering
+or witness data, not families: a member's Mnet in boosting and a node's Mnet
+in the removal recursion only steer them, and a local container only hands
+the band loop its witness covers.  Boosting and the band loop check each
+range's own witness with ``find_piece``/``find_cover``, scanning nothing
+else (their docstrings prove that the witness serves).
+
+The one outer check covers what the caller receives.  A caller is promised
+the family's definition, and a verifier checks it for every range of the
+family's base (a witness is only a hint).  An inner witness reaches the
+caller only as a set of the outer family, in the one role the outer family
+gives it.  A container check reads every range's cover: in
+``build_container`` a heavy piece's complement is a range's cover, so the
+check reads it as that cover.  A bracket check reads every range's pair: in
+``build_bracket`` a heavy piece is a range's lower set and a container
+cover its upper set, so the check reads both as that range's pair.  An
+inner check would verify a family that no caller receives.
 
 The helpers serve a packing member or a recursion node, a universe U, in
 the parent's element indices: U is a mask, |U| a count, U.bit_length() the
@@ -538,13 +551,12 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
 
 
 def _bootstrap_bands(system, eps, deltas, heaviness):
-    """The band loop of ``bootstrap_interval_mnet`` and ``heavy_mnet``, below
+    """The band loop of ``bootstrap_interval_mnet`` and ``_heavy_witness``, below
     their input checks: the witness map (band range -> piece) of the bands
     [delta*n, (1+eps)*delta*n] of the Fractions ``deltas``, served in order.
     A range in two bands keeps its first band's piece (``setdefault``), and
-    an empty band is skipped.  Each band notes itself and computes the
-    recursion's depth cap (``_depth_cap``) once; nothing is verified here
-    beyond each range's own witness.
+    an empty band is skipped.  Each non-empty band notes itself; nothing is
+    verified here beyond each range's own witness.
 
     A maximal packing at separation eps*delta*n groups a band: a range is
     served through the first member within the separation, as recorded in
@@ -554,9 +566,12 @@ def _bootstrap_bands(system, eps, deltas, heaviness):
     complements of the covers inside P are the pieces.  The recursion runs
     on the deduplicated, canonically sorted complements (two group ranges
     can share P & ~R); ``find_cover`` checks each range's witness cover,
-    and scans no other cover.  All groups share eps', eps and the heaviness,
-    so eps' and eps' + eps, whose integer floors at |P| are a group's
-    bounds, are computed once per call.
+    and scans no other cover.  All groups of all bands share eps', eps and
+    the heaviness, so eps', eps' + eps (whose integer floors at |P| are a
+    group's bounds) and the recursion's depth cap (``_depth_cap``) are
+    computed once per call, before the band loop.  For eps in (0, 1/2] and
+    the provider's heaviness 1/2 the cap's shrink lies in [3/4, 4/5), so
+    computing it with every band empty raises nothing.
 
     The witness serves.  The recursion's witness for a complement C is the
     first node universe Z with C inside Z and residual |Z \\ C| at most
@@ -574,12 +589,13 @@ def _bootstrap_bands(system, eps, deltas, heaviness):
     floor(eps*|P|)).  The node's one range is P, whose greedy-cover piece
     is P, so the child universe is the empty set, which becomes the
     empty set's witness cover.  For |P| = 0 the root itself is that cover.
-    The piece is P ^ 0 = P.  The caller's ``_checked`` still verifies every
-    piece it returns.
+    The piece is P ^ 0 = P.  The outermost public call still checks every
+    piece that reaches its family.
     """
     n = system.n
     eps_prime = 3 * eps / (2 + 2 * eps)
     slack = eps_prime + eps
+    depth_cap = _depth_cap(eps_prime, eps, heaviness)
     witness = {}
     for delta in deltas:
         lo_int = math.ceil(delta * n)
@@ -590,7 +606,6 @@ def _bootstrap_bands(system, eps, deltas, heaviness):
         packing = greedy_delta_packing(band, math.floor(eps * delta * n))
         note(op="bootstrap", eps=eps, delta=delta, eps_prime=eps_prime,
              band=(lo_int, hi_int), packing_size=len(packing.members))
-        depth_cap = _depth_cap(eps_prime, eps, heaviness)
         for member, group in zip(packing.members, packing.groups):
             if len(group) == 1:
                 witness.setdefault(member, member)
@@ -606,7 +621,7 @@ def _bootstrap_bands(system, eps, deltas, heaviness):
             for mask, comp in zip(group, comps):
                 cover = find_cover((), cover_of.get(comp), comp, slack_cap)
                 if cover is None:
-                    raise InternalInvariantError("verified container has no cover for a range")
+                    raise InternalInvariantError("local container has no cover for a range")
                 witness.setdefault(mask, member ^ cover)
     return witness
 
@@ -652,55 +667,72 @@ class HeavyMnetParams:
         return HeavyMnetParams(lam, eta, heaviness, eps0, t0_raw, math.ceil(t0_raw), ratio, band_deltas)
 
 
-def heavy_mnet(system, lam, eta, provider):
-    """lam-heavy eta-Mnet for any lam in (0,1): one band loop
+def _heavy_witness(system, lam, eta, heaviness):
+    """The core of ``heavy_mnet``: the witness map (range of size at least
+    eta*n -> piece) of its lam-heavy eta-Mnet, unverified.  One band loop
     (``_bootstrap_bands``) bootstraps each band of the geometric size ladder
     delta_k = (1+ratio)^k * eta in order, and a range in two bands keeps its
     first band's piece.  Every band lies within ``bootstrap_interval_mnet``'s
-    input bounds: ratio <= eps0 < 1/4, ratio < eta <= delta_k < 1.  The one
-    family is verified at lam, which is at most every band's 1 - 4*ratio,
-    and that check reads every band range's piece."""
-    params = HeavyMnetParams.from_targets(lam, eta, provider.heaviness)
+    input bounds: ratio <= eps0 < 1/4, ratio < eta <= delta_k < 1, and lam
+    is at most every band's 1 - 4*ratio."""
+    params = HeavyMnetParams.from_targets(lam, eta, heaviness)
     note(op="heavy-mnet", params=params)
-    witness = _bootstrap_bands(system, params.band_ratio, params.band_deltas, provider.heaviness)
+    return _bootstrap_bands(system, params.band_ratio, params.band_deltas, heaviness)
+
+
+def heavy_mnet(system, lam, eta, provider):
+    """lam-heavy eta-Mnet for any lam in (0,1): the pieces of
+    ``_heavy_witness``, verified once at lam; the check reads every band
+    range's piece."""
+    witness = _heavy_witness(system, lam, eta, provider.heaviness)
     return _checked(make_mnet(system, witness.values(), lam, eta, witness=witness), "heavy_mnet")
 
 
+def _container_witness(system, eps, heaviness):
+    """The core of ``build_container``: the witness map (range -> cover) of
+    an eps-container, unverified.  A big range, of size at least
+    ceil((1-eps)*n), gets the full set X; every other range F gets X ^ p for
+    the piece p that ``_heavy_witness`` gives its complement X ^ F in a
+    (1-eps)-heavy eps-Mnet of the complement family.  |X ^ F| >= eps*n, so
+    that piece exists, and p inside X ^ F with |p| >= (1-eps)*|X ^ F| puts F
+    inside X ^ p with at most eps*|X ^ F| <= eps*n extra elements."""
+    full = system.full_mask
+    pieces = _heavy_witness(complement_family(system), 1 - eps, eps, heaviness)
+    witness = dict.fromkeys(size_band(system.ranges, math.ceil((1 - eps) * system.n), system.n), full)
+    witness.update((mask, full ^ pieces[full ^ mask]) for mask in system.ranges[len(witness):])
+    return witness
+
+
 def build_container(system, eps, provider_complement):
-    """eps-container: {X} for the big ranges, the covers of the small-set
-    recursion (``_small_set_covers``, as ``small_set_container`` runs it at
-    eps = rho = eps/2) for the ranges up to (eps/2)*n, and complements of a
-    (1-eps)-heavy eps-Mnet of the complement family for everything of size
-    at most (1-eps)*n."""
+    """eps-container: the covers of the small-set recursion
+    (``_small_set_covers``, as ``small_set_container`` runs it at eps = rho
+    = eps/2) for the ranges up to (eps/2)*n, whose root cover is the full
+    set, and the witness covers of ``_container_witness``; verified once."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
-    n = system.n
-    full = system.full_mask
     half, heaviness = eps / 2, provider_complement.heaviness
-    small = size_band(system.ranges, 0, math.floor(half * n))
-    covers, _ = _small_set_covers(small, full, half, half, heaviness, _depth_cap(half, half, heaviness))
-    mfam = heavy_mnet(complement_family(system), 1 - eps, eps, provider_complement)
-    witness = dict.fromkeys(size_band(system.ranges, math.ceil((1 - eps) * n), n), full)
-    for mask in system.ranges[len(witness):]:
-        cover = full ^ mfam.witness[full ^ mask]
-        covers.append(cover)
-        witness[mask] = cover
-    return _checked(make_container(system, covers, eps, witness=witness), "build_container")
+    small = size_band(system.ranges, 0, math.floor(half * system.n))
+    covers, _ = _small_set_covers(small, system.full_mask, half, half, heaviness, _depth_cap(half, half, heaviness))
+    witness = _container_witness(system, eps, heaviness)
+    return _checked(make_container(system, [*covers, *witness.values()], eps, witness=witness), "build_container")
 
 
 def build_bracket(system, eps, provider, provider_complement):
-    """eps-uniform bracket: upper sets from an (eps/2)-container, lower sets
-    from a (1-eps/2)-heavy (eps/2)-Mnet of the system itself (empty set for
-    ranges of size at most (eps/2)*n)."""
+    """eps-uniform bracket, verified once: a range's upper set is its
+    witness cover in an (eps/2)-container (``_container_witness``), and its
+    lower set its piece in a (1-eps/2)-heavy (eps/2)-Mnet of the system
+    itself (``_heavy_witness``), or the empty set for a range of size at
+    most (eps/2)*n.  It runs no small-set root: ``build_container``'s root
+    covers are no range's witness, so no bracket set came from them."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     n = system.n
-    cont = build_container(system, eps / 2, provider_complement)
-    mfam = heavy_mnet(system, 1 - eps / 2, eps / 2, provider)
+    upper = _container_witness(system, eps / 2, provider_complement.heaviness)
+    lower = _heavy_witness(system, 1 - eps / 2, eps / 2, provider.heaviness)
     large = size_band(system.ranges, math.floor(eps / 2 * Fraction(n)) + 1, n)
-    pairing = {mask: (mfam.witness[mask], cont.witness[mask]) for mask in large}
-    pairing.update((mask, (0, cont.witness[mask])) for mask in system.ranges[len(large):])
+    pairing = {mask: (lower[mask], upper[mask]) for mask in large}
+    pairing.update((mask, (0, upper[mask])) for mask in system.ranges[len(large):])
     sets = [0, *chain.from_iterable(pairing.values())]
     return _checked(make_bracket(system, sets, eps, pairing=pairing), "build_bracket")

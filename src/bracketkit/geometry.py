@@ -480,11 +480,12 @@ def veronese_lift(pts, degree):
 
     Output dimension is C(d+degree, degree) - 1; signs of degree-bounded
     polynomials on the originals become signs of affine functions on the lifts.
-    A dimension above ``MAX_DIM``, which ``PointSet.from_json`` refuses, raises
-    ResourceBudgetError before any coordinate is built.
+    A degree that is not an int of at least 1 raises InputError.  A
+    dimension above ``MAX_DIM``, which ``PointSet.from_json`` refuses,
+    raises ResourceBudgetError before any coordinate is built.
     """
-    if degree < 1:
-        raise InputError("degree must be >= 1")
+    if not isinstance(degree, int) or degree < 1:
+        raise InputError(f"degree must be an integer >= 1, got {degree!r}")
     within_budget(math.comb(pts.dim + degree, degree) - 1, MAX_DIM, f"Veronese lift dimension at degree {degree}:")
     exponents = monomial_exponents(pts.dim, degree)
     rows = tuple(tuple(math.prod(c**e for c, e in zip(p, expo)) for expo in exponents) for p in pts.points)

@@ -821,18 +821,19 @@ def test_small_set_container_in_a_ground_set_is_the_expansion_of_the_reindexed_o
 
 
 GROUNDED = {
-    "heavy_mnet": lambda system: bk.heavy_mnet(system, Fraction(1, 2), Fraction(1, 4), bk.default_provider()),
-    "build_container": lambda system: bk.build_container(system, Fraction(1, 4), bk.default_provider()),
-    "build_bracket": lambda system: bk.build_bracket(
-        system, Fraction(1, 4), bk.default_provider(), bk.default_provider()),
+    "heavy_mnet": lambda: bk.heavy_mnet(_circle(12), Fraction(1, 2), Fraction(1, 4), bk.default_provider()),
+    "build_container": lambda: bk.build_container(_circle(12), Fraction(1, 4), bk.default_provider()),
+    # The bracket runs no small-set root, and its bands on circle-12 at
+    # eps = 1/4 have no group of two; circle-20's at eps = 1/2 have.
+    "build_bracket": lambda: bk.build_bracket(_circle(20), Fraction(1, 2), bk.default_provider(), bk.default_provider()),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GROUNDED))
 def test_a_construction_in_a_high_ground_set_is_the_expansion_of_the_reindexed_one(name):
-    # Every small-set recursion that the construction runs on circle-12,
-    # replayed with its universe and ranges on the bits 60, 62, ..., 82:
-    # those masks reach past the one word that 12 elements take, so the
+    # Every small-set recursion that the construction runs on its circle,
+    # replayed with its universe and ranges on the bits 60, 62, ..., 98:
+    # those masks reach past the one word that 20 elements take, so the
     # recursion must read its width from the universe.
     calls = []
     original = constructions._small_set_covers
@@ -842,9 +843,9 @@ def test_a_construction_in_a_high_ground_set_is_the_expansion_of_the_reindexed_o
         return original(*args)
 
     with mock.patch.object(constructions, "_small_set_covers", recording):
-        GROUNDED[name](_circle(12))
+        GROUNDED[name]()
     assert calls
-    high = sum(1 << i for i in range(60, 83, 2))
+    high = sum(1 << i for i in range(60, 99, 2))
     for ranges, member, eps, rho, heaviness, depth_cap in calls:
         want, want_of = original(ranges, member, eps, rho, heaviness, depth_cap)
         [universe] = naive_expand([member], high)
@@ -955,7 +956,7 @@ def test_a_group_range_far_from_its_member_is_an_internal_error(monkeypatch):
 def test_bootstrap_without_a_cover_for_a_range_is_an_internal_error(monkeypatch):
     system, eps, delta, _ = _circle40_band_packing()
     monkeypatch.setattr(constructions, "find_cover", lambda *args: None)
-    with pytest.raises(bk.InternalInvariantError, match="verified container has no cover for a range"):
+    with pytest.raises(bk.InternalInvariantError, match="local container has no cover for a range"):
         bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
 
 
@@ -1039,7 +1040,7 @@ def test_a_wrong_local_container_fails_the_bootstrap_cover_guard(monkeypatch, fa
         return fault(covers, witness, ranges[0])
 
     monkeypatch.setattr(constructions, "_small_set_covers", faulty)
-    with pytest.raises(bk.InternalInvariantError, match="verified container has no cover for a range"):
+    with pytest.raises(bk.InternalInvariantError, match="local container has no cover for a range"):
         bk.bootstrap_interval_mnet(system, eps, delta, bk.default_provider())
 
 
@@ -1072,8 +1073,10 @@ def test_a_wrong_band_piece_never_yields_an_unverified_outer_family(monkeypatch,
     # that run the band loop without a band family: every complement gets
     # its member as its witness, and the cover finder returns the hint
     # unchecked, so a range of a group of two or more gets the empty set.
-    # heavy_mnet's check refuses it, or the outer family verifies.  At these
-    # eps the bands of circle-40 have such groups, so the fault is reached.
+    # The outer call's one check refuses it, or the outer family verifies.
+    # At these eps the bands of circle-40 have such groups, so the fault is
+    # reached; both outers verify, since their verifiers' scans find other
+    # serving sets for the ranges whose witness is wrong.
     original = constructions._small_set_covers
     unchecked = []
 
@@ -1090,10 +1093,27 @@ def test_a_wrong_band_piece_never_yields_an_unverified_outer_family(monkeypatch,
     try:
         fam = OUTER_CONSTRUCTIONS[outer](_circle(40))
     except bk.InternalInvariantError as err:
-        assert str(err).startswith("heavy_mnet failed self-verification")
+        assert str(err).startswith(f"{outer} failed self-verification")
     else:
         assert verify_family(fam).passed
     assert unchecked
+
+
+@pytest.mark.parametrize("outer", sorted(OUTER_CONSTRUCTIONS))
+def test_an_empty_band_piece_fails_the_outer_self_verification(monkeypatch, outer):
+    # A band loop that gives every range the empty piece: the empty set
+    # serves no range of the heavy Mnets, so the container's covers and the
+    # bracket's upper sets are all the full set, and the lower sets of the
+    # bracket are all empty.  No scan can mask that; the outer call's one
+    # check refuses it.
+    original = constructions._bootstrap_bands
+
+    def empty_pieces(system, eps, deltas, heaviness):
+        return dict.fromkeys(original(system, eps, deltas, heaviness), 0)
+
+    monkeypatch.setattr(constructions, "_bootstrap_bands", empty_pieces)
+    with pytest.raises(bk.InternalInvariantError, match=f"^{outer} failed self-verification"):
+        OUTER_CONSTRUCTIONS[outer](_circle(40))
 
 
 _greedy_assignment = constructions._greedy_assignment  # the unpatched greedy
@@ -1135,12 +1155,11 @@ PUBLIC_CONSTRUCTIONS = ("base_mnet", "boost_epsilon", "small_set_container", "bo
 
 
 def test_only_public_construction_calls_self_verify(monkeypatch):
-    # circle-40's bracket: one self-check per public construction call, and
-    # the only public calls are the two heavy_mnet calls, build_container and
-    # build_bracket; the bands and the small-set root run through private
-    # helpers, so neither bootstrap_interval_mnet nor small_set_container is
-    # called.  circle-40's boosting: one self-check.  The small-set
-    # recursion and boosting run the greedy cover without calling base_mnet.
+    # One self-check per outermost public call.  circle-40's bracket calls
+    # no other public construction: it takes its sets from the cores of
+    # build_container and heavy_mnet.  circle-40's container alone and its
+    # boosting: one self-check each.  The small-set recursion and boosting
+    # run the greedy cover without calling base_mnet.
     calls = dict.fromkeys((*PUBLIC_CONSTRUCTIONS, "verify_family", "_greedy_assignment"), 0)
     for name in calls:
         original = getattr(constructions, name)
@@ -1151,11 +1170,13 @@ def test_only_public_construction_calls_self_verify(monkeypatch):
 
         monkeypatch.setattr(constructions, name, counting)
     constructions.build_bracket(_circle(40), QUARTER, bk.default_provider(), bk.default_provider())
-    assert calls["verify_family"] == sum(calls[name] for name in PUBLIC_CONSTRUCTIONS) == 4
-    assert calls["base_mnet"] == calls["boost_epsilon"] == 0
-    assert calls["small_set_container"] == calls["bootstrap_interval_mnet"] == 0
-    assert calls["build_container"] == calls["build_bracket"] == 1
-    assert calls["heavy_mnet"] == 2
+    assert calls["verify_family"] == sum(calls[name] for name in PUBLIC_CONSTRUCTIONS) == 1
+    assert calls["build_bracket"] == 1
+    assert calls["_greedy_assignment"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    constructions.build_container(_circle(40), QUARTER, bk.default_provider())
+    assert calls["verify_family"] == sum(calls[name] for name in PUBLIC_CONSTRUCTIONS) == 1
+    assert calls["build_container"] == 1
     assert calls["_greedy_assignment"] > 0
     calls.update(dict.fromkeys(calls, 0))
     constructions.boost_epsilon(_circle(40), bk.default_provider(), Fraction(1, 5), HALF)
@@ -1165,11 +1186,11 @@ def test_only_public_construction_calls_self_verify(monkeypatch):
 
 
 def test_the_depth_cap_is_computed_once_per_call_not_per_group(monkeypatch):
-    # circle-40's bracket: the cap is computed once per bootstrap band (each
-    # non-empty band notes itself once) and once per build_container call,
-    # for its small-set root, and nowhere else; the recursions, more than
-    # the caps, still note one cap each, the closed-form one.
-    calls = dict.fromkeys(("_depth_cap", "_small_set_covers", "build_container"), 0)
+    # circle-40's bracket: the cap is computed once per band loop, before
+    # its bands, and nowhere else (the bracket runs no small-set root); the
+    # recursions, more than the caps, still note one cap each, the
+    # closed-form one.
+    calls = dict.fromkeys(("_depth_cap", "_small_set_covers", "_bootstrap_bands", "build_container"), 0)
     for name in calls:
         original = getattr(constructions, name)
 
@@ -1180,15 +1201,20 @@ def test_the_depth_cap_is_computed_once_per_call_not_per_group(monkeypatch):
         monkeypatch.setattr(constructions, name, counting)
     with trace.recording() as log:
         constructions.build_bracket(_circle(40), QUARTER, bk.default_provider(), bk.default_provider())
-    bands = [entry for entry in log if entry["op"] == "bootstrap"]
-    assert calls["build_container"] == 1
-    assert calls["_depth_cap"] == len(bands) + calls["build_container"]
+    assert calls["build_container"] == 0
+    assert calls["_depth_cap"] == calls["_bootstrap_bands"] + calls["build_container"] == 2
     assert calls["_small_set_covers"] > calls["_depth_cap"]
     notes = [entry for entry in log if entry["op"] == "small-set-container"]
     assert len(notes) == calls["_small_set_covers"]
     for entry in notes:
         shrink = 1 - HALF * entry["rho"] / (entry["eps"] + entry["rho"])
         assert entry["depth_cap"] == math.ceil(1 + math.log(1 / entry["rho"]) / math.log(1 / float(shrink)))
+    # Called directly, build_container computes it once for its band loop
+    # and once for its small-set root.
+    calls.update(dict.fromkeys(calls, 0))
+    constructions.build_container(_circle(40), QUARTER, bk.default_provider())
+    assert calls["_depth_cap"] == calls["_bootstrap_bands"] + calls["build_container"] == 2
+    assert calls["_small_set_covers"] > calls["_depth_cap"]
     # Called directly, small_set_container and a bootstrap band compute it once.
     system, eps, delta, _ = _circle40_band_packing()
     for construct in (

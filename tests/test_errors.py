@@ -156,6 +156,18 @@ def test_a_veronese_lift_above_the_dimension_limit_is_refused_before_it_is_built
     assert not built
 
 
+def test_a_veronese_lift_of_a_non_integer_degree_is_an_input_error(monkeypatch):
+    # math.comb would raise a bare TypeError on 2.5; the degree is refused
+    # before the dimension budget and before any coordinate is built.
+    pts = bk.random_point_set(2, 3, 1)
+    built = []
+    monkeypatch.setattr(bk.geometry, "monomial_exponents", lambda *args: built.append(args))
+    for degree in (2.5, 2.0, "2", Fraction(2)):
+        with pytest.raises(bk.InputError, match=f"degree must be an integer >= 1, got {re.escape(repr(degree))}$"):
+            bk.veronese_lift(pts, degree)
+    assert not built
+
+
 def test_json_output_over_the_index_budget_is_refused_before_any_list_is_built(monkeypatch):
     # 257 ranges of 65,535 elements: 16,842,495 element indices, just above
     # 2^24.  Their sizes are summed first, and no index list is made.
