@@ -116,7 +116,16 @@ def _conic_bracket12():
     return bk.family_to_json(fam)
 
 
+def _ball_bracket24():
+    # Planar balls are not closed under complement, so this bracket takes its
+    # lower sets from the band loop on the system and its upper sets from the
+    # one on the complement family.
+    system = bk.enumerate_ball_ranges(bk.random_point_set(2, 24, 3))
+    return bk.family_to_json(bk.build_bracket(system, Fraction(1, 2), bk.default_provider(), bk.default_provider()))
+
+
 CASES = {
+    "bracket-balls24-seed3-eps1/2": _ball_bracket24,
     "bracket-circle40-eps1/4": _bracket40,
     "boost-circle40-eps1/5-eta1/2": _boost40,
     "bracket-conics12-seed3-eps1/2": _conic_bracket12,
