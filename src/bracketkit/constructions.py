@@ -15,8 +15,9 @@ call makes one self-check.  A public construction that builds on another
 calls that one's private core, which returns a witness map and no family:
 ``heavy_mnet`` is the core ``_heavy_witness`` and a check, and
 ``build_container`` is its small-set root, the core ``_container_witness``
-and a check; ``build_bracket`` takes its upper sets from
-``_container_witness`` and its lower sets from ``_heavy_witness``.
+and a check; ``build_bracket`` runs that one core on the system, for its
+upper sets, and on the system's dual, the complement family, for its lower
+sets, and on a system that is its own dual one run serves both.
 ``_heavy_witness`` and ``bootstrap_interval_mnet`` run the one band loop
 ``_bootstrap_bands``, and ``build_container`` enters the removal recursion
 ``_small_set_covers`` at its root, as ``small_set_container`` does.  The
@@ -35,8 +36,9 @@ caller only as a set of the outer family, in the one role the outer family
 gives it.  A container check reads every range's cover: in
 ``build_container`` a heavy piece's complement is a range's cover, so the
 check reads it as that cover.  A bracket check reads every range's pair: in
-``build_bracket`` a heavy piece is a range's lower set and a container
-cover its upper set, so the check reads both as that range's pair.  An
+``build_bracket`` a range's upper set is its cover in the system's
+container and its lower set the complement of its complement's cover in
+the dual's, so the check reads both as that range's pair.  An
 inner check would verify a family that no caller receives.
 
 The helpers serve a packing member or a recursion node, a universe U, in
@@ -719,20 +721,34 @@ def build_container(system, eps, provider_complement):
 
 
 def build_bracket(system, eps, provider, provider_complement):
-    """eps-uniform bracket, verified once: a range's upper set is its
-    witness cover in an (eps/2)-container (``_container_witness``), and its
-    lower set its piece in a (1-eps/2)-heavy (eps/2)-Mnet of the system
-    itself (``_heavy_witness``), or the empty set for a range of size at
-    most (eps/2)*n.  It runs no small-set root: ``build_container``'s root
-    covers are no range's witness, so no bracket set came from them."""
+    """eps-uniform bracket, verified once: the witness covers of an
+    (eps/2)-container of the system are the upper sets, and the complements
+    of those of an (eps/2)-container of its dual, the complement family, are
+    the lower sets.  A range F gets the pair (X ^ C, U) for its cover U and
+    the cover C of X ^ F; both containers come from ``_container_witness``.
+    F lies inside U with |U \\ F| <= floor(eps*n/2), and X ^ F inside C with
+    |C \\ (X ^ F)| = |F \\ (X ^ C)| <= floor(eps*n/2).  So X ^ C lies
+    inside F, and |U \\ (X ^ C)| <= floor(eps*n/2) + floor(eps*n/2) <=
+    floor(eps*n).
+
+    The dual's core runs ``_heavy_witness`` on the dual's complement
+    family, which is the system itself (complementing is an involution on
+    the range tuple).  So F's lower set is its piece in a (1-eps/2)-heavy
+    (eps/2)-Mnet of the system, except where |F| <= floor(eps*n/2): X ^ F is
+    then big in the dual, of size at least ceil((1-eps/2)*n), so its cover
+    is X and F's lower set the empty set.  When the dual has the system's
+    ranges (every planar halfspace system does) and both providers one
+    heaviness, the two cores make the same call, so the system's container
+    serves as the dual's and one band loop serves both.  The bracket runs no
+    small-set root: ``build_container``'s root covers are no range's
+    witness, so no bracket set came from them."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
-    n = system.n
-    upper = _container_witness(system, eps / 2, provider_complement.heaviness)
-    lower = _heavy_witness(system, 1 - eps / 2, eps / 2, provider.heaviness)
-    large = size_band(system.ranges, math.floor(eps / 2 * Fraction(n)) + 1, n)
-    pairing = {mask: (lower[mask], upper[mask]) for mask in large}
-    pairing.update((mask, (0, upper[mask])) for mask in system.ranges[len(large):])
+    full, dual, half = system.full_mask, complement_family(system), eps / 2
+    upper = _container_witness(system, half, provider_complement.heaviness)
+    self_dual = dual == system and provider.heaviness == provider_complement.heaviness
+    lower = upper if self_dual else _container_witness(dual, half, provider.heaviness)
+    pairing = {mask: (full ^ lower[full ^ mask], upper[mask]) for mask in system.ranges}
     sets = [0, *chain.from_iterable(pairing.values())]
     return _checked(make_bracket(system, sets, eps, pairing=pairing), "build_bracket")

@@ -505,10 +505,10 @@ def monomial_exponents(dim, degree):
 
 
 def enumerate_polytope_ranges(pts, k):
-    """All distinct intersections of at most k halfspace ranges; more than
-    ``MAX_POLYTOPE_RANGES`` of them raise ResourceBudgetError."""
-    if k < 1:
-        raise InputError("k must be >= 1")
+    """All distinct intersections of at most k halfspace ranges, for an int
+    k >= 1; more than ``MAX_POLYTOPE_RANGES`` of them raise
+    ResourceBudgetError."""
+    json_int(k, "polytope constraint count k", 1)
     halfspaces = enumerate_halfspace_ranges(pts).ranges
     level = set(halfspaces)
     seen = set(level)
@@ -528,10 +528,11 @@ def enumerate_polytope_ranges(pts, k):
 
 
 def _check_generator_size(d, n):
-    if d < 1 or n < 0:
-        raise InputError("need d >= 1 and n >= 0")
-    within_budget(d, MAX_DIM, "dimension d")
-    within_budget(n, MAX_GROUND_SET, "point count n")
+    """An int d >= 1 and an int n >= 0 (a bool is neither) pass; anything
+    else raises InputError, and d above ``MAX_DIM`` or n above
+    ``MAX_GROUND_SET`` ResourceBudgetError."""
+    json_int(d, "dimension d", 1, MAX_DIM)
+    json_int(n, "point count n", 0, MAX_GROUND_SET)
 
 
 def lower_bound_instance(d, n, kind):

@@ -184,11 +184,10 @@ def vc_dimension_exact(system, cap):
     """Exhaustive VC dimension, searching shattered subsets by increasing size.
 
     Intended for small ground sets; stops at the first size with no shattered
-    subset.  If all sizes up to ``cap`` are shattered, returns a >=cap marker
-    (``exact=False``) rather than guessing.
+    subset.  If all sizes up to ``cap``, an int >= 0, are shattered, returns
+    a >=cap marker (``exact=False``) rather than guessing.
     """
-    if cap < 0:
-        raise InputError("cap must be nonnegative")
+    json_int(cap, "cap", 0)
     if not system.ranges:
         return VcDimension(-1, True, ())
     matrix = bit_matrix(system.ranges, system.n).astype(np.uint64)
@@ -217,9 +216,9 @@ class SauerShelahReport:
 
 
 def sauer_shelah_check(system, d0):
-    """Compare |family| against the Sauer-Shelah bound sum_{i<=d0} C(n,i)."""
-    if d0 < 0:
-        raise InputError("d0 must be nonnegative")
+    """Compare |family| against the Sauer-Shelah bound sum_{i<=d0} C(n,i),
+    for an int d0 >= 0."""
+    json_int(d0, "d0", 0)
     n = system.n
     binom_sum = sum(math.comb(n, i) for i in range(0, min(d0, n) + 1))
     return SauerShelahReport(

@@ -1186,9 +1186,10 @@ def test_only_public_construction_calls_self_verify(monkeypatch):
 
 
 def test_the_depth_cap_is_computed_once_per_call_not_per_group(monkeypatch):
-    # circle-40's bracket: the cap is computed once per band loop, before
-    # its bands, and nowhere else (the bracket runs no small-set root); the
-    # recursions, more than the caps, still note one cap each, the
+    # A bracket computes the cap once per band loop, before its bands, and
+    # nowhere else (it runs no small-set root): one loop on circle-40, which
+    # is its own complement family, and two on planar balls, which are not.
+    # The recursions, more than the caps, still note one cap each, the
     # closed-form one.
     calls = dict.fromkeys(("_depth_cap", "_small_set_covers", "_bootstrap_bands", "build_container"), 0)
     for name in calls:
@@ -1199,16 +1200,19 @@ def test_the_depth_cap_is_computed_once_per_call_not_per_group(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(constructions, name, counting)
-    with trace.recording() as log:
-        constructions.build_bracket(_circle(40), QUARTER, bk.default_provider(), bk.default_provider())
-    assert calls["build_container"] == 0
-    assert calls["_depth_cap"] == calls["_bootstrap_bands"] + calls["build_container"] == 2
-    assert calls["_small_set_covers"] > calls["_depth_cap"]
-    notes = [entry for entry in log if entry["op"] == "small-set-container"]
-    assert len(notes) == calls["_small_set_covers"]
-    for entry in notes:
-        shrink = 1 - HALF * entry["rho"] / (entry["eps"] + entry["rho"])
-        assert entry["depth_cap"] == math.ceil(1 + math.log(1 / entry["rho"]) / math.log(1 / float(shrink)))
+    balls = bk.enumerate_ball_ranges(bk.random_point_set(2, 24, 3))
+    for system, eps, loops in ((_circle(40), QUARTER, 1), (balls, HALF, 2)):
+        calls.update(dict.fromkeys(calls, 0))
+        with trace.recording() as log:
+            constructions.build_bracket(system, eps, bk.default_provider(), bk.default_provider())
+        assert calls["build_container"] == 0
+        assert calls["_depth_cap"] == calls["_bootstrap_bands"] + calls["build_container"] == loops
+        assert calls["_small_set_covers"] > calls["_depth_cap"]
+        notes = [entry for entry in log if entry["op"] == "small-set-container"]
+        assert len(notes) == calls["_small_set_covers"]
+        for entry in notes:
+            shrink = 1 - HALF * entry["rho"] / (entry["eps"] + entry["rho"])
+            assert entry["depth_cap"] == math.ceil(1 + math.log(1 / entry["rho"]) / math.log(1 / float(shrink)))
     # Called directly, build_container computes it once for its band loop
     # and once for its small-set root.
     calls.update(dict.fromkeys(calls, 0))
@@ -1224,3 +1228,63 @@ def test_the_depth_cap_is_computed_once_per_call_not_per_group(monkeypatch):
         calls.update(dict.fromkeys(calls, 0))
         construct()
         assert calls["_depth_cap"] == 1 <= calls["_small_set_covers"]
+
+
+def _reference_bracket_pairing(system, eps, provider, provider_complement):
+    """The bracket's pairing built from ``_heavy_witness`` alone: the upper
+    set of F is the full set X when |F| >= ceil((1-eps/2)*n), else X ^ p for
+    the piece p of X ^ F in the complement family's (1-eps/2)-heavy
+    (eps/2)-Mnet; the lower set is F's piece in the system's own Mnet, or
+    the empty set when |F| <= floor((eps/2)*n)."""
+    half, n, full = eps / 2, system.n, system.full_mask
+    ups = constructions._heavy_witness(bk.complement_family(system), 1 - half, half, provider_complement.heaviness)
+    lows = constructions._heavy_witness(system, 1 - half, half, provider.heaviness)
+    big, small = math.ceil((1 - half) * n), math.floor(half * n)
+    return {
+        mask: (lows[mask] if mask.bit_count() > small else 0, full if mask.bit_count() >= big else full ^ ups[full ^ mask])
+        for mask in system.ranges
+    }
+
+
+def _seeded_abstract_systems():
+    """Seeded abstract systems with n from 0 to 14; every other one is closed
+    under complement, so it is its own dual."""
+    rng = random.Random(4300)
+    for i in range(30):
+        n = i % 15
+        masks = {rng.getrandbits(n) for _ in range(rng.randint(0, 3 * n + 2))}
+        if i % 2:
+            masks |= {((1 << n) - 1) ^ m for m in masks}
+        yield bk.SetSystem.from_masks(n, masks)
+
+
+class _ThreeQuarterProvider(bk.PropertyMProvider):
+    heaviness = Fraction(3, 4)
+
+
+def test_the_bracket_pairing_equals_the_heavy_witness_reference():
+    # The bracket takes its lower sets from the dual's container, and from
+    # the system's own container when the system is its own dual at one
+    # heaviness; either way each pair is the one that _heavy_witness gives
+    # directly.  A provider of another heaviness makes the self-dual circle
+    # run its dual's band loop, whose pieces differ from the system's on
+    # circle-40 at eps = 1/2.
+    pts = bk.random_point_set(2, 9, 71)
+    systems = [
+        _circle(12), _circle(20), bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 12, "moment-curve")),
+        general_position_points(2, 10, 900)[1], general_position_points(3, 8, 5)[1],
+        bk.enumerate_ball_ranges(pts), bk.enumerate_ball_ranges(bk.random_point_set(1, 10, 72)),
+        bk.enumerate_box_ranges(pts), bk.enumerate_box_ranges(bk.random_point_set(1, 10, 72)),
+        bk.enumerate_halfspace_ranges(bk.PointSet(2, ())), *_seeded_abstract_systems(),
+    ]
+    assert any(bk.complement_family(system) != system for system in systems)
+    assert any(bk.complement_family(system) == system for system in systems)
+    cases = [(system, eps, bk.default_provider()) for system in systems
+             for eps in (HALF, QUARTER, Fraction(1, 5), Fraction(1, 10), Fraction(3, 4))]
+    cases.append((_circle(40), HALF, _ThreeQuarterProvider()))
+    for system, eps, provider in cases:
+        bracket = bk.build_bracket(system, eps, provider, bk.default_provider())
+        assert bracket.pairing == _reference_bracket_pairing(system, eps, provider, bk.default_provider())
+        assert set(bracket.sets) == {0, *(s for pair in bracket.pairing.values() for s in pair)}
+    default = bk.build_bracket(_circle(40), HALF, bk.default_provider(), bk.default_provider())
+    assert bracket.pairing != default.pairing

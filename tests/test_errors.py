@@ -25,7 +25,7 @@ def test_setsystem_contracts(sys4):
         bk.SetSystem.from_masks(-1, [])
     with pytest.raises(bk.InputError):
         bk.vc_dimension_exact(sys4, -2)
-    with pytest.raises(bk.InputError, match="d0 must be nonnegative"):
+    with pytest.raises(bk.InputError, match="d0 -1 is not an integer >= 0"):
         bk.sauer_shelah_check(sys4, -1)
 
 
@@ -39,6 +39,32 @@ def test_geometry_contracts():
     for d, n in ((0, 1), (-1, 1), (2, -1)):
         with pytest.raises(bk.InputError):
             bk.random_point_set(d, n, 0)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda s: bk.random_point_set(2, 3.5, 1), "point count n 3.5"),
+    (lambda s: bk.random_point_set(2, True, 1), "point count n True"),
+    (lambda s: bk.random_point_set(2.0, 3, 1), "dimension d 2.0"),
+    (lambda s: bk.lower_bound_instance(2, 5.5, "grid"), "point count n 5.5"),
+    (lambda s: bk.lower_bound_instance(2, 2.5, "moment-curve"), "point count n 2.5"),
+    (lambda s: bk.enumerate_polytope_ranges(bk.lower_bound_instance(1, 4, "grid"), 2.5),
+     "polytope constraint count k 2.5"),
+    (lambda s: bk.vc_dimension_exact(s, 2.5), "cap 2.5"),
+    (lambda s: bk.sauer_shelah_check(s, 2.5), "d0 2.5"),
+], ids=["random-n-float", "random-n-bool", "random-d-float", "grid-n-float", "moment-curve-n-float",
+        "polytope-k-float", "vc-cap-float", "sauer-shelah-d0-float"])
+def test_a_count_that_is_not_an_int_is_an_input_error(sys4, call, what):
+    # Counts are not rounded or truncated: a float or a bool is refused by
+    # name before it reaches range, islice or the point loop.
+    with pytest.raises(bk.InputError, match=f"^{re.escape(what)} is not an integer"):
+        call(sys4)
+
+
+def test_generator_sizes_keep_their_budgets():
+    with pytest.raises(bk.ResourceBudgetError, match="dimension d"):
+        bk.random_point_set(10**6, 1, 0)
+    with pytest.raises(bk.ResourceBudgetError, match="point count n"):
+        bk.lower_bound_instance(1, 10**9, "grid")
 
 
 def test_decimal_exponent_is_bounded_before_it_is_built():
