@@ -215,14 +215,16 @@ def _numpy_greedy_cover(cands, heavy, lam, width):
     candidates' packed rows in canonical order, with a running count of the
     uncovered heavy ranges each candidate serves.  A pick's newly served
     ranges are the uncovered entries of its column, and their rows are
-    what the counts lose."""
+    what the counts lose.  Those rows ascend, and the size bands [lo_j,
+    hi_j) of ``_serving_matrix`` are nondecreasing in j at both ends, so
+    every true cell of the rows lies in the columns [lo of the first, hi
+    of the last): only that slice of the counts is updated."""
     packed = bitsets.pack_masks(cands, width)
     order = canonical_order(packed)
-    serves = _serving_matrix(packed[order], heavy, lam, width)
+    serves, counts, lo, hi = _serving_matrix(packed[order], heavy, lam, width)
     assignment = {}
     picks = []
     uncovered = np.ones(len(heavy), dtype=bool)
-    counts = serves.sum(axis=0, dtype=np.int32)
     left = len(heavy)
     while left:
         best = int(np.argmax(counts))
@@ -233,30 +235,52 @@ def _numpy_greedy_cover(cands, heavy, lam, width):
             assignment[heavy[j]] = piece
         uncovered[newly] = False
         left -= len(newly)
-        counts -= serves[newly].sum(axis=0, dtype=np.int32)
+        a, b = lo[newly[0]], hi[newly[-1]]
+        counts[a:b] -= serves[newly, a:b].sum(axis=0, dtype=np.int32)
     return assignment, [cands[order[i]] for i in sorted(picks)]
 
 
 def _serving_matrix(packed_cands, ranges, lam, width):
     """serves[j, i] = candidate i (a packed row) is inside ranges[j] and
-    heavy enough for it, as one heavy-major bool matrix.  Each block of rows
-    within ``bitsets._BLOCK_CELLS`` cells starts as the size test, and
-    ``subset_matrix`` ANDs the subset test into it in place.  It tests the
-    ranges' complements inside the candidates': complementing every bit of
-    the packed words reverses inclusion, which puts the ranges on the rows."""
+    heavy enough for it, as one heavy-major bool matrix, with its column
+    sums (the ranges each candidate serves) and the size bands lo, hi.
+
+    Both lists are in canonical order, so the candidates' sizes and the
+    ranges' sizes descend.  A candidate serves ranges[j] only with a size
+    in [ceil(lam*|R_j|), |R_j|], and those candidates are the columns
+    [lo[j], hi[j]), from one ``np.searchsorted`` of each bound on the
+    ascending negated sizes; both ends are nondecreasing in j.  The matrix
+    starts all False, and a block of rows [a, b) within
+    ``bitsets._BLOCK_CELLS`` cells tests only the columns [lo[a], hi[b-1]),
+    the union of its rows' bands: the size test fills that slice and
+    ``subset_matrix`` ANDs the subset test into it in place.  Every cell
+    outside it is False by the band argument.  The column sums add up the
+    tested slices as the blocks are filled.  It tests the ranges'
+    complements inside the candidates': complementing every bit of the
+    packed words reverses inclusion, which puts the ranges on the rows."""
     # A range's need ceil(lam*|R|) is at most |R|, while lam.numerator*|R| can
     # overflow int64: the need is an exact int ceiling (a Fraction per range
     # costs far more) and only sizes go to numpy, as int32 (a size of 2**31
     # would take a 256 MB mask), which halves the size test's cost.
     num, den = lam.numerator, lam.denominator
-    need = np.array([-(-r.bit_count() * num // den) for r in ranges], dtype=np.int32)
+    range_sizes = np.array([r.bit_count() for r in ranges], dtype=np.int32)
+    need = np.array([-(-s * num // den) for s in range_sizes.tolist()], dtype=np.int32)
     sizes = np.bitwise_count(packed_cands).sum(axis=1, dtype=np.int32)
-    serves = np.empty((len(ranges), len(packed_cands)), dtype=bool)
+    lo = np.searchsorted(-sizes, -range_sizes, side="left")
+    hi = np.searchsorted(-sizes, -need, side="right")
+    serves = np.zeros((len(ranges), len(packed_cands)), dtype=bool)
+    counts = np.zeros(len(packed_cands), dtype=np.int32)
+    flipped_ranges = ~bitsets.pack_masks(ranges, width)
+    flipped_cands = ~packed_cands
     step = max(1, bitsets._BLOCK_CELLS // max(1, len(packed_cands)))
-    for start in range(0, len(ranges), step):
-        np.greater_equal(sizes, need[start : start + step, None], out=serves[start : start + step])
-    packed_ranges = bitsets.pack_masks(ranges, width)
-    return bitsets.subset_matrix(~packed_ranges, ~packed_cands, out=serves)
+    for a in range(0, len(ranges), step):
+        b = min(a + step, len(ranges))
+        c0, c1 = lo[a], hi[b - 1]
+        block = serves[a:b, c0:c1]
+        np.greater_equal(sizes[c0:c1], need[a:b, None], out=block)
+        bitsets.subset_matrix(flipped_ranges[a:b], flipped_cands[c0:c1], out=block)
+        counts[c0:c1] += block.sum(axis=0, dtype=np.int32)
+    return serves, counts, lo, hi
 
 
 class PropertyMProvider:

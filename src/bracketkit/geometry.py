@@ -592,9 +592,10 @@ def _sphere_points(n):
 def random_point_set(d, n, seed):
     """Seeded distinct points of the grid [0, 2^31)^d, which n <= MAX_GROUND_SET
     never exhausts; general position is likely but not guaranteed —
-    enumerators raise DegeneracyError when it fails."""
+    enumerators raise DegeneracyError when it fails.  A seed that is not an
+    int raises InputError."""
     _check_generator_size(d, n)
-    rng = random.Random(seed)
+    rng = random.Random(json_int(seed, "seed"))
     seen = set()
     rows = []
     while len(rows) < n:
@@ -606,9 +607,18 @@ def random_point_set(d, n, seed):
 
 
 def jitter_points(pts, scale, seed):
-    """Add deterministic rational jitter of magnitude < scale to every coordinate."""
-    scale = Fraction(scale)
-    rng = random.Random(seed)
+    """Add deterministic rational jitter of magnitude < scale to every
+    coordinate.  ``scale`` is a nonnegative rational: an int, a Fraction, a
+    finite float or a string such as "p/q", read by ``fraction_from_string``.
+    A NaN, an infinity, a string that is not a rational or a negative scale
+    raises InputError, and so does a seed that is not an int."""
+    try:
+        scale = fraction_from_string(scale) if isinstance(scale, str) else Fraction(scale)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"jitter scale {scale!r} is not a finite rational") from exc
+    if scale < 0:
+        raise InputError(f"jitter scale {scale} is negative")
+    rng = random.Random(json_int(seed, "seed"))
     rows = []
     for p in pts.points:
         rows.append(tuple(c + scale * Fraction(rng.randrange(1, 1 << 20), 1 << 20) for c in p))
