@@ -97,6 +97,12 @@ def _reference_greedy_cover(system, lam, eps):
     heavy = size_band(system.ranges, math.ceil(eps * n), n)
     if not heavy:
         return {}
+    return _reference_greedy_witness(heavy, lam)
+
+
+def _reference_greedy_witness(heavy, lam):
+    """``_reference_greedy_cover`` on a non-empty canonical list of the
+    ranges to serve, as ``_greedy_assignment`` takes it."""
     pairs = combinations(heavy[: constructions.PAIR_CAP], 2)
     cands = canonical_sort(set(heavy).union(a & b for a, b in pairs))
     serves = np.array([[c & r == c and c.bit_count() >= lam * r.bit_count() for r in heavy] for c in cands])
@@ -196,6 +202,53 @@ def test_base_mnet_numpy_path_matches_the_reference_beyond_the_pair_cap(circle40
                 fam = bk.base_mnet(system, lam, eps)
             assert list(fam.witness.items()) == list(expected.items())
             assert fam.pieces == tuple(canonical_sort(set(expected.values())))
+
+
+@st.composite
+def nested_range_lists(draw):
+    """A canonical list of distinct ranges over n = 1 to 256 elements (1 to
+    4 mask words) with many sizes and the empty range among them.  Each new
+    range is a random subset of a given size of the ground set or of an
+    earlier range, so that ranges nest and candidates serve more than their
+    own range."""
+    n = draw(st.integers(1, 256), label="n")
+    rng = draw(st.randoms(use_true_random=False))
+    ranges = [0]
+    for _ in range(draw(st.integers(1, 30), label="ranges")):
+        parent = draw(st.sampled_from([(1 << n) - 1, *ranges]))
+        elements = [i for i in range(n) if parent >> i & 1]
+        ranges.append(sum(1 << i for i in rng.sample(elements, rng.randint(0, len(elements)))))
+    return n, canonical_sort(set(ranges))
+
+
+@given(nested_range_lists(), st.sampled_from([Fraction(1, 1 << 30), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+@settings(max_examples=120, deadline=None)
+def test_the_banded_serving_matrix_matches_the_per_cell_relation(inputs, lam):
+    # The serving matrix tests only each range's size band of candidates; the
+    # matrix, its column sums and the band ends must match the naive
+    # relation, and the numpy greedy cover the reference, at the module's
+    # block budget and at one cell a block.
+    n, heavy = inputs
+    cands = canonical_sort(set(heavy).union(a & b for a, b in combinations(heavy[: constructions.PAIR_CAP], 2)))
+    want = np.array(
+        [[c & r == c and c.bit_count() >= math.ceil(lam * r.bit_count()) for c in cands] for r in heavy],
+        dtype=bool,
+    )
+    expected = _reference_greedy_witness(heavy, lam)
+    packed = bk.bitsets.pack_masks(cands, n)
+    for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
+        with mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells), \
+                mock.patch.object(constructions, "_INT_CELLS", 0):
+            serves, counts, lo, hi = constructions._serving_matrix(packed, heavy, lam, n)
+            witness, pieces = constructions._greedy_assignment(heavy, lam, n)
+        assert np.array_equal(serves, want)
+        assert np.array_equal(counts, want.sum(axis=0))
+        sizes = [c.bit_count() for c in cands]
+        for j, r in enumerate(heavy):
+            band = [i for i, size in enumerate(sizes) if math.ceil(lam * r.bit_count()) <= size <= r.bit_count()]
+            assert list(range(lo[j], hi[j])) == band
+        assert list(witness.items()) == list(expected.items())
+        assert pieces == canonical_sort(set(expected.values()))
 
 
 def test_base_mnet_serving_matrix_peak_memory_stays_below_two_bytes_a_cell(circle40_boost_inputs):

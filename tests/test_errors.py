@@ -60,6 +60,41 @@ def test_a_count_that_is_not_an_int_is_an_input_error(sys4, call, what):
         call(sys4)
 
 
+@pytest.mark.parametrize("seed", [[1], 1.0, "1", True, None], ids=["list", "float", "str", "bool", "none"])
+@pytest.mark.parametrize("call", [
+    lambda seed: bk.random_point_set(2, 3, seed),
+    lambda seed: bk.jitter_points(bk.lower_bound_instance(2, 3, "grid"), 1, seed),
+], ids=["random_point_set", "jitter_points"])
+def test_a_seed_that_is_not_an_int_is_an_input_error(call, seed):
+    # A seed is not hashed or truncated into one: random.Random would take a
+    # float, a string or None, and a list would raise a raw TypeError.
+    with pytest.raises(bk.InputError, match=f"^seed {re.escape(repr(seed))} is not an integer"):
+        call(seed)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (float("nan"), "jitter scale nan is not a finite rational"),
+    (float("inf"), "jitter scale inf is not a finite rational"),
+    (float("-inf"), "jitter scale -inf is not a finite rational"),
+    ("x", "jitter scale 'x' is not a finite rational"),
+    (-1, "jitter scale -1 is negative"),
+    ("-1/3", "jitter scale -1/3 is negative"),
+], ids=["nan", "inf", "minus-inf", "not-a-rational", "negative-int", "negative-string"])
+def test_a_jitter_scale_that_is_not_a_nonnegative_rational_is_an_input_error(scale, message):
+    with pytest.raises(bk.InputError, match=f"^{re.escape(message)}$"):
+        bk.jitter_points(bk.lower_bound_instance(2, 3, "grid"), scale, 1)
+
+
+def test_a_jitter_scale_keeps_its_rational_forms_and_its_exponent_budget():
+    grid = bk.lower_bound_instance(2, 3, "grid")
+    want = bk.jitter_points(grid, Fraction(1, 1024), 4)
+    assert bk.jitter_points(grid, "1/1024", 4) == want
+    assert bk.jitter_points(grid, 0, 4) == grid
+    assert bk.jitter_points(grid, 2, 4) == bk.jitter_points(grid, Fraction(2), 4)
+    with pytest.raises(bk.ResourceBudgetError, match="decimal exponent magnitude 99999999 exceeds the limit"):
+        bk.jitter_points(grid, "1e99999999", 4)
+
+
 def test_generator_sizes_keep_their_budgets():
     with pytest.raises(bk.ResourceBudgetError, match="dimension d"):
         bk.random_point_set(10**6, 1, 0)
