@@ -55,7 +55,9 @@ the re-indexed one's set in the parent's indices.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, combinations
+from operator import and_
 
 import numpy as np
 
@@ -67,6 +69,7 @@ from .errors import (
     InternalInvariantError,
     PreconditionFailure,
     ResourceBudgetError,
+    exact_fraction,
     within_budget,
 )
 from .families import make_bracket, make_container, make_mnet
@@ -77,13 +80,16 @@ from .verify import find_cover, find_piece, verify_family
 
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
-# base_mnet's greedy cover runs on Python ints up to this many serving cells
-# (candidates x heavy ranges) and on numpy above: 9,215 of the 9,620 greedy
-# covers of a seed-2 n=256 protocol context build run the int loop.  Replayed
-# both ways on that build's calls (candidate set, order and greedy loop, best
-# of 9 per call), the int loop took 0.76 of the numpy loop's time at 385-512
-# cells, 0.86 at 513-640, 0.95 at 641-768, 1.05 at 769-896 and 1.15 at
-# 897-1,024 (2-core machine, Python 3.11).
+# base_mnet's greedy cover serves a one-pick input from the meet of its
+# ranges, and otherwise runs its loop on Python ints up to this many serving
+# cells (candidates x heavy ranges) and on numpy above.  Of the 9,620 greedy
+# covers of a seed-2 n=256 protocol context build, 7,711 are one-pick, 1,648
+# run the int loop and 261 the numpy loop.  Replayed both ways on that
+# build's loop calls (tools/greedy_crossover.py: candidate set, order and
+# loop, best of 9 per call), the int loop took 0.72 of the numpy loop's time
+# at 385-512 cells, 0.81 at 513-640, 0.90 at 641-768, 0.98 at 769-896 and
+# 1.06 at 897-1,024 (2-core machine, Python 3.11): the loops break even
+# between 769 and 896 cells.
 _INT_CELLS = 768
 
 
@@ -138,7 +144,12 @@ def base_mnet(system, lam, eps):
     size.  A candidates x heavy serving matrix of more than
     ``MAX_SERVING_CELLS`` cells is refused before it is built.
 
-    Up to ``_INT_CELLS`` cells the loop runs on Python ints, one per
+    One pick needs no serving relation: when the meet of the heavy ranges
+    (their AND) is a candidate of at least lam times the largest heavy
+    range's size, it is the only candidate that serves every heavy range,
+    the loop's first and last pick, and every range gets it
+    (``_greedy_assignment`` has the proof).  Otherwise, up to
+    ``_INT_CELLS`` cells the loop runs on Python ints, one per
     candidate with bit j set when it serves heavy[j]; larger inputs run it
     on the numpy serving matrix.  Both make the same picks.  The int loop
     counts a candidate's uncovered served ranges as popcount(row &
@@ -150,8 +161,8 @@ def base_mnet(system, lam, eps):
     both paths; each pick assigns its newly served ranges in ascending j on
     both, and the witness map and the pieces are the same.
     """
-    lam = Fraction(lam)
-    eps = Fraction(eps)
+    lam = exact_fraction(lam, "lam")
+    eps = exact_fraction(eps, "eps")
     if not 0 < lam <= 1:
         raise InputError(f"lam must be in (0,1], got {lam}")
     if eps <= 0:
@@ -173,9 +184,26 @@ def _greedy_assignment(heavy, lam, width):
     come from sorting the picked candidate positions: the int loop's
     candidates are ``canonical_sort``ed and the numpy loop's columns are in
     ``canonical_order``, so on both loops position order is canonical order.
-    Nothing is verified here."""
+    Nothing is verified here.
+
+    One pick.  Once the candidates pass the cell budget, the meet M of the
+    heavy ranges (their AND) is served without a serving relation when it
+    is a candidate heavy enough for heavy[0]: every range then gets M, in
+    ascending j, and M is the one piece.  That is what either loop returns.
+    Every candidate contains M, since it is a heavy range or the AND of
+    two.  A candidate that serves every heavy range lies inside each of
+    them, so inside M, and so it is M: no other candidate's count can
+    reach len(heavy).  The need ceil(lam*|R|) is nondecreasing in |R| and
+    heavy[0] is the largest range (``heavy`` is canonical), so an M heavy
+    enough for heavy[0] serves every range.  Its count len(heavy) is then
+    the unique maximum, the first pick is M, it assigns every range in
+    ascending j, and the loop ends.  Conversely a single pick must serve
+    every range, so every one-pick cover takes this path."""
     cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
+    meet = reduce(and_, heavy, -1)  # -1 has every bit set; an empty heavy list has no candidate
+    if meet in cands and meet.bit_count() * lam.denominator >= heavy[0].bit_count() * lam.numerator:
+        return dict.fromkeys(heavy, meet), [meet]
     if len(cands) * len(heavy) <= _INT_CELLS:
         return _int_greedy_cover(canonical_sort(cands), heavy, lam)
     return _numpy_greedy_cover(list(cands), heavy, lam, width)
@@ -301,7 +329,7 @@ class PropertyMProvider:
 
     def mnet(self, system, eps):
         family = base_mnet(system, self.heaviness, eps)
-        self.bound_log.append((Fraction(eps), len(family.pieces)))
+        self.bound_log.append((exact_fraction(eps, "eps"), len(family.pieces)))
         return family
 
 
@@ -337,8 +365,8 @@ def boost_epsilon(system, provider, eps, eta):
     every heavy trace served, assigned it a piece that serves it.  A
     witness that does not serve still raises InternalInvariantError.
     """
-    eps = Fraction(eps)
-    eta = Fraction(eta)
+    eps = exact_fraction(eps, "eps")
+    eta = exact_fraction(eta, "eta")
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     if not 0 < eta < 1:
@@ -393,8 +421,8 @@ def mnet_to_container(system, mnet, delta0, lam):
     of size <= delta0*n.  The complements of the pieces are then a
     (1 - lam + lam*delta0)-container for those small ranges.
     """
-    delta0 = Fraction(delta0)
-    lam = Fraction(lam)
+    delta0 = exact_fraction(delta0, "delta0")
+    lam = exact_fraction(lam, "lam")
     if not 0 < delta0 <= 1:
         raise InputError(f"delta0 must be in (0,1], got {delta0}")
     if not 0 < lam <= 1:
@@ -413,8 +441,8 @@ def container_to_mnet(system, container, delta0, lam):
     of size <= delta0*n; needs lam > delta0, else the resulting heaviness
     lam - delta0 would be nonpositive.
     """
-    delta0 = Fraction(delta0)
-    lam = Fraction(lam)
+    delta0 = exact_fraction(delta0, "delta0")
+    lam = exact_fraction(lam, "lam")
     if not 0 < delta0 <= 1:
         raise InputError(f"delta0 must be in (0,1], got {delta0}")
     if lam <= delta0:
@@ -455,8 +483,8 @@ def small_set_container(system, eps, rho, provider):
     is an internal error.  The recursion (``_small_set_covers``) reads only
     ``provider.heaviness``.
     """
-    eps = Fraction(eps)
-    rho = Fraction(rho)
+    eps = exact_fraction(eps, "eps")
+    rho = exact_fraction(rho, "rho")
     if not 0 < rho <= eps < 1:
         raise InputError(f"need 0 < rho <= eps < 1, got rho={rho}, eps={eps}")
     n = system.n
@@ -564,8 +592,8 @@ def bootstrap_interval_mnet(system, eps, delta, provider):
     raises, so the witness map's keys are the band, the family's base.  The
     family is verified.
     """
-    eps = Fraction(eps)
-    delta = Fraction(delta)
+    eps = exact_fraction(eps, "eps")
+    delta = exact_fraction(delta, "delta")
     if not 0 < eps <= HALF:
         raise InputError(f"eps must be in (0,1/2], got {eps}")
     if not eps < delta <= 1:
@@ -679,9 +707,9 @@ class HeavyMnetParams:
 
     @staticmethod
     def from_targets(lam, eta, heaviness):
-        lam = Fraction(lam)
-        eta = Fraction(eta)
-        heaviness = Fraction(heaviness)
+        lam = exact_fraction(lam, "lam")
+        eta = exact_fraction(eta, "eta")
+        heaviness = exact_fraction(heaviness, "heaviness")
         if not 0 < lam < 1 or not 0 < eta < 1:
             raise InputError("lam and eta must lie in (0,1)")
         eps0 = (1 - lam) / 4
@@ -734,7 +762,7 @@ def build_container(system, eps, provider_complement):
     (``_small_set_covers``, as ``small_set_container`` runs it at eps = rho
     = eps/2) for the ranges up to (eps/2)*n, whose root cover is the full
     set, and the witness covers of ``_container_witness``; verified once."""
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     half, heaviness = eps / 2, provider_complement.heaviness
@@ -766,7 +794,7 @@ def build_bracket(system, eps, provider, provider_complement):
     serves as the dual's and one band loop serves both.  The bracket runs no
     small-set root: ``build_container``'s root covers are no range's
     witness, so no bracket set came from them."""
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     full, dual, half = system.full_mask, complement_family(system), eps / 2

@@ -167,3 +167,16 @@ def fraction_from_string(text):
         else:
             within_budget(abs(power), sys.int_info.default_max_str_digits, "decimal exponent magnitude")
     return Fraction(text)
+
+
+def exact_fraction(value, what):
+    """``value`` as an exact Fraction: a string through
+    ``fraction_from_string`` (so "p/q" and decimals), anything else through
+    ``Fraction`` (an int, a Fraction, a finite float).  A value that is not
+    a finite rational, such as a NaN, an infinity, None or a string that is
+    not a rational, raises InputError naming ``what``; an exponent over the
+    digit budget still raises ResourceBudgetError."""
+    try:
+        return fraction_from_string(value) if isinstance(value, str) else Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"{what} {value!r} is not a finite rational") from exc

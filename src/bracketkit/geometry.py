@@ -55,6 +55,7 @@ from .errors import (
     MAX_SPANNING_TUPLES,
     DegeneracyError,
     InputError,
+    exact_fraction,
     fraction_from_string,
     json_int,
     parse_json_object,
@@ -612,10 +613,7 @@ def jitter_points(pts, scale, seed):
     finite float or a string such as "p/q", read by ``fraction_from_string``.
     A NaN, an infinity, a string that is not a rational or a negative scale
     raises InputError, and so does a seed that is not an int."""
-    try:
-        scale = fraction_from_string(scale) if isinstance(scale, str) else Fraction(scale)
-    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise InputError(f"jitter scale {scale!r} is not a finite rational") from exc
+    scale = exact_fraction(scale, "jitter scale")
     if scale < 0:
         raise InputError(f"jitter scale {scale} is negative")
     rng = random.Random(json_int(seed, "seed"))

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bitsets
-from .errors import InputError
+from .errors import InputError, json_int
 from .setsystem import SetSystem, size_band
 
 # A block holds at most _BLOCK_ROWS candidates, and fewer once the members
@@ -41,10 +41,11 @@ class Packing:
 def greedy_delta_packing(system, delta, shallow_cap=None):
     """Scan ranges canonically, admit those farther than delta from all members.
 
-    ``delta`` is an absolute count; admission uses the strict test
-    |R1 symdiff R2| > delta.  With ``shallow_cap`` set (a negative cap is
-    refused), only ranges of size <= cap are considered.  The result is
-    inclusion-maximal by construction.
+    ``delta`` is an absolute count, an int in [0, n]; admission uses the
+    strict test |R1 symdiff R2| > delta.  With ``shallow_cap`` set, an int
+    (a negative cap is refused), only ranges of size <= cap are considered.
+    A count that is not an int, such as a bool or the float 1.5, is refused
+    by name.  The result is inclusion-maximal by construction.
 
     The scan takes the candidates a block at a time.  One ``symdiff_counts``
     matrix compares the block with the members admitted before it and with
@@ -60,9 +61,9 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
     accumulate, so a matrix stays within ``bitsets._BLOCK_CELLS`` cells
     unless one candidate alone needs more.
     """
-    if not 0 <= delta <= system.n:
+    if not 0 <= json_int(delta, "delta") <= system.n:
         raise InputError(f"delta {delta} outside [0, {system.n}]")
-    if shallow_cap is not None and shallow_cap < 0:
+    if shallow_cap is not None and json_int(shallow_cap, "shallow cap") < 0:
         raise InputError(f"shallow cap {shallow_cap} is negative")
     candidates = system.ranges if shallow_cap is None else size_band(system.ranges, 0, shallow_cap)
     packed = bitsets.pack_masks(candidates, system.n)
@@ -95,9 +96,10 @@ def greedy_delta_packing(system, delta, shallow_cap=None):
 def nearest_neighbor(packing, mask):
     """Member minimizing the symmetric difference to ``mask`` (ties canonically).
 
-    The query must respect the packing's size cap; maximality then guarantees
-    the returned distance is <= delta.
+    The query is a range mask, an int >= 0, and must respect the packing's
+    size cap; maximality then guarantees the returned distance is <= delta.
     """
+    json_int(mask, "query range", 0)
     if packing.shallow_cap is not None and mask.bit_count() > packing.shallow_cap:
         raise InputError("query range exceeds the packing's shallow cap")
     if not packing.members:

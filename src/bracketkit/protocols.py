@@ -22,7 +22,7 @@ import numpy as np
 
 from .bitsets import bit_matrix
 from .constructions import build_container, default_provider
-from .errors import InputError, InternalInvariantError, NonRealizableError, json_int
+from .errors import InputError, InternalInvariantError, NonRealizableError, exact_fraction, json_int
 from .geometry import PointSet, enumerate_halfspace_ranges
 from .lp import solve_equality_feasibility
 
@@ -240,7 +240,7 @@ def _run_learning(domain, alice, bob, eps0):
     context."""
     alice = tuple(sorted(map(tuple, alice)))
     bob = tuple(sorted(map(tuple, bob)))
-    ctx = shared_protocol_context(domain, Fraction(eps0))
+    ctx = shared_protocol_context(domain, exact_fraction(eps0, "eps0"))
     return ctx, *_rounds(ctx, alice, bob)
 
 

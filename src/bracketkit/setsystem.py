@@ -120,8 +120,9 @@ def index_lists(masks, what):
 def project(system, mask):
     """Project the family onto the elements of ``mask``: ranges become
     {R cap mask}, re-indexed to the ground set {0,...,|mask|-1} in ascending
-    order.  A mask with an element outside the ground set is refused."""
-    if mask & system.full_mask != mask:
+    order.  A mask that is not an int, or has an element outside the
+    ground set, is refused."""
+    if json_int(mask, "projection mask") & system.full_mask != mask:
         raise InputError(f"projection mask {mask:#x} outside ground set of size {system.n}")
     positions = indices_from_mask(mask)
     local = []

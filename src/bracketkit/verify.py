@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, exact_fraction
 from .families import BracketFamily, ContainerFamily, MnetFamily
 from .packing import greedy_delta_packing
 
@@ -178,7 +178,7 @@ def container_lower_bound(system, eps):
     strictly above 2*eps*n occupy distinct covers: the packing size lower
     bounds the size of any family accepted by verify_container at eps.
     """
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     if not 0 < eps < 1:
         raise InputError(f"eps must be in (0,1), got {eps}")
     threshold = min(system.n, math.floor(2 * eps * system.n))

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 import time
 import tracemalloc
@@ -249,6 +251,65 @@ def test_the_banded_serving_matrix_matches_the_per_cell_relation(inputs, lam):
             assert list(range(lo[j], hi[j])) == band
         assert list(witness.items()) == list(expected.items())
         assert pieces == canonical_sort(set(expected.values()))
+
+
+def _candidates(heavy):
+    return set(heavy).union(a & b for a, b in combinations(heavy[: constructions.PAIR_CAP], 2))
+
+
+def _raise_if_called(*args):
+    raise AssertionError("a one-pick cover ran a greedy loop")
+
+
+@given(nested_range_lists(), st.sampled_from([Fraction(1, 1 << 30), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       st.data())
+@settings(max_examples=200, deadline=None)
+def test_the_greedy_cover_makes_one_pick_exactly_when_the_meet_is_a_heavy_enough_candidate(inputs, lam, data):
+    # A canonical prefix of nested ranges often has its smallest range, or
+    # the AND of two, as its meet.  The reference greedy picks one piece
+    # exactly when the meet is a candidate heavy enough for the largest
+    # range; then _greedy_assignment serves it without either loop, and
+    # both loops, called directly, still return the same cover.
+    n, ranges = inputs
+    heavy = ranges[: data.draw(st.integers(1, len(ranges)), label="prefix")]
+    expected = _reference_greedy_witness(heavy, lam)
+    cands = _candidates(heavy)
+    meet = functools.reduce(operator.and_, heavy)
+    one_pick = meet in cands and meet.bit_count() >= lam * heavy[0].bit_count()
+    assert (len(set(expected.values())) == 1) == one_pick
+    if not one_pick:
+        witness, pieces = constructions._greedy_assignment(heavy, lam, n)
+    else:
+        with mock.patch.object(constructions, "_int_greedy_cover", _raise_if_called), \
+                mock.patch.object(constructions, "_numpy_greedy_cover", _raise_if_called):
+            witness, pieces = constructions._greedy_assignment(heavy, lam, n)
+        assert pieces == [meet]
+        for loop_witness, loop_pieces in (
+            constructions._int_greedy_cover(canonical_sort(cands), heavy, lam),
+            constructions._numpy_greedy_cover(list(cands), heavy, lam, n),
+        ):
+            assert list(loop_witness.items()) == list(witness.items())
+            assert loop_pieces == pieces
+    assert list(witness.items()) == list(expected.items())
+    assert pieces == canonical_sort(set(expected.values()))
+
+
+def test_a_one_pick_cover_over_the_cell_budget_is_still_refused():
+    # The chain {0,1,2} > {0,1} > {0} at lam = 1/3: its meet {0} serves
+    # all three ranges, and its 3 candidates x 3 ranges make 9 cells.  The
+    # budget is checked before the meet, with the message of every cover.
+    system = system_from_sets(3, [[0, 1, 2], [0, 1], [0]])
+    lam, eps = Fraction(1, 3), Fraction(1, 3)
+    with mock.patch.object(constructions, "MAX_SERVING_CELLS", 8), \
+            mock.patch.object(constructions, "_int_greedy_cover", _raise_if_called), \
+            mock.patch.object(constructions, "_numpy_greedy_cover", _raise_if_called):
+        with pytest.raises(bk.ResourceBudgetError,
+                           match=r"^serving matrix cells \(candidates x heavy ranges\) 9 exceeds the limit 8$"):
+            bk.base_mnet(system, lam, eps)
+    with mock.patch.object(constructions, "MAX_SERVING_CELLS", 9):
+        fam = bk.base_mnet(system, lam, eps)
+    assert fam.pieces == (0b001,)
+    assert list(fam.witness.items()) == [(0b111, 0b001), (0b011, 0b001), (0b001, 0b001)]
 
 
 def test_base_mnet_serving_matrix_peak_memory_stays_below_two_bytes_a_cell(circle40_boost_inputs):

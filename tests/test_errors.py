@@ -14,6 +14,9 @@ from bracketkit.verify import verify_family
 
 from conftest import system_from_sets
 
+HALF = Fraction(1, 2)
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture(scope="module")
 def sys4():
@@ -160,6 +163,65 @@ def test_construction_contracts(sys4):
         bk.build_container(sys4, Fraction(1), provider)
     with pytest.raises(bk.InputError):
         bk.small_set_container(sys4, Fraction(1, 4), Fraction(1, 2), provider)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s, p: bk.base_mnet(s, NAN, HALF), "lam nan"),
+    (lambda s, p: bk.base_mnet(s, HALF, INF), "eps inf"),
+    (lambda s, p: bk.base_mnet(s, HALF, "1/0"), "eps '1/0'"),
+    (lambda s, p: bk.boost_epsilon(s, p, [HALF], HALF), "eps [Fraction(1, 2)]"),
+    (lambda s, p: bk.boost_epsilon(s, p, HALF, -INF), "eta -inf"),
+    (lambda s, p: bk.mnet_to_container(s, bk.make_mnet(s, [], HALF, HALF), "1/2x", HALF), "delta0 '1/2x'"),
+    (lambda s, p: bk.container_to_mnet(s, bk.make_container(s, [], HALF), HALF, None), "lam None"),
+    (lambda s, p: bk.small_set_container(s, HALF, NAN, p), "rho nan"),
+    (lambda s, p: bk.bootstrap_interval_mnet(s, Fraction(1, 8), "x", p), "delta 'x'"),
+    (lambda s, p: bk.heavy_mnet(s, "x", Fraction(1, 4), p), "lam 'x'"),
+    (lambda s, p: bk.heavy_mnet(s, HALF, INF, p), "eta inf"),
+    (lambda s, p: bk.build_container(s, None, p), "eps None"),
+    (lambda s, p: bk.build_bracket(s, NAN, p, bk.default_provider()), "eps nan"),
+    (lambda s, p: bk.container_lower_bound(s, NAN), "eps nan"),
+    (lambda s, p: bk.learn_halfspace_protocol(
+        bk.LearningInstance(bk.lower_bound_instance(2, 6, "sphere"), ((0, 1),), ((1, -1),)), INF), "eps0 inf"),
+], ids=["base-lam-nan", "base-eps-inf", "base-eps-zero-denominator", "boost-eps-list", "boost-eta-minus-inf",
+        "mnet-to-container-delta0", "container-to-mnet-lam-none", "small-set-rho-nan", "bootstrap-delta-str",
+        "heavy-lam-str", "heavy-eta-inf", "container-eps-none", "bracket-eps-nan", "lower-bound-eps-nan",
+        "learn-eps0-inf"])
+def test_an_exact_parameter_that_is_not_a_finite_rational_is_an_input_error(sys4, call, message):
+    # Fraction() would raise a raw ValueError, OverflowError, TypeError or
+    # ZeroDivisionError; the parameter is refused by name instead.
+    with pytest.raises(bk.InputError, match=f"^{re.escape(message)} is not a finite rational$"):
+        call(sys4, bk.default_provider())
+
+
+def test_an_exact_parameter_keeps_its_rational_forms(sys4):
+    want = bk.base_mnet(sys4, HALF, Fraction(1, 4))
+    for lam, eps in (("1/2", "1/4"), (0.5, 0.25), ("0.5", "25e-2"), (HALF, "1/4")):
+        assert bk.base_mnet(sys4, lam, eps) == want
+    assert bk.base_mnet(sys4, 1, 1) == bk.base_mnet(sys4, Fraction(1), Fraction(1))
+    assert bk.build_container(sys4, "1/2", bk.default_provider()) == bk.build_container(
+        sys4, HALF, bk.default_provider())
+    assert bk.container_lower_bound(sys4, 0.25) == bk.container_lower_bound(sys4, Fraction(1, 4))
+    with pytest.raises(bk.ResourceBudgetError, match="decimal exponent magnitude 99999999 exceeds the limit"):
+        bk.base_mnet(sys4, "1e-99999999", HALF)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: bk.greedy_delta_packing(s, "2"), "delta '2' is not an integer"),
+    (lambda s: bk.greedy_delta_packing(s, 1.5), "delta 1.5 is not an integer"),
+    (lambda s: bk.greedy_delta_packing(s, True), "delta True is not an integer"),
+    (lambda s: bk.greedy_delta_packing(s, 1, shallow_cap=2.5), "shallow cap 2.5 is not an integer"),
+    (lambda s: bk.greedy_delta_packing(s, 1, shallow_cap="2"), "shallow cap '2' is not an integer"),
+    (lambda s: bk.nearest_neighbor(bk.greedy_delta_packing(s, 1), "a"), "query range 'a' is not an integer >= 0"),
+    (lambda s: bk.nearest_neighbor(bk.greedy_delta_packing(s, 1), -1), "query range -1 is not an integer >= 0"),
+    (lambda s: bk.project(s, "a"), "projection mask 'a' is not an integer"),
+    (lambda s: bk.project(s, 1.0), "projection mask 1.0 is not an integer"),
+], ids=["delta-str", "delta-float", "delta-bool", "cap-float", "cap-str", "query-str", "query-negative",
+        "project-str", "project-float"])
+def test_a_packing_count_or_mask_that_is_not_an_int_is_an_input_error(sys4, call, message):
+    # The packing's delta and cap are absolute counts: 1.5 is refused, not
+    # compared, and a string no longer reaches a raw TypeError.
+    with pytest.raises(bk.InputError, match=f"^{re.escape(message)}"):
+        call(sys4)
 
 
 def test_verify_contracts(sys4):
