@@ -87,9 +87,9 @@ PAIR_CAP = 64
 # run the int loop and 261 the numpy loop.  Replayed both ways on that
 # build's loop calls (tools/greedy_crossover.py: candidate set, order and
 # loop, best of 9 per call), the int loop took 0.72 of the numpy loop's time
-# at 385-512 cells, 0.81 at 513-640, 0.90 at 641-768, 0.98 at 769-896 and
-# 1.06 at 897-1,024 (2-core machine, Python 3.11): the loops break even
-# between 769 and 896 cells.
+# at 385-512 cells, 0.81 at 513-640, 0.90 at 641-768, 0.99 at 769-896 and
+# 1.04 at 897-1,024 (2-core machine, Python 3.11): the loops break even
+# between 769 and 896 cells, as they did before the one-pick path.
 _INT_CELLS = 768
 
 
