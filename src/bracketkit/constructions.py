@@ -199,7 +199,7 @@ def _greedy_assignment(heavy, lam, width):
     the unique maximum, the first pick is M, it assigns every range in
     ascending j, and the loop ends.  Conversely a single pick must serve
     every range, so every one-pick cover takes this path."""
-    cands = set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
+    cands = _candidates(heavy)
     within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     meet = reduce(and_, heavy, -1)  # -1 has every bit set; an empty heavy list has no candidate
     if meet in cands and meet.bit_count() * lam.denominator >= heavy[0].bit_count() * lam.numerator:
@@ -207,6 +207,12 @@ def _greedy_assignment(heavy, lam, width):
     if len(cands) * len(heavy) <= _INT_CELLS:
         return _int_greedy_cover(canonical_sort(cands), heavy, lam)
     return _numpy_greedy_cover(list(cands), heavy, lam, width)
+
+
+def _candidates(heavy):
+    """The greedy cover's candidate pieces, as a set: the heavy ranges and
+    the pairwise ANDs of the first ``PAIR_CAP`` of them."""
+    return set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
 
 
 def _int_greedy_cover(cands, heavy, lam):

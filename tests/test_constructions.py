@@ -5,7 +5,6 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
 from types import SimpleNamespace
 from unittest import mock
 
@@ -105,8 +104,7 @@ def _reference_greedy_cover(system, lam, eps):
 def _reference_greedy_witness(heavy, lam):
     """``_reference_greedy_cover`` on a non-empty canonical list of the
     ranges to serve, as ``_greedy_assignment`` takes it."""
-    pairs = combinations(heavy[: constructions.PAIR_CAP], 2)
-    cands = canonical_sort(set(heavy).union(a & b for a, b in pairs))
+    cands = canonical_sort(constructions._candidates(heavy))
     serves = np.array([[c & r == c and c.bit_count() >= lam * r.bit_count() for r in heavy] for c in cands])
     keep = serves.any(axis=1)
     cands = [c for c, k in zip(cands, keep) if k]
@@ -170,8 +168,7 @@ def circle40_boost_inputs():
 
 def _heavy_and_cells(system, eps):
     heavy = size_band(system.ranges, math.ceil(eps * system.n), system.n)
-    cands = set(heavy).union(a & b for a, b in combinations(heavy[: constructions.PAIR_CAP], 2))
-    return len(heavy), len(cands) * len(heavy)
+    return len(heavy), len(constructions._candidates(heavy)) * len(heavy)
 
 
 def _planar_member_traces():
@@ -231,7 +228,7 @@ def test_the_banded_serving_matrix_matches_the_per_cell_relation(inputs, lam):
     # relation, and the numpy greedy cover the reference, at the module's
     # block budget and at one cell a block.
     n, heavy = inputs
-    cands = canonical_sort(set(heavy).union(a & b for a, b in combinations(heavy[: constructions.PAIR_CAP], 2)))
+    cands = canonical_sort(constructions._candidates(heavy))
     want = np.array(
         [[c & r == c and c.bit_count() >= math.ceil(lam * r.bit_count()) for c in cands] for r in heavy],
         dtype=bool,
@@ -253,10 +250,6 @@ def test_the_banded_serving_matrix_matches_the_per_cell_relation(inputs, lam):
         assert pieces == canonical_sort(set(expected.values()))
 
 
-def _candidates(heavy):
-    return set(heavy).union(a & b for a, b in combinations(heavy[: constructions.PAIR_CAP], 2))
-
-
 def _raise_if_called(*args):
     raise AssertionError("a one-pick cover ran a greedy loop")
 
@@ -273,7 +266,7 @@ def test_the_greedy_cover_makes_one_pick_exactly_when_the_meet_is_a_heavy_enough
     n, ranges = inputs
     heavy = ranges[: data.draw(st.integers(1, len(ranges)), label="prefix")]
     expected = _reference_greedy_witness(heavy, lam)
-    cands = _candidates(heavy)
+    cands = constructions._candidates(heavy)
     meet = functools.reduce(operator.and_, heavy)
     one_pick = meet in cands and meet.bit_count() >= lam * heavy[0].bit_count()
     assert (len(set(expected.values())) == 1) == one_pick

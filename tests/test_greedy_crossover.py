@@ -6,7 +6,6 @@ path."""
 import importlib.util
 import re
 import sys
-import time
 from pathlib import Path
 
 from bracketkit import constructions
@@ -26,9 +25,7 @@ def _tool(monkeypatch):
 
 def test_the_crossover_replay_splits_the_covers_and_times_every_loop_call(monkeypatch, capsys):
     tool = _tool(monkeypatch)
-    start = time.perf_counter()
     assert tool.main(["--n", "32", "--repeats", "1", "--max-cells", "100000"]) == 0
-    assert time.perf_counter() - start < 2
     split, header, *rows = capsys.readouterr().out.splitlines()
     counts = re.fullmatch(
         r"greedy covers: (\d+); one-pick (\d+), int (\d+), numpy (\d+) \(_INT_CELLS = (\d+)\)", split).groups()
