@@ -74,22 +74,29 @@ from .errors import (
 )
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing, nearest_neighbor
-from .setsystem import SetSystem, canonical_order, canonical_sort, complement_family, filter_by_size, size_band
+from .setsystem import SetSystem, canonical_rows, canonical_sort, complement_family, filter_by_size, size_band
 from .trace import note
 from .verify import find_cover, find_piece, verify_family
 
 HALF = Fraction(1, 2)
 PAIR_CAP = 64
+# The index pairs i < j below PAIR_CAP, ordered by j, so that the pairs of
+# the first k indices are the first C(k, 2); made once, as
+# np.triu_indices(k, 1) costs about 30 us a call.
+_PAIR_SECOND, _PAIR_FIRST = np.tril_indices(PAIR_CAP, -1)
 # base_mnet's greedy cover serves a one-pick input from the meet of its
 # ranges, and otherwise runs its loop on Python ints up to this many serving
-# cells (candidates x heavy ranges) and on numpy above.  Of the 9,620 greedy
-# covers of a seed-2 n=256 protocol context build, 7,711 are one-pick, 1,648
-# run the int loop and 261 the numpy loop.  Replayed both ways on that
-# build's loop calls (tools/greedy_crossover.py: candidate set, order and
-# loop, best of 9 per call), the int loop took 0.72 of the numpy loop's time
-# at 385-512 cells, 0.81 at 513-640, 0.90 at 641-768, 0.99 at 769-896 and
-# 1.04 at 897-1,024 (2-core machine, Python 3.11): the loops break even
-# between 769 and 896 cells, as they did before the one-pick path.
+# cells (candidates x heavy ranges) and on numpy above.  A cover of more than
+# sqrt(_INT_CELLS) heavy ranges has more cells than this whatever its pairs,
+# so it makes its candidates as packed rows, never as a set.  Of the 9,620
+# greedy covers of a seed-2 n=256 protocol context build, 7,711 are one-pick,
+# 1,648 run the int loop and 261 the numpy loop, and 132 (41 one-pick, 91
+# numpy) make rows.  Replayed both ways on that build's loop calls
+# (tools/greedy_crossover.py: candidate set, order and loop, best of 9 per
+# call), the int loop took 0.72 of the numpy loop's time at 385-512 cells,
+# 0.81 at 513-640, 0.90 at 641-768, 0.99 at 769-896 and 1.04 at 897-1,024
+# (2-core machine, Python 3.11): the loops break even between 769 and 896
+# cells, as they did before the one-pick path.
 _INT_CELLS = 768
 
 
@@ -156,10 +163,16 @@ def base_mnet(system, lam, eps):
     uncovered), which is the numpy loop's running count, and ``max``
     returns the first index of the largest count, as ``np.argmax`` does.
     The int loop sorts its candidates with ``canonical_sort`` and the numpy
-    loop orders their packed rows with ``canonical_order``, which gives the
+    loop takes their packed rows from ``canonical_rows``, which gives the
     same order.  So ties go to the first candidate in canonical order on
     both paths; each pick assigns its newly served ranges in ascending j on
     both, and the witness map and the pieces are the same.
+
+    More than sqrt(``_INT_CELLS``) heavy ranges make more cells than the
+    int loop takes, since every heavy range is a candidate, so such a cover
+    makes its candidates as packed rows in canonical order from the start
+    (the row gate).  There, the meet is a candidate exactly when the last
+    row, the smallest candidate, has as many bits as the meet.
     """
     lam = exact_fraction(lam, "lam")
     eps = exact_fraction(eps, "eps")
@@ -182,9 +195,17 @@ def _greedy_assignment(heavy, lam, width):
     member's traces at ceil(|P|/2); a small-set node passes all its ranges,
     which are all heavy at its threshold.  The pieces
     come from sorting the picked candidate positions: the int loop's
-    candidates are ``canonical_sort``ed and the numpy loop's columns are in
-    ``canonical_order``, so on both loops position order is canonical order.
+    candidates are ``canonical_sort``ed and the numpy loop's rows are
+    ``canonical_rows``, so on both loops position order is canonical order.
     Nothing is verified here.
+
+    Rows.  There are at least len(heavy) candidates, the heavy ranges, so
+    when len(heavy)**2 exceeds ``_INT_CELLS`` the int loop cannot run, and
+    the candidates are made as ``pack_masks`` rows (``_candidate_rows``)
+    instead of a set: the same candidates, in canonical order.  Below that
+    gate they are the set ``_candidates``, which the int loop sorts and,
+    over ``_INT_CELLS`` cells, ``canonical_rows`` packs for the numpy loop.
+    Either way the budget counts the same cells.
 
     One pick.  Once the candidates pass the cell budget, the meet M of the
     heavy ranges (their AND) is served without a serving relation when it
@@ -198,21 +219,42 @@ def _greedy_assignment(heavy, lam, width):
     enough for heavy[0] serves every range.  Its count len(heavy) is then
     the unique maximum, the first pick is M, it assigns every range in
     ascending j, and the loop ends.  Conversely a single pick must serve
-    every range, so every one-pick cover takes this path."""
-    cands = _candidates(heavy)
-    within_budget(len(cands) * len(heavy), MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
+    every range, so every one-pick cover takes this path.  On rows, M is a
+    candidate exactly when the last row, the smallest candidate, has |M|
+    bits: a candidate contains M, so it is M exactly when it has |M| bits,
+    and M would be the smallest."""
+    rows = len(heavy) ** 2 > _INT_CELLS
+    if rows:
+        heavy_rows = bitsets.pack_masks(heavy, width)
+        cands = _candidate_rows(heavy_rows)
+    else:
+        cands = _candidates(heavy)
+    cells = len(cands) * len(heavy)
+    within_budget(cells, MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     meet = reduce(and_, heavy, -1)  # -1 has every bit set; an empty heavy list has no candidate
-    if meet in cands and meet.bit_count() * lam.denominator >= heavy[0].bit_count() * lam.numerator:
+    has_meet = np.bitwise_count(cands[-1]).sum() == meet.bit_count() if rows else meet in cands
+    if has_meet and meet.bit_count() * lam.denominator >= heavy[0].bit_count() * lam.numerator:
         return dict.fromkeys(heavy, meet), [meet]
-    if len(cands) * len(heavy) <= _INT_CELLS:
+    if cells <= _INT_CELLS:
         return _int_greedy_cover(canonical_sort(cands), heavy, lam)
-    return _numpy_greedy_cover(list(cands), heavy, lam, width)
+    if not rows:
+        heavy_rows, cands = bitsets.pack_masks(heavy, width), canonical_rows(bitsets.pack_masks(list(cands), width))
+    return _numpy_greedy_cover(cands, heavy, heavy_rows, lam)
 
 
 def _candidates(heavy):
     """The greedy cover's candidate pieces, as a set: the heavy ranges and
     the pairwise ANDs of the first ``PAIR_CAP`` of them."""
     return set(heavy).union(a & b for a, b in combinations(heavy[:PAIR_CAP], 2))
+
+
+def _candidate_rows(heavy_rows):
+    """``_candidates`` as ``canonical_rows``, from the heavy ranges'
+    ``pack_masks`` rows: the rows and the ANDs of the pairs of the first
+    ``PAIR_CAP`` of them (a prefix of ``_PAIR_FIRST``, ``_PAIR_SECOND``)."""
+    pairs = math.comb(min(len(heavy_rows), PAIR_CAP), 2)
+    ands = heavy_rows[_PAIR_FIRST[:pairs]] & heavy_rows[_PAIR_SECOND[:pairs]]
+    return canonical_rows(np.concatenate((heavy_rows, ands)))
 
 
 def _int_greedy_cover(cands, heavy, lam):
@@ -244,43 +286,44 @@ def _int_greedy_cover(cands, heavy, lam):
     return assignment, [cands[i] for i in sorted(picks)]
 
 
-def _numpy_greedy_cover(cands, heavy, lam, width):
+def _numpy_greedy_cover(cands, heavy, heavy_rows, lam):
     """The greedy cover on the heavy-major ``_serving_matrix`` of the
-    candidates' packed rows in canonical order, with a running count of the
+    candidates, ``canonical_rows``, and ``heavy_rows``, the ``pack_masks``
+    rows of ``heavy`` at the candidates' width, with a running count of the
     uncovered heavy ranges each candidate serves.  A pick's newly served
     ranges are the uncovered entries of its column, and their rows are
     what the counts lose.  Those rows ascend, and the size bands [lo_j,
     hi_j) of ``_serving_matrix`` are nondecreasing in j at both ends, so
     every true cell of the rows lies in the columns [lo of the first, hi
-    of the last): only that slice of the counts is updated."""
-    packed = bitsets.pack_masks(cands, width)
-    order = canonical_order(packed)
-    serves, counts, lo, hi = _serving_matrix(packed[order], heavy, lam, width)
-    assignment = {}
+    of the last): only that slice of the counts is updated.  The picked
+    rows are unpacked once, after the loop, and each assigns its newly
+    served ranges in pick order, ascending j within a pick."""
+    serves, counts, lo, hi = _serving_matrix(cands, heavy_rows, lam)
     picks = []
+    served = []
     uncovered = np.ones(len(heavy), dtype=bool)
     left = len(heavy)
     while left:
         best = int(np.argmax(counts))
-        picks.append(best)
-        piece = cands[order[best]]
         newly = np.flatnonzero(serves[:, best] & uncovered)
-        for j in newly.tolist():
-            assignment[heavy[j]] = piece
+        picks.append(best)
+        served.append(newly.tolist())
         uncovered[newly] = False
         left -= len(newly)
         a, b = lo[newly[0]], hi[newly[-1]]
         counts[a:b] -= serves[newly, a:b].sum(axis=0, dtype=np.int32)
-    return assignment, [cands[order[i]] for i in sorted(picks)]
+    pieces = bitsets.unpack_masks(cands[picks])
+    assignment = {heavy[j]: piece for piece, js in zip(pieces, served) for j in js}
+    return assignment, [piece for _, piece in sorted(zip(picks, pieces))]
 
 
-def _serving_matrix(packed_cands, ranges, lam, width):
-    """serves[j, i] = candidate i (a packed row) is inside ranges[j] and
-    heavy enough for it, as one heavy-major bool matrix, with its column
-    sums (the ranges each candidate serves) and the size bands lo, hi.
+def _serving_matrix(cands, heavy_rows, lam):
+    """serves[j, i] = candidate row i is inside range row j and heavy
+    enough for it, as one heavy-major bool matrix, with its column sums
+    (the ranges each candidate serves) and the size bands lo, hi.
 
-    Both lists are in canonical order, so the candidates' sizes and the
-    ranges' sizes descend.  A candidate serves ranges[j] only with a size
+    Both row arrays are in canonical order, so the candidates' sizes and the
+    ranges' sizes descend.  A candidate serves range j only with a size
     in [ceil(lam*|R_j|), |R_j|], and those candidates are the columns
     [lo[j], hi[j]), from one ``np.searchsorted`` of each bound on the
     ascending negated sizes; both ends are nondecreasing in j.  The matrix
@@ -297,18 +340,18 @@ def _serving_matrix(packed_cands, ranges, lam, width):
     # costs far more) and only sizes go to numpy, as int32 (a size of 2**31
     # would take a 256 MB mask), which halves the size test's cost.
     num, den = lam.numerator, lam.denominator
-    range_sizes = np.array([r.bit_count() for r in ranges], dtype=np.int32)
+    range_sizes = np.bitwise_count(heavy_rows).sum(axis=1, dtype=np.int32)
     need = np.array([-(-s * num // den) for s in range_sizes.tolist()], dtype=np.int32)
-    sizes = np.bitwise_count(packed_cands).sum(axis=1, dtype=np.int32)
+    sizes = np.bitwise_count(cands).sum(axis=1, dtype=np.int32)
     lo = np.searchsorted(-sizes, -range_sizes, side="left")
     hi = np.searchsorted(-sizes, -need, side="right")
-    serves = np.zeros((len(ranges), len(packed_cands)), dtype=bool)
-    counts = np.zeros(len(packed_cands), dtype=np.int32)
-    flipped_ranges = ~bitsets.pack_masks(ranges, width)
-    flipped_cands = ~packed_cands
-    step = max(1, bitsets._BLOCK_CELLS // max(1, len(packed_cands)))
-    for a in range(0, len(ranges), step):
-        b = min(a + step, len(ranges))
+    serves = np.zeros((len(heavy_rows), len(cands)), dtype=bool)
+    counts = np.zeros(len(cands), dtype=np.int32)
+    flipped_ranges = ~heavy_rows
+    flipped_cands = ~cands
+    step = max(1, bitsets._BLOCK_CELLS // max(1, len(cands)))
+    for a in range(0, len(heavy_rows), step):
+        b = min(a + step, len(heavy_rows))
         c0, c1 = lo[a], hi[b - 1]
         block = serves[a:b, c0:c1]
         np.greater_equal(sizes[c0:c1], need[a:b, None], out=block)
@@ -357,10 +400,15 @@ def boost_epsilon(system, provider, eps, eta):
     (``nearest_neighbor``, ties to the earliest member).  Per member P, the
     greedy cover at the provider's heaviness serves the ranges' distinct
     traces on P of at least ceil(|P|/2) elements, in P's indices: a 1/2-Mnet
-    of the traces.  A range R of P's group takes the piece that the greedy
-    cover assigned to its trace R & P, and ``find_piece`` confirms it there
-    without scanning other pieces.  The output heaviness is
-    provider.heaviness * (1 - eta), and the family is verified.
+    of the traces.  The ranges are packed once per call, and each member's
+    heavy traces are the heavy rows of their AND with P's row, deduplicated
+    and ordered by ``canonical_rows`` (``_heavy_traces``); a member with
+    more than sqrt(``_INT_CELLS``) of them, every member on circle-40, has
+    its greedy cover make its candidates as rows too.  A range R of P's
+    group takes the piece that the greedy cover assigned to its trace R &
+    P, and ``find_piece`` confirms it there without scanning other pieces.
+    The output heaviness is provider.heaviness * (1 - eta), and the family
+    is verified.
 
     That piece exists.  The packing is maximal among the ranges of size at
     most the band top, so R's nearest member P has |R ^ P| <= floor(eta' *
@@ -384,6 +432,7 @@ def boost_epsilon(system, provider, eps, eta):
     t = len(rungs) - 1
     bands = [(i, eps_i, eta_p * eps_i) for i, eps_i in enumerate(rungs)]
     note(op="boost", eta_prime=eta_p, t=t, eps=eps, eta=eta, bands=bands)
+    packed = bitsets.pack_masks(system.ranges, n)
     witness = {}
     for i in range(1, t + 1):
         eps_lo, eps_hi = bands[i - 1][1], bands[i][1]
@@ -400,9 +449,7 @@ def boost_epsilon(system, provider, eps, eta):
         for mask in band:
             groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
         for member, group in groups.items():
-            p_size = member.bit_count()
-            traces = canonical_sort({r & member for r in system.ranges})
-            heavy = size_band(traces, math.ceil(HALF * p_size), p_size)
+            heavy = _heavy_traces(packed, member, n)
             assignment, _ = _greedy_assignment(heavy, provider.heaviness, member.bit_length())
             for mask in group:
                 trace = mask & member
@@ -412,6 +459,25 @@ def boost_epsilon(system, provider, eps, eta):
                 witness[mask] = piece
     fam = make_mnet(system, witness.values(), lam_out, eps, witness=witness)
     return _checked(fam, "boost_epsilon")
+
+
+def _heavy_traces(packed, member, n):
+    """A packing member P's heavy traces, the distinct R & P of at least
+    ceil(|P|/2) elements, in canonical order, from ``packed``, the
+    ``pack_masks`` rows of the ranges R over n elements.  That is
+    ``size_band(canonical_sort({R & P}), ceil(|P|/2), |P|)``: a filter by
+    size commutes with dedup and with the canonical order, and no trace has
+    more than |P| elements.  The AND with P's row runs in blocks of rows
+    within ``bitsets._BLOCK_CELLS`` cells, ``canonical_rows`` dedups and
+    orders the heavy rows, and one ``unpack_masks`` returns their masks."""
+    member_row = bitsets.pack_masks([member], n)
+    need = math.ceil(HALF * member.bit_count())
+    step = max(1, bitsets._BLOCK_CELLS // packed.shape[1])
+    heavy = []
+    for a in range(0, len(packed), step):
+        traces = packed[a : a + step] & member_row
+        heavy.append(traces[np.bitwise_count(traces).sum(axis=1) >= need])
+    return bitsets.unpack_masks(canonical_rows(np.concatenate(heavy)))
 
 
 # ---------------------------------------------------------------------------

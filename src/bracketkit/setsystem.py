@@ -15,7 +15,8 @@ constructions) is a call to it.
 
 ``canonical_sort`` makes the order by keys that Python's sort compares in C:
 byte strings that rank masks of equal size lex, then a stable size pass.
-``canonical_order`` makes it on ``pack_masks`` rows, from the same keys.
+``canonical_order`` makes it on ``pack_masks`` rows, from the same keys,
+and ``canonical_rows`` keeps the distinct rows in that order.
 """
 
 import json
@@ -71,6 +72,17 @@ def canonical_order(packed):
     reversed_words = np.take(_REVERSED_BYTE_ARRAY, packed.view(np.uint8)).view(">u8")
     sizes = np.bitwise_count(packed).sum(axis=1, dtype=np.int64)
     return np.lexsort((*~reversed_words.T[::-1], -sizes))
+
+
+def canonical_rows(packed):
+    """The distinct ``pack_masks`` rows of ``packed`` in canonical order, as
+    ``canonical_sort`` of their set would put their masks.  Equal rows have
+    equal sort keys, so ``canonical_order`` puts them next to each other,
+    and a mask keeps the first row of each run."""
+    rows = packed[canonical_order(packed)]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[first]
 
 
 @dataclass(frozen=True)

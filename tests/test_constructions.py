@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import bracketkit as bk
 from bracketkit import constructions, trace
-from bracketkit.setsystem import canonical_sort, size_band
+from bracketkit.setsystem import canonical_rows, canonical_sort, size_band
 from bracketkit.verify import find_cover, verify_family
 
 from conftest import criterion1_instance, general_position_points, mask_set, system_from_sets
@@ -171,14 +171,20 @@ def _heavy_and_cells(system, eps):
     return len(heavy), len(constructions._candidates(heavy)) * len(heavy)
 
 
-def _planar_member_traces():
-    """The traces of a seeded n = 256 planar domain's ranges on a 16-point
-    halfspace range P, as boosting takes a member's, in a plain system of
-    the parent's n: P's elements span indices below 64 and above 191, so
-    masks take 4 words.  At eps = ceil(|P|/2)/n = 8/256 its heavy ranges
-    are those boosting serves."""
+@functools.cache
+def _planar_member():
+    """A seeded n = 256 planar domain's halfspace system and a 16-point
+    range P of it whose elements span indices below 64 and above 191, so
+    its traces take 4 mask words."""
     system = bk.enumerate_halfspace_ranges(bk.random_point_set(2, 256, 2000))
-    member = next(r for r in size_band(system.ranges, 16, 16) if r & ((1 << 64) - 1) and r >> 192)
+    return system, next(r for r in size_band(system.ranges, 16, 16) if r & ((1 << 64) - 1) and r >> 192)
+
+
+def _planar_member_traces():
+    """The traces of ``_planar_member``'s ranges on its P, as boosting takes
+    a member's, in a plain system of the parent's n.  At eps =
+    ceil(|P|/2)/n = 8/256 its heavy ranges are those boosting serves."""
+    system, member = _planar_member()
     return bk.SetSystem.from_masks(256, (r & member for r in system.ranges))
 
 
@@ -238,7 +244,7 @@ def test_the_banded_serving_matrix_matches_the_per_cell_relation(inputs, lam):
     for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
         with mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells), \
                 mock.patch.object(constructions, "_INT_CELLS", 0):
-            serves, counts, lo, hi = constructions._serving_matrix(packed, heavy, lam, n)
+            serves, counts, lo, hi = constructions._serving_matrix(packed, bk.bitsets.pack_masks(heavy, n), lam)
             witness, pieces = constructions._greedy_assignment(heavy, lam, n)
         assert np.array_equal(serves, want)
         assert np.array_equal(counts, want.sum(axis=0))
@@ -279,7 +285,8 @@ def test_the_greedy_cover_makes_one_pick_exactly_when_the_meet_is_a_heavy_enough
         assert pieces == [meet]
         for loop_witness, loop_pieces in (
             constructions._int_greedy_cover(canonical_sort(cands), heavy, lam),
-            constructions._numpy_greedy_cover(list(cands), heavy, lam, n),
+            constructions._numpy_greedy_cover(
+                canonical_rows(bk.bitsets.pack_masks(list(cands), n)), heavy, bk.bitsets.pack_masks(heavy, n), lam),
         ):
             assert list(loop_witness.items()) == list(witness.items())
             assert loop_pieces == pieces
@@ -303,6 +310,82 @@ def test_a_one_pick_cover_over_the_cell_budget_is_still_refused():
         fam = bk.base_mnet(system, lam, eps)
     assert fam.pieces == (0b001,)
     assert list(fam.witness.items()) == [(0b111, 0b001), (0b011, 0b001), (0b001, 0b001)]
+
+
+def test_a_cover_on_the_row_path_over_the_cell_budget_is_refused_with_the_same_message():
+    # The chain {0} < {0,1} < ... < {0,...,29} at lam = 1/30: 30 heavy ranges
+    # pass the row gate (30**2 > _INT_CELLS), every AND of two is a range,
+    # so the 30 candidate rows make 900 cells, and the meet {0} serves all.
+    system = bk.SetSystem.from_masks(30, [(1 << k) - 1 for k in range(1, 31)])
+    lam = eps = Fraction(1, 30)
+    assert 30 ** 2 > constructions._INT_CELLS
+    with mock.patch.object(constructions, "MAX_SERVING_CELLS", 899), \
+            mock.patch.object(constructions, "_candidates", _raise_if_built):
+        with pytest.raises(bk.ResourceBudgetError,
+                           match=r"^serving matrix cells \(candidates x heavy ranges\) 900 exceeds the limit 899$"):
+            bk.base_mnet(system, lam, eps)
+    with mock.patch.object(constructions, "MAX_SERVING_CELLS", 900), \
+            mock.patch.object(constructions, "_candidates", _raise_if_built), \
+            mock.patch.object(constructions, "_numpy_greedy_cover", _raise_if_called):
+        fam = bk.base_mnet(system, lam, eps)
+    assert fam.pieces == (0b1,)
+    assert list(fam.witness.items()) == [(r, 0b1) for r in system.ranges]
+
+
+def _raise_if_built(*args):
+    raise AssertionError("a cover on the row path built the candidate set")
+
+
+@given(nested_range_lists())
+@settings(max_examples=100, deadline=None)
+def test_the_candidate_rows_are_the_candidate_set_in_canonical_order(inputs):
+    n, heavy = inputs
+    rows = constructions._candidate_rows(bk.bitsets.pack_masks(heavy, n))
+    assert bk.bitsets.unpack_masks(rows) == canonical_sort(constructions._candidates(heavy))
+
+
+@given(nested_range_lists(), st.sampled_from([Fraction(1, 1 << 30), Fraction(1, 3), Fraction(1, 2), Fraction(1)]))
+@settings(max_examples=100, deadline=None)
+def test_the_row_path_matches_the_reference_greedy_cover(inputs, lam):
+    # With no int cells every cover passes the row gate, one-pick covers
+    # included: it never builds the candidate set, at the module's block
+    # budget and at one cell a block.
+    n, heavy = inputs
+    expected = _reference_greedy_witness(heavy, lam)
+    for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
+        with mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells), \
+                mock.patch.object(constructions, "_INT_CELLS", 0), \
+                mock.patch.object(constructions, "_candidates", _raise_if_built):
+            witness, pieces = constructions._greedy_assignment(heavy, lam, n)
+        assert list(witness.items()) == list(expected.items())
+        assert pieces == canonical_sort(set(expected.values()))
+
+
+def test_boosting_heavy_traces_are_the_size_band_of_the_canonical_trace_set():
+    # On one mask word (every 40th range of circle-40 as P) and on four
+    # (the n = 256 member), at the module's block budget and at one cell a
+    # block, so that the AND runs in blocks of one row.
+    circle = _circle(40)
+    cases = [(circle, member) for member in circle.ranges[::40]] + [_planar_member()]
+    for system, member in cases:
+        packed = bk.bitsets.pack_masks(system.ranges, system.n)
+        size = member.bit_count()
+        want = size_band(canonical_sort({r & member for r in system.ranges}), math.ceil(HALF * size), size)
+        assert want and packed.shape[1] == max(1, math.ceil(system.n / 64))
+        for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
+            with mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells):
+                assert constructions._heavy_traces(packed, member, system.n) == want
+
+
+@pytest.mark.parametrize(("n", "ranges", "pieces"), [(0, [], ()), (0, [0], (0,)), (5, [], ()), (5, [0], ())])
+def test_boosting_a_system_with_no_nonempty_range(n, ranges, pieces):
+    # At n = 0 the empty range is heavy in the last band and is its own
+    # piece; at n = 5 it lies below every band, and no range means no band.
+    system = bk.SetSystem.from_masks(n, ranges)
+    fam = bk.boost_epsilon(system, bk.default_provider(), Fraction(1, 5), HALF)
+    assert fam.pieces == pieces
+    assert fam.witness == dict.fromkeys(pieces, 0)
+    assert (fam.lam, fam.eps) == (Fraction(1, 4), Fraction(1, 5))
 
 
 def test_base_mnet_serving_matrix_peak_memory_stays_below_two_bytes_a_cell(circle40_boost_inputs):

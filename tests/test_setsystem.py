@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.bitsets import bit_matrix, pack_masks, symdiff_counts
-from bracketkit.setsystem import canonical_order, canonical_sort, size_band
+from bracketkit.bitsets import bit_matrix, pack_masks, symdiff_counts, unpack_masks
+from bracketkit.setsystem import canonical_order, canonical_rows, canonical_sort, size_band
 
 from conftest import mask_from_indices, masks_as_sets, system_from_sets
 from naive_checks import naive_compress
@@ -54,6 +54,25 @@ def test_canonical_order_of_packed_rows_matches_canonical_sort(words, data):
 
 def test_canonical_order_of_no_rows_is_empty():
     assert canonical_order(pack_masks([], 64)).tolist() == []
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_canonical_rows_are_the_distinct_rows_in_canonical_order(words, data):
+    # Rows repeat, next to each other or apart, among the edge masks of the
+    # canonical order test and random masks.
+    n = 64 * words
+    full = (1 << n) - 1
+    edges = [0, full] + [1 << i for i in (0, 7, 8, 63, 64, 127, 128, 255) if i < n]
+    pool = edges + data.draw(st.lists(st.integers(0, full), max_size=30))
+    masks = data.draw(st.lists(st.sampled_from(pool), max_size=80))
+    rows = canonical_rows(pack_masks(masks, n))
+    assert rows.shape == (len(set(masks)), words)
+    assert unpack_masks(rows) == canonical_sort(set(masks))
+
+
+def test_canonical_rows_of_no_rows_are_none():
+    assert canonical_rows(pack_masks([], 64)).shape == (0, 1)
 
 
 @given(st.integers(1, 10), st.data())

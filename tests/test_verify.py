@@ -124,6 +124,21 @@ def test_hint_outside_the_family_never_passes(collinear4):
         assert report.counterexample[0] != 0
 
 
+def test_a_hinted_lower_set_outside_the_family_never_passes(collinear4):
+    # The family {X} at eps = 1 gives every range the upper set X within
+    # slack n, but a range F != X has no lower set: X is the only set.  Each
+    # such F is hinted (empty set, X), a pair of the right shape and slack
+    # whose upper set is in the family and whose lower set is not.
+    _, system = collinear4
+    full = system.full_mask
+    hint = {m: (0, full) for m in system.ranges if m != full}
+    family = bk.BracketFamily(system, (full,), Fraction(1), hint)
+    report = bk.verify_bracket(family)
+    assert not report.passed
+    assert report.counterexample[0] in hint
+    assert not naive_bracket_ok(system, family.sets, family.eps)
+
+
 def test_bracket_loose_hint_falls_back_to_the_tightest_pair():
     # F = {0,1} with slack cap floor(4/2) = 2.  The hint (empty, full) has
     # the right shape but slack 4; the sets, built directly out of canonical

@@ -31,7 +31,8 @@ sys.dont_write_bytecode = True  # no cache files under perfbench/
 import bracketkit as bk  # noqa: E402
 from bracketkit import constructions  # noqa: E402
 from bracketkit.constructions import _candidates  # noqa: E402
-from bracketkit.setsystem import canonical_sort  # noqa: E402
+from bracketkit.bitsets import pack_masks  # noqa: E402
+from bracketkit.setsystem import canonical_rows, canonical_sort  # noqa: E402
 from workloads import EPS0, pick_domain  # noqa: E402
 
 SEED = 2
@@ -67,7 +68,8 @@ def _int_path(heavy, lam, width):
 
 
 def _numpy_path(heavy, lam, width):
-    return constructions._numpy_greedy_cover(list(_candidates(heavy)), heavy, lam, width)
+    cands = canonical_rows(pack_masks(list(_candidates(heavy)), width))
+    return constructions._numpy_greedy_cover(cands, heavy, pack_masks(heavy, width), lam)
 
 
 def _best_time(run, args, repeats):
