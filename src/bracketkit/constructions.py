@@ -82,7 +82,7 @@ HALF = Fraction(1, 2)
 PAIR_CAP = 64
 # The index pairs i < j below PAIR_CAP, ordered by j, so that the pairs of
 # the first k indices are the first C(k, 2); made once, as
-# np.triu_indices(k, 1) costs about 30 us a call.
+# np.triu_indices(k, 1) costs about 30 us a call (2-core machine).
 _PAIR_SECOND, _PAIR_FIRST = np.tril_indices(PAIR_CAP, -1)
 # base_mnet's greedy cover serves a one-pick input from the meet of its
 # ranges, and otherwise runs its loop on Python ints up to this many serving
