@@ -312,6 +312,10 @@ def test_a_one_pick_cover_over_the_cell_budget_is_still_refused():
     assert list(fam.witness.items()) == [(0b111, 0b001), (0b011, 0b001), (0b001, 0b001)]
 
 
+def _raise_if_built(*args):
+    raise AssertionError("a cover on the row path built the candidate set")
+
+
 def test_a_cover_on_the_row_path_over_the_cell_budget_is_refused_with_the_same_message():
     # The chain {0} < {0,1} < ... < {0,...,29} at lam = 1/30: 30 heavy ranges
     # pass the row gate (30**2 > _INT_CELLS), every AND of two is a range,
@@ -330,10 +334,6 @@ def test_a_cover_on_the_row_path_over_the_cell_budget_is_refused_with_the_same_m
         fam = bk.base_mnet(system, lam, eps)
     assert fam.pieces == (0b1,)
     assert list(fam.witness.items()) == [(r, 0b1) for r in system.ranges]
-
-
-def _raise_if_built(*args):
-    raise AssertionError("a cover on the row path built the candidate set")
 
 
 @given(nested_range_lists())
