@@ -57,7 +57,7 @@ from .protocols import (
     exact_hull_intersection,
     learn_halfspace_protocol,
 )
-from .setsystem import SetSystem
+from .setsystem import SetSystem, index_lists_json, json_object_text
 from .verify import container_lower_bound, verify_family
 
 CSV_COLUMNS = [
@@ -149,12 +149,9 @@ def cmd_packing(args):
         raise InputError(f"delta: expected a count or p/q of n, got {args.delta!r}")
     delta_int = math.floor(delta)
     packing = greedy_delta_packing(system, delta_int, shallow_cap=args.cap)
-    payload = {
-        "delta": packing.delta,
-        "cap": packing.shallow_cap,
-        "members": [list(indices_from_mask(m)) for m in packing.members],
-    }
-    _write(args.out, json.dumps(payload))
+    members = index_lists_json(packing.members, "packing JSON")
+    fields = {"delta": json.dumps(packing.delta), "cap": json.dumps(packing.shallow_cap), "members": members}
+    _write(args.out, json_object_text(fields))
     print(f"packing size {len(packing.members)} at delta={delta_int} cap={args.cap}")
     if args.d0:
         report = packing_bound_report(packing, args.d0)

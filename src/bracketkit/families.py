@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, json_index_mask, json_int, parse_fraction, parse_json_object
-from .setsystem import SetSystem, canonical_sort, index_lists
+from .setsystem import SetSystem, canonical_sort, index_lists_json, json_object_text
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ def family_to_json(family):
         kind, params, sets = "bracket", {"epsilon": str(family.eps)}, family.sets
     else:
         raise InputError(f"unknown family type {type(family).__name__}")
-    payload = {"kind": kind, "params": params, "sets": index_lists(sets, "family JSON")}
+    fields = {"kind": json.dumps(kind), "params": json.dumps(params), "sets": index_lists_json(sets, "family JSON")}
     if kind == "bracket" and family.pairing is not None:
-        payload["pairing"] = _pairing_to_positions(family)
-    return json.dumps(payload)
+        fields["pairing"] = json.dumps(_pairing_to_positions(family))
+    return json_object_text(fields)
 
 
 def family_from_json(text, base):

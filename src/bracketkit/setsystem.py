@@ -17,17 +17,22 @@ constructions) is a call to it.
 byte strings that rank masks of equal size lex, then a stable size pass.
 ``canonical_order`` makes it on ``pack_masks`` rows, from the same keys,
 and ``canonical_rows`` keeps the distinct rows in that order.
+
+Every JSON output that lists masks as element indices (a set system, a
+family, a packing) writes those lists through ``index_lists_json``, and
+``json_object_text`` puts them in their object.
 """
 
 import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 
 import numpy as np
 
-from .bitsets import bit_matrix, indices_from_mask
+from . import bitsets
+from .bitsets import bit_matrix, indices_from_mask, pack_masks
 from .errors import (
     MAX_GROUND_SET,
     MAX_JSON_INDICES,
@@ -108,7 +113,8 @@ class SetSystem:
         return (1 << self.n) - 1
 
     def to_json(self):
-        return json.dumps({"n": self.n, "ranges": index_lists(self.ranges, "set system JSON")})
+        ranges = index_lists_json(self.ranges, "set system JSON")
+        return json_object_text({"n": json.dumps(self.n), "ranges": ranges})
 
     @staticmethod
     def from_json(text):
@@ -121,12 +127,55 @@ class SetSystem:
         )
 
 
-def index_lists(masks, what):
-    """The masks as lists of element indices, for ``what``, a JSON output.
-    More than ``MAX_JSON_INDICES`` indices in all raise ResourceBudgetError
-    before any list is built."""
-    within_budget(sum(map(int.bit_count, masks)), MAX_JSON_INDICES, f"element indices in {what}")
-    return [list(indices_from_mask(m)) for m in masks]
+def index_lists_json(masks, what):
+    """The text ``json.dumps`` writes for the masks' lists of element
+    indices, byte for byte, for ``what``, a JSON output.  More than
+    ``MAX_JSON_INDICES`` indices in all raise ResourceBudgetError before any
+    work.
+
+    The masks go in blocks of at most ``bitsets._BLOCK_CELLS // max(64,
+    words)`` rows and ``bitsets._BLOCK_CELLS`` indices (at least one row),
+    so a block packs at most that many words and its temporaries stay near
+    the block budget however wide or dense the masks are.  Index
+    word*64 + bit of a block's nonzero words, unpacked least significant
+    bit first, come out in mask order and ascending within a mask; each is
+    written by name from one table of ``str(i)``, and a mask's list is its
+    next ``bit_count()`` names."""
+    counts = list(map(int.bit_count, masks))
+    ends = list(accumulate(counts, initial=0))
+    within_budget(ends[-1], MAX_JSON_INDICES, f"element indices in {what}")
+    cells = bitsets._BLOCK_CELLS
+    width = max(map(int.bit_length, masks), default=0)
+    names = np.array(list(map(str, range(width))), dtype=object)
+    step = max(1, cells // max(64, -(-width // 64)))
+    parts = ["["]
+    start = 0
+    while start < len(masks):
+        stop = max(start + 1, min(start + step, bisect_right(ends, ends[start] + cells, start) - 1))
+        block = masks[start:stop]
+        packed = pack_masks(block, max(map(int.bit_length, block)))
+        rows, words = np.nonzero(packed)
+        bits = np.flatnonzero(np.unpackbits(packed[rows, words].view(np.uint8), bitorder="little"))
+        written = iter(names[words[bits >> 6] * 64 + (bits & 63)].tolist())
+        if start:
+            parts.append(", ")
+        parts.append(", ".join(f"[{', '.join(islice(written, c))}]" for c in counts[start:stop]))
+        start = stop
+    parts.append("]")
+    return "".join(parts)
+
+
+def json_object_text(fields):
+    """The text ``json.dumps`` writes for an object of ``fields``, a dict
+    of key -> the JSON text of its value, in the dict's order.  The text is
+    joined once, so a long value is copied only into the result."""
+    parts = ["{"]
+    for key, text in fields.items():
+        if len(parts) > 1:
+            parts.append(", ")
+        parts += (json.dumps(key), ": ", text)
+    parts.append("}")
+    return "".join(parts)
 
 
 def project(system, mask):

@@ -615,6 +615,35 @@ def test_packing_delta_as_fraction_of_n_with_cap(tmp_path, capsys):
     assert "shallow expression" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", [None, 5])
+def test_packing_json_is_json_dumps_of_the_payload(tmp_path, cap):
+    system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 16, "sphere"))
+    path = tmp_path / "sys.json"
+    path.write_text(system.to_json())
+    pack = tmp_path / "pack.json"
+    args = ["packing", "--system", str(path), "--delta", "3", "--out", str(pack)]
+    assert run_cli(args + ([] if cap is None else ["--cap", str(cap)])) == 0
+    packing = bk.greedy_delta_packing(system, 3, shallow_cap=cap)
+    members = [list(bk.bitsets.indices_from_mask(m)) for m in packing.members]
+    assert len(members) > 1
+    assert pack.read_text() == json.dumps({"delta": 3, "cap": cap, "members": members})
+
+
+def test_packing_json_over_the_index_budget_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The grid's packing at delta = 1 has 4 members of 8 element indices.
+    system = _grid4_system(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr(bk.setsystem, "MAX_JSON_INDICES", 7)
+    out = tmp_path / "pack.json"
+    assert run_cli(["packing", "--system", str(system), "--delta", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: element indices in packing JSON 8 exceeds the limit 7\n"
+    assert not out.exists()
+    monkeypatch.setattr(bk.setsystem, "MAX_JSON_INDICES", 8)
+    assert run_cli(["packing", "--system", str(system), "--delta", "1", "--out", str(out)]) == 0
+    assert sum(map(len, json.loads(out.read_text())["members"])) == 8
+
+
 def test_boosted_mnet_cli(tmp_path, capsys):
     system = _grid4_system(tmp_path)
     fam = tmp_path / "mnet.json"

@@ -293,19 +293,20 @@ def test_a_veronese_lift_of_a_non_integer_degree_is_an_input_error(monkeypatch):
 
 def test_json_output_over_the_index_budget_is_refused_before_any_list_is_built(monkeypatch):
     # 257 ranges of 65,535 elements: 16,842,495 element indices, just above
-    # 2^24.  Their sizes are summed first, and no index list is made.
+    # 2^24.  Their sizes are summed first, and no mask is packed, so no
+    # index list is made.
     n = bk.errors.MAX_GROUND_SET
     full = (1 << n) - 1
     system = bk.SetSystem.from_masks(n, [full ^ (1 << i) for i in range(257)])
-    listed = []
-    monkeypatch.setattr(bk.setsystem, "indices_from_mask", listed.append)
+    packed = []
+    monkeypatch.setattr(bk.setsystem, "pack_masks", lambda *args: packed.append(args))
     for write, what in (
         (system.to_json, "set system JSON"),
         (lambda: bk.family_to_json(bk.make_container(system, system.ranges, 0)), "family JSON"),
     ):
         with pytest.raises(bk.ResourceBudgetError, match=f"element indices in {what} 16842495 exceeds the limit 16777216"):
             write()
-    assert not listed
+    assert not packed
 
 
 def test_json_output_at_the_index_budget_is_written(monkeypatch):

@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 import bracketkit as bk
+from bracketkit.bitsets import indices_from_mask
 from bracketkit.families import family_from_json, family_to_json
 
 
@@ -50,3 +52,30 @@ def test_unknown_kind_rejected(collinear4):
     _, system = collinear4
     with pytest.raises(bk.InputError):
         family_from_json('{"kind": "mystery", "params": {}, "sets": []}', system)
+
+
+def _payload_by_definition(kind, params, sets, pairing=None):
+    payload = {"kind": kind, "params": params, "sets": [list(indices_from_mask(m)) for m in sets]}
+    if pairing is not None:
+        payload["pairing"] = pairing
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("block_cells", [bk.bitsets._BLOCK_CELLS, 1])
+def test_family_json_is_json_dumps_of_the_payload(monkeypatch, block_cells):
+    monkeypatch.setattr(bk.bitsets, "_BLOCK_CELLS", block_cells)
+    system = bk.enumerate_halfspace_ranges(bk.lower_bound_instance(2, 12, "sphere"))
+    eps = Fraction(1, 4)
+    mnet = bk.base_mnet(system, Fraction(1, 2), eps)
+    params = {"lambda": "1/2", "epsilon": "1/4"}
+    assert family_to_json(mnet) == _payload_by_definition("mnet", params, mnet.pieces)
+    container = bk.build_container(system, eps, bk.default_provider())
+    assert family_to_json(container) == _payload_by_definition("container", {"epsilon": "1/4"}, container.covers)
+    bracket = bk.build_bracket(system, eps, bk.default_provider(), bk.default_provider())
+    pairing = {
+        str(i): [bracket.sets.index(lo), bracket.sets.index(hi)]
+        for i, (lo, hi) in enumerate(map(bracket.pairing.get, system.ranges))
+    }
+    assert family_to_json(bracket) == _payload_by_definition("bracket", {"epsilon": "1/4"}, bracket.sets, pairing)
+    unpaired = bk.make_bracket(system, bracket.sets, eps)
+    assert family_to_json(unpaired) == _payload_by_definition("bracket", {"epsilon": "1/4"}, bracket.sets)

@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
-from bracketkit.bitsets import bit_matrix, pack_masks, symdiff_counts, unpack_masks
-from bracketkit.setsystem import canonical_order, canonical_rows, canonical_sort, size_band
+from bracketkit.bitsets import bit_matrix, indices_from_mask, pack_masks, symdiff_counts, unpack_masks
+from bracketkit.setsystem import canonical_order, canonical_rows, canonical_sort, index_lists_json, size_band
 
 from conftest import mask_from_indices, masks_as_sets, system_from_sets
 from naive_checks import naive_compress
@@ -346,3 +348,25 @@ def test_json_roundtrip(collinear4):
     _, system = collinear4
     again = bk.SetSystem.from_json(system.to_json())
     assert again == system
+
+
+def _index_lists_by_definition(masks):
+    return json.dumps([list(indices_from_mask(m)) for m in masks])
+
+
+@pytest.mark.parametrize("block_cells", [bk.bitsets._BLOCK_CELLS, 130])
+def test_index_lists_json_is_json_dumps_of_the_index_lists(monkeypatch, block_cells):
+    # At 130 cells a block holds two rows of up to five words, or fewer
+    # masks than that when their indices pass 130, so block edges fall
+    # inside each list, and a mask of more than 130 bits is a block alone.
+    monkeypatch.setattr(bk.bitsets, "_BLOCK_CELLS", block_cells)
+    rng = random.Random(48)
+    dense = [rng.getrandbits(64 * rng.randint(1, 5)) for _ in range(150)]
+    sparse = [sum(1 << rng.randrange(64 * rng.randint(1, 5)) for _ in range(rng.randint(0, 4))) for _ in range(150)]
+    mixed = dense + sparse
+    rng.shuffle(mixed)
+    for masks in (mixed, [], [0], [0, 0b101, 0], (1 << 65535, (1 << 65535) | 1, 0)):
+        assert index_lists_json(masks, "test JSON") == _index_lists_by_definition(masks)
+    for system in (bk.SetSystem.from_masks(0, []), bk.SetSystem.from_masks(0, [0]), bk.SetSystem.from_masks(320, mixed)):
+        expected = json.dumps({"n": system.n, "ranges": json.loads(_index_lists_by_definition(system.ranges))})
+        assert system.to_json() == expected
