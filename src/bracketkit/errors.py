@@ -37,12 +37,13 @@ class ResourceBudgetError(BracketkitError):
 # A size ladder's exact rungs grow in numerator with their count (27,636
 # rungs at eps = 1/1000 took 22 s and 1.2 GB).  Decimal exponents and JSON
 # integer literals are bounded by Python's own limit on integer-string digits.
-# Writing a set-system or family JSON raised peak RSS by 16-17 bytes per
-# element index below 256 and about 50 bytes per index above it (2-core
-# machine, Python 3.11).  The largest output of the tests, the halfspaces of
-# 256 random planar points, has 8,356,096 indices and rose 136 MB;
+# Writing a set-system, family or packing JSON raised peak RSS by 10-11
+# bytes per element index on a 256-element ground set, 15 on 4,096 elements
+# and 19 on 65,536: the text, and the blocks it is joined from (fresh
+# processes, 2-core machine, Python 3.11).  The largest output of the tests, the halfspaces of
+# 256 random planar points, has 8,356,096 indices and rose 84 MB;
 # MAX_JSON_INDICES is about twice that, and an output at it costs at most
-# about 0.8 GB.
+# about 0.33 GB.
 MAX_GROUND_SET = 1 << 16  # elements of a ground set, points of a generated set
 MAX_DIM = 64  # coordinates of a point
 MAX_SPANNING_TUPLES = 1 << 20  # weighted C(n, d) hyperplanes, or 2^n subsets of n <= d points
@@ -50,7 +51,7 @@ MAX_BOX_CANDIDATES = 1 << 24  # axis intervals, multiplied over the axes
 MAX_POLYTOPE_RANGES = 100_000  # polytope ranges, checked as each new one is found
 MAX_SERVING_CELLS = 1 << 25  # base_mnet candidates x heavy ranges
 MAX_LADDER_RUNGS = 1 << 12  # rungs of a geometric size ladder, estimated in floats
-MAX_JSON_INDICES = 1 << 24  # element indices in one set-system or family JSON
+MAX_JSON_INDICES = 1 << 24  # element indices in one set-system, family or packing JSON
 
 
 def within_budget(value, limit, what):
