@@ -135,8 +135,8 @@ def index_lists_json(masks, what):
 
     The masks go in blocks of at most ``bitsets._BLOCK_CELLS // max(64,
     words)`` rows and ``bitsets._BLOCK_CELLS`` indices (at least one row),
-    so a block packs at most that many words and its temporaries stay near
-    the block budget however wide or dense the masks are.  Index
+    so a block packs at most ``_BLOCK_CELLS`` words and unpacks 64 bits a
+    nonzero word, however wide or dense the masks are.  Index
     word*64 + bit of a block's nonzero words, unpacked least significant
     bit first, come out in mask order and ascending within a mask; each is
     written by name from one table of ``str(i)``, and a mask's list is its
