@@ -73,7 +73,7 @@ from .errors import (
     within_budget,
 )
 from .families import make_bracket, make_container, make_mnet
-from .packing import greedy_delta_packing, nearest_neighbor
+from .packing import greedy_delta_packing
 from .setsystem import SetSystem, canonical_rows, canonical_sort, complement_family, filter_by_size, size_band
 from .trace import note
 from .verify import find_cover, find_piece, verify_family
@@ -186,7 +186,7 @@ def base_mnet(system, lam, eps):
     return _checked(fam, "base_mnet")
 
 
-def _greedy_assignment(heavy, lam, width):
+def _greedy_assignment(heavy, lam, width, wanted=None, heavy_rows=None):
     """``base_mnet``'s greedy cover below its input checks and its heavy
     slice, on the canonical list ``heavy`` of the ranges to serve, masks
     that fit in ``width`` bits: the witness assignment (heavy range ->
@@ -197,7 +197,21 @@ def _greedy_assignment(heavy, lam, width):
     come from sorting the picked candidate positions: the int loop's
     candidates are ``canonical_sort``ed and the numpy loop's rows are
     ``canonical_rows``, so on both loops position order is canonical order.
-    Nothing is verified here.
+    Nothing is verified here.  ``heavy_rows``, when given, are the
+    ``pack_masks(heavy, width)`` rows, which the numpy paths then take
+    instead of packing ``heavy`` again.
+
+    Wanted ranges.  ``wanted``, a set of masks or None for every heavy
+    range, names the heavy ranges whose pieces the caller reads.  Both
+    loops end at the pick that gives the last wanted heavy range its piece
+    (at once when none is wanted), so the assignment holds every wanted
+    heavy range and the ranges served by the picks made so far, and the
+    pieces are those picks.  Every wanted range gets the piece of the full
+    cover: the loop is deterministic and a range keeps the piece of the
+    first pick that serves it, so the shortened run makes the full run's
+    first picks.  The candidates, the cell budget, the one-pick path and the
+    tie rule do not depend on ``wanted``.  Boosting reads only its group's
+    traces, and ignores the pieces.
 
     Rows.  There are at least len(heavy) candidates, the heavy ranges, so
     when len(heavy)**2 exceeds ``_INT_CELLS`` the int loop cannot run, and
@@ -224,11 +238,9 @@ def _greedy_assignment(heavy, lam, width):
     bits: a candidate contains M, so it is M exactly when it has |M| bits,
     and M would be the smallest."""
     rows = len(heavy) ** 2 > _INT_CELLS
-    if rows:
+    if heavy_rows is None and rows:
         heavy_rows = bitsets.pack_masks(heavy, width)
-        cands = _candidate_rows(heavy_rows)
-    else:
-        cands = _candidates(heavy)
+    cands = _candidate_rows(heavy_rows) if rows else _candidates(heavy)
     cells = len(cands) * len(heavy)
     within_budget(cells, MAX_SERVING_CELLS, "serving matrix cells (candidates x heavy ranges)")
     meet = reduce(and_, heavy, -1)  # -1 has every bit set; an empty heavy list has no candidate
@@ -236,10 +248,12 @@ def _greedy_assignment(heavy, lam, width):
     if has_meet and meet.bit_count() * lam.denominator >= heavy[0].bit_count() * lam.numerator:
         return dict.fromkeys(heavy, meet), [meet]
     if cells <= _INT_CELLS:
-        return _int_greedy_cover(canonical_sort(cands), heavy, lam)
+        return _int_greedy_cover(canonical_sort(cands), heavy, lam, wanted)
     if not rows:
-        heavy_rows, cands = bitsets.pack_masks(heavy, width), canonical_rows(bitsets.pack_masks(list(cands), width))
-    return _numpy_greedy_cover(cands, heavy, heavy_rows, lam)
+        cands = canonical_rows(bitsets.pack_masks(list(cands), width))
+        if heavy_rows is None:
+            heavy_rows = bitsets.pack_masks(heavy, width)
+    return _numpy_greedy_cover(cands, heavy, heavy_rows, lam, wanted)
 
 
 def _candidates(heavy):
@@ -257,9 +271,10 @@ def _candidate_rows(heavy_rows):
     return canonical_rows(np.concatenate((heavy_rows, ands)))
 
 
-def _int_greedy_cover(cands, heavy, lam):
+def _int_greedy_cover(cands, heavy, lam, wanted=None):
     """The greedy cover with each candidate's served heavy ranges as one int
-    (bit j for heavy[j]), under the serving test of ``_serving_matrix``."""
+    (bit j for heavy[j]), under the serving test of ``_serving_matrix``,
+    until no heavy range in ``wanted`` (every one when None) is uncovered."""
     num, den = lam.numerator, lam.denominator
     columns = [(1 << j, r, -(-r.bit_count() * num // den)) for j, r in enumerate(heavy)]
     rows = []
@@ -273,7 +288,8 @@ def _int_greedy_cover(cands, heavy, lam):
     assignment = {}
     picks = []
     uncovered = (1 << len(heavy)) - 1
-    while uncovered:
+    pending = uncovered if wanted is None else sum(1 << j for j, r in enumerate(heavy) if r in wanted)
+    while uncovered & pending:
         best = max(range(len(rows)), key=lambda i: (rows[i] & uncovered).bit_count())
         picks.append(best)
         piece = cands[best]
@@ -286,7 +302,7 @@ def _int_greedy_cover(cands, heavy, lam):
     return assignment, [cands[i] for i in sorted(picks)]
 
 
-def _numpy_greedy_cover(cands, heavy, heavy_rows, lam):
+def _numpy_greedy_cover(cands, heavy, heavy_rows, lam, wanted=None):
     """The greedy cover on the heavy-major ``_serving_matrix`` of the
     candidates, ``canonical_rows``, and ``heavy_rows``, the ``pack_masks``
     rows of ``heavy`` at the candidates' width, with a running count of the
@@ -297,19 +313,22 @@ def _numpy_greedy_cover(cands, heavy, heavy_rows, lam):
     every true cell of the rows lies in the columns [lo of the first, hi
     of the last): only that slice of the counts is updated.  The picked
     rows are unpacked once, after the loop, and each assigns its newly
-    served ranges in pick order, ascending j within a pick."""
+    served ranges in pick order, ascending j within a pick.  ``left``
+    counts the uncovered heavy ranges in ``wanted`` (every one when None),
+    and the loop ends when it reaches 0."""
     serves, counts, lo, hi = _serving_matrix(cands, heavy_rows, lam)
     picks = []
     served = []
     uncovered = np.ones(len(heavy), dtype=bool)
-    left = len(heavy)
+    pending = None if wanted is None else np.fromiter(map(wanted.__contains__, heavy), bool, len(heavy))
+    left = len(heavy) if pending is None else np.count_nonzero(pending)
     while left:
         best = int(np.argmax(counts))
         newly = np.flatnonzero(serves[:, best] & uncovered)
         picks.append(best)
         served.append(newly.tolist())
         uncovered[newly] = False
-        left -= len(newly)
+        left -= len(newly) if pending is None else np.count_nonzero(pending[newly])
         a, b = lo[newly[0]], hi[newly[-1]]
         counts[a:b] -= serves[newly, a:b].sum(axis=0, dtype=np.int32)
     pieces = bitsets.unpack_masks(cands[picks])
@@ -396,19 +415,25 @@ def boost_epsilon(system, provider, eps, eta):
 
     Size bands eps_i = (1+eta')^i * eps with eta' = min(1/4, eta/2) are each
     covered by a maximal packing at separation eta'*eps_i*n among ranges below
-    the band top.  The band is grouped by nearest packing member
-    (``nearest_neighbor``, ties to the earliest member).  Per member P, the
-    greedy cover at the provider's heaviness serves the ranges' distinct
-    traces on P of at least ceil(|P|/2) elements, in P's indices: a 1/2-Mnet
-    of the traces.  The ranges are packed once per call, and each member's
-    heavy traces are the heavy rows of their AND with P's row, deduplicated
-    and ordered by ``canonical_rows`` (``_heavy_traces``); a member with
-    more than sqrt(``_INT_CELLS``) of them, every member on circle-40, has
-    its greedy cover make its candidates as rows too.  A range R of P's
-    group takes the piece that the greedy cover assigned to its trace R &
-    P, and ``find_piece`` confirms it there without scanning other pieces.
-    The output heaviness is provider.heaviness * (1 - eta), and the family
-    is verified.
+    the band top.  The ranges are packed once per call.  The band is grouped
+    by nearest packing member, ties to the earliest member, as
+    ``nearest_neighbor`` groups it, from one distance matrix of the band's
+    rows against the members' rows per block (``_nearest_members``).  Per
+    member P, the greedy cover at the provider's heaviness serves the
+    ranges' distinct traces on P of at least ceil(|P|/2) elements, in P's
+    indices: a 1/2-Mnet of the traces.  Each member's heavy traces are the
+    heavy rows of the ranges' AND with P's row, deduplicated and ordered by
+    ``canonical_rows`` (``_heavy_traces``), and the greedy cover takes
+    those rows too; a member with more than sqrt(``_INT_CELLS``) of them,
+    every member on circle-40, has its greedy cover make its candidates as
+    rows.  The cover ends at the pick that serves the last of the traces
+    R & P of P's group, the only ones read (``_greedy_assignment`` shows
+    that each gets the piece of the full cover): on the seed-2 circle-40
+    system at eps = 1/5 its 124 member covers make 317 picks in place of
+    1,823.  A range R of P's group takes the piece that the greedy cover
+    assigned to its trace R & P, and ``find_piece`` confirms it there
+    without scanning other pieces.  The output heaviness is
+    provider.heaviness * (1 - eta), and the family is verified.
 
     That piece exists.  The packing is maximal among the ranges of size at
     most the band top, so R's nearest member P has |R ^ P| <= floor(eta' *
@@ -445,12 +470,16 @@ def boost_epsilon(system, provider, eps, eta):
         if not band:
             continue
         packing = greedy_delta_packing(system, math.floor(delta_i * n), shallow_cap=hi_int)
+        start = system.ranges.index(band[0])
+        nearest = _nearest_members(packed[start : start + len(band)], bitsets.pack_masks(packing.members, n))
         groups = {}
-        for mask in band:
-            groups.setdefault(nearest_neighbor(packing, mask)[0], []).append(mask)
-        for member, group in groups.items():
-            heavy = _heavy_traces(packed, member, n)
-            assignment, _ = _greedy_assignment(heavy, provider.heaviness, member.bit_length())
+        for mask, k in zip(band, nearest):
+            groups.setdefault(k, []).append(mask)
+        for k, group in groups.items():
+            member = packing.members[k]
+            heavy, heavy_rows = _heavy_traces(packed, member)
+            traces = {mask & member for mask in group}
+            assignment, _ = _greedy_assignment(heavy, provider.heaviness, member.bit_length(), traces, heavy_rows)
             for mask in group:
                 trace = mask & member
                 piece = find_piece((), assignment.get(trace), trace, provider.heaviness)
@@ -461,23 +490,38 @@ def boost_epsilon(system, provider, eps, eta):
     return _checked(fam, "boost_epsilon")
 
 
-def _heavy_traces(packed, member, n):
+def _nearest_members(rows, member_rows):
+    """The position in ``member_rows`` of each of the ``rows``' nearest
+    member, the first of least symmetric difference, as ``nearest_neighbor``
+    finds it: its ``min`` keeps the first minimum over the members in
+    admission order, and so does ``argmin`` over their rows in that order.
+    One ``symdiff_counts`` matrix per block of rows within
+    ``bitsets._BLOCK_CELLS`` cells (at least one row)."""
+    step = max(1, bitsets._BLOCK_CELLS // len(member_rows))
+    return [k for a in range(0, len(rows), step)
+            for k in bitsets.symdiff_counts(rows[a : a + step], member_rows).argmin(axis=1).tolist()]
+
+
+def _heavy_traces(packed, member):
     """A packing member P's heavy traces, the distinct R & P of at least
-    ceil(|P|/2) elements, in canonical order, from ``packed``, the
-    ``pack_masks`` rows of the ranges R over n elements.  That is
+    ceil(|P|/2) elements, in canonical order, as masks and as their rows
+    at P's own width, ``pack_masks(traces, P.bit_length())``, from
+    ``packed``, the ``pack_masks`` rows of the ranges R.  The masks are
     ``size_band(canonical_sort({R & P}), ceil(|P|/2), |P|)``: a filter by
     size commutes with dedup and with the canonical order, and no trace has
-    more than |P| elements.  The AND with P's row runs in blocks of rows
-    within ``bitsets._BLOCK_CELLS`` cells, ``canonical_rows`` dedups and
-    orders the heavy rows, and one ``unpack_masks`` returns their masks."""
-    member_row = bitsets.pack_masks([member], n)
+    more than |P| elements.  The AND of the ranges' words below P's width
+    with P's row runs in blocks of rows within ``bitsets._BLOCK_CELLS``
+    cells, ``canonical_rows`` dedups and orders the heavy rows, and one
+    ``unpack_masks`` returns their masks."""
+    member_row = bitsets.pack_masks([member], member.bit_length())
     need = math.ceil(HALF * member.bit_count())
     step = max(1, bitsets._BLOCK_CELLS // packed.shape[1])
     heavy = []
     for a in range(0, len(packed), step):
-        traces = packed[a : a + step] & member_row
+        traces = packed[a : a + step, : member_row.shape[1]] & member_row
         heavy.append(traces[np.bitwise_count(traces).sum(axis=1) >= need])
-    return bitsets.unpack_masks(canonical_rows(np.concatenate(heavy)))
+    rows = canonical_rows(np.concatenate(heavy))
+    return bitsets.unpack_masks(rows), rows
 
 
 # ---------------------------------------------------------------------------

@@ -156,9 +156,9 @@ def circle40_boost_inputs():
     calls = []
     original = constructions._greedy_assignment
 
-    def recording(heavy, lam, width):
+    def recording(heavy, lam, width, wanted=None, heavy_rows=None):
         calls.append((heavy, lam))
-        return original(heavy, lam, width)
+        return original(heavy, lam, width, wanted, heavy_rows)
 
     with mock.patch.object(constructions, "_greedy_assignment", recording):
         bk.boost_epsilon(_circle(40), bk.default_provider(), Fraction(1, 5), HALF)
@@ -374,7 +374,78 @@ def test_boosting_heavy_traces_are_the_size_band_of_the_canonical_trace_set():
         assert want and packed.shape[1] == max(1, math.ceil(system.n / 64))
         for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
             with mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells):
-                assert constructions._heavy_traces(packed, member, system.n) == want
+                masks, rows = constructions._heavy_traces(packed, member)
+                assert masks == want
+                assert np.array_equal(rows, bk.bitsets.pack_masks(want, member.bit_length()))
+
+
+@given(nested_range_lists(), st.sampled_from([Fraction(1, 1 << 30), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_cover_that_wants_some_ranges_ends_at_the_pick_that_serves_the_last_of_them(inputs, lam, data):
+    # The shortened cover makes the full cover's first picks and ends at the
+    # pick that gives the last wanted range its piece: its witness map is a
+    # prefix of the full one that ends at a pick's end, every wanted range
+    # has its full-cover piece, and its pieces are its picks.  The one-pick
+    # path is unchanged.  On the numpy loop by rows (no int cells), at the
+    # module's crossover, and on the int loop (cells to spare), with the
+    # heavy ranges' rows handed in as boosting hands them.
+    n, heavy = inputs
+    wanted = set(data.draw(st.lists(st.sampled_from(heavy), unique=True), label="wanted"))
+    for int_cells in (0, constructions._INT_CELLS, 1 << 30):
+        with mock.patch.object(constructions, "_INT_CELLS", int_cells):
+            full, _ = constructions._greedy_assignment(heavy, lam, n)
+            short, pieces = constructions._greedy_assignment(heavy, lam, n, wanted, bk.bitsets.pack_masks(heavy, n))
+        items = list(full.items())
+        assert list(short.items()) == items[: len(short)]
+        assert all(short[r] == full[r] for r in wanted)
+        assert pieces == canonical_sort(set(short.values()))
+        if len(set(full.values())) == 1:
+            assert short == full
+        elif wanted:
+            last = items[len(short) - 1][1]
+            assert len(short) == len(items) or items[len(short)][1] != last
+            assert any(r in wanted for r, piece in short.items() if piece == last)
+        else:
+            assert short == {}
+
+
+@st.composite
+def tied_members_and_queries(draw):
+    """Members (distinct, in admission order) and queries over n = 1 to 256
+    elements (1 to 4 mask words), all over a pool of at most six elements,
+    so that symmetric differences are small and ties are common."""
+    n = draw(st.integers(1, 256), label="n")
+    pool = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True), label="pool")
+    masks = st.builds(lambda picked: sum(1 << i for i in picked), st.sets(st.sampled_from(pool)))
+    members = draw(st.lists(masks, min_size=1, max_size=12, unique=True), label="members")
+    return n, members, draw(st.lists(masks, min_size=1, max_size=20), label="queries")
+
+
+@given(tied_members_and_queries())
+@settings(max_examples=150, deadline=None)
+def test_boosting_groups_a_band_by_the_nearest_member_as_nearest_neighbor_does(inputs):
+    # One distance matrix per block of band rows, at the module's block
+    # budget and at one cell a block (one row a block), gives each query the
+    # first member at least distance, as nearest_neighbor's min does.
+    n, members, queries = inputs
+    packing = bk.Packing(bk.SetSystem(n, ()), tuple(members), (), n)
+    want = [members.index(bk.nearest_neighbor(packing, q)[0]) for q in queries]
+    for block_cells in (bk.bitsets._BLOCK_CELLS, 1):
+        with mock.patch.object(bk.bitsets, "_BLOCK_CELLS", block_cells):
+            got = constructions._nearest_members(bk.bitsets.pack_masks(queries, n), bk.bitsets.pack_masks(members, n))
+        assert got == want
+
+
+def test_a_tie_between_members_goes_to_the_first_admitted():
+    # The empty query is one element from both one-element members; the
+    # first admitted wins, in either admission order, on one word and across
+    # the first word edge.
+    for low, high in ((0, 1), (63, 64)):
+        a, b, query = 1 << low, 1 << high, 0
+        for members in ([a, b], [b, a]):
+            rows = bk.bitsets.pack_masks(members, 128)
+            assert constructions._nearest_members(bk.bitsets.pack_masks([query], 128), rows) == [0]
 
 
 @pytest.mark.parametrize(("n", "ranges", "pieces"), [(0, [], ()), (0, [0], (0,)), (5, [], ()), (5, [0], ())])
@@ -1121,7 +1192,7 @@ def test_small_set_recursion_past_its_depth_cap_is_an_internal_error(monkeypatch
     # Each node's one piece is the highest element of its universe, outside
     # the one survivor {0}: the universe shrinks by one element a level, and
     # {0} is served only at 17 elements or fewer, past the depth cap 6.
-    def one_piece_outside_the_survivors(heavy, lam, width):
+    def one_piece_outside_the_survivors(heavy, lam, width, wanted=None, heavy_rows=None):
         return {}, [1 << (width - 1)]
 
     monkeypatch.setattr(constructions, "_greedy_assignment", one_piece_outside_the_survivors)
@@ -1154,7 +1225,7 @@ def test_bootstrap_without_a_cover_for_a_range_is_an_internal_error(monkeypatch)
 # a verified boundary, and only public constructions self-verify.
 
 
-def _pieces_outside_their_ranges(heavy, lam, width):
+def _pieces_outside_their_ranges(heavy, lam, width, wanted=None, heavy_rows=None):
     # Each heavy range grown by its lowest outside element: no piece lies
     # inside a smallest heavy range.
     full = (1 << width) - 1
@@ -1162,7 +1233,7 @@ def _pieces_outside_their_ranges(heavy, lam, width):
     return assignment, canonical_sort(set(assignment.values()))
 
 
-def _pieces_below_their_need(heavy, lam, width):
+def _pieces_below_their_need(heavy, lam, width, wanted=None, heavy_rows=None):
     # Each heavy range's lowest element alone, below ceil(lam*|R|) >= 2.
     assignment = {r: r & -r for r in heavy}
     return assignment, canonical_sort(set(assignment.values()))
@@ -1194,9 +1265,9 @@ def test_a_wrong_greedy_piece_never_yields_an_unverified_boosted_mnet(monkeypatc
     system = _circle(40)
     calls = []
 
-    def recording(heavy, lam, width):
+    def recording(heavy, lam, width, wanted=None, heavy_rows=None):
         calls.append(width)
-        return mutant(heavy, lam, width)
+        return mutant(heavy, lam, width, wanted, heavy_rows)
 
     monkeypatch.setattr(constructions, "_greedy_assignment", recording)
     if finder == "unchecked":
@@ -1309,18 +1380,18 @@ def test_an_empty_band_piece_fails_the_outer_self_verification(monkeypatch, oute
 _greedy_assignment = constructions._greedy_assignment  # the unpatched greedy
 
 
-def _node_pieces_less_their_lowest_element(heavy, lam, width):
-    _, pieces = _greedy_assignment(heavy, lam, width)
+def _node_pieces_less_their_lowest_element(heavy, lam, width, wanted=None, heavy_rows=None):
+    _, pieces = _greedy_assignment(heavy, lam, width, wanted, heavy_rows)
     return {}, [p & (p - 1) for p in pieces]
 
 
-def _node_pieces_dropped_but_the_first(heavy, lam, width):
-    _, pieces = _greedy_assignment(heavy, lam, width)
+def _node_pieces_dropped_but_the_first(heavy, lam, width, wanted=None, heavy_rows=None):
+    _, pieces = _greedy_assignment(heavy, lam, width, wanted, heavy_rows)
     return {}, pieces[:1]
 
 
-def _node_pieces_grown_past_their_top_element(heavy, lam, width):
-    _, pieces = _greedy_assignment(heavy, lam, width)
+def _node_pieces_grown_past_their_top_element(heavy, lam, width, wanted=None, heavy_rows=None):
+    _, pieces = _greedy_assignment(heavy, lam, width, wanted, heavy_rows)
     return {}, [p | 1 << p.bit_length() for p in pieces]
 
 

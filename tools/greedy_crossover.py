@@ -46,9 +46,9 @@ def record_covers(system):
     greedy, int_loop, numpy_loop = (constructions._greedy_assignment, constructions._int_greedy_cover,
                                     constructions._numpy_greedy_cover)
 
-    def recording(heavy, lam, width):
+    def recording(heavy, lam, width, wanted=None, heavy_rows=None):
         calls.append([heavy, lam, width, "one-pick"])
-        return greedy(heavy, lam, width)
+        return greedy(heavy, lam, width, wanted, heavy_rows)
 
     def routed(loop, path):
         def run(*args):
