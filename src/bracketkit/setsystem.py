@@ -157,11 +157,11 @@ def index_lists_json(masks, what):
     while start < len(masks):
         stop = max(start + 1, min(start + step, bisect_right(ends, ends[start] + cells, start) - 1))
         block = masks[start:stop]
-        top = max(map(int.bit_length, block))
-        if _walk_is_cheaper(stop - start, ends[stop] - ends[start], -(-top // 64)):
+        block_width = max(map(int.bit_length, block))
+        if _walk_is_cheaper(stop - start, ends[stop] - ends[start], -(-block_width // 64)):
             written = iter(names[_top_down(block, counts[start:stop])].tolist())
         else:
-            packed = pack_masks(block, top)
+            packed = pack_masks(block, block_width)
             rows, words = np.nonzero(packed)
             bits = np.flatnonzero(np.unpackbits(packed[rows, words].view(np.uint8), bitorder="little"))
             written = iter(names[words[bits >> 6] * 64 + (bits & 63)].tolist())
