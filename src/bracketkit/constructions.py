@@ -74,7 +74,7 @@ from .errors import (
 )
 from .families import make_bracket, make_container, make_mnet
 from .packing import greedy_delta_packing
-from .setsystem import SetSystem, canonical_rows, canonical_sort, complement_family, filter_by_size, size_band
+from .setsystem import SetSystem, canonical_rows, canonical_sort, complement_family, filter_by_size, size_band, size_band_slice
 from .trace import note
 from .verify import find_cover, find_piece, verify_family
 
@@ -466,12 +466,12 @@ def boost_epsilon(system, provider, eps, eta):
         hi_int = math.ceil(eps_hi * n) - 1 if i < t else n
         # Consecutive bands meet at ceil(eps_i*n) without overlapping, so no
         # band range has a piece yet.
-        band = size_band(system.ranges, lo_int, hi_int)
+        rows = size_band_slice(system.ranges, lo_int, hi_int)
+        band = system.ranges[rows]
         if not band:
             continue
         packing = greedy_delta_packing(system, math.floor(delta_i * n), shallow_cap=hi_int)
-        start = system.ranges.index(band[0])
-        nearest = _nearest_members(packed[start : start + len(band)], bitsets.pack_masks(packing.members, n))
+        nearest = _nearest_members(packed[rows], bitsets.pack_masks(packing.members, n))
         groups = {}
         for mask, k in zip(band, nearest):
             groups.setdefault(k, []).append(mask)

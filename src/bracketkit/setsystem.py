@@ -140,11 +140,7 @@ def index_lists_json(masks, what):
     word*64 + bit of a block's nonzero words, unpacked least significant
     bit first, come out in mask order and ascending within a mask; each is
     written by name from one table of ``str(i)``, and a mask's list is its
-    next ``bit_count()`` names.
-
-    A block wider than one word whose masks hold few elements for their
-    words (``_walk_is_cheaper``) takes its indices from ``_top_down``
-    instead, at a cost that grows with the elements, not the words."""
+    next ``bit_count()`` names."""
     counts = list(map(int.bit_count, masks))
     ends = list(accumulate(counts, initial=0))
     within_budget(ends[-1], MAX_JSON_INDICES, f"element indices in {what}")
@@ -157,48 +153,16 @@ def index_lists_json(masks, what):
     while start < len(masks):
         stop = max(start + 1, min(start + step, bisect_right(ends, ends[start] + cells, start) - 1))
         block = masks[start:stop]
-        block_width = max(map(int.bit_length, block))
-        if _walk_is_cheaper(stop - start, ends[stop] - ends[start], -(-block_width // 64)):
-            written = iter(names[_top_down(block, counts[start:stop])].tolist())
-        else:
-            packed = pack_masks(block, block_width)
-            rows, words = np.nonzero(packed)
-            bits = np.flatnonzero(np.unpackbits(packed[rows, words].view(np.uint8), bitorder="little"))
-            written = iter(names[words[bits >> 6] * 64 + (bits & 63)].tolist())
+        packed = pack_masks(block, max(map(int.bit_length, block)))
+        rows, words = np.nonzero(packed)
+        bits = np.flatnonzero(np.unpackbits(packed[rows, words].view(np.uint8), bitorder="little"))
+        written = iter(names[words[bits >> 6] * 64 + (bits & 63)].tolist())
         if start:
             parts.append(", ")
         parts.append(", ".join(f"[{', '.join(islice(written, c))}]" for c in counts[start:stop]))
         start = stop
     parts.append("]")
     return "".join(parts)
-
-
-def _walk_is_cheaper(rows, elements, words):
-    """Whether ``_top_down`` finds the indices of ``rows`` masks holding
-    ``elements`` in all, at most ``words`` words wide, faster than packing
-    and unpacking them.  Measured on a 2-core host (Python 3.11), beyond
-    what both share, the walk costs about 40 ns a mask more and 120 +
-    words/3 ns an element past each mask's first, and packing about 10 ns
-    a word.  A one-word block is always packed."""
-    return words > 1 and 120 * rows + (elements - rows) * (360 + words) < 30 * rows * words
-
-
-def _top_down(masks, counts):
-    """The indices of the masks, in mask order and ascending within a mask,
-    given each mask's ``bit_count()``.  A mask's highest index is its
-    ``bit_length() - 1``, and clearing it leaves the next, so a mask of k
-    elements costs k - 1 clears, each no wider than the mask."""
-    out = []
-    for mask, count in zip(masks, counts):
-        if count:
-            highest = []
-            for _ in range(count - 1):
-                i = mask.bit_length() - 1
-                highest.append(i)
-                mask ^= 1 << i
-            highest.append(mask.bit_length() - 1)
-            out += reversed(highest)
-    return out
 
 
 def json_object_text(fields):
@@ -250,10 +214,17 @@ def _neg_size(mask):
     return -mask.bit_count()
 
 
+def size_band_slice(ranges, lo, hi):
+    """The ``slice`` of ``ranges``, which must be in canonical
+    (size-descending) order, that holds the ranges with integer bounds
+    lo <= |R| <= hi; it also cuts the rows of ``pack_masks(ranges, n)``."""
+    return slice(bisect_left(ranges, -hi, key=_neg_size), bisect_right(ranges, -lo, key=_neg_size))
+
+
 def size_band(ranges, lo, hi):
     """The ranges with integer bounds lo <= |R| <= hi, as one slice of
     ``ranges``, which must be in canonical (size-descending) order."""
-    return ranges[bisect_left(ranges, -hi, key=_neg_size):bisect_right(ranges, -lo, key=_neg_size)]
+    return ranges[size_band_slice(ranges, lo, hi)]
 
 
 def filter_by_size(system, upper):

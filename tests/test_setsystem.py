@@ -370,45 +370,3 @@ def test_index_lists_json_is_json_dumps_of_the_index_lists(monkeypatch, block_ce
     for system in (bk.SetSystem.from_masks(0, []), bk.SetSystem.from_masks(0, [0]), bk.SetSystem.from_masks(320, mixed)):
         expected = json.dumps({"n": system.n, "ranges": json.loads(_index_lists_by_definition(system.ranges))})
         assert system.to_json() == expected
-
-
-@pytest.mark.parametrize("walk", [False, True])
-@pytest.mark.parametrize("block_cells", [bk.bitsets._BLOCK_CELLS, 130])
-def test_both_index_paths_write_json_dumps_of_the_index_lists(monkeypatch, block_cells, walk):
-    # Every block taken by one path, the top-down walk or the packed
-    # words, on masks of one to 1,025 words with 0 to 9 elements, dense
-    # masks and a zero among them.
-    monkeypatch.setattr(bk.bitsets, "_BLOCK_CELLS", block_cells)
-    monkeypatch.setattr(bk.setsystem, "_walk_is_cheaper", lambda rows, elements, words: walk)
-    rng = random.Random(49)
-    sparse = [sum(1 << rng.randrange(64 * rng.choice([1, 2, 7, 1025])) for _ in range(rng.randint(0, 9))) for _ in range(200)]
-    dense = [rng.getrandbits(64 * rng.randint(1, 5)) for _ in range(50)]
-    mixed = sparse + dense + [0, 1, 1 << 65599]
-    rng.shuffle(mixed)
-    for masks in (mixed, [0], [1 << 64, 1 << 63 | 1, 3 << 127], [1 << i for i in range(0, 4096, 3)]):
-        assert index_lists_json(masks, "test JSON") == _index_lists_by_definition(masks)
-
-
-def test_the_top_down_walk_takes_only_wide_blocks_of_few_elements_a_mask():
-    cheaper = bk.setsystem._walk_is_cheaper
-    # One word is always packed, however few its elements.
-    assert not cheaper(1000, 0, 1) and not cheaper(1000, 1000, 1)
-    # Singletons: packed at up to 4 words, walked from 5.
-    assert not cheaper(64, 64, 4) and cheaper(64, 64, 5) and cheaper(64, 64, 1024)
-    # At 1,024 words the walk takes up to 23 elements a mask.
-    assert cheaper(64, 64 * 23, 1024) and not cheaper(64, 64 * 24, 1024)
-    # Dense masks are packed at every width.
-    assert not any(cheaper(64, 64 * 32 * words, words) for words in (2, 4, 64, 1024))
-    # The wide sparse system, 1 << i for every i below 65,536, in blocks of
-    # 64 masks: the first four blocks are at most four words wide and are
-    # packed, and the other 1,020 blocks walk.
-    calls = []
-    original = bk.setsystem._top_down
-    def recording(masks, counts):
-        calls.append(len(masks))
-        return original(masks, counts)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bk.setsystem, "_top_down", recording)
-        masks = [1 << i for i in range(65536)]
-        assert index_lists_json(masks, "test JSON") == _index_lists_by_definition(masks)
-    assert calls == [64] * 1020
