@@ -156,7 +156,8 @@ def solve_equality_feasibility(rows, rhs):
                 x[var] = inv[i][m]
         if min(x, default=0) < 0 or any(sum(map(mul, row, x)) != den * b for row, b in zip(signed, b0)):
             raise InternalInvariantError("simplex point does not solve Ax = b, x >= 0")
-        return "feasible", tuple(Fraction(v, den) for v in x)
+        zero = Fraction(0)  # the non-basic entries share one value
+        return "feasible", tuple(Fraction(v, den) if v else zero for v in x)
     if gap < 0 or any(sum(map(mul, u, col)) > 0 for col in columns):
         raise InternalInvariantError("simplex certificate does not give y.A <= 0 < y.b")
     return "infeasible", tuple(Fraction(sign * v, den) for sign, v in zip(signs, u))

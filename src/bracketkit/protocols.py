@@ -12,6 +12,7 @@ index into a family of one hypothesis still costs one bit.
 
 import json
 import math
+import numbers
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -162,8 +163,17 @@ def _pick_hypothesis(ctx, r_alive, c_alive):
 
     It is the first consistent cover that contains a consistent range, with
     the first such range as witness.  The covers are visited lowest bit
-    first; the consistent ranges inside a cover are those in no column of a
-    point outside it.  Only the cover block needs a search: when no cover
+    first.  A range is inside a cover exactly when it meets no point
+    outside it, that is, when its bit is in no column of an outside point
+    (the spill, the OR of those columns).  So a visit first tests the
+    consistent ranges in bit order, one ``ranges[i] & outside`` each, and
+    stops at the first that passes: it is the lowest bit of
+    ``r_alive & ~spill``.  The tests stop after as many as the cover has
+    outside points, the number of ORs the spill takes; then the spill is
+    built, and the witness is the lowest untested consistent range whose
+    bit is not in it, or there is none.  Either way the witness is the lowest consistent
+    range inside the cover, and a visit costs at most about twice the
+    spill alone.  Only the cover block needs a search: when no cover
     qualifies, no consistent range is a cover (it would contain itself), so
     the first consistent range is the first consistent hypothesis of the
     fallback block and its own witness.  Its index is past the covers, at
@@ -175,14 +185,23 @@ def _pick_hypothesis(ctx, r_alive, c_alive):
         low = c_alive & -c_alive
         j = low.bit_length() - 1
         cover = ctx.hypotheses[j]
-        spill, outside = 0, ctx.system.full_mask ^ cover
-        while outside:
-            point = outside & -outside
-            spill |= rcol[point.bit_length() - 1]
-            outside ^= point
-        inside = r_alive & ~spill
-        if inside:
-            return j, cover, ranges[(inside & -inside).bit_length() - 1]
+        outside = ctx.system.full_mask ^ cover
+        untested, tests = r_alive, outside.bit_count()
+        while untested and tests:
+            i = (untested & -untested).bit_length() - 1
+            if not ranges[i] & outside:
+                return j, cover, ranges[i]
+            untested &= untested - 1
+            tests -= 1
+        if untested:
+            spill = 0
+            while outside:
+                point = outside & -outside
+                spill |= rcol[point.bit_length() - 1]
+                outside ^= point
+            inside = untested & ~spill
+            if inside:
+                return j, cover, ranges[(inside & -inside).bit_length() - 1]
         c_alive ^= low
     i = (r_alive & -r_alive).bit_length() - 1
     return ctx.cover_count + i - (cover_ranges & ((1 << i) - 1)).bit_count(), ranges[i], ranges[i]
@@ -326,8 +345,8 @@ def exact_hull_intersection(domain, a, b):
     a = sorted(set(a))
     b = sorted(set(b))
     d = domain.dim
-    e1 = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(d))
     if not a or not b:
+        e1 = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(d))
         proj = [domain.points[i][0] for i in a + b]
         c = min(proj, default=Fraction(1)) - 1 if not a else max(proj) + 1
         return HullResult(False, functional=(e1, c))
@@ -348,9 +367,14 @@ def exact_hull_intersection(domain, a, b):
     rhs = [0] * d + [1, 1]
     status, cert = solve_equality_feasibility(rows, rhs)
     if status == "feasible":
-        # At most d + 2 weights are basic, so only they enter the sum.
+        # At most d + 2 weights are basic, so only they enter the sum.  Over
+        # L, the lcm of their denominators, each weight is the integer
+        # w = mu * L, and coordinate k is the one Fraction sum(w * num[k]) / L.
         weighted = [(mu, num) for mu, (num, _) in zip(cert, pa) if mu]
-        point = tuple(sum(mu * num[k] for mu, num in weighted) for k in range(d))
+        scale = math.lcm(*(mu.denominator for mu, _ in weighted))
+        weights = [mu.numerator * (scale // mu.denominator) for mu, _ in weighted]
+        point = tuple(Fraction(sum(map(mul, weights, coords)), scale)
+                      for coords in zip(*(num for _, num in weighted)))
         return HullResult(True, witness=point)
     w = cert[:d]
     alpha, beta = cert[d], cert[d + 1]
@@ -376,7 +400,13 @@ def exact_hull_intersection(domain, a, b):
 def realizable_learning_instance(domain, seed, labeled_share=0.8):
     """Seeded realizable instance: labels come from an actual halfspace cut,
     points are split between Alice, Bob and unlabeled.  An empty domain
-    gives the empty instance."""
+    gives the empty instance.  A seed that is not an int, or a share that
+    is not a real number in [0, 1] (a bool, a str and NaN are not), raises
+    InputError; a valid share is used as given."""
+    json_int(seed, "seed")
+    if (isinstance(labeled_share, bool) or not isinstance(labeled_share, numbers.Real)
+            or not 0 <= labeled_share <= 1):
+        raise InputError(f"labeled_share {labeled_share!r} is not a real number in [0, 1]")
     if not domain.points:
         return LearningInstance(domain, (), ())
     rng = random.Random(seed)
@@ -407,8 +437,9 @@ def realizable_learning_instance(domain, seed, labeled_share=0.8):
 
 def random_disjointness_instance(domain, seed):
     """Seeded disjointness instance; parties get random disjoint index sets
-    (occasionally overlapping to exercise the trivially-intersecting path)."""
-    rng = random.Random(seed)
+    (occasionally overlapping to exercise the trivially-intersecting path).
+    A seed that is not an int raises InputError."""
+    rng = random.Random(json_int(seed, "seed"))
     alice = []
     bob = []
     for i in range(domain.n):

@@ -1,8 +1,11 @@
 """Property sweep of the public entry points: the seven constructions, the
 duality pair and the CLI's construction commands, on small systems and on
-simple and extreme parameters.  Every call returns a family that verifies,
-or raises a ``BracketkitError``; no raw arithmetic, memory or recursion
-error escapes, and the CLI exits 0 or 2 without a traceback."""
+simple and extreme parameters, and the two protocols and the hull oracle on
+extreme domains.  Every call returns a checked result (a family that
+verifies, a classifier or verdict that agrees with the hull oracle, a
+functional that separates), or raises a ``BracketkitError``; no raw
+arithmetic, memory or recursion error escapes, and the CLI exits 0 or 2
+without a traceback."""
 
 from fractions import Fraction
 
@@ -112,3 +115,77 @@ def test_a_cli_construction_exits_0_or_2_without_a_traceback(tmp_path, capsys, c
         assert verify_family(bk.family_from_json(out.read_text(), system)).passed
     else:
         assert err.startswith("usage error: ") and not out.exists()
+
+
+# Coordinates from 10^-400 to 10^400; points drawn from them repeat and lie
+# on common lines, and the fixed domains add collinear 3-D points.
+COORDINATES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+               *(Fraction(s * 10**400) for s in (1, -1)), *(Fraction(s, 10**400) for s in (1, -1))]
+FIXED_DOMAINS = [
+    bk.PointSet(3, tuple((Fraction(t), Fraction(2 * t), Fraction(3 * t)) for t in (0, 1, 2))),
+    bk.PointSet(3, tuple((Fraction(t * 10**400), Fraction(-t), Fraction(t, 10**400)) for t in (1, 2, 5))),
+    bk.PointSet(2, ((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(3)))),
+    bk.PointSet(1, ((Fraction(10**400),), (Fraction(-1, 10**400),), (Fraction(10**400),))),
+]
+
+
+@st.composite
+def extreme_domains(draw):
+    """A fixed domain, or d in 1..3 and n in 0..3 points of COORDINATES."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIXED_DOMAINS))
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.sampled_from(COORDINATES)] * d), max_size=3))
+    return bk.PointSet(d, tuple(rows))
+
+
+def _check_hull(domain, a, b, result):
+    """A separating functional separates strictly; a common point lies in
+    the bounding box of each side, and is the point of a one-point side."""
+    points = domain.points
+    if not result.intersecting:
+        w, c = result.functional
+        dot = lambda i: sum(x * y for x, y in zip(w, points[i]))  # noqa: E731
+        assert all(dot(i) < c for i in a) and all(dot(j) > c for j in b)
+        return
+    witness = result.witness
+    assert a and b and len(witness) == domain.dim
+    for side in (a, b):
+        assert all(min(points[i][k] for i in side) <= x <= max(points[i][k] for i in side)
+                   for k, x in enumerate(witness))
+        if len({points[i] for i in side}) == 1:
+            assert witness == points[side[0]]
+
+
+@given(
+    domain=extreme_domains(),
+    data=st.data(),
+    eps0=st.sampled_from([Fraction(1, 8), Fraction(1, 2)]),
+)
+@settings(max_examples=250, deadline=None)
+def test_the_protocols_and_the_hull_oracle_on_extreme_domains(domain, data, eps0):
+    index, most = st.integers(0, max(domain.n - 1, 0)), 3 if domain.n else 0
+    a = data.draw(st.lists(index, max_size=most))
+    b = data.draw(st.lists(index, max_size=most))
+    hull = bk.exact_hull_intersection(domain, a, b)
+    _check_hull(domain, a, b, hull)
+    try:
+        verdict, transcript = bk.convex_disjointness_protocol(bk.DisjointnessInstance(domain, tuple(a), tuple(b)), eps0)
+    except bk.BracketkitError:
+        pass
+    else:
+        assert (verdict == "intersecting") == hull.intersecting
+        assert transcript.total_bits == sum(m.bits for m in transcript.messages)
+    examples = data.draw(st.lists(st.tuples(index, st.sampled_from([1, -1])), max_size=most + 1 if most else 0))
+    split = data.draw(st.integers(0, len(examples)))
+    try:
+        classifier, _ = bk.learn_halfspace_protocol(
+            bk.LearningInstance(domain, tuple(examples[:split]), tuple(examples[split:])), eps0)
+    except bk.NonRealizableError:
+        positives = [i for i, label in examples if label > 0]
+        negatives = [i for i, label in examples if label < 0]
+        assert bk.exact_hull_intersection(domain, positives, negatives).intersecting
+    except bk.BracketkitError:
+        pass
+    else:
+        assert all(classifier(i) == label for i, label in examples)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bracketkit as bk
@@ -83,6 +83,43 @@ def test_realizable_instance_on_an_empty_domain_is_empty():
     _, transcript = bk.learn_halfspace_protocol(inst, EPS0)
     assert [m.kind for m in transcript.messages] == ["ok", "ok"]
     assert transcript.total_bits == 2
+
+
+_BAD_GENERATOR_CALLS = [
+    (lambda dom: bk.realizable_learning_instance(dom, 0, "0.5"), "labeled_share '0.5' is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 0, 2), "labeled_share 2 is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 0, -0.1), "labeled_share -0.1 is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 0, float("nan")),
+     "labeled_share nan is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 0, float("inf")),
+     "labeled_share inf is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 0, True), "labeled_share True is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 0, None), "labeled_share None is not a real number in [0, 1]"),
+    (lambda dom: bk.realizable_learning_instance(dom, 1.5), "seed 1.5 is not an integer"),
+    (lambda dom: bk.realizable_learning_instance(dom, True), "seed True is not an integer"),
+    (lambda dom: bk.realizable_learning_instance(dom, "a"), "seed 'a' is not an integer"),
+    (lambda dom: bk.random_disjointness_instance(dom, 1.5), "seed 1.5 is not an integer"),
+    (lambda dom: bk.random_disjointness_instance(dom, True), "seed True is not an integer"),
+    (lambda dom: bk.random_disjointness_instance(dom, "a"), "seed 'a' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("call, message", _BAD_GENERATOR_CALLS)
+@pytest.mark.parametrize("n", [0, 5])
+def test_generators_refuse_a_bad_seed_or_share_on_any_domain(call, message, n):
+    # Checked before the empty domain's early return, too.
+    with pytest.raises(bk.InputError) as err:
+        call(bk.random_point_set(2, n, 1))
+    assert str(err.value) == message
+
+
+def test_generators_take_a_valid_share_as_given():
+    # An int, a Fraction and the ends of [0, 1] are valid shares; equal
+    # values give equal instances, and share 0 labels nothing.
+    dom = bk.random_point_set(2, 12, 304)
+    assert bk.realizable_learning_instance(dom, 3, 1) == bk.realizable_learning_instance(dom, 3, 1.0)
+    assert bk.realizable_learning_instance(dom, 3, Fraction(1, 2)) == bk.realizable_learning_instance(dom, 3, 0.5)
+    assert bk.realizable_learning_instance(dom, 3, 0) == bk.LearningInstance(dom, (), ())
 
 
 def test_realizability_oracle_agrees_with_generator():
@@ -294,6 +331,87 @@ def test_cover_block_search_matches_full_list_search(monkeypatch):
     )
     assert runs() == expected
     assert any(tail_picks), "no round reached the fallback block"
+
+
+def _pick_inputs(n, range_masks, covers, alive, alive_covers):
+    """A context on the system of ``range_masks`` with the cover list
+    ``covers``, and its (r_alive, c_alive): the ranges in ``alive`` and the
+    covers at the indices in ``alive_covers`` are consistent, except that a
+    cover that is also a range is consistent exactly when the range is, as
+    in every protocol round."""
+    ctx = protocols.SharedContext.from_covers(bk.SetSystem.from_masks(n, range_masks), covers)
+    r_alive = sum(1 << k for k, m in enumerate(ctx.system.ranges) if m in alive)
+    c_alive = sum(1 << j for j, c in enumerate(covers)
+                  if (c in alive if c in ctx.system.ranges else j in alive_covers))
+    return ctx, r_alive, c_alive
+
+
+def _pick_paths(ctx, r_alive, c_alive, pick):
+    """The paths a pick takes: a consistent cover before it is rejected;
+    the pick is the full cover, or settled by the tests (the witness is
+    among the first |outside| consistent ranges), or by the spill; or no
+    cover qualifies (none is consistent, or every consistent one is
+    rejected) and the pick is in the fallback block."""
+    index, cover, witness = pick
+    paths = {"rejected"} if c_alive & ((1 << min(index, ctx.cover_count)) - 1) else set()
+    if index >= ctx.cover_count:
+        return paths | {"fallback" if c_alive else "no consistent cover"}
+    if cover == ctx.system.full_mask:
+        return paths | {"full cover"}
+    rank = (r_alive & ((1 << ctx.system.ranges.index(witness)) - 1)).bit_count()
+    return paths | {"tests" if rank < (ctx.system.full_mask ^ cover).bit_count() else "spill"}
+
+
+# (n, ranges, covers, consistent ranges, consistent cover indices).  The
+# cover 0b0011 has two outside points, so it is settled by at most two
+# tests: its witness {0} is the second consistent range in the first case
+# (the last test; {2, 3} fails it, and is disjoint from the cover), the
+# third and fourth in the next two (past the tests, found by the spill).
+PICK_EXAMPLES = [
+    (4, [0b1100, 0b0001], [0b0011], {0b1100, 0b0001}, {0}),
+    (4, [0b0110, 0b1010, 0b0001], [0b0011], {0b0110, 0b1010, 0b0001}, {0}),
+    (4, [0b0110, 0b1010, 0b1100, 0b0001], [0b0011], {0b0110, 0b1010, 0b1100, 0b0001}, {0}),
+    # {3} is rejected by the tests alone, 0b1110 after its spill; then 0b0111.
+    (4, [0b0011, 0b0101, 0b0001], [0b1000, 0b1110, 0b0111], {0b0101, 0b0001}, {0, 1, 2}),
+    (4, [0b0110, 0b0001], [0b1111], {0b0110, 0b0001}, {0}),
+    (4, [0b0110, 0b0001], [0b0011], {0b0110}, set()),
+    (4, [0b0110, 0b0001], [0b1000, 0b0001], {0b0110}, {0}),
+]
+
+
+@st.composite
+def pick_inputs(draw):
+    """A random small system, a cover list (ranges, ranges grown by a
+    drawn set, drawn sets and the full set) and its consistent items."""
+    n = draw(st.integers(1, 8))
+    word = st.integers(0, (1 << n) - 1)
+    range_masks = draw(st.lists(word, min_size=1, max_size=12))
+    covers = []
+    for _ in range(draw(st.integers(0, 6))):
+        base = draw(st.sampled_from(range_masks))
+        covers.append(draw(st.sampled_from([base, base | draw(word), draw(word), (1 << n) - 1])))
+    alive = set(draw(st.lists(st.sampled_from(range_masks), min_size=1)))
+    alive_covers = set(draw(st.lists(st.integers(0, max(len(covers) - 1, 0)))))
+    return n, range_masks, covers, alive, alive_covers
+
+
+def test_pick_examples_reach_every_path():
+    paths = set()
+    for case in PICK_EXAMPLES:
+        ctx, r_alive, c_alive = _pick_inputs(*case)
+        paths |= _pick_paths(ctx, r_alive, c_alive, _full_list_search(ctx, r_alive, c_alive, []))
+    assert paths == {"rejected", "tests", "spill", "full cover", "fallback", "no consistent cover"}
+
+
+@given(pick_inputs())
+@settings(max_examples=400, deadline=None)
+def test_pick_matches_full_list_search(case):
+    ctx, r_alive, c_alive = _pick_inputs(*case)
+    assert protocols._pick_hypothesis(ctx, r_alive, c_alive) == _full_list_search(ctx, r_alive, c_alive, [])
+
+
+for _case in PICK_EXAMPLES:
+    test_pick_matches_full_list_search = example(_case)(test_pick_matches_full_list_search)
 
 
 @st.composite
