@@ -164,20 +164,20 @@ def _pick_hypothesis(ctx, r_alive, c_alive):
     It is the first consistent cover that contains a consistent range, with
     the first such range as witness.  The covers are visited lowest bit
     first.  A range is inside a cover exactly when it meets no point
-    outside it, that is, when its bit is in no column of an outside point
-    (the spill, the OR of those columns).  So a visit first tests the
+    outside it, that is, when its bit is in no column of an outside point:
+    not in the spill, the OR of those columns.  So a visit first tests the
     consistent ranges in bit order, one ``ranges[i] & outside`` each, and
-    stops at the first that passes: it is the lowest bit of
-    ``r_alive & ~spill``.  The tests stop after as many as the cover has
-    outside points, the number of ORs the spill takes; then the spill is
-    built, and the witness is the lowest untested consistent range whose
-    bit is not in it, or there is none.  Either way the witness is the lowest consistent
-    range inside the cover, and a visit costs at most about twice the
-    spill alone.  Only the cover block needs a search: when no cover
-    qualifies, no consistent range is a cover (it would contain itself), so
-    the first consistent range is the first consistent hypothesis of the
-    fallback block and its own witness.  Its index is past the covers, at
-    its position among the ranges that are not covers.
+    returns the first that passes.  It stops after as many tests as the
+    cover has outside points, the number of ORs the spill takes; then it
+    builds the spill and takes the lowest untested consistent range whose
+    bit is not in it, if there is one.  Both find the lowest consistent
+    range inside the cover, the lowest bit of ``r_alive & ~spill``, and a
+    visit costs at most about twice the spill alone.  Only the cover block
+    needs a search: when no cover qualifies, no consistent range is a cover
+    (it would contain itself), so the first consistent range is the first
+    consistent hypothesis of the fallback block and its own witness.  Its
+    index is past the covers, at its position among the ranges that are
+    not covers.
     """
     rcol, _, cover_ranges = ctx.columns
     ranges = ctx.system.ranges
